@@ -857,31 +857,39 @@ fn peak_rss_mb() -> Option<f64> {
     Some(kb / 1024.0)
 }
 
+/// Report a command-line error and exit with status 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("perf_smoke: {msg}");
+    eprintln!("usage: perf_smoke [--out FILE] [--baseline FILE] [--repeat N]");
+    std::process::exit(2);
+}
+
 fn main() {
     let mut out_path = String::from("BENCH_pr10.json");
     let mut baseline_path: Option<String> = None;
     let mut repeat = 3usize;
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
+        let mut value = || {
+            argv.next()
+                .unwrap_or_else(|| usage_error(&format!("{arg} needs a value")))
+        };
         match arg.as_str() {
-            "--out" => out_path = argv.next().expect("--out needs a path"),
-            "--baseline" => baseline_path = Some(argv.next().expect("--baseline needs a path")),
+            "--out" => out_path = value(),
+            "--baseline" => baseline_path = Some(value()),
             "--repeat" => {
-                repeat = argv
-                    .next()
-                    .expect("--repeat needs a count")
-                    .parse()
-                    .expect("--repeat takes an integer")
+                repeat = match value().parse() {
+                    Ok(n) if n >= 1 => n,
+                    _ => usage_error("--repeat takes a positive integer"),
+                }
             }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown argument: {other}")),
         }
     }
 
     let baseline = baseline_path.map(|p| {
-        std::fs::read_to_string(&p).unwrap_or_else(|e| panic!("cannot read baseline {p}: {e}"))
+        std::fs::read_to_string(&p)
+            .unwrap_or_else(|e| usage_error(&format!("cannot read baseline {p}: {e}")))
     });
 
     // tc_chain_guarded re-runs tc_chain with every guard armed (deadline,

@@ -106,6 +106,9 @@ pub struct RuleStats {
     /// Rows enumerated from scans (index probes and delta sweeps) while
     /// evaluating this rule.
     pub join_probes: u64,
+    /// Merge joins that defected to a hash join on every bound column
+    /// because a key group would have cost more than a relation scan.
+    pub join_defections: u64,
     /// Wall time spent in this rule's applications, in nanoseconds.
     pub wall_ns: u64,
 }
@@ -211,7 +214,7 @@ impl EvalStats {
             let _ = writeln!(
                 out,
                 "rule (stratum {}): {}\n  apps={} derived={} added={} dedup_hits={} \
-                 join_probes={} wall_ms={:.3}",
+                 join_probes={} join_defections={} wall_ms={:.3}",
                 r.stratum,
                 r.rule,
                 r.applications,
@@ -219,6 +222,7 @@ impl EvalStats {
                 r.facts_added,
                 r.dedup_hits,
                 r.join_probes,
+                r.join_defections,
                 r.wall_ns as f64 / 1e6,
             );
         }
@@ -778,6 +782,7 @@ impl<'p> Engine<'p> {
                 facts_added: added,
                 dedup_hits: derived - added,
                 join_probes: scratch.take_probes(),
+                join_defections: scratch.take_defections(),
                 wall_ns: u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
             });
         }
@@ -825,6 +830,7 @@ impl<'p> Engine<'p> {
                 ru.applications += 1;
                 ru.facts_derived += derived.len();
                 ru.join_probes += scratch.take_probes();
+                ru.join_defections += scratch.take_defections();
                 ru.wall_ns += u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
                 stats.facts_considered += derived.len();
                 for f in derived.rows() {
@@ -987,7 +993,7 @@ impl<'p> Engine<'p> {
             let snapshot: &Database = db;
             let executor = self.executor;
             let workers = self.threads.min(round.len());
-            let mut results: Vec<(usize, Result<FactBuf>, u64, u64)> =
+            let mut results: Vec<(usize, Result<FactBuf>, u64, u64, u64)> =
                 std::thread::scope(|scope| {
                     let handles: Vec<_> = (0..workers)
                         .map(|w| {
@@ -1013,7 +1019,9 @@ impl<'p> Engine<'p> {
                                         .map(|()| out);
                                         let wall_ns = u64::try_from(started.elapsed().as_nanos())
                                             .unwrap_or(u64::MAX);
-                                        (idx, res, scratch.take_probes(), wall_ns)
+                                        let probes = scratch.take_probes();
+                                        let defections = scratch.take_defections();
+                                        (idx, res, probes, defections, wall_ns)
                                     })
                                     .collect::<Vec<_>>()
                             })
@@ -1025,12 +1033,13 @@ impl<'p> Engine<'p> {
                         .collect()
                 });
             results.sort_by_key(|&(idx, ..)| idx);
-            for (idx, res, probes, wall_ns) in results {
+            for (idx, res, probes, defections, wall_ns) in results {
                 stats.rule_applications += 1;
                 {
                     let ru = &mut stats.per_rule[rule_base + rule_of[idx]];
                     ru.applications += 1;
                     ru.join_probes += probes;
+                    ru.join_defections += defections;
                     ru.wall_ns += wall_ns;
                 }
                 let derived = res?;
@@ -1081,6 +1090,7 @@ impl<'p> Engine<'p> {
                 let ru = &mut stats.per_rule[rule_base + rule_of[idx]];
                 ru.applications += 1;
                 ru.join_probes += scratches[idx].take_probes();
+                ru.join_defections += scratches[idx].take_defections();
                 ru.wall_ns += wall_ns;
                 ru.facts_derived += n_derived;
                 ru.facts_added += added;

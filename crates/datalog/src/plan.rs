@@ -19,18 +19,26 @@
 //! * **no bound columns** — the matching rows are computed once (a
 //!   constant-column index probe, or a full scan) and cross-producted
 //!   with the batch;
-//! * **bound columns, small relation** (≤ [`CHUNK`] rows) — the whole
-//!   relation side is hashed on its bound-column cells into a per-step
-//!   table cached by relation version, so EDB relations are hashed once
-//!   per evaluation and probed by every chunk of every round;
-//! * **bound columns, large relation, selective constant** — when a
-//!   constant column selects fewer candidate rows than the batch has
-//!   bindings, the candidates are hashed per chunk and the batch probes
-//!   that table (batched hash join on the small side);
-//! * **bound columns, no better option** — the batch is sorted on its
-//!   first bound slot and merge-joined against the column's sorted
+//! * **bound columns, hash join** — the smaller side is hashed on its
+//!   bound-column cells and the other side probes the table. Used for a
+//!   small relation (≤ [`CHUNK`] rows), whose relation-side table is
+//!   cached per step by relation version — EDB relations are hashed once
+//!   per evaluation and probed by every chunk of every round — or when a
+//!   constant column selects no more candidate rows than the batch has
+//!   bindings;
+//! * **bound columns, merge join** otherwise — the batch is sorted on
+//!   its first bound slot and merge-joined against the column's sorted
 //!   permutation index via a galloping cursor
-//!   ([`crate::storage::Relation::col_cursor`]).
+//!   ([`crate::storage::Relation::col_cursor`]). With two or more bound
+//!   columns each key group is checked after its seek: a group of `g`
+//!   batch rows seeking `s` relation rows costs `g × s` pair checks, so
+//!   once that product (or the rows seeked so far) exceeds one relation
+//!   scan plus a chunk, the group and every later one *defect* to the
+//!   hash join on all bound columns. No single key group therefore does
+//!   more than `rel.len() + CHUNK` pair checks, and a defecting chunk
+//!   costs one relation scan plus one hash operation per candidate row
+//!   and per remaining batch row (the batch side is usually the one
+//!   hashed).
 //!
 //! Sorted permutation indexes are built lazily: each plan records the
 //! `(predicate, column)` pairs it probes (`index_needs`) and the
@@ -233,6 +241,8 @@ pub(crate) struct Scratch {
     tables: Vec<Option<JoinTable>>,
     /// Guard tick state and probe counter for this plan's evaluations.
     cursor: GuardCursor,
+    /// Merge joins that defected to a hash join since the last take.
+    defections: u64,
 }
 
 impl Scratch {
@@ -240,6 +250,12 @@ impl Scratch {
     /// call, for per-rule statistics.
     pub(crate) fn take_probes(&mut self) -> u64 {
         self.cursor.take_probes()
+    }
+
+    /// Take (and reset) the merge→hash join defection count accumulated
+    /// since the last call, for per-rule statistics.
+    pub(crate) fn take_defections(&mut self) -> u64 {
+        mem::take(&mut self.defections)
     }
 }
 
@@ -265,6 +281,11 @@ pub(crate) struct RulePlan {
     pub(crate) index_needs: Vec<(SymId, usize)>,
     /// Human-readable description of the chosen join order.
     pub order_desc: String,
+}
+
+/// A row count as a probe count, saturating at `u32::MAX`.
+fn clamp(n: usize) -> u32 {
+    u32::try_from(n).unwrap_or(u32::MAX)
 }
 
 fn hash_cells(cells: impl Iterator<Item = Const>) -> u64 {
@@ -724,6 +745,7 @@ impl RulePlan {
             rowbufs: self.steps.iter().map(|_| Vec::new()).collect(),
             tables: self.steps.iter().map(|_| None).collect(),
             cursor: GuardCursor::new(),
+            defections: 0,
         }
     }
 
@@ -1029,9 +1051,120 @@ impl RulePlan {
         }
     }
 
+    /// Replace `rows` with the live rows satisfying this scan's constant
+    /// and repeated-variable columns, probing the most selective constant
+    /// column's index when there is one. A lone constant needs no
+    /// selectivity estimate, so its `count_eq` (a search per sorted run
+    /// plus a scan of the unsorted tail) is skipped.
+    fn candidate_rows(spec: &ScanSpec, rel: &Relation, rows: &mut Vec<u32>) {
+        rows.clear();
+        let driver = match spec.consts.as_slice() {
+            &[only] => Some(only),
+            consts => consts
+                .iter()
+                .copied()
+                .min_by_key(|&(c, v)| rel.count_eq(c, v)),
+        };
+        match driver {
+            Some((c, v)) => rel.probe_rows(c, v, rows),
+            None => rel.live_rows(rows),
+        }
+        Self::retain_scan_rows(spec, rel, rows);
+    }
+
+    /// Hash join of `batch_rows` with the scan's candidate rows on every
+    /// bound column. The relation side is hashed when a current cached
+    /// table exists, when `cache` asks for one (kept for the step's next
+    /// chunk and round, until the relation version changes), or when it
+    /// has no more candidates than `batch_rows`; otherwise the batch rows
+    /// are hashed and the candidates probe them. Keys are hashes, so every
+    /// pair is verified on all bound columns.
+    #[allow(clippy::too_many_arguments)]
+    fn hash_join(
+        &self,
+        step: usize,
+        spec: &ScanSpec,
+        rel: &Relation,
+        cache: bool,
+        batch: &Batch,
+        mut batch_rows: impl ExactSizeIterator<Item = u32>,
+        child: &mut Batch,
+        db: &Database,
+        delta: Option<&FactBuf>,
+        scratch: &mut Scratch,
+        out: &mut FactBuf,
+        guard: &EvalGuard,
+    ) -> Result<()> {
+        // Hash of the bound cells of a batch row (`of_batch`) or a
+        // relation row.
+        let key = |id: u32, of_batch: bool| {
+            if of_batch {
+                hash_cells(spec.bounds.iter().map(|&(_, s)| batch.get(s, id as usize)))
+            } else {
+                hash_cells(spec.bounds.iter().map(|&(c, _)| rel.cell(id, c)))
+            }
+        };
+        let mut rows = mem::take(&mut scratch.rowbufs[step]);
+        let cached = scratch.tables[step]
+            .take()
+            .filter(|t| t.version == rel.version());
+        if cached.is_none() {
+            Self::candidate_rows(spec, rel, &mut rows);
+        }
+        let rel_side = cached.is_some() || cache || rows.len() <= batch_rows.len();
+        let map = match cached {
+            Some(t) => t.map,
+            None => {
+                let mut map: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
+                let mut insert = |id, of_batch| map.entry(key(id, of_batch)).or_default().push(id);
+                if rel_side {
+                    rows.iter().for_each(|&r| insert(r, false));
+                } else {
+                    batch_rows.by_ref().for_each(|row| insert(row, true));
+                }
+                map
+            }
+        };
+        // Probe with the other side's rows: `p` pairs with each table
+        // entry of the same key as (batch row, relation row).
+        let mut probe = |p: u32| -> Result<()> {
+            let Some(cands) = map.get(&key(p, rel_side)) else {
+                return Ok(());
+            };
+            scratch.cursor.probe_n(clamp(cands.len()), guard)?;
+            for &c in cands {
+                let (row, r) = if rel_side { (p, c) } else { (c, p) };
+                let row = row as usize;
+                if spec
+                    .bounds
+                    .iter()
+                    .all(|&(col, s)| rel.cell(r, col) == batch.get(s, row))
+                {
+                    self.push_rel_pair(
+                        step, spec, batch, row, rel, r, child, db, delta, scratch, out, guard,
+                    )?;
+                }
+            }
+            Ok(())
+        };
+        let result = if rel_side {
+            batch_rows.try_for_each(probe)
+        } else {
+            rows.iter().try_for_each(|&r| probe(r))
+        };
+        scratch.rowbufs[step] = rows;
+        if cache {
+            scratch.tables[step] = Some(JoinTable {
+                version: rel.version(),
+                map,
+            });
+        }
+        result
+    }
+
     /// Batched scan of a stored relation. Fills `child` with join pairs
     /// (flushing at [`CHUNK`]); the caller flushes the remainder.
-    #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
+    #[allow(clippy::too_many_arguments)]
     fn scan_rel(
         &self,
         step: usize,
@@ -1052,23 +1185,12 @@ impl RulePlan {
         if rel.arity() != Some(arity) {
             return Ok(()); // empty (or never-populated) relation
         }
-        let clamp = |n: usize| u32::try_from(n).unwrap_or(u32::MAX);
 
         if spec.bounds.is_empty() {
             // No join columns: the matching rows are the same for every
             // batch row. Compute them once, then cross-product.
             let mut rows = mem::take(&mut scratch.rowbufs[step]);
-            rows.clear();
-            match spec
-                .consts
-                .iter()
-                .copied()
-                .min_by_key(|&(c, v)| rel.count_eq(c, v))
-            {
-                Some((c, v)) => rel.probe_rows(c, v, &mut rows),
-                None => rel.live_rows(&mut rows),
-            }
-            Self::retain_scan_rows(spec, rel, &mut rows);
+            Self::candidate_rows(spec, rel, &mut rows);
             let mut result = Ok(());
             'batch: for row in 0..batch.n {
                 result = scratch.cursor.probe_n(clamp(rows.len()), guard);
@@ -1088,112 +1210,27 @@ impl RulePlan {
             return result;
         }
 
-        // Bound columns, small relation: hash join against a cached
-        // per-step table of the whole relation side, built once per
-        // relation version and reused across chunks and rounds. EDB
-        // relations never change mid-evaluation, so they are hashed
-        // exactly once per run. Building costs O(relation), so a stale
-        // cache is only rebuilt when the batch is large enough to
-        // amortize it — one-off small evaluations (incremental delta
-        // propagation, point queries) fall through to the index paths.
+        // Bound columns: hash join against a small relation (≤ CHUNK
+        // rows) whose table is cached per step by relation version, so
+        // EDB relations are hashed once per evaluation. A stale cache is
+        // rebuilt only for a batch large enough to amortize it; one-off
+        // small evaluations (incremental delta propagation, point
+        // queries) fall through. A constant column selecting no more rows
+        // than the batch has bindings makes an uncached table cheap too.
         let table_valid = scratch.tables[step]
             .as_ref()
             .is_some_and(|t| t.version == rel.version());
-        if rel.len() <= CHUNK && (table_valid || batch.n * TABLE_BUILD_RATIO >= rel.len()) {
-            if !table_valid {
-                let mut rows = mem::take(&mut scratch.rowbufs[step]);
-                rows.clear();
-                rel.live_rows(&mut rows);
-                Self::retain_scan_rows(spec, rel, &mut rows);
-                let mut map: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-                for &r in &rows {
-                    let h = hash_cells(spec.bounds.iter().map(|&(c, _)| rel.cell(r, c)));
-                    map.entry(h).or_default().push(r);
-                }
-                scratch.rowbufs[step] = rows;
-                scratch.tables[step] = Some(JoinTable {
-                    version: rel.version(),
-                    map,
-                });
-            }
-            let table = scratch.tables[step].take().expect("table built above");
-            let mut result = Ok(());
-            'small: for row in 0..batch.n {
-                let h = hash_cells(spec.bounds.iter().map(|&(_, s)| batch.get(s, row)));
-                let Some(cands) = table.map.get(&h) else {
-                    continue;
-                };
-                result = scratch.cursor.probe_n(clamp(cands.len()), guard);
-                if result.is_err() {
-                    break;
-                }
-                for &r in cands {
-                    if spec
-                        .bounds
-                        .iter()
-                        .all(|&(c, s)| rel.cell(r, c) == batch.get(s, row))
-                    {
-                        result = self.push_rel_pair(
-                            step, spec, batch, row, rel, r, child, db, delta, scratch, out, guard,
-                        );
-                        if result.is_err() {
-                            break 'small;
-                        }
-                    }
-                }
-            }
-            scratch.tables[step] = Some(table);
-            return result;
-        }
-
-        // Large relation, selective constant: probe the constant column,
-        // hash the (now small) candidate set per chunk.
-        let const_driver = spec
-            .consts
-            .iter()
-            .copied()
-            .map(|(c, v)| (rel.count_eq(c, v), c, v))
-            .min();
-        if let Some((est, dc, dv)) = const_driver.filter(|&(est, ..)| est <= batch.n) {
-            let _ = est;
-            let mut rows = mem::take(&mut scratch.rowbufs[step]);
-            rows.clear();
-            rel.probe_rows(dc, dv, &mut rows);
-            Self::retain_scan_rows(spec, rel, &mut rows);
-            // Build the hash table on the (small) relation side, keyed by
-            // the bound-column cells; the batch probes it.
-            let mut table: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-            for &r in &rows {
-                let h = hash_cells(spec.bounds.iter().map(|&(c, _)| rel.cell(r, c)));
-                table.entry(h).or_default().push(r);
-            }
-            let mut result = Ok(());
-            'hash: for row in 0..batch.n {
-                let h = hash_cells(spec.bounds.iter().map(|&(_, s)| batch.get(s, row)));
-                let Some(cands) = table.get(&h) else {
-                    continue;
-                };
-                result = scratch.cursor.probe_n(clamp(cands.len()), guard);
-                if result.is_err() {
-                    break;
-                }
-                for &r in cands {
-                    if spec
-                        .bounds
-                        .iter()
-                        .all(|&(c, s)| rel.cell(r, c) == batch.get(s, row))
-                    {
-                        result = self.push_rel_pair(
-                            step, spec, batch, row, rel, r, child, db, delta, scratch, out, guard,
-                        );
-                        if result.is_err() {
-                            break 'hash;
-                        }
-                    }
-                }
-            }
-            scratch.rowbufs[step] = rows;
-            return result;
+        let small = rel.len() <= CHUNK && (table_valid || batch.n * TABLE_BUILD_RATIO >= rel.len());
+        if small
+            || spec
+                .consts
+                .iter()
+                .any(|&(c, v)| rel.count_eq(c, v) <= batch.n)
+        {
+            let all = (0..batch.n).map(clamp);
+            return self.hash_join(
+                step, spec, rel, small, batch, all, child, db, delta, scratch, out, guard,
+            );
         }
 
         // Merge join: sort the batch on its first bound slot (keys
@@ -1212,53 +1249,16 @@ impl RulePlan {
         let mut rows = mem::take(&mut scratch.rowbufs[step]);
         let mut result = Ok(());
         let mut i = 0;
-        // Adaptive defection: with two or more bound columns the merge
-        // join seeks on the first and filters the rest per row, so a
-        // low-selectivity first column can seek far more rows than the
-        // relation holds. Once the seeked row count exceeds one full
-        // scan, the remaining key groups defect to a hash join — hash
-        // them on all bound columns and stream the relation through the
-        // table once. Total work is bounded at roughly twice the better
-        // strategy without relying on cardinality estimates.
+        // Adaptive defection (see the module docs): with two or more
+        // bound columns, a key group of `g` batch rows seeking `s` rows
+        // costs `g × s` pair checks. Once that product, or the rows seeked
+        // by earlier groups, exceeds `bail` (one relation scan plus a
+        // chunk), this group and every later one take the hash join on
+        // all bound columns instead.
+        let defect = spec.bounds.len() >= 2;
         let bail = rel.len().saturating_add(CHUNK);
         let mut seeked = 0usize;
-        'merge: while i < order.len() {
-            if spec.bounds.len() >= 2 && seeked > bail {
-                let mut table: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-                for &(_, br) in &order[i..] {
-                    let row = br as usize;
-                    let h = hash_cells(spec.bounds.iter().map(|&(_, s)| batch.get(s, row)));
-                    table.entry(h).or_default().push(br);
-                }
-                rows.clear();
-                rel.live_rows(&mut rows);
-                Self::retain_scan_rows(spec, rel, &mut rows);
-                'scan: for &r in &rows {
-                    let h = hash_cells(spec.bounds.iter().map(|&(c, _)| rel.cell(r, c)));
-                    let Some(cands) = table.get(&h) else { continue };
-                    result = scratch.cursor.probe_n(clamp(cands.len()), guard);
-                    if result.is_err() {
-                        break;
-                    }
-                    for &br in cands {
-                        let row = br as usize;
-                        if spec
-                            .bounds
-                            .iter()
-                            .all(|&(c, s)| rel.cell(r, c) == batch.get(s, row))
-                        {
-                            result = self.push_rel_pair(
-                                step, spec, batch, row, rel, r, child, db, delta, scratch, out,
-                                guard,
-                            );
-                            if result.is_err() {
-                                break 'scan;
-                            }
-                        }
-                    }
-                }
-                break 'merge;
-            }
+        'merge: while i < order.len() && !(defect && seeked > bail) {
             let k = order[i].0;
             let v = batch.get(jslot, order[i].1 as usize);
             let mut j = i + 1;
@@ -1271,6 +1271,9 @@ impl RulePlan {
                 None => rel.probe_rows(jcol, v, &mut rows),
             }
             Self::retain_scan_rows(spec, rel, &mut rows);
+            if defect && rows.len().saturating_mul(j - i) > bail {
+                break;
+            }
             seeked += rows.len();
             result = scratch
                 .cursor
@@ -1297,6 +1300,13 @@ impl RulePlan {
             i = j;
         }
         scratch.rowbufs[step] = rows;
+        if result.is_ok() && i < order.len() {
+            scratch.defections += 1;
+            let rest = order[i..].iter().map(|&(_, br)| br);
+            result = self.hash_join(
+                step, spec, rel, false, batch, rest, child, db, delta, scratch, out, guard,
+            );
+        }
         result
     }
 
@@ -1317,7 +1327,6 @@ impl RulePlan {
         guard: &EvalGuard,
     ) -> Result<()> {
         let facts = delta.expect("delta variant evaluated without a delta");
-        let clamp = |n: usize| u32::try_from(n).unwrap_or(u32::MAX);
         let mut result = Ok(());
         'facts: for fi in 0..facts.len() {
             let fact = facts.row(fi);

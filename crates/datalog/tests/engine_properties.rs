@@ -218,6 +218,97 @@ proptest! {
     }
 }
 
+/// Run `src` under both executors, assert they reach the same model, and
+/// return the batched run's counters for the rules with head `head`:
+/// `(join_probes, join_defections, facts_added)`.
+fn batched_rule_counters(src: &str, head: &str) -> (u64, u64, usize) {
+    let p = parse_program(src).unwrap();
+    let (batched, stats) = Engine::new(&p)
+        .unwrap()
+        .with_executor(Executor::Batched)
+        .run_with_stats()
+        .unwrap();
+    let tuple = Engine::new(&p)
+        .unwrap()
+        .with_executor(Executor::Tuple)
+        .run()
+        .unwrap();
+    assert_eq!(all_facts(&batched), all_facts(&tuple), "executors disagree");
+    let rules: Vec<_> = stats
+        .per_rule
+        .iter()
+        .filter(|r| r.rule.starts_with(&format!("{head}(")))
+        .collect();
+    assert!(!rules.is_empty(), "no `{head}` rule in the stats");
+    (
+        rules.iter().map(|r| r.join_probes).sum(),
+        rules.iter().map(|r| r.join_defections).sum(),
+        rules.iter().map(|r| r.facts_added).sum(),
+    )
+}
+
+/// The cautious-belief self-join of the reduction, over a `visible`
+/// relation larger than one join chunk (4 096 rows). Every key
+/// `(P, K, A)` holds three cells at classes `c0 < c1 < c2`; the first
+/// join column `P` takes the value `p0` on the first `thin_keys` keys
+/// and `p1` on the rest, so its key groups are far fatter than the
+/// full-key join.
+fn beaten_src(rows: usize, thin_keys: usize) -> String {
+    let mut src = String::from(
+        "dominate(c0, c0). dominate(c0, c1). dominate(c0, c2).\n\
+         dominate(c1, c1). dominate(c1, c2). dominate(c2, c2).\n",
+    );
+    for i in 0..rows {
+        let key = i / 3;
+        let p = usize::from(key >= thin_keys);
+        src.push_str(&format!("visible(p{p}, k{key}, a, v{i}, c{}).\n", i % 3));
+    }
+    src.push_str(
+        "beaten(P, K, A, C) :- visible(P, K, A, V, C), visible(P, K, A, V2, C2), \
+         dominate(C, C2), C != C2.\n",
+    );
+    src
+}
+
+#[test]
+fn fat_merge_key_groups_defect_to_the_hash_join() {
+    const ROWS: usize = 5000;
+    // One value of the first join column for every row, then a thin
+    // group of 20 keys beside a fat one.
+    for thin_keys in [0, 20] {
+        let (probes, defections, added) =
+            batched_rule_counters(&beaten_src(ROWS, thin_keys), "beaten");
+        // Two classes of every full key are beaten by a higher one.
+        assert_eq!(added, 2 * (ROWS / 3) + 1, "thin_keys={thin_keys}");
+        let bound = 20 * (ROWS as u64 + added as u64);
+        assert!(
+            probes <= bound,
+            "thin_keys={thin_keys}: {probes} join probes, bound {bound}"
+        );
+        assert!(defections > 0, "thin_keys={thin_keys}: no defection");
+    }
+}
+
+#[test]
+fn single_bound_column_joins_never_defect() {
+    // tc_chain-shaped closure over a fan: 4 200 spokes into one hub,
+    // which fans out to four leaves. `edge` is larger than one join
+    // chunk, so the recursive rule merge-joins on `Y` with one fat key
+    // group (every spoke) — but a single bound column leaves nothing
+    // for a hash join to filter on, so the merge join keeps it.
+    let mut src = String::new();
+    for i in 0..4200 {
+        src.push_str(&format!("edge(x{i}, hub).\n"));
+    }
+    for k in 0..4 {
+        src.push_str(&format!("edge(hub, z{k}).\n"));
+    }
+    src.push_str("path(X, Y) :- edge(X, Y).\npath(X, Z) :- edge(X, Y), path(Y, Z).\n");
+    let (_, defections, added) = batched_rule_counters(&src, "path");
+    assert_eq!(added, 4204 + 4200 * 4);
+    assert_eq!(defections, 0);
+}
+
 #[test]
 fn printed_program_reparses_to_same_model() {
     let src = "edge(a, b). edge(b, c).\n\
