@@ -22,6 +22,9 @@
 //!   worst-case and top-1% reader latencies coincide with a writer
 //!   commit publish — the snapshot-isolation claim is that reader
 //!   latency stays flat because readers never block on commits.
+//!   `strata_recomputed` sums the strata the level engines recomputed
+//!   from scratch over all commits; DRed maintains cautious-belief
+//!   (negation) strata by delta, so it is 0.
 //! * `social_reach_{operator,rules}` — full reachability over a
 //!   power-law social graph, computed by the native `@bfs` operator vs.
 //!   the equivalent rule-at-a-time transitive closure (identical `reach`
@@ -552,6 +555,9 @@ struct ConcurrentChurnResult {
     commits_per_sec: f64,
     writer_wall_ms: f64,
     final_epoch: u64,
+    /// Strata recomputed from scratch, summed over every level engine
+    /// and every commit.
+    strata_recomputed: usize,
 }
 
 /// Run `readers` reader threads against a [`BeliefServer`] while the
@@ -590,6 +596,7 @@ fn run_concurrent_churn(readers: usize, commits: usize) -> ConcurrentChurnResult
     let mut windows: Vec<Vec<(f64, f64)>> = Vec::new();
     let mut publishes: Vec<f64> = Vec::with_capacity(commits);
     let mut writer_wall_ms = 0.0;
+    let mut strata_recomputed = 0usize;
     let clock = Instant::now();
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
@@ -635,7 +642,12 @@ fn run_concurrent_churn(readers: usize, commits: usize) -> ConcurrentChurnResult
             } else {
                 EdbUpdate::Retract(m)
             };
-            writer.commit(&[update]).expect("churn commit applies");
+            let summary = writer.commit(&[update]).expect("churn commit applies");
+            strata_recomputed += summary
+                .levels
+                .values()
+                .map(|s| s.strata_recomputed)
+                .sum::<usize>();
             publishes.push(clock.elapsed().as_secs_f64() * 1e6);
         }
         writer_wall_ms = start.elapsed().as_secs_f64() * 1e3;
@@ -671,6 +683,7 @@ fn run_concurrent_churn(readers: usize, commits: usize) -> ConcurrentChurnResult
         commits_per_sec: commits as f64 / (writer_wall_ms / 1e3),
         writer_wall_ms,
         final_epoch: server.epoch(),
+        strata_recomputed,
     }
 }
 
@@ -1014,8 +1027,12 @@ fn main() {
         churn.commits_per_sec
     ));
     json.push_str(&format!(
-        "    \"writer_wall_ms\": {:.3}\n",
+        "    \"writer_wall_ms\": {:.3},\n",
         churn.writer_wall_ms
+    ));
+    json.push_str(&format!(
+        "    \"strata_recomputed\": {}\n",
+        churn.strata_recomputed
     ));
     json.push_str("  },\n");
     if let Some(mb) = xl_peak_rss_mb {

@@ -25,11 +25,26 @@
 //! * **Insertion propagation.** New facts propagate with the same delta
 //!   plans; a fact re-derived after being deleted in the same commit nets
 //!   out to no change.
-//! * **Fallback.** When a stratum negates over a changed predicate, or a
-//!   deletion cascade overshoots a heuristic threshold, the stratum is
-//!   recomputed from scratch (its predicates reset to base facts, then a
-//!   sequential semi-naive fixpoint) and the result diffed against the
-//!   old contents to keep downstream deltas exact.
+//! * **Negation as a delta.** A negated predicate `q` always lives in a
+//!   lower stratum, so its change is final when the stratum runs, and
+//!   each `not q(..)` gets two plan variants (Gupta, Mumick and
+//!   Subrahmanian's treatment of stratified negation). The
+//!   *overestimate* variant flips it to a positive delta literal over
+//!   `q`'s insertions; it runs while the lower strata show their old
+//!   state (`q`'s insertions hidden, its deletions restored), and the
+//!   facts it derives join the deletion overestimate. The *insertion*
+//!   variant puts a positive copy of `q(..)` over `q`'s deletions just
+//!   before the kept `not q(..)`; the facts it derives join the
+//!   insertion frontier. Both variants rename the negation's existential
+//!   variables apart, so `sink(X) :- node(X), not edge(X, Y)` still asks
+//!   whether `X` has *no* out-edge, not whether the one deleted edge is
+//!   gone.
+//! * **Fallback.** When a deletion cascade overshoots a heuristic
+//!   threshold, the stratum is recomputed from scratch (its predicates
+//!   reset to base facts, then a sequential semi-naive fixpoint) and the
+//!   result diffed against the old contents to keep downstream deltas
+//!   exact. Programs with algorithm operators or aggregates recompute
+//!   the whole fixpoint on every commit.
 //!
 //! Every phase threads one [`EvalGuard`] (deadline, fact budget,
 //! cancellation), so a runaway cascade surfaces as the same typed errors
@@ -86,7 +101,19 @@ pub struct CommitStats {
     pub rederived: usize,
     /// Strata that fell back to a from-scratch recompute.
     pub strata_recomputed: usize,
-    /// Wall-clock time of the commit, in milliseconds.
+    /// Time spent enumerating the deletion overestimate, in milliseconds.
+    pub overestimate_ms: f64,
+    /// Time spent deleting the overestimate and rederiving survivors.
+    pub rederive_ms: f64,
+    /// Time spent propagating insertions.
+    pub propagate_ms: f64,
+    /// Time spent recomputing strata (or the whole fixpoint) from
+    /// scratch.
+    pub recompute_ms: f64,
+    /// Time spent sealing index tails for published snapshots.
+    pub seal_ms: f64,
+    /// Wall-clock time of the commit, in milliseconds. The phase timings
+    /// above cover disjoint parts of it, so they sum to at most this.
     pub wall_ms: f64,
 }
 
@@ -140,12 +167,10 @@ pub struct IncrementalEngine {
     cancel: Option<CancelToken>,
     threads: usize,
     fallback_threshold: Option<usize>,
-    /// Compiled semi-naive variants (with their reusable executor
-    /// scratch), keyed by (rule index, delta body position); shared
-    /// across commits so batch buffers and join-table caches stay warm.
-    delta_plans: FxHashMap<(usize, usize), (RulePlan, Scratch)>,
-    /// Compiled full plans, keyed by rule index (fallback round 1).
-    base_plans: FxHashMap<usize, (RulePlan, Scratch)>,
+    /// Compiled rule variants (with their reusable executor scratch),
+    /// shared across commits so batch buffers and join-table caches stay
+    /// warm.
+    plans: PlanCache,
     /// Per-rule/per-stratum counters from the most recent full
     /// materialization ([`IncrementalEngine::recover`]).
     materialize_stats: EvalStats,
@@ -245,8 +270,7 @@ impl IncrementalEngine {
             cancel: None,
             threads: 1,
             fallback_threshold: None,
-            delta_plans: FxHashMap::default(),
-            base_plans: FxHashMap::default(),
+            plans: PlanCache::default(),
             materialize_stats: EvalStats::default(),
         };
         Ok(engine)
@@ -450,7 +474,10 @@ impl IncrementalEngine {
         stats.edb_inserted = added.values().map(FxHashSet::len).sum();
         stats.edb_retracted = removed.values().map(FxHashSet::len).sum();
         let result = if self.full_recompute {
-            self.recompute_all(&mut stats)
+            let phase = Instant::now();
+            let result = self.recompute_all(&mut stats);
+            stats.recompute_ms = ms_since(phase);
+            result
         } else {
             let guard = EvalGuard::new(self.deadline, self.fact_limit, self.cancel.clone());
             self.apply_deltas(added, removed, &guard, &mut stats)
@@ -460,8 +487,10 @@ impl IncrementalEngine {
                 // Seal materialized index tails so copy-on-write clones
                 // of this database (published snapshots) carry fully
                 // sorted indexes — immutable readers cannot seal lazily.
+                let phase = Instant::now();
                 self.db.seal_indexes();
-                stats.wall_ms = start.elapsed().as_secs_f64() * 1e3;
+                stats.seal_ms = ms_since(phase);
+                stats.wall_ms = ms_since(start);
                 Ok(stats)
             }
             Err(e) => {
@@ -592,6 +621,7 @@ impl IncrementalEngine {
     }
 
     /// The stratum-by-stratum delta application (see module docs).
+    #[allow(clippy::too_many_lines)]
     fn apply_deltas(
         &mut self,
         added: FxHashMap<SymId, FxHashSet<Fact>>,
@@ -608,8 +638,7 @@ impl IncrementalEngine {
             db,
             base,
             fallback_threshold,
-            delta_plans,
-            base_plans,
+            plans,
             ..
         } = self;
         let mut changes: FxHashMap<SymId, PredDelta> = FxHashMap::default();
@@ -664,33 +693,29 @@ impl IncrementalEngine {
             {
                 continue;
             }
-            // Incremental maintenance through negation would need the
-            // old truth of the negated predicate; recompute instead.
-            let neg_changed = rule_idxs.iter().any(|&ri| {
-                rules[ri]
-                    .body
-                    .iter()
-                    .any(|l| matches!(l, Literal::Neg(a) if changes.contains_key(&a.predicate)))
-            });
-            if neg_changed {
-                recompute_stratum(
-                    rules,
-                    rule_idxs,
-                    preds,
-                    db,
-                    base,
-                    base_plans,
-                    delta_plans,
-                    guard,
-                    &mut changes,
-                )?;
-                stats.strata_recomputed += 1;
-                continue;
+            let mut pos_preds: FxHashSet<SymId> = FxHashSet::default();
+            let mut neg_preds: FxHashSet<SymId> = FxHashSet::default();
+            for lit in rule_idxs.iter().flat_map(|&ri| rules[ri].body.iter()) {
+                match lit {
+                    Literal::Pos(a) => pos_preds.insert(a.predicate),
+                    Literal::Neg(a) => neg_preds.insert(a.predicate),
+                    Literal::Cmp { .. } | Literal::Arith { .. } => false,
+                };
             }
 
-            // Phase A: deletion overestimate. Temporarily restore deleted
-            // lower-stratum facts so the non-delta positions of the delta
-            // joins range over the old database.
+            let mut sp = StratumRules {
+                plans: &mut *plans,
+                rules,
+                idxs: rule_idxs,
+            };
+
+            // Phase A: deletion overestimate, evaluated against the lower
+            // strata as they were before this commit. Negated predicates
+            // (always lower) show exactly their old contents: insertions
+            // are hidden and deletions restored. Positive ones only get
+            // their deletions restored, so their joins range over a
+            // superset of the old database, which is all DRed needs.
+            let phase = Instant::now();
             let mut dset: FxHashSet<(SymId, Fact)> = FxHashSet::default();
             let mut frontier: FxHashMap<SymId, FactBuf> = FxHashMap::default();
             for (pred, fact) in &seeds {
@@ -701,27 +726,36 @@ impl IncrementalEngine {
                         .push_row(fact.iter().copied());
                 }
             }
-            let body_preds: FxHashSet<SymId> = rule_idxs
-                .iter()
-                .flat_map(|&ri| rules[ri].body.iter())
-                .filter_map(|l| match l {
-                    Literal::Pos(a) => Some(a.predicate),
-                    _ => None,
-                })
-                .collect();
+            let mut hidden: Vec<(SymId, Fact)> = Vec::new();
+            let mut flips: FxHashMap<SymId, FactBuf> = FxHashMap::default();
+            for &q in &neg_preds {
+                let Some(delta) = changes.get(&q) else {
+                    continue;
+                };
+                for fact in &delta.ins {
+                    if db.retract_id(q, fact) {
+                        hidden.push((q, fact.clone()));
+                    }
+                    flips.entry(q).or_default().push_row(fact.iter().copied());
+                }
+            }
             let mut temps: Vec<(SymId, Fact)> = Vec::new();
-            for &q in &body_preds {
+            for &q in pos_preds.union(&neg_preds) {
                 // Own-stratum IDB deletions arrive as tentative seeds, never
                 // as `changes` entries; everything else (lower strata and
-                // same-stratum pure-EDB predicates) seeds the frontier here.
+                // same-stratum pure-EDB predicates) is restored here, and
+                // positive occurrences seed the frontier.
                 if preds.contains(&q) && idb.contains(&q) {
                     continue;
                 }
-                if let Some(delta) = changes.get(&q) {
-                    for fact in &delta.del {
-                        if db.insert_if_new_id(q, fact) {
-                            temps.push((q, fact.clone()));
-                        }
+                let Some(delta) = changes.get(&q) else {
+                    continue;
+                };
+                for fact in &delta.del {
+                    if db.insert_if_new_id(q, fact) {
+                        temps.push((q, fact.clone()));
+                    }
+                    if pos_preds.contains(&q) {
                         frontier
                             .entry(q)
                             .or_default()
@@ -735,30 +769,19 @@ impl IncrementalEngine {
                 .sum();
             let threshold = fallback_threshold.unwrap_or_else(|| 64.max(stratum_size / 4));
             let mut fell_back = false;
-            while !frontier.is_empty() {
+            while !frontier.is_empty() || !flips.is_empty() {
                 guard.begin_round(db.fact_count());
                 let mut next: FxHashMap<SymId, FactBuf> = FxHashMap::default();
-                for &ri in rule_idxs {
-                    for (pos, lit) in rules[ri].body.iter().enumerate() {
-                        let Literal::Pos(atom) = lit else { continue };
-                        let Some(delta) = frontier.get(&atom.predicate) else {
-                            continue;
-                        };
-                        let (plan, scratch) = delta_plan(delta_plans, rules, db, ri, pos)?;
-                        ensure_plan_indexes(db, plan);
-                        let mut out = FactBuf::default();
-                        plan.eval(db, Some(delta), scratch, &mut out, guard)?;
-                        for fact in out.rows() {
-                            if db.contains_id(plan.head_pred, fact)
-                                && dset.insert((plan.head_pred, Fact::from(fact)))
-                            {
-                                next.entry(plan.head_pred)
-                                    .or_default()
-                                    .push_row(fact.iter().copied());
-                            }
-                        }
+                let mut overestimate = |db: &mut Database, head: SymId, fact: &[Const]| {
+                    if db.contains_id(head, fact) && dset.insert((head, Fact::from(fact))) {
+                        next.entry(head).or_default().push_row(fact.iter().copied());
                     }
-                }
+                };
+                // A derivation through `not q(..)` is lost when `q` gains
+                // a matching fact: the flipped variant finds those once.
+                let flipped = std::mem::take(&mut flips);
+                sp.round(db, &flipped, Variant::NegFlip, guard, &mut overestimate)?;
+                sp.round(db, &frontier, Variant::Delta, guard, &mut overestimate)?;
                 if dset.len() > threshold {
                     fell_back = true;
                     break;
@@ -768,24 +791,21 @@ impl IncrementalEngine {
             for (q, fact) in temps {
                 db.retract_id(q, &fact);
             }
+            for (q, fact) in hidden {
+                db.insert_if_new_id(q, &fact);
+            }
+            stats.overestimate_ms += ms_since(phase);
             if fell_back {
-                recompute_stratum(
-                    rules,
-                    rule_idxs,
-                    preds,
-                    db,
-                    base,
-                    base_plans,
-                    delta_plans,
-                    guard,
-                    &mut changes,
-                )?;
+                let phase = Instant::now();
+                recompute_stratum(&mut sp, preds, db, base, guard, &mut changes)?;
+                stats.recompute_ms += ms_since(phase);
                 stats.strata_recomputed += 1;
                 continue;
             }
 
             // Phase B: delete the overestimate, then rederive what is
             // base-asserted or still derivable, propagating semi-naively.
+            let phase = Instant::now();
             let mut deleted = dset;
             for (pred, fact) in &deleted {
                 db.retract_id(*pred, fact);
@@ -795,7 +815,7 @@ impl IncrementalEngine {
             let mut frontier: FxHashMap<SymId, FactBuf> = FxHashMap::default();
             // Base-asserted facts survive outright; the rest are checked
             // for surviving derivations in one batched evaluation per
-            // rule (see [`rederive_plan`]). Cascaded rederivations — a
+            // rule (see [`Variant::Rederive`]). Cascaded rederivations — a
             // candidate supported only through another rederived fact —
             // are picked up by the semi-naive propagation loop below.
             let mut candidates: FxHashMap<SymId, FactBuf> = FxHashMap::default();
@@ -815,57 +835,49 @@ impl IncrementalEngine {
                         .push_row(fact.iter().copied());
                 }
             }
+            let mut rederive = |db: &mut Database,
+                                next: &mut FxHashMap<SymId, FactBuf>,
+                                head: SymId,
+                                fact: &[Const]| {
+                if deleted.remove(&(head, Fact::from(fact))) {
+                    db.insert_if_new_id(head, fact);
+                    next.entry(head).or_default().push_row(fact.iter().copied());
+                    stats.rederived += 1;
+                }
+            };
             for &ri in rule_idxs {
                 let Some(cands) = candidates.get(&rules[ri].head.predicate) else {
                     continue;
                 };
-                let (plan, scratch) = rederive_plan(delta_plans, rules, db, ri)?;
-                ensure_plan_indexes(db, plan);
-                let mut out = FactBuf::default();
-                plan.eval(db, Some(cands), scratch, &mut out, guard)?;
+                let (head, out) = sp.eval(db, ri, Variant::Rederive, Some(cands), guard)?;
                 for fact in out.rows() {
-                    if deleted.remove(&(plan.head_pred, Fact::from(fact))) {
-                        db.insert_if_new_id(plan.head_pred, fact);
-                        frontier
-                            .entry(plan.head_pred)
-                            .or_default()
-                            .push_row(fact.iter().copied());
-                        stats.rederived += 1;
-                    }
+                    rederive(db, &mut frontier, head, fact);
                 }
             }
             while !frontier.is_empty() {
                 guard.begin_round(db.fact_count());
                 let mut next: FxHashMap<SymId, FactBuf> = FxHashMap::default();
-                for &ri in rule_idxs {
-                    for (pos, lit) in rules[ri].body.iter().enumerate() {
-                        let Literal::Pos(atom) = lit else { continue };
-                        let Some(delta) = frontier.get(&atom.predicate) else {
-                            continue;
-                        };
-                        let (plan, scratch) = delta_plan(delta_plans, rules, db, ri, pos)?;
-                        ensure_plan_indexes(db, plan);
-                        let mut out = FactBuf::default();
-                        plan.eval(db, Some(delta), scratch, &mut out, guard)?;
-                        for fact in out.rows() {
-                            if deleted.remove(&(plan.head_pred, Fact::from(fact))) {
-                                db.insert_if_new_id(plan.head_pred, fact);
-                                next.entry(plan.head_pred)
-                                    .or_default()
-                                    .push_row(fact.iter().copied());
-                                stats.rederived += 1;
-                            }
-                        }
-                    }
-                }
+                sp.round(
+                    db,
+                    &frontier,
+                    Variant::Delta,
+                    guard,
+                    &mut |db, head, fact| {
+                        rederive(db, &mut next, head, fact);
+                    },
+                )?;
                 frontier = next;
             }
+            stats.rederive_ms += ms_since(phase);
 
-            // Phase C: propagate insertions. A fact that comes back after
-            // being deleted this commit nets out to no change at all.
+            // Phase C: propagate insertions against the new database. A
+            // fact that comes back after being deleted this commit nets
+            // out to no change at all.
+            let phase = Instant::now();
             let mut frontier: FxHashMap<SymId, FactBuf> = FxHashMap::default();
-            for &q in &body_preds {
-                if let Some(delta) = changes.get(&q) {
+            let mut copies: FxHashMap<SymId, FactBuf> = FxHashMap::default();
+            for (&q, delta) in &changes {
+                if pos_preds.contains(&q) {
                     for fact in &delta.ins {
                         frontier
                             .entry(q)
@@ -873,33 +885,29 @@ impl IncrementalEngine {
                             .push_row(fact.iter().copied());
                     }
                 }
-            }
-            let mut stratum_ins: Vec<(SymId, Fact)> = Vec::new();
-            while !frontier.is_empty() {
-                guard.begin_round(db.fact_count());
-                let mut next: FxHashMap<SymId, FactBuf> = FxHashMap::default();
-                for &ri in rule_idxs {
-                    for (pos, lit) in rules[ri].body.iter().enumerate() {
-                        let Literal::Pos(atom) = lit else { continue };
-                        let Some(delta) = frontier.get(&atom.predicate) else {
-                            continue;
-                        };
-                        let (plan, scratch) = delta_plan(delta_plans, rules, db, ri, pos)?;
-                        ensure_plan_indexes(db, plan);
-                        let mut out = FactBuf::default();
-                        plan.eval(db, Some(delta), scratch, &mut out, guard)?;
-                        for fact in out.rows() {
-                            if db.insert_if_new_id(plan.head_pred, fact) {
-                                if !deleted.remove(&(plan.head_pred, Fact::from(fact))) {
-                                    stratum_ins.push((plan.head_pred, Fact::from(fact)));
-                                }
-                                next.entry(plan.head_pred)
-                                    .or_default()
-                                    .push_row(fact.iter().copied());
-                            }
-                        }
+                if neg_preds.contains(&q) {
+                    for fact in &delta.del {
+                        copies.entry(q).or_default().push_row(fact.iter().copied());
                     }
                 }
+            }
+            let mut stratum_ins: Vec<(SymId, Fact)> = Vec::new();
+            while !frontier.is_empty() || !copies.is_empty() {
+                guard.begin_round(db.fact_count());
+                let mut next: FxHashMap<SymId, FactBuf> = FxHashMap::default();
+                let mut admit = |db: &mut Database, head: SymId, fact: &[Const]| {
+                    if db.insert_if_new_id(head, fact) {
+                        if !deleted.remove(&(head, Fact::from(fact))) {
+                            stratum_ins.push((head, Fact::from(fact)));
+                        }
+                        next.entry(head).or_default().push_row(fact.iter().copied());
+                    }
+                };
+                // A derivation through `not q(..)` is gained when `q` loses
+                // its last matching fact: the copy variant finds those once.
+                let copied = std::mem::take(&mut copies);
+                sp.round(db, &copied, Variant::NegCopy, guard, &mut admit)?;
+                sp.round(db, &frontier, Variant::Delta, guard, &mut admit)?;
                 guard.check_db(db.fact_count())?;
                 frontier = next;
             }
@@ -909,6 +917,7 @@ impl IncrementalEngine {
             for (pred, fact) in stratum_ins {
                 changes.entry(pred).or_default().ins.push(fact);
             }
+            stats.propagate_ms += ms_since(phase);
         }
 
         for (pred, delta) in &changes {
@@ -956,73 +965,201 @@ fn ensure_plan_indexes(db: &mut Database, plan: &RulePlan) {
     }
 }
 
-/// Fetch (compiling on first use) the semi-naive variant of rule `ri`
-/// with its delta at body position `pos`, paired with its long-lived
-/// executor scratch.
-fn delta_plan<'a>(
-    plans: &'a mut FxHashMap<(usize, usize), (RulePlan, Scratch)>,
-    rules: &[Clause],
-    db: &Database,
-    ri: usize,
-    pos: usize,
-) -> Result<(&'a RulePlan, &'a mut Scratch)> {
-    use std::collections::hash_map::Entry;
-    let (plan, scratch) = match plans.entry((ri, pos)) {
-        Entry::Occupied(e) => e.into_mut(),
-        Entry::Vacant(e) => {
-            let plan = RulePlan::compile(&rules[ri], Some(pos), db)?;
-            let scratch = plan.new_scratch();
-            e.insert((plan, scratch))
-        }
-    };
-    Ok((&*plan, scratch))
+/// Milliseconds elapsed since `start`.
+fn ms_since(start: Instant) -> f64 {
+    start.elapsed().as_secs_f64() * 1e3
 }
 
-/// Compiled batched rederivation check for one rule, cached under the
-/// sentinel position `usize::MAX` (real delta positions index into the
-/// body, so they never collide).
-///
-/// The rule's own head atom is prepended to the body as the delta
-/// literal: evaluating `h :- h*, body...` with the deletion candidates
-/// as the delta batch returns exactly the candidates with at least one
-/// derivation in the current database, in one join pass. This replaces
-/// a per-candidate ground compile + eval, which dominated retraction
-/// commits once candidate sets reached a few hundred facts.
-fn rederive_plan<'a>(
-    plans: &'a mut FxHashMap<(usize, usize), (RulePlan, Scratch)>,
-    rules: &[Clause],
-    db: &Database,
-    ri: usize,
-) -> Result<(&'a RulePlan, &'a mut Scratch)> {
-    use std::collections::hash_map::Entry;
-    let (plan, scratch) = match plans.entry((ri, usize::MAX)) {
-        Entry::Occupied(e) => e.into_mut(),
-        Entry::Vacant(e) => {
-            let rule = &rules[ri];
-            let mut body = Vec::with_capacity(rule.body.len() + 1);
-            body.push(Literal::Pos(rule.head.clone()));
-            body.extend(rule.body.iter().cloned());
-            let check = Clause::new(rule.head.clone(), body);
-            let plan = RulePlan::compile(&check, Some(0), db)?;
-            let scratch = plan.new_scratch();
-            e.insert((plan, scratch))
+/// Compiled rule variants with their long-lived executor scratch, keyed
+/// by (rule index, variant).
+type PlanCache = FxHashMap<(usize, Variant), (RulePlan, Scratch)>;
+
+/// A compiled form of one rule. Every variant but `Full` reads one body
+/// literal from a batch of facts (the delta) instead of the database.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+enum Variant {
+    /// The rule as written (round 1 of a stratum recompute).
+    Full,
+    /// Semi-naive: the positive literal at this body position reads the
+    /// batch.
+    Delta(usize),
+    /// `h :- h*, body…`: the rule's own head atom is prepended as the
+    /// delta literal, so evaluating it over deletion candidates returns
+    /// exactly the candidates with at least one derivation in the
+    /// current database, in one join pass.
+    Rederive,
+    /// Overestimate through negation: `not q(..)` at this position
+    /// becomes the positive delta literal `q(..)`, read over `q`'s
+    /// insertions.
+    NegFlip(usize),
+    /// Insertion through negation: a positive copy of `q(..)` is inserted
+    /// just before the kept `not q(..)` at this position, as the delta
+    /// literal over `q`'s deletions.
+    NegCopy(usize),
+}
+
+impl Variant {
+    /// The predicate whose batch this variant reads when placed at body
+    /// literal `lit`, or `None` if it does not apply there.
+    fn batch_pred(self, lit: &Literal) -> Option<SymId> {
+        match (self, lit) {
+            (Variant::Delta(_), Literal::Pos(a))
+            | (Variant::NegFlip(_) | Variant::NegCopy(_), Literal::Neg(a)) => Some(a.predicate),
+            _ => None,
         }
+    }
+
+    /// Build this variant of `rule` and the body position of its delta
+    /// literal.
+    fn clause(self, rule: &Clause) -> Result<(Clause, Option<usize>)> {
+        let mut body = rule.body.clone();
+        let delta = match self {
+            Variant::Full => None,
+            Variant::Delta(pos) => Some(pos),
+            Variant::Rederive => {
+                body.insert(0, Literal::Pos(rule.head.clone()));
+                Some(0)
+            }
+            Variant::NegFlip(pos) => {
+                body[pos] = Literal::Pos(positive_copy(rule, pos)?);
+                Some(pos)
+            }
+            Variant::NegCopy(pos) => {
+                body.insert(pos, Literal::Pos(positive_copy(rule, pos)?));
+                Some(pos)
+            }
+        };
+        Ok((Clause::new(rule.head.clone(), body), delta))
+    }
+}
+
+/// The atom of the negated literal at body position `pos`, with its
+/// existential variables renamed apart from every variable of the rule.
+///
+/// `not q(X, Y)` means `¬∃Y q(X, Y)` when no positive literal textually
+/// before it binds `Y` (see [`crate::plan`]). A positive copy that kept
+/// the name `Y` would bind it: in [`Variant::NegCopy`] the kept negation
+/// would then test only the one deleted `q(X, Y)` instead of every `Y`,
+/// and in [`Variant::NegFlip`] a later literal over `Y` would join with
+/// the flipped one. Fresh names keep both variants meaning what the rule
+/// means.
+fn positive_copy(rule: &Clause, pos: usize) -> Result<Atom> {
+    let Some(Literal::Neg(atom)) = rule.body.get(pos) else {
+        return Err(DatalogError::Internal {
+            detail: format!("body position {pos} of `{rule}` is not a negation"),
+        });
     };
-    Ok((&*plan, scratch))
+    let mut bound: FxHashSet<&str> = FxHashSet::default();
+    for lit in &rule.body[..pos] {
+        match lit {
+            Literal::Pos(a) => bound.extend(a.variables()),
+            Literal::Arith { target, .. } => bound.extend(target.as_var()),
+            Literal::Neg(_) | Literal::Cmp { .. } => {}
+        }
+    }
+    let mut taken: FxHashSet<String> = rule
+        .all_variables()
+        .into_iter()
+        .map(str::to_owned)
+        .collect();
+    let mut fresh: FxHashMap<&str, Term> = FxHashMap::default();
+    let mut terms = Vec::with_capacity(atom.terms.len());
+    for t in &atom.terms {
+        terms.push(match t.as_var() {
+            Some(v) if !bound.contains(v) => fresh
+                .entry(v)
+                .or_insert_with(|| {
+                    let mut name = format!("{v}'");
+                    while taken.contains(&name) {
+                        name.push('\'');
+                    }
+                    taken.insert(name.clone());
+                    Term::var(name)
+                })
+                .clone(),
+            _ => t.clone(),
+        });
+    }
+    Ok(Atom {
+        predicate: atom.predicate,
+        terms,
+    })
+}
+
+/// One stratum's rules, with the plan cache their variants compile into.
+struct StratumRules<'a> {
+    plans: &'a mut PlanCache,
+    rules: &'a [Clause],
+    /// Indexes into `rules` of the stratum's rules.
+    idxs: &'a [usize],
+}
+
+impl StratumRules<'_> {
+    /// Evaluate `variant` of rule `ri` over `batch` (compiling it on
+    /// first use), returning the head predicate and the derived rows.
+    fn eval(
+        &mut self,
+        db: &mut Database,
+        ri: usize,
+        variant: Variant,
+        batch: Option<&FactBuf>,
+        guard: &EvalGuard,
+    ) -> Result<(SymId, FactBuf)> {
+        use std::collections::hash_map::Entry;
+        let (plan, scratch) = match self.plans.entry((ri, variant)) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                let (clause, delta) = variant.clause(&self.rules[ri])?;
+                let plan = RulePlan::compile(&clause, delta, db)?;
+                let scratch = plan.new_scratch();
+                e.insert((plan, scratch))
+            }
+        };
+        ensure_plan_indexes(db, plan);
+        let mut out = FactBuf::default();
+        plan.eval(db, batch, scratch, &mut out, guard)?;
+        Ok((plan.head_pred, out))
+    }
+
+    /// One round over the stratum's rules: at every body literal where
+    /// `variant` applies and its predicate has a batch, evaluate that
+    /// variant over the batch and hand each derived row to `emit`.
+    fn round(
+        &mut self,
+        db: &mut Database,
+        batches: &FxHashMap<SymId, FactBuf>,
+        variant: fn(usize) -> Variant,
+        guard: &EvalGuard,
+        emit: &mut impl FnMut(&mut Database, SymId, &[Const]),
+    ) -> Result<()> {
+        if batches.is_empty() {
+            return Ok(());
+        }
+        let (rules, idxs) = (self.rules, self.idxs);
+        for &ri in idxs {
+            for (pos, lit) in rules[ri].body.iter().enumerate() {
+                let v = variant(pos);
+                let Some(batch) = v.batch_pred(lit).and_then(|p| batches.get(&p)) else {
+                    continue;
+                };
+                let (head, out) = self.eval(db, ri, v, Some(batch), guard)?;
+                for fact in out.rows() {
+                    emit(db, head, fact);
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Recompute one stratum from scratch: reset its predicates to base
 /// facts, run a sequential semi-naive fixpoint of its rules, and diff
 /// against the old contents so downstream strata see exact deltas.
-#[allow(clippy::too_many_arguments)]
 fn recompute_stratum(
-    rules: &[Clause],
-    rule_idxs: &[usize],
+    sp: &mut StratumRules<'_>,
     preds: &FxHashSet<SymId>,
     db: &mut Database,
     base: &FxHashMap<SymId, FxHashSet<Fact>>,
-    base_plans: &mut FxHashMap<usize, (RulePlan, Scratch)>,
-    delta_plans: &mut FxHashMap<(usize, usize), (RulePlan, Scratch)>,
     guard: &EvalGuard,
     changes: &mut FxHashMap<SymId, PredDelta>,
 ) -> Result<()> {
@@ -1050,51 +1187,30 @@ fn recompute_stratum(
     // own new facts.
     guard.begin_round(db.fact_count());
     let mut frontier: FxHashMap<SymId, FactBuf> = FxHashMap::default();
-    for &ri in rule_idxs {
-        if let std::collections::hash_map::Entry::Vacant(e) = base_plans.entry(ri) {
-            let plan = RulePlan::compile(&rules[ri], None, db)?;
-            let scratch = plan.new_scratch();
-            e.insert((plan, scratch));
+    let admit = |db: &mut Database, next: &mut FxHashMap<SymId, FactBuf>, head, fact: &[Const]| {
+        if db.insert_if_new_id(head, fact) {
+            next.entry(head).or_default().push_row(fact.iter().copied());
         }
-        ensure_plan_indexes(db, &base_plans[&ri].0);
-        let Some((plan, scratch)) = base_plans.get_mut(&ri) else {
-            unreachable!("plan compiled above");
-        };
-        let plan = &*plan;
-        let mut out = FactBuf::default();
-        plan.eval(db, None, scratch, &mut out, guard)?;
+    };
+    for &ri in sp.idxs {
+        let (head, out) = sp.eval(db, ri, Variant::Full, None, guard)?;
         for fact in out.rows() {
-            if db.insert_if_new_id(plan.head_pred, fact) {
-                frontier
-                    .entry(plan.head_pred)
-                    .or_default()
-                    .push_row(fact.iter().copied());
-            }
+            admit(db, &mut frontier, head, fact);
         }
     }
     guard.check_db(db.fact_count())?;
     while !frontier.is_empty() {
         guard.begin_round(db.fact_count());
         let mut next: FxHashMap<SymId, FactBuf> = FxHashMap::default();
-        for &ri in rule_idxs {
-            for (pos, lit) in rules[ri].body.iter().enumerate() {
-                let Literal::Pos(atom) = lit else { continue };
-                let Some(delta) = frontier.get(&atom.predicate) else {
-                    continue;
-                };
-                let (plan, scratch) = delta_plan(delta_plans, rules, db, ri, pos)?;
-                ensure_plan_indexes(db, plan);
-                let mut out = FactBuf::default();
-                plan.eval(db, Some(delta), scratch, &mut out, guard)?;
-                for fact in out.rows() {
-                    if db.insert_if_new_id(plan.head_pred, fact) {
-                        next.entry(plan.head_pred)
-                            .or_default()
-                            .push_row(fact.iter().copied());
-                    }
-                }
-            }
-        }
+        sp.round(
+            db,
+            &frontier,
+            Variant::Delta,
+            guard,
+            &mut |db, head, fact| {
+                admit(db, &mut next, head, fact);
+            },
+        )?;
         guard.check_db(db.fact_count())?;
         frontier = next;
     }
@@ -1239,7 +1355,7 @@ mod tests {
     }
 
     #[test]
-    fn negation_stratum_falls_back_to_recompute() {
+    fn negation_stratum_is_maintained_by_delta() {
         let program = parse_program(
             "node(a). node(b). edge(a, b).
              reached(X) :- edge(a, X).
@@ -1252,9 +1368,85 @@ mod tests {
         engine.begin().unwrap();
         engine.retract("edge", vec![s("a"), s("b")]).unwrap();
         let stats = engine.commit().unwrap();
-        assert!(stats.strata_recomputed >= 1, "stats: {stats:?}");
+        assert_eq!(stats.strata_recomputed, 0, "stats: {stats:?}");
         assert!(engine.database().contains("unreachable", &[s("b")]));
         assert_matches_scratch(&engine);
+        // And back: the negated fact returns, so `unreachable(b)` goes.
+        engine.begin().unwrap();
+        engine.insert("edge", vec![s("a"), s("b")]).unwrap();
+        let stats = engine.commit().unwrap();
+        assert_eq!(stats.strata_recomputed, 0, "stats: {stats:?}");
+        assert!(!engine.database().contains("unreachable", &[s("b")]));
+        assert_matches_scratch(&engine);
+    }
+
+    #[test]
+    fn negation_locals_stay_existential() {
+        // `not edge(X, Y)` means "X has no out-edge at all": retracting
+        // one of two out-edges must not make `sink(a)` true.
+        let program = parse_program(
+            "node(a). node(b). node(c). edge(a, b). edge(a, c).
+             sink(X) :- node(X), not edge(X, Y).",
+        )
+        .unwrap();
+        let mut engine = IncrementalEngine::new(&program).unwrap();
+        assert!(!engine.database().contains("sink", &[s("a")]));
+        let mut commit = |insert: bool, to: &str| {
+            engine.begin().unwrap();
+            let fact = vec![s("a"), s(to)];
+            if insert {
+                engine.insert("edge", fact).unwrap();
+            } else {
+                engine.retract("edge", fact).unwrap();
+            }
+            let stats = engine.commit().unwrap();
+            assert_eq!(stats.strata_recomputed, 0, "stats: {stats:?}");
+            assert_matches_scratch(&engine);
+            engine.database().contains("sink", &[s("a")])
+        };
+        assert!(!commit(false, "b"), "one out-edge left");
+        assert!(commit(false, "c"), "no out-edge left");
+        assert!(!commit(true, "b"), "an out-edge is back");
+    }
+
+    #[test]
+    fn phase_timings_fit_in_the_commit() {
+        let program = parse_program(
+            "node(a). node(b). edge(a, b). edge(b, a).
+             path(X, Y) :- edge(X, Y).
+             path(X, Z) :- path(X, Y), edge(Y, Z).
+             open(X) :- node(X), not path(X, X).",
+        )
+        .unwrap();
+        for threshold in [None, Some(0)] {
+            let mut engine = IncrementalEngine::new(&program).unwrap();
+            if let Some(t) = threshold {
+                engine = engine.with_fallback_threshold(t);
+            }
+            for (insert, fact) in [(false, ["b", "a"]), (true, ["b", "a"])] {
+                engine.begin().unwrap();
+                let fact = fact.map(s).to_vec();
+                if insert {
+                    engine.insert("edge", fact).unwrap();
+                } else {
+                    engine.retract("edge", fact).unwrap();
+                }
+                let st = engine.commit().unwrap();
+                let phases = st.overestimate_ms
+                    + st.rederive_ms
+                    + st.propagate_ms
+                    + st.recompute_ms
+                    + st.seal_ms;
+                assert!(phases > 0.0, "no phase was timed: {st:?}");
+                // Disjoint intervals of the commit; allow float rounding.
+                assert!(
+                    phases <= st.wall_ms * (1.0 + 1e-9),
+                    "phases exceed wall: {st:?}"
+                );
+                assert_eq!(st.recompute_ms > 0.0, st.strata_recomputed > 0, "{st:?}");
+            }
+            assert_matches_scratch(&engine);
+        }
     }
 
     #[test]
@@ -1485,7 +1677,7 @@ mod tests {
     #[test]
     fn recompute_fallback_diffs_without_snapshot_lookup() {
         // The recompute fallback's old-snapshot diff no longer has a
-        // fallible map lookup; pin the fallback path (negation forces
+        // fallible map lookup; pin the fallback path (threshold 0 forces
         // it) producing exact deltas over a retract.
         let program = parse_program(
             "edge(a, b). edge(b, c). node(a). node(b). node(c).
@@ -1494,12 +1686,15 @@ mod tests {
              isolated(X) :- node(X), not path(a, X).",
         )
         .expect("program parses");
-        let mut engine = IncrementalEngine::new(&program).unwrap();
+        let mut engine = IncrementalEngine::new(&program)
+            .unwrap()
+            .with_fallback_threshold(0);
         assert!(engine.database().contains("isolated", &[s("a")]));
         assert!(!engine.database().contains("isolated", &[s("c")]));
         engine.begin().unwrap();
         engine.retract("edge", vec![s("b"), s("c")]).unwrap();
-        engine.commit().unwrap();
+        let stats = engine.commit().unwrap();
+        assert!(stats.strata_recomputed >= 1, "stats: {stats:?}");
         assert!(engine.database().contains("isolated", &[s("c")]));
         assert_matches_scratch(&engine);
     }

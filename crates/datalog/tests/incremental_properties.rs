@@ -1,8 +1,10 @@
 //! Property tests for the incremental maintenance subsystem: after any
 //! random interleaving of insert/retract transactions, the maintained
 //! database must equal the from-scratch fixpoint over the surviving
-//! base facts — through positive recursion and across negation strata
-//! (where commits fall back to per-stratum recomputation).
+//! base facts — through positive recursion and across negation strata,
+//! which DRed maintains by delta (a change to a negated predicate is
+//! itself a delta), with the per-stratum recompute fallback pinned
+//! separately.
 
 // Test code: unwraps are the assertion.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -11,18 +13,24 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
-use multilog_datalog::{parse_program, Const, Database, Engine, IncrementalEngine, Program};
+use multilog_datalog::{
+    parse_program, CommitStats, Const, Database, Engine, IncrementalEngine, Program,
+};
 
 /// Rules spanning three strata: recursive closure, negation over the
-/// closure, and negation over that. `edge` and `b` are the churned base
-/// relations.
+/// closure (`sink` with a local variable inside the negation), and
+/// negation over a negation-maintained predicate (`settled`, and `stray`,
+/// whose two negations can both change in one commit). `edge` and `b` are
+/// the churned base relations.
 const RULES: &str = "path(X, Y) :- edge(X, Y).\n\
                      path(X, Z) :- edge(X, Y), path(Y, Z).\n\
                      node(X) :- edge(X, Y).\n\
                      node(Y) :- edge(X, Y).\n\
                      sink(X) :- node(X), not edge(X, Y).\n\
                      unreach(X, Y) :- node(X), node(Y), not path(X, Y).\n\
-                     lonely(X) :- b(X), not node(X).\n";
+                     lonely(X) :- b(X), not node(X).\n\
+                     settled(X) :- b(X), not sink(X).\n\
+                     stray(X) :- b(X), not node(X), not sink(X).\n";
 
 /// One staged update: `(on_edge, insert, x, y)`. `y` is ignored for the
 /// unary relation `b`.
@@ -81,7 +89,11 @@ fn all_facts(db: &Database) -> Vec<(String, Box<[Const]>)> {
 }
 
 /// Apply one transaction to both the engine and the set model.
-fn apply_commit(engine: &mut IncrementalEngine, model: &mut BaseModel, commit: &[Update]) {
+fn apply_commit(
+    engine: &mut IncrementalEngine,
+    model: &mut BaseModel,
+    commit: &[Update],
+) -> CommitStats {
     engine.begin().unwrap();
     for &(on_edge, insert, x, y) in commit {
         if on_edge {
@@ -104,7 +116,7 @@ fn apply_commit(engine: &mut IncrementalEngine, model: &mut BaseModel, commit: &
             }
         }
     }
-    engine.commit().unwrap();
+    engine.commit().unwrap()
 }
 
 /// The maintained database must equal the from-scratch fixpoint of the
@@ -160,6 +172,22 @@ proptest! {
         let mut model = BaseModel::seeded();
         for commit in &history {
             apply_commit(&mut engine, &mut model, commit);
+            assert_matches_model(&engine, &model)?;
+        }
+    }
+
+    #[test]
+    fn pure_dred_equals_scratch(history in arb_history()) {
+        // No threshold fallback: every stratum, including the two that
+        // negate changed predicates, is maintained purely by delta.
+        let program = parse_program(&seed_src()).unwrap();
+        let mut engine = IncrementalEngine::new(&program)
+            .unwrap()
+            .with_fallback_threshold(usize::MAX);
+        let mut model = BaseModel::seeded();
+        for commit in &history {
+            let stats = apply_commit(&mut engine, &mut model, commit);
+            prop_assert_eq!(stats.strata_recomputed, 0, "{:?}", stats);
             assert_matches_model(&engine, &model)?;
         }
     }
