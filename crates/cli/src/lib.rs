@@ -11,13 +11,15 @@
 #![warn(missing_docs)]
 
 use std::fmt::Write as _;
+use std::io::BufRead as _;
 use std::sync::Arc;
 
 use multilog_core::consistency::check_consistency;
 use multilog_core::proof::prove_text;
-use multilog_core::reduce::{DemandCache, EdbUpdate, ReducedEngine};
+use multilog_core::reduce::{EdbUpdate, ReducedEngine};
 use multilog_core::{
-    parse_database, BeliefServer, EngineOptions, MultiLogDb, MultiLogEngine, ReaderSession,
+    parse_database, BeliefServer, EngineOptions, MultiLogDb, MultiLogEngine, MultiLogError,
+    ReaderSession,
 };
 
 /// Which evaluation pipeline to use.
@@ -54,8 +56,9 @@ pub struct Options {
     pub lint_warn: bool,
     /// Emit machine-readable JSON from `lint` (`--format json`).
     pub json: bool,
-    /// Disable the magic-sets demand rewrite for reduced-engine goals:
-    /// materialize the full fixpoint and answer from it (`--no-magic`).
+    /// `query` only: disable the magic-sets demand rewrite for
+    /// reduced-engine goals and answer from the full fixpoint
+    /// (`--no-magic`).
     pub no_magic: bool,
     /// `serve` only: accept line-protocol connections on this TCP
     /// address instead of stdin (`--listen`).
@@ -63,8 +66,8 @@ pub struct Options {
     /// Refuse to evaluate when the lattice-flow analysis reports any
     /// ML02xx finding (`--deny flow`; `run`/`query`/`serve`).
     pub deny_flow: bool,
-    /// Prune statically-invisible rules from demand-driven goal
-    /// evaluation using the lattice-flow bounds (`--flow-prune`).
+    /// `query` only: prune statically-invisible rules from demand-driven
+    /// goal evaluation using the lattice-flow bounds (`--flow-prune`).
     pub flow_prune: bool,
     /// `analyze` only: explain one predicate's inferred bounds instead
     /// of printing the whole report (`--explain <pred>`).
@@ -427,28 +430,26 @@ pub fn check(source: &str, opts: &Options) -> CliResult {
     Ok(out)
 }
 
-/// An interactive session: goals are answered from an incrementally
-/// maintained reduction fixpoint, `+fact.` / `-fact.` lines update it in
-/// place, and `:prove` rebuilds the operational engine on demand for
-/// proof trees.
+/// An interactive session over a [`BeliefServer`]: goals are answered
+/// from a reader pinned at the session clearance, `+fact.` / `-fact.`
+/// lines commit through the server's writer (the reader is refreshed
+/// after each commit), and `:prove` rebuilds the operational engine on
+/// demand for proof trees.
 pub struct ReplSession {
     opts: Options,
     /// The current clause set, tracking `+`/`-` updates so `:prove` (and
     /// filter-mode goals) can rebuild the operational engine faithfully.
     clauses: Vec<multilog_core::ast::Clause>,
-    /// The incremental reduction engine: updates are delta-maintained, so
-    /// goal answers stay warm across `+`/`-` lines.
-    reduced: ReducedEngine,
+    /// Owns the incrementally maintained reduction at the clearance.
+    server: BeliefServer,
+    /// Pinned at the newest commit.
+    reader: ReaderSession,
     /// Lazily (re)built operational engine; `None` after an update.
     operational: Option<MultiLogEngine>,
-    /// Prepared magic-sets rewrites memoized per goal binding pattern
-    /// (`(predicate, adornment)`), so re-asked point goals skip the
-    /// rewrite; cleared whenever a `+`/`-` update commits.
-    demand: DemandCache,
 }
 
 impl ReplSession {
-    /// Parse the database and materialize both entry points.
+    /// Parse the database and materialize it at the session clearance.
     ///
     /// # Errors
     ///
@@ -456,15 +457,17 @@ impl ReplSession {
     /// CLI user.
     pub fn new(source: &str, opts: &Options) -> Result<Self, String> {
         let db = load(source)?;
-        let reduced = ReducedEngine::with_options(&db, &opts.user, engine_options(opts))
-            .map_err(|e| format!("evaluation failed: {e}"))?;
         let clauses = db.clauses().cloned().collect();
+        let server = BeliefServer::new(db, engine_options(opts));
+        let reader = server
+            .open_reader(&opts.user)
+            .map_err(|e| format!("evaluation failed: {e}"))?;
         Ok(ReplSession {
             opts: opts.clone(),
             clauses,
-            reduced,
+            server,
+            reader,
             operational: None,
-            demand: DemandCache::new(),
         })
     }
 
@@ -474,7 +477,7 @@ impl ReplSession {
             "multilog repl at level {} — {} facts materialized; `+fact.`/`-fact.` to update, \
              `:prove <goal>` for trees; ^D to exit",
             self.opts.user,
-            self.reduced.database().fact_count()
+            self.reader.snapshot().database().fact_count()
         )
     }
 
@@ -501,105 +504,60 @@ impl ReplSession {
         if let Some(rest) = line.strip_prefix('-') {
             return self.update(rest, false);
         }
-        // Goals run on the incremental reduction, except when the σ
-        // filter is on — the reduction does not implement Figure 13, so
-        // filter sessions answer from the operational engine.
-        if self.opts.filter {
-            return match self.operational() {
-                Ok(engine) => match engine.solve_text(line) {
-                    Ok(answers) => render_answers(&answers),
-                    Err(e) => format!("error: {e}\n"),
-                },
-                Err(e) => format!("error: {e}\n"),
-            };
-        }
-        // Point goals go through the magic-sets demand rewrite over the
-        // current transactional base (so `+`/`-` updates are visible),
-        // memoized per binding pattern in the session's demand cache;
-        // `--no-magic` answers from the materialized fixpoint instead.
-        let result = if self.opts.no_magic {
-            self.reduced.solve_text(line)
+        // Goals read the pinned reduction, except when the σ filter is
+        // on — the reduction does not implement Figure 13, so filter
+        // sessions answer from the operational engine.
+        let answers = if self.opts.filter {
+            self.operational()
+                .and_then(|engine| engine.solve_text(line).map_err(|e| e.to_string()))
         } else {
-            multilog_core::parse_goal(line)
-                .and_then(|goal| self.reduced.solve_demand_cached(&goal, &mut self.demand))
+            self.reader.query_text(line).map_err(|e| e.to_string())
         };
-        match result {
+        match answers {
             Ok(answers) => render_answers(&answers),
             Err(e) => format!("error: {e}\n"),
         }
     }
 
-    /// Apply one `+`/`-` update line: a ground m-atom fact (or a whole
-    /// molecule, desugared to its m-clauses), committed incrementally as
-    /// one transaction, with the clause mirror kept in sync.
+    /// Apply one `+`/`-` update line as one server commit, keeping the
+    /// clause mirror in sync and re-pinning the reader.
     fn update(&mut self, text: &str, insert: bool) -> String {
-        use multilog_core::ast::Head;
-        use multilog_core::reduce::EdbUpdate;
-        let parsed = match multilog_core::parse_clause(text) {
-            Ok(c) => c,
+        use multilog_core::ast::{Clause, Head};
+        let batch = match parse_update(text, insert) {
+            Ok(batch) => batch,
             Err(e) => return format!("error: {e}\n"),
         };
-        let mut batch = Vec::with_capacity(parsed.len());
-        for clause in &parsed {
-            if !clause.body.is_empty() {
-                return "error: updates must be facts, not rules\n".to_owned();
-            }
-            let Head::M(m) = &clause.head else {
-                return "error: updates must be m-atom facts like `+s[p(k : a -s-> v)].`\n"
-                    .to_owned();
-            };
-            batch.push(if insert {
-                EdbUpdate::Assert(m.clone())
-            } else {
-                EdbUpdate::Retract(m.clone())
-            });
-        }
-        match self.reduced.apply_updates(&batch) {
-            Ok(stats) => {
-                for clause in parsed {
-                    if insert {
-                        self.clauses.push(clause);
-                    } else if let Some(pos) = self
-                        .clauses
-                        .iter()
-                        .position(|c| c.body.is_empty() && c.head == clause.head)
-                    {
-                        self.clauses.remove(pos);
-                    }
+        let summary = match self.server.open_writer().and_then(|mut w| w.commit(&batch)) {
+            Ok(summary) => summary,
+            Err(e) => return format!("error: {e}\n"),
+        };
+        for update in batch {
+            match update {
+                EdbUpdate::Assert(m) => self.clauses.push(Clause::fact(Head::M(m))),
+                EdbUpdate::Retract(m) => {
+                    // The base is a set: one retract removes every copy.
+                    let head = Head::M(m);
+                    self.clauses
+                        .retain(|c| !(c.body.is_empty() && c.head == head));
                 }
-                self.operational = None; // stale; rebuilt on demand
-                self.demand.clear(); // prepared rewrites embed the old EDB
-                format!(
-                    "ok: {}{} base fact, +{}/-{} derived ({:.2} ms)\n",
-                    if insert { "+" } else { "-" },
-                    if insert {
-                        stats.edb_inserted
-                    } else {
-                        stats.edb_retracted
-                    },
-                    stats.derived_added,
-                    stats.derived_removed,
-                    stats.wall_ms
-                )
-            }
-            Err(e) => {
-                if self.reduced.is_poisoned() {
-                    self.demand.clear();
-                    if let Err(re) = self.reduced.rematerialize() {
-                        return format!("error: {e}\nerror: recovery failed: {re}\n");
-                    }
-                    return format!("error: {e} (fixpoint rebuilt; update not applied)\n");
-                }
-                format!("error: {e}\n")
             }
         }
-    }
-
-    /// `(entries, hits)` of the session's demand cache — how many goal
-    /// binding patterns have a memoized magic rewrite, and how many
-    /// goals were answered from one (diagnostics and tests).
-    pub fn demand_cache_stats(&self) -> (usize, u64) {
-        (self.demand.entries(), self.demand.hits())
+        self.operational = None; // stale; rebuilt on demand
+        self.reader.refresh();
+        let stats = summary
+            .levels
+            .get(self.reader.user())
+            .cloned()
+            .unwrap_or_default();
+        let (sign, base) = if insert {
+            ('+', stats.edb_inserted)
+        } else {
+            ('-', stats.edb_retracted)
+        };
+        format!(
+            "ok: {sign}{base} base fact, +{}/-{} derived ({:.2} ms)\n",
+            stats.derived_added, stats.derived_removed, stats.wall_ms
+        )
     }
 
     /// The operational engine over the current clause set, rebuilding it
@@ -618,6 +576,37 @@ impl ReplSession {
             .as_ref()
             .expect("just built the operational engine"))
     }
+}
+
+/// Parse the text after a `+`/`-` update prefix — shared by the REPL and
+/// `serve` — into one batch: a ground m-atom fact, or a molecule
+/// desugared to one update per m-atom. Non-ground atoms are rejected
+/// here, when the line is read, not at commit.
+fn parse_update(text: &str, insert: bool) -> Result<Vec<EdbUpdate>, String> {
+    use multilog_core::ast::Head;
+    let parsed = multilog_core::parse_clause(text).map_err(|e| e.to_string())?;
+    parsed
+        .into_iter()
+        .map(|clause| {
+            if !clause.body.is_empty() {
+                return Err("updates must be facts, not rules".to_owned());
+            }
+            let Head::M(m) = clause.head else {
+                return Err("updates must be m-atom facts like `+s[p(k : a -s-> v)].`".to_owned());
+            };
+            if !m.is_ground() {
+                return Err(MultiLogError::NonGroundUpdate {
+                    atom: m.to_string(),
+                }
+                .to_string());
+            }
+            Ok(if insert {
+                EdbUpdate::Assert(m)
+            } else {
+                EdbUpdate::Retract(m)
+            })
+        })
+        .collect()
 }
 
 /// One line-protocol connection to a [`BeliefServer`] (the `serve`
@@ -766,26 +755,10 @@ impl ServeSession {
 
     /// Stage one `+`/`-` line into the pending transaction.
     fn stage(&mut self, text: &str, insert: bool) -> String {
-        use multilog_core::ast::Head;
-        let parsed = match multilog_core::parse_clause(text) {
-            Ok(c) => c,
+        let staged = match parse_update(text, insert) {
+            Ok(batch) => batch,
             Err(e) => return format!("error: {e}\n"),
         };
-        let mut staged = Vec::with_capacity(parsed.len());
-        for clause in parsed {
-            if !clause.body.is_empty() {
-                return "error: updates must be facts, not rules\n".to_owned();
-            }
-            let Head::M(m) = clause.head else {
-                return "error: updates must be m-atom facts like `+s[p(k : a -s-> v)].`\n"
-                    .to_owned();
-            };
-            staged.push(if insert {
-                EdbUpdate::Assert(m)
-            } else {
-                EdbUpdate::Retract(m)
-            });
-        }
         let n = staged.len();
         self.pending.extend(staged);
         format!(
@@ -858,9 +831,15 @@ impl ServeSession {
     }
 }
 
+/// The longest line `serve` reads, in bytes (newline excluded). A longer
+/// line is answered with an error and ends its connection, so no client
+/// can make the server buffer and parse an unbounded line.
+pub const MAX_LINE: usize = 64 * 1024;
+
 /// Drive a [`ServeSession`] over arbitrary line I/O (stdin or one TCP
 /// connection). When `opts.user` is set, a session at that clearance is
-/// opened before the first line.
+/// opened before the first line. Lines longer than [`MAX_LINE`] end the
+/// connection with an error reply.
 ///
 /// # Errors
 ///
@@ -882,13 +861,21 @@ pub fn serve_io(
         let (out, _) = session.step(&format!("open {}", opts.user));
         emit(&out, output)?;
     }
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         line.clear();
-        if input.read_line(&mut line).map_err(|e| e.to_string())? == 0 {
+        let limit = MAX_LINE as u64 + 1;
+        let read = std::io::Read::take(&mut *input, limit)
+            .read_until(b'\n', &mut line)
+            .map_err(|e| e.to_string())?;
+        if read == 0 {
             return Ok(());
         }
-        let (out, quit) = session.step(&line);
+        if line.strip_suffix(b"\n").unwrap_or(&line).len() > MAX_LINE {
+            return emit(&format!("error: line exceeds {MAX_LINE} bytes\n"), output);
+        }
+        let line = std::str::from_utf8(&line).map_err(|e| e.to_string())?;
+        let (out, quit) = session.step(line);
         emit(&out, output)?;
         if quit {
             return Ok(());
@@ -926,7 +913,8 @@ multilog — belief reasoning in MLS deductive databases (Jamil, SIGMOD 1999)
 
 USAGE:
   multilog run    <file.mlog> --user <level> [--engine op|red] [--filter] [GUARDS]
-  multilog query  <file.mlog> --user <level> '<goal>' [--engine op|red] [--filter] [GUARDS]
+  multilog query  <file.mlog> --user <level> '<goal>' [--engine op|red] [--filter]
+                  [--no-magic] [--flow-prune] [GUARDS]
   multilog prove  <file.mlog> --user <level> '<goal>' [--filter] [GUARDS]
   multilog reduce <file.mlog> --user <level>
   multilog check  <file.mlog> --user <level>
@@ -941,9 +929,13 @@ GUARDS:
   --stats            print per-rule (reduced) / per-clause (operational)
                      evaluation counters after the answers; demand-driven
                      runs also report cone/adorned/magic fact counts
-  --no-magic         disable the magic-sets demand rewrite: reduced
-                     `query` goals and repl goals materialize the full
-                     fixpoint instead of the demanded sub-fixpoint
+
+QUERY:
+  `query --engine red` answers its goal demand-driven: a magic-sets
+  rewrite evaluates only the demanded sub-fixpoint. These flags are
+  accepted by `query` only:
+  --no-magic         materialize the full fixpoint and answer from it
+  --flow-prune       see ANALYZE
 
 LINT:
   `lint` runs the static-analysis pass (stable ML01xx codes; see
@@ -962,8 +954,8 @@ ANALYZE:
   Flow results also feed evaluation:
   --deny flow        run/query/serve refuse to start when the flow
                      analysis reports any ML02xx finding
-  --flow-prune       drop rules the analysis proves invisible at the
-                     session clearance from demand-driven goal
+  --flow-prune       `query` only: drop rules the analysis proves
+                     invisible at the clearance from demand-driven goal
                      evaluation (answers are unchanged; with --stats,
                      demand runs report the pruned rule count)
 
@@ -976,8 +968,9 @@ GOALS:
 
 REPL:
   Goals are answered from an incrementally maintained reduction
-  fixpoint. Prefix a goal with `:prove ` to print its proof tree.
-  Update the database in place with ground m-atom facts:
+  fixpoint (the `serve` machinery: one writer, one reader at --user).
+  Prefix a goal with `:prove ` to print its proof tree. Update the
+  database in place with ground m-atom facts:
   +s[p(k : a -s-> v)].   assert a fact (delta-propagated, no recompute)
   -s[p(k : a -s-> v)].   retract it (delete-and-rederive)
 
@@ -989,7 +982,8 @@ SERVE:
   atomically across every open clearance level and publishes the next
   generation. With --listen <addr>, serves the same protocol to TCP
   clients (all connections share one server); otherwise reads stdin.
-  With --user, a first session is opened automatically.
+  With --user, a first session is opened automatically. A line longer
+  than 65536 bytes gets an error reply and ends the connection.
 ";
 
 /// Parse `argv`-style arguments into `(command, file, goal, Options)`.
@@ -1048,6 +1042,18 @@ pub fn parse_args(args: &[String]) -> Result<(String, String, Option<String>, Op
         }
     }
     let file = file.ok_or("missing database file")?;
+    // Only `query` runs the demand path; every other command answers
+    // from a materialized fixpoint, where these flags would do nothing.
+    for (set, flag) in [
+        (opts.no_magic, "--no-magic"),
+        (opts.flow_prune, "--flow-prune"),
+    ] {
+        if set && cmd != "query" {
+            return Err(format!(
+                "{flag} applies only to `query` (demand-driven goals); `{cmd}` never runs the demand path"
+            ));
+        }
+    }
     // `lint`, `analyze`, and `serve` work without a clearance (the flow
     // analysis bounds every clearance at once; serve sessions pick
     // theirs at `open`); every other command needs one.
@@ -1171,25 +1177,6 @@ mod tests {
     }
 
     #[test]
-    fn repl_demand_cache_hits_and_invalidates_on_update() {
-        let mut s = ReplSession::new(DB, &opts("s")).unwrap();
-        assert!(s.step("s[p(k : a -u-> v)]").contains("yes"));
-        assert!(s.step("s[p(k : a -u-> v)]").contains("yes"));
-        let (entries, hits) = s.demand_cache_stats();
-        assert_eq!(entries, 1, "one binding pattern prepared");
-        assert_eq!(hits, 1, "the repeat reuses it");
-        // A different constant under the same pattern shares the entry.
-        assert!(s.step("s[p(k9 : a -u-> v)]").contains("no"));
-        assert_eq!(s.demand_cache_stats(), (1, 2));
-        // Updates invalidate: the prepared programs embed the EDB.
-        assert!(s.step("+s[p(k9 : a -u-> v)].").starts_with("ok:"));
-        assert_eq!(s.demand_cache_stats().0, 0, "cache cleared on commit");
-        assert!(s.step("s[p(k9 : a -u-> v)]").contains("yes"));
-        assert!(s.step("-s[p(k9 : a -u-> v)].").starts_with("ok:"));
-        assert!(s.step("s[p(k9 : a -u-> v)]").contains("no"));
-    }
-
-    #[test]
     fn repl_retraction_cascades_through_beliefs() {
         // Retracting the u fact removes the cautious support chain: the
         // r8-derived s-level fact must disappear with it.
@@ -1220,6 +1207,14 @@ mod tests {
         assert!(parse_args(&to(&["run", "f.mlog"])).is_err()); // no user
         assert!(parse_args(&to(&["run", "f.mlog", "--user"])).is_err());
         assert!(parse_args(&to(&["run", "f.mlog", "--user", "s", "--engine", "zzz"])).is_err());
+        // The demand flags belong to `query` alone.
+        for cmd in ["run", "repl", "serve", "prove"] {
+            for flag in ["--no-magic", "--flow-prune"] {
+                let err = parse_args(&to(&[cmd, "f.mlog", "--user", "s", flag])).unwrap_err();
+                assert!(err.contains("only to `query`"), "{cmd} {flag}: {err}");
+            }
+        }
+        assert!(parse_args(&to(&["query", "f.mlog", "--user", "s", "g", "--no-magic"])).is_ok());
     }
 
     #[test]
@@ -1320,17 +1315,6 @@ mod tests {
             o.no_magic = true;
             let full = query(DB, goal, &o).unwrap();
             assert_eq!(demand, full, "goal {goal}");
-        }
-    }
-
-    #[test]
-    fn repl_no_magic_matches_demand_answers() {
-        let mut o = opts("s");
-        o.no_magic = true;
-        let mut full = ReplSession::new(DB, &o).unwrap();
-        let mut demand = ReplSession::new(DB, &opts("s")).unwrap();
-        for goal in ["q(X)", "s[p(k : a -u-> v)]", "c[p(k : a -C-> V)] << cau"] {
-            assert_eq!(full.step(goal), demand.step(goal), "goal {goal}");
         }
     }
 
@@ -1502,6 +1486,14 @@ mod tests {
         let (out, _) = s.step("abort");
         assert!(out.contains("aborted 1"), "{out}");
         assert!(s.step("commit").0.contains("nothing staged"));
+        // A non-ground update is rejected when staged, so a valid update
+        // staged beside it still commits.
+        assert!(s.step("+u[p(k8 : a -u-> w)].").0.contains("staged 1"));
+        let (out, _) = s.step("+u[p(K : a -u-> w)].");
+        assert!(out.contains("must be ground"), "{out}");
+        let (out, _) = s.step("commit");
+        assert!(out.contains("committed at epoch 1"), "{out}");
+        assert!(out.contains("s: +1/-0 base"), "{out}");
         let (out, quit) = s.step("quit");
         assert!(quit);
         assert!(out.contains("bye"));
@@ -1526,6 +1518,90 @@ mod tests {
         assert!(text.contains("session 2 open at s"), "{text}");
         assert!(text.contains("yes"), "{text}");
         assert!(text.trim_end().ends_with("bye"), "{text}");
+    }
+
+    #[test]
+    fn serve_io_ends_the_connection_on_an_overlong_line() {
+        assert!(USAGE.contains(&MAX_LINE.to_string()));
+        // A line of exactly MAX_LINE bytes is still read and answered.
+        let mut input = format!("q(j){}\n", " ".repeat(MAX_LINE - 4)).into_bytes();
+        input.extend(format!("{}\nq(j)\n", "x".repeat(MAX_LINE + 1)).bytes());
+        let mut output = Vec::new();
+        let session = ServeSession::new(DB, &opts("")).unwrap();
+        serve_io(
+            session,
+            &opts("s"),
+            &mut std::io::Cursor::new(input),
+            &mut output,
+        )
+        .unwrap();
+        let text = String::from_utf8(output).unwrap();
+        assert_eq!(text.matches("yes").count(), 1, "{text}");
+        assert!(
+            text.ends_with(&format!("error: line exceeds {MAX_LINE} bytes\n")),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn repl_and_serve_answer_the_same_script() {
+        let script = [
+            "L[p(K : a -C-> V)] << opt",
+            "+u[p(k2 : a -u-> w)].",
+            "L[p(K : a -C-> V)] << cau",
+            "+s[p(k3 : a -s-> x; b -c-> y)].",
+            "L[p(k3 : b -C-> V)]",
+            "-u[p(k : a -u-> v)].",
+            "s[p(k : a -u-> v)]",
+            "c[p(K : a -C-> V)] << cau",
+            "-s[p(k3 : a -s-> x)].",
+            "L[p(K : a -C-> V)] << fir",
+            "q(X)",
+            "u leq L",
+            "nonsense [",
+        ];
+        for user in ["u", "c", "s"] {
+            let mut repl = ReplSession::new(DB, &opts(user)).unwrap();
+            let mut serve = ServeSession::new(DB, &opts("")).unwrap();
+            serve.step(&format!("open {user}"));
+            for line in script {
+                if line.starts_with(['+', '-']) {
+                    let out = repl.step(line);
+                    assert!(out.starts_with("ok:"), "{out}");
+                    serve.step(line);
+                    assert!(serve.step("commit").0.starts_with("committed"));
+                    serve.step("refresh");
+                } else {
+                    assert_eq!(repl.step(line), serve.step(line).0, "`{line}` at {user}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn repl_update_over_the_fact_budget_changes_nothing() {
+        let db = load(DB).unwrap();
+        let fresh = ReducedEngine::new(&db, "s").unwrap();
+        let mut o = opts("s");
+        o.max_facts = Some(2 * fresh.database().fact_count());
+        let mut s = ReplSession::new(DB, &o).unwrap();
+        // One molecule of 60 cells derives far more than the budget.
+        let cells: Vec<String> = (0..60).map(|i| format!("a{i} -u-> w")).collect();
+        let out = s.step(&format!("+u[p(k7 : {})].", cells.join("; ")));
+        assert!(out.contains("fact budget"), "{out}");
+        let goals = [
+            "L[p(K : a -C-> V)]",
+            "L[p(K : a -C-> V)] << opt",
+            "c[p(K : a -C-> V)] << cau",
+            "q(X)",
+        ];
+        for goal in goals {
+            let want = render_answers(&fresh.solve_text(goal).unwrap());
+            assert_eq!(s.step(goal), want, "goal `{goal}`");
+        }
+        // The session still commits in-budget updates.
+        assert!(s.step("+u[p(k7 : a -u-> w)].").starts_with("ok:"));
+        assert!(s.step("u[p(k7 : a -u-> w)]").contains("yes"));
     }
 
     #[test]

@@ -2,13 +2,16 @@
 //! relational instance, with the MultiLog belief semantics maintained
 //! incrementally instead of re-encoded and re-evaluated per update.
 //!
-//! [`LiveDatabase`] pairs an [`MlsRelation`] with an incremental
-//! [`ReducedEngine`]. Each [`Op`] (§2's insert/assert/update/delete under
+//! [`LiveDatabase`] pairs an [`MlsRelation`] with a [`BeliefServer`] over
+//! its encoding. Each [`Op`] (§2's insert/assert/update/delete under
 //! required polyinstantiation) is applied to the relation, the tuple-level
 //! diff is translated to m-atom assertions and retractions, and one
-//! transaction commits them against the materialized fixpoint — so belief
-//! queries (`<< fir` / `<< opt` / `<< cau`) stay warm across the whole
-//! update history.
+//! server commit maintains the materialized fixpoint — so belief queries
+//! (`<< fir` / `<< opt` / `<< cau`) stay warm across the whole update
+//! history. Queries answer from a [`ReaderSession`] at the subject level,
+//! refreshed after every commit; a failed commit is handled by the
+//! server's contract (nothing published, engines rebuilt or parked and
+//! healed later).
 //!
 //! Two distinct tuples can contribute the *same* m-atom (polyinstantiated
 //! variants sharing an attribute cell), so the bridge reference-counts
@@ -28,7 +31,8 @@ use multilog_mlsrel::{MlsRelation, MlsTuple, Value};
 use crate::ast::{MAtom, Term};
 use crate::engine::{Answer, EngineOptions};
 use crate::examples::{encode_relation, sym};
-use crate::reduce::{EdbUpdate, ReducedEngine};
+use crate::reduce::EdbUpdate;
+use crate::server::{BeliefServer, ReaderSession};
 use crate::Result;
 
 /// An MLS relational instance whose MultiLog belief semantics is
@@ -57,7 +61,10 @@ use crate::Result;
 /// ```
 pub struct LiveDatabase {
     relation: MlsRelation,
-    engine: ReducedEngine,
+    /// The server every diff commits through.
+    server: BeliefServer,
+    /// Pinned at the subject level; refreshed after every commit.
+    reader: ReaderSession,
     /// Encoded predicate name (the relation's, sanitized).
     pred: std::sync::Arc<str>,
     /// Encoded attribute names, in scheme order.
@@ -91,11 +98,13 @@ impl LiveDatabase {
     }
 
     /// Like [`LiveDatabase::new`], with evaluation guards: the fact
-    /// budget, deadline, and cancellation token of `options` cover both
-    /// the initial materialization and every later update commit.
+    /// budget, deadline, and cancellation token of `options` cover the
+    /// initial materialization, every later update commit, and every
+    /// query.
     pub fn with_options(relation: MlsRelation, user: &str, options: EngineOptions) -> Result<Self> {
         let db = crate::parser::parse_database(&encode_relation(&relation))?;
-        let engine = ReducedEngine::with_options(&db, &sym(user), options)?;
+        let server = BeliefServer::new(db, options);
+        let reader = server.open_reader(&sym(user))?;
         let pred: std::sync::Arc<str> = sym(relation.scheme().name()).into();
         let attrs: Vec<std::sync::Arc<str>> = relation
             .scheme()
@@ -104,7 +113,8 @@ impl LiveDatabase {
             .collect();
         let mut live = LiveDatabase {
             relation,
-            engine,
+            server,
+            reader,
             pred,
             attrs,
             refcounts: BTreeMap::new(),
@@ -122,9 +132,10 @@ impl LiveDatabase {
         &self.relation
     }
 
-    /// The incremental belief engine (for queries and statistics).
-    pub fn engine(&self) -> &ReducedEngine {
-        &self.engine
+    /// The reader session answering queries, pinned at the newest
+    /// commit.
+    pub fn reader(&self) -> &ReaderSession {
+        &self.reader
     }
 
     /// Apply one update operation and incrementally maintain the belief
@@ -135,21 +146,11 @@ impl LiveDatabase {
     ///
     /// [`crate::MultiLogError::Relational`] if the operation is invalid
     /// (not visible, duplicate key, bad level). A guard trip mid-commit
-    /// poisons the incremental engine; `apply` then rebuilds the
-    /// fixpoint from the (unchanged) pre-operation state before
-    /// returning the trip error, so the session stays usable — the
-    /// relation, refcounts, and belief fixpoint all reflect the state
-    /// before the failed operation. Only if that recovery itself fails
-    /// does the database stay poisoned (check
-    /// [`engine().is_poisoned()`](ReducedEngine::is_poisoned);
-    /// [`LiveDatabase::rematerialize`] retries the rebuild).
+    /// returns the trip error with the relation, refcounts, and answers
+    /// all as before the operation; the server rebuilds its engine (or
+    /// parks it and heals it at the next `apply`), so the session stays
+    /// usable.
     pub fn apply(&mut self, op: &Op) -> Result<dl::CommitStats> {
-        // Lazy recovery: if an earlier failure left the engine poisoned
-        // (e.g. its recovery was itself cancelled), rebuild before
-        // attempting this operation rather than rejecting it outright.
-        if self.engine.is_poisoned() {
-            self.engine.rematerialize()?;
-        }
         // Apply to a scratch copy: `ops::apply` can leave a relation
         // partially mutated when it errors mid-way.
         let mut next = self.relation.clone();
@@ -189,26 +190,17 @@ impl LiveDatabase {
                 }
             }
         }
-        match self.engine.apply_updates(&batch) {
-            Ok(stats) => {
-                // All-or-nothing: only a successful commit publishes the
-                // new relation and refcounts, so failures leak neither.
-                self.relation = next;
-                self.refcounts = counts;
-                Ok(stats)
-            }
-            Err(err) => {
-                // A commit abort poisons the engine with its base
-                // restored to the pre-commit state; rebuilding here
-                // hands the caller a live session again. A failed
-                // rebuild keeps the poison, and the original error
-                // still describes what went wrong first.
-                if self.engine.is_poisoned() {
-                    let _ = self.engine.rematerialize();
-                }
-                Err(err)
-            }
-        }
+        let summary = self.server.open_writer()?.commit(&batch)?;
+        // All-or-nothing: only a successful commit publishes the new
+        // relation and refcounts, so failures leak neither.
+        self.relation = next;
+        self.refcounts = counts;
+        self.reader.refresh();
+        Ok(summary
+            .levels
+            .get(self.reader.user())
+            .cloned()
+            .unwrap_or_default())
     }
 
     /// Apply a whole history of operations in order.
@@ -231,30 +223,7 @@ impl LiveDatabase {
     ///
     /// Parse errors; any query evaluation error.
     pub fn solve_text(&self, goal: &str) -> Result<Vec<Answer>> {
-        self.engine.solve_text(goal)
-    }
-
-    /// Parse and solve a textual MultiLog goal demand-driven: the
-    /// magic-sets rewrite evaluates only the sub-fixpoint the goal's
-    /// constants demand, instead of reading the maintained
-    /// materialization. Answers equal [`LiveDatabase::solve_text`]; the
-    /// current transactional base is what the rewrite runs against, so
-    /// applied updates are visible here too.
-    ///
-    /// # Errors
-    ///
-    /// Parse errors; any query evaluation error.
-    pub fn solve_text_demand(&self, goal: &str) -> Result<Vec<Answer>> {
-        self.engine.solve_text_demand(goal)
-    }
-
-    /// Rebuild the belief fixpoint from scratch after a poisoning abort.
-    ///
-    /// # Errors
-    ///
-    /// Any evaluation error from the full materialization.
-    pub fn rematerialize(&mut self) -> Result<()> {
-        self.engine.rematerialize()
+        self.reader.query_text(goal)
     }
 }
 
@@ -296,6 +265,7 @@ fn value_term(v: &Value) -> Term {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reduce::ReducedEngine;
     use multilog_mlsrel::mission;
 
     /// A freshly re-encoded, from-scratch engine over the same relation —
@@ -402,9 +372,9 @@ mod tests {
         let (_, scheme) = mission::mission_scheme();
         let mut probe = LiveDatabase::new(MlsRelation::new(scheme.clone()), "s").unwrap();
         probe.apply(&mission_insert("Voyager", "Mars")).unwrap();
-        let after_first = probe.engine().database().fact_count();
+        let after_first = probe.reader().snapshot().database().fact_count();
         probe.apply(&mission_insert("Falcon", "Venus")).unwrap();
-        let after_second = probe.engine().database().fact_count();
+        let after_second = probe.reader().snapshot().database().fact_count();
         assert!(after_second > after_first + 1, "need budget headroom");
 
         let options = EngineOptions {
@@ -414,12 +384,12 @@ mod tests {
         let mut live = LiveDatabase::with_options(MlsRelation::new(scheme), "s", options).unwrap();
         live.apply(&mission_insert("Voyager", "Mars")).unwrap();
 
-        // The second insert blows the budget mid-commit; `apply` must
-        // rebuild the pre-op fixpoint (which fits the budget) before
-        // returning, leaving the session immediately usable.
+        // The second insert blows the budget mid-commit; the server
+        // must rebuild the pre-op fixpoint (which fits the budget) and
+        // publish nothing, leaving the session immediately usable.
         let err = live.apply(&mission_insert("Falcon", "Venus")).unwrap_err();
         assert!(matches!(err, crate::MultiLogError::BudgetExceeded { .. }));
-        assert!(!live.engine().is_poisoned(), "apply must auto-recover");
+        assert_eq!(live.reader().latest_epoch(), 1, "nothing published");
         assert_eq!(live.relation().len(), 1, "failed op must not apply");
         assert_agrees(&live, "s");
 
@@ -438,9 +408,9 @@ mod tests {
     #[test]
     fn session_recovers_lazily_after_cancelled_recovery() {
         // A cancelled commit leaves the engine poisoned AND defeats the
-        // in-`apply` rebuild (the sticky token cancels that too). Once
-        // the token resets, the next `apply` recovers at entry and the
-        // session heals without manual `rematerialize` calls.
+        // server's rebuild (the sticky token cancels that too), parking
+        // the level. Once the token resets, the next `apply` heals it
+        // and the session recovers without manual intervention.
         let (_, scheme) = mission::mission_scheme();
         let cancel = multilog_datalog::CancelToken::new();
         let options = EngineOptions {
@@ -457,7 +427,7 @@ mod tests {
 
         cancel.reset();
         live.apply(&mission_insert("Falcon", "Venus")).unwrap();
-        assert!(!live.engine().is_poisoned());
+        assert_eq!(live.reader().epoch(), 2);
         assert_eq!(live.relation().len(), 2);
         assert_agrees(&live, "s");
     }

@@ -285,8 +285,10 @@ impl ReducedEngine {
     ///
     /// [`MultiLogError::NonGroundUpdate`] for an atom with variables;
     /// [`MultiLogError::NotAdmissible`] for an undeclared level or
-    /// classification; guard trips poison the back-end, in which case
-    /// [`ReducedEngine::rematerialize`] must run before further use.
+    /// classification. Both are returned before the engine is touched.
+    /// Any other error (a guard trip mid-commit) may poison the
+    /// back-end, in which case [`ReducedEngine::rematerialize`] must run
+    /// before further use.
     pub fn apply_updates(&mut self, updates: &[EdbUpdate]) -> Result<dl::CommitStats> {
         // Validate every atom before touching the transaction, so a bad
         // batch is rejected without opening one.
@@ -319,12 +321,6 @@ impl ReducedEngine {
             }
         }
         Ok(self.incremental.commit()?)
-    }
-
-    /// Whether an aborted update (guard trip mid-commit) left the
-    /// materialized database inconsistent.
-    pub fn is_poisoned(&self) -> bool {
-        self.incremental.is_poisoned()
     }
 
     /// Rebuild the fixpoint from scratch after a poisoning abort; also
@@ -439,54 +435,6 @@ impl ReducedEngine {
         self.solve_demand(&crate::parser::parse_goal(goal)?)
     }
 
-    /// [`ReducedEngine::solve_demand`] through a [`DemandCache`]: the
-    /// magic-sets rewrite is memoized per binding pattern (the
-    /// `(predicate, adornment)` key of [`dl::magic::prepared_key`]), so
-    /// repeated point goals that differ only in their constants — the
-    /// REPL's common shape — skip the per-goal program clone and rewrite
-    /// and only replay the prepared sub-fixpoint with a fresh seed.
-    /// Answers equal [`ReducedEngine::solve_demand`]; the caller must
-    /// [`DemandCache::clear`] the cache after any extensional update
-    /// (the prepared programs embed the EDB).
-    pub fn solve_demand_cached(&self, goal: &Goal, cache: &mut DemandCache) -> Result<Vec<Answer>> {
-        let mut body: Vec<dl::Literal> = Vec::new();
-        for atom in goal {
-            translate_atom(atom, &self.user, self.level_split, true, &mut body)?;
-        }
-        let (key, consts) = dl::magic::prepared_key(&body);
-        let prepared = match cache.map.get(&key) {
-            Some(entry) => {
-                cache.hits += 1;
-                entry
-            }
-            None => {
-                let program = self
-                    .incremental
-                    .current_program()
-                    .map_err(MultiLogError::Datalog)?;
-                let (program, _) = self.pruned_program(program);
-                cache
-                    .map
-                    .entry(key)
-                    .or_insert_with(|| dl::magic::prepare(&program, &body))
-            }
-        };
-        if let Some(m) = prepared.as_ref().and_then(|p| p.instantiate(&consts)) {
-            let mut engine = dl::Engine::new(&m.program)?.with_fact_limit(self.fact_limit);
-            if let Some(d) = self.deadline {
-                engine = engine.with_deadline(d);
-            }
-            if let Some(c) = &self.cancel {
-                engine = engine.with_cancel_token(c.clone());
-            }
-            let db = engine.run()?;
-            return Ok(project_answers(goal, &m.answers(&db)));
-        }
-        // Nothing to parameterize (or no sound rewrite): the plain
-        // demand path handles it, including its cone fallback.
-        self.solve_demand(goal)
-    }
-
     /// Drop everything the flow analysis proves invisible at this
     /// engine's clearance from `program`: the per-level cautious
     /// machinery above the clearance, then every Σ/Π rule whose τ image
@@ -597,43 +545,6 @@ impl GoalTranslator {
 /// Project Datalog answers back onto the goal's own variables, in
 /// MultiLog terms, sorted and deduplicated — the translation may add
 /// guard-only variables that must not leak into the answers.
-/// A memo of prepared magic-sets rewrites keyed by goal binding pattern,
-/// owned by interactive callers (the REPL) and passed to
-/// [`ReducedEngine::solve_demand_cached`]. Entries embed the extensional
-/// database of the moment they were prepared: invalidate with
-/// [`DemandCache::clear`] after every committed `+`/`-` update.
-#[derive(Debug, Default)]
-pub struct DemandCache {
-    map: std::collections::HashMap<String, Option<dl::magic::PreparedMagic>>,
-    hits: u64,
-}
-
-impl DemandCache {
-    /// An empty cache.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Drop every prepared rewrite (after an extensional update).
-    pub fn clear(&mut self) {
-        self.map.clear();
-    }
-
-    /// Number of distinct binding patterns prepared (including patterns
-    /// recorded as not-rewritable).
-    #[must_use]
-    pub fn entries(&self) -> usize {
-        self.map.len()
-    }
-
-    /// How many goals were answered from an already-prepared rewrite.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-}
-
 fn project_answers(goal: &Goal, answers: &dl::QueryAnswer) -> Vec<Answer> {
     let goal_vars: Vec<&str> = {
         let mut vs = Vec::new();
@@ -1027,57 +938,6 @@ mod tests {
     }
 
     #[test]
-    fn cached_demand_matches_uncached_and_counts_hits() {
-        let db = parse_database(D1).unwrap();
-        let mut cache = DemandCache::new();
-        for user in ["u", "c", "s"] {
-            let red = ReducedEngine::new(&db, user).unwrap();
-            cache.clear();
-            for goal in [
-                "L[p(k : a -C-> V)]",
-                "s[p(k : a -C-> V)] << fir",
-                "s[p(k : a -C-> V)] << opt",
-                "c[p(k : a -C-> V)] << cau",
-                "q(X)",
-                "u leq L",
-            ] {
-                let parsed = crate::parser::parse_goal(goal).unwrap();
-                let expect = red.solve_text_demand(goal).unwrap();
-                // Twice: miss then hit, identical answers both times.
-                for _ in 0..2 {
-                    assert_eq!(
-                        red.solve_demand_cached(&parsed, &mut cache).unwrap(),
-                        expect,
-                        "goal `{goal}` at user {user}"
-                    );
-                }
-            }
-        }
-        assert!(cache.entries() >= 1);
-        assert!(cache.hits() >= 6, "repeats must hit: {}", cache.hits());
-    }
-
-    #[test]
-    fn cached_demand_shares_one_rewrite_across_constants() {
-        // Goals differing only in the key constant share a prepared
-        // rewrite: one entry, and from the second goal on, hits.
-        let db = parse_database(D1).unwrap();
-        let red = ReducedEngine::new(&db, "s").unwrap();
-        let mut cache = DemandCache::new();
-        for key in ["k", "k2", "k3"] {
-            let goal = format!("s[p({key} : a -C-> V)] << opt");
-            let parsed = crate::parser::parse_goal(&goal).unwrap();
-            assert_eq!(
-                red.solve_demand_cached(&parsed, &mut cache).unwrap(),
-                red.solve_text_demand(&goal).unwrap(),
-                "goal `{goal}`"
-            );
-        }
-        assert_eq!(cache.entries(), 1, "one binding pattern");
-        assert_eq!(cache.hits(), 2);
-    }
-
-    #[test]
     fn demand_stats_report_magic_for_point_queries() {
         let db = parse_database(D1).unwrap();
         let red = ReducedEngine::new(&db, "s").unwrap();
@@ -1095,8 +955,11 @@ mod tests {
     fn deferred_engine_answers_point_queries_without_materializing() {
         let db = parse_database(D1).unwrap();
         let red = ReducedEngine::with_options_deferred(&db, "s", EngineOptions::default()).unwrap();
-        assert!(red.is_poisoned(), "deferred engines start unmaterialized");
-        assert_eq!(red.database().fact_count(), 0);
+        assert_eq!(
+            red.database().fact_count(),
+            0,
+            "deferred engines start unmaterialized"
+        );
         let ans = red.solve_text_demand("s[p(k : a -C-> V)] << opt").unwrap();
         let full = ReducedEngine::new(&db, "s").unwrap();
         assert_eq!(ans, full.solve_text("s[p(k : a -C-> V)] << opt").unwrap());
@@ -1429,8 +1292,10 @@ mod tests {
         assert!(matches!(e, Err(MultiLogError::NonGroundUpdate { .. })));
         let e = red.apply_updates(&[EdbUpdate::Assert(goal_matom("zz[p(k : a -u-> w)]"))]);
         assert!(matches!(e, Err(MultiLogError::NotAdmissible { .. })));
-        assert!(!red.is_poisoned());
         assert_eq!(red.solve_text("u[p(k : a -u-> v)]").unwrap().len(), 1);
+        // Not poisoned: a valid batch still commits.
+        red.apply_updates(&[EdbUpdate::Assert(goal_matom("u[p(k2 : a -u-> w)]"))])
+            .unwrap();
     }
 
     #[test]

@@ -27,16 +27,26 @@
 //! the base database plus the first *e* committed batches — the property
 //! the snapshot-consistency stress oracle checks.
 //!
+//! ## Clients
+//!
+//! The server is the one place updates are committed: the `multilog
+//! serve` line protocol, the CLI REPL (one writer plus one reader at its
+//! clearance) and [`crate::live::LiveDatabase`] all commit through
+//! [`WriterSession::commit`] and answer from [`ReaderSession`]s.
+//!
 //! ## Failure semantics
 //!
-//! A commit applies the batch to every level engine before publishing
-//! anything. If any level fails (a guard trip mid-propagation), no
-//! generation is published, the epoch does not advance, and every engine
-//! the batch already reached is rebuilt from the base database plus the
-//! committed history — so all levels converge back to the pre-commit
-//! state and the writer sees one typed error. A level whose rebuild also
-//! fails is parked and healed on the next commit or open; its readers
-//! keep answering from their pinned generations throughout.
+//! A commit applies the batch to the level engines in level order
+//! before publishing anything. If a level fails, no generation is
+//! published, the epoch does not advance, and the writer sees that
+//! level's typed error. The engines the batch reached are rebuilt from
+//! the base database plus the committed history: every level that
+//! committed the batch, and the failing level itself unless the batch
+//! was rejected before touching it (a non-ground or undeclared-level
+//! update). Levels after the failing one never saw the batch and are
+//! left alone, so a rejected batch costs no rebuild at all. A level
+//! whose rebuild fails is parked and healed on the next commit or open;
+//! its readers keep answering from their pinned generations throughout.
 
 // Long-lived service path: invariant violations must surface as typed
 // errors to one session, never crash the process (same policy as
@@ -158,32 +168,6 @@ impl BeliefServer {
     pub fn open_levels(&self) -> Vec<String> {
         lock(&self.inner).levels.keys().cloned().collect()
     }
-
-    /// Answer a point goal at clearance `user` by demand-driven
-    /// (magic-sets) evaluation over the level engine's current committed
-    /// state — unlike reader sessions, which scan a pinned materialized
-    /// snapshot. When the server was built with
-    /// [`EngineOptions::flow_prune`], session setup hands each level
-    /// engine the lattice-flow bounds, so the demand cone here first
-    /// drops rules the analysis proves statically invisible at `user`;
-    /// answers are identical either way.
-    ///
-    /// # Errors
-    ///
-    /// [`MultiLogError::NotAdmissible`] for an undeclared level, parse
-    /// errors for a malformed goal, or any evaluation error.
-    pub fn point_query(&self, user: &str, goal: &str) -> Result<Vec<Answer>> {
-        let mut inner = lock(&self.inner);
-        inner.level_handles(user)?;
-        let engine = inner
-            .levels
-            .get(user)
-            .and_then(|slot| slot.engine.as_ref())
-            .ok_or_else(|| MultiLogError::Internal {
-                detail: format!("level `{user}` has no engine after setup"),
-            })?;
-        engine.solve_text_demand(goal)
-    }
 }
 
 impl std::fmt::Debug for BeliefServer {
@@ -280,30 +264,38 @@ impl ServerInner {
             // must not proceed half-blind, so surface the error.
             self.level_handles(&name)?;
         }
-        // Phase 1: apply to every engine, publishing nothing yet.
+        // Phase 1: apply to every engine in level order, publishing
+        // nothing yet.
         let mut stats: BTreeMap<String, dl::CommitStats> = BTreeMap::new();
-        let mut failure: Option<MultiLogError> = None;
+        let mut failure: Option<(String, MultiLogError)> = None;
         for (name, slot) in &mut self.levels {
-            let Some(engine) = slot.engine.as_mut() else {
-                failure = Some(MultiLogError::Internal {
+            let applied = match slot.engine.as_mut() {
+                Some(engine) => engine.apply_updates(updates),
+                None => Err(MultiLogError::Internal {
                     detail: format!("level `{name}` parked during commit"),
-                });
-                break;
+                }),
             };
-            match engine.apply_updates(updates) {
+            match applied {
                 Ok(s) => {
                     stats.insert(name.clone(), s);
                 }
                 Err(e) => {
-                    failure = Some(e);
+                    failure = Some((name.clone(), e));
                     break;
                 }
             }
         }
-        if let Some(error) = failure {
-            // Phase 1 failed somewhere: rebuild every engine the batch
-            // may have reached back to the committed state. Stores are
-            // untouched — no generation was published.
+        if let Some((failed, error)) = failure {
+            // Rebuild exactly the engines the batch reached: the levels
+            // that committed it, and the failing level unless the batch
+            // was rejected before it touched that engine (validation
+            // errors, see `ReducedEngine::apply_updates`). Later levels
+            // never saw the batch. Stores are untouched — no generation
+            // was published.
+            let rejected = matches!(
+                error,
+                MultiLogError::NonGroundUpdate { .. } | MultiLogError::NotAdmissible { .. }
+            );
             let ServerInner {
                 db,
                 options,
@@ -312,11 +304,11 @@ impl ServerInner {
                 ..
             } = self;
             for (name, slot) in levels.iter_mut() {
-                match Self::fresh_engine(db, options, name, history) {
-                    Ok(engine) => slot.engine = Some(engine),
-                    // Park the level; readers keep their snapshots and
-                    // the next commit/open retries the rebuild.
-                    Err(_) => slot.engine = None,
+                let reached = stats.contains_key(name) || (*name == failed && !rejected);
+                if reached {
+                    // A failed rebuild parks the level; readers keep
+                    // their snapshots and the next commit/open retries.
+                    slot.engine = Self::fresh_engine(db, options, name, history).ok();
                 }
             }
             return Err(error);
@@ -529,44 +521,6 @@ mod tests {
     }
 
     #[test]
-    fn point_query_matches_readers_with_and_without_flow_pruning() {
-        let db = parse_database(SRC).unwrap();
-        let plain = BeliefServer::new(db.clone(), EngineOptions::default());
-        let pruned = BeliefServer::new(
-            db,
-            EngineOptions {
-                flow_prune: true,
-                ..EngineOptions::default()
-            },
-        );
-        for user in ["u", "c", "s"] {
-            for goal in ["u[p(k : a -u-> V)]", "q(X)", "c[p(k : a -c-> V)] << opt"] {
-                let want = plain.open_reader(user).unwrap().query_text(goal).unwrap();
-                assert_eq!(plain.point_query(user, goal).unwrap(), want);
-                assert_eq!(
-                    pruned.point_query(user, goal).unwrap(),
-                    want,
-                    "goal `{goal}` at {user}"
-                );
-            }
-        }
-        // Pruned point queries stay correct across commits (the flow
-        // bounds are disabled once history diverges from the base db).
-        let mut writer = pruned.open_writer().unwrap();
-        writer
-            .commit(&[assert_fact("u[p(k9 : a -u-> v9)].")])
-            .unwrap();
-        let goal = "u[p(k9 : a -u-> V)]";
-        assert_eq!(pruned.point_query("u", goal).unwrap().len(), 1);
-        let mut reader = pruned.open_reader("u").unwrap();
-        reader.refresh();
-        assert_eq!(
-            pruned.point_query("u", goal).unwrap(),
-            reader.query_text(goal).unwrap()
-        );
-    }
-
-    #[test]
     fn single_writer_enforced() {
         let server = server();
         let first = server.open_writer().unwrap();
@@ -621,6 +575,43 @@ mod tests {
             .query_text("s[p(k : a -u-> v)] << opt")
             .unwrap()
             .is_empty());
+    }
+
+    #[test]
+    fn rejected_batch_rebuilds_no_engine() {
+        let cancel = dl::CancelToken::new();
+        let server = BeliefServer::new(
+            parse_database(SRC).unwrap(),
+            EngineOptions {
+                cancel: Some(cancel.clone()),
+                ..EngineOptions::default()
+            },
+        );
+        server.open_reader("u").unwrap();
+        server.open_reader("s").unwrap();
+        // Every evaluation from here on is cancelled, rebuilds included.
+        cancel.cancel();
+        let mut writer = server.open_writer().unwrap();
+        let err = writer.commit(&[assert_fact("u[p(K : a -u-> w)].")]);
+        assert!(
+            matches!(err, Err(MultiLogError::NonGroundUpdate { .. })),
+            "{err:?}"
+        );
+        // The batch was rejected before it reached any engine, so no
+        // level was rebuilt (and parked by the cancelled rebuild):
+        // opening at an open level needs no evaluation.
+        for user in ["u", "s"] {
+            let reader = server.open_reader(user).unwrap();
+            assert_eq!(reader.epoch(), 0);
+        }
+        cancel.reset();
+        assert_eq!(
+            writer
+                .commit(&[assert_fact("u[p(k2 : a -u-> w)].")])
+                .unwrap()
+                .epoch,
+            1
+        );
     }
 
     #[test]
