@@ -16,8 +16,11 @@
 //! * `concurrent_churn` — a [`BeliefServer`] under writer churn: reader
 //!   threads at distinct clearance levels loop refresh + goal against
 //!   their pinned snapshots while the writer commits retract/re-insert
-//!   deltas. Reported as a top-level object with reader p50/p90/p99/p99.9
-//!   query latency (µs), writer commit throughput, and tail attribution:
+//!   deltas, half of them cover-story flips that change `beaten_h` facts
+//!   (the top level's cautious answer for the flipped key is asserted to
+//!   change with each). Reported as a top-level object with reader
+//!   p50/p90/p99/p99.9 query latency (µs), writer commit throughput, and
+//!   tail attribution:
 //!   `max_spans_publish` / `tail_publish_overlap_pct` say whether the
 //!   worst-case and top-1% reader latencies coincide with a writer
 //!   commit publish — the snapshot-isolation claim is that reader
@@ -51,7 +54,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use multilog_bench::workload::{synthetic_multilog, MultiLogSpec};
-use multilog_core::ast::Head;
+use multilog_core::ast::{Head, Term};
 use multilog_core::reduce::EdbUpdate;
 use multilog_core::{
     parse_clause, parse_database, reduce::ReducedEngine, BeliefServer, EngineOptions,
@@ -562,8 +565,9 @@ struct ConcurrentChurnResult {
 
 /// Run `readers` reader threads against a [`BeliefServer`] while the
 /// writer commits `commits` single-fact batches (alternating assert and
-/// retract of a fresh `data` fact feeding the top-level rules, so every
-/// commit re-propagates through each level's incremental engine).
+/// retract of a fresh `data` fact, either feeding the top-level rules or
+/// flipping a cover story, so every commit re-propagates through each
+/// level's incremental engine).
 ///
 /// Each reader is pinned at one of the declared clearance levels and
 /// loops `refresh()` + one goal against its pinned snapshot, recording
@@ -624,15 +628,36 @@ fn run_concurrent_churn(readers: usize, commits: usize) -> ConcurrentChurnResult
             }));
         }
 
-        // Writer churn on the main thread: each commit asserts or
-        // retracts one l1 `data` fact, which the top level's cautious
-        // rules consult — so every commit does real re-derivation work
-        // in all three engines before publishing.
+        // Writer churn on the main thread, in single-fact pairs. Even
+        // pairs assert and retract an l1 `data` cell on k0, which the top
+        // level's cautious rules consult — so those commits do real
+        // re-derivation work in all three engines before publishing. Odd
+        // pairs flip a cover story: an l1 cell on `flip`, a key whose
+        // cells are all l0-classified, beats those cells at l1 and l2
+        // (new `beaten_h` facts) until it is retracted, so those commits
+        // maintain the negation strata too. The top level's cautious
+        // answer for `flip` must change with every such commit.
+        let mut top_reader = server.open_reader(&top).expect("top reader opens");
+        let flip = (0..spec.facts)
+            .find(|k| {
+                let cells = top_reader
+                    .query_text(&format!("L[data(k{k} : a -C-> V)]"))
+                    .expect("key probe evaluates");
+                !cells.is_empty() && cells.iter().all(|a| a["C"] == Term::sym("l0"))
+            })
+            .expect("some key has only l0-classified cells");
+        let flip_goal = format!("{top}[data(k{flip} : a -C-> V)] << cau");
+        let covered = top_reader
+            .query_text(&flip_goal)
+            .expect("flip goal evaluates");
+        let mut seen = covered.clone();
         let writer = server.open_writer().expect("single writer opens");
         let start = Instant::now();
         let mut writer = writer;
         for c in 0..commits {
-            let fact = format!("l1[data(k0 : a -l1-> churn{}) ].", c / 2);
+            let flipping = c % 4 >= 2;
+            let key = if flipping { flip } else { 0 };
+            let fact = format!("l1[data(k{key} : a -l1-> churn{}) ].", c / 2);
             let clause = parse_clause(&fact).expect("churn fact parses").remove(0);
             let Head::M(m) = clause.head else {
                 unreachable!("churn fact is an m-fact");
@@ -649,6 +674,18 @@ fn run_concurrent_churn(readers: usize, commits: usize) -> ConcurrentChurnResult
                 .map(|s| s.strata_recomputed)
                 .sum::<usize>();
             publishes.push(clock.elapsed().as_secs_f64() * 1e6);
+            if flipping {
+                top_reader.refresh();
+                let now = top_reader
+                    .query_text(&flip_goal)
+                    .expect("flip goal evaluates");
+                // The retract restores exactly the cover stories.
+                assert!(
+                    now != seen && (now == covered) == (c % 2 == 1),
+                    "cover-story flip at commit {c}: `{flip_goal}` answered {now:?} after {seen:?}"
+                );
+                seen = now;
+            }
         }
         writer_wall_ms = start.elapsed().as_secs_f64() * 1e3;
         stop.store(true, Ordering::Relaxed);

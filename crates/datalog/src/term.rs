@@ -194,10 +194,11 @@ impl fmt::Display for Const {
         match self {
             Const::Sym(id) => {
                 let s = id.as_str();
-                // Quote when the symbol does not lex as a bare identifier.
-                let bare = !s.is_empty()
-                    && s.chars().next().is_some_and(|c| c.is_ascii_lowercase())
-                    && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_');
+                // Quote when the symbol does not lex as a bare identifier
+                // (the keywords `not` and `mod` lex as syntax).
+                let bare = s.chars().next().is_some_and(|c| c.is_ascii_lowercase())
+                    && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
+                    && !matches!(s, "not" | "mod");
                 if bare {
                     f.write_str(s)
                 } else {
@@ -331,6 +332,16 @@ mod tests {
         assert_eq!(Const::sym("").to_string(), "\"\"");
         assert_eq!(Const::sym("X").to_string(), "\"X\"");
         assert_eq!(Const::int(-3).to_string(), "-3");
+        // Keywords quote, and every rendering parses back to the symbol.
+        assert_eq!(Const::sym("not").to_string(), "\"not\"");
+        assert_eq!(Const::sym("mod").to_string(), "\"mod\"");
+        assert_eq!(Const::sym("modest").to_string(), "modest");
+        for s in ["mars", "Outer Space", "", "X", "not", "mod", "notable"] {
+            let c = Const::sym(s);
+            let parsed = crate::parser::parse_query(&format!("p({c})")).unwrap();
+            let atom = parsed[0].atom().unwrap();
+            assert_eq!(atom.terms, vec![Term::Const(c)], "`{s}` round-trips");
+        }
     }
 
     #[test]

@@ -4,6 +4,8 @@
 use std::fmt;
 use std::sync::Arc;
 
+use multilog_datalog::Aggregate;
+
 /// A source position (1-based line and column) recorded by the parser on
 /// every clause, so lints and errors can point at the offending source.
 ///
@@ -354,56 +356,6 @@ impl fmt::Display for Head {
     }
 }
 
-/// An aggregate function usable in a p-atom head argument.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum MAggFunc {
-    /// `count(V)` — distinct witness bindings per group.
-    Count,
-    /// `sum(V)` — integer sum over distinct witnesses.
-    Sum,
-    /// `min(V)` — minimum over distinct witnesses.
-    Min,
-    /// `max(V)` — maximum over distinct witnesses.
-    Max,
-}
-
-impl MAggFunc {
-    /// The surface keyword (`count`, `sum`, `min`, `max`).
-    pub fn keyword(self) -> &'static str {
-        match self {
-            MAggFunc::Count => "count",
-            MAggFunc::Sum => "sum",
-            MAggFunc::Min => "min",
-            MAggFunc::Max => "max",
-        }
-    }
-
-    /// Parse a surface keyword.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "count" => Some(MAggFunc::Count),
-            "sum" => Some(MAggFunc::Sum),
-            "min" => Some(MAggFunc::Min),
-            "max" => Some(MAggFunc::Max),
-            _ => None,
-        }
-    }
-}
-
-/// An aggregated head argument: the clause's head p-atom carries the
-/// aggregated variable as a plain term at `position`; the remaining head
-/// arguments form the group-by key. Semantics follow the Datalog layer:
-/// the fold runs over *distinct witness bindings* of the clause body
-/// (bag semantics over the deduplicated witness set), so polyinstantiated
-/// m-atoms at different levels count separately.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct MAggregate {
-    /// The aggregate function.
-    pub func: MAggFunc,
-    /// The head argument position being aggregated.
-    pub position: usize,
-}
-
 /// A MultiLog clause `Head <- B1, …, Bm.`
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Clause {
@@ -412,8 +364,13 @@ pub struct Clause {
     /// The body atoms.
     pub body: Vec<Atom>,
     /// Aggregate annotation for p-atom heads like
-    /// `total(H, count(K)) <- …` (None for ordinary clauses).
-    pub agg: Option<MAggregate>,
+    /// `total(H, count(K)) <- …` (None for ordinary clauses): the head
+    /// p-atom carries the aggregated variable as a plain term at
+    /// `position`, and the other arguments form the group-by key. The
+    /// fold follows the Datalog layer: it runs over *distinct witness
+    /// bindings* of the body, so polyinstantiated m-atoms at different
+    /// levels count separately.
+    pub agg: Option<Aggregate>,
     /// Where the clause came from (ignored by equality and hashing).
     /// Clauses desugared from one molecular item share one span.
     pub span: Span,
@@ -442,7 +399,7 @@ impl Clause {
     }
 
     /// Mark the clause as an aggregate rule (builder-style).
-    pub fn with_agg(mut self, agg: MAggregate) -> Self {
+    pub fn with_agg(mut self, agg: Aggregate) -> Self {
         self.agg = Some(agg);
         self
     }
@@ -471,7 +428,7 @@ impl fmt::Display for Clause {
                         write!(f, ", ")?;
                     }
                     if i == agg.position {
-                        write!(f, "{}({a})", agg.func.keyword())?;
+                        write!(f, "{}({a})", agg.func)?;
                     } else {
                         write!(f, "{a}")?;
                     }

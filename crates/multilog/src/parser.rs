@@ -23,7 +23,9 @@
 
 use std::sync::Arc;
 
-use crate::ast::{Atom, Clause, Goal, Head, MAggFunc, MAggregate, MMolecule, PAtom, Span, Term};
+use multilog_datalog::{AggFunc, Aggregate};
+
+use crate::ast::{Atom, Clause, Goal, Head, MMolecule, PAtom, Span, Term};
 use crate::db::MultiLogDb;
 use crate::{MultiLogError, Result};
 
@@ -222,7 +224,7 @@ impl Parser {
 
     /// A head: returns several heads when molecular, plus the aggregate
     /// annotation when the head is an aggregate p-atom.
-    fn head(&mut self) -> Result<(Vec<Head>, Option<MAggregate>)> {
+    fn head(&mut self) -> Result<(Vec<Head>, Option<Aggregate>)> {
         // level(…)/order(…) with the distinguished arities; otherwise fall
         // back to a p-atom of the same name.
         let start = self.pos;
@@ -253,8 +255,8 @@ impl Parser {
     /// A p-atom head, where one argument may be an aggregate term
     /// `count(V)` / `sum(V)` / `min(V)` / `max(V)` — the aggregated
     /// variable is stored as a plain term and the function recorded in
-    /// the returned [`MAggregate`].
-    fn head_patom(&mut self) -> Result<(PAtom, Option<MAggregate>)> {
+    /// the returned [`Aggregate`].
+    fn head_patom(&mut self) -> Result<(PAtom, Option<Aggregate>)> {
         let pred = match self.advance() {
             Some(Tok::Ident(p)) => p,
             _ => {
@@ -263,22 +265,16 @@ impl Parser {
             }
         };
         let mut args = Vec::new();
-        let mut agg: Option<MAggregate> = None;
+        let mut agg: Option<Aggregate> = None;
         if self.peek_is(&Tok::LParen) {
             self.advance();
             loop {
-                let is_agg = matches!(
-                    self.peek(),
-                    Some(Tok::Ident(n)) if MAggFunc::parse(n).is_some()
-                ) && self.peek2_is(&Tok::LParen);
-                if is_agg {
-                    let func = match self.advance() {
-                        Some(Tok::Ident(n)) => match MAggFunc::parse(&n) {
-                            Some(func) => func,
-                            None => return Err(self.err("expected aggregate function")),
-                        },
-                        _ => return Err(self.err("expected aggregate function")),
-                    };
+                let func = match self.peek() {
+                    Some(Tok::Ident(n)) if self.peek2_is(&Tok::LParen) => AggFunc::from_name(n),
+                    _ => None,
+                };
+                if let Some(func) = func {
+                    self.advance(); // the function name
                     self.advance(); // `(`
                     if agg.is_some() {
                         return Err(self.err("at most one aggregate per head"));
@@ -286,14 +282,13 @@ impl Parser {
                     let var = match self.advance() {
                         Some(Tok::Var(v)) => Term::var(v),
                         _ => {
-                            return Err(self.err(format!(
-                                "`{}(...)` takes a variable to aggregate",
-                                func.keyword()
-                            )))
+                            return Err(
+                                self.err(format!("`{func}(...)` takes a variable to aggregate"))
+                            )
                         }
                     };
                     self.expect(&Tok::RParen, "`)` after aggregate variable")?;
-                    agg = Some(MAggregate {
+                    agg = Some(Aggregate {
                         func,
                         position: args.len(),
                     });
@@ -827,10 +822,9 @@ mod tests {
 
     #[test]
     fn parses_aggregate_head() {
-        use crate::ast::MAggFunc;
         let cs = parse_clause("total(H, count(K)) <- vis(H, K).").unwrap();
         let agg = cs[0].agg.unwrap();
-        assert_eq!(agg.func, MAggFunc::Count);
+        assert_eq!(agg.func, AggFunc::Count);
         assert_eq!(agg.position, 1);
         assert_eq!(cs[0].to_string(), "total(H, count(K)) <- vis(H, K).");
         assert_eq!(parse_clause(&cs[0].to_string()).unwrap(), cs);

@@ -2,6 +2,15 @@
 //! Datalog plus the inference-engine axiom set **A** of Figure 12,
 //! executed on the `multilog-datalog` engine (our CORAL substitute).
 //!
+//! τ builds the reduced program as typed Datalog clauses
+//! ([`dl::Clause`] over [`dl::Atom`]/[`dl::Literal`]/[`dl::Term`]) and
+//! hands them to [`dl::Program::from_clauses`], which runs the usual
+//! safety and arity checks. MultiLog symbols become Datalog constants,
+//! never Datalog syntax, so a symbol spelled like a Datalog keyword
+//! (`not`, `mod`) reduces like any other. Goals translate the same way,
+//! into typed query literals. [`ReducedEngine::program_text`] is only a
+//! rendering of the typed program for inspection; nothing evaluates it.
+//!
 //! ## Encoding (§6.1)
 //!
 //! * `τ(l[p(k : a -c-> v)]) = rel(p, k, a, v, c, l)`
@@ -39,12 +48,13 @@
 //! by `tests/equivalence.rs` at the workspace root.
 
 use std::collections::{BTreeMap, HashSet};
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 use multilog_datalog as dl;
 use multilog_lattice::SecurityLattice;
 
-use crate::ast::{Atom, Clause, Goal, Head, MAtom, Term};
+use crate::ast::{Atom, Clause, Goal, Head, MAtom, PAtom, Term};
 use crate::belief::Mode;
 use crate::db::MultiLogDb;
 use crate::engine::{Answer, EngineOptions};
@@ -94,6 +104,7 @@ pub struct ReducedEngine {
     incremental: dl::IncrementalEngine,
     /// Whether `rel` was split per level (cautious bodies present).
     level_split: bool,
+    /// The typed program rendered once, for [`ReducedEngine::program_text`].
     program_text: String,
     /// Guard configuration, replayed onto demand-driven goal runs.
     fact_limit: usize,
@@ -104,9 +115,10 @@ pub struct ReducedEngine {
 }
 
 /// Demand-pruning state: the static flow analysis of the source
-/// database plus each Σ/Π clause paired with its τ image, so prunable
-/// rules can be dropped from the demand program by structural equality
-/// (spans are not identity, see [`crate::ast::Span`]).
+/// database plus each Σ/Π clause paired with its τ image from the one
+/// translation pass, so prunable rules can be dropped from the demand
+/// program by structural equality (spans are not identity, see
+/// [`crate::ast::Span`]).
 ///
 /// Only the *demand* path prunes; the incremental materialized fixpoint
 /// always evaluates the full program, so `solve`/`apply_updates` are
@@ -194,29 +206,26 @@ impl ReducedEngine {
             .chain(db.pi())
             .flat_map(|c| &c.body)
             .any(|a| matches!(a, Atom::B(_, m) if m.as_ref() == "cau"));
-        let program_text = translate(db, user, &lattice, level_split)?;
-        let program = dl::parse_program(&program_text).map_err(MultiLogError::Datalog)?;
+        let (clauses, axioms_at) = translate(db, user, &lattice, level_split)?;
+        let program_text = render(&clauses, axioms_at);
+        let program = dl::Program::from_clauses(clauses).map_err(MultiLogError::Datalog)?;
         // Flow pruning needs a real lattice; the Prop 6.1 fallback has
         // no Σ rules to prune anyway.
         let prune = if options.flow_prune && !(db.lambda().is_empty() && db.sigma().is_empty()) {
             let report = crate::flow::analyze_db(db);
-            let mut rules = Vec::new();
-            for c in db.sigma().iter().chain(db.pi()) {
-                let text = translate_clause(c, user, level_split)?;
-                let image = dl::parse_program(&text).map_err(MultiLogError::Datalog)?;
-                for t in image.clauses() {
-                    rules.push((c.clone(), t.clone()));
-                }
-            }
+            // Σ and Π images follow Λ's in the one translation pass.
+            let images = &program.clauses()[db.lambda().len()..axioms_at];
+            let rules = db.sigma().iter().chain(db.pi()).cloned();
+            let rules = rules.zip(images.iter().cloned()).collect();
             let mut machinery = HashSet::new();
             if level_split {
                 if let Some(u) = lattice.label(user) {
                     for h in lattice.labels() {
                         if !lattice.leq(h, u) {
                             let hn = lattice.name(h);
-                            machinery.insert(format!("visible_{hn}"));
-                            machinery.insert(format!("beaten_{hn}"));
-                            machinery.insert(format!("bel_cau_{hn}"));
+                            for pred in ["visible", "beaten", "bel_cau"] {
+                                machinery.insert(leveled(pred, hn));
+                            }
                         }
                     }
                 }
@@ -260,8 +269,9 @@ impl ReducedEngine {
         self.incremental.materialize_stats()
     }
 
-    /// The generated Datalog program (for inspection and the figures
-    /// binary).
+    /// The generated Datalog program in Datalog surface syntax, for
+    /// inspection and the figures binary: a rendering of the typed
+    /// program that parses back to the same clauses.
     pub fn program_text(&self) -> &str {
         &self.program_text
     }
@@ -292,7 +302,7 @@ impl ReducedEngine {
     pub fn apply_updates(&mut self, updates: &[EdbUpdate]) -> Result<dl::CommitStats> {
         // Validate every atom before touching the transaction, so a bad
         // batch is rejected without opening one.
-        let mut encoded: Vec<(bool, String, Vec<dl::Const>)> = Vec::with_capacity(updates.len());
+        let mut encoded: Vec<(bool, dl::SymId, Vec<dl::Const>)> = Vec::with_capacity(updates.len());
         for update in updates {
             let (m, insert) = match update {
                 EdbUpdate::Assert(m) => (m, true),
@@ -335,11 +345,12 @@ impl ReducedEngine {
 
     /// Encode a ground m-atom into its τ image: the target relation name
     /// and the constant tuple, honoring the level split.
-    fn encode_update(&self, m: &MAtom) -> Result<(String, Vec<dl::Const>)> {
+    fn encode_update(&self, m: &MAtom) -> Result<(dl::SymId, Vec<dl::Const>)> {
+        let non_ground = || MultiLogError::NonGroundUpdate {
+            atom: m.to_string(),
+        };
         if !m.is_ground() {
-            return Err(MultiLogError::NonGroundUpdate {
-                atom: m.to_string(),
-            });
+            return Err(non_ground());
         }
         for (role, t) in [("level", &m.level), ("classification", &m.class)] {
             let Term::Sym(name) = t else {
@@ -353,29 +364,16 @@ impl ReducedEngine {
                 });
             }
         }
-        let mut fact = vec![
-            dl::Const::sym(&m.pred),
-            term_const(&m.key),
-            dl::Const::sym(&m.attr),
-            term_const(&m.value),
-            term_const(&m.class),
-        ];
-        if self.level_split {
-            Ok((format!("rel_{}", m.level), fact))
-        } else {
-            fact.push(term_const(&m.level));
-            Ok(("rel".to_owned(), fact))
-        }
+        let atom = rel_atom(m, self.level_split)?;
+        let fact = atom.as_fact().ok_or_else(non_ground)?;
+        Ok((atom.predicate, fact))
     }
 
     /// Solve a MultiLog goal against the reduced database; answers are in
     /// MultiLog terms, sorted, and directly comparable with
     /// [`crate::MultiLogEngine::solve`].
     pub fn solve(&self, goal: &Goal) -> Result<Vec<Answer>> {
-        let mut body: Vec<dl::Literal> = Vec::new();
-        for atom in goal {
-            translate_atom(atom, &self.user, self.level_split, true, &mut body)?;
-        }
+        let body = translate_goal(goal, &self.user)?;
         let answers =
             dl::run_query(self.incremental.database(), &body).map_err(MultiLogError::Datalog)?;
         Ok(project_answers(goal, &answers))
@@ -405,10 +403,7 @@ impl ReducedEngine {
     /// records whether the magic rewrite applied and how much it
     /// materialized.
     pub fn solve_demand_with_stats(&self, goal: &Goal) -> Result<(Vec<Answer>, dl::EvalStats)> {
-        let mut body: Vec<dl::Literal> = Vec::new();
-        for atom in goal {
-            translate_atom(atom, &self.user, self.level_split, true, &mut body)?;
-        }
+        let body = translate_goal(goal, &self.user)?;
         let program = self
             .incremental
             .current_program()
@@ -481,7 +476,6 @@ impl ReducedEngine {
     pub fn goal_translator(&self) -> GoalTranslator {
         GoalTranslator {
             user: self.user.clone(),
-            level_split: self.level_split,
             guards: dl::QueryGuards {
                 deadline: self.deadline,
                 fact_limit: if self.fact_limit == usize::MAX {
@@ -504,16 +498,15 @@ impl ReducedEngine {
 
 /// The query-side half of the τ translation, detached from the engine.
 ///
-/// A translator knows the clearance level it serves, whether the
-/// reduction split `rel` per level, and the session's query guards — the
-/// three inputs needed to turn a MultiLog goal into a reduced Datalog
-/// body and answer it against *any* database produced by the matching
+/// A translator knows the clearance level it serves and the session's
+/// query guards — the inputs needed to turn a MultiLog goal into a
+/// reduced Datalog body (goals always read the generic `rel`/`bel`
+/// predicates) and answer it against *any* database produced by the matching
 /// [`ReducedEngine`] (typically a pinned snapshot). It holds no database
 /// itself, so readers using one never contend with writers.
 #[derive(Clone, Debug)]
 pub struct GoalTranslator {
     user: String,
-    level_split: bool,
     guards: dl::QueryGuards,
 }
 
@@ -527,10 +520,7 @@ impl GoalTranslator {
     /// this translator's clearance), under the session guards. Answers
     /// match [`ReducedEngine::solve`] on the same database.
     pub fn solve_on(&self, db: &dl::Database, goal: &Goal) -> Result<Vec<Answer>> {
-        let mut body: Vec<dl::Literal> = Vec::new();
-        for atom in goal {
-            translate_atom(atom, &self.user, self.level_split, true, &mut body)?;
-        }
+        let body = translate_goal(goal, &self.user)?;
         let answers =
             dl::run_query_guarded(db, &body, &self.guards).map_err(MultiLogError::Datalog)?;
         Ok(project_answers(goal, &answers))
@@ -572,284 +562,270 @@ fn project_answers(goal: &Goal, answers: &dl::QueryAnswer) -> Vec<Answer> {
     out
 }
 
-/// Translate the full database to a Datalog program text: `τ(Δ) ∪ A`.
+/// τ(Δ) ∪ A: one clause per Λ, Σ and Π clause, in that order, then the
+/// axiom set. Also returns the index of the first axiom.
 fn translate(
     db: &MultiLogDb,
     user: &str,
     lattice: &SecurityLattice,
     level_split: bool,
-) -> Result<String> {
+) -> Result<(Vec<dl::Clause>, usize)> {
+    let mut clauses = Vec::new();
+    for c in db.lambda().iter().chain(db.sigma()).chain(db.pi()) {
+        clauses.push(translate_clause(c, user, level_split)?);
+    }
+    let axioms_at = clauses.len();
+    axioms(lattice, level_split, &mut clauses);
+    Ok((clauses, axioms_at))
+}
+
+/// τ's clauses in Datalog surface syntax, one per line, with a comment
+/// line before the axiom set.
+fn render(clauses: &[dl::Clause], axioms_at: usize) -> String {
     let mut out = String::new();
-    // --- τ(Λ): the lattice component translates one-to-one. ---
-    for c in db.lambda() {
-        out.push_str(&translate_clause(c, user, level_split)?);
-        out.push('\n');
+    for (i, c) in clauses.iter().enumerate() {
+        if i == axioms_at {
+            out.push_str("% axiom set A (Figure 12, safe specialization)\n");
+        }
+        let _ = writeln!(out, "{c}");
     }
-    // --- τ(Σ) and τ(Π). ---
-    for c in db.sigma().iter().chain(db.pi()) {
-        out.push_str(&translate_clause(c, user, level_split)?);
-        out.push('\n');
+    out
+}
+
+/// τ of one Λ/Σ/Π clause. Rule bodies read the level- and
+/// mode-specialized predicates; the no-read-up guards come from
+/// [`translate_atom`].
+fn translate_clause(c: &Clause, user: &str, level_split: bool) -> Result<dl::Clause> {
+    let head = match &c.head {
+        Head::M(m) => rel_atom(m, level_split)?,
+        Head::P(p) => patom(p),
+        Head::L(t) => dl::Atom::new("level", vec![term(t)]),
+        Head::H(l, h) => dl::Atom::new("order", vec![term(l), term(h)]),
+    };
+    let mut body = Vec::new();
+    for a in &c.body {
+        translate_atom(a, user, Some(level_split), &mut body)?;
     }
-    // --- The axiom set A. ---
-    out.push_str("% axiom set A (Figure 12, safe specialization)\n");
-    out.push_str("dominate(X, Y) :- order(X, Y).\n");
-    out.push_str("dominate(X, X) :- level(X).\n");
-    out.push_str("dominate(X, Y) :- order(X, Z), dominate(Z, Y).\n");
+    let clause = dl::Clause::new(head, body);
+    // Aggregate heads keep their spec; the back-end folds per stratum
+    // over distinct witness bindings, so polyinstantiated m-atoms at
+    // different levels count separately (bag semantics per
+    // Bertossi–Gottlob).
+    Ok(match (&c.head, c.agg) {
+        (Head::P(_), Some(agg)) => clause.with_aggregate(agg),
+        _ => clause,
+    })
+}
+
+/// τ(λ(goal, u)): a MultiLog goal as a reduced query body. Goals read the
+/// generic `rel`/`bel` predicates, whatever the rule encoding.
+fn translate_goal(goal: &Goal, user: &str) -> Result<Vec<dl::Literal>> {
+    let mut body = Vec::new();
+    for atom in goal {
+        translate_atom(atom, user, None, &mut body)?;
+    }
+    Ok(body)
+}
+
+/// τ(λ(B, u)): translate one atom, adding the no-read-up guards for m-
+/// and b-atoms. `rule` is `Some(level_split)` in a rule body, which reads
+/// the level/mode-specialized predicates, and `None` in a goal.
+fn translate_atom(
+    atom: &Atom,
+    user: &str,
+    rule: Option<bool>,
+    out: &mut Vec<dl::Literal>,
+) -> Result<()> {
+    let (translated, guarded) = match atom {
+        Atom::M(m) => (rel_atom(m, rule == Some(true))?, Some(m)),
+        Atom::B(m, mode) => {
+            let mut terms = cell(m);
+            let level = term(&m.level);
+            let translated = match (Mode::parse(mode), rule) {
+                // Rule bodies use the specialized predicates.
+                (Some(Mode::Fir), Some(_)) => {
+                    terms.push(level);
+                    dl::Atom::new("bel_fir", terms)
+                }
+                (Some(Mode::Opt), Some(_)) => {
+                    terms.push(level);
+                    dl::Atom::new("bel_opt", terms)
+                }
+                (Some(Mode::Cau), Some(true)) => {
+                    dl::Atom::new(leveled("bel_cau", ground_level(m)?), terms)
+                }
+                // Goals and user modes go through the generic bel/7.
+                _ => {
+                    terms.extend([level, dl::Term::sym(mode)]);
+                    dl::Atom::new("bel", terms)
+                }
+            };
+            (translated, Some(m))
+        }
+        Atom::P(p) => (patom(p), None),
+        Atom::L(t) => (dl::Atom::new("level", vec![term(t)]), None),
+        Atom::H(l, h) => (dl::Atom::new("order", vec![term(l), term(h)]), None),
+        Atom::Leq(l, h) => (dl::Atom::new("dominate", vec![term(l), term(h)]), None),
+    };
+    out.push(dl::Literal::Pos(translated));
+    if let Some(m) = guarded {
+        for t in [&m.level, &m.class] {
+            let guard = dl::Atom::new("dominate", vec![term(t), dl::Term::sym(user)]);
+            out.push(dl::Literal::Pos(guard));
+        }
+    }
+    Ok(())
+}
+
+/// The columns `p, k, a, v, c` of an m-atom's τ image.
+fn cell(m: &MAtom) -> Vec<dl::Term> {
+    vec![
+        dl::Term::sym(&m.pred),
+        term(&m.key),
+        dl::Term::sym(&m.attr),
+        term(&m.value),
+        term(&m.class),
+    ]
+}
+
+/// τ of an m-atom: `rel(p, k, a, v, c, l)`, or `rel_l(p, k, a, v, c)` in
+/// the per-level encoding (`split`), which needs a symbolic level.
+fn rel_atom(m: &MAtom, split: bool) -> Result<dl::Atom> {
+    let mut terms = cell(m);
+    if split {
+        return Ok(dl::Atom::new(leveled("rel", ground_level(m)?), terms));
+    }
+    terms.push(term(&m.level));
+    Ok(dl::Atom::new("rel", terms))
+}
+
+/// The symbolic level of `m`, which the per-level encoding needs.
+fn ground_level(m: &MAtom) -> Result<&str> {
+    match &m.level {
+        Term::Sym(level) => Ok(level),
+        _ => Err(MultiLogError::NotBeliefStratified {
+            detail: format!(
+                "reduction requires ground m-atom levels when the program \
+                 consults `<< cau` (offending atom: `{m}`)"
+            ),
+        }),
+    }
+}
+
+/// The per-level predicate `<pred>_<level>` (`rel_u`, `beaten_s`, …).
+fn leveled(pred: &str, level: &str) -> String {
+    format!("{pred}_{level}")
+}
+
+/// τ of a p-atom: itself. An algorithm call `@bfs(edge, X, Y)` becomes
+/// the Datalog layer's synthetic predicate `@bfs(edge)` over `X, Y`.
+fn patom(p: &PAtom) -> dl::Atom {
+    let mut terms = p.args.iter().map(term);
+    if let (Some(algo), Some(Term::Sym(input))) = (p.pred.strip_prefix('@'), p.args.first()) {
+        terms.next();
+        return dl::Atom::new(dl::algo::call_predicate(algo, input), terms.collect());
+    }
+    dl::Atom::new(&p.pred, terms.collect())
+}
+
+/// A MultiLog term as a Datalog term: `⊥` becomes the symbol `null`.
+fn term(t: &Term) -> dl::Term {
+    match t {
+        Term::Var(v) => dl::Term::Var(Arc::clone(v)),
+        Term::Sym(s) => dl::Term::sym(s),
+        Term::Int(i) => dl::Term::int(*i),
+        Term::Null => dl::Term::sym("null"),
+    }
+}
+
+/// The axiom set A (Figure 12, safe specialization), appended to `out`.
+fn axioms(lattice: &SecurityLattice, level_split: bool, out: &mut Vec<dl::Clause>) {
+    /// `pred(V1, …, Vn, c1, …, cm)`: variables, then constants.
+    fn atom(pred: &str, vars: &[&str], consts: &[&str]) -> dl::Atom {
+        let terms = vars.iter().map(dl::Term::var);
+        dl::Atom::new(
+            pred,
+            terms.chain(consts.iter().map(dl::Term::sym)).collect(),
+        )
+    }
+    fn pos(pred: &str, vars: &[&str]) -> dl::Literal {
+        dl::Literal::Pos(atom(pred, vars, &[]))
+    }
+    fn rule(head: dl::Atom, body: Vec<dl::Literal>) -> dl::Clause {
+        dl::Clause::new(head, body)
+    }
+    const CELL: [&str; 5] = ["P", "K", "A", "V", "C"];
+    const CELL_H: [&str; 6] = ["P", "K", "A", "V", "C", "H"];
+    const CELL_L: [&str; 6] = ["P", "K", "A", "V", "C", "L"];
+    // A classification is `beaten` when another visible one strictly
+    // dominates it; the believed values are the visible, unbeaten ones.
+    // `h` is the belief level variable (none when split per level).
+    let cautious = |visible: &str, beaten: &str, h: &[&str], believed: dl::Atom| {
+        let with_h = |vars: &[&'static str]| [vars, h].concat();
+        let beaten = atom(beaten, &with_h(&["P", "K", "A", "C"]), &[]);
+        let differ = dl::Literal::Cmp {
+            op: dl::CmpOp::Ne,
+            lhs: dl::Term::var("C"),
+            rhs: dl::Term::var("C2"),
+        };
+        let rival = pos(visible, &with_h(&["P", "K", "A", "V2", "C2"]));
+        let seen = pos(visible, &with_h(&CELL));
+        [
+            rule(
+                beaten.clone(),
+                vec![seen.clone(), rival, pos("dominate", &["C", "C2"]), differ],
+            ),
+            rule(believed, vec![seen, dl::Literal::Neg(beaten)]),
+        ]
+    };
+    let order = pos("order", &["X", "Y"]);
+    out.push(rule(atom("dominate", &["X", "Y"], &[]), vec![order]));
+    out.push(rule(
+        atom("dominate", &["X", "X"], &[]),
+        vec![pos("level", &["X"])],
+    ));
+    let step = vec![pos("order", &["X", "Z"]), pos("dominate", &["Z", "Y"])];
+    out.push(rule(atom("dominate", &["X", "Y"], &[]), step));
+    let dominated = || vec![pos("rel", &CELL_L), pos("dominate", &["L", "H"])];
     if level_split {
         // Union view of the split relation, for queries.
-        for l in lattice.labels() {
-            let name = lattice.name(l);
-            out.push_str(&format!(
-                "rel(P, K, A, V, C, {name}) :- rel_{name}(P, K, A, V, C).\n"
-            ));
+        for level in lattice.names() {
+            let split = pos(&leveled("rel", level), &CELL);
+            out.push(rule(atom("rel", &CELL, &[level]), vec![split]));
         }
         // Per-level cautious machinery over the statically known order.
         for h in lattice.labels() {
             let hn = lattice.name(h);
+            let visible = leveled("visible", hn);
             for l in lattice.down_set(h) {
-                let ln = lattice.name(l);
-                out.push_str(&format!(
-                    "visible_{hn}(P, K, A, V, C) :- rel_{ln}(P, K, A, V, C).\n"
-                ));
+                let below = pos(&leveled("rel", lattice.name(l)), &CELL);
+                out.push(rule(atom(&visible, &CELL, &[]), vec![below]));
             }
-            out.push_str(&format!(
-                "beaten_{hn}(P, K, A, C) :- visible_{hn}(P, K, A, V, C), \
-                 visible_{hn}(P, K, A, V2, C2), dominate(C, C2), C != C2.\n"
-            ));
-            out.push_str(&format!(
-                "bel_cau_{hn}(P, K, A, V, C) :- visible_{hn}(P, K, A, V, C), \
-                 not beaten_{hn}(P, K, A, C).\n"
-            ));
-            out.push_str(&format!(
-                "bel(P, K, A, V, C, {hn}, cau) :- bel_cau_{hn}(P, K, A, V, C).\n"
+            let bel_cau = leveled("bel_cau", hn);
+            let believed = atom(&bel_cau, &CELL, &[]);
+            out.extend(cautious(&visible, &leveled("beaten", hn), &[], believed));
+            out.push(rule(
+                atom("bel", &CELL, &[hn, "cau"]),
+                vec![pos(&bel_cau, &CELL)],
             ));
         }
     } else {
         // Generic cautious machinery (negation confined to query strata).
-        out.push_str("visible(P, K, A, V, C, H) :- rel(P, K, A, V, C, L), dominate(L, H).\n");
-        out.push_str(
-            "beaten(P, K, A, C, H) :- visible(P, K, A, V, C, H), \
-             visible(P, K, A, V2, C2, H), dominate(C, C2), C != C2.\n",
-        );
-        out.push_str(
-            "bel(P, K, A, V, C, H, cau) :- visible(P, K, A, V, C, H), \
-             not beaten(P, K, A, C, H).\n",
-        );
+        out.push(rule(atom("visible", &CELL_H, &[]), dominated()));
+        let believed = atom("bel", &CELL_H, &["cau"]);
+        out.extend(cautious("visible", "beaten", &["H"], believed));
     }
     // Monotone modes, split so rule bodies avoid the negation stratum.
-    out.push_str("bel_fir(P, K, A, V, C, H) :- rel(P, K, A, V, C, H).\n");
-    out.push_str("bel_opt(P, K, A, V, C, H) :- rel(P, K, A, V, C, L), dominate(L, H).\n");
-    out.push_str("bel(P, K, A, V, C, H, fir) :- bel_fir(P, K, A, V, C, H).\n");
-    out.push_str("bel(P, K, A, V, C, H, opt) :- bel_opt(P, K, A, V, C, H).\n");
-    Ok(out)
-}
-
-fn translate_clause(c: &Clause, user: &str, level_split: bool) -> Result<String> {
-    let head = match &c.head {
-        Head::M(m) => {
-            if level_split {
-                let Term::Sym(level) = &m.level else {
-                    return Err(MultiLogError::NotBeliefStratified {
-                        detail: format!(
-                            "reduction of `{c}` requires a ground head level when the \
-                             program consults `<< cau`"
-                        ),
-                    });
-                };
-                format!(
-                    "rel_{level}({}, {}, {}, {}, {})",
-                    m.pred,
-                    term_text(&m.key),
-                    m.attr,
-                    term_text(&m.value),
-                    term_text(&m.class),
-                )
-            } else {
-                matom_text(m)
-            }
-        }
-        Head::P(p) => match c.agg {
-            // Aggregate heads render in the Datalog layer's surface
-            // syntax (`total(H, count(K))`); the back-end evaluates the
-            // fold per stratum over distinct witness bindings, so
-            // polyinstantiated m-atoms at different levels count
-            // separately (bag semantics per Bertossi–Gottlob).
-            Some(agg) => {
-                let args: Vec<String> = p
-                    .args
-                    .iter()
-                    .enumerate()
-                    .map(|(i, t)| {
-                        if i == agg.position {
-                            format!("{}({})", agg.func.keyword(), term_text(t))
-                        } else {
-                            term_text(t)
-                        }
-                    })
-                    .collect();
-                format!("{}({})", p.pred, args.join(", "))
-            }
-            None => patom_text(p),
-        },
-        Head::L(t) => format!("level({})", term_text(t)),
-        Head::H(l, h) => format!("order({}, {})", term_text(l), term_text(h)),
-    };
-    if c.body.is_empty() {
-        return Ok(format!("{head}."));
-    }
-    let mut lits: Vec<dl::Literal> = Vec::new();
-    for a in &c.body {
-        translate_atom(a, user, level_split, false, &mut lits)?;
-    }
-    let body: Vec<String> = lits.iter().map(ToString::to_string).collect();
-    Ok(format!("{head} :- {}.", body.join(", ")))
-}
-
-/// τ(λ(B, u)): translate one atom, adding the no-read-up guards for m-
-/// and b-atoms. `in_query` distinguishes query-side translation (always
-/// the generic predicates) from rule bodies (level/mode specialized).
-fn translate_atom(
-    atom: &Atom,
-    user: &str,
-    level_split: bool,
-    in_query: bool,
-    out: &mut Vec<dl::Literal>,
-) -> Result<()> {
-    let lit = |s: &str| -> Result<dl::Literal> {
-        let atoms = dl::parse_query(s).map_err(MultiLogError::Datalog)?;
-        atoms
-            .into_iter()
-            .next()
-            .ok_or_else(|| MultiLogError::Parse {
-                line: 1,
-                column: 1,
-                message: format!("translated literal `{s}` parsed to an empty query"),
-            })
-    };
-    match atom {
-        Atom::M(m) => {
-            if level_split && !in_query {
-                let Term::Sym(level) = &m.level else {
-                    return Err(MultiLogError::NotBeliefStratified {
-                        detail: format!(
-                            "reduction requires ground body m-atom levels when the \
-                             program consults `<< cau` (offending atom: `{m}`)"
-                        ),
-                    });
-                };
-                out.push(lit(&format!(
-                    "rel_{level}({}, {}, {}, {}, {})",
-                    m.pred,
-                    term_text(&m.key),
-                    m.attr,
-                    term_text(&m.value),
-                    term_text(&m.class),
-                ))?);
-            } else {
-                out.push(lit(&matom_text(m))?);
-            }
-            out.push(lit(&format!("dominate({}, {user})", term_text(&m.level)))?);
-            out.push(lit(&format!("dominate({}, {user})", term_text(&m.class)))?);
-            Ok(())
-        }
-        Atom::B(m, mode) => {
-            let base = format!(
-                "{}, {}, {}, {}, {}",
-                m.pred,
-                term_text(&m.key),
-                m.attr,
-                term_text(&m.value),
-                term_text(&m.class),
-            );
-            let translated = match (Mode::parse(mode), in_query) {
-                // Rule bodies use the specialized monotone predicates.
-                (Some(Mode::Fir), false) => {
-                    format!("bel_fir({base}, {})", term_text(&m.level))
-                }
-                (Some(Mode::Opt), false) => {
-                    format!("bel_opt({base}, {})", term_text(&m.level))
-                }
-                (Some(Mode::Cau), false) => {
-                    if level_split {
-                        let Term::Sym(level) = &m.level else {
-                            return Err(MultiLogError::NotBeliefStratified {
-                                detail: format!("`{m} << cau` needs a ground level for reduction"),
-                            });
-                        };
-                        format!("bel_cau_{level}({base})")
-                    } else {
-                        format!("bel({base}, {}, cau)", term_text(&m.level))
-                    }
-                }
-                // Queries and user modes go through the generic bel/7.
-                _ => format!("bel({base}, {}, {mode})", term_text(&m.level)),
-            };
-            out.push(lit(&translated)?);
-            out.push(lit(&format!("dominate({}, {user})", term_text(&m.level)))?);
-            out.push(lit(&format!("dominate({}, {user})", term_text(&m.class)))?);
-            Ok(())
-        }
-        Atom::P(p) => {
-            out.push(lit(&patom_text(p))?);
-            Ok(())
-        }
-        Atom::L(t) => {
-            out.push(lit(&format!("level({})", term_text(t)))?);
-            Ok(())
-        }
-        Atom::H(l, h) => {
-            out.push(lit(&format!("order({}, {})", term_text(l), term_text(h)))?);
-            Ok(())
-        }
-        Atom::Leq(l, h) => {
-            out.push(lit(&format!(
-                "dominate({}, {})",
-                term_text(l),
-                term_text(h)
-            ))?);
-            Ok(())
-        }
-    }
-}
-
-fn matom_text(m: &MAtom) -> String {
-    format!(
-        "rel({}, {}, {}, {}, {}, {})",
-        m.pred,
-        term_text(&m.key),
-        m.attr,
-        term_text(&m.value),
-        term_text(&m.class),
-        term_text(&m.level),
-    )
-}
-
-fn patom_text(p: &crate::ast::PAtom) -> String {
-    if p.args.is_empty() {
-        p.pred.to_string()
-    } else {
-        let args: Vec<String> = p.args.iter().map(term_text).collect();
-        format!("{}({})", p.pred, args.join(", "))
-    }
-}
-
-fn term_text(t: &Term) -> String {
-    match t {
-        Term::Var(v) => v.to_string(),
-        Term::Sym(s) => s.to_string(),
-        Term::Int(i) => i.to_string(),
-        Term::Null => "null".to_owned(),
-    }
-}
-
-/// A ground MultiLog term as a Datalog constant, matching the textual
-/// translation ([`term_text`]): `⊥` becomes the symbol `null`.
-fn term_const(t: &Term) -> dl::Const {
-    match t {
-        Term::Sym(s) => dl::Const::sym(s.as_ref()),
-        Term::Int(i) => dl::Const::int(*i),
-        Term::Null => dl::Const::sym("null"),
-        Term::Var(v) => unreachable!("update atoms are ground (variable `{v}`)"),
+    out.push(rule(
+        atom("bel_fir", &CELL_H, &[]),
+        vec![pos("rel", &CELL_H)],
+    ));
+    out.push(rule(atom("bel_opt", &CELL_H, &[]), dominated()));
+    for (mode, pred) in [("fir", "bel_fir"), ("opt", "bel_opt")] {
+        out.push(rule(
+            atom("bel", &CELL_H, &[mode]),
+            vec![pos(pred, &CELL_H)],
+        ));
     }
 }
 
@@ -1338,6 +1314,83 @@ mod tests {
                 .len()
                 > before.len()
         );
+    }
+
+    /// The τ corpus: every `examples/data/*.mlog` file (by name) plus the
+    /// built-in D₁ and Mission databases, each with its declared levels.
+    fn tau_corpus() -> Vec<(String, MultiLogDb, Vec<String>)> {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/data");
+        let mut files: Vec<_> = std::fs::read_dir(&root)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "mlog"))
+            .collect();
+        files.sort();
+        let mut dbs: Vec<(String, MultiLogDb)> = files
+            .iter()
+            .map(|p| {
+                let name = p.file_name().unwrap().to_string_lossy().into_owned();
+                let src = std::fs::read_to_string(p).unwrap();
+                (name, parse_database(&src).unwrap())
+            })
+            .collect();
+        dbs.push(("examples::d1".into(), crate::examples::d1()));
+        dbs.push((
+            "examples::mission_db".into(),
+            crate::examples::mission_db().unwrap(),
+        ));
+        dbs.into_iter()
+            .map(|(name, db)| {
+                let levels = db.lattice().unwrap().names().map(str::to_owned).collect();
+                (name, db, levels)
+            })
+            .collect()
+    }
+
+    fn deferred(db: &MultiLogDb, level: &str) -> ReducedEngine {
+        ReducedEngine::with_options_deferred(db, level, EngineOptions::default()).unwrap()
+    }
+
+    /// τ's rendered output is pinned byte for byte by a checked-in golden
+    /// file: `=== <database> @ <level> ===` then that `program_text()`.
+    #[test]
+    fn program_text_matches_golden_file() {
+        let mut rendered = String::new();
+        for (name, db, levels) in tau_corpus() {
+            for level in levels {
+                let text = deferred(&db, &level).program_text().to_owned();
+                rendered.push_str(&format!("=== {name} @ {level} ===\n{text}"));
+            }
+        }
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/tau.txt");
+        let golden = std::fs::read_to_string(&path).unwrap();
+        assert!(
+            golden == rendered,
+            "program_text() differs from {}",
+            path.display()
+        );
+    }
+
+    /// The rendering is faithful: it parses back to the typed clauses τ
+    /// evaluates, also when symbols are spelled like Datalog keywords.
+    #[test]
+    fn program_text_parses_back_to_the_typed_program() {
+        let keywords = parse_database(
+            "level(u). level(s). order(u, s).
+             u[mod(not : mod -u-> not)]. q(mod).
+             s[p(K : a -s-> V)] <- u[mod(K : mod -C-> V)] << cau, q(mod).",
+        )
+        .unwrap();
+        let mut corpus = tau_corpus();
+        corpus.push(("keywords".into(), keywords, vec!["u".into(), "s".into()]));
+        for (name, db, levels) in corpus {
+            for level in levels {
+                let red = deferred(&db, &level);
+                let (typed, _) = translate(&db, &level, red.lattice(), red.level_split).unwrap();
+                let parsed = dl::parse_program(red.program_text()).unwrap();
+                assert_eq!(parsed.clauses(), &typed[..], "{name} @ {level}");
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@ use proptest::prelude::*;
 
 use multilog_core::examples;
 use multilog_core::reduce::ReducedEngine;
-use multilog_core::{parse_database, MultiLogDb, MultiLogEngine};
+use multilog_core::{parse_database, BeliefServer, EngineOptions, MultiLogDb, MultiLogEngine};
 
 /// The goals used to compare the two semantics: every predicate is probed
 /// with fully variable patterns in every mode.
@@ -107,6 +107,59 @@ fn datalog_degeneration_equivalence() {
     let b = red.solve_text("path(X, Y)").unwrap();
     assert_eq!(a.len(), 6);
     assert_eq!(a, b);
+}
+
+#[test]
+fn keyword_symbols_reduce_like_any_other_symbol() {
+    // `mod` and `not` are plain MultiLog symbols but Datalog keywords:
+    // the reduction must carry them as constants, never as syntax.
+    let facts = r#"
+        level(u). level(c). level(s).
+        order(u, c). order(c, s).
+        u[mod(k : not -u-> mod)].
+        c[mod(k : not -c-> not)].
+        u[not(mod : mod -u-> v)].
+        q(mod). q(not).
+    "#;
+    // With a cautious rule (per-level `rel_<level>` split) and without.
+    let cautious = "s[p(K : a -s-> V)] <- c[mod(K : not -C-> V)] << cau, q(V).";
+    let monotone = "s[p(K : a -s-> V)] <- c[mod(K : not -C-> V)] << opt, q(V).";
+    let probes = [
+        "L[mod(K : not -C-> V)]",
+        "L[mod(K : not -C-> V)] << fir",
+        "L[mod(K : not -C-> V)] << opt",
+        "L[mod(K : not -C-> V)] << cau",
+        "L[not(K : mod -C-> V)] << opt",
+        "L[p(K : a -C-> V)] << cau",
+        "q(X)",
+    ];
+    for rule in [cautious, monotone] {
+        let db = parse_database(&format!("{facts}{rule}")).unwrap();
+        let server = BeliefServer::new(db.clone(), EngineOptions::default());
+        for user in ["u", "c", "s"] {
+            assert_equivalent(&db, user, &probes);
+            // A goal constant spelled `mod`, through every reduced entry.
+            let goal = "L[mod(k : not -C-> mod)] << opt";
+            let expected = MultiLogEngine::new(&db, user)
+                .unwrap()
+                .solve_text(goal)
+                .unwrap();
+            assert!(!expected.is_empty());
+            let red = ReducedEngine::new(&db, user).unwrap();
+            assert_eq!(red.solve_text(goal).unwrap(), expected, "solve at {user}");
+            assert_eq!(
+                red.solve_text_demand(goal).unwrap(),
+                expected,
+                "demand at {user}"
+            );
+            let reader = server.open_reader(user).unwrap();
+            assert_eq!(
+                reader.query_text(goal).unwrap(),
+                expected,
+                "reader at {user}"
+            );
+        }
+    }
 }
 
 /// Generate a random admissible MultiLog database over a chain lattice:
