@@ -174,6 +174,10 @@ pub struct IncrementalEngine {
     /// Per-rule/per-stratum counters from the most recent full
     /// materialization ([`IncrementalEngine::recover`]).
     materialize_stats: EvalStats,
+    /// Columns that queries against the published database bind by value
+    /// ([`IncrementalEngine::with_reader_index`]); sealed at every commit
+    /// and recovery.
+    reader_columns: Vec<(SymId, usize)>,
 }
 
 impl IncrementalEngine {
@@ -272,6 +276,7 @@ impl IncrementalEngine {
             fallback_threshold: None,
             plans: PlanCache::default(),
             materialize_stats: EvalStats::default(),
+            reader_columns: Vec::new(),
         };
         Ok(engine)
     }
@@ -313,6 +318,20 @@ impl IncrementalEngine {
     #[must_use]
     pub fn with_fallback_threshold(mut self, threshold: usize) -> Self {
         self.fallback_threshold = Some(threshold);
+        self
+    }
+
+    /// Keep `predicate`'s `column` indexed in the database this engine
+    /// leaves after every [`commit`](IncrementalEngine::commit) and
+    /// [`recover`](IncrementalEngine::recover) (the one readers pin), for
+    /// queries that bind the column although no rule probes it. Rule
+    /// evaluation indexes only the columns its plans probe; a query
+    /// binding an unindexed column scans it. The index survives
+    /// compaction and emptying of the relation, and costs amortized
+    /// O(log n) sealing per inserted row.
+    #[must_use]
+    pub fn with_reader_index(mut self, predicate: &str, column: usize) -> Self {
+        self.reader_columns.push((SymId::intern(predicate), column));
         self
     }
 
@@ -484,11 +503,12 @@ impl IncrementalEngine {
         };
         match result {
             Ok(()) => {
-                // Seal materialized index tails so copy-on-write clones
-                // of this database (published snapshots) carry fully
-                // sorted indexes — immutable readers cannot seal lazily.
+                // Seal materialized index tails and the reader columns
+                // so copy-on-write clones of this database (published
+                // snapshots) carry fully sorted indexes — immutable
+                // readers cannot seal lazily.
                 let phase = Instant::now();
-                self.db.seal_indexes();
+                self.db.seal_indexes(&self.reader_columns);
                 stats.seal_ms = ms_since(phase);
                 stats.wall_ms = ms_since(start);
                 Ok(stats)
@@ -529,7 +549,7 @@ impl IncrementalEngine {
         }
         let (db, stats) = engine.run_with_stats()?;
         self.db = db;
-        self.db.seal_indexes();
+        self.db.seal_indexes(&self.reader_columns);
         self.materialize_stats = stats;
         self.poisoned = false;
         Ok(())
@@ -1244,6 +1264,7 @@ fn recompute_stratum(
 mod tests {
     use super::*;
     use crate::parser::parse_program;
+    use crate::storage::COMPACT_MIN;
 
     fn s(name: &str) -> Const {
         Const::sym(name)
@@ -1278,6 +1299,62 @@ mod tests {
                 assert!(rel.is_empty(), "relation {pred} missing incrementally");
             }
         }
+    }
+
+    #[test]
+    fn reader_columns_stay_sealed_in_every_published_database() {
+        // `copy`'s column 1 is declared; no rule probes any `copy` column.
+        // No fallback: retractions go through DRed, so `copy` really
+        // compacts and empties rather than being recomputed.
+        let program = parse_program("copy(K, V) :- item(K, V).").expect("program parses");
+        let mut engine = IncrementalEngine::new_deferred(&program)
+            .expect("stratifies")
+            .with_fallback_threshold(usize::MAX)
+            .with_reader_index("copy", 1);
+        engine.recover().expect("materializes");
+        let copy = SymId::intern("copy");
+        let item = |i: usize| vec![Const::int(i as i64 % 7), s(&format!("v{i}"))];
+        let commit = |engine: &mut IncrementalEngine, range: std::ops::Range<usize>, ins: bool| {
+            engine.begin().expect("begins");
+            for i in range {
+                let staged = if ins {
+                    engine.insert("item", item(i))
+                } else {
+                    engine.retract("item", item(i))
+                };
+                staged.expect("stages");
+            }
+            engine.commit().expect("commits");
+        };
+        // `copy` as a published generation holds it: a copy-on-write clone.
+        let published = |engine: &IncrementalEngine| {
+            let rel = engine.database().relation_id(copy);
+            rel.expect("copy is registered").clone()
+        };
+        let n = 3 * COMPACT_MIN;
+        commit(&mut engine, 0..n, true);
+        let rel = published(&engine);
+        assert_eq!((rel.len(), rel.index_lag(1)), (n, 0));
+        assert!(rel.index_lag(0) > 0, "an undeclared column stays unindexed");
+
+        // Retracting two thirds crosses the compaction threshold: fewer
+        // tombstones remain than rows were retracted.
+        commit(&mut engine, 0..2 * COMPACT_MIN, false);
+        let rel = published(&engine);
+        assert!(rel.tombstones() < 2 * COMPACT_MIN, "copy compacted");
+        assert_eq!((rel.len(), rel.index_lag(1)), (COMPACT_MIN, 0));
+
+        // Retract to empty (the relation resets), then refill.
+        commit(&mut engine, 2 * COMPACT_MIN..n, false);
+        assert_eq!(published(&engine).arity(), None, "copy reset");
+        commit(&mut engine, n..n + 500, true);
+        let rel = published(&engine);
+        assert_eq!((rel.len(), rel.index_lag(1)), (500, 0));
+
+        engine.recover().expect("rematerializes");
+        let rel = published(&engine);
+        assert_eq!((rel.len(), rel.index_lag(1)), (500, 0));
+        assert_matches_scratch(&engine);
     }
 
     #[test]

@@ -23,9 +23,9 @@
 //!   bound-column cells and the other side probes the table. Used for a
 //!   small relation (≤ [`CHUNK`] rows), whose relation-side table is
 //!   cached per step by relation version — EDB relations are hashed once
-//!   per evaluation and probed by every chunk of every round — or when a
-//!   constant column selects no more candidate rows than the batch has
-//!   bindings;
+//!   per evaluation and probed by every chunk of every round — or when
+//!   the driving constant column (`Relation::driving_const`) is indexed
+//!   and selects no more candidate rows than the batch has bindings;
 //! * **bound columns, merge join** otherwise — the batch is sorted on
 //!   its first bound slot and merge-joined against the column's sorted
 //!   permutation index via a galloping cursor
@@ -73,7 +73,7 @@ use crate::atom::{ArithOp, CmpOp, Literal};
 use crate::clause::Clause;
 use crate::fx::{FxHashMap, FxHasher};
 use crate::guard::{EvalGuard, GuardCursor};
-use crate::storage::{key_of, Database, Fact, FactBuf, Relation};
+use crate::storage::{key_of, Database, Driver, Fact, FactBuf, Relation};
 use crate::term::{Const, SymId, Term};
 use crate::{DatalogError, Result};
 
@@ -1052,23 +1052,16 @@ impl RulePlan {
     }
 
     /// Replace `rows` with the live rows satisfying this scan's constant
-    /// and repeated-variable columns, probing the most selective constant
-    /// column's index when there is one. A lone constant needs no
-    /// selectivity estimate, so its `count_eq` (a search per sorted run
-    /// plus a scan of the unsorted tail) is skipped.
-    fn candidate_rows(spec: &ScanSpec, rel: &Relation, rows: &mut Vec<u32>) {
+    /// and repeated-variable columns, driven by `driver` (this scan's
+    /// [`Relation::driving_const`]).
+    fn candidate_rows(
+        spec: &ScanSpec,
+        rel: &Relation,
+        driver: Option<Driver>,
+        rows: &mut Vec<u32>,
+    ) {
         rows.clear();
-        let driver = match spec.consts.as_slice() {
-            &[only] => Some(only),
-            consts => consts
-                .iter()
-                .copied()
-                .min_by_key(|&(c, v)| rel.count_eq(c, v)),
-        };
-        match driver {
-            Some((c, v)) => rel.probe_rows(c, v, rows),
-            None => rel.live_rows(rows),
-        }
+        rel.driven_rows(driver, rows);
         Self::retain_scan_rows(spec, rel, rows);
     }
 
@@ -1085,6 +1078,7 @@ impl RulePlan {
         step: usize,
         spec: &ScanSpec,
         rel: &Relation,
+        driver: Option<Driver>,
         cache: bool,
         batch: &Batch,
         mut batch_rows: impl ExactSizeIterator<Item = u32>,
@@ -1109,7 +1103,7 @@ impl RulePlan {
             .take()
             .filter(|t| t.version == rel.version());
         if cached.is_none() {
-            Self::candidate_rows(spec, rel, &mut rows);
+            Self::candidate_rows(spec, rel, driver, &mut rows);
         }
         let rel_side = cached.is_some() || cache || rows.len() <= batch_rows.len();
         let map = match cached {
@@ -1185,12 +1179,13 @@ impl RulePlan {
         if rel.arity() != Some(arity) {
             return Ok(()); // empty (or never-populated) relation
         }
+        let driver = rel.driving_const(spec.consts.iter().copied());
 
         if spec.bounds.is_empty() {
             // No join columns: the matching rows are the same for every
             // batch row. Compute them once, then cross-product.
             let mut rows = mem::take(&mut scratch.rowbufs[step]);
-            Self::candidate_rows(spec, rel, &mut rows);
+            Self::candidate_rows(spec, rel, driver, &mut rows);
             let mut result = Ok(());
             'batch: for row in 0..batch.n {
                 result = scratch.cursor.probe_n(clamp(rows.len()), guard);
@@ -1215,21 +1210,20 @@ impl RulePlan {
         // EDB relations are hashed once per evaluation. A stale cache is
         // rebuilt only for a batch large enough to amortize it; one-off
         // small evaluations (incremental delta propagation, point
-        // queries) fall through. A constant column selecting no more rows
-        // than the batch has bindings makes an uncached table cheap too.
+        // queries) fall through. An indexed constant column selecting no
+        // more rows than the batch has bindings makes an uncached table
+        // cheap too.
         let table_valid = scratch.tables[step]
             .as_ref()
             .is_some_and(|t| t.version == rel.version());
         let small = rel.len() <= CHUNK && (table_valid || batch.n * TABLE_BUILD_RATIO >= rel.len());
-        if small
-            || spec
-                .consts
-                .iter()
-                .any(|&(c, v)| rel.count_eq(c, v) <= batch.n)
-        {
+        let selective = driver
+            .and_then(|d| d.estimate)
+            .is_some_and(|n| n <= batch.n);
+        if small || selective {
             let all = (0..batch.n).map(clamp);
             return self.hash_join(
-                step, spec, rel, small, batch, all, child, db, delta, scratch, out, guard,
+                step, spec, rel, driver, small, batch, all, child, db, delta, scratch, out, guard,
             );
         }
 
@@ -1304,7 +1298,7 @@ impl RulePlan {
             scratch.defections += 1;
             let rest = order[i..].iter().map(|&(_, br)| br);
             result = self.hash_join(
-                step, spec, rel, false, batch, rest, child, db, delta, scratch, out, guard,
+                step, spec, rel, driver, false, batch, rest, child, db, delta, scratch, out, guard,
             );
         }
         result

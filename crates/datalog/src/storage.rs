@@ -16,17 +16,33 @@
 //! cell value, maintained as a small set of sorted runs merged with a
 //! doubling (binary-counter) discipline, plus an unsorted tail of the
 //! most recent rows that probes scan linearly. Indexes are built
-//! **lazily**: inserts never sort anything; the evaluator declares which
-//! columns its compiled plans will probe and seals them up to date at
-//! round boundaries ([`Relation::ensure_index`], driven by
-//! `Database::ensure_index_id`). Relations that are only ever written —
-//! the common case for derived predicates — never pay for an index at
-//! all, while probed columns amortize to O(log n) sealing work per
-//! insert. A point probe is one binary search per run plus a bounded
-//! linear scan of the unsealed tail. Runs are `Arc`-shared across clones
-//! like segments are. The runs order by [`key_of`] — a cheap integral
-//! total order on `Const` — not by the user-visible text order; only
-//! [`Relation::sorted`] pays for text comparison.
+//! **lazily**: inserts never sort anything. Two kinds of column get
+//! indexed:
+//!
+//! * **plan-declared** columns — the evaluator declares which columns
+//!   its compiled plans will probe and seals them up to date at round
+//!   boundaries ([`Relation::ensure_index`], driven by
+//!   `Database::ensure_index_id`);
+//! * **reader-declared** columns — columns that queries against a
+//!   published database bind by value although no rule probes them (the
+//!   key column of a belief relation). The engine that publishes the
+//!   database lists them and [`Database::seal_indexes`] seals them in
+//!   every generation, including after a compaction or an empty-reset
+//!   has dropped their runs.
+//!
+//! Relations that are only ever written — the common case for derived
+//! predicates — never pay for an index at all, while indexed columns
+//! amortize to O(log n) sealing work per insert. A point probe is one
+//! binary search per run plus a bounded linear scan of the unsealed
+//! tail. Runs are `Arc`-shared across clones like segments are. The runs
+//! order by [`key_of`] — a cheap integral total order on `Const` — not
+//! by the user-visible text order; only [`Relation::sorted`] pays for
+//! text comparison.
+//!
+//! A lookup with several constant columns is driven by one of them
+//! ([`Relation::driving_const`]): the one with the fewest rows among the
+//! columns whose runs cover all but [`INDEX_TAIL_MAX`] rows. A column
+//! without such runs is never scanned just to estimate it.
 //!
 //! # Deduplication and retraction
 //!
@@ -123,7 +139,7 @@ fn fresh_relation_id() -> u64 {
 /// Minimum overlay size before it is folded into the frozen dedup map.
 const FOLD_MIN: usize = 4096;
 /// Minimum tombstones before compaction is considered.
-const COMPACT_MIN: usize = 1024;
+pub(crate) const COMPACT_MIN: usize = 1024;
 
 fn fact_hash(fact: &[Const]) -> u64 {
     let mut h = FxHasher::default();
@@ -195,6 +211,17 @@ fn gallop<T>(xs: &[T], from: usize, mut pred: impl FnMut(&T) -> bool) -> usize {
 /// column-major, shared by `Arc` across copy-on-write clones.
 struct Segment {
     cols: Box<[Box<[Const]>]>,
+}
+
+/// The constant column chosen to drive a lookup; see
+/// [`Relation::driving_const`].
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Driver {
+    pub col: usize,
+    pub value: Const,
+    /// Rows (tombstones included) whose `col` cell equals `value`, when
+    /// the column is estimable without a full scan.
+    pub estimate: Option<usize>,
 }
 
 /// Per-column permutation index: disjoint sorted runs covering rows
@@ -358,7 +385,8 @@ impl Relation {
     }
 
     /// Seal every materialized column index. Columns never probed by any
-    /// plan stay unindexed and keep costing nothing.
+    /// plan (nor declared for readers, see [`Database::seal_indexes`])
+    /// stay unindexed and keep costing nothing.
     pub(crate) fn seal_materialized_indexes(&mut self) {
         for col in 0..self.indexes.len() {
             if !self.indexes[col].runs.is_empty() && self.indexes[col].covered < self.total {
@@ -368,8 +396,9 @@ impl Relation {
     }
 
     /// Seal `col`'s uncovered rows into its sorted-run index. Called by
-    /// the evaluator for the columns its plans actually probe; columns
-    /// that are never probed never pay for sorting.
+    /// the evaluator for the columns its plans actually probe, and at
+    /// publish for reader-declared columns; other columns never pay for
+    /// sorting.
     pub(crate) fn ensure_index(&mut self, col: usize) {
         if self
             .indexes
@@ -532,20 +561,72 @@ impl Relation {
         }
     }
 
-    /// Estimated number of rows (tombstones included) whose `col` cell
-    /// equals `value` — the selectivity estimate driving probe-column
-    /// choice.
-    pub(crate) fn count_eq(&self, col: usize, value: Const) -> usize {
+    /// Number of rows (tombstones included) whose `col` cell equals
+    /// `value`, if `col` is *estimable*: its sorted runs cover all but at
+    /// most [`INDEX_TAIL_MAX`] rows, so counting is a binary search per
+    /// run plus a bounded tail scan. `None` for any other column — an
+    /// estimate must never cost a full-column scan.
+    fn count_eq(&self, col: usize, value: Const) -> Option<usize> {
+        if self.index_lag(col) > INDEX_TAIL_MAX {
+            return None;
+        }
         let k = key_of(value);
-        let idx = &self.indexes[col];
+        let idx = self.indexes.get(col)?;
         let mut n = 0;
         for run in &idx.runs {
             let lo = run.partition_point(|&r| key_of(self.cell(r, col)) < k);
             n += run[lo..].partition_point(|&r| key_of(self.cell(r, col)) == k);
         }
-        n + (idx.covered..self.total)
-            .filter(|&r| self.cell(r, col) == value)
-            .count()
+        Some(
+            n + (idx.covered..self.total)
+                .filter(|&r| self.cell(r, col) == value)
+                .count(),
+        )
+    }
+
+    /// The constant column that should drive a lookup constrained by
+    /// `consts` (`(column, value)` pairs), or `None` when there are no
+    /// constants. Among the estimable columns (see
+    /// [`Relation::count_eq`]) the one matching the fewest rows wins and
+    /// carries its count; with none estimable, the first constant drives
+    /// without an estimate — one probe (a column scan), never one scan
+    /// per constant. Callers still check every constant on the driven
+    /// rows, so the choice never changes a result.
+    pub(crate) fn driving_const(
+        &self,
+        consts: impl IntoIterator<Item = (usize, Const)>,
+    ) -> Option<Driver> {
+        let mut best: Option<Driver> = None;
+        for (col, value) in consts {
+            let estimate = self.count_eq(col, value);
+            let better = match best {
+                None => true,
+                Some(b) => estimate.is_some_and(|n| b.estimate.is_none_or(|m| n < m)),
+            };
+            if better {
+                best = Some(Driver {
+                    col,
+                    value,
+                    estimate,
+                });
+            }
+        }
+        best
+    }
+
+    /// Append the live rows matching `driver`'s column (every live row
+    /// without a driver); the caller filters the remaining constraints.
+    pub(crate) fn driven_rows(&self, driver: Option<Driver>, out: &mut Vec<u32>) {
+        match driver {
+            Some(d) => self.probe_rows(d.col, d.value, out),
+            None => self.live_rows(out),
+        }
+    }
+
+    /// Tombstoned rows not yet compacted away.
+    #[cfg(test)]
+    pub(crate) fn tombstones(&self) -> usize {
+        self.dead.len()
     }
 
     /// Append every live row id.
@@ -641,22 +722,16 @@ impl Relation {
     }
 
     /// Facts matching a binding pattern: `pattern[i] = Some(c)` requires
-    /// column `i` to equal `c`. The most selective bound column (by
-    /// index estimate) drives the probe; the rest post-filter. Rows are
+    /// column `i` to equal `c`. One bound column drives the probe
+    /// (`Relation::driving_const`); the rest post-filter. Rows are
     /// yielded in no particular order; every externally visible ordering
     /// goes through [`Relation::sorted`].
     pub fn matching(&self, pattern: &[Option<Const>]) -> impl Iterator<Item = Fact> + '_ {
         let mut rows: Vec<u32> = Vec::new();
         if self.arity == Some(pattern.len()) {
-            let driver = pattern
-                .iter()
-                .enumerate()
-                .filter_map(|(i, p)| p.map(|c| (i, c)))
-                .min_by_key(|&(i, c)| self.count_eq(i, c));
-            match driver {
-                Some((col, c)) => self.probe_rows(col, c, &mut rows),
-                None => self.live_rows(&mut rows),
-            }
+            let bound = pattern.iter().enumerate();
+            let driver = self.driving_const(bound.filter_map(|(i, p)| p.map(|c| (i, c))));
+            self.driven_rows(driver, &mut rows);
             rows.retain(|&r| {
                 pattern
                     .iter()
@@ -794,15 +869,27 @@ impl Database {
         }
     }
 
-    /// Seal every materialized index tail across all relations. Called
-    /// before publishing this database as an immutable snapshot: readers
-    /// cannot seal lazily, so shipping fully covered indexes keeps their
-    /// probes on the sorted-run fast path. Detaches (copy-on-write) only
-    /// relations with sealing work outstanding.
-    pub fn seal_indexes(&mut self) {
+    /// Seal every materialized index tail across all relations, plus the
+    /// reader-declared `columns` (`(predicate, column)` pairs) whether or
+    /// not they have runs yet. Called before publishing this database as
+    /// an immutable snapshot: readers cannot seal lazily, so shipping
+    /// fully covered indexes keeps their probes on the sorted-run fast
+    /// path. A declared column whose runs a compaction or an empty-reset
+    /// dropped is rebuilt here; otherwise sealing follows the
+    /// binary-counter discipline, amortized O(log n) per inserted row.
+    /// Detaches (copy-on-write) only relations with sealing work
+    /// outstanding.
+    pub fn seal_indexes(&mut self, columns: &[(SymId, usize)]) {
         for rel in self.relations.values_mut() {
             if rel.has_unsealed_index() {
                 Arc::make_mut(rel).seal_materialized_indexes();
+            }
+        }
+        for &(predicate, col) in columns {
+            if let Some(rel) = self.relations.get_mut(&predicate) {
+                if rel.index_lag(col) > 0 {
+                    Arc::make_mut(rel).ensure_index(col);
+                }
             }
         }
     }
@@ -959,6 +1046,37 @@ mod tests {
         // Column 1 (selectivity 2) should drive; result must still be right.
         let pat = vec![Some(c("hot")), Some(Const::int(0))];
         assert_eq!(r.matching(&pat).count(), 1);
+    }
+
+    #[test]
+    fn driver_prefers_an_indexed_column_and_never_estimates_an_unindexed_one() {
+        // Column 0 is indexed and matches ~200 rows per value; column 1 is
+        // unique per row but unindexed, far past INDEX_TAIL_MAX.
+        let n = 20 * i64::from(INDEX_TAIL_MAX);
+        let (mut r, mut bare) = (Relation::new(), Relation::new());
+        for i in 0..n {
+            r.insert(vec![Const::int(i % 13), Const::int(i)]);
+            bare.insert(vec![Const::int(i % 13), Const::int(i)]);
+        }
+        r.ensure_index(0);
+        assert_eq!(r.index_lag(0), 0);
+        assert!(r.index_lag(1) > 10 * INDEX_TAIL_MAX);
+        assert_eq!(r.count_eq(1, Const::int(7)), None, "no scan to estimate");
+        let hot = Const::int(7);
+        let want = (0..n).filter(|i| i % 13 == 7).count();
+        // Estimating column 1 would pick it (one row): the indexed,
+        // less selective column drives because column 1 is not counted.
+        let consts = [(1, Const::int(7)), (0, hot)];
+        let d = r.driving_const(consts).expect("constants present");
+        assert_eq!((d.col, d.estimate), (0, Some(want)));
+        let pat = vec![Some(hot), Some(Const::int(7))];
+        assert_eq!(r.matching(&pat).count(), 1);
+        // With no estimable column the first constant drives, unestimated,
+        // and the remaining constants still filter.
+        let d = bare.driving_const(consts).expect("constants present");
+        assert_eq!((d.col, d.estimate), (1, None));
+        assert_eq!(bare.matching(&pat).count(), 1);
+        assert!(bare.driving_const([]).is_none());
     }
 
     #[test]
@@ -1243,8 +1361,14 @@ mod index_properties {
                 rel.probe_rows(col, v, &mut probed);
                 probed.sort_unstable();
                 assert_eq!(probed, truth[&v], "probe_rows col {col} value {v:?}");
-                // count_eq counts tombstones too: an upper bound.
-                assert!(rel.count_eq(col, v) >= probed.len());
+                // count_eq counts tombstones too: an upper bound. It
+                // estimates only columns with runs over all but a
+                // bounded tail.
+                let estimable = rel.index_lag(col) <= INDEX_TAIL_MAX;
+                match rel.count_eq(col, v) {
+                    Some(n) => assert!(estimable && n >= probed.len()),
+                    None => assert!(!estimable),
+                }
                 let mut sought = Vec::new();
                 cur.seek(v, &mut sought);
                 sought.sort_unstable();

@@ -240,9 +240,14 @@ impl ReducedEngine {
             None
         };
         let fact_limit = options.limit();
+        // Goals read the generic `bel`/`rel` (see `translate_goal`), and
+        // point goals bind the key, column 1, which no rule probes:
+        // readers seek on it instead of scanning the relation.
         let mut incremental = dl::IncrementalEngine::new_deferred(&program)
             .map_err(MultiLogError::Datalog)?
-            .with_fact_limit(fact_limit);
+            .with_fact_limit(fact_limit)
+            .with_reader_index("bel", 1)
+            .with_reader_index("rel", 1);
         if let Some(deadline) = options.deadline {
             incremental = incremental.with_deadline(deadline);
         }

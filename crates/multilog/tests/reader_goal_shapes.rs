@@ -1,0 +1,203 @@
+//! Reader goals answer the same whatever columns they bind. Readers
+//! seek on the key column of the generic `bel`/`rel` relations, which
+//! every published generation keeps indexed, and fall back to a scan for
+//! goals that leave the key unbound. After a commit script that compacts
+//! `bel`, a `BeliefServer` reader at every level must answer each goal
+//! shape exactly as a fresh reduction of base plus committed history —
+//! in the generic encoding and in the level-split one that a `<< cau`
+//! rule switches on.
+
+// Test code: unwraps are the assertion.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
+use std::collections::BTreeSet;
+
+use multilog_core::ast::Head;
+use multilog_core::reduce::{EdbUpdate, ReducedEngine};
+use multilog_core::{parse_clause, parse_database, Answer, BeliefServer, EngineOptions};
+
+const DEPTH: usize = 4;
+/// Cells in the base database, one key each after the first few.
+const BASE: usize = 60;
+/// Cells committed in the insert phase; most are retracted afterwards.
+const ADDED: usize = 360;
+const RETRACTED: usize = 300;
+/// Cells per commit.
+const BATCH: usize = 30;
+
+/// `l{level}[data(k{key} : a -l{class}-> v{value})]`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Cell {
+    key: usize,
+    level: usize,
+    class: usize,
+    value: usize,
+}
+
+impl Cell {
+    fn atom(&self) -> String {
+        format!(
+            "l{}[data(k{} : a -l{}-> v{})].",
+            self.level, self.key, self.class, self.value
+        )
+    }
+
+    fn update(&self, assert: bool) -> EdbUpdate {
+        let Head::M(m) = parse_clause(&self.atom()).unwrap().remove(0).head else {
+            panic!("cells are m-facts: {self:?}");
+        };
+        if assert {
+            EdbUpdate::Assert(m)
+        } else {
+            EdbUpdate::Retract(m)
+        }
+    }
+}
+
+/// Cell `i`: keys 0–4 are polyinstantiated (several cells each, so their
+/// cautious beliefs are contested); every later cell is a key of its own.
+fn cell(i: usize) -> Cell {
+    let level = (i * 7 / 3) % DEPTH;
+    Cell {
+        key: if i < 20 { i % 5 } else { i },
+        level,
+        class: (i * 5) % (level + 1),
+        value: i,
+    }
+}
+
+/// Lattice, cells, a p-fact per key group, a Π rule reading an m-atom,
+/// and — for the level-split encoding — a top-level rule over a cautious
+/// belief.
+fn source(cells: &BTreeSet<Cell>, split: bool) -> String {
+    let mut src = String::new();
+    for i in 0..DEPTH {
+        src.push_str(&format!("level(l{i}).\n"));
+    }
+    for i in 1..DEPTH {
+        src.push_str(&format!("order(l{}, l{i}).\n", i - 1));
+    }
+    for c in cells {
+        src.push_str(&c.atom());
+        src.push('\n');
+    }
+    for k in 0..5 {
+        src.push_str(&format!("tag(k{k}, t{}).\n", k % 2));
+    }
+    src.push_str("hot(K) <- l1[data(K : a -C-> V)].\n");
+    if split {
+        let (top, below) = (DEPTH - 1, DEPTH - 2);
+        src.push_str(&format!(
+            "l{top}[derived(K : b -l{top}-> V)] <- l{below}[data(K : a -C-> V)] << cau.\n"
+        ));
+    }
+    src
+}
+
+/// Every binding shape a reader goal can take at level `h`.
+fn goals(h: usize) -> Vec<String> {
+    let mut out = Vec::new();
+    for mode in ["fir", "opt", "cau"] {
+        for key in [0, 3, BASE + 1, BASE + ADDED - 1] {
+            // Key bound.
+            out.push(format!("l{h}[data(k{key} : a -C-> V)] << {mode}"));
+        }
+        // Only the value bound; only the class bound; nothing bound.
+        for value in [7, BASE + ADDED - 3] {
+            out.push(format!("L[data(K : a -C-> v{value})] << {mode}"));
+        }
+        out.push(format!("L[data(K : a -l0-> V)] << {mode}"));
+        out.push(format!("L[data(K : a -C-> V)] << {mode}"));
+    }
+    // m-atom goals: key bound, and unbound.
+    for key in [0, 2, BASE + 3, BASE + ADDED - 2] {
+        out.push(format!("l{h}[data(k{key} : a -C-> V)]"));
+    }
+    out.push("L[data(K : a -C-> V)]".to_owned());
+    // p-atom goals: a p-fact with its first argument bound, a Π rule head.
+    out.push("tag(k1, T)".to_owned());
+    out.push("hot(K)".to_owned());
+    out.push(format!("l{}[derived(K : b -C-> V)] << cau", DEPTH - 1));
+    out
+}
+
+fn norm(answers: &[Answer]) -> Vec<String> {
+    let mut out: Vec<String> = answers.iter().map(|a| format!("{a:?}")).collect();
+    out.sort();
+    out
+}
+
+fn bel_len(reader: &multilog_core::ReaderSession) -> usize {
+    let db = reader.snapshot().database();
+    db.relation("bel").map_or(0, |r| r.len())
+}
+
+fn every_goal_shape_matches_a_fresh_reduction_after_compacting_bel(split: bool) {
+    let mut present: BTreeSet<Cell> = (0..BASE).map(cell).collect();
+    let server = BeliefServer::new(
+        parse_database(&source(&present, split)).unwrap(),
+        EngineOptions::default(),
+    );
+    let mut readers: Vec<_> = (0..DEPTH)
+        .map(|h| server.open_reader(&format!("l{h}")).unwrap())
+        .collect();
+    let mut writer = server.open_writer().unwrap();
+
+    // Insert single-cell keys (none beats another, so `bel` only grows),
+    // then retract most of them again. Every level engine maintains the
+    // retractions by DRed — no stratum is recomputed — so `bel` piles up
+    // tombstones until it compacts.
+    let added: Vec<Cell> = (BASE..BASE + ADDED).map(cell).collect();
+    let mut script: Vec<(&[Cell], bool)> = added.chunks(BATCH).map(|b| (b, true)).collect();
+    script.extend(added[..RETRACTED].chunks(BATCH).map(|b| (b, false)));
+    let mut peak = [0; DEPTH];
+    for (batch, assert) in script {
+        let updates: Vec<EdbUpdate> = batch.iter().map(|c| c.update(assert)).collect();
+        let summary = writer.commit(&updates).unwrap();
+        for (level, stats) in &summary.levels {
+            assert_eq!(stats.strata_recomputed, 0, "level {level}: {stats:?}");
+        }
+        for cell in batch {
+            if assert {
+                present.insert(*cell);
+            } else {
+                present.remove(cell);
+            }
+        }
+        for (h, reader) in readers.iter_mut().enumerate() {
+            reader.refresh();
+            peak[h] = peak[h].max(bel_len(reader));
+        }
+    }
+
+    let db = parse_database(&source(&present, split)).unwrap();
+    for (h, reader) in readers.iter().enumerate() {
+        // `bel` never held tombstones before the retractions, so losing
+        // at least 1 024 rows and half its peak compacted it.
+        let gone = peak[h] - bel_len(reader);
+        assert!(
+            gone >= 1024 && 2 * gone >= peak[h],
+            "l{h}: bel went {} -> {}, too few retractions to compact",
+            peak[h],
+            bel_len(reader)
+        );
+        let fresh = ReducedEngine::new(&db, &format!("l{h}")).unwrap();
+        for goal in goals(h) {
+            assert_eq!(
+                norm(&reader.query_text(&goal).unwrap()),
+                norm(&fresh.solve_text(&goal).unwrap()),
+                "`{goal}` at l{h} (split {split})"
+            );
+        }
+    }
+}
+
+#[test]
+fn generic_encoding_readers_match_a_fresh_reduction() {
+    every_goal_shape_matches_a_fresh_reduction_after_compacting_bel(false);
+}
+
+#[test]
+fn level_split_readers_match_a_fresh_reduction() {
+    every_goal_shape_matches_a_fresh_reduction_after_compacting_bel(true);
+}
