@@ -846,6 +846,29 @@ fn run_demand_pruned(repeat: usize) -> (WorkloadResult, WorkloadResult, f64, usi
     (plain, pruned, speedup, pruned_rules)
 }
 
+/// How many derived predicates a top-clearance `<< cau` point goal still
+/// evaluates in full because they sit under negation, on `db` (the
+/// level-split synthetic reduction): 0 once every cautious `not beaten`
+/// is adorned. Answers must equal the materialized fixpoint's.
+fn cautious_plain_under_negation(db: &multilog_core::MultiLogDb) -> usize {
+    let top = "l3";
+    let goal = multilog_core::parse_goal("l3[data(k0 : a -C-> V)] << cau").expect("goal parses");
+    let engine = ReducedEngine::with_options_deferred(db, top, EngineOptions::default())
+        .expect("synthetic db reduces");
+    let (answers, stats) = engine
+        .solve_demand_with_stats(&goal)
+        .expect("goal evaluates");
+    let demand = stats.demand.expect("demand runs record stats");
+    assert_eq!(demand.strategy, "magic", "the cautious point goal is bound");
+    let full = ReducedEngine::new(db, top).expect("synthetic db reduces");
+    assert_eq!(
+        answers,
+        full.solve(&goal).expect("goal evaluates"),
+        "demand answers must match the fixpoint"
+    );
+    demand.plain_under_negation
+}
+
 /// Run the Figure-12 reduction workload `repeat` times (best run).
 fn run_reduction(repeat: usize) -> WorkloadResult {
     let spec = MultiLogSpec {
@@ -971,6 +994,7 @@ fn main() {
     let analyze_overhead_pct = analyze_ms / tc_chain.wall_ms * 100.0;
     let (demand_plain, demand_pruned, demand_pruned_speedup, demand_pruned_rules) =
         run_demand_pruned(repeat);
+    let cau_plain_under_negation = cautious_plain_under_negation(&analyze_db);
     // social_reach contrasts the native @bfs operator against
     // rule-at-a-time transitive closure on a power-law social graph.
     let (social_op, social_rules, social_speedup) = run_social_reach(repeat);
@@ -1022,6 +1046,9 @@ fn main() {
     ));
     json.push_str(&format!(
         "  \"demand_pruned_speedup\": {demand_pruned_speedup:.2},\n  \"demand_pruned_rules\": {demand_pruned_rules},\n"
+    ));
+    json.push_str(&format!(
+        "  \"demand_cau_plain_under_negation\": {cau_plain_under_negation},\n"
     ));
     json.push_str(&format!(
         "  \"social_reach_speedup\": {social_speedup:.2},\n  \"level_dashboard_rows\": {dashboard_rows},\n"

@@ -25,6 +25,7 @@
 //! an iteration are already visible to later variants of the same
 //! iteration (the historical behaviour).
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
 use std::collections::HashSet;
@@ -37,7 +38,7 @@ use crate::atom::{Atom, Literal};
 use crate::clause::{AggFunc, Clause};
 use crate::fx::FxHashMap;
 use crate::guard::{CancelToken, EvalGuard};
-use crate::magic;
+use crate::magic::{self, PreparedMagic};
 use crate::plan::{delta_positions, RulePlan, Scratch};
 use crate::program::Program;
 use crate::query::{run_query, QueryAnswer};
@@ -152,6 +153,10 @@ pub struct DemandStats {
     /// program before this run, e.g. by lattice-flow demand pruning.
     /// Always 0 for runs over an unpruned program.
     pub pruned_rules: usize,
+    /// Derived predicates the rewrite still evaluated in full because
+    /// they sit under a negation it could not adorn (0 under the cone
+    /// fallback).
+    pub plain_under_negation: usize,
 }
 
 /// Counters describing an evaluation run.
@@ -190,12 +195,14 @@ impl EvalStats {
         if let Some(d) = &self.demand {
             let _ = writeln!(
                 out,
-                "demand({}): cone={} adorned={} magic_facts={} materialized={} pruned={}",
+                "demand({}): cone={} adorned={} magic_facts={} materialized={} \
+                 plain_under_negation={} pruned={}",
                 d.strategy,
                 d.cone_predicates,
                 d.adorned_predicates,
                 d.magic_facts,
                 d.facts_materialized,
+                d.plain_under_negation,
                 d.pruned_rules
             );
         }
@@ -230,6 +237,69 @@ impl EvalStats {
     }
 }
 
+/// One stratum's rules compiled into join plans: one base plan per rule
+/// and, for the semi-naive strategy, one delta variant per body
+/// occurrence of a same-stratum predicate. Cardinality estimates for the
+/// greedy join order come from the database the stratum was compiled
+/// against.
+#[derive(Debug)]
+pub(crate) struct CompiledStratum {
+    /// Renderings of the source rules, for per-rule counters.
+    rules: Vec<String>,
+    base: Vec<RulePlan>,
+    variants: Vec<RulePlan>,
+    /// The source rule (index into `rules`) of each variant.
+    variant_rule: Vec<usize>,
+}
+
+impl CompiledStratum {
+    /// Compile `rules` (the stratum's rules; `in_stratum` its
+    /// predicates), with delta variants when `variants` is set.
+    pub(crate) fn compile(
+        rules: &[&Clause],
+        in_stratum: &HashSet<SymId>,
+        variants: bool,
+        db: &Database,
+    ) -> Result<Self> {
+        let base = rules
+            .iter()
+            .map(|r| RulePlan::compile(r, None, db))
+            .collect::<Result<Vec<_>>>()?;
+        let mut compiled = CompiledStratum {
+            rules: rules.iter().map(ToString::to_string).collect(),
+            base,
+            variants: Vec::new(),
+            variant_rule: Vec::new(),
+        };
+        if variants {
+            for (ri, r) in rules.iter().enumerate() {
+                for p in delta_positions(r, in_stratum) {
+                    compiled.variants.push(RulePlan::compile(r, Some(p), db)?);
+                    compiled.variant_rule.push(ri);
+                }
+            }
+        }
+        Ok(compiled)
+    }
+
+    /// Every `(predicate, column)` the plans probe by value.
+    pub(crate) fn index_needs(&self) -> impl Iterator<Item = (SymId, usize)> + '_ {
+        self.base
+            .iter()
+            .chain(&self.variants)
+            .flat_map(|p| p.index_needs.iter().copied())
+    }
+
+    /// Zeroed per-rule counters for the stratum's rules.
+    fn rule_stats(&self, stratum: usize) -> impl Iterator<Item = RuleStats> + '_ {
+        self.rules.iter().map(move |r| RuleStats {
+            rule: r.clone(),
+            stratum,
+            ..RuleStats::default()
+        })
+    }
+}
+
 /// A bottom-up evaluator for one program.
 pub struct Engine<'p> {
     program: &'p Program,
@@ -241,7 +311,10 @@ pub struct Engine<'p> {
     threads: usize,
     parallel_threshold: usize,
     executor: Executor,
-    strata: Vec<Vec<String>>,
+    strata: Cow<'p, [Vec<String>]>,
+    /// The prepared demand plan this engine runs, when built by
+    /// [`Engine::for_prepared`].
+    prepared: Option<&'p PreparedMagic>,
 }
 
 impl<'p> Engine<'p> {
@@ -253,7 +326,24 @@ impl<'p> Engine<'p> {
     /// recursion.
     pub fn new(program: &'p Program) -> Result<Self> {
         let strat = program.stratify()?;
-        Ok(Engine {
+        let strata = strat.iter().map(<[String]>::to_vec).collect();
+        Ok(Self::with_parts(program, Cow::Owned(strata), None))
+    }
+
+    /// An engine for a prepared demand plan ([`magic::prepare`]), to be
+    /// configured with the builder methods and run with
+    /// [`Engine::run_prepared`]. Nothing is stratified or compiled here:
+    /// the plan carries its strata and join plans.
+    pub fn for_prepared(plan: &'p PreparedMagic) -> Self {
+        Self::with_parts(plan.program(), Cow::Borrowed(plan.strata()), Some(plan))
+    }
+
+    fn with_parts(
+        program: &'p Program,
+        strata: Cow<'p, [Vec<String>]>,
+        prepared: Option<&'p PreparedMagic>,
+    ) -> Self {
+        Engine {
             program,
             strategy: Strategy::SemiNaive,
             fact_limit: 10_000_000,
@@ -263,8 +353,25 @@ impl<'p> Engine<'p> {
             threads: std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
             parallel_threshold: 512,
             executor: Executor::default(),
-            strata: strat.iter().map(<[String]>::to_vec).collect(),
-        })
+            strata,
+            prepared,
+        }
+    }
+
+    /// This engine with `other`'s configuration: strategy, guards,
+    /// trace, threads and executor.
+    fn configured_like(self, other: &Engine<'_>) -> Self {
+        Engine {
+            strategy: other.strategy,
+            fact_limit: other.fact_limit,
+            deadline: other.deadline,
+            cancel: other.cancel.clone(),
+            trace: other.trace.clone(),
+            threads: other.threads,
+            parallel_threshold: other.parallel_threshold,
+            executor: other.executor,
+            ..self
+        }
     }
 
     /// Select the evaluation strategy (default: semi-naive).
@@ -349,25 +456,26 @@ impl<'p> Engine<'p> {
         query_preds: impl IntoIterator<Item = &'a str>,
     ) -> Result<Database> {
         let needed = self.program.dependencies_of(query_preds);
-        Ok(self.run_inner(Some(&needed), &[])?.0)
+        Ok(self.run_inner(Some(&needed), &[], Database::new())?.0)
     }
 
     /// Evaluate to fixpoint, also returning counters.
     pub fn run_with_stats(&self) -> Result<(Database, EvalStats)> {
-        self.run_inner(None, &[])
+        self.run_inner(None, &[], Database::new())
     }
 
     /// Answer a partially-bound goal by evaluating only the sub-fixpoint
     /// it demands.
     ///
     /// When some argument of a positive goal literal is bound, the
-    /// program is rewritten with the magic-sets transformation
-    /// ([`crate::magic`]), restratified, and evaluated with this engine's
-    /// configuration (strategy, guards, threads); only tuples reachable
-    /// from the goal's constants are materialized. When no argument is
-    /// bound — or no sound rewrite exists — evaluation falls back to
-    /// dependency-cone restriction (as [`Engine::run_for_query`]) and the
-    /// goal is answered post hoc with [`run_query`].
+    /// program's rules are rewritten with the magic-sets transformation
+    /// ([`magic::prepare`]) and the plan runs over the program's facts
+    /// with this engine's configuration (strategy, guards, threads); only
+    /// tuples reachable from the goal's constants are materialized. When
+    /// no argument is bound — or no sound rewrite exists — evaluation
+    /// falls back to dependency-cone restriction (as
+    /// [`Engine::run_for_query`]) and the goal is answered post hoc with
+    /// [`run_query`].
     ///
     /// Either way the answers equal `run_query` over the full fixpoint,
     /// and [`EvalStats::demand`] records which strategy ran and how much
@@ -379,48 +487,41 @@ impl<'p> Engine<'p> {
     /// [`DatalogError::DeadlineExceeded`], [`DatalogError::Cancelled`])
     /// propagate exactly as they would from a full run; an unsafe goal
     /// fails as in [`run_query`].
+    ///
+    /// The rules are prepared anew on every call; callers answering many
+    /// goals of one shape keep the [`PreparedMagic`] and call
+    /// [`Engine::run_prepared`] instead.
     pub fn run_for_goal(&self, goal: &[Literal]) -> Result<(QueryAnswer, EvalStats)> {
+        if magic::goal_binds_arguments(goal) {
+            // The program's fact clauses become the base; only its rules
+            // are rewritten.
+            let mut edb = Database::new();
+            let mut base: HashSet<SymId> = HashSet::new();
+            let mut rules = Vec::new();
+            for c in self.program.clauses() {
+                match c.head.as_fact() {
+                    Some(fact) if c.is_fact() => {
+                        edb.insert_id(c.head.predicate, fact);
+                        base.insert(c.head.predicate);
+                    }
+                    _ => rules.push(c.clone()),
+                }
+            }
+            let rules = Program::from_clauses(rules)?;
+            if let Some(plan) = magic::prepare(&rules, &base, goal, &edb) {
+                let (_, params) = magic::prepared_key(goal);
+                return Engine::for_prepared(&plan)
+                    .configured_like(self)
+                    .run_prepared(edb, &params);
+            }
+        }
         let seeds: Vec<&str> = goal
             .iter()
             .filter_map(Literal::atom)
             .map(|a| a.predicate.as_str())
             .collect();
         let needed = self.program.dependencies_of(seeds);
-        if let Some(m) = magic::rewrite(self.program, goal) {
-            if let Ok(engine) = Engine::new(&m.program) {
-                let mut engine = engine
-                    .with_strategy(self.strategy)
-                    .with_fact_limit(self.fact_limit)
-                    .with_threads(self.threads)
-                    .with_parallel_threshold(self.parallel_threshold)
-                    .with_executor(self.executor);
-                if let Some(d) = self.deadline {
-                    engine = engine.with_deadline(d);
-                }
-                if let Some(c) = self.cancel.clone() {
-                    engine = engine.with_cancel_token(c);
-                }
-                if let Some(t) = self.trace.clone() {
-                    engine = engine.with_trace(t);
-                }
-                let (db, mut stats) = engine.run_inner(None, &[])?;
-                stats.demand = Some(DemandStats {
-                    strategy: "magic",
-                    cone_predicates: needed.len(),
-                    adorned_predicates: m.adorned_predicates,
-                    magic_facts: m
-                        .magic_predicates
-                        .iter()
-                        .filter_map(|p| db.relation(p))
-                        .map(crate::storage::Relation::len)
-                        .sum(),
-                    facts_materialized: db.fact_count(),
-                    pruned_rules: 0,
-                });
-                return Ok((m.answers(&db), stats));
-            }
-        }
-        let (mut db, mut stats) = self.run_inner(Some(&needed), goal)?;
+        let (mut db, mut stats) = self.run_inner(Some(&needed), goal, Database::new())?;
         // Algo calls appearing only in the goal have no stratum in the
         // program; materialize them now, over the finished cone fixpoint
         // (their input is complete by construction).
@@ -446,20 +547,51 @@ impl<'p> Engine<'p> {
         stats.demand = Some(DemandStats {
             strategy: "cone",
             cone_predicates: needed.len(),
-            adorned_predicates: 0,
-            magic_facts: 0,
             facts_materialized: db.fact_count(),
-            pruned_rules: 0,
+            ..DemandStats::default()
         });
         Ok((answer, stats))
+    }
+
+    /// Answer one goal of the prepared plan's shape: insert `params` (the
+    /// goal's constants, in [`magic::prepared_key`] order) as the plan's
+    /// parameter fact into `edb`, which holds the base facts, and run the
+    /// plan's precompiled strata under this engine's configuration.
+    /// `edb` is typically a clone of a shared base database, whose
+    /// relations stay shared until a rule writes to them.
+    ///
+    /// # Errors
+    ///
+    /// [`DatalogError::Internal`] for an engine not built by
+    /// [`Engine::for_prepared`]; [`DatalogError::ArityMismatch`] when
+    /// `params` does not match the plan; guard trips as for
+    /// [`Engine::run_for_goal`].
+    pub fn run_prepared(
+        &self,
+        mut edb: Database,
+        params: &[Const],
+    ) -> Result<(QueryAnswer, EvalStats)> {
+        let plan = self.prepared.ok_or_else(|| DatalogError::Internal {
+            detail: "run_prepared needs an engine built by Engine::for_prepared".into(),
+        })?;
+        plan.seed(&mut edb, params)?;
+        let mut stats = EvalStats::default();
+        let guard = EvalGuard::new(self.deadline, self.fact_limit, self.cancel.clone());
+        for (idx, (stratum, compiled)) in plan.strata().iter().zip(plan.compiled()).enumerate() {
+            self.run_stratum(idx, stratum, &mut stats, |stats| {
+                self.run_compiled(compiled, idx, &mut edb, stats, &guard)
+            })?;
+        }
+        stats.demand = Some(plan.demand_stats(&edb));
+        Ok((plan.answers(&edb), stats))
     }
 
     fn run_inner(
         &self,
         restrict: Option<&HashSet<String>>,
         extra: &[Literal],
+        mut db: Database,
     ) -> Result<(Database, EvalStats)> {
-        let mut db = Database::new();
         let mut stats = EvalStats::default();
         let guard = EvalGuard::new(self.deadline, self.fact_limit, self.cancel.clone());
 
@@ -470,7 +602,7 @@ impl<'p> Engine<'p> {
         // into the returned database; join plans treat a missing relation
         // as empty, so negation over one still behaves correctly.
         for pred in self.program.predicates() {
-            if restrict.is_none_or(|n| n.contains(pred)) {
+            if restrict.is_none_or(|n| n.contains(pred)) && db.relation(pred).is_none() {
                 db.relation_mut(pred);
             }
         }
@@ -489,64 +621,81 @@ impl<'p> Engine<'p> {
                 .filter(|c| in_stratum.contains(&c.head.predicate))
                 .filter(|c| restrict.is_none_or(|n| n.contains(c.head.predicate.as_str())))
                 .partition(|c| c.agg.is_some());
-            self.emit(&TraceEvent::StratumStart {
-                stratum: stratum_idx,
-                predicates: stratum,
-            });
-            let started = Instant::now();
-            let iters_before = stats.iterations;
-            let added_before = stats.facts_added;
-            // Native algorithm operators first (their inputs are in lower
-            // strata), then aggregate folds (ditto), then the fixpoint —
-            // which sees both as already-materialized relations.
-            let mut result =
-                self.materialize_algos(stratum, restrict, extra, &mut db, &mut stats, &guard);
-            if result.is_ok() {
-                result =
-                    self.apply_aggregates(&agg_rules, stratum_idx, &mut db, &mut stats, &guard);
-            }
-            if result.is_ok() {
-                result = match self.strategy {
-                    Strategy::Naive => {
-                        self.run_stratum_naive(&rules, stratum_idx, &mut db, &mut stats, &guard)
-                    }
-                    Strategy::SemiNaive => self.run_stratum_seminaive(
-                        &rules,
-                        &in_stratum,
-                        stratum_idx,
-                        &mut db,
-                        &mut stats,
-                        &guard,
-                    ),
-                };
-            }
-            let wall_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            stats.per_stratum.push(StratumStats {
-                stratum: stratum_idx,
-                predicates: stratum.clone(),
-                iterations: stats.iterations - iters_before,
-                facts_added: stats.facts_added - added_before,
-                wall_ns,
-            });
-            if let Err(err) = result {
-                if matches!(
-                    err,
-                    DatalogError::BudgetExceeded { .. }
-                        | DatalogError::DeadlineExceeded { .. }
-                        | DatalogError::Cancelled
-                ) {
-                    self.emit(&TraceEvent::GuardTrip { error: &err });
-                }
-                return Err(err);
-            }
-            self.emit(&TraceEvent::StratumEnd {
-                stratum: stratum_idx,
-                iterations: stats.iterations - iters_before,
-                facts_added: stats.facts_added - added_before,
-                wall_ns,
-            });
+            self.run_stratum(stratum_idx, stratum, &mut stats, |stats| {
+                // Native algorithm operators first (their inputs are in
+                // lower strata), then aggregate folds (ditto), then the
+                // fixpoint — which sees both as already-materialized
+                // relations.
+                self.materialize_algos(stratum, restrict, extra, &mut db, stats, &guard)?;
+                self.apply_aggregates(&agg_rules, stratum_idx, &mut db, stats, &guard)?;
+                let variants = self.strategy == Strategy::SemiNaive;
+                let compiled = CompiledStratum::compile(&rules, &in_stratum, variants, &db)?;
+                self.run_compiled(&compiled, stratum_idx, &mut db, stats, &guard)
+            })?;
         }
         Ok((db, stats))
+    }
+
+    /// Run one stratum's work (`body`), recording its counters and trace
+    /// events; a guard trip inside it is traced before it propagates.
+    fn run_stratum(
+        &self,
+        stratum_idx: usize,
+        predicates: &[String],
+        stats: &mut EvalStats,
+        body: impl FnOnce(&mut EvalStats) -> Result<()>,
+    ) -> Result<()> {
+        self.emit(&TraceEvent::StratumStart {
+            stratum: stratum_idx,
+            predicates,
+        });
+        let started = Instant::now();
+        let iters_before = stats.iterations;
+        let added_before = stats.facts_added;
+        let result = body(stats);
+        let wall_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        stats.per_stratum.push(StratumStats {
+            stratum: stratum_idx,
+            predicates: predicates.to_vec(),
+            iterations: stats.iterations - iters_before,
+            facts_added: stats.facts_added - added_before,
+            wall_ns,
+        });
+        if let Err(err) = result {
+            if matches!(
+                err,
+                DatalogError::BudgetExceeded { .. }
+                    | DatalogError::DeadlineExceeded { .. }
+                    | DatalogError::Cancelled
+            ) {
+                self.emit(&TraceEvent::GuardTrip { error: &err });
+            }
+            return Err(err);
+        }
+        self.emit(&TraceEvent::StratumEnd {
+            stratum: stratum_idx,
+            iterations: stats.iterations - iters_before,
+            facts_added: stats.facts_added - added_before,
+            wall_ns,
+        });
+        Ok(())
+    }
+
+    /// Run a compiled stratum's fixpoint with the configured strategy.
+    fn run_compiled(
+        &self,
+        compiled: &CompiledStratum,
+        stratum_idx: usize,
+        db: &mut Database,
+        stats: &mut EvalStats,
+        guard: &EvalGuard,
+    ) -> Result<()> {
+        match self.strategy {
+            Strategy::Naive => self.run_stratum_naive(compiled, stratum_idx, db, stats, guard),
+            Strategy::SemiNaive => {
+                self.run_stratum_seminaive(compiled, stratum_idx, db, stats, guard)
+            }
+        }
     }
 
     /// Materialize every `@algo(input)` call predicate assigned to this
@@ -791,30 +940,23 @@ impl<'p> Engine<'p> {
 
     fn run_stratum_naive(
         &self,
-        rules: &[&Clause],
+        compiled: &CompiledStratum,
         stratum_idx: usize,
         db: &mut Database,
         stats: &mut EvalStats,
         guard: &EvalGuard,
     ) -> Result<()> {
-        let plans = rules
-            .iter()
-            .map(|r| RulePlan::compile(r, None, db))
-            .collect::<Result<Vec<_>>>()?;
+        let plans = &compiled.base;
         stats
             .join_orders
             .extend(plans.iter().map(|p| p.order_desc.clone()));
         let rule_base = stats.per_rule.len();
-        stats.per_rule.extend(rules.iter().map(|r| RuleStats {
-            rule: r.to_string(),
-            stratum: stratum_idx,
-            ..RuleStats::default()
-        }));
+        stats.per_rule.extend(compiled.rule_stats(stratum_idx));
         let mut scratches: Vec<Scratch> = plans.iter().map(RulePlan::new_scratch).collect();
         let mut derived = FactBuf::default();
         loop {
             stats.iterations += 1;
-            for plan in &plans {
+            for plan in plans {
                 for &(p, c) in &plan.index_needs {
                     db.ensure_index_id(p, c);
                 }
@@ -855,42 +997,26 @@ impl<'p> Engine<'p> {
         }
     }
 
-    #[allow(clippy::too_many_lines)]
     fn run_stratum_seminaive(
         &self,
-        rules: &[&Clause],
-        in_stratum: &HashSet<SymId>,
+        compiled: &CompiledStratum,
         stratum_idx: usize,
         db: &mut Database,
         stats: &mut EvalStats,
         guard: &EvalGuard,
     ) -> Result<()> {
-        // Compile the base plans and, for each body occurrence of a
-        // same-stratum predicate, a delta variant. Cardinality estimates
-        // come from the database at stratum entry. `*_rule` maps each
-        // plan back to its source rule for per-rule counters.
-        let base = rules
-            .iter()
-            .map(|r| RulePlan::compile(r, None, db))
-            .collect::<Result<Vec<_>>>()?;
-        let base_rule: Vec<usize> = (0..rules.len()).collect();
-        let mut variants = Vec::new();
-        let mut variant_rule = Vec::new();
-        for (ri, r) in rules.iter().enumerate() {
-            for p in delta_positions(r, in_stratum) {
-                variants.push(RulePlan::compile(r, Some(p), db)?);
-                variant_rule.push(ri);
-            }
-        }
+        let CompiledStratum {
+            base,
+            variants,
+            variant_rule,
+            ..
+        } = compiled;
+        let base_rule: Vec<usize> = (0..base.len()).collect();
         stats
             .join_orders
-            .extend(base.iter().chain(&variants).map(|p| p.order_desc.clone()));
+            .extend(base.iter().chain(variants).map(|p| p.order_desc.clone()));
         let rule_base = stats.per_rule.len();
-        stats.per_rule.extend(rules.iter().map(|r| RuleStats {
-            rule: r.to_string(),
-            stratum: stratum_idx,
-            ..RuleStats::default()
-        }));
+        stats.per_rule.extend(compiled.rule_stats(stratum_idx));
         let mut base_scratches: Vec<Scratch> = base.iter().map(RulePlan::new_scratch).collect();
         let mut variant_scratches: Vec<Scratch> =
             variants.iter().map(RulePlan::new_scratch).collect();
@@ -901,7 +1027,7 @@ impl<'p> Engine<'p> {
         let round: Vec<(usize, Option<SymId>)> = (0..base.len()).map(|i| (i, None)).collect();
         let mut added_before = stats.facts_added;
         let mut delta = self.apply_round(
-            &base,
+            base,
             &mut base_scratches,
             &round,
             &FxHashMap::default(),
@@ -934,7 +1060,7 @@ impl<'p> Engine<'p> {
             let input: usize = delta.values().map(FactBuf::len).sum();
             added_before = stats.facts_added;
             let next = self.apply_round(
-                &variants,
+                variants,
                 &mut variant_scratches,
                 &round,
                 &delta,
@@ -942,7 +1068,7 @@ impl<'p> Engine<'p> {
                 db,
                 stats,
                 guard,
-                &variant_rule,
+                variant_rule,
                 rule_base,
             )?;
             self.emit(&TraceEvent::IterationEnd {

@@ -139,7 +139,8 @@ pub struct CommitStats {
 /// assert!(!engine.database().contains("path", &[Const::sym("a"), Const::sym("c")]));
 /// ```
 pub struct IncrementalEngine {
-    program: Program,
+    /// The program's predicate arities, which staged updates must match.
+    arities: FxHashMap<SymId, usize>,
     /// Non-fact clauses; fact clauses live in `base` so they are
     /// retractable like any committed insert.
     rules: Vec<Clause>,
@@ -256,8 +257,13 @@ impl IncrementalEngine {
             .iter()
             .any(|p| crate::algo::parse_call(p).is_some())
             || program.clauses().iter().any(|c| c.agg.is_some());
+        let arities = program
+            .predicates()
+            .into_iter()
+            .filter_map(|p| Some((SymId::intern(p), program.arity(p)?)))
+            .collect();
         let engine = IncrementalEngine {
-            program: program.clone(),
+            arities,
             full_recompute,
             rules,
             stratum_preds,
@@ -400,8 +406,9 @@ impl IncrementalEngine {
         }
         let pred = SymId::intern(predicate);
         let known = self
-            .program
-            .arity(predicate)
+            .arities
+            .get(&pred)
+            .copied()
             .or_else(|| self.db.relation_id(pred).and_then(Relation::arity))
             .or_else(|| {
                 self.pending
@@ -563,14 +570,16 @@ impl IncrementalEngine {
         &self.materialize_stats
     }
 
-    /// The rules plus the current base rendered back into a program — the
-    /// from-scratch semantics this engine's database must always match.
-    ///
-    /// This is what demand-driven (magic-sets) point queries evaluate
-    /// against: a goal-directed run over this program answers exactly as
-    /// a query over the materialized database, without requiring the
-    /// materialization to exist (the engine may still be deferred or
-    /// poisoned).
+    /// The program's rules: every clause except the fact clauses, which
+    /// joined the base. They never change across commits.
+    pub fn rules(&self) -> &[Clause] {
+        &self.rules
+    }
+
+    /// The rules plus the current base rendered back into one program —
+    /// the from-scratch semantics this engine's database must always
+    /// match, as [`IncrementalEngine::rules`] and
+    /// [`IncrementalEngine::base_database`] are in two parts.
     ///
     /// # Errors
     ///
@@ -578,6 +587,30 @@ impl IncrementalEngine {
     /// program this engine accepted, kept for safety).
     pub fn current_program(&self) -> Result<Program> {
         self.full_program()
+    }
+
+    /// The current base — program facts plus committed inserts, minus
+    /// retractions — as a database of its own, relations and facts in
+    /// sorted order.
+    ///
+    /// Together with [`IncrementalEngine::rules`] it has the from-scratch
+    /// semantics this engine's database must always match, which is what
+    /// demand-driven (magic-sets) point queries evaluate against: a
+    /// goal-directed run over the two answers exactly as a query over
+    /// the materialized database, without requiring the materialization
+    /// to exist (the engine may still be deferred or poisoned).
+    pub fn base_database(&self) -> Database {
+        let mut db = Database::new();
+        let mut preds: Vec<SymId> = self.base.keys().copied().collect();
+        preds.sort_unstable();
+        for pred in preds {
+            let mut facts: Vec<&Fact> = self.base[&pred].iter().collect();
+            facts.sort();
+            for fact in facts {
+                db.insert_if_new_id(pred, fact);
+            }
+        }
+        db
     }
 
     fn full_program(&self) -> Result<Program> {

@@ -116,7 +116,7 @@ pub use error::DatalogError;
 pub use eval::{DemandStats, Engine, EvalStats, Executor, RuleStats, Strategy, StratumStats};
 pub use guard::CancelToken;
 pub use incremental::{CommitStats, IncrementalEngine};
-pub use magic::MagicProgram;
+pub use magic::PreparedMagic;
 pub use parser::{parse_atom, parse_clause, parse_program, parse_query};
 pub use program::{DepGraph, Program, Stratification};
 pub use query::{run_query, run_query_guarded, Bindings, QueryAnswer, QueryGuards};

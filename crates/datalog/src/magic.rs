@@ -26,58 +26,129 @@
 //!    [`crate::Program::stratify`] pass) before handing it to the
 //!    semi-naive engine.
 //!
-//! **Negation.** Predicates consulted under negation (transitively) are
-//! never adorned: the stratified `¬∃` semantics needs the negated
-//! relation complete, so their entire dependency cone is included
-//! verbatim ("plain"). Plain predicates only depend on plain predicates,
-//! and negative edges only point *into* the plain layer — hence the
-//! rewritten program is stratifiable whenever the original is.
+//! **Prepared plans.** The rewrite depends only on the goal's *shape*:
+//! [`prepare`] factors the goal's constants out into one
+//! [`PARAM_PREDICATE`] fact that leads the goal, rewrites the *rules*
+//! once, stratifies the result and compiles its join plans. A
+//! [`PreparedMagic`] then answers every goal of that shape
+//! ([`prepared_key`]) through [`crate::Engine::run_prepared`], which seeds
+//! the parameter fact into a database already holding the base facts —
+//! no clause is cloned, rewritten, stratified or compiled per goal.
 //!
-//! **Extensional predicates.** Facts-only predicates are included
-//! verbatim (index probes already make their selection cheap). A
-//! predicate with both facts and rules routes its facts through a single
-//! `__edb__p` copy plus one guarded bridge rule per adornment, so the
-//! fact set is filtered by demand without compiling one plan per fact.
+//! **Negation.** A negated literal whose variables are all bound by
+//! earlier positive literals asks about single tuples, so its predicate
+//! is adorned like a positive literal and demanded by the rule-body
+//! prefix before it: `not beaten(P, K, A, C)` computes `beaten` for the
+//! demanded keys only. The stratified `¬∃` reading needs the adorned
+//! relation complete for the demanded tuples, i.e. in a lower stratum
+//! than its consumer. A literal whose relation depends on an adorned
+//! negation therefore passes no bindings sideways (see
+//! `Rewriter::tainted`): magic predicates then depend on negation-free
+//! relations only, and the rewrite of a stratified program stays
+//! stratified. [`prepare`] still stratifies the result, and should that
+//! fail it falls back to the plain treatment for the whole goal.
+//! Negated literals with existential variables are always plain. Plain
+//! treatment includes a negated predicate's entire dependency cone
+//! verbatim; plain predicates only depend on plain predicates and
+//! negative edges only point *into* the plain layer, so that rewrite is
+//! stratifiable whenever the original program is.
+//!
+//! **Base facts.** The rewrite sees rules only; facts live in the
+//! database a prepared plan runs over, under their own predicate names.
+//! Facts-only predicates are read verbatim (index probes already make
+//! their selection cheap). A derived predicate that may also carry base
+//! facts gets one guarded *bridge* rule per adornment reading those facts
+//! from its own relation, so the fact set is filtered by demand without
+//! compiling one plan per fact.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use crate::atom::{Atom, Literal};
 use crate::clause::Clause;
+use crate::eval::{CompiledStratum, DemandStats};
 use crate::program::Program;
 use crate::query::{Bindings, QueryAnswer};
-use crate::storage::Database;
-use crate::term::{SymId, Term};
+use crate::storage::{Database, Relation};
+use crate::term::{Const, SymId, Term};
 
 /// The reserved predicate collecting the goal's answers in a rewritten
 /// program: `__goal__(projected vars) :- <rewritten goal body>`.
 pub const GOAL_PREDICATE: &str = "__goal__";
 
-/// A magic-sets rewrite of one program for one goal.
-#[derive(Debug)]
-pub struct MagicProgram {
-    /// The rewritten program: magic seeds, demand rules, guarded rule
-    /// variants, plain (negation-reached and facts-only) cones, and the
-    /// [`GOAL_PREDICATE`] collection rule.
-    pub program: Program,
-    /// The goal's projected variables — positively bound, in first
-    /// occurrence order, exactly the projection [`crate::run_query`]
-    /// uses.
-    pub answer_variables: Vec<String>,
-    /// Names of the generated magic (demand) predicates.
-    pub magic_predicates: Vec<String>,
-    /// Number of adorned predicate variants the rewrite generated — the
-    /// *adorned cone size*, reported next to the plain cone size in
-    /// evaluation statistics.
-    pub adorned_predicates: usize,
-    /// Predicates included verbatim (facts-only predicates plus the full
-    /// cones of negated predicates).
-    pub plain_predicates: usize,
+/// The reserved seed predicate of a [`PreparedMagic`] plan: one fact
+/// holding the goal's constants, inserted per run.
+pub const PARAM_PREDICATE: &str = "__param__";
+
+/// Whether a goal binds any argument of a positive literal — the
+/// precondition for the magic rewrite to prune anything. Goals failing
+/// this check degenerate to full cone evaluation (lint ML0007).
+pub fn goal_binds_arguments(goal: &[Literal]) -> bool {
+    goal.iter()
+        .any(|l| matches!(l, Literal::Pos(a) if a.terms.iter().any(|t| !t.is_var())))
 }
 
-impl MagicProgram {
-    /// Read the goal's answers out of an evaluated rewritten database,
-    /// shaped identically to [`crate::run_query`] over a full fixpoint.
-    pub fn answers(&self, db: &Database) -> QueryAnswer {
+/// A magic-sets rewrite of a program's rules for one goal *shape*, with
+/// the goal's constants factored out into a [`PARAM_PREDICATE`] seed
+/// fact: stratified, with every stratum's join plans compiled. Built by
+/// [`prepare`], run by [`crate::Engine::run_prepared`] for any constants
+/// in [`prepared_key`] order. It holds rules only, so it stays valid
+/// while the base facts change, as long as every predicate that may hold
+/// base facts was named when it was prepared.
+#[derive(Debug)]
+pub struct PreparedMagic {
+    /// The rewritten rules: demand rules, guarded rule variants, base
+    /// bridges, plain cones, and the [`GOAL_PREDICATE`] rule.
+    program: Program,
+    strata: Vec<Vec<String>>,
+    /// One entry per stratum of `strata`.
+    compiled: Vec<CompiledStratum>,
+    index_needs: Vec<(SymId, usize)>,
+    params: usize,
+    answer_variables: Vec<String>,
+    magic_predicates: Vec<SymId>,
+    cone_predicates: usize,
+    adorned_predicates: usize,
+    plain_under_negation: usize,
+}
+
+impl PreparedMagic {
+    /// The rewritten rules.
+    pub(crate) fn program(&self) -> &Program {
+        &self.program
+    }
+
+    /// Every `(predicate, column)` the compiled plans probe by value.
+    /// Sealing these columns in a shared base database
+    /// ([`Database::seal_indexes`]) keeps runs over clones of it from
+    /// each detaching and sorting the same relations.
+    pub fn index_needs(&self) -> &[(SymId, usize)] {
+        &self.index_needs
+    }
+
+    pub(crate) fn strata(&self) -> &[Vec<String>] {
+        &self.strata
+    }
+
+    pub(crate) fn compiled(&self) -> &[CompiledStratum] {
+        &self.compiled
+    }
+
+    /// Insert the parameter fact for one run.
+    pub(crate) fn seed(&self, db: &mut Database, params: &[Const]) -> crate::Result<()> {
+        if params.len() != self.params {
+            return Err(crate::DatalogError::ArityMismatch {
+                predicate: PARAM_PREDICATE.to_owned(),
+                expected: self.params,
+                found: params.len(),
+            });
+        }
+        db.insert_if_new_id(SymId::intern(PARAM_PREDICATE), params);
+        Ok(())
+    }
+
+    /// Read the goal's answers out of an evaluated database, shaped
+    /// identically to [`crate::run_query`] over a full fixpoint.
+    pub(crate) fn answers(&self, db: &Database) -> QueryAnswer {
         let mut answers: Vec<Bindings> = db
             .relation(GOAL_PREDICATE)
             .map(|rel| {
@@ -99,180 +170,23 @@ impl MagicProgram {
             answers,
         }
     }
-}
 
-/// Whether a goal binds any argument of a positive literal — the
-/// precondition for the magic rewrite to prune anything. Goals failing
-/// this check degenerate to full cone evaluation (lint ML0007).
-pub fn goal_binds_arguments(goal: &[Literal]) -> bool {
-    goal.iter()
-        .any(|l| matches!(l, Literal::Pos(a) if a.terms.iter().any(|t| !t.is_var())))
-}
-
-/// Rewrite `program` for `goal`. Returns `None` when the rewrite cannot
-/// help or cannot be built soundly — no positive goal argument is bound,
-/// or the rewritten clause set fails validation — in which case the
-/// caller falls back to dependency-cone restriction.
-pub fn rewrite(program: &Program, goal: &[Literal]) -> Option<MagicProgram> {
-    if !goal_binds_arguments(goal) {
-        return None;
-    }
-    rewrite_unchecked(program, goal)
-}
-
-fn rewrite_unchecked(program: &Program, goal: &[Literal]) -> Option<MagicProgram> {
-    // The goal's dependency cone, and the sub-cones reached through
-    // negation anywhere inside it. The latter are evaluated in full
-    // ("plain") so the stratified ¬∃ reading stays correct.
-    let seeds: Vec<&str> = goal
-        .iter()
-        .filter_map(Literal::atom)
-        .map(|a| a.predicate.as_str())
-        .collect();
-    let cone = program.dependencies_of(seeds);
-    // Native algorithm operators and aggregate folds consume *complete*
-    // relations; filtering their inputs by demand would change their
-    // output (a component representative, a count, …). When the goal's
-    // cone contains either construct, bail out so the caller's
-    // cone-restricted fallback — which materializes whole relations —
-    // answers the goal instead. Goals outside such cones keep the
-    // rewrite.
-    if cone.iter().any(|p| crate::algo::parse_call(p).is_some())
-        || program
-            .clauses()
-            .iter()
-            .any(|c| c.agg.is_some() && cone.contains(c.head.predicate.as_str()))
-    {
-        return None;
-    }
-    let mut neg_seeds: HashSet<&str> = goal
-        .iter()
-        .filter_map(|l| match l {
-            Literal::Neg(a) => Some(a.predicate.as_str()),
-            _ => None,
-        })
-        .collect();
-    for c in program.clauses() {
-        if !cone.contains(c.head.predicate.as_str()) {
-            continue;
-        }
-        for l in &c.body {
-            if let Literal::Neg(a) = l {
-                neg_seeds.insert(a.predicate.as_str());
-            }
-        }
-    }
-    let full = program.dependencies_of(neg_seeds);
-
-    let mut clauses_by_pred: HashMap<SymId, Vec<&Clause>> = HashMap::new();
-    for c in program.clauses() {
-        clauses_by_pred.entry(c.head.predicate).or_default().push(c);
-    }
-    // Adornable: derived by at least one rule and not needed in full.
-    let adornable: HashSet<SymId> = clauses_by_pred
-        .iter()
-        .filter(|(p, cs)| !full.contains(p.as_str()) && cs.iter().any(|c| !c.is_fact()))
-        .map(|(&p, _)| p)
-        .collect();
-
-    let mut rw = Rewriter {
-        program,
-        clauses_by_pred,
-        adornable,
-        out: Vec::new(),
-        seen: HashSet::new(),
-        queue: VecDeque::new(),
-        done: HashSet::new(),
-        plain: HashSet::new(),
-        edb_done: HashSet::new(),
-        magic_preds: Vec::new(),
-    };
-
-    // The goal rule, projecting the positively bound variables in first
-    // occurrence order (run_query's projection).
-    let mut positive: Vec<String> = Vec::new();
-    for l in goal {
-        if let Literal::Pos(a) = l {
-            for v in a.variables() {
-                if !positive.iter().any(|x| x == v) {
-                    positive.push(v.to_owned());
-                }
-            }
-        }
-    }
-    let body = rw.process_body(goal, HashSet::new(), Vec::new());
-    let head = Atom::new(
-        GOAL_PREDICATE,
-        positive.iter().map(|v| Term::var(v.clone())).collect(),
-    );
-    rw.push(Clause::new(head, body));
-
-    // Drain the demand worklist, specializing every demanded adornment.
-    while let Some((pred, adornment)) = rw.queue.pop_front() {
-        rw.emit_adorned(pred, &adornment);
-    }
-
-    let adorned_predicates = rw.done.len();
-    let plain_predicates = rw.plain.len();
-    let magic_predicates = rw.magic_preds;
-    // A rewritten clause failing validation (e.g. a goal whose arity
-    // disagrees with the program) means no sound rewrite exists here;
-    // fall back to cone evaluation, which reproduces run_query behaviour.
-    let program = Program::from_clauses(rw.out).ok()?;
-    Some(MagicProgram {
-        program,
-        answer_variables: positive,
-        magic_predicates,
-        adorned_predicates,
-        plain_predicates,
-    })
-}
-
-/// The reserved seed predicate of a [`PreparedMagic`] rewrite: one fact
-/// holding the goal's constants, swapped per instantiation.
-pub const PARAM_PREDICATE: &str = "__param__";
-
-/// A magic rewrite with the goal's constants factored out into a single
-/// [`PARAM_PREDICATE`] seed fact, so the structural transformation —
-/// adornment propagation, demand rules, guarded variants — is computed
-/// once per binding *pattern* and replayed for any constants (a prepared
-/// statement for point queries; the REPL caches these per
-/// `(predicate, adornment)` key from [`prepared_key`]).
-#[derive(Debug)]
-pub struct PreparedMagic {
-    clauses: Vec<Clause>,
-    /// Index of the `__param__` seed fact inside `clauses`.
-    seed: usize,
-    params: usize,
-    answer_variables: Vec<String>,
-    magic_predicates: Vec<String>,
-    adorned_predicates: usize,
-    plain_predicates: usize,
-}
-
-impl PreparedMagic {
-    /// How many constants an instantiation must supply.
-    pub fn params(&self) -> usize {
-        self.params
-    }
-
-    /// Replay the prepared rewrite for one concrete constant vector (in
-    /// [`prepared_key`] extraction order). `None` when the arity
-    /// disagrees or the swapped clause set fails validation.
-    pub fn instantiate(&self, consts: &[Term]) -> Option<MagicProgram> {
-        if consts.len() != self.params || consts.iter().any(Term::is_var) {
-            return None;
-        }
-        let mut clauses = self.clauses.clone();
-        clauses[self.seed] = Clause::fact(Atom::new(PARAM_PREDICATE, consts.to_vec()));
-        let program = Program::from_clauses(clauses).ok()?;
-        Some(MagicProgram {
-            program,
-            answer_variables: self.answer_variables.clone(),
-            magic_predicates: self.magic_predicates.clone(),
+    /// The demand counters of an evaluated database.
+    pub(crate) fn demand_stats(&self, db: &Database) -> DemandStats {
+        DemandStats {
+            strategy: "magic",
+            cone_predicates: self.cone_predicates,
             adorned_predicates: self.adorned_predicates,
-            plain_predicates: self.plain_predicates,
-        })
+            magic_facts: self
+                .magic_predicates
+                .iter()
+                .filter_map(|&p| db.relation_id(p))
+                .map(Relation::len)
+                .sum(),
+            facts_materialized: db.fact_count(),
+            pruned_rules: 0,
+            plain_under_negation: self.plain_under_negation,
+        }
     }
 }
 
@@ -280,19 +194,18 @@ impl PreparedMagic {
 /// `__pN` placeholder variable, returning the generalized goal and the
 /// constants in placeholder order. Comparison and arithmetic literals
 /// keep their constants inline (they never seed demand).
-fn generalize(goal: &[Literal]) -> (Vec<Literal>, Vec<Term>) {
+fn generalize(goal: &[Literal]) -> (Vec<Literal>, Vec<Const>) {
     let mut consts = Vec::new();
     let mut swap = |a: &Atom| {
         let terms = a
             .terms
             .iter()
-            .map(|t| {
-                if t.is_var() {
-                    t.clone()
-                } else {
-                    consts.push(t.clone());
+            .map(|t| match t {
+                Term::Const(c) => {
+                    consts.push(*c);
                     Term::var(format!("__p{}", consts.len() - 1))
                 }
+                Term::Var(_) => t.clone(),
             })
             .collect();
         Atom::new(a.predicate.as_str(), terms)
@@ -313,7 +226,7 @@ fn generalize(goal: &[Literal]) -> (Vec<Literal>, Vec<Term>) {
 /// share a key exactly when they demand the same predicates under the
 /// same adornment with the same variable naming, i.e. when one
 /// [`PreparedMagic`] answers both.
-pub fn prepared_key(goal: &[Literal]) -> (String, Vec<Term>) {
+pub fn prepared_key(goal: &[Literal]) -> (String, Vec<Const>) {
     let (general, consts) = generalize(goal);
     let key = general
         .iter()
@@ -323,48 +236,271 @@ pub fn prepared_key(goal: &[Literal]) -> (String, Vec<Term>) {
     (key, consts)
 }
 
-/// Build a [`PreparedMagic`] rewrite of `program` for `goal`'s binding
-/// pattern. Returns `None` under the same conditions as [`rewrite`] —
-/// plus when the goal has no atom constants to factor out (nothing to
-/// parameterize).
-pub fn prepare(program: &Program, goal: &[Literal]) -> Option<PreparedMagic> {
+/// Prepare the magic-sets rewrite of `rules` for `goal`'s binding
+/// pattern. `base` names every predicate whose facts the run's database
+/// may hold — facts-only relations, and derived predicates that may also
+/// carry asserted facts, which get bridge rules — and `edb` supplies the
+/// relation sizes the join plans are ordered by.
+///
+/// Returns `None` when the rewrite cannot help or cannot be built
+/// soundly: no positive goal argument is bound, the goal's cone holds an
+/// algorithm operator or an aggregate (both consume complete relations),
+/// a goal atom's arity disagrees with the program or the database, or
+/// the rewritten rules fail validation, stratification or compilation.
+/// Callers then fall back to dependency-cone restriction.
+pub fn prepare(
+    rules: &Program,
+    base: &HashSet<SymId>,
+    goal: &[Literal],
+    edb: &Database,
+) -> Option<PreparedMagic> {
     if !goal_binds_arguments(goal) {
         return None;
     }
-    let (general, consts) = generalize(goal);
-    if consts.is_empty() {
-        return None;
+    for a in goal.iter().filter_map(Literal::atom) {
+        let known = rules
+            .arity(a.predicate.as_str())
+            .or_else(|| edb.relation_id(a.predicate).and_then(Relation::arity));
+        if known.is_some_and(|n| n != a.arity()) {
+            return None;
+        }
     }
-    // Augment the program with the seed fact so validation and the
-    // plain-cone walk see `__param__` as an ordinary facts-only
-    // predicate; the rewrite then copies it into its output verbatim.
-    let mut aug: Vec<Clause> = program.clauses().to_vec();
-    aug.push(Clause::fact(Atom::new(PARAM_PREDICATE, consts.clone())));
-    let aug = Program::from_clauses(aug).ok()?;
+    // Adorning single-tuple negations keeps a stratified program
+    // stratified (see `Rewriter::tainted`); should the rewrite still not
+    // stratify, the plain treatment of negated cones always does.
+    prepare_with(rules, base, goal, edb, &[true, false])
+}
+
+/// [`prepare`], trying each negation treatment of `adorn_negation` in
+/// turn until the rewrite stratifies.
+fn prepare_with(
+    rules: &Program,
+    base: &HashSet<SymId>,
+    goal: &[Literal],
+    edb: &Database,
+    adorn_negation: &[bool],
+) -> Option<PreparedMagic> {
+    let (general, consts) = generalize(goal);
     // Lead the goal with the seed literal: its placeholders count as
     // bound from the first literal on, so every atom gets the same
     // adornment the inline constants would have produced.
-    let mut goal2 = Vec::with_capacity(general.len() + 1);
-    goal2.push(Literal::Pos(Atom::new(
+    let mut seeded = Vec::with_capacity(general.len() + 1);
+    seeded.push(Literal::Pos(Atom::new(
         PARAM_PREDICATE,
         (0..consts.len())
             .map(|i| Term::var(format!("__p{i}")))
             .collect(),
     )));
-    goal2.extend(general);
-    let m = rewrite_unchecked(&aug, &goal2)?;
-    let clauses: Vec<Clause> = m.program.clauses().to_vec();
-    let seed = clauses
+    seeded.extend(general);
+    let (program, strata, rw) = adorn_negation.iter().find_map(|&adorn_negation| {
+        let rw = rewrite(rules, base, &seeded, adorn_negation)?;
+        let program = Program::from_clauses(rw.clauses.clone()).ok()?;
+        let strata: Vec<Vec<String>> = program
+            .stratify()
+            .ok()?
+            .iter()
+            .map(<[String]>::to_vec)
+            .collect();
+        Some((program, strata, rw))
+    })?;
+    let mut compiled = Vec::with_capacity(strata.len());
+    for stratum in &strata {
+        let in_stratum: HashSet<SymId> = stratum.iter().map(|p| SymId::intern(p)).collect();
+        let stratum_rules: Vec<&Clause> = program
+            .clauses()
+            .iter()
+            .filter(|c| in_stratum.contains(&c.head.predicate))
+            .collect();
+        compiled.push(CompiledStratum::compile(&stratum_rules, &in_stratum, true, edb).ok()?);
+    }
+    let mut index_needs: Vec<(SymId, usize)> = compiled
         .iter()
-        .position(|c| c.is_fact() && c.head.predicate.as_str() == PARAM_PREDICATE)?;
+        .flat_map(CompiledStratum::index_needs)
+        .collect();
+    index_needs.sort_unstable();
+    index_needs.dedup();
     Some(PreparedMagic {
-        seed,
+        program,
+        strata,
+        compiled,
+        index_needs,
         params: consts.len(),
-        answer_variables: m.answer_variables,
-        magic_predicates: m.magic_predicates,
-        adorned_predicates: m.adorned_predicates,
-        plain_predicates: m.plain_predicates,
-        clauses,
+        answer_variables: rw.answer_variables,
+        magic_predicates: rw.magic_predicates,
+        cone_predicates: rw.cone_predicates,
+        adorned_predicates: rw.adorned_predicates,
+        plain_under_negation: rw.plain_under_negation,
+    })
+}
+
+/// The output of one rewrite pass.
+struct Rewrite {
+    clauses: Vec<Clause>,
+    answer_variables: Vec<String>,
+    magic_predicates: Vec<SymId>,
+    cone_predicates: usize,
+    adorned_predicates: usize,
+    plain_under_negation: usize,
+}
+
+/// For each literal of `body`, whether it is a negated literal whose
+/// every variable an earlier positive literal or arithmetic target
+/// binds: one that asks about a single tuple, with no existential
+/// variable.
+fn single_tuple_negations(body: &[Literal]) -> Vec<bool> {
+    let mut textual: HashSet<&str> = HashSet::new();
+    body.iter()
+        .map(|l| match l {
+            Literal::Pos(a) => {
+                textual.extend(a.variables());
+                false
+            }
+            Literal::Arith { target, .. } => {
+                textual.extend(target.as_var());
+                false
+            }
+            Literal::Neg(a) => a.variables().all(|v| textual.contains(v)),
+            Literal::Cmp { .. } => false,
+        })
+        .collect()
+}
+
+/// `body`'s negated literals, each with its [`single_tuple_negations`]
+/// verdict.
+fn negations(body: &[Literal]) -> impl Iterator<Item = (&Atom, bool)> {
+    body.iter()
+        .zip(single_tuple_negations(body))
+        .filter_map(|(l, single)| match l {
+            Literal::Neg(a) => Some((a, single)),
+            _ => None,
+        })
+}
+
+/// One rewrite pass of `rules` for `goal`, which the parameter literal
+/// leads.
+fn rewrite(
+    rules: &Program,
+    base: &HashSet<SymId>,
+    goal: &[Literal],
+    adorn_negation: bool,
+) -> Option<Rewrite> {
+    let seeds = goal.iter().skip(1).filter_map(Literal::atom);
+    let cone = rules.dependencies_of(seeds.map(|a| a.predicate.as_str()));
+    // Native algorithm operators and aggregate folds consume *complete*
+    // relations; filtering their inputs by demand would change their
+    // output (a component representative, a count, …). When the goal's
+    // cone contains either construct, bail out so the caller's
+    // cone-restricted fallback — which materializes whole relations —
+    // answers the goal instead. Goals outside such cones keep the
+    // rewrite.
+    if cone.iter().any(|p| crate::algo::parse_call(p).is_some())
+        || rules
+            .clauses()
+            .iter()
+            .any(|c| c.agg.is_some() && cone.contains(c.head.predicate.as_str()))
+    {
+        return None;
+    }
+    let bodies = std::iter::once(goal).chain(
+        rules
+            .clauses()
+            .iter()
+            .filter(|c| cone.contains(c.head.predicate.as_str()))
+            .map(|c| &c.body[..]),
+    );
+    // The sub-cones the rewrite evaluates in full ("plain"), so the
+    // stratified ¬∃ reading of their negations stays correct.
+    let full = rules.dependencies_of(
+        bodies
+            .flat_map(negations)
+            .filter(|&(_, single)| !(adorn_negation && single))
+            .map(|(a, _)| a.predicate.as_str()),
+    );
+
+    let mut clauses_by_pred: HashMap<SymId, Vec<&Clause>> = HashMap::new();
+    for c in rules.clauses() {
+        clauses_by_pred.entry(c.head.predicate).or_default().push(c);
+    }
+    // Adornable: derived by at least one rule and not needed in full.
+    let adornable: HashSet<SymId> = clauses_by_pred
+        .keys()
+        .filter(|p| !full.contains(p.as_str()))
+        .copied()
+        .collect();
+    // Predicates whose adorned relations depend on an adorned negation:
+    // the heads of rules holding one, and everything above them.
+    let mut tainted: HashSet<SymId> = HashSet::new();
+    if adorn_negation {
+        let heads = rules.clauses().iter().filter(|c| {
+            negations(&c.body).any(|(a, single)| single && adornable.contains(&a.predicate))
+        });
+        let heads: Vec<&str> = heads.map(|c| c.head.predicate.as_str()).collect();
+        let graph = rules.dependency_graph();
+        tainted = graph
+            .dependents_of(heads)
+            .iter()
+            .map(|p| SymId::intern(p))
+            .collect();
+    }
+
+    let mut rw = Rewriter {
+        program: rules,
+        base,
+        clauses_by_pred,
+        adornable,
+        tainted,
+        adorn_negation,
+        out: Vec::new(),
+        seen: HashSet::new(),
+        queue: VecDeque::new(),
+        done: HashSet::new(),
+        plain: HashSet::new(),
+        negated_plain: Vec::new(),
+        magic_preds: Vec::new(),
+    };
+
+    // The goal rule, projecting the positively bound variables in first
+    // occurrence order (run_query's projection), minus the placeholders
+    // the leading parameter literal binds.
+    let params: Vec<&str> = goal
+        .first()
+        .and_then(Literal::atom)
+        .map(|a| a.variables().collect())
+        .unwrap_or_default();
+    let mut positive: Vec<String> = Vec::new();
+    for l in goal {
+        if let Literal::Pos(a) = l {
+            for v in a.variables() {
+                if !params.contains(&v) && !positive.iter().any(|x| x == v) {
+                    positive.push(v.to_owned());
+                }
+            }
+        }
+    }
+    let body = rw.process_body(goal, HashSet::new(), Vec::new());
+    let head = Atom::new(
+        GOAL_PREDICATE,
+        positive.iter().map(|v| Term::var(v.clone())).collect(),
+    );
+    rw.push(Clause::new(head, body));
+
+    // Drain the demand worklist, specializing every demanded adornment.
+    while let Some((pred, adornment)) = rw.queue.pop_front() {
+        rw.emit_adorned(pred, &adornment);
+    }
+
+    let plain_under_negation = rules
+        .dependencies_of(rw.negated_plain.iter().map(|p| p.as_str()))
+        .iter()
+        .filter(|p| rw.clauses_by_pred.contains_key(&SymId::intern(p)))
+        .count();
+    Some(Rewrite {
+        answer_variables: positive,
+        magic_predicates: rw.magic_preds,
+        cone_predicates: cone.len(),
+        adorned_predicates: rw.done.len(),
+        plain_under_negation,
+        clauses: rw.out,
     })
 }
 
@@ -374,10 +510,6 @@ fn adorned_name(pred: &str, adornment: &str) -> String {
 
 fn magic_name(pred: &str, adornment: &str) -> String {
     format!("__mg_{adornment}__{pred}")
-}
-
-fn edb_name(pred: &str) -> String {
-    format!("__edb__{pred}")
 }
 
 /// The binding pattern of an atom under a set of bound variables: `b`
@@ -404,8 +536,23 @@ fn bound_terms(terms: &[Term], adornment: &str) -> Vec<Term> {
 
 struct Rewriter<'p> {
     program: &'p Program,
+    /// Predicates whose relations may hold base facts.
+    base: &'p HashSet<SymId>,
     clauses_by_pred: HashMap<SymId, Vec<&'p Clause>>,
     adornable: HashSet<SymId>,
+    /// Adornable predicates whose adorned relations depend on an adorned
+    /// negation. Their literals pass no bindings sideways: a demand rule
+    /// whose prefix read one would make the demand below a negation
+    /// depend on its result — a cycle through negation wherever the
+    /// same predicate and pattern are demanded on both sides of it (in
+    /// the reduction, `dominate(C, u)` after a cautious belief and
+    /// `dominate(C, C2)` inside `beaten`). Magic predicates then only
+    /// ever depend on negation-free relations, so the rewrite of a
+    /// stratified program stays stratified.
+    tainted: HashSet<SymId>,
+    /// Whether negated literals without existential variables are
+    /// adorned.
+    adorn_negation: bool,
     out: Vec<Clause>,
     /// Rendered-clause dedup (identical demand rules arise repeatedly).
     seen: HashSet<String>,
@@ -413,8 +560,9 @@ struct Rewriter<'p> {
     done: HashSet<(SymId, String)>,
     /// Predicates whose original cones are included verbatim.
     plain: HashSet<SymId>,
-    edb_done: HashSet<SymId>,
-    magic_preds: Vec<String>,
+    /// Negated predicates included verbatim.
+    negated_plain: Vec<SymId>,
+    magic_preds: Vec<SymId>,
 }
 
 impl Rewriter<'_> {
@@ -427,7 +575,8 @@ impl Rewriter<'_> {
     /// Record demand for `(pred, adornment)`, scheduling its rules.
     fn demand(&mut self, pred: SymId, adornment: String) {
         if self.done.insert((pred, adornment.clone())) {
-            self.magic_preds.push(magic_name(pred.as_str(), &adornment));
+            self.magic_preds
+                .push(SymId::intern(&magic_name(pred.as_str(), &adornment)));
             self.queue.push_back((pred, adornment));
         }
     }
@@ -456,15 +605,34 @@ impl Rewriter<'_> {
         }
     }
 
+    /// Adorn `atom` under `bound`: emit its demand rule from `prefix`,
+    /// schedule the adornment, and return the renamed atom.
+    fn adorn(&mut self, atom: &Atom, bound: &HashSet<String>, prefix: &[Literal]) -> Atom {
+        let adornment = adornment_of(atom, bound);
+        let magic_head = Atom::new(
+            magic_name(atom.predicate.as_str(), &adornment),
+            bound_terms(&atom.terms, &adornment),
+        );
+        self.push_demand(magic_head, prefix);
+        let renamed = Atom::new(
+            adorned_name(atom.predicate.as_str(), &adornment),
+            atom.terms.clone(),
+        );
+        self.demand(atom.predicate, adornment);
+        renamed
+    }
+
     /// Rewrite one rule body left-to-right: adorn positive derived
-    /// literals, emit their demand rules from the prefix accumulated so
-    /// far, and return the rewritten body for the guarded rule.
+    /// literals and negated ones without existential variables, emit
+    /// their demand rules from the prefix accumulated so far, and return
+    /// the rewritten body for the guarded rule.
     ///
     /// `prefix` holds the literals every demand rule may assume — the
     /// guarding magic literal plus the prefix literals that are safe on
-    /// their own (comparisons and arithmetic whose operands a demand rule
-    /// cannot yet bind are *dropped* from prefixes, which only widens the
-    /// demand and stays sound).
+    /// their own — and `bound` the variables they bind. Comparisons and
+    /// arithmetic whose operands a demand rule cannot yet bind, adorned
+    /// negations, and tainted literals are *dropped* from prefixes,
+    /// which only widens the demand and stays sound.
     fn process_body(
         &mut self,
         body: &[Literal],
@@ -472,33 +640,32 @@ impl Rewriter<'_> {
         mut prefix: Vec<Literal>,
     ) -> Vec<Literal> {
         let mut out = Vec::with_capacity(body.len());
-        for lit in body {
+        for (lit, single) in body.iter().zip(single_tuple_negations(body)) {
             match lit {
-                Literal::Pos(a) => {
-                    if self.adornable.contains(&a.predicate) {
-                        let adornment = adornment_of(a, &bound);
-                        let magic_head = Atom::new(
-                            magic_name(a.predicate.as_str(), &adornment),
-                            bound_terms(&a.terms, &adornment),
-                        );
-                        self.push_demand(magic_head, &prefix);
-                        self.demand(a.predicate, adornment.clone());
-                        let renamed = Atom::new(
-                            adorned_name(a.predicate.as_str(), &adornment),
-                            a.terms.clone(),
-                        );
+                Literal::Pos(a) if self.adornable.contains(&a.predicate) => {
+                    let renamed = self.adorn(a, &bound, &prefix);
+                    if !self.tainted.contains(&a.predicate) {
                         prefix.push(Literal::Pos(renamed.clone()));
-                        out.push(Literal::Pos(renamed));
-                    } else {
-                        self.include_plain(a.predicate);
-                        prefix.push(lit.clone());
-                        out.push(lit.clone());
+                        bound.extend(a.variables().map(str::to_owned));
                     }
-                    for v in a.variables() {
-                        bound.insert(v.to_owned());
-                    }
+                    out.push(Literal::Pos(renamed));
+                }
+                Literal::Pos(a) => {
+                    self.include_plain(a.predicate);
+                    prefix.push(lit.clone());
+                    bound.extend(a.variables().map(str::to_owned));
+                    out.push(lit.clone());
+                }
+                Literal::Neg(a)
+                    if self.adorn_negation && single && self.adornable.contains(&a.predicate) =>
+                {
+                    let renamed = self.adorn(a, &bound, &prefix);
+                    out.push(Literal::Neg(renamed));
                 }
                 Literal::Neg(a) => {
+                    if !self.plain.contains(&a.predicate) {
+                        self.negated_plain.push(a.predicate);
+                    }
                     self.include_plain(a.predicate);
                     prefix.push(lit.clone());
                     out.push(lit.clone());
@@ -548,7 +715,7 @@ impl Rewriter<'_> {
         self.push(clause);
     }
 
-    /// Specialize every clause of `pred` for one demanded adornment.
+    /// Specialize every rule of `pred` for one demanded adornment.
     fn emit_adorned(&mut self, pred: SymId, adornment: &str) {
         let Some(clauses) = self.clauses_by_pred.get(&pred).cloned() else {
             return;
@@ -556,22 +723,18 @@ impl Rewriter<'_> {
         let arity = clauses[0].head.arity();
         let magic = magic_name(pred.as_str(), adornment);
         let adorned = adorned_name(pred.as_str(), adornment);
-        if clauses.iter().any(|c| c.is_fact()) {
-            self.emit_edb(pred, &clauses);
-            // Bridge the shared fact copy into this adornment, filtered
-            // by demand.
+        if self.base.contains(&pred) {
+            // Bridge the predicate's base facts into this adornment,
+            // filtered by demand.
             let vars: Vec<Term> = (0..arity).map(|i| Term::var(format!("X{i}"))).collect();
             let magic_lit = Literal::Pos(Atom::new(&magic, bound_terms(&vars, adornment)));
             let body = vec![
                 magic_lit,
-                Literal::Pos(Atom::new(edb_name(pred.as_str()), vars.clone())),
+                Literal::Pos(Atom::new(pred.as_str(), vars.clone())),
             ];
             self.push(Clause::new(Atom::new(&adorned, vars), body));
         }
         for c in clauses {
-            if c.is_fact() {
-                continue;
-            }
             let magic_lit = Literal::Pos(Atom::new(&magic, bound_terms(&c.head.terms, adornment)));
             let init_bound: HashSet<String> = bound_terms(&c.head.terms, adornment)
                 .iter()
@@ -584,21 +747,6 @@ impl Rewriter<'_> {
             self.push(
                 Clause::new(Atom::new(&adorned, c.head.terms.clone()), body).with_span(c.span),
             );
-        }
-    }
-
-    /// Emit `__edb__pred` copies of `pred`'s fact clauses, once.
-    fn emit_edb(&mut self, pred: SymId, clauses: &[&Clause]) {
-        if !self.edb_done.insert(pred) {
-            return;
-        }
-        for c in clauses {
-            if c.is_fact() {
-                self.push(Clause::fact(Atom::new(
-                    edb_name(pred.as_str()),
-                    c.head.terms.clone(),
-                )));
-            }
         }
     }
 }
@@ -615,26 +763,67 @@ mod tests {
         path(X, Z) :- path(X, Y), edge(Y, Z).
     ";
 
+    /// A program's rules, its facts as a database, and the predicates
+    /// carrying facts: the inputs of [`prepare`].
+    fn split(src: &str) -> (Program, Database, HashSet<SymId>) {
+        let p = parse_program(src).unwrap();
+        let mut db = Database::new();
+        let mut base = HashSet::new();
+        let mut rules = Vec::new();
+        for c in p.clauses() {
+            if c.is_fact() {
+                db.insert_id(c.head.predicate, c.head.as_fact().unwrap());
+                base.insert(c.head.predicate);
+            } else {
+                rules.push(c.clone());
+            }
+        }
+        (Program::from_clauses(rules).unwrap(), db, base)
+    }
+
+    /// Prepare `goal` over `src` with the given negation treatments and
+    /// run it.
+    fn run_with(src: &str, goal: &str, adorn_negation: &[bool]) -> (QueryAnswer, DemandStats) {
+        let (rules, db, base) = split(src);
+        let goal = parse_query(goal).unwrap();
+        let plan = prepare_with(&rules, &base, &goal, &db, adorn_negation).expect("prepares");
+        let (_, params) = prepared_key(&goal);
+        let (answers, stats) = Engine::for_prepared(&plan)
+            .run_prepared(db, &params)
+            .unwrap();
+        (answers, stats.demand.unwrap())
+    }
+
     #[test]
     fn bound_goal_rewrites() {
-        let p = parse_program(CHAIN).unwrap();
+        let (rules, db, base) = split(CHAIN);
         let goal = parse_query("path(a, X)").unwrap();
-        let m = rewrite(&p, &goal).expect("bound goal must rewrite");
-        assert!(m.adorned_predicates >= 1);
-        assert!(m.magic_predicates.iter().any(|name| name.contains("path")));
-        let db = Engine::new(&m.program).unwrap().run().unwrap();
-        let answers = m.answers(&db);
+        let plan = prepare(&rules, &base, &goal, &db).expect("bound goal must rewrite");
+        assert!(plan.adorned_predicates >= 1);
+        assert!(plan
+            .magic_predicates
+            .iter()
+            .any(|name| name.as_str().contains("path")));
+        let (_, params) = prepared_key(&goal);
+        let engine = Engine::for_prepared(&plan);
+        let (answers, _) = engine.run_prepared(db.clone(), &params).unwrap();
         // Only paths from `a`; the x→y component is never demanded.
         assert_eq!(answers.len(), 3);
-        assert!(db.relation("path").is_none(), "original name not used");
+        assert!(
+            plan.program()
+                .clauses()
+                .iter()
+                .all(|c| c.head.predicate.as_str() != "path"),
+            "original name not derived"
+        );
     }
 
     #[test]
     fn unbound_goal_degenerates() {
-        let p = parse_program(CHAIN).unwrap();
+        let (rules, db, base) = split(CHAIN);
         let goal = parse_query("path(X, Y)").unwrap();
         assert!(!goal_binds_arguments(&goal));
-        assert!(rewrite(&p, &goal).is_none());
+        assert!(prepare(&rules, &base, &goal, &db).is_none());
     }
 
     #[test]
@@ -691,16 +880,28 @@ mod tests {
             n(0).
             n(M) :- n(N), N < 5, M = N + 1.
         ";
-        let p = parse_program(src).unwrap();
+        let (rules, db, base) = split(src);
         let goal = parse_query("n(3)").unwrap();
-        let m = rewrite(&p, &goal).expect("ground goal rewrites");
-        assert!(m
-            .program
-            .predicates()
+        let plan = prepare(&rules, &base, &goal, &db).expect("ground goal rewrites");
+        // The base facts of `n` reach its adorned variant through one
+        // guarded bridge rule reading the base relation itself.
+        let bridges: Vec<&Clause> = plan
+            .program()
+            .clauses()
             .iter()
-            .any(|p| p.starts_with("__edb__")));
-        let db = Engine::new(&m.program).unwrap().run().unwrap();
-        assert!(m.answers(&db).is_success());
+            .filter(|c| c.head.predicate.as_str().starts_with("__ad_"))
+            .filter(|c| {
+                c.body
+                    .iter()
+                    .any(|l| matches!(l, Literal::Pos(a) if a.predicate.as_str() == "n"))
+            })
+            .collect();
+        assert!(!bridges.is_empty(), "{}", plan.program());
+        let (_, params) = prepared_key(&goal);
+        let (answers, _) = Engine::for_prepared(&plan)
+            .run_prepared(db, &params)
+            .unwrap();
+        assert!(answers.is_success());
     }
 
     #[test]
@@ -718,42 +919,129 @@ mod tests {
     fn prepared_rewrite_replays_across_constants() {
         let p = parse_program(CHAIN).unwrap();
         let full = Engine::new(&p).unwrap().run().unwrap();
-        // Same binding pattern, different constants: one prepared rewrite
+        let (rules, db, base) = split(CHAIN);
+        // Same binding pattern, different constants: one prepared plan
         // answers all of them.
         let first = parse_query("path(a, X)").unwrap();
-        let prep = prepare(&p, &first).expect("bound goal prepares");
-        assert_eq!(prep.params(), 1);
+        let prep = prepare(&rules, &base, &first, &db).expect("bound goal prepares");
+        assert_eq!(prep.params, 1);
         for start in ["a", "b", "x"] {
             let goal = parse_query(&format!("path({start}, X)")).unwrap();
             let (key, consts) = prepared_key(&goal);
             assert_eq!(key, prepared_key(&first).0, "same pattern, same key");
-            let m = prep.instantiate(&consts).expect("instantiate");
-            let db = Engine::new(&m.program).unwrap().run().unwrap();
-            let got: Vec<_> = m
-                .answers(&db)
-                .answers
-                .iter()
-                .map(|b| b.get("X").copied().unwrap())
-                .collect();
-            let expect: Vec<_> = run_query(&full, &goal)
-                .unwrap()
-                .answers
-                .iter()
-                .map(|b| b.get("X").copied().unwrap())
-                .collect();
-            assert_eq!(got, expect, "start {start}");
+            let (got, _) = Engine::for_prepared(&prep)
+                .run_prepared(db.clone(), &consts)
+                .unwrap();
+            assert_eq!(got, run_query(&full, &goal).unwrap(), "start {start}");
         }
         // A different pattern (or variable naming) keys differently.
         let other = parse_query("path(X, a)").unwrap();
         assert_ne!(prepared_key(&other).0, prepared_key(&first).0);
-        // Arity mismatch at instantiation is refused.
-        assert!(prep.instantiate(&[]).is_none());
+        // Arity mismatch at run time is refused.
+        let err = Engine::for_prepared(&prep).run_prepared(db, &[]);
+        assert!(matches!(
+            err,
+            Err(crate::DatalogError::ArityMismatch { .. })
+        ));
     }
 
     #[test]
     fn prepare_refuses_unbound_goals() {
-        let p = parse_program(CHAIN).unwrap();
+        let (rules, db, base) = split(CHAIN);
         let goal = parse_query("path(X, Y)").unwrap();
-        assert!(prepare(&p, &goal).is_none());
+        assert!(prepare(&rules, &base, &goal, &db).is_none());
+    }
+
+    /// `not blocked(X)` sits inside `reach`'s recursion. Passing the
+    /// recursive `reach(Y)` sideways into `blocked`'s demand would close
+    /// a cycle through the negation (`reach` → `not blocked` → demand for
+    /// `blocked` → `reach`); because `reach` depends on an adorned
+    /// negation, its literals pass no bindings, so the demand for
+    /// `blocked` comes from `edge` alone and the rewrite stratifies with
+    /// the negation adorned.
+    const BLOCKED_REACH: &str = "
+        source(n0).
+        edge(n0, n1). edge(n1, n2). edge(n2, n2). edge(n2, n3). edge(n1, n4).
+        edge(n4, n5). edge(n5, n5). edge(n5, n6). edge(n9, n8).
+        blocked(X) :- edge(X, X).
+        reach(X) :- source(X).
+        reach(X) :- reach(Y), edge(Y, X), not blocked(X).
+    ";
+
+    #[test]
+    fn negation_inside_recursion_is_adorned_without_a_cycle() {
+        let (rules, db, base) = split(BLOCKED_REACH);
+        let goal = parse_query("reach(n3)").unwrap();
+        let plan = prepare_with(&rules, &base, &goal, &db, &[true]).expect("stratifies adorned");
+        assert_eq!(plan.plain_under_negation, 0);
+        let blocked_demand: Vec<&Clause> = plan
+            .program()
+            .clauses()
+            .iter()
+            .filter(|c| c.head.predicate.as_str().starts_with("__mg_b__blocked"))
+            .collect();
+        assert!(!blocked_demand.is_empty(), "{}", plan.program());
+        for c in blocked_demand {
+            let reads_reach = c.body.iter().any(|l| {
+                l.atom().is_some_and(|a| {
+                    let p = a.predicate.as_str();
+                    p.starts_with("__ad_") && p.ends_with("__reach")
+                })
+            });
+            assert!(
+                !reads_reach,
+                "demand for blocked reads reach's results: {c}"
+            );
+        }
+        let program = parse_program(BLOCKED_REACH).unwrap();
+        let full = Engine::new(&program).unwrap().run().unwrap();
+        for n in 0..10 {
+            let goal = parse_query(&format!("reach(n{n})")).unwrap();
+            let (got, stats) = Engine::new(&program).unwrap().run_for_goal(&goal).unwrap();
+            assert_eq!(got, run_query(&full, &goal).unwrap(), "reach(n{n})");
+            let demand = stats.demand.unwrap();
+            assert_eq!((demand.strategy, demand.plain_under_negation), ("magic", 0));
+        }
+    }
+
+    /// The cautious-belief shape of the reduction's axioms: a value is
+    /// believed when it is visible and no visible rival for the same key
+    /// dominates its classification.
+    fn cautious_source(keys: usize) -> String {
+        let mut src = String::from("dom(c0, c1). dom(c1, c2). dom(c0, c2).\n");
+        for k in 0..keys {
+            for (v, c) in [(0, 0), (1, 1), (2, k % 3)] {
+                src.push_str(&format!("cell(k{k}, v{v}, c{c}).\n"));
+            }
+        }
+        src.push_str(
+            "visible(K, V, C) :- cell(K, V, C).\n\
+             beaten(K, C) :- visible(K, V, C), visible(K, V2, C2), dom(C, C2), C != C2.\n\
+             believed(K, V, C) :- visible(K, V, C), not beaten(K, C).\n",
+        );
+        src
+    }
+
+    #[test]
+    fn bound_negation_is_adorned_and_materializes_less() {
+        let src = cautious_source(40);
+        let program = parse_program(&src).unwrap();
+        let full = Engine::new(&program).unwrap().run().unwrap();
+        for k in [0, 1, 2, 17] {
+            let goal_src = format!("believed(k{k}, V, C)");
+            let expect = run_query(&full, &parse_query(&goal_src).unwrap()).unwrap();
+            let (adorned, adorned_stats) = run_with(&src, &goal_src, &[true]);
+            let (plain, plain_stats) = run_with(&src, &goal_src, &[false]);
+            assert_eq!(adorned, expect, "{goal_src}");
+            assert_eq!(plain, expect, "{goal_src}");
+            assert_eq!(adorned_stats.plain_under_negation, 0);
+            assert_eq!(plain_stats.plain_under_negation, 2, "beaten and visible");
+            assert!(
+                adorned_stats.facts_materialized < plain_stats.facts_materialized,
+                "{goal_src}: adorned {} vs plain {}",
+                adorned_stats.facts_materialized,
+                plain_stats.facts_materialized
+            );
+        }
     }
 }

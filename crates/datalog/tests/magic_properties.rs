@@ -48,6 +48,9 @@ fn goal_source(kind: usize, k: usize) -> String {
         5 => format!("edge(n{k}, X), path(X, Y)"),
         6 => format!("succ({k}, M)"),
         7 => format!("path(n{k}, n{})", (k + 1) % 6),
+        // Negations of derived predicates in the goal itself, adorned.
+        8 => format!("path(n{k}, X), not path(X, n{k})"),
+        9 => format!("node(X), not unreach(n{k}, X), not two(X, n{k})"),
         // Binds nothing: exercises the cone fallback.
         _ => "two(X, Y), not unreach(X, Y)".to_owned(),
     }
@@ -59,7 +62,7 @@ proptest! {
     #[test]
     fn magic_equals_full(
         edges in collection::vec((0usize..6, 0usize..6), 0..16),
-        kind in 0usize..9,
+        kind in 0usize..11,
         k in 0usize..6,
     ) {
         let program = random_program(&edges);
@@ -83,6 +86,9 @@ proptest! {
             "demand materialized {} > full {}",
             demand.facts_materialized, full.fact_count()
         );
+        // Every negation here binds all its variables, so none is left
+        // plain: the adorned rewrite always stratified.
+        prop_assert_eq!(demand.plain_under_negation, 0, "goal `{}`", goal_source(kind, k));
 
         let (threaded, _) = Engine::new(&program)
             .unwrap()

@@ -1,10 +1,35 @@
 //! The MultiLog abstract syntax: terms, the five atom kinds, molecules,
 //! clauses, and goals, with source spans for diagnostics.
 
+use std::collections::HashSet;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
 use multilog_datalog::Aggregate;
+
+/// `text` as a shared name: one allocation per distinct text, so the
+/// terms and atoms of a database and of every goal parsed against it
+/// (each `data`, `l0`, `V`) share their names instead of each holding a
+/// copy. The table only grows, like the Datalog symbol table the same
+/// names are interned into.
+pub(crate) fn shared_name(text: &str) -> Arc<str> {
+    static NAMES: OnceLock<RwLock<HashSet<Arc<str>>>> = OnceLock::new();
+    let names = NAMES.get_or_init(RwLock::default);
+    if let Some(name) = names
+        .read()
+        .unwrap_or_else(PoisonError::into_inner)
+        .get(text)
+    {
+        return Arc::clone(name);
+    }
+    let mut names = names.write().unwrap_or_else(PoisonError::into_inner);
+    if let Some(name) = names.get(text) {
+        return Arc::clone(name);
+    }
+    let name: Arc<str> = Arc::from(text);
+    names.insert(Arc::clone(&name));
+    name
+}
 
 /// A source position (1-based line and column) recorded by the parser on
 /// every clause, so lints and errors can point at the offending source.
@@ -79,12 +104,12 @@ pub enum Term {
 impl Term {
     /// Construct a variable.
     pub fn var(name: impl AsRef<str>) -> Self {
-        Term::Var(Arc::from(name.as_ref()))
+        Term::Var(shared_name(name.as_ref()))
     }
 
     /// Construct a symbol.
     pub fn sym(name: impl AsRef<str>) -> Self {
-        Term::Sym(Arc::from(name.as_ref()))
+        Term::Sym(shared_name(name.as_ref()))
     }
 
     /// Whether the term is a variable.

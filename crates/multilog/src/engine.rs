@@ -20,7 +20,7 @@
 //! [`MultiLogError::NotBeliefStratified`].
 
 use std::cell::Cell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -45,7 +45,77 @@ pub struct PFact {
 }
 
 /// One answer to a goal: variable → ground term, sorted by name.
-pub type Answer = BTreeMap<String, Term>;
+///
+/// A sorted list of bindings, not a map: a goal binds a handful of
+/// variables, and callers keep answers around (reader sessions, oracles
+/// comparing engines), where a `BTreeMap` would cost a ~0.5 KB node per
+/// answer. Ordering and equality are those of the sorted
+/// `(variable, term)` sequence, as for a map.
+#[derive(Clone, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct Answer(Vec<(Arc<str>, Term)>);
+
+impl Answer {
+    /// An answer binding no variable (the answer to a ground goal).
+    pub fn new() -> Self {
+        Answer::default()
+    }
+
+    /// An empty answer with room for `n` bindings.
+    pub fn with_capacity(n: usize) -> Self {
+        Answer(Vec::with_capacity(n))
+    }
+
+    /// Bind `var` to `term`, returning the binding it replaces.
+    pub fn insert(&mut self, var: impl Into<Arc<str>>, term: Term) -> Option<Term> {
+        let var = var.into();
+        match self.0.binary_search_by(|(v, _)| v.as_ref().cmp(&var)) {
+            Ok(i) => Some(std::mem::replace(&mut self.0[i].1, term)),
+            Err(i) => {
+                self.0.insert(i, (var, term));
+                None
+            }
+        }
+    }
+
+    /// The term bound to `var`.
+    pub fn get(&self, var: &str) -> Option<&Term> {
+        let i = self.0.binary_search_by(|(v, _)| v.as_ref().cmp(var)).ok()?;
+        Some(&self.0[i].1)
+    }
+
+    /// Number of bound variables.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether no variable is bound.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The bindings in variable-name order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &Term)> {
+        self.0.iter().map(|(v, t)| (v.as_ref(), t))
+    }
+}
+
+impl std::ops::Index<&str> for Answer {
+    type Output = Term;
+
+    /// # Panics
+    ///
+    /// If `var` is not bound.
+    fn index(&self, var: &str) -> &Term {
+        self.get(var)
+            .unwrap_or_else(|| panic!("variable `{var}` is not bound in this answer"))
+    }
+}
+
+impl fmt::Debug for Answer {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
 
 /// How a stored fact was derived; used to rebuild proof trees.
 #[derive(Clone, Debug)]
@@ -369,7 +439,7 @@ impl MultiLogEngine {
             for atom in goal {
                 for v in atom.variables() {
                     if let Some(t) = env.get(v) {
-                        a.insert(v.to_owned(), t.clone());
+                        a.insert(v, t.clone());
                     }
                 }
             }

@@ -21,11 +21,9 @@
 //! fresh variable. `%` starts a line comment. Molecular heads desugar to
 //! one clause per field; molecular body atoms desugar to conjunctions.
 
-use std::sync::Arc;
-
 use multilog_datalog::{AggFunc, Aggregate};
 
-use crate::ast::{Atom, Clause, Goal, Head, MMolecule, PAtom, Span, Term};
+use crate::ast::{shared_name, Atom, Clause, Goal, Head, MMolecule, PAtom, Span, Term};
 use crate::db::MultiLogDb;
 use crate::{MultiLogError, Result};
 
@@ -87,11 +85,13 @@ pub fn parse_goal(src: &str) -> Result<Goal> {
     if p.peek_is(&Tok::Arrow) {
         p.advance();
     }
-    let g = p.body()?;
+    let mut g = p.body()?;
     if p.peek_is(&Tok::Dot) {
         p.advance();
     }
     p.expect_end()?;
+    // Callers often keep goals (sessions, oracles); drop the growth slack.
+    g.shrink_to_fit();
     Ok(g)
 }
 
@@ -306,7 +306,7 @@ impl Parser {
         }
         Ok((
             PAtom {
-                pred: Arc::from(pred.as_str()),
+                pred: shared_name(&pred),
                 args,
             },
             agg,
@@ -382,7 +382,7 @@ impl Parser {
             }
             self.expect(&Tok::RParen, "`)`")?;
             out.push(Atom::P(PAtom {
-                pred: Arc::from(format!("@{name}").as_str()),
+                pred: shared_name(&format!("@{name}")),
                 args,
             }));
             return Ok(());
@@ -403,7 +403,7 @@ impl Parser {
                     _ => return Err(self.err("expected belief mode after `<<`")),
                 };
                 for a in mol.atoms() {
-                    out.push(Atom::B(a, Arc::from(mode.as_str())));
+                    out.push(Atom::B(a, shared_name(&mode)));
                 }
             } else {
                 for a in mol.atoms() {
@@ -447,7 +447,7 @@ impl Parser {
             let class = self.term_or_dontcare()?;
             self.expect(&Tok::RArrow, "`->`")?;
             let value = self.term()?;
-            fields.push((Arc::from(attr.as_str()), class, value));
+            fields.push((shared_name(&attr), class, value));
             if self.peek_is(&Tok::Semi) {
                 self.advance();
             } else {
@@ -458,7 +458,7 @@ impl Parser {
         self.expect(&Tok::RBracket, "`]`")?;
         Ok(MMolecule {
             level,
-            pred: Arc::from(pred.as_str()),
+            pred: shared_name(&pred),
             key,
             fields,
         })
@@ -483,7 +483,7 @@ impl Parser {
             self.expect(&Tok::RParen, "`)`")?;
         }
         Ok(PAtom {
-            pred: Arc::from(pred.as_str()),
+            pred: shared_name(&pred),
             args,
         })
     }

@@ -47,14 +47,14 @@
 //! Theorem 6.1 (equivalence with the operational semantics) is exercised
 //! by `tests/equivalence.rs` at the workspace root.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use multilog_datalog as dl;
 use multilog_lattice::SecurityLattice;
 
-use crate::ast::{Atom, Clause, Goal, Head, MAtom, PAtom, Term};
+use crate::ast::{shared_name, Atom, Clause, Goal, Head, MAtom, PAtom, Term};
 use crate::belief::Mode;
 use crate::db::MultiLogDb;
 use crate::engine::{Answer, EngineOptions};
@@ -112,6 +112,29 @@ pub struct ReducedEngine {
     cancel: Option<dl::CancelToken>,
     /// Lattice-flow demand pruning ([`EngineOptions::flow_prune`]).
     prune: Option<FlowPrune>,
+    /// Prepared demand plans and the base snapshot they run over.
+    demand: Mutex<DemandCache>,
+}
+
+/// What demand goals ([`ReducedEngine::solve_demand`]) reuse: the
+/// flow-pruned rules, one prepared magic plan per goal shape, and a
+/// snapshot of the base relations. The reduced engine's rules never
+/// change, so plans stay valid across commits; they are dropped only
+/// when flow pruning's `tainted` flag flips, which changes the rules.
+#[derive(Default)]
+struct DemandCache {
+    /// The `tainted` flag the rules and plans were built under.
+    tainted: bool,
+    /// The flow-pruned rules and how many clauses pruning dropped.
+    rules: Option<(Arc<dl::Program>, usize)>,
+    /// Plans by [`dl::magic::prepared_key`]; `None` for shapes without a
+    /// magic rewrite, which fall back to cone evaluation.
+    plans: HashMap<String, Option<Arc<dl::PreparedMagic>>>,
+    /// The base relations with every column a plan probes sealed; taken
+    /// when a commit changes the base and rebuilt by the next goal.
+    snapshot: Option<dl::Database>,
+    /// The columns sealed in the snapshot, to seal again on a rebuild.
+    sealed: Vec<(dl::SymId, usize)>,
 }
 
 /// Demand-pruning state: the static flow analysis of the source
@@ -214,9 +237,13 @@ impl ReducedEngine {
         let prune = if options.flow_prune && !(db.lambda().is_empty() && db.sigma().is_empty()) {
             let report = crate::flow::analyze_db(db);
             // Σ and Π images follow Λ's in the one translation pass.
+            // Facts are never prunable; only rules are kept.
             let images = &program.clauses()[db.lambda().len()..axioms_at];
-            let rules = db.sigma().iter().chain(db.pi()).cloned();
-            let rules = rules.zip(images.iter().cloned()).collect();
+            let rules = db.sigma().iter().chain(db.pi()).zip(images);
+            let rules = rules
+                .filter(|(c, _)| !c.is_fact())
+                .map(|(c, t)| (c.clone(), t.clone()))
+                .collect();
             let mut machinery = HashSet::new();
             if level_split {
                 if let Some(u) = lattice.label(user) {
@@ -264,6 +291,7 @@ impl ReducedEngine {
             deadline: options.deadline,
             cancel: options.cancel,
             prune,
+            demand: Mutex::default(),
         })
     }
 
@@ -321,6 +349,12 @@ impl ReducedEngine {
         if let Some(p) = self.prune.as_mut() {
             p.tainted = true;
         }
+        // The base changes (or, on a failed commit, is restored): the
+        // next demand goal rebuilds the snapshot.
+        self.demand
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .snapshot = None;
         self.incremental.begin()?;
         for (insert, pred, fact) in encoded {
             let staged = if insert {
@@ -390,15 +424,21 @@ impl ReducedEngine {
     }
 
     /// Solve a MultiLog goal demand-driven: instead of reading the
-    /// materialized fixpoint, rewrite the translated program with the
-    /// magic-sets transformation seeded from the goal's constants (the
-    /// predicate name, key, and the user's clearance level in the
-    /// appended `dominate` guards all bind arguments after the τ
-    /// encoding) and evaluate only the demanded sub-fixpoint. Answers
-    /// equal [`ReducedEngine::solve`]; the win is that for point queries
-    /// only a fraction of the belief relations is computed — and no
+    /// materialized fixpoint, evaluate a magic-sets plan seeded from the
+    /// goal's constants (the predicate name, key, and the user's
+    /// clearance level in the appended `dominate` guards all bind
+    /// arguments after the τ encoding) over the base facts, computing
+    /// only the demanded sub-fixpoint. Answers equal
+    /// [`ReducedEngine::solve`]; the win is that for point queries only a
+    /// fraction of the belief relations is computed — and no
     /// materialization is required at all (see
     /// [`ReducedEngine::with_options_deferred`]).
+    ///
+    /// The plan is prepared once per goal shape and reused for every
+    /// goal of that shape; the base facts are read through a shared
+    /// snapshot rebuilt once after each commit. A goal whose shape has a
+    /// plan therefore does no work proportional to the program or the
+    /// base, beyond what its demand reaches.
     pub fn solve_demand(&self, goal: &Goal) -> Result<Vec<Answer>> {
         Ok(self.solve_demand_with_stats(goal)?.0)
     }
@@ -409,21 +449,23 @@ impl ReducedEngine {
     /// materialized.
     pub fn solve_demand_with_stats(&self, goal: &Goal) -> Result<(Vec<Answer>, dl::EvalStats)> {
         let body = translate_goal(goal, &self.user)?;
-        let program = self
-            .incremental
-            .current_program()
-            .map_err(MultiLogError::Datalog)?;
-        let (program, pruned_rules) = self.pruned_program(program);
-        let mut engine = dl::Engine::new(&program)?.with_fact_limit(self.fact_limit);
-        if let Some(d) = self.deadline {
-            engine = engine.with_deadline(d);
-        }
-        if let Some(c) = &self.cancel {
-            engine = engine.with_cancel_token(c.clone());
-        }
+        let (shape, params) = dl::magic::prepared_key(&body);
+        let (plan, edb, pruned_rules) = self.demand_plan(shape, &body)?;
         // Guard trips convert through `From<DatalogError>`, surfacing the
         // same typed errors as a full materialization would.
-        let (answers, mut stats) = engine.run_for_goal(&body)?;
+        let (answers, mut stats) = match &plan {
+            Some(plan) => self
+                .guarded(dl::Engine::for_prepared(plan))
+                .run_prepared(edb, &params)?,
+            // No magic rewrite for this shape: evaluate the goal's cone
+            // of the whole (pruned) program.
+            None => {
+                let program = self.incremental.current_program()?;
+                let (program, _) = self.pruned_program(program);
+                self.guarded(dl::Engine::new(&program)?)
+                    .run_for_goal(&body)?
+            }
+        };
         if let Some(d) = stats.demand.as_mut() {
             d.pruned_rules = pruned_rules;
         }
@@ -433,6 +475,74 @@ impl ReducedEngine {
     /// Parse and solve a textual MultiLog goal demand-driven.
     pub fn solve_text_demand(&self, goal: &str) -> Result<Vec<Answer>> {
         self.solve_demand(&crate::parser::parse_goal(goal)?)
+    }
+
+    /// `engine` under this engine's guards.
+    fn guarded<'p>(&self, engine: dl::Engine<'p>) -> dl::Engine<'p> {
+        let mut engine = engine.with_fact_limit(self.fact_limit);
+        if let Some(d) = self.deadline {
+            engine = engine.with_deadline(d);
+        }
+        if let Some(c) = &self.cancel {
+            engine = engine.with_cancel_token(c.clone());
+        }
+        engine
+    }
+
+    /// The cached plan for `body`'s `shape` (its `prepared_key`),
+    /// prepared on first use, a clone of the base snapshot to run it
+    /// over, and how many clauses flow pruning dropped from the rules.
+    fn demand_plan(
+        &self,
+        shape: String,
+        body: &[dl::Literal],
+    ) -> Result<(Option<Arc<dl::PreparedMagic>>, dl::Database, usize)> {
+        let mut cache = self.demand.lock().unwrap_or_else(PoisonError::into_inner);
+        let cache = &mut *cache;
+        let tainted = self.prune.as_ref().is_some_and(|p| p.tainted);
+        if cache.tainted != tainted {
+            cache.tainted = tainted;
+            cache.rules = None;
+            cache.plans.clear();
+        }
+        let (rules, pruned) = match &cache.rules {
+            Some(rules) => rules.clone(),
+            None => {
+                let rules = dl::Program::from_clauses(self.incremental.rules().to_vec())?;
+                let (rules, pruned) = self.pruned_program(rules);
+                cache.rules.insert((Arc::new(rules), pruned)).clone()
+            }
+        };
+        let snapshot = cache.snapshot.get_or_insert_with(|| {
+            let mut db = self.incremental.base_database();
+            db.seal_indexes(&cache.sealed);
+            db
+        });
+        let plan = cache.plans.entry(shape).or_insert_with(|| {
+            // Every relation a commit can write holds base facts, so a
+            // plan prepared before its first fact still reads it.
+            let mut base: HashSet<dl::SymId> =
+                snapshot.predicates().map(dl::SymId::intern).collect();
+            base.extend(self.update_targets());
+            let plan = dl::magic::prepare(&rules, &base, body, snapshot)?;
+            snapshot.seal_indexes(plan.index_needs());
+            cache.sealed.extend_from_slice(plan.index_needs());
+            Some(Arc::new(plan))
+        });
+        Ok((plan.clone(), snapshot.clone(), pruned))
+    }
+
+    /// The predicates [`ReducedEngine::apply_updates`] writes: `rel` or,
+    /// split per level, every `rel_l`.
+    fn update_targets(&self) -> Vec<dl::SymId> {
+        if self.level_split {
+            self.lattice
+                .names()
+                .map(|l| dl::SymId::intern(&leveled("rel", l)))
+                .collect()
+        } else {
+            vec![dl::SymId::intern("rel")]
+        }
     }
 
     /// Drop everything the flow analysis proves invisible at this
@@ -541,23 +651,20 @@ impl GoalTranslator {
 /// MultiLog terms, sorted and deduplicated — the translation may add
 /// guard-only variables that must not leak into the answers.
 fn project_answers(goal: &Goal, answers: &dl::QueryAnswer) -> Vec<Answer> {
-    let goal_vars: Vec<&str> = {
-        let mut vs = Vec::new();
-        for a in goal {
-            for v in a.variables() {
-                if !vs.contains(&v) {
-                    vs.push(v);
-                }
+    let mut goal_vars: Vec<Arc<str>> = Vec::new();
+    for a in goal {
+        for v in a.variables() {
+            if !goal_vars.iter().any(|g| g.as_ref() == v) {
+                goal_vars.push(shared_name(v));
             }
         }
-        vs
-    };
-    let mut out: Vec<Answer> = Vec::new();
+    }
+    let mut out: Vec<Answer> = Vec::with_capacity(answers.answers.len());
     for b in &answers.answers {
-        let mut a: Answer = BTreeMap::new();
+        let mut a = Answer::with_capacity(goal_vars.len());
         for v in &goal_vars {
-            if let Some(c) = b.get(*v) {
-                a.insert((*v).to_owned(), const_to_term(c));
+            if let Some(c) = b.get(v.as_ref()) {
+                a.insert(Arc::clone(v), const_to_term(c));
             }
         }
         out.push(a);
@@ -1100,7 +1207,7 @@ mod tests {
         let db = parse_database(DASHBOARD).unwrap();
         let red = ReducedEngine::new(&db, "s").unwrap();
         let ans = red.solve_text("total(H, N)").unwrap();
-        let by_level: BTreeMap<String, Term> = ans
+        let by_level: std::collections::BTreeMap<String, Term> = ans
             .iter()
             .map(|a| (a["H"].to_string(), a["N"].clone()))
             .collect();
