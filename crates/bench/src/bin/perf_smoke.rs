@@ -35,6 +35,14 @@
 //! * `level_dashboard` — per-clearance `count` aggregates over a
 //!   polyinstantiated `emp` database, reduced and answered end-to-end
 //!   (`total(H, N)`, one row per level, demand path asserted to agree).
+//! * `dashboard_churn` — 20 single-cell `emp` assert/retract commits
+//!   through `ReducedEngine::apply_updates` on the `level_dashboard`
+//!   database at the top level (the top row is asserted to move with
+//!   each commit). Reported as a top-level object with `commit_p50_ms`
+//!   and `strata_recomputed_max`, the most strata any one commit
+//!   recomputed from scratch: an aggregate stratum is recomputed only
+//!   when one of its inputs changed, so only the `bel`/`total` stratum
+//!   may recompute and the figure is at most 1.
 //! * `tc_chain_xl` — transitive closure over a 3150-edge chain (~5M
 //!   derived paths); runs once, last, so the process peak RSS reported
 //!   as `tc_chain_xl_peak_rss_mb` (VmHWM) is attributable to it.
@@ -53,7 +61,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use multilog_bench::workload::{synthetic_multilog, MultiLogSpec};
+use multilog_bench::workload::{
+    synthetic_dashboard, synthetic_multilog, DashboardSpec, MultiLogSpec,
+};
 use multilog_core::ast::{Head, Term};
 use multilog_core::reduce::EdbUpdate;
 use multilog_core::{
@@ -497,9 +507,8 @@ fn run_social_reach(repeat: usize) -> (WorkloadResult, WorkloadResult, f64) {
 /// the materialized fixpoint. Returns the best run plus the row count;
 /// the demand path is asserted to agree once outside the timers.
 fn run_level_dashboard(repeat: usize) -> (WorkloadResult, usize) {
-    let spec = multilog_bench::workload::DashboardSpec::default();
-    let db = parse_database(&multilog_bench::workload::synthetic_dashboard(&spec))
-        .expect("synthetic dashboard parses");
+    let spec = DashboardSpec::default();
+    let db = parse_database(&synthetic_dashboard(&spec)).expect("synthetic dashboard parses");
     let top = format!("l{}", spec.depth - 1);
     let mut best: Option<WorkloadResult> = None;
     let mut rows = 0usize;
@@ -535,6 +544,57 @@ fn run_level_dashboard(repeat: usize) -> (WorkloadResult, usize) {
         );
     }
     (best.expect("repeat >= 1"), rows)
+}
+
+/// What `dashboard_churn` measured over its commits.
+struct DashboardChurnResult {
+    commits: usize,
+    commit_p50_ms: f64,
+    strata_recomputed_max: usize,
+}
+
+/// Commit single-cell `emp` asserts and retracts, alternating, through
+/// `ReducedEngine::apply_updates` on the default dashboard database at
+/// the top level, timing each commit and asserting the top level's
+/// `total` row moves with each one.
+fn run_dashboard_churn() -> DashboardChurnResult {
+    const COMMITS: usize = 20;
+    let spec = DashboardSpec::default();
+    let db = parse_database(&synthetic_dashboard(&spec)).expect("synthetic dashboard parses");
+    let top = format!("l{}", spec.depth - 1);
+    let mut red = ReducedEngine::new(&db, &top).expect("dashboard reduces");
+    let goal = format!("total({top}, N)");
+    let before = red.solve_text(&goal).expect("dashboard goal evaluates");
+    let mut commit_ms = Vec::with_capacity(COMMITS);
+    let mut strata_recomputed_max = 0;
+    for c in 0..COMMITS {
+        let cell = format!("{top}[emp(kchurn : sal -l0-> churn{}) ].", c / 2);
+        let clause = parse_clause(&cell).expect("churn cell parses").remove(0);
+        let Head::M(m) = clause.head else {
+            unreachable!("churn cell is an m-fact");
+        };
+        let update = if c % 2 == 0 {
+            EdbUpdate::Assert(m)
+        } else {
+            EdbUpdate::Retract(m)
+        };
+        let start = Instant::now();
+        let stats = red.apply_updates(&[update]).expect("churn commit applies");
+        commit_ms.push(start.elapsed().as_secs_f64() * 1e3);
+        strata_recomputed_max = strata_recomputed_max.max(stats.strata_recomputed);
+        let now = red.solve_text(&goal).expect("dashboard goal evaluates");
+        assert_eq!(
+            now == before,
+            c % 2 == 1,
+            "the top row moves with each cell"
+        );
+    }
+    commit_ms.sort_by(f64::total_cmp);
+    DashboardChurnResult {
+        commits: COMMITS,
+        commit_p50_ms: commit_ms[COMMITS / 2],
+        strata_recomputed_max,
+    }
 }
 
 /// What the multi-session server did under churn: reader-side query
@@ -1001,6 +1061,8 @@ fn main() {
     // level_dashboard answers per-clearance count aggregates end-to-end
     // through the reduction.
     let (level_dashboard, dashboard_rows) = run_level_dashboard(repeat);
+    // dashboard_churn commits single cells under that aggregate.
+    let dashboard_churn = run_dashboard_churn();
     // concurrent_churn drives the multi-session belief server: reader
     // threads refresh + query pinned snapshots while the writer commits.
     let churn = run_concurrent_churn(4, 60);
@@ -1052,6 +1114,10 @@ fn main() {
     ));
     json.push_str(&format!(
         "  \"social_reach_speedup\": {social_speedup:.2},\n  \"level_dashboard_rows\": {dashboard_rows},\n"
+    ));
+    json.push_str(&format!(
+        "  \"dashboard_churn\": {{\n    \"commits\": {},\n    \"commit_p50_ms\": {:.3},\n    \"strata_recomputed_max\": {}\n  }},\n",
+        dashboard_churn.commits, dashboard_churn.commit_p50_ms, dashboard_churn.strata_recomputed_max
     ));
     json.push_str("  \"concurrent_churn\": {\n");
     json.push_str(&format!("    \"readers\": {},\n", churn.readers));

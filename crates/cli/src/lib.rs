@@ -1252,7 +1252,12 @@ mod tests {
         assert!(out.contains("operational evaluation:"), "{out}");
         assert!(out.contains("clause:"), "{out}");
         o.engine = EngineKind::Reduced;
+        // Facts are seeded, not compiled: a goal over a facts-only
+        // predicate reports its strata but no rule.
         let out = query(DB, "q(X)", &o).unwrap();
+        assert!(out.contains("stratum 0:"), "{out}");
+        assert!(!out.contains("rule (stratum"), "{out}");
+        let out = query(DB, "c[p(k : a -c-> V)]", &o).unwrap();
         assert!(out.contains("rule (stratum"), "{out}");
     }
 

@@ -302,7 +302,12 @@ impl CompiledStratum {
 
 /// A bottom-up evaluator for one program.
 pub struct Engine<'p> {
+    /// The program as given; its fact clauses seed every run.
     program: &'p Program,
+    /// The program's rules (its fact clauses dropped, its arity table
+    /// whole): everything the engine compiles, stratifies by and
+    /// restricts to a goal's cone.
+    rules: Cow<'p, Program>,
     strategy: Strategy,
     fact_limit: usize,
     deadline: Option<Duration>,
@@ -327,7 +332,11 @@ impl<'p> Engine<'p> {
     pub fn new(program: &'p Program) -> Result<Self> {
         let strat = program.stratify()?;
         let strata = strat.iter().map(<[String]>::to_vec).collect();
-        Ok(Self::with_parts(program, Cow::Owned(strata), None))
+        let mut engine = Self::with_parts(program, Cow::Owned(strata), None);
+        if program.clauses().iter().any(Clause::is_fact) {
+            engine.rules = Cow::Owned(program.without_facts());
+        }
+        Ok(engine)
     }
 
     /// An engine for a prepared demand plan ([`magic::prepare`]), to be
@@ -338,6 +347,12 @@ impl<'p> Engine<'p> {
         Self::with_parts(plan.program(), Cow::Borrowed(plan.strata()), Some(plan))
     }
 
+    /// An engine over `program` with strata the caller computed from it
+    /// (the incremental engine stratifies once, at construction).
+    pub(crate) fn with_strata(program: &'p Program, strata: &'p [Vec<String>]) -> Self {
+        Self::with_parts(program, Cow::Borrowed(strata), None)
+    }
+
     fn with_parts(
         program: &'p Program,
         strata: Cow<'p, [Vec<String>]>,
@@ -345,6 +360,7 @@ impl<'p> Engine<'p> {
     ) -> Self {
         Engine {
             program,
+            rules: Cow::Borrowed(program),
             strategy: Strategy::SemiNaive,
             fact_limit: 10_000_000,
             deadline: None,
@@ -455,13 +471,33 @@ impl<'p> Engine<'p> {
         &self,
         query_preds: impl IntoIterator<Item = &'a str>,
     ) -> Result<Database> {
-        let needed = self.program.dependencies_of(query_preds);
-        Ok(self.run_inner(Some(&needed), &[], Database::new())?.0)
+        let needed = self.rules.dependencies_of(query_preds);
+        let base = self.seeded(Database::new())?;
+        Ok(self.run_inner(Some(&needed), &[], base)?.0)
     }
 
     /// Evaluate to fixpoint, also returning counters.
     pub fn run_with_stats(&self) -> Result<(Database, EvalStats)> {
-        self.run_inner(None, &[], Database::new())
+        self.run_over(Database::new())
+    }
+
+    /// Evaluate the program's rules to fixpoint over `base` plus the
+    /// program's fact clauses, returning the database and counters.
+    pub(crate) fn run_over(&self, base: Database) -> Result<(Database, EvalStats)> {
+        self.run_inner(None, &[], self.seeded(base)?)
+    }
+
+    /// `base` with the program's fact clauses inserted: the database
+    /// every run starts from. Facts are data — seeded here, never
+    /// compiled into rule plans.
+    fn seeded(&self, mut base: Database) -> Result<Database> {
+        for c in self.program.clauses().iter().filter(|c| c.is_fact()) {
+            let fact = c.head.as_fact().ok_or_else(|| DatalogError::Internal {
+                detail: format!("fact clause `{c}` has a non-ground head"),
+            })?;
+            base.insert_id(c.head.predicate, fact);
+        }
+        Ok(base)
     }
 
     /// Answer a partially-bound goal by evaluating only the sub-fixpoint
@@ -474,10 +510,9 @@ impl<'p> Engine<'p> {
     /// tuples reachable from the goal's constants are materialized. When
     /// no argument is bound — or no sound rewrite exists — evaluation
     /// falls back to dependency-cone restriction (as
-    /// [`Engine::run_for_query`]) and the goal is answered post hoc with
-    /// [`run_query`].
+    /// [`Engine::run_cone`]).
     ///
-    /// Either way the answers equal `run_query` over the full fixpoint,
+    /// Either way the answers equal [`run_query`] over the full fixpoint,
     /// and [`EvalStats::demand`] records which strategy ran and how much
     /// it materialized.
     ///
@@ -492,36 +527,40 @@ impl<'p> Engine<'p> {
     /// goals of one shape keep the [`PreparedMagic`] and call
     /// [`Engine::run_prepared`] instead.
     pub fn run_for_goal(&self, goal: &[Literal]) -> Result<(QueryAnswer, EvalStats)> {
+        let base = self.seeded(Database::new())?;
         if magic::goal_binds_arguments(goal) {
-            // The program's fact clauses become the base; only its rules
-            // are rewritten.
-            let mut edb = Database::new();
-            let mut base: HashSet<SymId> = HashSet::new();
-            let mut rules = Vec::new();
-            for c in self.program.clauses() {
-                match c.head.as_fact() {
-                    Some(fact) if c.is_fact() => {
-                        edb.insert_id(c.head.predicate, fact);
-                        base.insert(c.head.predicate);
-                    }
-                    _ => rules.push(c.clone()),
-                }
-            }
-            let rules = Program::from_clauses(rules)?;
-            if let Some(plan) = magic::prepare(&rules, &base, goal, &edb) {
+            let carriers: HashSet<SymId> = base.predicates().map(SymId::intern).collect();
+            if let Some(plan) = magic::prepare(&self.rules, &carriers, goal, &base) {
                 let (_, params) = magic::prepared_key(goal);
                 return Engine::for_prepared(&plan)
                     .configured_like(self)
-                    .run_prepared(edb, &params);
+                    .run_prepared(base, &params);
             }
         }
+        self.cone_over(base, goal)
+    }
+
+    /// Answer `goal` from its dependency cone, with no magic rewrite:
+    /// evaluate the program's rules for the predicates the goal depends
+    /// on, over `base` plus the program's fact clauses, then query the
+    /// result. `base` is typically a clone of a shared base database.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Engine::run_for_goal`].
+    pub fn run_cone(&self, base: Database, goal: &[Literal]) -> Result<(QueryAnswer, EvalStats)> {
+        self.cone_over(self.seeded(base)?, goal)
+    }
+
+    /// [`Engine::run_cone`] over an already seeded `base`.
+    fn cone_over(&self, base: Database, goal: &[Literal]) -> Result<(QueryAnswer, EvalStats)> {
         let seeds: Vec<&str> = goal
             .iter()
             .filter_map(Literal::atom)
             .map(|a| a.predicate.as_str())
             .collect();
-        let needed = self.program.dependencies_of(seeds);
-        let (mut db, mut stats) = self.run_inner(Some(&needed), goal, Database::new())?;
+        let needed = self.rules.dependencies_of(seeds);
+        let (mut db, mut stats) = self.run_inner(Some(&needed), goal, base)?;
         // Algo calls appearing only in the goal have no stratum in the
         // program; materialize them now, over the finished cone fixpoint
         // (their input is complete by construction).
@@ -535,7 +574,7 @@ impl<'p> Engine<'p> {
             if db.relation(pred).is_some() {
                 continue; // already materialized in its program stratum
             }
-            let patterns = algo::call_patterns(self.program, goal, a.predicate);
+            let patterns = algo::call_patterns(&self.rules, goal, a.predicate);
             let out = algo::materialize(name, db.relation(input), a.arity(), &patterns, &guard)?;
             guard.begin_round(db.fact_count());
             for fact in out.iter() {
@@ -586,6 +625,8 @@ impl<'p> Engine<'p> {
         Ok((plan.answers(&edb), stats))
     }
 
+    /// Run every stratum over `db`, which holds the base facts. Under
+    /// `restrict` only the listed predicates are kept and evaluated.
     fn run_inner(
         &self,
         restrict: Option<&HashSet<String>>,
@@ -594,46 +635,75 @@ impl<'p> Engine<'p> {
     ) -> Result<(Database, EvalStats)> {
         let mut stats = EvalStats::default();
         let guard = EvalGuard::new(self.deadline, self.fact_limit, self.cancel.clone());
-
+        if let Some(needed) = restrict {
+            db.retain_predicates(|p| needed.contains(p));
+        }
         // Ensure every evaluated predicate has a (possibly empty)
         // relation so that negation over never-derived predicates works
         // uniformly. Under restriction only the cone's relations are
         // created — out-of-cone predicates must not leak empty relations
         // into the returned database; join plans treat a missing relation
         // as empty, so negation over one still behaves correctly.
-        for pred in self.program.predicates() {
+        for pred in self.rules.predicates() {
             if restrict.is_none_or(|n| n.contains(pred)) && db.relation(pred).is_none() {
                 db.relation_mut(pred);
             }
         }
-
-        for (stratum_idx, stratum) in self.strata.iter().enumerate() {
-            let in_stratum: HashSet<SymId> = stratum.iter().map(|s| SymId::intern(s)).collect();
-            // Rules whose head is in this stratum (and, when restricted,
-            // in the query's dependency cone). Aggregate clauses are
-            // split off: their bodies live strictly below this stratum,
-            // so they are folded once, before the fixpoint, and their
-            // results behave like EDB facts for the stratum's rules.
-            let (agg_rules, rules): (Vec<&Clause>, Vec<&Clause>) = self
-                .program
-                .clauses()
-                .iter()
-                .filter(|c| in_stratum.contains(&c.head.predicate))
-                .filter(|c| restrict.is_none_or(|n| n.contains(c.head.predicate.as_str())))
-                .partition(|c| c.agg.is_some());
-            self.run_stratum(stratum_idx, stratum, &mut stats, |stats| {
-                // Native algorithm operators first (their inputs are in
-                // lower strata), then aggregate folds (ditto), then the
-                // fixpoint — which sees both as already-materialized
-                // relations.
-                self.materialize_algos(stratum, restrict, extra, &mut db, stats, &guard)?;
-                self.apply_aggregates(&agg_rules, stratum_idx, &mut db, stats, &guard)?;
-                let variants = self.strategy == Strategy::SemiNaive;
-                let compiled = CompiledStratum::compile(&rules, &in_stratum, variants, &db)?;
-                self.run_compiled(&compiled, stratum_idx, &mut db, stats, &guard)
-            })?;
+        for stratum_idx in 0..self.strata.len() {
+            self.eval_stratum(stratum_idx, restrict, extra, &mut db, &mut stats, &guard)?;
         }
         Ok((db, stats))
+    }
+
+    /// Evaluate stratum `stratum_idx` from its base facts, which `db`
+    /// already holds, over the complete lower strata: native algorithm
+    /// operators first (their inputs are in lower strata), then
+    /// aggregate folds (ditto), then the fixpoint of the stratum's rules
+    /// — which sees both as already-materialized relations. The one
+    /// from-scratch stratum step, shared by batch runs, incremental
+    /// recovery and incremental stratum recomputes. The base facts count
+    /// towards the stratum's `facts_added` and `facts_considered`; only
+    /// rules get per-rule counters and join orders.
+    pub(crate) fn eval_stratum(
+        &self,
+        stratum_idx: usize,
+        restrict: Option<&HashSet<String>>,
+        extra: &[Literal],
+        db: &mut Database,
+        stats: &mut EvalStats,
+        guard: &EvalGuard,
+    ) -> Result<()> {
+        let stratum = &self.strata[stratum_idx];
+        let in_stratum: HashSet<SymId> = stratum
+            .iter()
+            .filter(|p| restrict.is_none_or(|n| n.contains(*p)))
+            .map(|p| SymId::intern(p))
+            .collect();
+        // The stratum's rules. Aggregate clauses are split off: their
+        // bodies live strictly below this stratum, so they are folded
+        // once, before the fixpoint, and their results behave like EDB
+        // facts for the stratum's rules.
+        let (agg_rules, rules): (Vec<&Clause>, Vec<&Clause>) = self
+            .rules
+            .clauses()
+            .iter()
+            .filter(|c| in_stratum.contains(&c.head.predicate))
+            .partition(|c| c.agg.is_some());
+        self.run_stratum(stratum_idx, stratum, stats, |stats| {
+            let seeded: usize = in_stratum
+                .iter()
+                .filter_map(|&p| db.relation_id(p))
+                .map(Relation::len)
+                .sum();
+            stats.facts_considered += seeded;
+            stats.facts_added += seeded;
+            guard.check_db(db.fact_count())?;
+            self.materialize_algos(stratum, restrict, extra, db, stats, guard)?;
+            self.apply_aggregates(&agg_rules, stratum_idx, db, stats, guard)?;
+            let variants = self.strategy == Strategy::SemiNaive;
+            let compiled = CompiledStratum::compile(&rules, &in_stratum, variants, db)?;
+            self.run_compiled(&compiled, stratum_idx, db, stats, guard)
+        })
     }
 
     /// Run one stratum's work (`body`), recording its counters and trace
@@ -719,7 +789,7 @@ impl<'p> Engine<'p> {
                 continue;
             }
             let pred_sym = SymId::intern(pred);
-            let patterns = algo::call_patterns(self.program, extra, pred_sym);
+            let patterns = algo::call_patterns(&self.rules, extra, pred_sym);
             let Some(call_arity) = patterns.first().map(Vec::len) else {
                 continue; // no call site demands this predicate
             };
@@ -1022,7 +1092,8 @@ impl<'p> Engine<'p> {
             variants.iter().map(RulePlan::new_scratch).collect();
 
         // Iteration 0: apply every rule once against the current database
-        // (covers facts and rules whose bodies only use lower strata).
+        // (covers the seeded base facts and rules whose bodies only use
+        // lower strata).
         stats.iterations += 1;
         let round: Vec<(usize, Option<SymId>)> = (0..base.len()).map(|i| (i, None)).collect();
         let mut added_before = stats.facts_added;
@@ -1526,10 +1597,12 @@ mod tests {
                 .sum::<usize>(),
             stats.facts_added
         );
-        // Each source rule (incl. facts) has a per-rule entry.
-        assert_eq!(stats.per_rule.len(), p.clauses().len());
+        // Each rule has a per-rule entry; the two facts are seeded, not
+        // compiled, yet still count towards the totals.
+        assert_eq!(stats.per_rule.len(), 2);
+        assert!(stats.per_rule.iter().all(|r| r.rule.contains(":-")));
         assert_eq!(
-            stats.per_rule.iter().map(|r| r.facts_added).sum::<usize>(),
+            stats.per_rule.iter().map(|r| r.facts_added).sum::<usize>() + 2,
             stats.facts_added
         );
         assert_eq!(
@@ -1537,7 +1610,8 @@ mod tests {
                 .per_rule
                 .iter()
                 .map(|r| r.facts_derived)
-                .sum::<usize>(),
+                .sum::<usize>()
+                + 2,
             stats.facts_considered
         );
         let recursive = stats

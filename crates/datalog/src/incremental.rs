@@ -9,9 +9,10 @@
 //!
 //! * **Counted support for asserted facts.** Every explicitly asserted
 //!   fact (program fact clauses and committed inserts) is tracked in a
-//!   `base` multiset-of-one; retracting a fact that was never asserted is
-//!   a no-op, and a fact that is both asserted and derivable survives the
-//!   loss of either support.
+//!   `base` [`Database`]; retracting a fact that was never asserted is a
+//!   no-op, and a fact that is both asserted and derivable survives the
+//!   loss of either support. Facts are data: the rules run over the base
+//!   at materialization and recovery, and no fact is ever compiled.
 //! * **Deletion overestimate.** For each stratum the engine enumerates
 //!   every fact with at least one derivation through a deleted fact,
 //!   using the semi-naive delta variants of the stratum's compiled
@@ -39,12 +40,16 @@
 //!   variables apart, so `sink(X) :- node(X), not edge(X, Y)` still asks
 //!   whether `X` has *no* out-edge, not whether the one deleted edge is
 //!   gone.
-//! * **Fallback.** When a deletion cascade overshoots a heuristic
-//!   threshold, the stratum is recomputed from scratch (its predicates
-//!   reset to base facts, then a sequential semi-naive fixpoint) and the
-//!   result diffed against the old contents to keep downstream deltas
-//!   exact. Programs with algorithm operators or aggregates recompute
-//!   the whole fixpoint on every commit.
+//! * **Stratum recompute.** A stratum that holds an aggregate clause or
+//!   an `@`-operator call consumes complete relations, so it has no sound
+//!   per-fact delta rules: when one of its inputs changed (an operator's
+//!   input relation included), it is recomputed from scratch — its
+//!   predicates reset to their base facts, then the batch engine's
+//!   stratum step (operators, aggregate folds, semi-naive fixpoint) —
+//!   and the result diffed against the old contents, so higher strata
+//!   receive exact deltas and keep DRed. The same recompute is the
+//!   fallback of a DRed stratum whose deletion cascade overshoots a
+//!   heuristic threshold.
 //!
 //! Every phase threads one [`EvalGuard`] (deadline, fact budget,
 //! cancellation), so a runaway cascade surfaces as the same typed errors
@@ -99,7 +104,9 @@ pub struct CommitStats {
     pub derived_removed: usize,
     /// Overestimated deletions re-admitted by the rederivation phase.
     pub rederived: usize,
-    /// Strata that fell back to a from-scratch recompute.
+    /// Strata recomputed from scratch: aggregate and `@`-operator strata
+    /// whose inputs changed, plus DRed strata whose deletion cascade
+    /// overshot the fallback threshold.
     pub strata_recomputed: usize,
     /// Time spent enumerating the deletion overestimate, in milliseconds.
     pub overestimate_ms: f64,
@@ -107,8 +114,9 @@ pub struct CommitStats {
     pub rederive_ms: f64,
     /// Time spent propagating insertions.
     pub propagate_ms: f64,
-    /// Time spent recomputing strata (or the whole fixpoint) from
-    /// scratch.
+    /// Time spent recomputing the strata counted by
+    /// `strata_recomputed`, including the diff against their old
+    /// contents.
     pub recompute_ms: f64,
     /// Time spent sealing index tails for published snapshots.
     pub seal_ms: f64,
@@ -139,27 +147,29 @@ pub struct CommitStats {
 /// assert!(!engine.database().contains("path", &[Const::sym("a"), Const::sym("c")]));
 /// ```
 pub struct IncrementalEngine {
-    /// The program's predicate arities, which staged updates must match.
-    arities: FxHashMap<SymId, usize>,
-    /// Non-fact clauses; fact clauses live in `base` so they are
-    /// retractable like any committed insert.
-    rules: Vec<Clause>,
-    /// Predicates of each stratum (interned), lowest stratum first.
+    /// The program's rules, validated once, with the whole program's
+    /// arity table (which staged updates must match); fact clauses live
+    /// in `base` so they are retractable like any committed insert.
+    rules: Program,
+    /// Predicates of each stratum, lowest stratum first, computed once
+    /// at construction.
+    strata: Vec<Vec<String>>,
+    /// `strata`, interned.
     stratum_preds: Vec<FxHashSet<SymId>>,
     stratum_of: FxHashMap<SymId, usize>,
     /// Indexes into `rules` whose head predicate lives in each stratum.
     stratum_rules: Vec<Vec<usize>>,
-    /// Predicates defined by at least one rule.
+    /// Per stratum: `Some` with the input relations of its `@`-calls
+    /// when it holds an aggregate clause or an `@`-call predicate, `None`
+    /// otherwise. Aggregates and operators consume *complete* relations,
+    /// so they have no sound per-fact delta rules: such a stratum is
+    /// recomputed whole, and only when one of its inputs changed.
+    whole_strata: Vec<Option<Vec<SymId>>>,
+    /// Predicates derived by a rule or an algorithm operator.
     idb: FxHashSet<SymId>,
     db: Database,
-    /// Whether the program uses native algorithm operators or aggregate
-    /// clauses. Both consume *complete* relations, so their outputs have
-    /// no sound per-fact delta rules; commits recompute the fixpoint
-    /// from scratch (and diff it for exact [`CommitStats`]) instead of
-    /// running DRed.
-    full_recompute: bool,
     /// Explicitly asserted facts: the retractable extensional support.
-    base: FxHashMap<SymId, FxHashSet<Fact>>,
+    base: Database,
     pending: Vec<PendingOp>,
     in_txn: bool,
     poisoned: bool,
@@ -207,8 +217,9 @@ impl IncrementalEngine {
     /// [`DatalogError::NotStratifiable`] if negation occurs through
     /// recursion.
     pub fn new_deferred(program: &Program) -> Result<Self> {
-        let strat = program.stratify()?;
-        let stratum_preds: Vec<FxHashSet<SymId>> = strat
+        let rules = program.without_facts();
+        let strata: Vec<Vec<String>> = rules.stratify()?.iter().map(<[String]>::to_vec).collect();
+        let stratum_preds: Vec<FxHashSet<SymId>> = strata
             .iter()
             .map(|preds| preds.iter().map(|p| SymId::intern(p)).collect())
             .collect();
@@ -218,29 +229,30 @@ impl IncrementalEngine {
                 stratum_of.insert(p, s);
             }
         }
-        let mut rules = Vec::new();
-        let mut base: FxHashMap<SymId, FxHashSet<Fact>> = FxHashMap::default();
-        for clause in program.clauses() {
-            if clause.is_fact() {
-                // Safety validation guarantees fact clauses are ground;
-                // a program that bypassed it surfaces here as a typed
-                // error, not a panic (no-panic policy).
-                let fact = clause
-                    .head
-                    .as_fact()
-                    .ok_or_else(|| DatalogError::Internal {
-                        detail: format!("fact clause `{clause}` has a non-ground head"),
-                    })?;
-                base.entry(clause.head.predicate)
-                    .or_default()
-                    .insert(fact.into());
-            } else {
-                rules.push(clause.clone());
-            }
+        let mut facts: Vec<(SymId, Fact)> = Vec::new();
+        for clause in program.clauses().iter().filter(|c| c.is_fact()) {
+            // Safety validation guarantees fact clauses are ground; a
+            // program that bypassed it surfaces here as a typed error,
+            // not a panic (no-panic policy).
+            let fact = clause
+                .head
+                .as_fact()
+                .ok_or_else(|| DatalogError::Internal {
+                    detail: format!("fact clause `{clause}` has a non-ground head"),
+                })?;
+            facts.push((clause.head.predicate, fact.into()));
         }
-        let idb: FxHashSet<SymId> = rules.iter().map(|r| r.head.predicate).collect();
+        // Sorted, so a relation's rows cluster by their leading columns
+        // and so do the rows derived from them: a reader seeking one key
+        // touches neighbouring rows.
+        facts.sort_unstable();
+        let mut base = Database::new();
+        for (pred, fact) in facts {
+            base.insert_id(pred, fact);
+        }
         let mut stratum_rules = vec![Vec::new(); stratum_preds.len()];
-        for (i, rule) in rules.iter().enumerate() {
+        let mut aggregates = vec![false; stratum_preds.len()];
+        for (i, rule) in rules.clauses().iter().enumerate() {
             let s = stratum_of
                 .get(&rule.head.predicate)
                 .copied()
@@ -251,24 +263,31 @@ impl IncrementalEngine {
                     ),
                 })?;
             stratum_rules[s].push(i);
+            aggregates[s] |= rule.agg.is_some();
         }
-        let full_recompute = program
-            .predicates()
-            .iter()
-            .any(|p| crate::algo::parse_call(p).is_some())
-            || program.clauses().iter().any(|c| c.agg.is_some());
-        let arities = program
-            .predicates()
-            .into_iter()
-            .filter_map(|p| Some((SymId::intern(p), program.arity(p)?)))
-            .collect();
+        let mut idb: FxHashSet<SymId> = rules.clauses().iter().map(|r| r.head.predicate).collect();
+        let mut whole_strata = Vec::with_capacity(stratum_preds.len());
+        for (preds, aggregate) in stratum_preds.iter().zip(aggregates) {
+            let calls: Vec<(SymId, SymId)> = preds
+                .iter()
+                .filter_map(|&p| {
+                    let (_, input) = crate::algo::parse_call(p.as_str())?;
+                    Some((p, SymId::intern(input)))
+                })
+                .collect();
+            idb.extend(calls.iter().map(|&(call, _)| call));
+            whole_strata.push(
+                (aggregate || !calls.is_empty())
+                    .then(|| calls.iter().map(|&(_, input)| input).collect()),
+            );
+        }
         let engine = IncrementalEngine {
-            arities,
-            full_recompute,
             rules,
+            strata,
             stratum_preds,
             stratum_of,
             stratum_rules,
+            whole_strata,
             idb,
             db: Database::new(),
             base,
@@ -406,9 +425,8 @@ impl IncrementalEngine {
         }
         let pred = SymId::intern(predicate);
         let known = self
-            .arities
-            .get(&pred)
-            .copied()
+            .rules
+            .arity(predicate)
             .or_else(|| self.db.relation_id(pred).and_then(Relation::arity))
             .or_else(|| {
                 self.pending
@@ -475,40 +493,28 @@ impl IncrementalEngine {
         if ops.is_empty() {
             return Ok(stats);
         }
-        // Replay ops onto the base, netting out cancelling pairs. The
-        // snapshot restores the base if the commit aborts mid-flight.
-        let mut snapshot: FxHashMap<SymId, FxHashSet<Fact>> = FxHashMap::default();
-        for op in &ops {
-            snapshot
-                .entry(op.pred)
-                .or_insert_with(|| self.base.get(&op.pred).cloned().unwrap_or_default());
-        }
+        // Replay ops onto the base, netting out cancelling pairs: the
+        // base ends up as before plus `added` minus `removed`, which is
+        // what an aborted commit undoes.
         let mut added: FxHashMap<SymId, FxHashSet<Fact>> = FxHashMap::default();
         let mut removed: FxHashMap<SymId, FxHashSet<Fact>> = FxHashMap::default();
         for op in ops {
-            let slot = self.base.entry(op.pred).or_default();
             if op.insert {
-                if slot.insert(op.fact.clone())
+                if self.base.insert_if_new_id(op.pred, &op.fact)
                     && !removed.entry(op.pred).or_default().remove(&op.fact)
                 {
                     added.entry(op.pred).or_default().insert(op.fact);
                 }
-            } else if slot.remove(&op.fact) && !added.entry(op.pred).or_default().remove(&op.fact) {
+            } else if self.base.retract_id(op.pred, &op.fact)
+                && !added.entry(op.pred).or_default().remove(&op.fact)
+            {
                 removed.entry(op.pred).or_default().insert(op.fact);
             }
         }
         stats.edb_inserted = added.values().map(FxHashSet::len).sum();
         stats.edb_retracted = removed.values().map(FxHashSet::len).sum();
-        let result = if self.full_recompute {
-            let phase = Instant::now();
-            let result = self.recompute_all(&mut stats);
-            stats.recompute_ms = ms_since(phase);
-            result
-        } else {
-            let guard = EvalGuard::new(self.deadline, self.fact_limit, self.cancel.clone());
-            self.apply_deltas(added, removed, &guard, &mut stats)
-        };
-        match result {
+        let guard = EvalGuard::new(self.deadline, self.fact_limit, self.cancel.clone());
+        match self.apply_deltas(&added, &removed, &guard, &mut stats) {
             Ok(()) => {
                 // Seal materialized index tails and the reader columns
                 // so copy-on-write clones of this database (published
@@ -522,11 +528,14 @@ impl IncrementalEngine {
             }
             Err(e) => {
                 self.poisoned = true;
-                for (pred, facts) in snapshot {
-                    if facts.is_empty() {
-                        self.base.remove(&pred);
-                    } else {
-                        self.base.insert(pred, facts);
+                for (&pred, facts) in &added {
+                    for fact in facts {
+                        self.base.retract_id(pred, fact);
+                    }
+                }
+                for (&pred, facts) in &removed {
+                    for fact in facts {
+                        self.base.insert_if_new_id(pred, fact);
                     }
                 }
                 Err(e)
@@ -534,7 +543,8 @@ impl IncrementalEngine {
         }
     }
 
-    /// Rebuild the fixpoint from scratch (rules + surviving base) and
+    /// Rebuild the fixpoint from scratch — the rules run over the
+    /// surviving base with the strata computed at construction — and
     /// clear the poisoned flag. Uses the configured thread count.
     ///
     /// # Errors
@@ -544,8 +554,7 @@ impl IncrementalEngine {
     pub fn recover(&mut self) -> Result<()> {
         self.in_txn = false;
         self.pending.clear();
-        let program = self.full_program()?;
-        let mut engine = Engine::new(&program)?
+        let mut engine = Engine::with_strata(&self.rules, &self.strata)
             .with_threads(self.threads)
             .with_fact_limit(self.fact_limit);
         if let Some(d) = self.deadline {
@@ -554,7 +563,7 @@ impl IncrementalEngine {
         if let Some(token) = &self.cancel {
             engine = engine.with_cancel_token(token.clone());
         }
-        let (db, stats) = engine.run_with_stats()?;
+        let (db, stats) = engine.run_over(self.base.clone())?;
         self.db = db;
         self.db.seal_indexes(&self.reader_columns);
         self.materialize_stats = stats;
@@ -571,27 +580,15 @@ impl IncrementalEngine {
     }
 
     /// The program's rules: every clause except the fact clauses, which
-    /// joined the base. They never change across commits.
-    pub fn rules(&self) -> &[Clause] {
+    /// joined the base, validated once at construction. They never
+    /// change across commits.
+    pub fn rules(&self) -> &Program {
         &self.rules
     }
 
-    /// The rules plus the current base rendered back into one program —
-    /// the from-scratch semantics this engine's database must always
-    /// match, as [`IncrementalEngine::rules`] and
-    /// [`IncrementalEngine::base_database`] are in two parts.
-    ///
-    /// # Errors
-    ///
-    /// Validation errors re-rendering the clauses (cannot happen for a
-    /// program this engine accepted, kept for safety).
-    pub fn current_program(&self) -> Result<Program> {
-        self.full_program()
-    }
-
     /// The current base — program facts plus committed inserts, minus
-    /// retractions — as a database of its own, relations and facts in
-    /// sorted order.
+    /// retractions — as a copy-on-write clone of the database that holds
+    /// it.
     ///
     /// Together with [`IncrementalEngine::rules`] it has the from-scratch
     /// semantics this engine's database must always match, which is what
@@ -600,100 +597,35 @@ impl IncrementalEngine {
     /// the materialized database, without requiring the materialization
     /// to exist (the engine may still be deferred or poisoned).
     pub fn base_database(&self) -> Database {
-        let mut db = Database::new();
-        let mut preds: Vec<SymId> = self.base.keys().copied().collect();
-        preds.sort_unstable();
-        for pred in preds {
-            let mut facts: Vec<&Fact> = self.base[&pred].iter().collect();
-            facts.sort();
-            for fact in facts {
-                db.insert_if_new_id(pred, fact);
-            }
-        }
-        db
-    }
-
-    fn full_program(&self) -> Result<Program> {
-        let mut clauses = Vec::new();
-        let mut preds: Vec<SymId> = self.base.keys().copied().collect();
-        preds.sort_unstable();
-        for pred in preds {
-            let mut facts: Vec<&Fact> = self.base[&pred].iter().collect();
-            facts.sort();
-            for fact in facts {
-                clauses.push(Clause::fact(Atom {
-                    predicate: pred,
-                    terms: fact.iter().map(|c| Term::Const(*c)).collect(),
-                }));
-            }
-        }
-        clauses.extend(self.rules.iter().cloned());
-        Program::from_clauses(clauses)
-    }
-
-    /// The full-recompute commit mode for programs with algorithm
-    /// operators or aggregate clauses: re-run the batch engine over the
-    /// updated base, diff the result against the old materialization for
-    /// exact [`CommitStats`], and swap it in. Guards apply through the
-    /// batch engine's own configuration.
-    fn recompute_all(&mut self, stats: &mut CommitStats) -> Result<()> {
-        let program = self.full_program()?;
-        let mut engine = Engine::new(&program)?
-            .with_threads(self.threads)
-            .with_fact_limit(self.fact_limit);
-        if let Some(d) = self.deadline {
-            engine = engine.with_deadline(d);
-        }
-        if let Some(token) = &self.cancel {
-            engine = engine.with_cancel_token(token.clone());
-        }
-        let new_db = engine.run()?;
-        let mut added_total = 0usize;
-        let mut removed_total = 0usize;
-        for (pred, rel) in new_db.relations() {
-            let old = self.db.relation(pred);
-            for fact in rel.iter() {
-                if old.is_none_or(|r| !r.contains(&fact)) {
-                    added_total += 1;
-                }
-            }
-        }
-        for (pred, rel) in self.db.relations() {
-            let new = new_db.relation(pred);
-            for fact in rel.iter() {
-                if new.is_none_or(|r| !r.contains(&fact)) {
-                    removed_total += 1;
-                }
-            }
-        }
-        stats.derived_added = added_total.saturating_sub(stats.edb_inserted);
-        stats.derived_removed = removed_total.saturating_sub(stats.edb_retracted);
-        stats.strata_recomputed = self.stratum_preds.len();
-        self.db = new_db;
-        Ok(())
+        self.base.clone()
     }
 
     /// The stratum-by-stratum delta application (see module docs).
     #[allow(clippy::too_many_lines)]
     fn apply_deltas(
         &mut self,
-        added: FxHashMap<SymId, FxHashSet<Fact>>,
-        removed: FxHashMap<SymId, FxHashSet<Fact>>,
+        added: &FxHashMap<SymId, FxHashSet<Fact>>,
+        removed: &FxHashMap<SymId, FxHashSet<Fact>>,
         guard: &EvalGuard,
         stats: &mut CommitStats,
     ) -> Result<()> {
         let Self {
-            rules,
-            stratum_preds,
-            stratum_of,
-            stratum_rules,
-            idb,
-            db,
-            base,
+            ref rules,
+            ref strata,
+            ref stratum_preds,
+            ref stratum_of,
+            ref stratum_rules,
+            ref whole_strata,
+            ref idb,
+            ref mut db,
+            ref base,
             fallback_threshold,
-            plans,
+            threads,
+            ref mut plans,
             ..
-        } = self;
+        } = *self;
+        let rules_engine = || Engine::with_strata(rules, strata).with_threads(threads);
+        let rules = rules.clauses();
         let mut changes: FxHashMap<SymId, PredDelta> = FxHashMap::default();
         let mut tentative: Vec<Vec<(SymId, Fact)>> = vec![Vec::new(); stratum_preds.len()];
 
@@ -728,22 +660,25 @@ impl IncrementalEngine {
             let preds = &stratum_preds[s];
             let rule_idxs = &stratum_rules[s];
             let seeds = std::mem::take(&mut tentative[s]);
-            if rule_idxs.is_empty() {
-                // No rules can rederive: tentative deletions are definite.
-                for (pred, fact) in seeds {
-                    if db.retract_id(pred, &fact) {
-                        changes.entry(pred).or_default().del.push(fact);
-                    }
-                }
+            let touched = |p: &SymId| changes.contains_key(p);
+            let whole = whole_strata[s].as_ref();
+            let inputs_changed = !seeds.is_empty()
+                || rule_idxs
+                    .iter()
+                    .flat_map(|&ri| &rules[ri].body)
+                    .any(|l| l.atom().is_some_and(|a| touched(&a.predicate)))
+                || whole.is_some_and(|call_inputs| call_inputs.iter().any(touched));
+            if !inputs_changed {
                 continue;
             }
-            let touched =
-                |l: &Literal| l.atom().is_some_and(|a| changes.contains_key(&a.predicate));
-            if seeds.is_empty()
-                && !rule_idxs
-                    .iter()
-                    .any(|&ri| rules[ri].body.iter().any(touched))
-            {
+            if whole.is_some() {
+                // Aggregates and operators are recomputed with their
+                // stratum, from its base facts; the diff feeds higher
+                // strata like any other change.
+                let phase = Instant::now();
+                recompute_stratum(&rules_engine(), s, preds, db, base, guard, &mut changes)?;
+                stats.recompute_ms += ms_since(phase);
+                stats.strata_recomputed += 1;
                 continue;
             }
             let mut pos_preds: FxHashSet<SymId> = FxHashSet::default();
@@ -850,7 +785,7 @@ impl IncrementalEngine {
             stats.overestimate_ms += ms_since(phase);
             if fell_back {
                 let phase = Instant::now();
-                recompute_stratum(&mut sp, preds, db, base, guard, &mut changes)?;
+                recompute_stratum(&rules_engine(), s, preds, db, base, guard, &mut changes)?;
                 stats.recompute_ms += ms_since(phase);
                 stats.strata_recomputed += 1;
                 continue;
@@ -873,7 +808,7 @@ impl IncrementalEngine {
             // are picked up by the semi-naive propagation loop below.
             let mut candidates: FxHashMap<SymId, FactBuf> = FxHashMap::default();
             for (pred, fact) in order {
-                if base.get(&pred).is_some_and(|b| b.contains(&fact)) {
+                if base.contains_id(pred, &fact) {
                     db.insert_if_new_id(pred, &fact);
                     frontier
                         .entry(pred)
@@ -997,11 +932,11 @@ impl std::fmt::Debug for IncrementalEngine {
 }
 
 /// Deterministic iteration over a per-predicate delta map.
-fn sorted_deltas(map: FxHashMap<SymId, FxHashSet<Fact>>) -> Vec<(SymId, Vec<Fact>)> {
+fn sorted_deltas(map: &FxHashMap<SymId, FxHashSet<Fact>>) -> Vec<(SymId, Vec<Fact>)> {
     let mut out: Vec<(SymId, Vec<Fact>)> = map
-        .into_iter()
-        .map(|(pred, facts)| {
-            let mut facts: Vec<Fact> = facts.into_iter().collect();
+        .iter()
+        .map(|(&pred, facts)| {
+            let mut facts: Vec<Fact> = facts.iter().cloned().collect();
             facts.sort();
             (pred, facts)
         })
@@ -1027,12 +962,10 @@ fn ms_since(start: Instant) -> f64 {
 /// by (rule index, variant).
 type PlanCache = FxHashMap<(usize, Variant), (RulePlan, Scratch)>;
 
-/// A compiled form of one rule. Every variant but `Full` reads one body
-/// literal from a batch of facts (the delta) instead of the database.
+/// A compiled form of one rule. Every variant reads one body literal
+/// from a batch of facts (the delta) instead of the database.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 enum Variant {
-    /// The rule as written (round 1 of a stratum recompute).
-    Full,
     /// Semi-naive: the positive literal at this body position reads the
     /// batch.
     Delta(usize),
@@ -1064,22 +997,21 @@ impl Variant {
 
     /// Build this variant of `rule` and the body position of its delta
     /// literal.
-    fn clause(self, rule: &Clause) -> Result<(Clause, Option<usize>)> {
+    fn clause(self, rule: &Clause) -> Result<(Clause, usize)> {
         let mut body = rule.body.clone();
         let delta = match self {
-            Variant::Full => None,
-            Variant::Delta(pos) => Some(pos),
+            Variant::Delta(pos) => pos,
             Variant::Rederive => {
                 body.insert(0, Literal::Pos(rule.head.clone()));
-                Some(0)
+                0
             }
             Variant::NegFlip(pos) => {
                 body[pos] = Literal::Pos(positive_copy(rule, pos)?);
-                Some(pos)
+                pos
             }
             Variant::NegCopy(pos) => {
                 body.insert(pos, Literal::Pos(positive_copy(rule, pos)?));
-                Some(pos)
+                pos
             }
         };
         Ok((Clause::new(rule.head.clone(), body), delta))
@@ -1163,7 +1095,7 @@ impl StratumRules<'_> {
             Entry::Occupied(e) => e.into_mut(),
             Entry::Vacant(e) => {
                 let (clause, delta) = variant.clause(&self.rules[ri])?;
-                let plan = RulePlan::compile(&clause, delta, db)?;
+                let plan = RulePlan::compile(&clause, Some(delta), db)?;
                 let scratch = plan.new_scratch();
                 e.insert((plan, scratch))
             }
@@ -1205,92 +1137,50 @@ impl StratumRules<'_> {
     }
 }
 
-/// Recompute one stratum from scratch: reset its predicates to base
-/// facts, run a sequential semi-naive fixpoint of its rules, and diff
-/// against the old contents so downstream strata see exact deltas.
+/// Recompute stratum `s` from scratch: reset its predicates to their
+/// base facts, run the batch engine's stratum step
+/// ([`Engine::eval_stratum`]: operators, aggregate folds, then the
+/// semi-naive fixpoint) over the complete lower strata, and diff against
+/// the old contents so higher strata see exact deltas.
 fn recompute_stratum(
-    sp: &mut StratumRules<'_>,
+    engine: &Engine<'_>,
+    s: usize,
     preds: &FxHashSet<SymId>,
     db: &mut Database,
-    base: &FxHashMap<SymId, FxHashSet<Fact>>,
+    base: &Database,
     guard: &EvalGuard,
     changes: &mut FxHashMap<SymId, PredDelta>,
 ) -> Result<()> {
     let mut sorted_preds: Vec<SymId> = preds.iter().copied().collect();
     sorted_preds.sort_unstable();
-    // Snapshots paired positionally with `sorted_preds`, so the diff
-    // loop below needs no fallible map lookup.
-    let mut old: Vec<FxHashSet<Fact>> = Vec::with_capacity(sorted_preds.len());
+    let mut old = Database::new();
     for &pred in &sorted_preds {
-        let facts: FxHashSet<Fact> = db
-            .relation_id(pred)
-            .map(|r| r.iter().collect())
-            .unwrap_or_default();
-        old.push(facts);
-        db.clear_relation_id(pred);
-        if let Some(asserted) = base.get(&pred) {
-            let mut facts: Vec<&Fact> = asserted.iter().collect();
-            facts.sort();
-            for fact in facts {
-                db.insert_if_new_id(pred, fact);
-            }
-        }
+        old.reset_relation_id(pred, db);
+        db.reset_relation_id(pred, base);
     }
-    // Round 1: full rules; later rounds: semi-naive over the stratum's
-    // own new facts.
-    guard.begin_round(db.fact_count());
-    let mut frontier: FxHashMap<SymId, FactBuf> = FxHashMap::default();
-    let admit = |db: &mut Database, next: &mut FxHashMap<SymId, FactBuf>, head, fact: &[Const]| {
-        if db.insert_if_new_id(head, fact) {
-            next.entry(head).or_default().push_row(fact.iter().copied());
-        }
-    };
-    for &ri in sp.idxs {
-        let (head, out) = sp.eval(db, ri, Variant::Full, None, guard)?;
-        for fact in out.rows() {
-            admit(db, &mut frontier, head, fact);
-        }
-    }
-    guard.check_db(db.fact_count())?;
-    while !frontier.is_empty() {
-        guard.begin_round(db.fact_count());
-        let mut next: FxHashMap<SymId, FactBuf> = FxHashMap::default();
-        sp.round(
-            db,
-            &frontier,
-            Variant::Delta,
-            guard,
-            &mut |db, head, fact| {
-                admit(db, &mut next, head, fact);
-            },
-        )?;
-        guard.check_db(db.fact_count())?;
-        frontier = next;
-    }
-    for (&pred, old_facts) in sorted_preds.iter().zip(old) {
-        let mut ins: Vec<Fact> = Vec::new();
-        if let Some(rel) = db.relation_id(pred) {
-            for fact in rel.iter() {
-                if !old_facts.contains(&fact) {
-                    ins.push(fact);
-                }
-            }
-        }
-        let mut del: Vec<Fact> = Vec::new();
-        for fact in old_facts {
-            if !db.contains_id(pred, &fact) {
-                del.push(fact);
-            }
-        }
+    engine.eval_stratum(s, None, &[], db, &mut EvalStats::default(), guard)?;
+    for pred in sorted_preds {
+        let (old, new) = (old.relation_id(pred), db.relation_id(pred));
+        let ins = missing_from(new, old);
+        let del = missing_from(old, new);
         if !ins.is_empty() || !del.is_empty() {
-            ins.sort();
-            del.sort();
             let entry = changes.entry(pred).or_default();
             entry.ins.extend(ins);
             entry.del.extend(del);
         }
     }
     Ok(())
+}
+
+/// The facts of `rel` that `other` lacks, sorted.
+fn missing_from(rel: Option<&Relation>, other: Option<&Relation>) -> Vec<Fact> {
+    let mut out: Vec<Fact> = rel
+        .into_iter()
+        .flat_map(Relation::iter)
+        .filter(|fact| other.is_none_or(|o| !o.contains(fact)))
+        .collect();
+    out.sort();
+    out
 }
 
 #[cfg(test)]
@@ -1315,11 +1205,11 @@ mod tests {
     /// The incremental database must equal the from-scratch fixpoint of
     /// the surviving base — compare every relation as a sorted fact list.
     fn assert_matches_scratch(engine: &IncrementalEngine) {
-        let program = engine.full_program().expect("base renders back");
-        let scratch = Engine::new(&program)
+        let scratch = Engine::new(engine.rules())
             .expect("stratifies")
-            .run()
-            .expect("evaluates");
+            .run_over(engine.base_database())
+            .expect("evaluates")
+            .0;
         for (pred, rel) in engine.database().relations() {
             let want = scratch
                 .relation(pred)
@@ -1782,6 +1672,57 @@ mod tests {
         engine.commit().unwrap();
         assert!(!engine.database().contains("reach", &[s("a"), s("c")]));
         assert_matches_scratch(&engine);
+    }
+
+    #[test]
+    fn operator_strata_recompute_only_when_their_inputs_change() {
+        let program = parse_program(
+            "edge(a, b). edge(b, c). c(x, y). c(y, z).
+             deg(X, count(Y)) :- edge(X, Y).
+             reach(X, Y) :- @bfs(edge, X, Y).
+             t(X, Y) :- c(X, Y).
+             t(X, Z) :- t(X, Y), c(Y, Z).",
+        )
+        .expect("program parses");
+        let mut engine = IncrementalEngine::new(&program).expect("materializes");
+        // The strata that hold `deg` or the `@bfs(edge)` call (`reach`
+        // shares the call's stratum).
+        let operator_strata: FxHashSet<usize> = ["deg", "@bfs(edge)", "reach"]
+            .iter()
+            .map(|p| engine.stratum_of[&SymId::intern(p)])
+            .collect();
+        let mut commit = |insert: bool, pred: &str, fact: [&str; 2]| {
+            engine.begin().expect("begins");
+            let fact = fact.map(s).to_vec();
+            let staged = if insert {
+                engine.insert(pred, fact)
+            } else {
+                engine.retract(pred, fact)
+            };
+            staged.expect("stages");
+            let stats = engine.commit().expect("commits");
+            assert_matches_scratch(&engine);
+            stats
+        };
+        // Only `c` changes: the aggregate and the operator are untouched.
+        for (insert, fact) in [(true, ["z", "w"]), (false, ["x", "y"])] {
+            let stats = commit(insert, "c", fact);
+            assert_eq!(stats.strata_recomputed, 0, "stats: {stats:?}");
+            assert!(stats.derived_added + stats.derived_removed > 0, "{stats:?}");
+        }
+        // `edge` changes: at most the strata reading it recompute.
+        for (insert, fact) in [(true, ["c", "d"]), (false, ["a", "b"])] {
+            let stats = commit(insert, "edge", fact);
+            assert!(
+                (1..=operator_strata.len()).contains(&stats.strata_recomputed),
+                "stats: {stats:?}"
+            );
+        }
+        let db = engine.database();
+        assert!(db.contains("reach", &[s("b"), s("d")]));
+        assert!(!db.contains("reach", &[s("a"), s("b")]));
+        assert!(db.contains("deg", &[s("c"), Const::int(1)]));
+        assert!(!db.contains("deg", &[s("a"), Const::int(1)]));
     }
 
     #[test]

@@ -164,6 +164,21 @@ impl Program {
         }
     }
 
+    /// A copy of the program without its fact clauses. The arity table
+    /// is kept whole, so facts-only predicates keep their arities and
+    /// the copy stratifies exactly like the whole program.
+    pub fn without_facts(&self) -> Program {
+        Program {
+            clauses: self
+                .clauses
+                .iter()
+                .filter(|c| !c.is_fact())
+                .cloned()
+                .collect(),
+            arities: self.arities.clone(),
+        }
+    }
+
     /// A copy of the program with every clause whose head is in
     /// `excluded` dropped. The arity table is kept whole, so the copy
     /// still validates literals over excluded predicates (they behave as

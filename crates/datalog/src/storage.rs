@@ -939,17 +939,32 @@ impl Database {
         gone
     }
 
-    /// Reset the relation for a predicate id to empty — it stays
-    /// registered, so compiled plans keep resolving it — and subtract its
-    /// facts from the database total. Used by the incremental engine's
-    /// per-stratum recompute fallback.
-    pub fn clear_relation_id(&mut self, predicate: SymId) {
-        if let Some(rel) = self.relations.get_mut(&predicate) {
-            self.fact_count -= rel.len();
-            // Fresh Arc rather than make_mut: the old relation may stay
-            // pinned by a snapshot, and a reset needs no copy anyway.
-            *rel = Arc::new(Relation::new());
+    /// Reset the relation for a predicate id to `from`'s — a shared,
+    /// copy-on-write handle, or an empty relation when `from` has none —
+    /// and adjust the database total. The relation stays registered, so
+    /// compiled plans keep resolving it. Used by the incremental engine
+    /// to reset a stratum to its base facts before recomputing it.
+    pub(crate) fn reset_relation_id(&mut self, predicate: SymId, from: &Database) {
+        // A fresh handle rather than make_mut: the old relation may stay
+        // pinned by a snapshot, and a reset needs no copy anyway.
+        let rel = from.relations.get(&predicate).cloned().unwrap_or_default();
+        self.fact_count += rel.len();
+        if let Some(old) = self.relations.insert(predicate, rel) {
+            self.fact_count -= old.len();
         }
+    }
+
+    /// Drop every relation whose predicate `keep` rejects.
+    pub(crate) fn retain_predicates(&mut self, mut keep: impl FnMut(&str) -> bool) {
+        let mut dropped = 0;
+        self.relations.retain(|p, rel| {
+            let kept = keep(p.as_str());
+            if !kept {
+                dropped += rel.len();
+            }
+            kept
+        });
+        self.fact_count -= dropped;
     }
 
     /// Whether the database contains this ground fact.

@@ -4,7 +4,8 @@
 //! base facts — through positive recursion and across negation strata,
 //! which DRed maintains by delta (a change to a negated predicate is
 //! itself a delta), with the per-stratum recompute fallback pinned
-//! separately.
+//! separately — and through aggregate and `@`-operator strata, which are
+//! recomputed whole when one of their inputs changes.
 
 // Test code: unwraps are the assertion.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -32,6 +33,14 @@ const RULES: &str = "path(X, Y) :- edge(X, Y).\n\
                      settled(X) :- b(X), not sink(X).\n\
                      stray(X) :- b(X), not node(X), not sink(X).\n";
 
+/// `RULES` plus an aggregate over `edge`, an `@bfs` closure of it, and
+/// rules that join (`hub`, `cyclic`) and negate (`quiet`) their outputs.
+const OPERATOR_RULES: &str = "deg(X, count(Y)) :- edge(X, Y).\n\
+                              reach(X, Y) :- @bfs(edge, X, Y).\n\
+                              hub(X) :- deg(X, N), N >= 2.\n\
+                              quiet(X) :- b(X), not deg(X, N).\n\
+                              cyclic(X) :- reach(X, X), b(X).\n";
+
 /// One staged update: `(on_edge, insert, x, y)`. `y` is ignored for the
 /// unary relation `b`.
 type Update = (bool, bool, usize, usize);
@@ -43,9 +52,9 @@ fn arb_history() -> impl Strategy<Value = Vec<Vec<Update>>> {
 }
 
 /// Initial seed facts so the engine materializes a non-trivial fixpoint
-/// before the first commit.
-fn seed_src() -> String {
-    format!("edge(n0, n1).\nedge(n1, n2).\nb(n0).\nb(n3).\n{RULES}")
+/// before the first commit, followed by `rules`.
+fn seed_src(rules: &str) -> String {
+    format!("edge(n0, n1).\nedge(n1, n2).\nb(n0).\nb(n3).\n{rules}")
 }
 
 /// The reference model: the surviving base facts as plain sets.
@@ -63,8 +72,8 @@ impl BaseModel {
         }
     }
 
-    /// The equivalent from-scratch program: rules plus surviving base.
-    fn program(&self) -> Program {
+    /// The equivalent from-scratch program: `rules` plus surviving base.
+    fn program(&self, rules: &str) -> Program {
         let mut src = String::new();
         for &(x, y) in &self.edges {
             src.push_str(&format!("edge(n{x}, n{y}).\n"));
@@ -72,7 +81,7 @@ impl BaseModel {
         for &x in &self.bs {
             src.push_str(&format!("b(n{x}).\n"));
         }
-        src.push_str(RULES);
+        src.push_str(rules);
         parse_program(&src).expect("model program is valid")
     }
 }
@@ -125,8 +134,9 @@ fn apply_commit(
 fn assert_matches_model(
     engine: &IncrementalEngine,
     model: &BaseModel,
+    rules: &str,
 ) -> Result<(), TestCaseError> {
-    let scratch = Engine::new(&model.program()).unwrap().run().unwrap();
+    let scratch = Engine::new(&model.program(rules)).unwrap().run().unwrap();
     prop_assert_eq!(all_facts(engine.database()), all_facts(&scratch));
     Ok(())
 }
@@ -136,18 +146,18 @@ proptest! {
 
     #[test]
     fn incremental_equals_scratch_after_every_commit(history in arb_history()) {
-        let program = parse_program(&seed_src()).unwrap();
+        let program = parse_program(&seed_src(RULES)).unwrap();
         let mut engine = IncrementalEngine::new(&program).unwrap();
         let mut model = BaseModel::seeded();
         for commit in &history {
             apply_commit(&mut engine, &mut model, commit);
-            assert_matches_model(&engine, &model)?;
+            assert_matches_model(&engine, &model, RULES)?;
         }
     }
 
     #[test]
     fn threaded_incremental_equals_scratch(history in arb_history()) {
-        let program = parse_program(&seed_src()).unwrap();
+        let program = parse_program(&seed_src(RULES)).unwrap();
         let mut engine = IncrementalEngine::new(&program)
             .unwrap()
             .with_threads(4);
@@ -158,21 +168,21 @@ proptest! {
         for commit in &history {
             apply_commit(&mut engine, &mut model, commit);
         }
-        assert_matches_model(&engine, &model)?;
+        assert_matches_model(&engine, &model, RULES)?;
     }
 
     #[test]
     fn low_fallback_threshold_equals_scratch(history in arb_history()) {
         // Threshold 0 forces the per-stratum recompute fallback on every
         // deletion, pinning the fallback path against the same oracle.
-        let program = parse_program(&seed_src()).unwrap();
+        let program = parse_program(&seed_src(RULES)).unwrap();
         let mut engine = IncrementalEngine::new(&program)
             .unwrap()
             .with_fallback_threshold(0);
         let mut model = BaseModel::seeded();
         for commit in &history {
             apply_commit(&mut engine, &mut model, commit);
-            assert_matches_model(&engine, &model)?;
+            assert_matches_model(&engine, &model, RULES)?;
         }
     }
 
@@ -180,7 +190,7 @@ proptest! {
     fn pure_dred_equals_scratch(history in arb_history()) {
         // No threshold fallback: every stratum, including the two that
         // negate changed predicates, is maintained purely by delta.
-        let program = parse_program(&seed_src()).unwrap();
+        let program = parse_program(&seed_src(RULES)).unwrap();
         let mut engine = IncrementalEngine::new(&program)
             .unwrap()
             .with_fallback_threshold(usize::MAX);
@@ -188,7 +198,28 @@ proptest! {
         for commit in &history {
             let stats = apply_commit(&mut engine, &mut model, commit);
             prop_assert_eq!(stats.strata_recomputed, 0, "{:?}", stats);
-            assert_matches_model(&engine, &model)?;
+            assert_matches_model(&engine, &model, RULES)?;
+        }
+    }
+
+    #[test]
+    fn operator_strata_equal_scratch(history in arb_history()) {
+        // Aggregate and operator strata, recomputed whole on an input
+        // change, feed rules that join and negate them; the default
+        // threshold and threshold 0 (every DRed stratum falls back too)
+        // must both track the from-scratch model after every commit.
+        let rules = format!("{RULES}{OPERATOR_RULES}");
+        let program = parse_program(&seed_src(&rules)).unwrap();
+        for threshold in [None, Some(0)] {
+            let mut engine = IncrementalEngine::new(&program).unwrap();
+            if let Some(t) = threshold {
+                engine = engine.with_fallback_threshold(t);
+            }
+            let mut model = BaseModel::seeded();
+            for commit in &history {
+                apply_commit(&mut engine, &mut model, commit);
+                assert_matches_model(&engine, &model, &rules)?;
+            }
         }
     }
 }

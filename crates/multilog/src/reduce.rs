@@ -137,6 +137,16 @@ struct DemandCache {
     sealed: Vec<(dl::SymId, usize)>,
 }
 
+/// What [`ReducedEngine::demand_plan`] hands a demand goal: the shape's
+/// plan (`None` without a magic rewrite), the flow-pruned rules, a clone
+/// of the base snapshot, and how many clauses pruning dropped.
+type DemandPlan = (
+    Option<Arc<dl::PreparedMagic>>,
+    Arc<dl::Program>,
+    dl::Database,
+    usize,
+);
+
 /// Demand-pruning state: the static flow analysis of the source
 /// database plus each Σ/Π clause paired with its τ image from the one
 /// translation pass, so prunable rules can be dropped from the demand
@@ -450,7 +460,7 @@ impl ReducedEngine {
     pub fn solve_demand_with_stats(&self, goal: &Goal) -> Result<(Vec<Answer>, dl::EvalStats)> {
         let body = translate_goal(goal, &self.user)?;
         let (shape, params) = dl::magic::prepared_key(&body);
-        let (plan, edb, pruned_rules) = self.demand_plan(shape, &body)?;
+        let (plan, rules, edb, pruned_rules) = self.demand_plan(shape, &body)?;
         // Guard trips convert through `From<DatalogError>`, surfacing the
         // same typed errors as a full materialization would.
         let (answers, mut stats) = match &plan {
@@ -458,13 +468,10 @@ impl ReducedEngine {
                 .guarded(dl::Engine::for_prepared(plan))
                 .run_prepared(edb, &params)?,
             // No magic rewrite for this shape: evaluate the goal's cone
-            // of the whole (pruned) program.
-            None => {
-                let program = self.incremental.current_program()?;
-                let (program, _) = self.pruned_program(program);
-                self.guarded(dl::Engine::new(&program)?)
-                    .run_for_goal(&body)?
-            }
+            // of the (pruned) rules over the base snapshot.
+            None => self
+                .guarded(dl::Engine::new(&rules)?)
+                .run_cone(edb, &body)?,
         };
         if let Some(d) = stats.demand.as_mut() {
             d.pruned_rules = pruned_rules;
@@ -490,13 +497,10 @@ impl ReducedEngine {
     }
 
     /// The cached plan for `body`'s `shape` (its `prepared_key`),
-    /// prepared on first use, a clone of the base snapshot to run it
-    /// over, and how many clauses flow pruning dropped from the rules.
-    fn demand_plan(
-        &self,
-        shape: String,
-        body: &[dl::Literal],
-    ) -> Result<(Option<Arc<dl::PreparedMagic>>, dl::Database, usize)> {
+    /// prepared on first use, the flow-pruned rules it was prepared from,
+    /// a clone of the base snapshot to run it over, and how many clauses
+    /// flow pruning dropped from the rules.
+    fn demand_plan(&self, shape: String, body: &[dl::Literal]) -> Result<DemandPlan> {
         let mut cache = self.demand.lock().unwrap_or_else(PoisonError::into_inner);
         let cache = &mut *cache;
         let tainted = self.prune.as_ref().is_some_and(|p| p.tainted);
@@ -508,8 +512,7 @@ impl ReducedEngine {
         let (rules, pruned) = match &cache.rules {
             Some(rules) => rules.clone(),
             None => {
-                let rules = dl::Program::from_clauses(self.incremental.rules().to_vec())?;
-                let (rules, pruned) = self.pruned_program(rules);
+                let (rules, pruned) = self.pruned_program(self.incremental.rules().clone());
                 cache.rules.insert((Arc::new(rules), pruned)).clone()
             }
         };
@@ -529,7 +532,7 @@ impl ReducedEngine {
             cache.sealed.extend_from_slice(plan.index_needs());
             Some(Arc::new(plan))
         });
-        Ok((plan.clone(), snapshot.clone(), pruned))
+        Ok((plan.clone(), rules, snapshot.clone(), pruned))
     }
 
     /// The predicates [`ReducedEngine::apply_updates`] writes: `rel` or,
@@ -1226,8 +1229,9 @@ mod tests {
             red.solve_text_demand("total(s, N)").unwrap(),
             red.solve_text("total(s, N)").unwrap()
         );
-        // An update re-derives the aggregate (whole-commit recompute in
-        // the back-end, since no per-fact delta exists for folds).
+        // An update re-derives the aggregate (the back-end recomputes
+        // the aggregate's stratum, since no per-fact delta exists for
+        // folds).
         red.apply_updates(&[EdbUpdate::Assert(goal_matom("u[emp(e3 : sal -u-> v4)]"))])
             .unwrap();
         let ans = red.solve_text("total(u, N)").unwrap();

@@ -85,3 +85,28 @@ fn reduce_on_mission_file() {
     assert!(out.contains("rel(mission, avenger, starship, avenger, s, s)."));
     assert!(out.contains("bel(P, K, A, V, C, H, opt)"));
 }
+
+#[test]
+fn reduced_stats_list_rules_but_not_facts() {
+    let src = mission_source();
+    let db = multilog_core::parse_database(&src).unwrap();
+    let red = multilog_core::reduce::ReducedEngine::new(&db, "s").unwrap();
+    let tau_rules = red
+        .program_text()
+        .lines()
+        .filter(|l| l.contains(" :- "))
+        .count();
+    let mut o = opts("s");
+    o.engine = EngineKind::Reduced;
+    o.stats = true;
+    let out = run(&src, &o).unwrap();
+    let entries: Vec<&str> = out
+        .lines()
+        .filter(|l| l.starts_with("rule (stratum"))
+        .collect();
+    // τ emits one fact clause per cell; facts are seeded, not compiled,
+    // so only the rules get per-rule counters.
+    assert!(tau_rules > 0);
+    assert_eq!(entries.len(), tau_rules, "{out}");
+    assert!(entries.iter().all(|l| l.contains(" :- ")), "{out}");
+}
