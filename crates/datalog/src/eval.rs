@@ -1,10 +1,11 @@
-//! Bottom-up evaluation: naive and semi-naive, stratum by stratum.
+//! Bottom-up semi-naive evaluation, stratum by stratum.
 //!
 //! Rule bodies are compiled once per stratum into slot-allocated join
-//! plans ([`crate::plan`]) whose literal order is chosen greedily. The
-//! semi-naive strategy additionally compiles, for each rule and each body
-//! occurrence of a same-stratum predicate, a variant where that
-//! occurrence draws from the delta of the previous iteration.
+//! plans ([`crate::plan`]) whose literal order is chosen greedily, plus,
+//! for each rule and each body occurrence of a same-stratum predicate, a
+//! variant where that occurrence draws from the delta of the previous
+//! iteration. The naive, tuple-at-a-time [`crate::reference`] evaluator
+//! is the oracle this engine is differentially tested against.
 //!
 //! Negated literals may contain variables that occur in no positive
 //! literal textually before them; these are read as existentially
@@ -46,47 +47,6 @@ use crate::storage::{key_of, Database, Fact, FactBuf, Relation};
 use crate::term::{Const, SymId, Term};
 use crate::trace::{TraceEvent, TraceSink};
 use crate::{DatalogError, Result};
-
-/// Evaluation strategy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum Strategy {
-    /// Re-derive everything each iteration; kept for validation/ablation.
-    Naive,
-    /// Delta-driven evaluation; the default.
-    #[default]
-    SemiNaive,
-}
-
-/// Which compiled-plan executor runs rule bodies.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum Executor {
-    /// Columnar row-id batch execution — merge joins over the per-column
-    /// sorted indexes with a batched hash-join fallback; the default.
-    #[default]
-    Batched,
-    /// The retained tuple-at-a-time reference executor: the semantics
-    /// oracle the batched path is differentially tested against, and an
-    /// escape hatch for debugging.
-    Tuple,
-}
-
-/// Run `plan` with the selected executor. Both executors derive the same
-/// set of head tuples; only the order of `out` differs.
-#[inline]
-fn eval_plan(
-    executor: Executor,
-    plan: &RulePlan,
-    db: &Database,
-    delta: Option<&FactBuf>,
-    scratch: &mut Scratch,
-    out: &mut FactBuf,
-    guard: &EvalGuard,
-) -> Result<()> {
-    match executor {
-        Executor::Batched => plan.eval(db, delta, scratch, out, guard),
-        Executor::Tuple => plan.eval_reference(db, delta, scratch, out, guard),
-    }
-}
 
 /// Per-rule counters, aggregated over every variant and application of
 /// one source rule.
@@ -238,10 +198,9 @@ impl EvalStats {
 }
 
 /// One stratum's rules compiled into join plans: one base plan per rule
-/// and, for the semi-naive strategy, one delta variant per body
-/// occurrence of a same-stratum predicate. Cardinality estimates for the
-/// greedy join order come from the database the stratum was compiled
-/// against.
+/// and one delta variant per body occurrence of a same-stratum
+/// predicate. Cardinality estimates for the greedy join order come from
+/// the database the stratum was compiled against.
 #[derive(Debug)]
 pub(crate) struct CompiledStratum {
     /// Renderings of the source rules, for per-rule counters.
@@ -254,11 +213,10 @@ pub(crate) struct CompiledStratum {
 
 impl CompiledStratum {
     /// Compile `rules` (the stratum's rules; `in_stratum` its
-    /// predicates), with delta variants when `variants` is set.
+    /// predicates) with their delta variants.
     pub(crate) fn compile(
         rules: &[&Clause],
         in_stratum: &HashSet<SymId>,
-        variants: bool,
         db: &Database,
     ) -> Result<Self> {
         let base = rules
@@ -271,12 +229,10 @@ impl CompiledStratum {
             variants: Vec::new(),
             variant_rule: Vec::new(),
         };
-        if variants {
-            for (ri, r) in rules.iter().enumerate() {
-                for p in delta_positions(r, in_stratum) {
-                    compiled.variants.push(RulePlan::compile(r, Some(p), db)?);
-                    compiled.variant_rule.push(ri);
-                }
+        for (ri, r) in rules.iter().enumerate() {
+            for p in delta_positions(r, in_stratum) {
+                compiled.variants.push(RulePlan::compile(r, Some(p), db)?);
+                compiled.variant_rule.push(ri);
             }
         }
         Ok(compiled)
@@ -308,14 +264,12 @@ pub struct Engine<'p> {
     /// whole): everything the engine compiles, stratifies by and
     /// restricts to a goal's cone.
     rules: Cow<'p, Program>,
-    strategy: Strategy,
     fact_limit: usize,
     deadline: Option<Duration>,
     cancel: Option<CancelToken>,
     trace: Option<Arc<dyn TraceSink>>,
     threads: usize,
     parallel_threshold: usize,
-    executor: Executor,
     strata: Cow<'p, [Vec<String>]>,
     /// The prepared demand plan this engine runs, when built by
     /// [`Engine::for_prepared`].
@@ -361,39 +315,29 @@ impl<'p> Engine<'p> {
         Engine {
             program,
             rules: Cow::Borrowed(program),
-            strategy: Strategy::SemiNaive,
             fact_limit: 10_000_000,
             deadline: None,
             cancel: None,
             trace: None,
             threads: std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
             parallel_threshold: 512,
-            executor: Executor::default(),
             strata,
             prepared,
         }
     }
 
-    /// This engine with `other`'s configuration: strategy, guards,
-    /// trace, threads and executor.
+    /// This engine with `other`'s configuration: guards, trace and
+    /// threads.
     fn configured_like(self, other: &Engine<'_>) -> Self {
         Engine {
-            strategy: other.strategy,
             fact_limit: other.fact_limit,
             deadline: other.deadline,
             cancel: other.cancel.clone(),
             trace: other.trace.clone(),
             threads: other.threads,
             parallel_threshold: other.parallel_threshold,
-            executor: other.executor,
             ..self
         }
-    }
-
-    /// Select the evaluation strategy (default: semi-naive).
-    pub fn with_strategy(mut self, strategy: Strategy) -> Self {
-        self.strategy = strategy;
-        self
     }
 
     /// Set the guard budget on the number of derived facts. Checked both
@@ -450,14 +394,6 @@ impl<'p> Engine<'p> {
         self
     }
 
-    /// Select the plan executor (default: [`Executor::Batched`]). The
-    /// tuple executor exists for differential testing and debugging;
-    /// both produce identical databases.
-    pub fn with_executor(mut self, executor: Executor) -> Self {
-        self.executor = executor;
-        self
-    }
-
     /// Evaluate to fixpoint and return the full database.
     pub fn run(&self) -> Result<Database> {
         Ok(self.run_with_stats()?.0)
@@ -506,7 +442,7 @@ impl<'p> Engine<'p> {
     /// When some argument of a positive goal literal is bound, the
     /// program's rules are rewritten with the magic-sets transformation
     /// ([`magic::prepare`]) and the plan runs over the program's facts
-    /// with this engine's configuration (strategy, guards, threads); only
+    /// with this engine's configuration (guards, threads); only
     /// tuples reachable from the goal's constants are materialized. When
     /// no argument is bound — or no sound rewrite exists — evaluation
     /// falls back to dependency-cone restriction (as
@@ -700,8 +636,7 @@ impl<'p> Engine<'p> {
             guard.check_db(db.fact_count())?;
             self.materialize_algos(stratum, restrict, extra, db, stats, guard)?;
             self.apply_aggregates(&agg_rules, stratum_idx, db, stats, guard)?;
-            let variants = self.strategy == Strategy::SemiNaive;
-            let compiled = CompiledStratum::compile(&rules, &in_stratum, variants, db)?;
+            let compiled = CompiledStratum::compile(&rules, &in_stratum, db)?;
             self.run_compiled(&compiled, stratum_idx, db, stats, guard)
         })
     }
@@ -749,23 +684,6 @@ impl<'p> Engine<'p> {
             wall_ns,
         });
         Ok(())
-    }
-
-    /// Run a compiled stratum's fixpoint with the configured strategy.
-    fn run_compiled(
-        &self,
-        compiled: &CompiledStratum,
-        stratum_idx: usize,
-        db: &mut Database,
-        stats: &mut EvalStats,
-        guard: &EvalGuard,
-    ) -> Result<()> {
-        match self.strategy {
-            Strategy::Naive => self.run_stratum_naive(compiled, stratum_idx, db, stats, guard),
-            Strategy::SemiNaive => {
-                self.run_stratum_seminaive(compiled, stratum_idx, db, stats, guard)
-            }
-        }
     }
 
     /// Materialize every `@algo(input)` call predicate assigned to this
@@ -875,15 +793,7 @@ impl<'p> Engine<'p> {
             let started = Instant::now();
             let mut scratch = plan.new_scratch();
             let mut out = FactBuf::default();
-            eval_plan(
-                self.executor,
-                &plan,
-                db,
-                None,
-                &mut scratch,
-                &mut out,
-                guard,
-            )?;
+            plan.eval(db, None, &mut scratch, &mut out, guard)?;
             let var_ix: FxHashMap<&str, usize> =
                 wvars.iter().enumerate().map(|(i, &v)| (v, i)).collect();
             let value_at = |row: &[Const], t: &Term| -> Result<Const> {
@@ -958,7 +868,7 @@ impl<'p> Engine<'p> {
                 }
             }
             // Deterministic emission: groups sorted by the storage key
-            // order, independent of executor and thread count.
+            // order, independent of the thread count.
             let mut keyed: Vec<(Vec<Const>, Const)> = groups
                 .into_iter()
                 .map(|(k, acc)| {
@@ -1008,66 +918,8 @@ impl<'p> Engine<'p> {
         Ok(())
     }
 
-    fn run_stratum_naive(
-        &self,
-        compiled: &CompiledStratum,
-        stratum_idx: usize,
-        db: &mut Database,
-        stats: &mut EvalStats,
-        guard: &EvalGuard,
-    ) -> Result<()> {
-        let plans = &compiled.base;
-        stats
-            .join_orders
-            .extend(plans.iter().map(|p| p.order_desc.clone()));
-        let rule_base = stats.per_rule.len();
-        stats.per_rule.extend(compiled.rule_stats(stratum_idx));
-        let mut scratches: Vec<Scratch> = plans.iter().map(RulePlan::new_scratch).collect();
-        let mut derived = FactBuf::default();
-        loop {
-            stats.iterations += 1;
-            for plan in plans {
-                for &(p, c) in &plan.index_needs {
-                    db.ensure_index_id(p, c);
-                }
-            }
-            guard.begin_round(db.fact_count());
-            let mut new_facts: Vec<(usize, SymId, Fact)> = Vec::new();
-            for (i, (plan, scratch)) in plans.iter().zip(&mut scratches).enumerate() {
-                stats.rule_applications += 1;
-                derived.clear();
-                let started = Instant::now();
-                eval_plan(self.executor, plan, db, None, scratch, &mut derived, guard)?;
-                let ru = &mut stats.per_rule[rule_base + i];
-                ru.applications += 1;
-                ru.facts_derived += derived.len();
-                ru.join_probes += scratch.take_probes();
-                ru.join_defections += scratch.take_defections();
-                ru.wall_ns += u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                stats.facts_considered += derived.len();
-                for f in derived.rows() {
-                    new_facts.push((i, plan.head_pred, Fact::from(f)));
-                }
-            }
-            let mut changed = false;
-            for (i, pred, fact) in new_facts {
-                let ru = &mut stats.per_rule[rule_base + i];
-                if db.insert_id(pred, fact) {
-                    stats.facts_added += 1;
-                    ru.facts_added += 1;
-                    changed = true;
-                } else {
-                    ru.dedup_hits += 1;
-                }
-            }
-            guard.check_db(db.fact_count())?;
-            if !changed {
-                return Ok(());
-            }
-        }
-    }
-
-    fn run_stratum_seminaive(
+    /// Run a compiled stratum's semi-naive fixpoint over `db`.
+    fn run_compiled(
         &self,
         compiled: &CompiledStratum,
         stratum_idx: usize,
@@ -1188,7 +1040,6 @@ impl<'p> Engine<'p> {
             // guard (deadline, budget counters, cancellation token); the
             // main thread merges in variant order.
             let snapshot: &Database = db;
-            let executor = self.executor;
             let workers = self.threads.min(round.len());
             let mut results: Vec<(usize, Result<FactBuf>, u64, u64, u64)> =
                 std::thread::scope(|scope| {
@@ -1204,16 +1055,9 @@ impl<'p> Engine<'p> {
                                         let mut scratch = plan.new_scratch();
                                         let mut out = FactBuf::default();
                                         let started = Instant::now();
-                                        let res = eval_plan(
-                                            executor,
-                                            plan,
-                                            snapshot,
-                                            drel,
-                                            &mut scratch,
-                                            &mut out,
-                                            guard,
-                                        )
-                                        .map(|()| out);
+                                        let res = plan
+                                            .eval(snapshot, drel, &mut scratch, &mut out, guard)
+                                            .map(|()| out);
                                         let wall_ns = u64::try_from(started.elapsed().as_nanos())
                                             .unwrap_or(u64::MAX);
                                         let probes = scratch.take_probes();
@@ -1266,15 +1110,7 @@ impl<'p> Engine<'p> {
                 let drel = dpred.map(|d| &delta[&d]);
                 derived.clear();
                 let started = Instant::now();
-                eval_plan(
-                    self.executor,
-                    &plans[idx],
-                    db,
-                    drel,
-                    &mut scratches[idx],
-                    &mut derived,
-                    guard,
-                )?;
+                plans[idx].eval(db, drel, &mut scratches[idx], &mut derived, guard)?;
                 let wall_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
                 stats.facts_considered += derived.len();
                 let n_derived = derived.len();
@@ -1337,15 +1173,6 @@ mod tests {
         Engine::new(&p).unwrap().run().unwrap()
     }
 
-    fn run_naive(src: &str) -> Database {
-        let p = parse_program(src).unwrap();
-        Engine::new(&p)
-            .unwrap()
-            .with_strategy(Strategy::Naive)
-            .run()
-            .unwrap()
-    }
-
     #[test]
     fn transitive_closure() {
         let db = run("edge(a, b). edge(b, c). edge(c, d).\
@@ -1361,7 +1188,7 @@ mod tests {
              path(X, Y) :- edge(X, Y).\
              path(X, Y) :- path(X, Z), path(Z, Y).";
         let a = run(src);
-        let b = run_naive(src);
+        let b = crate::reference::model(&parse_program(src).unwrap()).unwrap();
         assert_eq!(
             a.relation("path").unwrap().sorted(),
             b.relation("path").unwrap().sorted()
@@ -1671,29 +1498,24 @@ mod tests {
     }
 
     #[test]
-    fn seminaive_does_less_work_than_naive() {
-        // Long chain: naive re-derives everything every iteration.
+    fn seminaive_work_is_linear_in_facts_added() {
+        // Long chain: a naive fixpoint would re-derive every path in
+        // every one of its 30 iterations. Semi-naive derives each path
+        // about once: measured 524 facts considered for 495 added (30
+        // seeded edges plus 465 paths).
         let mut src = String::new();
         for i in 0..30 {
             src.push_str(&format!("edge(n{}, n{}).\n", i, i + 1));
         }
         src.push_str("path(X, Y) :- edge(X, Y). path(X, Y) :- edge(X, Z), path(Z, Y).");
         let p = parse_program(&src).unwrap();
-        let (db_s, s) = Engine::new(&p).unwrap().run_with_stats().unwrap();
-        let (db_n, n) = Engine::new(&p)
-            .unwrap()
-            .with_strategy(Strategy::Naive)
-            .run_with_stats()
-            .unwrap();
-        assert_eq!(
-            db_s.relation("path").unwrap().sorted(),
-            db_n.relation("path").unwrap().sorted()
-        );
+        let (db, s) = Engine::new(&p).unwrap().run_with_stats().unwrap();
+        assert_eq!(db.relation("path").unwrap().len(), 465);
         assert!(
-            s.facts_considered < n.facts_considered,
-            "semi-naive {} vs naive {}",
+            s.facts_considered <= 2 * s.facts_added,
+            "{} facts considered for {} added",
             s.facts_considered,
-            n.facts_considered
+            s.facts_added
         );
     }
 
@@ -1883,24 +1705,22 @@ mod tests {
         }
         src.push_str("t(G, sum(V)) :- s(G, V). c(G, count(V)) :- s(G, V).");
         let p = parse_program(&src).unwrap();
-        let baseline = Engine::new(&p).unwrap().with_threads(1).run().unwrap();
+        let reference = crate::reference::model(&p).unwrap();
         for threads in [1, 4] {
-            for executor in [Executor::Batched, Executor::Tuple] {
-                let db = Engine::new(&p)
-                    .unwrap()
-                    .with_threads(threads)
-                    .with_parallel_threshold(0)
-                    .with_executor(executor)
-                    .run()
-                    .unwrap();
-                for (pred, rel) in baseline.relations() {
-                    assert_eq!(
-                        rel.sorted(),
-                        db.relation(pred).unwrap().sorted(),
-                        "{pred} differs (threads={threads}, executor={executor:?})"
-                    );
-                }
+            let db = Engine::new(&p)
+                .unwrap()
+                .with_threads(threads)
+                .with_parallel_threshold(0)
+                .run()
+                .unwrap();
+            for (pred, rel) in reference.relations() {
+                assert_eq!(
+                    rel.sorted(),
+                    db.relation(pred).unwrap().sorted(),
+                    "{pred} differs from the reference (threads={threads})"
+                );
             }
+            assert_eq!(db.fact_count(), reference.fact_count(), "threads={threads}");
         }
     }
 

@@ -15,9 +15,8 @@
 //! * Range-restriction (safety) checking.
 //! * Predicate dependency analysis and stratification (negation must not
 //!   occur inside a recursive component).
-//! * Both **naive** and **semi-naive** bottom-up evaluation — the naive
-//!   evaluator exists so the semi-naive one can be validated against it
-//!   and ablated in the benchmark suite.
+//! * **Semi-naive** bottom-up evaluation ([`Engine`]), validated against
+//!   a naive, tuple-at-a-time reference evaluator ([`mod@reference`]).
 //! * A recursive-descent parser for a conventional textual syntax.
 //! * Evaluation guards — wall-clock deadlines, fact budgets checked
 //!   inside the join loop, cooperative cancellation — surfacing as typed
@@ -103,6 +102,7 @@ mod parser;
 mod plan;
 mod program;
 mod query;
+pub mod reference;
 mod snapshot;
 mod storage;
 mod term;
@@ -113,7 +113,7 @@ pub use analyze::{analyze, analyze_for_goal, analyze_for_query, check_clauses, L
 pub use atom::{ArithOp, Atom, CmpOp, Literal};
 pub use clause::{AggFunc, Aggregate, Clause, Span};
 pub use error::DatalogError;
-pub use eval::{DemandStats, Engine, EvalStats, Executor, RuleStats, Strategy, StratumStats};
+pub use eval::{DemandStats, Engine, EvalStats, RuleStats, StratumStats};
 pub use guard::CancelToken;
 pub use incremental::{CommitStats, IncrementalEngine};
 pub use magic::PreparedMagic;

@@ -311,7 +311,7 @@ fn prepare_with(
             .iter()
             .filter(|c| in_stratum.contains(&c.head.predicate))
             .collect();
-        compiled.push(CompiledStratum::compile(&stratum_rules, &in_stratum, true, edb).ok()?);
+        compiled.push(CompiledStratum::compile(&stratum_rules, &in_stratum, edb).ok()?);
     }
     let mut index_needs: Vec<(SymId, usize)> = compiled
         .iter()

@@ -2,8 +2,8 @@
 //! ordering, executed over row-id batches.
 //!
 //! Each rule (and each semi-naive delta variant of it) is compiled once
-//! per stratum into a [`RulePlan`]: variables become dense *slots* into a
-//! reusable bindings buffer, and body literals become a sequence of
+//! per stratum into a [`RulePlan`]: variables become dense *slots* (the
+//! columns of a binding batch), and body literals become a sequence of
 //! [`Step`]s in an execution order chosen greedily — positive literals
 //! ranked by bound-argument count then estimated relation cardinality,
 //! negated and built-in literals scheduled as soon as their variables are
@@ -50,10 +50,10 @@
 //! memoized per distinct bound-cell tuple within a batch; comparisons
 //! and arithmetic filter the batch columnwise.
 //!
-//! The previous tuple-at-a-time executor is retained verbatim as
-//! [`RulePlan::eval_reference`] — it is the differential-testing oracle
-//! for the batched path (see `Executor::Tuple` in [`crate::eval`]) and
-//! the specification of the rule semantics.
+//! Plans are the only way the engine runs a rule. Their oracle is
+//! [`crate::reference`], a naive evaluator that reads `Clause`s directly
+//! and shares nothing with the planner, so a plan-compiler bug cannot
+//! hide from it.
 //!
 //! # Negation under reordering
 //!
@@ -94,20 +94,6 @@ const TABLE_BUILD_RATIO: usize = 8;
 /// each key group through the index directly.
 const CURSOR_BATCH_MIN: usize = 64;
 
-/// One column of a positive scan.
-#[derive(Clone, Copy, Debug)]
-enum ScanCol {
-    /// Must equal this constant (part of the index probe).
-    Const(Const),
-    /// Must equal the slot value bound by an earlier step (probe).
-    Bound(u32),
-    /// First occurrence of an unbound variable: binds the slot.
-    Bind(u32),
-    /// Repeated occurrence within this atom: must equal the slot value
-    /// bound earlier in the same row.
-    Check(u32),
-}
-
 /// One column of a negated-literal probe.
 #[derive(Clone, Copy, Debug)]
 enum NegCol {
@@ -139,9 +125,7 @@ enum ArithTarget {
     CheckConst(Const),
 }
 
-/// Precomputed column roles of a positive scan, consumed by the batched
-/// executor (`cols` remains the source of truth for the reference
-/// executor).
+/// The column roles of a positive scan.
 #[derive(Clone, Debug, Default)]
 struct ScanSpec {
     /// Columns that must equal a constant.
@@ -167,7 +151,7 @@ enum Step {
     Scan {
         pred: SymId,
         from_delta: bool,
-        cols: Vec<ScanCol>,
+        arity: usize,
         spec: ScanSpec,
     },
     /// Prune unless `¬∃(locals) pred(cols)` holds.
@@ -226,11 +210,10 @@ struct JoinTable {
     map: FxHashMap<u64, Vec<u32>>,
 }
 
-/// Reusable per-plan evaluation buffers: the slot bindings plus one
-/// pattern/local/batch/row buffer per step, taken out and restored
-/// around the recursive join so no per-row allocation happens.
+/// Reusable per-plan evaluation buffers: one pattern/local/batch/row
+/// buffer per step, taken out and restored around the recursive join so
+/// no per-row allocation happens.
 pub(crate) struct Scratch {
-    bindings: Vec<Const>,
     patterns: Vec<Vec<Option<Const>>>,
     locals: Vec<Vec<Const>>,
     /// Per-step output batches of the batched executor.
@@ -535,43 +518,30 @@ impl RulePlan {
                     (usize::MAX - bound_args, est, i)
                 });
             let Some((i, a)) = best else { break };
-            let mut bound_here: HashSet<u32> = HashSet::new();
-            let mut cols = Vec::with_capacity(a.terms.len());
-            for t in &a.terms {
-                cols.push(match t {
-                    Term::Const(c) => ScanCol::Const(*c),
+            let mut spec = ScanSpec::default();
+            let mut first_col_of_slot: HashMap<u32, usize> = HashMap::new();
+            for (c, t) in a.terms.iter().enumerate() {
+                match t {
+                    Term::Const(v) => spec.consts.push((c, *v)),
                     Term::Var(v) => {
                         let s = slots[v.as_ref()];
                         if bound.contains(&s) {
-                            ScanCol::Bound(s)
-                        } else if bound_here.contains(&s) {
-                            ScanCol::Check(s)
+                            spec.bounds.push((c, s));
+                        } else if let Some(&first) = first_col_of_slot.get(&s) {
+                            spec.checks.push((c, first));
                         } else {
-                            bound_here.insert(s);
-                            ScanCol::Bind(s)
+                            first_col_of_slot.insert(s, c);
+                            spec.binds.push((c, s));
                         }
                     }
-                });
-            }
-            let mut spec = ScanSpec::default();
-            let mut first_col_of_slot: HashMap<u32, usize> = HashMap::new();
-            for (c, col) in cols.iter().enumerate() {
-                match col {
-                    ScanCol::Const(v) => spec.consts.push((c, *v)),
-                    ScanCol::Bound(s) => spec.bounds.push((c, *s)),
-                    ScanCol::Bind(s) => {
-                        first_col_of_slot.insert(*s, c);
-                        spec.binds.push((c, *s));
-                    }
-                    ScanCol::Check(s) => spec.checks.push((c, first_col_of_slot[s])),
                 }
             }
             carry.push(snap(&bound));
-            bound.extend(bound_here);
+            bound.extend(first_col_of_slot.into_keys());
             steps.push(Step::Scan {
                 pred: a.predicate,
                 from_delta: delta_pos == Some(i),
-                cols,
+                arity: a.terms.len(),
                 spec,
             });
             scheduled[i] = true;
@@ -723,12 +693,10 @@ impl RulePlan {
     /// Allocate evaluation buffers sized for this plan.
     pub fn new_scratch(&self) -> Scratch {
         Scratch {
-            bindings: vec![Const::Int(0); self.n_slots],
             patterns: self
                 .steps
                 .iter()
                 .map(|s| match s {
-                    Step::Scan { cols, .. } => Vec::with_capacity(cols.len()),
                     Step::Neg { cols, .. } => Vec::with_capacity(cols.len()),
                     _ => Vec::new(),
                 })
@@ -758,9 +726,6 @@ impl RulePlan {
     /// and once more on completion, so deadline, budget, and cancellation
     /// trips surface from within a single (possibly enormous) rule
     /// application.
-    ///
-    /// The emitted *set* of head tuples is identical to
-    /// [`RulePlan::eval_reference`]; the order of `out` may differ.
     pub fn eval(
         &self,
         db: &Database,
@@ -769,7 +734,6 @@ impl RulePlan {
         out: &mut FactBuf,
         guard: &EvalGuard,
     ) -> Result<()> {
-        debug_assert_eq!(scratch.bindings.len(), self.n_slots);
         let mut root = Batch::default();
         root.reset(self.n_slots);
         root.n = 1; // the single empty binding
@@ -819,7 +783,7 @@ impl RulePlan {
             Step::Scan {
                 pred,
                 from_delta,
-                cols,
+                arity,
                 spec,
             } => {
                 let mut child = mem::take(&mut scratch.batches[step]);
@@ -830,16 +794,7 @@ impl RulePlan {
                     )
                 } else {
                     self.scan_rel(
-                        step,
-                        *pred,
-                        spec,
-                        cols.len(),
-                        db,
-                        delta,
-                        batch,
-                        &mut child,
-                        scratch,
-                        out,
+                        step, *pred, spec, *arity, db, delta, batch, &mut child, scratch, out,
                         guard,
                     )
                 };
@@ -1360,220 +1315,6 @@ impl RulePlan {
         }
         result
     }
-
-    /// Evaluate the plan with the retained tuple-at-a-time executor: the
-    /// reference semantics the batched path is differentially tested
-    /// against (and an escape hatch, via `Executor::Tuple`). Same
-    /// contract as [`RulePlan::eval`]; the emitted multiset of head
-    /// tuples is identical, only the order of `out` may differ.
-    pub fn eval_reference(
-        &self,
-        db: &Database,
-        delta: Option<&FactBuf>,
-        scratch: &mut Scratch,
-        out: &mut FactBuf,
-        guard: &EvalGuard,
-    ) -> Result<()> {
-        debug_assert_eq!(scratch.bindings.len(), self.n_slots);
-        self.exec_tuple(0, db, delta, scratch, out, guard)?;
-        scratch.cursor.flush(guard)
-    }
-
-    #[allow(clippy::too_many_lines)]
-    fn exec_tuple(
-        &self,
-        step: usize,
-        db: &Database,
-        delta: Option<&FactBuf>,
-        scratch: &mut Scratch,
-        out: &mut FactBuf,
-        guard: &EvalGuard,
-    ) -> Result<()> {
-        let Some(s) = self.steps.get(step) else {
-            scratch.cursor.emit(guard)?;
-            out.push_row(self.head.iter().map(|h| match h {
-                ValSrc::Const(c) => *c,
-                ValSrc::Slot(s) => scratch.bindings[*s as usize],
-            }));
-            return Ok(());
-        };
-        match s {
-            Step::Scan {
-                pred,
-                from_delta,
-                cols,
-                spec: _,
-            } => {
-                if *from_delta {
-                    // Delta facts are filtered inline — no pattern probe,
-                    // no index: the whole delta is consumed anyway.
-                    let facts = delta.expect("delta variant evaluated without a delta");
-                    let mut result = Ok(());
-                    'facts: for fi in 0..facts.len() {
-                        let fact = facts.row(fi);
-                        result = scratch.cursor.probe(guard);
-                        if result.is_err() {
-                            break;
-                        }
-                        for (i, col) in cols.iter().enumerate() {
-                            match col {
-                                ScanCol::Const(c) => {
-                                    if *c != fact[i] {
-                                        continue 'facts;
-                                    }
-                                }
-                                ScanCol::Bound(s) | ScanCol::Check(s) => {
-                                    if scratch.bindings[*s as usize] != fact[i] {
-                                        continue 'facts;
-                                    }
-                                }
-                                ScanCol::Bind(s) => scratch.bindings[*s as usize] = fact[i],
-                            }
-                        }
-                        result = self.exec_tuple(step + 1, db, delta, scratch, out, guard);
-                        if result.is_err() {
-                            break;
-                        }
-                    }
-                    return result;
-                }
-                let rel = match db.relation_id(*pred) {
-                    Some(r) => r,
-                    None => return Ok(()), // empty relation: no matches
-                };
-                let mut pattern = mem::take(&mut scratch.patterns[step]);
-                pattern.clear();
-                for col in cols {
-                    pattern.push(match col {
-                        ScanCol::Const(c) => Some(*c),
-                        ScanCol::Bound(s) => Some(scratch.bindings[*s as usize]),
-                        ScanCol::Bind(_) | ScanCol::Check(_) => None,
-                    });
-                }
-                let mut result = Ok(());
-                for fact in rel.matching(&pattern) {
-                    result = scratch.cursor.probe(guard);
-                    if result.is_err() {
-                        break;
-                    }
-                    let mut ok = true;
-                    for (i, col) in cols.iter().enumerate() {
-                        match col {
-                            ScanCol::Bind(s) => scratch.bindings[*s as usize] = fact[i],
-                            ScanCol::Check(s) => {
-                                if scratch.bindings[*s as usize] != fact[i] {
-                                    ok = false;
-                                    break;
-                                }
-                            }
-                            ScanCol::Const(_) | ScanCol::Bound(_) => {}
-                        }
-                    }
-                    if ok {
-                        result = self.exec_tuple(step + 1, db, delta, scratch, out, guard);
-                        if result.is_err() {
-                            break;
-                        }
-                    }
-                }
-                scratch.patterns[step] = pattern;
-                result
-            }
-            Step::Neg {
-                pred,
-                cols,
-                n_locals,
-                ..
-            } => {
-                if let Some(rel) = db.relation_id(*pred) {
-                    let mut pattern = mem::take(&mut scratch.patterns[step]);
-                    pattern.clear();
-                    for col in cols {
-                        pattern.push(match col {
-                            NegCol::Const(c) => Some(*c),
-                            NegCol::Bound(s) => Some(scratch.bindings[*s as usize]),
-                            NegCol::Local(_) | NegCol::LocalCheck(_) => None,
-                        });
-                    }
-                    let mut locals = mem::take(&mut scratch.locals[step]);
-                    locals.clear();
-                    locals.resize(*n_locals, Const::Int(0));
-                    let mut rows: u32 = 0;
-                    let exists = rel.matching(&pattern).any(|fact| {
-                        rows = rows.saturating_add(1);
-                        for (i, col) in cols.iter().enumerate() {
-                            match col {
-                                NegCol::Local(l) => locals[*l as usize] = fact[i],
-                                NegCol::LocalCheck(l) => {
-                                    if locals[*l as usize] != fact[i] {
-                                        return false;
-                                    }
-                                }
-                                NegCol::Const(_) | NegCol::Bound(_) => {}
-                            }
-                        }
-                        true
-                    });
-                    scratch.patterns[step] = pattern;
-                    scratch.locals[step] = locals;
-                    scratch.cursor.probe_n(rows, guard)?;
-                    if exists {
-                        return Ok(());
-                    }
-                }
-                self.exec_tuple(step + 1, db, delta, scratch, out, guard)
-            }
-            Step::Cmp { op, lhs, rhs } => {
-                let l = self.resolve(*lhs, scratch);
-                let r = self.resolve(*rhs, scratch);
-                if op.eval(&l, &r)? {
-                    self.exec_tuple(step + 1, db, delta, scratch, out, guard)
-                } else {
-                    Ok(())
-                }
-            }
-            Step::Arith {
-                op,
-                lhs,
-                rhs,
-                target,
-            } => {
-                let as_int = |v: Const| -> Result<i64> {
-                    match v {
-                        Const::Int(i) => Ok(i),
-                        other => Err(DatalogError::IncomparableTerms {
-                            left: other.to_string(),
-                            right: "integer".to_owned(),
-                        }),
-                    }
-                };
-                let l = as_int(self.resolve(*lhs, scratch))?;
-                let r = as_int(self.resolve(*rhs, scratch))?;
-                let value = Const::Int(op.eval(l, r)?);
-                match target {
-                    ArithTarget::CheckConst(c) => {
-                        if *c != value {
-                            return Ok(());
-                        }
-                    }
-                    ArithTarget::CheckSlot(s) => {
-                        if scratch.bindings[*s as usize] != value {
-                            return Ok(());
-                        }
-                    }
-                    ArithTarget::Bind(s) => scratch.bindings[*s as usize] = value,
-                }
-                self.exec_tuple(step + 1, db, delta, scratch, out, guard)
-            }
-        }
-    }
-
-    fn resolve(&self, v: ValSrc, scratch: &Scratch) -> Const {
-        match v {
-            ValSrc::Const(c) => c,
-            ValSrc::Slot(s) => scratch.bindings[s as usize],
-        }
-    }
 }
 
 /// Delta-variant positions of a rule within `stratum_preds`: each body
@@ -1692,8 +1433,9 @@ mod tests {
         assert!(matches!(err, DatalogError::UnsafeVariable { variable, .. } if variable == "Z"));
     }
 
-    /// Both executors over a mixed rule set (joins, negation, arithmetic,
-    /// comparisons, repeated variables) must derive identical sets.
+    /// The batched executor and the naive reference over a mixed rule set
+    /// (joins, negation, arithmetic, comparisons, repeated variables)
+    /// must derive identical multisets of head tuples.
     #[test]
     fn batched_matches_reference_executor() {
         let src = "e(a, b). e(b, c). e(c, a). e(a, a).\
@@ -1715,16 +1457,14 @@ mod tests {
         let guard = EvalGuard::unlimited();
         for rule in p.clauses().iter().filter(|c| !c.is_fact()) {
             let plan = RulePlan::compile(rule, None, &db).unwrap();
-            let (mut batched, mut tuple) = (FactBuf::default(), FactBuf::default());
+            let mut batched = FactBuf::default();
             plan.eval(&db, None, &mut plan.new_scratch(), &mut batched, &guard)
                 .unwrap();
-            plan.eval_reference(&db, None, &mut plan.new_scratch(), &mut tuple, &guard)
-                .unwrap();
             let mut batched: Vec<Fact> = batched.rows().map(Fact::from).collect();
-            let mut tuple: Vec<Fact> = tuple.rows().map(Fact::from).collect();
+            let mut reference = crate::reference::apply_rule(rule, &db).unwrap();
             batched.sort();
-            tuple.sort();
-            assert_eq!(batched, tuple, "rule {rule}");
+            reference.sort();
+            assert_eq!(batched, reference, "rule {rule}");
         }
     }
 }

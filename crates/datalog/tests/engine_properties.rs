@@ -1,13 +1,13 @@
-//! Property tests: the two evaluation strategies must agree on the least
-//! model, and evaluation must be deterministic.
+//! Property tests: the semi-naive, batched engine must agree with the
+//! naive, tuple-at-a-time reference evaluator on the least model, and
+//! evaluation must be deterministic.
 
 // Test code: unwraps are the assertion.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use proptest::prelude::*;
 
-use multilog_datalog::Strategy as EvalStrategy;
-use multilog_datalog::{parse_program, Const, Database, Engine, Executor, Program};
+use multilog_datalog::{parse_program, reference, Const, Database, Engine, Program};
 
 /// Random edge relations over a small constant universe plus the standard
 /// recursive closure rules — a family of programs with genuine recursion.
@@ -82,17 +82,32 @@ fn all_facts(db: &Database) -> Vec<(String, Box<[Const]>)> {
     out
 }
 
+/// Every fact that one tuple-at-a-time application of each clause of `p`
+/// (facts included) derives from `db`, sorted and deduplicated. A
+/// stratified program's model is supported and closed, so on the least
+/// model this is the model itself.
+fn tuple_step(p: &Program, db: &Database) -> Vec<(String, Box<[Const]>)> {
+    let mut out = Vec::new();
+    for c in p.clauses() {
+        for f in reference::apply_rule(c, db).unwrap() {
+            out.push((c.head.predicate.as_str().to_owned(), f));
+        }
+    }
+    out.sort();
+    out.dedup();
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn naive_and_seminaive_agree(p in arb_closure_program()) {
+        // The engine (semi-naive, batched, join-ordered) and the
+        // reference (naive, tuple-at-a-time, textual order) reach the
+        // same least model on recursive programs with negation.
         let semi = Engine::new(&p).unwrap().run().unwrap();
-        let naive = Engine::new(&p)
-            .unwrap()
-            .with_strategy(EvalStrategy::Naive)
-            .run()
-            .unwrap();
+        let naive = reference::model(&p).unwrap();
         prop_assert_eq!(all_facts(&semi), all_facts(&naive));
     }
 
@@ -134,45 +149,22 @@ proptest! {
 
     #[test]
     fn batched_equals_tuple_executor_on_closure(p in arb_closure_program()) {
-        // The columnar batch executor and the tuple-at-a-time reference
-        // executor run the same compiled plans; they must produce the
-        // same least model on recursive programs with negation.
-        let batched = Engine::new(&p)
-            .unwrap()
-            .with_executor(Executor::Batched)
-            .run()
-            .unwrap();
-        let tuple = Engine::new(&p)
-            .unwrap()
-            .with_executor(Executor::Tuple)
-            .run()
-            .unwrap();
-        prop_assert_eq!(all_facts(&batched), all_facts(&tuple));
+        // One tuple-at-a-time application of every clause to the batched
+        // engine's model yields exactly that model.
+        let batched = Engine::new(&p).unwrap().run().unwrap();
+        prop_assert_eq!(tuple_step(&p, &batched), all_facts(&batched));
     }
 
     #[test]
     fn batched_equals_tuple_executor_on_stratified(p in arb_stratified_program()) {
-        let batched = Engine::new(&p)
-            .unwrap()
-            .with_executor(Executor::Batched)
-            .run()
-            .unwrap();
-        let tuple = Engine::new(&p)
-            .unwrap()
-            .with_executor(Executor::Tuple)
-            .run()
-            .unwrap();
-        prop_assert_eq!(all_facts(&batched), all_facts(&tuple));
+        let batched = Engine::new(&p).unwrap().run().unwrap();
+        prop_assert_eq!(tuple_step(&p, &batched), all_facts(&batched));
     }
 
     #[test]
     fn strategies_agree_on_stratified(p in arb_stratified_program()) {
         let semi = Engine::new(&p).unwrap().run().unwrap();
-        let naive = Engine::new(&p)
-            .unwrap()
-            .with_strategy(EvalStrategy::Naive)
-            .run()
-            .unwrap();
+        let naive = reference::model(&p).unwrap();
         prop_assert_eq!(all_facts(&semi), all_facts(&naive));
     }
 
@@ -218,22 +210,18 @@ proptest! {
     }
 }
 
-/// Run `src` under both executors, assert they reach the same model, and
-/// return the batched run's counters for the rules with head `head`:
+/// Run `src` on the engine, assert it reaches the reference model, and
+/// return its counters for the rules with head `head`:
 /// `(join_probes, join_defections, facts_added)`.
 fn batched_rule_counters(src: &str, head: &str) -> (u64, u64, usize) {
     let p = parse_program(src).unwrap();
-    let (batched, stats) = Engine::new(&p)
-        .unwrap()
-        .with_executor(Executor::Batched)
-        .run_with_stats()
-        .unwrap();
-    let tuple = Engine::new(&p)
-        .unwrap()
-        .with_executor(Executor::Tuple)
-        .run()
-        .unwrap();
-    assert_eq!(all_facts(&batched), all_facts(&tuple), "executors disagree");
+    let (batched, stats) = Engine::new(&p).unwrap().run_with_stats().unwrap();
+    let naive = reference::model(&p).unwrap();
+    assert_eq!(
+        all_facts(&batched),
+        all_facts(&naive),
+        "engine disagrees with the reference"
+    );
     let rules: Vec<_> = stats
         .per_rule
         .iter()

@@ -70,7 +70,6 @@ pub mod examples;
 pub mod filter;
 pub mod flow;
 pub mod lint;
-pub mod live;
 pub mod modes;
 pub mod parser;
 pub mod proof;

@@ -30,9 +30,9 @@
 //! ## Clients
 //!
 //! The server is the one place updates are committed: the `multilog
-//! serve` line protocol, the CLI REPL (one writer plus one reader at its
-//! clearance) and [`crate::live::LiveDatabase`] all commit through
-//! [`WriterSession::commit`] and answer from [`ReaderSession`]s.
+//! serve` line protocol and the CLI REPL (one writer plus one reader at
+//! its clearance) both commit through [`WriterSession::commit`] and
+//! answer from [`ReaderSession`]s.
 //!
 //! ## Failure semantics
 //!
@@ -49,8 +49,8 @@
 //! its readers keep answering from their pinned generations throughout.
 
 // Long-lived service path: invariant violations must surface as typed
-// errors to one session, never crash the process (same policy as
-// `live.rs` and the incremental back-end).
+// errors to one session, never crash the process (same policy as the
+// incremental back-end).
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::collections::BTreeMap;
