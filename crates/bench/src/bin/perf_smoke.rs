@@ -25,9 +25,11 @@
 //!   worst-case and top-1% reader latencies coincide with a writer
 //!   commit publish — the snapshot-isolation claim is that reader
 //!   latency stays flat because readers never block on commits.
-//!   `strata_recomputed` sums the strata the level engines recomputed
-//!   from scratch over all commits; DRed maintains cautious-belief
-//!   (negation) strata by delta, so it is 0.
+//!   `strata_recomputed` sums the strata the server recomputed from
+//!   scratch over all commits; DRed maintains cautious-belief (negation)
+//!   strata by delta, so it is 0. `commit_engines_max` is the most
+//!   engine entries in any one commit's summary: the server runs one
+//!   shared engine for every open clearance, so it is 1.
 //! * `social_reach_{operator,rules}` — full reachability over a
 //!   power-law social graph, computed by the native `@bfs` operator vs.
 //!   the equivalent rule-at-a-time transitive closure (identical `reach`
@@ -618,16 +620,20 @@ struct ConcurrentChurnResult {
     commits_per_sec: f64,
     writer_wall_ms: f64,
     final_epoch: u64,
-    /// Strata recomputed from scratch, summed over every level engine
-    /// and every commit.
+    /// Strata recomputed from scratch, summed over every commit.
     strata_recomputed: usize,
+    /// The most engine entries ([`CommitSummary::levels`]) in any one
+    /// commit's summary.
+    ///
+    /// [`CommitSummary::levels`]: multilog_core::CommitSummary
+    commit_engines_max: usize,
 }
 
 /// Run `readers` reader threads against a [`BeliefServer`] while the
 /// writer commits `commits` single-fact batches (alternating assert and
 /// retract of a fresh `data` fact, either feeding the top-level rules or
-/// flipping a cover story, so every commit re-propagates through each
-/// level's incremental engine).
+/// flipping a cover story, so every commit re-propagates through the
+/// server's incremental engine).
 ///
 /// Each reader is pinned at one of the declared clearance levels and
 /// loops `refresh()` + one goal against its pinned snapshot, recording
@@ -648,8 +654,9 @@ fn run_concurrent_churn(readers: usize, commits: usize) -> ConcurrentChurnResult
     let top = levels.last().expect("depth >= 1").clone();
     let server = Arc::new(BeliefServer::new(db, EngineOptions::default()));
 
-    // Pay every level's first materialization up front so the timed
-    // region measures steady-state serving, not engine construction.
+    // Pay the materialization (and every level's open) up front so the
+    // timed region measures steady-state serving, not engine
+    // construction.
     for level in &levels {
         server.open_reader(level).expect("warm-up reader opens");
     }
@@ -661,6 +668,7 @@ fn run_concurrent_churn(readers: usize, commits: usize) -> ConcurrentChurnResult
     let mut publishes: Vec<f64> = Vec::with_capacity(commits);
     let mut writer_wall_ms = 0.0;
     let mut strata_recomputed = 0usize;
+    let mut commit_engines_max = 0usize;
     let clock = Instant::now();
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
@@ -691,7 +699,7 @@ fn run_concurrent_churn(readers: usize, commits: usize) -> ConcurrentChurnResult
         // Writer churn on the main thread, in single-fact pairs. Even
         // pairs assert and retract an l1 `data` cell on k0, which the top
         // level's cautious rules consult — so those commits do real
-        // re-derivation work in all three engines before publishing. Odd
+        // re-derivation work in the shared engine before publishing. Odd
         // pairs flip a cover story: an l1 cell on `flip`, a key whose
         // cells are all l0-classified, beats those cells at l1 and l2
         // (new `beaten_h` facts) until it is retracted, so those commits
@@ -733,6 +741,7 @@ fn run_concurrent_churn(readers: usize, commits: usize) -> ConcurrentChurnResult
                 .values()
                 .map(|s| s.strata_recomputed)
                 .sum::<usize>();
+            commit_engines_max = commit_engines_max.max(summary.levels.len());
             publishes.push(clock.elapsed().as_secs_f64() * 1e6);
             if flipping {
                 top_reader.refresh();
@@ -781,6 +790,7 @@ fn run_concurrent_churn(readers: usize, commits: usize) -> ConcurrentChurnResult
         writer_wall_ms,
         final_epoch: server.epoch(),
         strata_recomputed,
+        commit_engines_max,
     }
 }
 
@@ -1161,8 +1171,12 @@ fn main() {
         churn.writer_wall_ms
     ));
     json.push_str(&format!(
-        "    \"strata_recomputed\": {}\n",
+        "    \"strata_recomputed\": {},\n",
         churn.strata_recomputed
+    ));
+    json.push_str(&format!(
+        "    \"commit_engines_max\": {}\n",
+        churn.commit_engines_max
     ));
     json.push_str("  },\n");
     if let Some(mb) = xl_peak_rss_mb {

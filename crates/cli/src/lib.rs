@@ -89,6 +89,19 @@ pub fn engine_options(opts: &Options) -> EngineOptions {
     }
 }
 
+/// Refuse `--filter` on a path that answers through the reduction: τ does
+/// not implement Figure 13's σ filter, so the flag would be silently
+/// ignored and change answers without notice.
+fn reject_filter(opts: &Options, path: &str) -> Result<(), String> {
+    if opts.filter {
+        return Err(format!(
+            "--filter (the Figure 13 σ filter) is implemented by the operational \
+             engine only; {path} answers through the reduction, which would ignore it"
+        ));
+    }
+    Ok(())
+}
+
 fn load(source: &str) -> Result<MultiLogDb, String> {
     parse_database(source).map_err(|e| format!("cannot parse database: {e}"))
 }
@@ -146,6 +159,7 @@ fn operational_or_reduced(
     match MultiLogEngine::with_options(db, &opts.user, engine_options(opts)) {
         Ok(e) => Ok((EitherEngine::Op(Box::new(e)), String::new())),
         Err(multilog_core::MultiLogError::ReductionOnly { .. }) => {
+            reject_filter(opts, "a database with aggregates or algorithm operators")?;
             let e = ReducedEngine::with_options(db, &opts.user, engine_options(opts))
                 .map_err(|e| e.to_string())?;
             Ok((
@@ -254,6 +268,9 @@ pub fn lint(source: &str, source_name: &str, opts: &Options) -> CliResult {
 /// `multilog run <file>`: evaluate the database and answer every query in
 /// its `Q` component.
 pub fn run(source: &str, opts: &Options) -> CliResult {
+    if opts.engine == EngineKind::Reduced {
+        reject_filter(opts, "`run --engine red`")?;
+    }
     flow_preflight(source, opts)?;
     let mut out = preflight(source, opts)?;
     let db = load(source)?;
@@ -310,6 +327,9 @@ pub fn run(source: &str, opts: &Options) -> CliResult {
 
 /// `multilog query <file> <goal>`: answer one ad hoc goal.
 pub fn query(source: &str, goal: &str, opts: &Options) -> CliResult {
+    if opts.engine == EngineKind::Reduced {
+        reject_filter(opts, "`query --engine red`")?;
+    }
     flow_preflight(source, opts)?;
     let mut out = preflight(source, opts)?;
     let db = load(source)?;
@@ -546,7 +566,7 @@ impl ReplSession {
         self.reader.refresh();
         let stats = summary
             .levels
-            .get(self.reader.user())
+            .get(multilog_core::SHARED_ENGINE)
             .cloned()
             .unwrap_or_default();
         let (sign, base) = if insert {
@@ -624,7 +644,7 @@ fn parse_update(text: &str, insert: bool) -> Result<Vec<EdbUpdate>, String> {
 /// epoch           print the current session's pinned and latest epochs
 /// +<m-fact>.      stage an assert in the pending transaction
 /// -<m-fact>.      stage a retract
-/// commit          commit the staged transaction (all-or-nothing, all levels)
+/// commit          commit the staged transaction (all-or-nothing)
 /// abort           discard the staged transaction
 /// <goal>          answer a goal from the current session's pinned snapshot
 /// quit            end the connection
@@ -644,6 +664,7 @@ impl ServeSession {
     ///
     /// Parse failures, rendered for the CLI user.
     pub fn new(source: &str, opts: &Options) -> Result<Self, String> {
+        reject_filter(opts, "`serve`")?;
         flow_preflight(source, opts)?;
         let db = load(source)?;
         let server = Arc::new(BeliefServer::new(db, engine_options(opts)));
@@ -923,6 +944,11 @@ USAGE:
   multilog repl   <file.mlog> --user <level> [--filter] [GUARDS]
   multilog serve  <file.mlog> [--user <level>] [--listen <addr>] [GUARDS]
 
+FILTER:
+  --filter           enable Figure 13's σ filter (FILTER and FILTER-NULL).
+                     Only the operational engine implements it: `run` and
+                     `query` with --engine red, and `serve`, refuse it
+
 GUARDS:
   --deadline <ms>    abort evaluation/queries after a wall-clock deadline
   --max-facts <n>    abort once more than n facts have been derived
@@ -979,8 +1005,8 @@ SERVE:
   pins a reader to the current generation (repeat for more sessions,
   `use <n>` to switch); goals answer from the pinned snapshot until
   `refresh`. `+fact.`/`-fact.` stage a transaction; `commit` applies it
-  atomically across every open clearance level and publishes the next
-  generation. With --listen <addr>, serves the same protocol to TCP
+  atomically to the one engine every clearance reads and publishes the
+  next generation. With --listen <addr>, serves the same protocol to TCP
   clients (all connections share one server); otherwise reads stdin.
   With --user, a first session is opened automatically. A line longer
   than 65536 bytes gets an error reply and ends the connection.
@@ -1450,13 +1476,24 @@ mod tests {
         assert!(s.step("s[p(k2 : a -u-> w)] << opt").0.contains("no"));
         let (out, _) = s.step("commit");
         assert!(out.contains("committed at epoch 1"), "{out}");
-        assert!(out.contains("s: +1/-"), "{out}");
+        // One stats line, for the engine every clearance reads.
+        assert!(out.contains("  shared: +1/-0 base"), "{out}");
+        assert_eq!(out.lines().count(), 2, "{out}");
         // Committed but the session is pinned at epoch 0 until refresh.
         assert!(s.step("s[p(k2 : a -u-> w)] << opt").0.contains("no"));
         let (out, _) = s.step("epoch");
         assert_eq!(out, "pinned 0 latest 1\n");
         assert_eq!(s.step("refresh").0, "epoch 1\n");
         assert!(s.step("s[p(k2 : a -u-> w)] << opt").0.contains("yes"));
+        // Every level's reader answers from the one committed state.
+        for level in ["u", "c", "s"] {
+            s.step(&format!("open {level}"));
+            let goal = format!("{level}[p(k2 : a -u-> w)] << opt");
+            assert!(s.step(&goal).0.contains("yes"), "{goal}");
+        }
+        assert!(s.step("c[p(k : a -c-> t)]").0.contains("yes"));
+        s.step("open u");
+        assert!(s.step("c[p(k : a -c-> t)]").0.contains("no"));
     }
 
     #[test]
@@ -1498,7 +1535,16 @@ mod tests {
         assert!(out.contains("must be ground"), "{out}");
         let (out, _) = s.step("commit");
         assert!(out.contains("committed at epoch 1"), "{out}");
-        assert!(out.contains("s: +1/-0 base"), "{out}");
+        assert!(out.contains("  shared: +1/-0 base"), "{out}");
+        assert_eq!(out.lines().count(), 2, "{out}");
+        // Readers opened at every level see k8 and not the rejected k9.
+        for level in ["u", "c", "s"] {
+            s.step(&format!("open {level}"));
+            let k8 = s.step(&format!("{level}[p(k8 : a -u-> w)] << opt")).0;
+            assert!(k8.contains("yes"), "k8 at {level}: {k8}");
+            let k9 = s.step(&format!("{level}[p(k9 : a -u-> w)] << opt")).0;
+            assert!(k9.contains("no"), "k9 at {level}: {k9}");
+        }
         let (out, quit) = s.step("quit");
         assert!(quit);
         assert!(out.contains("bye"));

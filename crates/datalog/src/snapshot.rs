@@ -83,19 +83,9 @@ fn write_current(lock: &RwLock<Snapshot>) -> RwLockWriteGuard<'_, Snapshot> {
 impl GenerationStore {
     /// Create a store whose epoch-0 generation is `db`.
     pub fn new(db: Database) -> Self {
-        Self::with_epoch(0, db)
-    }
-
-    /// Create a store whose initial generation is `db` at `epoch`.
-    ///
-    /// Session layers that maintain one store per reader clearance use
-    /// this to align a store created mid-stream (the first reader at a
-    /// level may open after many commits) with the global commit count,
-    /// so equal epochs across stores name the same committed state.
-    pub fn with_epoch(epoch: u64, db: Database) -> Self {
         GenerationStore {
             current: RwLock::new(Snapshot {
-                epoch,
+                epoch: 0,
                 db: Arc::new(db),
             }),
         }
@@ -127,15 +117,13 @@ impl GenerationStore {
         current.epoch
     }
 
-    /// Publish `db` at an explicit `epoch` (which may repeat or skip
-    /// values). Session layers use this to re-align a store after
-    /// healing a parked level: the epoch must track the *global* commit
-    /// count, not this store's publish count.
-    pub fn publish_at(&self, epoch: u64, db: Database) {
+    /// Replace the current generation with `db` *without* advancing the
+    /// epoch: for a writer that rebuilt the same committed state in a
+    /// wider form (more relations, the old ones unchanged). Snapshots
+    /// already pinned keep the database they pinned.
+    pub fn replace(&self, db: Database) {
         let db = Arc::new(db);
-        let mut current = write_current(&self.current);
-        current.epoch = epoch;
-        current.db = db;
+        write_current(&self.current).db = db;
     }
 }
 
@@ -174,11 +162,17 @@ mod tests {
     }
 
     #[test]
-    fn with_epoch_aligns_a_late_store() {
-        let store = GenerationStore::with_epoch(7, db_with(&[("p", "a")]));
-        assert_eq!(store.epoch(), 7);
-        assert_eq!(store.snapshot().epoch(), 7);
-        assert_eq!(store.publish(db_with(&[("p", "b")])), 8);
+    fn replace_keeps_the_epoch_and_pinned_snapshots() {
+        let store = GenerationStore::new(db_with(&[("p", "a")]));
+        store.publish(db_with(&[("p", "b")]));
+        let pinned = store.snapshot();
+        store.replace(db_with(&[("p", "b"), ("q", "b")]));
+        assert_eq!(store.epoch(), 1);
+        assert_eq!(store.snapshot().epoch(), 1);
+        assert!(store.snapshot().contains("q", &[Const::sym("b")]));
+        // The pinned snapshot still sees the generation it pinned.
+        assert!(!pinned.contains("q", &[Const::sym("b")]));
+        assert_eq!(store.publish(db_with(&[("p", "c")])), 2);
     }
 
     #[test]

@@ -84,7 +84,7 @@ pub use flow::{analyze_db, analyze_source, FlowReport, PredKind, PredicateFlow};
 pub use lint::{lint_source, lint_source_at, Diagnostic, LintReport, Severity};
 pub use multilog_datalog::CancelToken;
 pub use parser::{parse_clause, parse_database, parse_goal, parse_items, ParsedProgram};
-pub use server::{BeliefServer, CommitSummary, ReaderSession, WriterSession};
+pub use server::{BeliefServer, CommitSummary, ReaderSession, WriterSession, SHARED_ENGINE};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, MultiLogError>;

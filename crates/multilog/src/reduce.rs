@@ -47,7 +47,7 @@
 //! Theorem 6.1 (equivalence with the operational semantics) is exercised
 //! by `tests/equivalence.rs` at the workspace root.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -98,9 +98,20 @@ pub enum EdbUpdate {
 /// updates ([`ReducedEngine::apply_updates`]) maintain the materialized
 /// belief relations by delta propagation rather than recomputation —
 /// belief queries stay warm across updates.
+///
+/// [`ReducedEngine::new`] and [`ReducedEngine::with_options`] translate τ
+/// for one clearance, exactly as §6.2 prints it.
+/// [`ReducedEngine::for_clearances`] builds a *shared* reduction: one
+/// fixpoint that answers goals at every clearance it serves (see
+/// docs/SEMANTICS.md, "One fixpoint for every clearance").
 pub struct ReducedEngine {
     lattice: Arc<SecurityLattice>,
-    user: String,
+    /// The clearances goals are answered at: the one τ was translated
+    /// for, or every clearance a shared reduction serves.
+    clearances: Vec<String>,
+    /// `Some` for a shared reduction: the clearance-dependent cone it
+    /// copies once per clearance (often empty).
+    shared: Option<Arc<Cone>>,
     incremental: dl::IncrementalEngine,
     /// Whether `rel` was split per level (cautious bodies present).
     level_split: bool,
@@ -115,7 +126,6 @@ pub struct ReducedEngine {
     /// Prepared demand plans and the base snapshot they run over.
     demand: Mutex<DemandCache>,
 }
-
 /// What demand goals ([`ReducedEngine::solve_demand`]) reuse: the
 /// flow-pruned rules, one prepared magic plan per goal shape, and a
 /// snapshot of the base relations. The reduced engine's rules never
@@ -175,7 +185,8 @@ struct FlowPrune {
 impl std::fmt::Debug for ReducedEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ReducedEngine")
-            .field("user", &self.user)
+            .field("clearances", &self.clearances)
+            .field("shared", &self.shared.is_some())
             .field("level_split", &self.level_split)
             .field("facts", &self.incremental.database().fact_count())
             .finish_non_exhaustive()
@@ -217,21 +228,83 @@ impl ReducedEngine {
         user: &str,
         options: EngineOptions,
     ) -> Result<Self> {
-        // Match the operational engine's Prop 6.1 fallback.
-        let lattice = if db.lambda().is_empty() && db.sigma().is_empty() {
-            Arc::new(
-                multilog_lattice::LatticeBuilder::new()
-                    .level(user)
-                    .build()
-                    .map_err(MultiLogError::Lattice)?,
-            )
-        } else {
-            db.lattice()?
-        };
-        if lattice.label(user).is_none() {
+        Self::build(db, vec![user.to_owned()], false, options)
+    }
+
+    /// A shared reduction: one materialized fixpoint answering goals at
+    /// every clearance in `clearances`, through
+    /// [`ReducedEngine::goal_translator`]. Clearance-free rules run once,
+    /// unguarded; the cone of clearance-dependent rules runs once per
+    /// clearance. Readers at a clearance answer exactly like
+    /// [`ReducedEngine::new`] at that clearance. Flow pruning
+    /// ([`EngineOptions::flow_prune`]) does not apply: a shared reduction
+    /// has no single clearance to answer demand goals at.
+    pub fn for_clearances(
+        db: &MultiLogDb,
+        clearances: &[String],
+        options: EngineOptions,
+    ) -> Result<Self> {
+        let mut engine = Self::build(db, clearances.to_vec(), true, options)?;
+        engine.incremental.recover()?;
+        Ok(engine)
+    }
+
+    /// Serve `user` from this shared reduction of `db` as well; returns
+    /// whether that rebuilt the engine. With an empty [`Cone`] the
+    /// fixpoint already holds every clearance's answers, so this only
+    /// records `user` and evaluates nothing. Otherwise the engine is
+    /// rebuilt, with the cone also copied for `user`, and materialized
+    /// over the current base (committed updates included). On error the
+    /// engine is unchanged.
+    ///
+    /// # Errors
+    ///
+    /// [`MultiLogError::NotAdmissible`] for an undeclared level or a
+    /// single-clearance reduction; any evaluation error from the rebuild.
+    pub(crate) fn open_clearance(&mut self, db: &MultiLogDb, user: &str) -> Result<bool> {
+        let Some(cone) = &self.shared else {
             return Err(MultiLogError::NotAdmissible {
-                detail: format!("user level `{user}` is not a declared level"),
+                detail: format!("a single-clearance reduction cannot serve `{user}` as well"),
             });
+        };
+        if self.clearances.iter().any(|c| c == user) {
+            return Ok(false);
+        }
+        let mut wider = self.clearances.clone();
+        wider.push(user.to_owned());
+        // Plain Datalog reduces over a lattice of the served clearances
+        // (Prop 6.1's fallback), which must widen too.
+        if cone.is_empty() && !is_pure_datalog(db) {
+            declared(&self.lattice, user)?;
+            self.clearances = wider;
+            return Ok(false);
+        }
+        let options = EngineOptions {
+            fact_limit: self.fact_limit,
+            deadline: self.deadline,
+            cancel: self.cancel.clone(),
+            ..EngineOptions::default()
+        };
+        let mut engine = Self::build(db, wider, true, options)?;
+        engine.incremental = engine
+            .incremental
+            .with_base(self.incremental.base_database());
+        engine.incremental.recover()?;
+        *self = engine;
+        Ok(true)
+    }
+
+    /// Translate `db` for `clearances` (exactly one unless `shared`) and
+    /// set up the unmaterialized back-end.
+    fn build(
+        db: &MultiLogDb,
+        clearances: Vec<String>,
+        shared: bool,
+        options: EngineOptions,
+    ) -> Result<Self> {
+        let lattice = reduction_lattice(db, &clearances)?;
+        for user in &clearances {
+            declared(&lattice, user)?;
         }
         let level_split = db
             .sigma()
@@ -239,12 +312,20 @@ impl ReducedEngine {
             .chain(db.pi())
             .flat_map(|c| &c.body)
             .any(|a| matches!(a, Atom::B(_, m) if m.as_ref() == "cau"));
-        let (clauses, axioms_at) = translate(db, user, &lattice, level_split)?;
+        let (clauses, axioms_at, cone) = if shared {
+            let (clauses, axioms_at, cone) =
+                translate_shared(db, &lattice, level_split, &clearances)?;
+            (clauses, axioms_at, Some(Arc::new(cone)))
+        } else {
+            let (clauses, axioms_at) = translate(db, &clearances[0], &lattice, level_split)?;
+            (clauses, axioms_at, None)
+        };
         let program_text = render(&clauses, axioms_at);
         let program = dl::Program::from_clauses(clauses).map_err(MultiLogError::Datalog)?;
-        // Flow pruning needs a real lattice; the Prop 6.1 fallback has
-        // no Σ rules to prune anyway.
-        let prune = if options.flow_prune && !(db.lambda().is_empty() && db.sigma().is_empty()) {
+        // Flow pruning needs a real lattice and one clearance; the Prop
+        // 6.1 fallback has no Σ rules to prune anyway.
+        let prune = if options.flow_prune && !shared && !is_pure_datalog(db) {
+            let user = &clearances[0];
             let report = crate::flow::analyze_db(db);
             // Σ and Π images follow Λ's in the one translation pass.
             // Facts are never prunable; only rules are kept.
@@ -277,14 +358,24 @@ impl ReducedEngine {
             None
         };
         let fact_limit = options.limit();
-        // Goals read the generic `bel`/`rel` (see `translate_goal`), and
-        // point goals bind the key, column 1, which no rule probes:
-        // readers seek on it instead of scanning the relation.
         let mut incremental = dl::IncrementalEngine::new_deferred(&program)
             .map_err(MultiLogError::Datalog)?
-            .with_fact_limit(fact_limit)
-            .with_reader_index("bel", 1)
-            .with_reader_index("rel", 1);
+            .with_fact_limit(fact_limit);
+        // Goals read the generic `bel`/`rel` (see `translate_goal`), or a
+        // clearance's copies of them, and point goals bind the key,
+        // column 1, which no rule probes: readers seek on it instead of
+        // scanning the relation.
+        let mut read = BTreeSet::from(["bel", "rel"]);
+        if let Some(cone) = &cone {
+            for user in &clearances {
+                read.extend(
+                    ["bel", "rel"].map(|p| cone.rename(dl::SymId::intern(p), user).as_str()),
+                );
+            }
+        }
+        for pred in &read {
+            incremental = incremental.with_reader_index(pred, 1);
+        }
         if let Some(deadline) = options.deadline {
             incremental = incremental.with_deadline(deadline);
         }
@@ -293,7 +384,8 @@ impl ReducedEngine {
         }
         Ok(ReducedEngine {
             lattice,
-            user: user.to_owned(),
+            clearances,
+            shared: cone,
             incremental,
             level_split,
             program_text,
@@ -303,6 +395,30 @@ impl ReducedEngine {
             prune,
             demand: Mutex::default(),
         })
+    }
+
+    /// The one clearance [`ReducedEngine::solve`] and
+    /// [`ReducedEngine::solve_demand`] answer at. A shared reduction has
+    /// none: its goals go through [`ReducedEngine::goal_translator`].
+    fn user(&self) -> Result<&str> {
+        match (&self.shared, self.clearances.as_slice()) {
+            (None, [user]) => Ok(user),
+            _ => Err(MultiLogError::NotAdmissible {
+                detail: "a shared reduction answers goals per clearance, through a goal translator"
+                    .to_owned(),
+            }),
+        }
+    }
+
+    /// The clearances this reduction answers goals at, in opening order.
+    pub(crate) fn clearances(&self) -> &[String] {
+        &self.clearances
+    }
+
+    /// Whether an aborted commit left the back-end poisoned, so that
+    /// [`ReducedEngine::rematerialize`] must run before the next commit.
+    pub fn is_poisoned(&self) -> bool {
+        self.incremental.is_poisoned()
     }
 
     /// Per-rule / per-stratum statistics from evaluating the reduced
@@ -421,8 +537,13 @@ impl ReducedEngine {
     /// Solve a MultiLog goal against the reduced database; answers are in
     /// MultiLog terms, sorted, and directly comparable with
     /// [`crate::MultiLogEngine::solve`].
+    ///
+    /// # Errors
+    ///
+    /// [`MultiLogError::NotAdmissible`] on a shared reduction, which
+    /// answers through [`ReducedEngine::goal_translator`] instead.
     pub fn solve(&self, goal: &Goal) -> Result<Vec<Answer>> {
-        let body = translate_goal(goal, &self.user)?;
+        let body = translate_goal(goal, self.user()?)?;
         let answers =
             dl::run_query(self.incremental.database(), &body).map_err(MultiLogError::Datalog)?;
         Ok(project_answers(goal, &answers))
@@ -458,7 +579,7 @@ impl ReducedEngine {
     /// records whether the magic rewrite applied and how much it
     /// materialized.
     pub fn solve_demand_with_stats(&self, goal: &Goal) -> Result<(Vec<Answer>, dl::EvalStats)> {
-        let body = translate_goal(goal, &self.user)?;
+        let body = translate_goal(goal, self.user()?)?;
         let (shape, params) = dl::magic::prepared_key(&body);
         let (plan, rules, edb, pruned_rules) = self.demand_plan(shape, &body)?;
         // Guard trips convert through `From<DatalogError>`, surfacing the
@@ -526,26 +647,13 @@ impl ReducedEngine {
             // plan prepared before its first fact still reads it.
             let mut base: HashSet<dl::SymId> =
                 snapshot.predicates().map(dl::SymId::intern).collect();
-            base.extend(self.update_targets());
+            base.extend(update_targets(&self.lattice, self.level_split));
             let plan = dl::magic::prepare(&rules, &base, body, snapshot)?;
             snapshot.seal_indexes(plan.index_needs());
             cache.sealed.extend_from_slice(plan.index_needs());
             Some(Arc::new(plan))
         });
         Ok((plan.clone(), rules, snapshot.clone(), pruned))
-    }
-
-    /// The predicates [`ReducedEngine::apply_updates`] writes: `rel` or,
-    /// split per level, every `rel_l`.
-    fn update_targets(&self) -> Vec<dl::SymId> {
-        if self.level_split {
-            self.lattice
-                .names()
-                .map(|l| dl::SymId::intern(&leveled("rel", l)))
-                .collect()
-        } else {
-            vec![dl::SymId::intern("rel")]
-        }
     }
 
     /// Drop everything the flow analysis proves invisible at this
@@ -555,7 +663,7 @@ impl ReducedEngine {
     /// program and how many clauses were dropped. A no-op (0 dropped)
     /// unless [`EngineOptions::flow_prune`] was set.
     fn pruned_program(&self, program: dl::Program) -> (dl::Program, usize) {
-        let Some(p) = self.prune.as_ref() else {
+        let (Some(p), Ok(user)) = (self.prune.as_ref(), self.user()) else {
             return (program, 0);
         };
         let before = program.clauses().len();
@@ -566,7 +674,7 @@ impl ReducedEngine {
         let excluded: HashSet<dl::Clause> = p
             .rules
             .iter()
-            .filter(|(mc, _)| p.report.rule_prunable(mc, &self.user, !p.tainted))
+            .filter(|(mc, _)| p.report.rule_prunable(mc, user, !p.tainted))
             .map(|(_, t)| t.clone())
             .collect();
         if !excluded.is_empty() {
@@ -587,13 +695,24 @@ impl ReducedEngine {
         &self.lattice
     }
 
-    /// A detached goal translator for this engine's clearance and
+    /// A detached goal translator for clearance `user` and this engine's
     /// encoding, carrying the engine's guard configuration. Reader
     /// sessions pair it with a pinned [`dl::Snapshot`] to answer goals
     /// without touching (or blocking on) the engine itself.
-    pub fn goal_translator(&self) -> GoalTranslator {
-        GoalTranslator {
-            user: self.user.clone(),
+    ///
+    /// # Errors
+    ///
+    /// [`MultiLogError::NotAdmissible`] when this engine was not built
+    /// for `user`.
+    pub fn goal_translator(&self, user: &str) -> Result<GoalTranslator> {
+        if !self.clearances.iter().any(|c| c == user) {
+            return Err(MultiLogError::NotAdmissible {
+                detail: format!("this reduction does not serve clearance `{user}`"),
+            });
+        }
+        Ok(GoalTranslator {
+            user: user.to_owned(),
+            cone: self.shared.clone().unwrap_or_default(),
             guards: dl::QueryGuards {
                 deadline: self.deadline,
                 fact_limit: if self.fact_limit == usize::MAX {
@@ -603,7 +722,7 @@ impl ReducedEngine {
                 },
                 cancel: self.cancel.clone(),
             },
-        }
+        })
     }
 
     /// A copy-on-write clone of the current materialized database — an
@@ -618,14 +737,17 @@ impl ReducedEngine {
 ///
 /// A translator knows the clearance level it serves and the session's
 /// query guards — the inputs needed to turn a MultiLog goal into a
-/// reduced Datalog body (goals always read the generic `rel`/`bel`
-/// predicates) and answer it against *any* database produced by the matching
+/// reduced Datalog body (goals read the generic `rel`/`bel` predicates,
+/// or the clearance's copies of them in a shared reduction's cone)
+/// and answer it against *any* database produced by the matching
 /// [`ReducedEngine`] (typically a pinned snapshot). It holds no database
 /// itself, so readers using one never contend with writers.
 #[derive(Clone, Debug)]
 pub struct GoalTranslator {
     user: String,
     guards: dl::QueryGuards,
+    /// The predicates goals read the clearance's copy of.
+    cone: Arc<Cone>,
 }
 
 impl GoalTranslator {
@@ -638,7 +760,8 @@ impl GoalTranslator {
     /// this translator's clearance), under the session guards. Answers
     /// match [`ReducedEngine::solve`] on the same database.
     pub fn solve_on(&self, db: &dl::Database, goal: &Goal) -> Result<Vec<Answer>> {
-        let body = translate_goal(goal, &self.user)?;
+        let mut body = translate_goal(goal, &self.user)?;
+        self.cone.rename_body(&mut body, &self.user);
         let answers =
             dl::run_query_guarded(db, &body, &self.guards).map_err(MultiLogError::Datalog)?;
         Ok(project_answers(goal, &answers))
@@ -687,11 +810,252 @@ fn translate(
 ) -> Result<(Vec<dl::Clause>, usize)> {
     let mut clauses = Vec::new();
     for c in db.lambda().iter().chain(db.sigma()).chain(db.pi()) {
-        clauses.push(translate_clause(c, user, level_split)?);
+        clauses.push(translate_clause(c, Guard::Clearance(user), level_split)?);
     }
     let axioms_at = clauses.len();
     axioms(lattice, level_split, &mut clauses);
     Ok((clauses, axioms_at))
+}
+
+/// The clearance-dependent part of a shared reduction
+/// ([`ReducedEngine::for_clearances`]): the predicates derived by the
+/// rules that depend on the clearance (docs/SEMANTICS.md), closed over
+/// the τ program's dependency graph (a clause reading a cone predicate
+/// derives one too).
+/// A shared reduction emits the clauses deriving them once per
+/// clearance `u`, renamed to `pred#u`, and goals at `u` read those
+/// copies. Empty when every rule is clearance-free.
+#[derive(Debug, Default)]
+pub(crate) struct Cone {
+    preds: HashSet<dl::SymId>,
+}
+
+impl Cone {
+    /// Whether every rule is clearance-free, so that one copy of the
+    /// fixpoint serves every clearance.
+    fn is_empty(&self) -> bool {
+        self.preds.is_empty()
+    }
+
+    /// The cone predicate a literal over `pred` reads, if any: `pred`
+    /// itself, or the input of an `@algo(input)` call.
+    fn read_by(&self, pred: dl::SymId) -> Option<(Option<&str>, dl::SymId)> {
+        if self.preds.contains(&pred) {
+            return Some((None, pred));
+        }
+        let (algo, input) = dl::algo::parse_call(pred.as_str())?;
+        let input = dl::SymId::intern(input);
+        self.preds.contains(&input).then_some((Some(algo), input))
+    }
+
+    /// `pred` as clearance `user` reads it: its copy when in the cone. An
+    /// `@algo(input)` call reads the copy of its input.
+    fn rename(&self, pred: dl::SymId, user: &str) -> dl::SymId {
+        let copy = match self.read_by(pred) {
+            None => return pred,
+            Some((None, pred)) => copy_name(pred.as_str(), user),
+            Some((Some(algo), input)) => {
+                dl::algo::call_predicate(algo, &copy_name(input.as_str(), user))
+            }
+        };
+        dl::SymId::intern(&copy)
+    }
+
+    /// Rename every relational literal of `body` to `user`'s copies.
+    fn rename_body(&self, body: &mut [dl::Literal], user: &str) {
+        if self.is_empty() {
+            return;
+        }
+        for literal in body {
+            if let dl::Literal::Pos(a) | dl::Literal::Neg(a) = literal {
+                a.predicate = self.rename(a.predicate, user);
+            }
+        }
+    }
+
+    /// Whether `clause` reads a cone predicate.
+    fn reads(&self, clause: &dl::Clause) -> bool {
+        let mut atoms = clause.body.iter().filter_map(dl::Literal::atom);
+        atoms.any(|a| self.read_by(a.predicate).is_some())
+    }
+}
+
+/// The name of clearance `user`'s copy of cone predicate `pred`.
+fn copy_name(pred: &str, user: &str) -> String {
+    format!("{pred}#{user}")
+}
+
+/// τ(Δ) ∪ A for every clearance in `clearances`, over one fixpoint.
+///
+/// Facts, axioms and [`clearance_free`] rules are emitted once, the
+/// rules guarded as [`Guard::Shared`] says. The [`Cone`] — what the other
+/// rules derive, and every clause reading it — is emitted once per
+/// clearance, with that clearance's guards and renamed predicates. Each
+/// copy starts with a copy rule from every shared relation its cone
+/// predicates also have outside it (facts, clearance-free rules and
+/// update targets), so base facts stay in one relation. Also returns the
+/// index of the first shared axiom, and the cone.
+fn translate_shared(
+    db: &MultiLogDb,
+    lattice: &SecurityLattice,
+    level_split: bool,
+    clearances: &[String],
+) -> Result<(Vec<dl::Clause>, usize, Cone)> {
+    // Every clause once, in τ's order, with its source (none for an
+    // axiom) and whether it is in the cone. A dependent rule's image
+    // here only names its predicates; each copy translates it again.
+    let mut images: Vec<(dl::Clause, Option<&Clause>, bool)> = Vec::new();
+    for c in db.lambda().iter().chain(db.sigma()).chain(db.pi()) {
+        let image = translate_clause(c, Guard::Shared(lattice), level_split)?;
+        images.push((image, Some(c), !clearance_free(c, lattice)));
+    }
+    let sources = images.len();
+    let mut axiom_clauses = Vec::new();
+    axioms(lattice, level_split, &mut axiom_clauses);
+    images.extend(axiom_clauses.into_iter().map(|a| (a, None, false)));
+    let mut cone = Cone::default();
+    cone.preds
+        .extend(images.iter().filter(|i| i.2).map(|i| i.0.head.predicate));
+    let mut grew = true;
+    while grew {
+        grew = false;
+        for (clause, _, in_cone) in images.iter_mut().filter(|i| !i.2) {
+            if cone.reads(clause) {
+                *in_cone = true;
+                cone.preds.insert(clause.head.predicate);
+                grew = true;
+            }
+        }
+    }
+    let shared = || images.iter().filter(|i| !i.2);
+    let axioms_at = images[..sources].iter().filter(|i| !i.2).count();
+    let mut out: Vec<dl::Clause> = shared().map(|i| i.0.clone()).collect();
+    if cone.is_empty() {
+        return Ok((out, axioms_at, cone));
+    }
+    let mut arity: HashMap<dl::SymId, usize> = HashMap::new();
+    for (clause, ..) in &images {
+        for a in
+            std::iter::once(&clause.head).chain(clause.body.iter().filter_map(dl::Literal::atom))
+        {
+            arity.entry(a.predicate).or_insert(a.terms.len());
+        }
+    }
+    let mut copied: Vec<(&str, usize)> = shared()
+        .map(|i| i.0.head.predicate)
+        .chain(update_targets(lattice, level_split))
+        .filter(|p| cone.preds.contains(p))
+        .filter_map(|p| Some((p.as_str(), *arity.get(&p)?)))
+        .collect();
+    copied.sort_unstable();
+    copied.dedup();
+    for user in clearances {
+        for &(pred, n) in &copied {
+            let vars: Vec<dl::Term> = (0..n).map(|i| dl::Term::var(format!("X{i}"))).collect();
+            out.push(dl::Clause::new(
+                dl::Atom::new(copy_name(pred, user), vars.clone()),
+                vec![dl::Literal::Pos(dl::Atom::new(pred, vars))],
+            ));
+        }
+        for (clause, source, _) in images.iter().filter(|i| i.2) {
+            let mut copy = match source {
+                Some(c) => translate_clause(c, Guard::Clearance(user), level_split)?,
+                None => clause.clone(),
+            };
+            copy.head.predicate = cone.rename(copy.head.predicate, user);
+            cone.rename_body(&mut copy.body, user);
+            out.push(copy);
+        }
+    }
+    Ok((out, axioms_at, cone))
+}
+
+/// Whether τ may emit `c` once for every clearance, without clearance
+/// guards (the restriction lemma, docs/SEMANTICS.md): an m-headed clause
+/// whose every body m-/b-atom level and class is provably dominated by
+/// the head level ([`head_bound`]), or any clause without m-/b-atoms in
+/// its body. A p-atom (or aggregate) head over an m-/b-atom has no level
+/// that would hide it from lower clearances, and a write-down rule reads
+/// above its head, so both depend on the clearance. The criterion reads
+/// the rule only, never the data: commits may insert a cell whose class
+/// sits above its level.
+fn clearance_free(c: &Clause, lattice: &SecurityLattice) -> bool {
+    let mut labels = c.body.iter().flat_map(|a| match a {
+        Atom::M(m) | Atom::B(m, _) => vec![&m.level, &m.class],
+        _ => Vec::new(),
+    });
+    match &c.head {
+        Head::M(h) => labels.all(|t| head_bound(t, &h.level, lattice).is_some()),
+        Head::P(_) | Head::L(_) | Head::H(..) => labels.next().is_none(),
+    }
+}
+
+/// How a clearance-free rule guards body label `t` under head level
+/// `head`, or `None` when `t` is not provably dominated by `head`. The
+/// three conditions of the restriction lemma:
+///
+/// 1. `t` is the head's own level term — no guard;
+/// 2. `t` and `head` are ground and `t ⪯ head` — no guard;
+/// 3. `head` is the lattice's only maximal label — `t` keeps the guard
+///    `dominate(t, head)` (`Some(Some(head))`). That guard is the same at
+///    every clearance; it holds exactly when `t` is a declared label.
+fn head_bound<'h>(t: &Term, head: &'h Term, lattice: &SecurityLattice) -> Option<Option<&'h str>> {
+    if t == head {
+        return Some(None);
+    }
+    let Term::Sym(h) = head else {
+        return None;
+    };
+    let top = lattice.label(h)?;
+    if let Term::Sym(l) = t {
+        if lattice.label(l).is_some_and(|l| lattice.leq(l, top)) {
+            return Some(None);
+        }
+    }
+    (lattice.maximal() == [top]).then_some(Some(h))
+}
+
+/// The predicates [`ReducedEngine::apply_updates`] writes: `rel` or,
+/// split per level, every `rel_l`.
+fn update_targets(lattice: &SecurityLattice, level_split: bool) -> Vec<dl::SymId> {
+    if level_split {
+        lattice
+            .names()
+            .map(|l| dl::SymId::intern(&leveled("rel", l)))
+            .collect()
+    } else {
+        vec![dl::SymId::intern("rel")]
+    }
+}
+
+/// Whether `db` is plain Datalog (no Λ, no Σ): Prop 6.1's degenerate
+/// case, which has no lattice of its own.
+fn is_pure_datalog(db: &MultiLogDb) -> bool {
+    db.lambda().is_empty() && db.sigma().is_empty()
+}
+
+/// The lattice τ reduces over: the database's own or, matching the
+/// operational engine's Prop 6.1 fallback for plain Datalog, one
+/// unordered level per clearance served.
+fn reduction_lattice(db: &MultiLogDb, clearances: &[String]) -> Result<Arc<SecurityLattice>> {
+    if !is_pure_datalog(db) {
+        return db.lattice();
+    }
+    let mut builder = multilog_lattice::LatticeBuilder::new();
+    for user in clearances {
+        builder.add_level(user.as_str());
+    }
+    Ok(Arc::new(builder.build().map_err(MultiLogError::Lattice)?))
+}
+
+/// `Ok` when `user` is a declared level of `lattice`.
+fn declared(lattice: &SecurityLattice, user: &str) -> Result<()> {
+    if lattice.label(user).is_none() {
+        return Err(MultiLogError::NotAdmissible {
+            detail: format!("user level `{user}` is not a declared level"),
+        });
+    }
+    Ok(())
 }
 
 /// τ's clauses in Datalog surface syntax, one per line, with a comment
@@ -707,19 +1071,39 @@ fn render(clauses: &[dl::Clause], axioms_at: usize) -> String {
     out
 }
 
+/// How τ guards the level and class of a body m- or b-atom.
+#[derive(Clone, Copy)]
+enum Guard<'a> {
+    /// `dominate(t, u)` on every label: τ at clearance `u` (§6.2).
+    Clearance(&'a str),
+    /// A [`clearance_free`] rule of a shared reduction: only what
+    /// [`head_bound`] keeps.
+    Shared(&'a SecurityLattice),
+}
+
 /// τ of one Λ/Σ/Π clause. Rule bodies read the level- and
 /// mode-specialized predicates; the no-read-up guards come from
-/// [`translate_atom`].
-fn translate_clause(c: &Clause, user: &str, level_split: bool) -> Result<dl::Clause> {
+/// [`translate_atom`], as `guard` says.
+fn translate_clause(c: &Clause, guard: Guard<'_>, level_split: bool) -> Result<dl::Clause> {
     let head = match &c.head {
         Head::M(m) => rel_atom(m, level_split)?,
         Head::P(p) => patom(p),
         Head::L(t) => dl::Atom::new("level", vec![term(t)]),
         Head::H(l, h) => dl::Atom::new("order", vec![term(l), term(h)]),
     };
+    let head_level = match &c.head {
+        Head::M(m) => Some(&m.level),
+        _ => None,
+    };
+    let bound = |t: &Term| match guard {
+        Guard::Clearance(user) => Some(dl::Term::sym(user)),
+        Guard::Shared(lattice) => head_level
+            .and_then(|h| head_bound(t, h, lattice).flatten())
+            .map(dl::Term::sym),
+    };
     let mut body = Vec::new();
     for a in &c.body {
-        translate_atom(a, user, Some(level_split), &mut body)?;
+        translate_atom(a, &bound, Some(level_split), &mut body)?;
     }
     let clause = dl::Clause::new(head, body);
     // Aggregate heads keep their spec; the back-end folds per stratum
@@ -735,19 +1119,21 @@ fn translate_clause(c: &Clause, user: &str, level_split: bool) -> Result<dl::Cla
 /// τ(λ(goal, u)): a MultiLog goal as a reduced query body. Goals read the
 /// generic `rel`/`bel` predicates, whatever the rule encoding.
 fn translate_goal(goal: &Goal, user: &str) -> Result<Vec<dl::Literal>> {
+    let bound = |_: &Term| Some(dl::Term::sym(user));
     let mut body = Vec::new();
     for atom in goal {
-        translate_atom(atom, user, None, &mut body)?;
+        translate_atom(atom, &bound, None, &mut body)?;
     }
     Ok(body)
 }
 
 /// τ(λ(B, u)): translate one atom, adding the no-read-up guards for m-
-/// and b-atoms. `rule` is `Some(level_split)` in a rule body, which reads
-/// the level/mode-specialized predicates, and `None` in a goal.
+/// and b-atoms: `dominate(t, b)` for each label `t` that `bound` gives an
+/// upper bound `b`. `rule` is `Some(level_split)` in a rule body, which
+/// reads the level/mode-specialized predicates, and `None` in a goal.
 fn translate_atom(
     atom: &Atom,
-    user: &str,
+    bound: &dyn Fn(&Term) -> Option<dl::Term>,
     rule: Option<bool>,
     out: &mut Vec<dl::Literal>,
 ) -> Result<()> {
@@ -785,8 +1171,10 @@ fn translate_atom(
     out.push(dl::Literal::Pos(translated));
     if let Some(m) = guarded {
         for t in [&m.level, &m.class] {
-            let guard = dl::Atom::new("dominate", vec![term(t), dl::Term::sym(user)]);
-            out.push(dl::Literal::Pos(guard));
+            if let Some(b) = bound(t) {
+                let guard = dl::Atom::new("dominate", vec![term(t), b]);
+                out.push(dl::Literal::Pos(guard));
+            }
         }
     }
     Ok(())
@@ -1410,7 +1798,7 @@ mod tests {
     fn goal_translator_answers_from_pinned_snapshots() {
         let db = parse_database(D1).unwrap();
         let mut red = ReducedEngine::new(&db, "s").unwrap();
-        let translator = red.goal_translator();
+        let translator = red.goal_translator("s").unwrap();
         let pinned = red.database_snapshot();
         let goal = "L[p(K : a -C-> V)] << opt";
         // On the live database the translator agrees with solve().
@@ -1506,6 +1894,116 @@ mod tests {
                 let parsed = dl::parse_program(red.program_text()).unwrap();
                 assert_eq!(parsed.clauses(), &typed[..], "{name} @ {level}");
             }
+        }
+    }
+
+    /// `clearance_free` on the one rule of `rule`, over u < c < s.
+    fn free(rule: &str) -> bool {
+        let src = format!("level(u). level(c). level(s). order(u, c). order(c, s). {rule}");
+        let db = parse_database(&src).unwrap();
+        let lattice = db.lattice().unwrap();
+        let rule = db.sigma().iter().chain(db.pi()).find(|c| !c.is_fact());
+        clearance_free(rule.unwrap(), &lattice)
+    }
+
+    #[test]
+    fn classifier_shares_rules_whose_body_labels_the_head_dominates() {
+        // A top head: any body label is visible wherever the head is.
+        assert!(free("s[q(K : b -s-> V)] <- L[p(K : a -C-> V)] << cau."));
+        // A ground body level and class below a ground head.
+        assert!(free("c[q(K : b -c-> V)] <- u[p(K : a -u-> V)] << opt."));
+        // The head's own level variable, as level and class.
+        assert!(free("L[q(K : b -L-> V)] <- L[p(K : a -L-> V)]."));
+        // No guarded body atom at all.
+        assert!(free("c[q(K : b -c-> V)] <- r(K, V)."));
+        assert!(free("r(X) <- q(X)."));
+    }
+
+    #[test]
+    fn classifier_flags_rules_that_depend_on_the_clearance() {
+        // A class variable under a non-top head.
+        assert!(!free("c[q(K : b -c-> V)] <- u[p(K : a -C-> V)]."));
+        assert!(!free("L[q(K : b -L-> V)] <- L[p(K : a -C-> V)]."));
+        // Write-down: the body level sits above the head.
+        assert!(!free("u[q(K : b -u-> V)] <- c[p(K : a -u-> V)]."));
+        // A p-atom head, and an aggregate head, over a guarded body.
+        assert!(!free("hot(K) <- u[p(K : a -u-> V)]."));
+        assert!(!free(
+            "total(H, count(K)) <- H[p(K : a -C-> V)] << opt, level(H)."
+        ));
+    }
+
+    #[test]
+    fn cone_closes_over_readers_of_dependent_predicates() {
+        let lattice = "level(u). level(c). level(s). order(u, c). order(c, s).";
+        let cone = |rules: &str| {
+            let db = parse_database(&format!("{lattice} u[p(k : a -u-> v)]. {rules}")).unwrap();
+            let lat = db.lattice().unwrap();
+            let (_, _, cone) = translate_shared(&db, &lat, false, &["u".into()]).unwrap();
+            let mut preds: Vec<&str> = cone.preds.iter().map(|p| p.as_str()).collect();
+            preds.sort_unstable();
+            preds
+        };
+        assert!(cone("s[q(K : b -s-> V)] <- L[p(K : a -C-> V)].").is_empty());
+        // `warm` reads nothing guarded, but it reads the dependent `hot`.
+        assert_eq!(
+            cone("hot(K) <- u[p(K : a -u-> V)]. warm(K) <- hot(K). cold(K) <- q(K)."),
+            ["hot", "warm"]
+        );
+        // A write-down rule derives `rel`: every axiom reading it, and
+        // every rule reading a belief, joins the cone.
+        let preds = cone("u[q(K : b -u-> V)] <- c[p(K : a -u-> V)].");
+        for pred in ["rel", "bel", "bel_opt", "visible", "beaten"] {
+            assert!(preds.contains(&pred), "{pred} in {preds:?}");
+        }
+        assert!(!preds.contains(&"dominate"), "{preds:?}");
+    }
+
+    #[test]
+    fn shared_rules_drop_clearance_guards() {
+        let db = parse_database(D1).unwrap();
+        let red =
+            ReducedEngine::for_clearances(&db, &["u".into()], EngineOptions::default()).unwrap();
+        let text = red.program_text();
+        // D1's rules are clearance-free: no guard and no per-clearance
+        // copy, although the engine serves only u.
+        let rule = text.lines().find(|l| l.starts_with("rel_s(")).unwrap();
+        assert_eq!(rule, "rel_s(p, k, a, v, u) :- bel_cau_c(p, k, a, t, c).");
+        assert!(!text.contains('#'), "{text}");
+        // Under the sole maximal head, a variable label keeps its check.
+        let top =
+            parse_database(&format!("{D1} s[q(K : b -s-> V)] <- c[p(K : a -C-> V)].")).unwrap();
+        let red = ReducedEngine::for_clearances(&top, &[], EngineOptions::default()).unwrap();
+        assert!(red.program_text().contains("dominate(C, s)"));
+    }
+
+    #[test]
+    fn shared_readers_answer_like_per_clearance_reductions() {
+        let cone = "u[low(K : a -u-> V)] <- c[p(K : a -C-> V)]. hot(K) <- c[p(K : a -C-> V)].";
+        for src in [D1.to_owned(), DASHBOARD.to_owned(), format!("{D1} {cone}")] {
+            let db = parse_database(&src).unwrap();
+            let users: Vec<String> = ["u", "c", "s"].map(str::to_owned).into();
+            let shared =
+                ReducedEngine::for_clearances(&db, &users, EngineOptions::default()).unwrap();
+            for user in &users {
+                let reader = shared.goal_translator(user).unwrap();
+                let fresh = ReducedEngine::new(&db, user).unwrap();
+                for goal in [
+                    "L[p(K : a -C-> V)] << cau",
+                    "L[p(K : a -C-> V)] << opt",
+                    "L[emp(K : sal -C-> V)] << fir",
+                    "L[low(K : a -C-> V)]",
+                    "total(H, N)",
+                    "hot(K)",
+                ] {
+                    assert_eq!(
+                        reader.solve_text_on(shared.database(), goal).unwrap(),
+                        fresh.solve_text(goal).unwrap(),
+                        "`{goal}` at {user} over {src}"
+                    );
+                }
+            }
+            assert!(shared.solve_text("hot(K)").is_err(), "no single clearance");
         }
     }
 

@@ -4,28 +4,32 @@
 //!
 //! ## Architecture
 //!
-//! The τ reduction bakes the querying clearance into the generated
-//! program (the `dominate(_, user)` no-read-up guards of §6.2), so one
-//! materialized fixpoint serves exactly one clearance level. The server
-//! therefore keeps one incremental [`ReducedEngine`] per clearance level
-//! with an open reader, created lazily at the first `open` for that
-//! level and caught up by replaying the committed update history.
+//! The server keeps **one** incremental [`ReducedEngine`] for every
+//! clearance: a shared reduction ([`ReducedEngine::for_clearances`]).
+//! The Figure 12 axioms carry the belief level, and a rule whose body
+//! labels are provably dominated by its head level derives nothing a
+//! clearance could not see, so such rules run once, without the
+//! `dominate(_, u)` no-read-up guards of §6.2; each reader's goal-time
+//! guards hide what lies above its clearance (the restriction lemma,
+//! docs/SEMANTICS.md). The remaining rules — the dependent cone — run
+//! once per open clearance, under renamed predicates. The engine is built at the first `open` (or
+//! commit); opening another clearance records it, and rebuilds the
+//! engine over its current base only when the cone is not empty.
 //!
-//! Each level also owns a [`dl::GenerationStore`]: after every committed
-//! batch the writer publishes that level's new materialization as the
+//! The engine publishes into one [`dl::GenerationStore`]: after every
+//! committed batch the writer publishes the new materialization as the
 //! next *generation* (a copy-on-write [`dl::Database`] clone — an
 //! O(#relations) handle, not a copy of the facts). Readers pin a
 //! generation when they open (or [`ReaderSession::refresh`]) and answer
 //! every goal from that pinned snapshot through a detached
-//! [`GoalTranslator`] — they never touch the engines, so a reader never
+//! [`GoalTranslator`] — they never touch the engine, so a reader never
 //! blocks on a writer's delta propagation, and a writer never waits for
 //! readers. The only shared lock a reader takes is the generation
-//! store's pointer read, held for one `Arc` clone.
-//!
-//! Epochs are global: every level's store counts the same committed
-//! batches, so "epoch *e* at level *l*" names the reduction of exactly
-//! the base database plus the first *e* committed batches — the property
-//! the snapshot-consistency stress oracle checks.
+//! store's pointer read, held for one `Arc` clone. The store's epoch
+//! counts committed batches: "epoch *e*" names the reduction of exactly
+//! the base database plus the first *e* committed batches, at every
+//! clearance — the property the snapshot-consistency stress oracle
+//! checks.
 //!
 //! ## Clients
 //!
@@ -36,17 +40,15 @@
 //!
 //! ## Failure semantics
 //!
-//! A commit applies the batch to the level engines in level order
-//! before publishing anything. If a level fails, no generation is
-//! published, the epoch does not advance, and the writer sees that
-//! level's typed error. The engines the batch reached are rebuilt from
-//! the base database plus the committed history: every level that
-//! committed the batch, and the failing level itself unless the batch
-//! was rejected before touching it (a non-ground or undeclared-level
-//! update). Levels after the failing one never saw the batch and are
-//! left alone, so a rejected batch costs no rebuild at all. A level
-//! whose rebuild fails is parked and healed on the next commit or open;
-//! its readers keep answering from their pinned generations throughout.
+//! A commit applies the batch to the engine, then publishes. If it
+//! fails, nothing is published, the epoch does not advance, and the
+//! writer sees the typed error. A batch rejected before it reaches the
+//! engine (a non-ground or undeclared-level update) changes nothing. A
+//! commit that fails mid-maintenance (a guard trip) leaves the base
+//! rolled back to its pre-commit state and the engine poisoned; the
+//! server rematerializes it over that base at once, and again before the
+//! next commit if that heal failed too. Readers keep answering from
+//! their pinned generations throughout.
 
 // Long-lived service path: invariant violations must surface as typed
 // errors to one session, never crash the process (same policy as the
@@ -64,33 +66,27 @@ use crate::engine::{Answer, EngineOptions};
 use crate::reduce::{EdbUpdate, GoalTranslator, ReducedEngine};
 use crate::{MultiLogError, Result};
 
-/// Per-level state: the incremental engine producing generations and the
-/// store readers pin them from. `engine` is `None` while the level is
-/// parked after a failed post-abort rebuild; the store (and thus every
-/// pinned snapshot) survives parking.
-struct LevelSlot {
-    engine: Option<ReducedEngine>,
-    store: Arc<dl::GenerationStore>,
-}
+/// The key of the one entry in [`CommitSummary::levels`]: the shared
+/// engine every clearance reads.
+pub const SHARED_ENGINE: &str = "shared";
 
 struct ServerInner {
     db: MultiLogDb,
     options: EngineOptions,
-    levels: BTreeMap<String, LevelSlot>,
-    /// Every committed update, in commit order; replayed into engines
-    /// created (or rebuilt) after the commits happened.
-    history: Vec<EdbUpdate>,
-    /// Number of committed batches == the epoch of every level store.
-    commits: u64,
+    /// The one reduction every clearance reads and the store it
+    /// publishes to; built at the first open or commit.
+    engine: Option<(ReducedEngine, Arc<dl::GenerationStore>)>,
     writer_open: bool,
 }
 
-/// What one committed batch did, per level.
+/// What one committed batch did.
 #[derive(Clone, Debug)]
 pub struct CommitSummary {
-    /// The epoch the batch was published at (same across levels).
+    /// The epoch the batch was published at.
     pub epoch: u64,
-    /// Per-clearance-level maintenance statistics.
+    /// Maintenance statistics: one entry, keyed [`SHARED_ENGINE`], for
+    /// the engine every clearance reads (none for an empty batch). A map
+    /// for the clients that read it per engine.
     pub levels: BTreeMap<String, dl::CommitStats>,
 }
 
@@ -109,18 +105,15 @@ fn lock(inner: &Mutex<ServerInner>) -> MutexGuard<'_, ServerInner> {
 }
 
 impl BeliefServer {
-    /// Create a server over `db`. Engines are created lazily per
-    /// clearance level, each under `options` (fact budget, deadline,
-    /// cancellation) — the same guard plumbing the single-session
-    /// engines use.
+    /// Create a server over `db`. The engine is built at the first open
+    /// or commit, under `options` (fact budget, deadline, cancellation) —
+    /// the same guard plumbing the single-session engines use.
     pub fn new(db: MultiLogDb, options: EngineOptions) -> Self {
         BeliefServer {
             inner: Mutex::new(ServerInner {
                 db,
                 options,
-                levels: BTreeMap::new(),
-                history: Vec::new(),
-                commits: 0,
+                engine: None,
                 writer_open: false,
             }),
         }
@@ -128,22 +121,22 @@ impl BeliefServer {
 
     /// Open a reader session at clearance `user`, pinned to the
     /// generation current *now*: later commits are invisible until
-    /// [`ReaderSession::refresh`]. The first open at a level pays for
-    /// that level's materialization (plus history replay); subsequent
-    /// opens are O(1).
+    /// [`ReaderSession::refresh`]. The first open pays for the
+    /// materialization. Opening another clearance evaluates nothing
+    /// unless the program has a clearance-dependent cone, which is then
+    /// copied for `user` by rebuilding the engine over its current base.
     ///
     /// # Errors
     ///
     /// [`MultiLogError::NotAdmissible`] for an undeclared level, or any
-    /// evaluation error from materializing the level.
+    /// evaluation error from materializing.
     pub fn open_reader(&self, user: &str) -> Result<ReaderSession> {
         let mut inner = lock(&self.inner);
-        let (translator, store) = inner.level_handles(user)?;
-        let snapshot = store.snapshot();
+        let (engine, store) = inner.serve(Some(user))?;
         Ok(ReaderSession {
-            translator,
-            store,
-            snapshot,
+            translator: engine.goal_translator(user)?,
+            store: Arc::clone(store),
+            snapshot: store.snapshot(),
         })
     }
 
@@ -161,12 +154,18 @@ impl BeliefServer {
 
     /// The current global epoch (number of committed batches).
     pub fn epoch(&self) -> u64 {
-        lock(&self.inner).commits
+        lock(&self.inner).epoch()
     }
 
-    /// The clearance levels with instantiated engines, in order.
+    /// The clearance levels readers have opened, in order.
     pub fn open_levels(&self) -> Vec<String> {
-        lock(&self.inner).levels.keys().cloned().collect()
+        let inner = lock(&self.inner);
+        let mut levels = inner
+            .engine
+            .as_ref()
+            .map_or_else(Vec::new, |(e, _)| e.clearances().to_vec());
+        levels.sort();
+        levels
     }
 }
 
@@ -174,159 +173,71 @@ impl std::fmt::Debug for BeliefServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let inner = lock(&self.inner);
         f.debug_struct("BeliefServer")
-            .field("epoch", &inner.commits)
-            .field("levels", &inner.levels.keys().collect::<Vec<_>>())
+            .field("epoch", &inner.epoch())
+            .field("engine", &inner.engine.as_ref().map(|(e, _)| e))
             .field("writer_open", &inner.writer_open)
             .finish_non_exhaustive()
     }
 }
 
 impl ServerInner {
-    /// A fresh engine for `user`: the base database materialized under
-    /// the server options, with the committed history replayed on top.
-    fn fresh_engine(
-        db: &MultiLogDb,
-        options: &EngineOptions,
-        user: &str,
-        history: &[EdbUpdate],
-    ) -> Result<ReducedEngine> {
-        let mut engine = ReducedEngine::with_options(db, user, options.clone())?;
-        if !history.is_empty() {
-            engine.apply_updates(history)?;
-        }
-        Ok(engine)
+    fn epoch(&self) -> u64 {
+        self.engine.as_ref().map_or(0, |(_, store)| store.epoch())
     }
 
-    /// Ensure `user` has a live level slot; return its translator and
-    /// store. Creates the engine (and a store aligned to the global
-    /// epoch) on first open, and revives a parked engine.
-    fn level_handles(&mut self, user: &str) -> Result<(GoalTranslator, Arc<dl::GenerationStore>)> {
-        let ServerInner {
-            db,
-            options,
-            levels,
-            history,
-            commits,
-            ..
-        } = self;
-        if let Some(slot) = levels.get_mut(user) {
-            if slot.engine.is_none() {
-                // Parked after a failed rebuild: heal, keeping the store
-                // (existing readers' refresh must keep working) but
-                // aligning its contents with the committed state.
-                let engine = Self::fresh_engine(db, options, user, history)?;
-                let current = engine.database_snapshot();
-                slot.store.publish_at(*commits, current);
-                slot.engine = Some(engine);
+    /// The engine and its store, built on first use, serving `user` when
+    /// one is given. A rebuild for a new clearance replaces the current
+    /// generation at the same epoch: it holds the same committed state.
+    fn serve(
+        &mut self,
+        user: Option<&str>,
+    ) -> Result<(&mut ReducedEngine, &Arc<dl::GenerationStore>)> {
+        let slot = match self.engine.take() {
+            Some(slot) => slot,
+            None => {
+                let clearances: Vec<String> = user.into_iter().map(str::to_owned).collect();
+                let engine =
+                    ReducedEngine::for_clearances(&self.db, &clearances, self.options.clone())?;
+                let store = Arc::new(dl::GenerationStore::new(engine.database_snapshot()));
+                (engine, store)
             }
-            let engine = slot
-                .engine
-                .as_ref()
-                .ok_or_else(|| MultiLogError::Internal {
-                    detail: format!("level `{user}` has no engine after healing"),
-                })?;
-            return Ok((engine.goal_translator(), Arc::clone(&slot.store)));
+        };
+        let (engine, store) = self.engine.insert(slot);
+        if let Some(user) = user {
+            if engine.open_clearance(&self.db, user)? {
+                store.replace(engine.database_snapshot());
+            }
         }
-        let engine = Self::fresh_engine(db, options, user, history)?;
-        let store = Arc::new(dl::GenerationStore::with_epoch(
-            *commits,
-            engine.database_snapshot(),
-        ));
-        let translator = engine.goal_translator();
-        levels.insert(
-            user.to_owned(),
-            LevelSlot {
-                engine: Some(engine),
-                store: Arc::clone(&store),
-            },
-        );
-        Ok((translator, store))
+        Ok((engine, store))
     }
 
-    /// Apply one batch to every level and publish the next generation
-    /// everywhere, or restore the pre-commit state and publish nothing.
+    /// Apply one batch to the engine and publish the next generation, or
+    /// publish nothing and leave the committed state as it was.
     fn commit(&mut self, updates: &[EdbUpdate]) -> Result<CommitSummary> {
         if updates.is_empty() {
             return Ok(CommitSummary {
-                epoch: self.commits,
+                epoch: self.epoch(),
                 levels: BTreeMap::new(),
             });
         }
-        // Phase 0: heal any parked levels so the batch reaches them too.
-        let parked: Vec<String> = self
-            .levels
-            .iter()
-            .filter(|(_, s)| s.engine.is_none())
-            .map(|(n, _)| n.clone())
-            .collect();
-        for name in parked {
-            // A level that cannot be healed stays parked; the commit
-            // must not proceed half-blind, so surface the error.
-            self.level_handles(&name)?;
+        let (engine, store) = self.serve(None)?;
+        if engine.is_poisoned() {
+            engine.rematerialize()?;
         }
-        // Phase 1: apply to every engine in level order, publishing
-        // nothing yet.
-        let mut stats: BTreeMap<String, dl::CommitStats> = BTreeMap::new();
-        let mut failure: Option<(String, MultiLogError)> = None;
-        for (name, slot) in &mut self.levels {
-            let applied = match slot.engine.as_mut() {
-                Some(engine) => engine.apply_updates(updates),
-                None => Err(MultiLogError::Internal {
-                    detail: format!("level `{name}` parked during commit"),
-                }),
-            };
-            match applied {
-                Ok(s) => {
-                    stats.insert(name.clone(), s);
+        match engine.apply_updates(updates) {
+            Ok(stats) => Ok(CommitSummary {
+                epoch: store.publish(engine.database_snapshot()),
+                levels: BTreeMap::from([(SHARED_ENGINE.to_owned(), stats)]),
+            }),
+            Err(error) => {
+                // The back-end rolled the base back; heal over it now (a
+                // failed heal is retried by the next commit).
+                if engine.is_poisoned() {
+                    let _ = engine.rematerialize();
                 }
-                Err(e) => {
-                    failure = Some((name.clone(), e));
-                    break;
-                }
+                Err(error)
             }
         }
-        if let Some((failed, error)) = failure {
-            // Rebuild exactly the engines the batch reached: the levels
-            // that committed it, and the failing level unless the batch
-            // was rejected before it touched that engine (validation
-            // errors, see `ReducedEngine::apply_updates`). Later levels
-            // never saw the batch. Stores are untouched — no generation
-            // was published.
-            let rejected = matches!(
-                error,
-                MultiLogError::NonGroundUpdate { .. } | MultiLogError::NotAdmissible { .. }
-            );
-            let ServerInner {
-                db,
-                options,
-                levels,
-                history,
-                ..
-            } = self;
-            for (name, slot) in levels.iter_mut() {
-                let reached = stats.contains_key(name) || (*name == failed && !rejected);
-                if reached {
-                    // A failed rebuild parks the level; readers keep
-                    // their snapshots and the next commit/open retries.
-                    slot.engine = Self::fresh_engine(db, options, name, history).ok();
-                }
-            }
-            return Err(error);
-        }
-        // Phase 2: all levels succeeded — record and publish atomically
-        // per level (each publish is one pointer swap).
-        self.commits += 1;
-        self.history.extend_from_slice(updates);
-        for slot in self.levels.values_mut() {
-            if let Some(engine) = &slot.engine {
-                slot.store
-                    .publish_at(self.commits, engine.database_snapshot());
-            }
-        }
-        Ok(CommitSummary {
-            epoch: self.commits,
-            levels: stats,
-        })
     }
 }
 
@@ -391,10 +302,10 @@ pub struct WriterSession<'a> {
 }
 
 impl WriterSession<'_> {
-    /// Commit one batch of extensional updates across every open level
-    /// and publish the next generation. Atomic server-wide: on error
-    /// nothing is published, the epoch does not advance, and all levels
-    /// are restored to the committed state.
+    /// Commit one batch of extensional updates and publish the next
+    /// generation, which every clearance reads. Atomic: on error nothing
+    /// is published, the epoch does not advance, and the engine is
+    /// restored to the committed state.
     pub fn commit(&mut self, updates: &[EdbUpdate]) -> Result<CommitSummary> {
         lock(&self.server.inner).commit(updates)
     }
@@ -424,6 +335,7 @@ mod tests {
     use super::*;
     use crate::ast::Head;
     use crate::parser::{parse_clause, parse_database};
+    use crate::reduce::ReducedEngine;
 
     const SRC: &str = r#"
         level(u). level(c). level(s).
@@ -446,6 +358,12 @@ mod tests {
         EdbUpdate::Assert(m)
     }
 
+    /// Whether the server's engine is poisoned (awaiting a heal).
+    fn poisoned(server: &BeliefServer) -> bool {
+        let inner = lock(&server.inner);
+        inner.engine.as_ref().is_some_and(|(e, _)| e.is_poisoned())
+    }
+
     fn retract_fact(text: &str) -> EdbUpdate {
         let EdbUpdate::Assert(m) = assert_fact(text) else {
             unreachable!()
@@ -466,7 +384,7 @@ mod tests {
             .commit(&[assert_fact("u[p(k2 : a -u-> w)].")])
             .unwrap();
         assert_eq!(summary.epoch, 1);
-        assert_eq!(summary.levels["s"].edb_inserted, 1);
+        assert_eq!(summary.levels[SHARED_ENGINE].edb_inserted, 1);
 
         // Still pinned at epoch 0: the commit is invisible.
         assert_eq!(reader.epoch(), 0);
@@ -488,36 +406,115 @@ mod tests {
         assert_eq!(server.open_levels(), vec!["s", "u"]);
     }
 
+    /// Three commits: assert k2 and k3, retract k3.
+    fn commit_three(server: &BeliefServer) {
+        let mut writer = server.open_writer().unwrap();
+        writer
+            .commit(&[assert_fact("u[p(k2 : a -u-> w)].")])
+            .unwrap();
+        writer
+            .commit(&[assert_fact("u[p(k3 : a -u-> x)].")])
+            .unwrap();
+        writer
+            .commit(&[retract_fact("u[p(k3 : a -u-> x)].")])
+            .unwrap();
+    }
+
     #[test]
-    fn late_opened_level_replays_history() {
-        let server = server();
-        {
-            let mut writer = server.open_writer().unwrap();
-            writer
-                .commit(&[assert_fact("u[p(k2 : a -u-> w)].")])
-                .unwrap();
-            writer
-                .commit(&[assert_fact("u[p(k3 : a -u-> x)].")])
-                .unwrap();
-            writer
-                .commit(&[retract_fact("u[p(k3 : a -u-> x)].")])
-                .unwrap();
-        }
-        // First open at c happens after three commits: the engine must
-        // replay history and the store must align with the global epoch.
-        let reader = server.open_reader("c").unwrap();
-        assert_eq!(reader.epoch(), 3);
-        assert_eq!(
-            reader
-                .query_text("c[p(k2 : a -u-> w)] << opt")
-                .unwrap()
-                .len(),
-            1
+    fn late_opened_level_evaluates_nothing_with_an_empty_cone() {
+        let cancel = dl::CancelToken::new();
+        let server = BeliefServer::new(
+            parse_database(SRC).unwrap(),
+            EngineOptions {
+                cancel: Some(cancel.clone()),
+                ..EngineOptions::default()
+            },
         );
-        assert!(reader
-            .query_text("c[p(k3 : a -u-> x)] << opt")
-            .unwrap()
-            .is_empty());
+        server.open_reader("s").unwrap();
+        commit_three(&server);
+        // Every rule of SRC is clearance-free: the fixpoint already holds
+        // c's answers, so opening c must not evaluate (a cancelled
+        // evaluation would fail the open).
+        cancel.cancel();
+        let reader = server.open_reader("c").unwrap();
+        cancel.reset();
+        assert_eq!(reader.epoch(), 3);
+        assert_eq!(server.open_levels(), vec!["c", "s"]);
+        let k2 = reader.query_text("c[p(k2 : a -u-> w)] << opt").unwrap();
+        assert_eq!(k2.len(), 1);
+        let k3 = reader.query_text("c[p(k3 : a -u-> x)] << opt").unwrap();
+        assert!(k3.is_empty());
+    }
+
+    /// SRC plus a write-down rule and a p-atom head over a guarded body:
+    /// both depend on the clearance, so each open level gets a copy.
+    const CONE_SRC: &str = r#"
+        level(u). level(c). level(s).
+        order(u, c). order(c, s).
+        u[p(k : a -u-> v)].
+        c[p(k : a -c-> t)] <- q(j).
+        c[p(k5 : a -c-> z)].
+        q(j).
+        u[low(K : a -u-> V)] <- c[p(K : a -C-> V)].
+        hot(K) <- L[p(K : a -C-> V)].
+    "#;
+
+    #[test]
+    fn late_opened_level_with_a_dependent_cone_matches_a_fresh_reduction() {
+        let cancel = dl::CancelToken::new();
+        let server = BeliefServer::new(
+            parse_database(CONE_SRC).unwrap(),
+            EngineOptions {
+                cancel: Some(cancel.clone()),
+                ..EngineOptions::default()
+            },
+        );
+        let mut top = server.open_reader("s").unwrap();
+        commit_three(&server);
+        // The cone is not empty: opening u rebuilds the engine, so a
+        // cancelled evaluation fails the open and leaves the server as
+        // it was.
+        cancel.cancel();
+        assert!(matches!(
+            server.open_reader("u"),
+            Err(MultiLogError::Cancelled)
+        ));
+        cancel.reset();
+        assert_eq!(server.open_levels(), vec!["s"]);
+        let readers: Vec<ReaderSession> = ["u", "c"]
+            .iter()
+            .map(|user| server.open_reader(user).unwrap())
+            .collect();
+        // The rebuild replaced the generation at the same epoch.
+        assert_eq!(top.refresh(), 3);
+        let committed = format!("{CONE_SRC} u[p(k2 : a -u-> w)].");
+        let db = parse_database(&committed).unwrap();
+        for reader in readers.iter().chain([&top]) {
+            assert_eq!(reader.epoch(), 3);
+            let fresh = ReducedEngine::new(&db, reader.user()).unwrap();
+            for goal in [
+                "L[p(K : a -C-> V)] << opt",
+                "L[low(K : a -C-> V)]",
+                "L[low(K : a -C-> V)] << cau",
+                "hot(K)",
+            ] {
+                assert_eq!(
+                    reader.query_text(goal).unwrap(),
+                    fresh.solve_text(goal).unwrap(),
+                    "`{goal}` at {}",
+                    reader.user()
+                );
+            }
+        }
+        // The copies differ by clearance: u derives nothing from the c
+        // cells it may not read.
+        let count = |r: &ReaderSession, goal: &str| r.query_text(goal).unwrap().len();
+        let at_each = |goal: &str| {
+            let [u, c] = [&readers[0], &readers[1]].map(|r| count(r, goal));
+            (u, c, count(&top, goal))
+        };
+        assert_eq!(at_each("hot(K)"), (2, 3, 3));
+        assert_eq!(at_each("u[low(K : a -C-> V)]"), (0, 2, 2));
     }
 
     #[test]
@@ -560,7 +557,8 @@ mod tests {
             "{err:?}"
         );
         // Nothing published; the reader's world is unchanged even after
-        // refresh.
+        // refresh. The engine was healed over the rolled-back base.
+        assert!(!poisoned(&server));
         assert_eq!(server.epoch(), 0);
         assert_eq!(reader.refresh(), 0);
         assert_eq!(reader.query_text(goal).unwrap(), before);
@@ -597,9 +595,10 @@ mod tests {
             matches!(err, Err(MultiLogError::NonGroundUpdate { .. })),
             "{err:?}"
         );
-        // The batch was rejected before it reached any engine, so no
-        // level was rebuilt (and parked by the cancelled rebuild):
-        // opening at an open level needs no evaluation.
+        // The batch was rejected before it reached the engine, so there
+        // was nothing to heal (a cancelled heal would leave it poisoned),
+        // and opening at an open level needs no evaluation.
+        assert!(!poisoned(&server));
         for user in ["u", "s"] {
             let reader = server.open_reader(user).unwrap();
             assert_eq!(reader.epoch(), 0);

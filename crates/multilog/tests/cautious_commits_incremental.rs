@@ -1,8 +1,8 @@
 //! Cautious-belief commits stay incremental. On a database shaped like
 //! the `serve_write` benchmark (a chain of levels, polyinstantiated
 //! `data` cells, top-level rules over cautious beliefs), commits that
-//! flip a `beaten_h` fact must be maintained by DRed in every level
-//! engine without recomputing a stratum. Every reader must still answer
+//! flip a `beaten_h` fact must be maintained by DRed in the server's one
+//! shared engine without recomputing a stratum. Every reader must still answer
 //! exactly as a fresh reduction of base plus committed history — the
 //! Theorem 6.1 judge `server_stress` uses.
 
@@ -13,7 +13,9 @@ use std::collections::BTreeSet;
 
 use multilog_core::ast::Head;
 use multilog_core::reduce::{EdbUpdate, ReducedEngine};
-use multilog_core::{parse_clause, parse_database, Answer, BeliefServer, EngineOptions};
+use multilog_core::{
+    parse_clause, parse_database, Answer, BeliefServer, EngineOptions, SHARED_ENGINE,
+};
 
 const DEPTH: usize = 5;
 const KEYS: usize = 40;
@@ -189,13 +191,13 @@ fn cautious_commits_recompute_no_stratum_and_match_a_fresh_reduction() {
         } else {
             present.remove(&cell);
         }
-        assert_eq!(summary.levels.len(), DEPTH, "every level commits");
-        for (level, stats) in &summary.levels {
-            assert_eq!(
-                stats.strata_recomputed, 0,
-                "level {level} recomputed a stratum on {cell:?} (assert {assert}): {stats:?}"
-            );
-        }
+        // One shared engine commits for every level's reader.
+        assert_eq!(summary.levels.len(), 1, "one engine commits");
+        let stats = &summary.levels[SHARED_ENGINE];
+        assert_eq!(
+            stats.strata_recomputed, 0,
+            "the shared engine recomputed a stratum on {cell:?} (assert {assert}): {stats:?}"
+        );
         for reader in &mut readers {
             reader.refresh();
         }

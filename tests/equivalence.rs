@@ -10,9 +10,14 @@
 
 use proptest::prelude::*;
 
+use std::collections::BTreeSet;
+
+use multilog_core::ast::Head;
 use multilog_core::examples;
-use multilog_core::reduce::ReducedEngine;
-use multilog_core::{parse_database, BeliefServer, EngineOptions, MultiLogDb, MultiLogEngine};
+use multilog_core::reduce::{EdbUpdate, ReducedEngine};
+use multilog_core::{
+    parse_clause, parse_database, BeliefServer, EngineOptions, MultiLogDb, MultiLogEngine,
+};
 
 /// The goals used to compare the two semantics: every predicate is probed
 /// with fully variable patterns in every mode.
@@ -200,8 +205,123 @@ fn arb_db() -> impl Strategy<Value = (String, usize)> {
         })
 }
 
+/// A server-harness input: an [`arb_db`] database with up to two extra
+/// rules that depend on the clearance, so a shared server copies them per
+/// open level, and a commit script of single-cell asserts and retracts.
+/// The extras are a write-down rule (`l0` cells derived from `data` above
+/// it) and a p-atom head over a belief at level `l_i`. The write-down
+/// reads below the top when a cautious rule writes the top level, since
+/// reading the level a `<< cau` rule writes would close a negative cycle
+/// (no stratification, at any clearance). Committed cells may be
+/// classified above their level.
+fn arb_server_db() -> impl Strategy<Value = (String, usize, Vec<(bool, String)>)> {
+    let cell = (any::<bool>(), 0usize..3, 0usize..4, 0usize..3, 0usize..4);
+    (
+        arb_db(),
+        any::<bool>(),
+        0usize..4,
+        proptest::collection::vec(cell, 1..6),
+    )
+        .prop_map(|((mut src, depth), write_down, hot, script)| {
+            let top = depth - 1;
+            let from = if src.contains("<< cau") { top - 1 } else { top };
+            if write_down && from > 0 {
+                src.push_str(&format!(
+                    "l0[down(K : a -l0-> V)] <- l{from}[data(K : a -C-> V)].\n"
+                ));
+            }
+            if hot < depth {
+                src.push_str(&format!("hot(K) <- l{hot}[data(K : a -C-> V)] << opt.\n"));
+            }
+            let script = script
+                .into_iter()
+                .map(|(assert, lvl, key, cls, val)| {
+                    let (lvl, cls) = (lvl.min(top), cls.min(top));
+                    (
+                        assert,
+                        format!("l{lvl}[data(k{key} : a -l{cls}-> v{val})]."),
+                    )
+                })
+                .collect();
+            (src, depth, script)
+        })
+}
+
+/// Split a generated source into its non-`data`-fact lines and its set
+/// of `data` fact lines.
+fn split_facts(src: &str) -> (String, BTreeSet<String>) {
+    let mut rest = String::new();
+    let mut facts = BTreeSet::new();
+    for line in src.lines() {
+        if line.contains("[data(") && !line.contains("<-") {
+            facts.insert(line.to_owned());
+        } else {
+            rest.push_str(line);
+            rest.push('\n');
+        }
+    }
+    (rest, facts)
+}
+
+/// The goals the server harness compares at every level.
+const SERVER_PROBES: &[&str] = &[
+    "L[data(K : a -C-> V)] << opt",
+    "L[data(K : a -C-> V)] << cau",
+    "L[derived(K : b -C-> V)] << fir",
+    "L[down(K : a -C-> V)] << opt",
+    "hot(K)",
+];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// After every commit of a script, a `BeliefServer` reader at each
+    /// level answers exactly like a fresh per-level reduction of base
+    /// plus the committed cells — with the clearance-dependent rules in
+    /// the mix, and one level opened only after the first commit.
+    #[test]
+    fn server_readers_match_fresh_reductions_after_commits(
+        (src, depth, script) in arb_server_db()
+    ) {
+        let (rules, mut facts) = split_facts(&src);
+        let server = BeliefServer::new(
+            parse_database(&src).expect("generated db parses"),
+            EngineOptions::default(),
+        );
+        let mut readers: Vec<_> = (1..depth)
+            .map(|l| server.open_reader(&format!("l{l}")).expect("reader opens"))
+            .collect();
+        let mut writer = server.open_writer().expect("writer opens");
+        for (i, (assert, fact)) in script.iter().enumerate() {
+            let Head::M(m) = parse_clause(fact).expect("cell parses").remove(0).head else {
+                unreachable!("script cells are m-facts");
+            };
+            let update = if *assert { EdbUpdate::Assert(m) } else { EdbUpdate::Retract(m) };
+            writer.commit(&[update]).expect("commit applies");
+            if *assert {
+                facts.insert(fact.clone());
+            } else {
+                facts.remove(fact);
+            }
+            if i == 0 {
+                readers.push(server.open_reader("l0").expect("late reader opens"));
+            }
+            let committed: String = facts.iter().map(|f| format!("{f}\n")).collect();
+            let db = parse_database(&format!("{rules}{committed}")).expect("db parses");
+            for reader in &mut readers {
+                reader.refresh();
+                let fresh = ReducedEngine::new(&db, reader.user()).expect("reduction ok");
+                for goal in SERVER_PROBES {
+                    prop_assert_eq!(
+                        reader.query_text(goal).expect("reader solve"),
+                        fresh.solve_text(goal).expect("fresh solve"),
+                        "`{}` at {} after {:?} for db:\n{}", goal, reader.user(),
+                        &script[..=i], src
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn equivalence_random_dbs((src, depth) in arb_db()) {
