@@ -30,6 +30,10 @@
 //!   strata by delta, so it is 0. `commit_engines_max` is the most
 //!   engine entries in any one commit's summary: the server runs one
 //!   shared engine for every open clearance, so it is 1.
+//!   `detached_cells_max` is the most cells, dedup entries and
+//!   tombstone words any one commit copied to detach relations still shared
+//!   with the published generation: deterministic, and bounded by the
+//!   short segment tails rather than by relation size.
 //! * `social_reach_{operator,rules}` — full reachability over a
 //!   power-law social graph, computed by the native `@bfs` operator vs.
 //!   the equivalent rule-at-a-time transitive closure (identical `reach`
@@ -627,6 +631,10 @@ struct ConcurrentChurnResult {
     ///
     /// [`CommitSummary::levels`]: multilog_core::CommitSummary
     commit_engines_max: usize,
+    /// The most [`CommitStats::detached_cells`] in any one commit.
+    ///
+    /// [`CommitStats::detached_cells`]: multilog_datalog::CommitStats
+    detached_cells_max: usize,
 }
 
 /// Run `readers` reader threads against a [`BeliefServer`] while the
@@ -669,6 +677,7 @@ fn run_concurrent_churn(readers: usize, commits: usize) -> ConcurrentChurnResult
     let mut writer_wall_ms = 0.0;
     let mut strata_recomputed = 0usize;
     let mut commit_engines_max = 0usize;
+    let mut detached_cells_max = 0usize;
     let clock = Instant::now();
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
@@ -742,6 +751,11 @@ fn run_concurrent_churn(readers: usize, commits: usize) -> ConcurrentChurnResult
                 .map(|s| s.strata_recomputed)
                 .sum::<usize>();
             commit_engines_max = commit_engines_max.max(summary.levels.len());
+            detached_cells_max = summary
+                .levels
+                .values()
+                .map(|s| s.detached_cells)
+                .fold(detached_cells_max, usize::max);
             publishes.push(clock.elapsed().as_secs_f64() * 1e6);
             if flipping {
                 top_reader.refresh();
@@ -791,6 +805,7 @@ fn run_concurrent_churn(readers: usize, commits: usize) -> ConcurrentChurnResult
         final_epoch: server.epoch(),
         strata_recomputed,
         commit_engines_max,
+        detached_cells_max,
     }
 }
 
@@ -1175,8 +1190,12 @@ fn main() {
         churn.strata_recomputed
     ));
     json.push_str(&format!(
-        "    \"commit_engines_max\": {}\n",
+        "    \"commit_engines_max\": {},\n",
         churn.commit_engines_max
+    ));
+    json.push_str(&format!(
+        "    \"detached_cells_max\": {}\n",
+        churn.detached_cells_max
     ));
     json.push_str("  },\n");
     if let Some(mb) = xl_peak_rss_mb {

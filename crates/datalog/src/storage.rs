@@ -3,12 +3,15 @@
 //!
 //! # Layout
 //!
-//! A [`Relation`] stores its tuples column-major: every column is a
-//! sequence of [`Const`] cells addressed by a dense `u32` row id. Rows
-//! are grouped into fixed-size *segments* — once a segment fills it is
-//! sealed behind an `Arc` and never mutated again, so cloning a relation
-//! (the copy-on-write path behind MVCC generations) shares every sealed
-//! segment and deep-copies only the short mutable tail.
+//! A [`Relation`] stores its tuples in rows addressed by a dense `u32`
+//! row id. Rows are grouped into short fixed-size *segments* of
+//! `SEG_ROWS` (256) rows. A full segment is sealed, column-major, into one
+//! `Arc`-shared allocation and never mutated again; only the newest,
+//! unsealed rows live in a mutable *tail*, stored row-major in one flat
+//! buffer. Cloning a relation — the copy-on-write detach behind MVCC
+//! generations — therefore copies fewer than `SEG_ROWS × arity` tail
+//! cells plus one pointer per sealed segment, however large the relation
+//! is.
 //!
 //! # Indexes
 //!
@@ -46,21 +49,30 @@
 //!
 //! # Deduplication and retraction
 //!
-//! Duplicate detection stores row ids keyed by tuple hash, split into a
-//! frozen `Arc`-shared map and a per-clone overlay of recent inserts
-//! that is folded into the frozen map amortized. Retraction tombstones
-//! the row (probes filter the `dead` set) and compacts the relation once
-//! tombstones reach half the stored rows, so storage stays within a
-//! constant factor of the live set without per-retract index surgery.
+//! Duplicate detection maps each tuple hash to one row id (`u64 → u32`,
+//! flat `Copy` entries), split into a frozen `Arc`-shared map and a
+//! per-clone overlay of recent inserts that shadows it and is folded into
+//! it amortized. Retraction tombstones the row — one bit in a row bitset
+//! that probes test — and re-inserting a fact whose hash slot holds only
+//! a dead row reuses the slot for the new row, so retract/re-insert
+//! churn grows neither map. Two distinct live facts with one 64-bit hash
+//! are rare: the later one goes to a small side table (`spill`). The
+//! relation compacts once tombstones reach half the stored rows, so
+//! storage stays within a constant factor of the live set without
+//! per-retract index surgery.
+//!
+//! A clone shares the sealed segments, the index runs and the frozen map,
+//! and copies the tail, the overlay, the side table and the tombstone
+//! bitset (one bit per stored row) — flat buffers, one allocation each,
+//! that are freed as cheaply when the clone drops.
 
-use std::collections::hash_map::Entry;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::mem;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::fx::{FxHashMap, FxHashSet, FxHasher};
+use crate::fx::{FxHashMap, FxHasher};
 use crate::term::{Const, SymId};
 
 /// A stored fact: one tuple of constants.
@@ -123,7 +135,9 @@ impl FactBuf {
 }
 
 /// Rows per sealed segment; a power of two so row → segment is a shift.
-const SEG_SHIFT: u32 = 12;
+/// Small, because the unsealed tail is what a copy-on-write detach
+/// copies.
+const SEG_SHIFT: u32 = 8;
 const SEG_ROWS: u32 = 1 << SEG_SHIFT;
 /// Most recent rows a column index may leave unsorted before
 /// [`Database::ensure_index_id`] reseals the column. Probes scan this
@@ -141,35 +155,20 @@ const FOLD_MIN: usize = 4096;
 /// Minimum tombstones before compaction is considered.
 pub(crate) const COMPACT_MIN: usize = 1024;
 
+/// Whether bit `row` is set in a row bitset.
+#[inline]
+fn bit(bits: &[u64], row: u32) -> bool {
+    bits.get((row >> 6) as usize)
+        .is_some_and(|w| (w >> (row & 63)) & 1 != 0)
+}
+
 fn fact_hash(fact: &[Const]) -> u64 {
     let mut h = FxHasher::default();
     fact.hash(&mut h);
+    #[cfg(test)]
+    return h.finish() & tests::HASH_MASK.with(std::cell::Cell::get);
+    #[cfg(not(test))]
     h.finish()
-}
-
-/// Row ids sharing one tuple hash. Collisions are rare, so almost every
-/// entry is a single row — the inline variant avoids a heap allocation
-/// per stored fact.
-#[derive(Clone)]
-enum Rows {
-    One(u32),
-    Many(Vec<u32>),
-}
-
-impl Rows {
-    fn push(&mut self, row: u32) {
-        match self {
-            Rows::One(r) => *self = Rows::Many(vec![*r, row]),
-            Rows::Many(v) => v.push(row),
-        }
-    }
-
-    fn as_slice(&self) -> &[u32] {
-        match self {
-            Rows::One(r) => std::slice::from_ref(r),
-            Rows::Many(v) => v,
-        }
-    }
 }
 
 /// A cheap integral total order on `Const` for the sorted runs:
@@ -208,10 +207,9 @@ fn gallop<T>(xs: &[T], from: usize, mut pred: impl FnMut(&T) -> bool) -> usize {
 }
 
 /// One sealed, immutable row group: `SEG_ROWS` rows of every column,
-/// column-major, shared by `Arc` across copy-on-write clones.
-struct Segment {
-    cols: Box<[Box<[Const]>]>,
-}
+/// column-major (column `c` at `[c << SEG_SHIFT..]`), shared by `Arc`
+/// across copy-on-write clones.
+type Segment = Arc<[Const]>;
 
 /// The constant column chosen to drive a lookup; see
 /// [`Relation::driving_const`].
@@ -241,18 +239,29 @@ struct ColIndex {
 pub struct Relation {
     arity: Option<usize>,
     /// Sealed immutable segments; shared (not copied) by `clone`.
-    sealed: Vec<Arc<Segment>>,
-    /// The mutable tail segment: one short column `Vec` per column.
-    tail: Vec<Vec<Const>>,
+    sealed: Vec<Segment>,
+    /// The rows after the last sealed segment (fewer than `SEG_ROWS`),
+    /// row-major.
+    tail: Vec<Const>,
     /// Total stored rows, live and tombstoned.
     total: u32,
-    /// Tombstoned row ids (retracted but not yet compacted away).
-    dead: FxHashSet<u32>,
-    /// Frozen dedup map (`tuple hash → row ids`), shared by `clone`;
-    /// rows listed here may be tombstoned — lookups filter `dead`.
-    frozen: Arc<FxHashMap<u64, Rows>>,
-    /// Recent insertions not yet folded into `frozen`; per-clone.
-    overlay: FxHashMap<u64, Rows>,
+    /// Tombstones (retracted rows not yet compacted away): bit `r % 64`
+    /// of word `r / 64` is set for a dead row `r`. Allocated only up to
+    /// the highest tombstoned row, so a relation without tombstones has
+    /// none.
+    dead: Vec<u64>,
+    /// Set bits in `dead`.
+    dead_count: u32,
+    /// Frozen dedup map (`tuple hash → row id`), shared by `clone`; the
+    /// row may be tombstoned — lookups filter `dead`.
+    frozen: Arc<FxHashMap<u64, u32>>,
+    /// Recent insertions not yet folded into `frozen`; per-clone. It takes
+    /// a hash only when `frozen`'s row for it is dead or absent, and the
+    /// fold replaces that row.
+    overlay: FxHashMap<u64, u32>,
+    /// Rows of live facts whose hash slot already held a different live
+    /// fact: true 64-bit collisions. Per-clone and almost always empty.
+    spill: FxHashMap<u64, Vec<u32>>,
     /// One sorted permutation index per column.
     indexes: Vec<ColIndex>,
     /// Identity for [`Relation::version`]; every clone gets a fresh one,
@@ -270,9 +279,11 @@ impl Default for Relation {
             sealed: Vec::new(),
             tail: Vec::new(),
             total: 0,
-            dead: FxHashSet::default(),
+            dead: Vec::new(),
+            dead_count: 0,
             frozen: Arc::default(),
             overlay: FxHashMap::default(),
+            spill: FxHashMap::default(),
             indexes: Vec::new(),
             id: fresh_relation_id(),
             mutations: 0,
@@ -288,8 +299,10 @@ impl Clone for Relation {
             tail: self.tail.clone(),
             total: self.total,
             dead: self.dead.clone(),
+            dead_count: self.dead_count,
             frozen: Arc::clone(&self.frozen),
             overlay: self.overlay.clone(),
+            spill: self.spill.clone(),
             indexes: self.indexes.clone(),
             id: fresh_relation_id(),
             mutations: self.mutations,
@@ -310,7 +323,7 @@ impl Relation {
 
     /// Number of live facts.
     pub fn len(&self) -> usize {
-        self.total as usize - self.dead.len()
+        (self.total - self.dead_count) as usize
     }
 
     /// Whether the relation holds no facts.
@@ -339,21 +352,24 @@ impl Relation {
     pub fn insert_if_new(&mut self, fact: &[Const]) -> bool {
         self.prepare(fact.len());
         let hash = fact_hash(fact);
-        if self.find_live(hash, fact).is_some() {
+        let holder = self.holder(hash);
+        if holder.is_some_and(|r| self.row_eq(r, fact)) || self.find_spilled(hash, fact).is_some() {
             return false;
         }
         let row = self.total;
         assert!(row < u32::MAX, "relation row overflow");
-        for (col, c) in fact.iter().enumerate() {
-            self.tail[col].push(*c);
-        }
+        self.tail.extend_from_slice(fact);
         self.total += 1;
         self.mutations += 1;
-        match self.overlay.entry(hash) {
-            Entry::Vacant(e) => {
-                e.insert(Rows::One(row));
-            }
-            Entry::Occupied(mut e) => e.get_mut().push(row),
+        if holder.is_some() {
+            // A distinct live fact owns the slot: a true collision.
+            let dead = &self.dead;
+            let chain = self.spill.entry(hash).or_default();
+            chain.retain(|&r| !bit(dead, r));
+            chain.push(row);
+        } else {
+            // Empty slot, or one holding only a dead row: take it over.
+            self.overlay.insert(hash, row);
         }
         if self.total & (SEG_ROWS - 1) == 0 {
             self.seal_segment();
@@ -413,24 +429,23 @@ impl Relation {
         match self.arity {
             None => {
                 self.arity = Some(arity);
-                self.tail = vec![Vec::new(); arity];
                 self.indexes = vec![ColIndex::default(); arity];
             }
             Some(a) => assert_eq!(a, arity, "arity mismatch on insert"),
         }
     }
 
-    /// Move the full tail segment behind an `Arc`; later clones share it.
+    /// Transpose the full tail into a column-major segment behind an
+    /// `Arc`; later clones share it. The tail keeps its capacity.
     fn seal_segment(&mut self) {
-        let cols: Box<[Box<[Const]>]> = self
-            .tail
-            .iter_mut()
-            .map(|c| {
-                debug_assert_eq!(c.len(), SEG_ROWS as usize);
-                mem::replace(c, Vec::with_capacity(SEG_ROWS as usize)).into_boxed_slice()
-            })
+        let arity = self.arity.unwrap_or(0);
+        debug_assert_eq!(self.tail.len(), arity << SEG_SHIFT);
+        let tail = &self.tail;
+        let segment: Segment = (0..arity)
+            .flat_map(|col| tail[col..].iter().step_by(arity).copied())
             .collect();
-        self.sealed.push(Arc::new(Segment { cols }));
+        self.tail.clear();
+        self.sealed.push(segment);
     }
 
     /// Sort `col`'s uncovered index tail into a fresh run, then merge
@@ -472,42 +487,57 @@ impl Relation {
     }
 
     /// Fold the overlay into the frozen dedup map once it is both large
-    /// and a noticeable fraction of the frozen map. `Arc::make_mut`
-    /// copies the frozen map only when a clone still shares it; folds
-    /// are rare enough (every quarter-growth at most) to amortize that.
+    /// and a noticeable fraction of the frozen map; overlay entries
+    /// replace the frozen entries they shadow. `Arc::make_mut` copies the
+    /// frozen map only when a clone still shares it; folds are rare
+    /// enough (every quarter-growth at most) to amortize that.
+    ///
+    /// A shared frozen map means this relation lives in copy-on-write
+    /// generations, where every detach copies the overlay's whole
+    /// capacity, so the overlay restarts empty. Otherwise it keeps its
+    /// capacity, and a bulk load does not regrow it after every fold.
     fn fold_overlay(&mut self) {
         if self.overlay.len() >= FOLD_MIN && self.overlay.len() * 4 >= self.frozen.len() {
-            let frozen = Arc::make_mut(&mut self.frozen);
-            for (h, rows) in self.overlay.drain() {
-                match frozen.entry(h) {
-                    Entry::Vacant(e) => {
-                        e.insert(rows);
-                    }
-                    Entry::Occupied(mut e) => {
-                        for &r in rows.as_slice() {
-                            e.get_mut().push(r);
-                        }
-                    }
-                }
+            let shared = Arc::get_mut(&mut self.frozen).is_none();
+            Arc::make_mut(&mut self.frozen).extend(self.overlay.drain());
+            if shared {
+                self.overlay = FxHashMap::default();
             }
         }
     }
 
+    /// The live row in `hash`'s dedup slot, if any. At most one of the
+    /// frozen map's and the overlay's rows for a hash is live: the
+    /// overlay only takes a hash whose frozen row is dead or absent, and
+    /// a dead row never revives. The frozen map, which holds most rows,
+    /// is probed first.
+    #[inline]
+    fn holder(&self, hash: u64) -> Option<u32> {
+        let live = |r: &u32| !self.is_dead(*r);
+        match self.frozen.get(&hash) {
+            Some(&r) if live(&r) => Some(r),
+            _ => self.overlay.get(&hash).copied().filter(live),
+        }
+    }
+
+    /// The live row in `hash`'s collision chain storing exactly `fact`.
+    #[inline]
+    fn find_spilled(&self, hash: u64, fact: &[Const]) -> Option<u32> {
+        if self.spill.is_empty() {
+            return None;
+        }
+        self.spill
+            .get(&hash)?
+            .iter()
+            .copied()
+            .find(|&r| !self.is_dead(r) && self.row_eq(r, fact))
+    }
+
     /// The live row storing exactly `fact`, if any.
     fn find_live(&self, hash: u64, fact: &[Const]) -> Option<u32> {
-        let scan = |rows: &[u32]| {
-            rows.iter()
-                .copied()
-                .find(|&r| !self.is_dead(r) && self.row_eq(r, fact))
-        };
-        if let Some(rows) = self.frozen.get(&hash) {
-            if let Some(r) = scan(rows.as_slice()) {
-                return Some(r);
-            }
-        }
-        self.overlay
-            .get(&hash)
-            .and_then(|rows| scan(rows.as_slice()))
+        self.holder(hash)
+            .filter(|&r| self.row_eq(r, fact))
+            .or_else(|| self.find_spilled(hash, fact))
     }
 
     #[inline]
@@ -517,17 +547,16 @@ impl Relation {
 
     #[inline]
     fn is_dead(&self, row: u32) -> bool {
-        !self.dead.is_empty() && self.dead.contains(&row)
+        bit(&self.dead, row)
     }
 
     /// The cell at (`row`, `col`).
     #[inline]
     pub(crate) fn cell(&self, row: u32, col: usize) -> Const {
-        let seg = (row >> SEG_SHIFT) as usize;
-        if let Some(s) = self.sealed.get(seg) {
-            s.cols[col][(row & (SEG_ROWS - 1)) as usize]
-        } else {
-            self.tail[col][row as usize - (self.sealed.len() << SEG_SHIFT)]
+        let offset = (row & (SEG_ROWS - 1)) as usize;
+        match self.sealed.get((row >> SEG_SHIFT) as usize) {
+            Some(segment) => segment[(col << SEG_SHIFT) | offset],
+            None => self.tail[offset * self.arity.unwrap_or(0) + col],
         }
     }
 
@@ -623,10 +652,19 @@ impl Relation {
         }
     }
 
+    /// What a clone copies rather than shares: tail cells, dedup overlay
+    /// and collision entries, and tombstone words.
+    fn detach_cells(&self) -> usize {
+        self.tail.len()
+            + self.overlay.len()
+            + self.spill.values().map(Vec::len).sum::<usize>()
+            + self.dead.len()
+    }
+
     /// Tombstoned rows not yet compacted away.
     #[cfg(test)]
     pub(crate) fn tombstones(&self) -> usize {
-        self.dead.len()
+        self.dead_count as usize
     }
 
     /// Append every live row id.
@@ -670,13 +708,19 @@ impl Relation {
         let Some(row) = self.find_live(hash, fact) else {
             return false;
         };
-        self.dead.insert(row);
+        let word = (row >> 6) as usize;
+        if self.dead.len() <= word {
+            self.dead.resize(word + 1, 0);
+        }
+        self.dead[word] |= 1 << (row & 63);
+        self.dead_count += 1;
         self.mutations += 1;
         if self.is_empty() {
             *self = Relation::default();
             return true;
         }
-        if self.dead.len() >= COMPACT_MIN && self.dead.len() * 2 >= self.total as usize {
+        let dead = self.dead_count as usize;
+        if dead >= COMPACT_MIN && dead * 2 >= self.total as usize {
             self.compact();
         }
         true
@@ -689,6 +733,7 @@ impl Relation {
     fn compact(&mut self) {
         let Some(arity) = self.arity else { return };
         let mut fresh = Relation::default();
+        fresh.prepare(arity);
         let mut buf: Vec<Const> = Vec::with_capacity(arity);
         for row in 0..self.total {
             if self.is_dead(row) {
@@ -699,11 +744,6 @@ impl Relation {
                 buf.push(self.cell(row, c));
             }
             fresh.insert_if_new(&buf);
-        }
-        fresh.arity = Some(arity);
-        if fresh.tail.is_empty() {
-            fresh.tail = vec![Vec::new(); arity];
-            fresh.indexes = vec![ColIndex::default(); arity];
         }
         *self = fresh;
     }
@@ -812,16 +852,27 @@ impl ColCursor<'_> {
 /// relations) and shares every segment, index run, and dedup table with
 /// the original. Mutation goes through [`Arc::make_mut`], which detaches
 /// only the relations a writer actually touches — and a detach itself is
-/// cheap, copying the short mutable tail, the overlay, and the run/
-/// segment pointer lists while continuing to share the sealed column
-/// segments and the frozen dedup map. This is what makes MVCC
-/// generations cheap — a committed generation can stay pinned by reader
-/// [`Snapshot`](crate::Snapshot)s while the next one is built from a
-/// clone.
+/// cheap, copying the short mutable tail, the dedup overlay and the
+/// tombstones (flat buffers) and the run/segment pointer lists while
+/// continuing to share the sealed column segments and the frozen dedup
+/// map. This is what makes MVCC generations cheap — a committed
+/// generation can stay pinned by reader [`Snapshot`](crate::Snapshot)s
+/// while the next one is built from a clone.
 #[derive(Clone, Default)]
 pub struct Database {
     relations: FxHashMap<SymId, Arc<Relation>>,
     fact_count: usize,
+    /// See [`Database::detached_cells`].
+    detached_cells: usize,
+}
+
+/// Make a relation handle unique, copying it if another database still
+/// shares it, and add what the copy cost to `detached`.
+fn detach<'a>(rel: &'a mut Arc<Relation>, detached: &mut usize) -> &'a mut Relation {
+    if Arc::get_mut(rel).is_none() {
+        *detached += rel.detach_cells();
+    }
+    Arc::make_mut(rel)
 }
 
 impl Database {
@@ -849,9 +900,21 @@ impl Database {
     ///
     /// If the relation is shared with another generation (the database
     /// was cloned), it is detached here; sealed segments and the frozen
-    /// dedup map stay shared, so the detach is O(tail), not O(relation).
+    /// dedup map stay shared, so the detach copies a short tail and the
+    /// flat overlay and tombstone tables, not the relation.
     pub fn relation_mut_id(&mut self, predicate: SymId) -> &mut Relation {
-        Arc::make_mut(self.relations.entry(predicate).or_default())
+        detach(
+            self.relations.entry(predicate).or_default(),
+            &mut self.detached_cells,
+        )
+    }
+
+    /// Cells, dedup entries and tombstone words that copy-on-write detaches
+    /// of shared relations have copied on this database's lineage, in
+    /// total. Deterministic for a given sequence of clones and writes,
+    /// unlike the wall time of those copies.
+    pub(crate) fn detached_cells(&self) -> usize {
+        self.detached_cells
     }
 
     /// Bring `predicate`'s sorted index on `col` up to date, if the
@@ -865,7 +928,7 @@ impl Database {
             return;
         };
         if rel.index_lag(col) >= INDEX_TAIL_MAX {
-            Arc::make_mut(rel).ensure_index(col);
+            detach(rel, &mut self.detached_cells).ensure_index(col);
         }
     }
 
@@ -882,13 +945,13 @@ impl Database {
     pub fn seal_indexes(&mut self, columns: &[(SymId, usize)]) {
         for rel in self.relations.values_mut() {
             if rel.has_unsealed_index() {
-                Arc::make_mut(rel).seal_materialized_indexes();
+                detach(rel, &mut self.detached_cells).seal_materialized_indexes();
             }
         }
         for &(predicate, col) in columns {
             if let Some(rel) = self.relations.get_mut(&predicate) {
                 if rel.index_lag(col) > 0 {
-                    Arc::make_mut(rel).ensure_index(col);
+                    detach(rel, &mut self.detached_cells).ensure_index(col);
                 }
             }
         }
@@ -930,7 +993,7 @@ impl Database {
         // Only detach the shared relation if the fact is actually present;
         // a no-op retract must not copy anything.
         let gone = match self.relations.get_mut(&predicate) {
-            Some(rel) if rel.contains(fact) => Arc::make_mut(rel).retract(fact),
+            Some(rel) if rel.contains(fact) => detach(rel, &mut self.detached_cells).retract(fact),
             _ => false,
         };
         if gone {
@@ -1011,6 +1074,12 @@ impl fmt::Debug for Database {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    thread_local! {
+        /// ANDed into every tuple hash on this test thread, so a test can
+        /// force distinct facts onto one hash slot.
+        pub(super) static HASH_MASK: std::cell::Cell<u64> = const { std::cell::Cell::new(u64::MAX) };
+    }
 
     fn c(s: &str) -> Const {
         Const::sym(s)
@@ -1194,16 +1263,17 @@ mod tests {
     fn probes_work_across_sealed_runs_and_segments() {
         // Cross both the INDEX_TAIL_MAX run-seal and the SEG_ROWS
         // segment-seal thresholds, then verify point probes everywhere.
-        let n = i64::from(SEG_ROWS) + 700;
+        let seg = i64::from(SEG_ROWS);
+        let n = seg + 700;
         let mut r = Relation::new();
         for i in 0..n {
             r.insert(vec![Const::int(i), Const::int(i % 7)]);
             // Staggered seals build a genuine run cascade on column 0
             // while column 1 keeps a partial index plus unsorted tail.
-            if i == 100 || i == 1000 || i == 4200 {
+            if i == 100 || i == seg - 20 || i == seg + 300 {
                 r.ensure_index(0);
             }
-            if i == 2000 {
+            if i == seg / 2 {
                 r.ensure_index(1);
             }
         }
@@ -1211,7 +1281,7 @@ mod tests {
         assert_eq!(r.index_lag(0), 0);
         assert!(r.index_lag(1) > 0, "column 1 keeps an unsealed tail");
         assert_eq!(r.len(), usize::try_from(n).expect("fits"));
-        for i in [0, 1, 4095, 4096, 4097, n - 1] {
+        for i in [0, 1, seg - 1, seg, seg + 1, n - 1] {
             let pat = vec![Some(Const::int(i)), None];
             assert_eq!(r.matching(&pat).count(), 1, "row {i}");
             assert!(r.contains(&[Const::int(i), Const::int(i % 7)]));
@@ -1285,6 +1355,132 @@ mod tests {
         let pat = vec![Some(Const::int(0))];
         assert_eq!(snap.matching(&pat).count(), 1);
         assert_eq!(r.matching(&pat).count(), 0);
+    }
+
+    /// Force every tuple hash on this thread into `mask` until dropped.
+    struct ForcedHashes;
+
+    impl ForcedHashes {
+        fn mask(mask: u64) -> Self {
+            HASH_MASK.with(|m| m.set(mask));
+            ForcedHashes
+        }
+    }
+
+    impl Drop for ForcedHashes {
+        fn drop(&mut self) {
+            HASH_MASK.with(|m| m.set(u64::MAX));
+        }
+    }
+
+    fn spilled(r: &Relation) -> usize {
+        r.spill.values().map(Vec::len).sum()
+    }
+
+    #[test]
+    fn colliding_facts_share_a_slot_through_the_side_table() {
+        let _forced = ForcedHashes::mask(0);
+        let (a, b, x) = ([c("a")], [c("b")], [c("x")]);
+        let mut r = Relation::new();
+        assert!(r.insert(a.to_vec()));
+        assert!(r.insert(b.to_vec()), "a collision is not a duplicate");
+        assert!(!r.insert(b.to_vec()));
+        assert_eq!((r.len(), spilled(&r)), (2, 1));
+        assert!(r.contains(&a) && r.contains(&b) && !r.contains(&x));
+        // Retracting the slot's holder leaves the spilled fact visible;
+        // re-inserting it takes over the dead slot, not the side table.
+        assert!(r.retract(&a));
+        assert!(!r.contains(&a) && r.contains(&b));
+        assert!(r.insert(a.to_vec()));
+        assert_eq!((r.len(), spilled(&r)), (2, 1));
+        assert!(r.retract(&b));
+        assert!(!r.retract(&b));
+        assert!(
+            r.insert(b.to_vec()),
+            "a dead spilled row is not a duplicate"
+        );
+        assert_eq!(spilled(&r), 1, "dead chain rows are pruned on push");
+        // Both lineages of a clone keep their own collision chains.
+        let mut snap = r.clone();
+        assert!(r.insert(x.to_vec()));
+        assert!(snap.retract(&b));
+        assert!(r.contains(&b) && r.contains(&x) && r.len() == 3);
+        assert!(!snap.contains(&b) && !snap.contains(&x) && snap.len() == 1);
+        let pat = vec![Some(c("b"))];
+        assert_eq!(
+            (r.matching(&pat).count(), snap.matching(&pat).count()),
+            (1, 0)
+        );
+    }
+
+    #[test]
+    fn colliding_facts_survive_folds_and_compaction() {
+        // 8192 hash slots for more facts than the fold threshold: many
+        // rows are spilled, and the script crosses the fold and
+        // compaction thresholds with collisions live.
+        let _forced = ForcedHashes::mask(u64::MAX << 51);
+        // Scrambled values, so the masked hashes spread over the slots.
+        #[allow(clippy::cast_possible_wrap)]
+        let f = |i: u64| [Const::int(i.wrapping_mul(0x9e37_79b9_7f4a_7c15) as i64)];
+        let n = 6000;
+        let mut r = Relation::new();
+        for i in 0..n {
+            assert!(r.insert(f(i).to_vec()));
+        }
+        assert!(
+            spilled(&r) > 0 && !r.frozen.is_empty(),
+            "spilled and folded"
+        );
+        let snap = r.clone();
+        for i in (0..n).filter(|i| i % 3 != 0) {
+            assert!(r.retract(&f(i)));
+        }
+        assert!(r.tombstones() < COMPACT_MIN, "compaction ran");
+        for i in 0..n {
+            assert_eq!(r.contains(&f(i)), i % 3 == 0, "fact {i}");
+            assert!(snap.contains(&f(i)), "clone keeps fact {i}");
+        }
+        for i in 0..n {
+            assert_eq!(r.insert(f(i).to_vec()), i % 3 != 0, "re-insert {i}");
+        }
+        assert_eq!(r.len(), snap.len());
+        assert_eq!(r.sorted(), snap.sorted());
+    }
+
+    #[test]
+    fn reinserted_facts_survive_the_overlay_fold() {
+        // Retract facts whose rows sit in the frozen map and re-insert
+        // them (the overlay takes their dead slots), then insert enough
+        // to fold the overlay — once with the frozen map unshared, once
+        // shared with a clone. The fold must keep the new rows.
+        let fold = i64::try_from(FOLD_MIN).expect("fits");
+        let churn = i64::try_from(COMPACT_MIN).expect("fits") - 24;
+        for shared in [false, true] {
+            let mut r = Relation::new();
+            for i in 0..fold {
+                r.insert(vec![Const::int(i)]);
+            }
+            assert_eq!((r.frozen.len(), r.overlay.len()), (FOLD_MIN, 0));
+            for i in 0..churn {
+                assert!(r.retract(&[Const::int(i)]));
+                assert!(r.insert(vec![Const::int(i)]));
+            }
+            let snap = shared.then(|| r.clone());
+            for i in fold..2 * fold {
+                r.insert(vec![Const::int(i)]);
+            }
+            assert!(r.overlay.len() < FOLD_MIN, "the overlay folded");
+            assert_eq!(r.tombstones(), usize::try_from(churn).expect("fits"));
+            for i in 0..2 * fold {
+                assert!(r.contains(&[Const::int(i)]), "fact {i} (shared: {shared})");
+            }
+            assert!((0..churn).all(|i| !r.insert(vec![Const::int(i)])));
+            assert_eq!(r.len(), 2 * usize::try_from(fold).expect("fits"));
+            if let Some(snap) = snap {
+                assert_eq!(snap.len(), FOLD_MIN);
+                assert!(!snap.contains(&[Const::int(fold)]));
+            }
+        }
     }
 
     #[test]
@@ -1403,7 +1599,7 @@ mod index_properties {
 
         #[test]
         fn sorted_indexes_agree_with_segments(
-            preload in (SEG_ROWS as usize + 40)..(SEG_ROWS as usize + 260),
+            preload in (FOLD_MIN + 40)..(FOLD_MIN + 260),
             ops in proptest::collection::vec((0u8..100, 0usize..12, 0usize..64), 1..48),
         ) {
             // Preload distinct facts past the SEG_ROWS segment seal and
