@@ -18,8 +18,8 @@ use multilog_core::consistency::check_consistency;
 use multilog_core::proof::prove_text;
 use multilog_core::reduce::{EdbUpdate, ReducedEngine};
 use multilog_core::{
-    parse_database, BeliefServer, EngineOptions, MultiLogDb, MultiLogEngine, MultiLogError,
-    ReaderSession,
+    parse_database, parse_items, BeliefServer, EngineOptions, MultiLogDb, MultiLogEngine,
+    MultiLogError, ReaderSession,
 };
 
 /// Which evaluation pipeline to use.
@@ -403,15 +403,17 @@ pub fn reduce(source: &str, opts: &Options) -> CliResult {
 /// `multilog check <file>`: admissibility (Def 5.3) and consistency
 /// (Def 5.4) diagnostics.
 pub fn check(source: &str, opts: &Options) -> CliResult {
-    let db = load(source)?;
+    use multilog_core::ast::Head;
+    let prog = parse_items(source).map_err(|e| format!("cannot parse database: {e}"))?;
+    let count = |kind: fn(&Head) -> bool| prog.clauses.iter().filter(|c| kind(&c.head)).count();
     let mut out = String::new();
     let _ = writeln!(
         out,
         "parsed: Λ={} Σ={} Π={} Q={}",
-        db.lambda().len(),
-        db.sigma().len(),
-        db.pi().len(),
-        db.queries().len()
+        count(|h| matches!(h, Head::L(_) | Head::H(_, _))),
+        count(|h| matches!(h, Head::M(_))),
+        count(|h| matches!(h, Head::P(_))),
+        prog.queries.len()
     );
     if let Ok(report) = multilog_core::lint_source_at(source, Some(&opts.user)) {
         if report.is_clean() {
@@ -423,16 +425,19 @@ pub fn check(source: &str, opts: &Options) -> CliResult {
             }
         }
     }
-    match db.lattice() {
-        Ok(lat) => {
-            let names: Vec<&str> = lat.names().collect();
-            let _ = writeln!(out, "admissible: lattice over {{{}}}", names.join(", "));
-        }
+    // The admissibility verdict is the load's: `MultiLogDb::new` refuses
+    // what the lint's ML0101–ML0106 errors report.
+    let admitted =
+        MultiLogDb::new(prog.clauses, prog.queries).and_then(|db| Ok((db.lattice()?, db)));
+    let (lat, db) = match admitted {
+        Ok(admitted) => admitted,
         Err(e) => {
             let _ = writeln!(out, "NOT admissible: {e}");
             return Ok(out);
         }
-    }
+    };
+    let names: Vec<&str> = lat.names().collect();
+    let _ = writeln!(out, "admissible: lattice over {{{}}}", names.join(", "));
     let e = operational(&db, opts)?;
     match check_consistency(&e) {
         Ok(()) => {
@@ -970,6 +975,8 @@ LINT:
   automatically and refuse to evaluate on error-severity findings:
   --no-lint          skip the preflight entirely
   --lint-warn        report lint errors but evaluate anyway
+  Every engine and `serve` refuse the admissibility errors
+  ML0101-ML0106 at load, whatever --no-lint/--lint-warn say.
 
 ANALYZE:
   `analyze` runs the lattice-flow abstract interpretation: sound
@@ -1160,8 +1167,43 @@ mod tests {
 
     #[test]
     fn check_flags_inadmissible() {
+        // Counts come from the parse, the verdict from the refused load.
         let out = check("level(u). u[p(k : a -s-> v)].", &opts("u")).unwrap();
-        assert!(out.contains("NOT admissible"), "{out}");
+        assert!(out.contains("Λ=1 Σ=1 Π=0 Q=0"), "{out}");
+        assert!(out.contains("lint: 1 error"), "{out}");
+        assert!(
+            out.contains(
+                "NOT admissible: database is not admissible (Def 5.3): security label `s`"
+            ),
+            "{out}"
+        );
+        let out = check("level(u). q(X).", &opts("u")).unwrap();
+        assert!(out.contains("NOT admissible: unsafe variable `X`"), "{out}");
+    }
+
+    #[test]
+    fn every_engine_and_serve_refuse_inadmissible_programs_alike() {
+        // Same-level `<< cau` (ML0105) and an unknown rule mode (ML0106):
+        // the load refuses both, whatever the lint flags say.
+        for src in [
+            "level(u). level(s). order(u, s). u[p(k : a -u-> v)].\n\
+             s[q(k : a -u-> V)] <- s[p(k : a -u-> V)] << cau.",
+            "level(u). level(s). order(u, s). u[p(k : a -u-> v)].\n\
+             s[q(k : a -u-> V)] <- u[p(k : a -u-> V)] << foo.",
+        ] {
+            for (no_lint, lint_warn) in [(true, false), (false, true)] {
+                let mut o = opts("s");
+                o.no_lint = no_lint;
+                o.lint_warn = lint_warn;
+                let op = run(src, &o).unwrap_err();
+                o.engine = EngineKind::Reduced;
+                let red = run(src, &o).unwrap_err();
+                let serve = ServeSession::new(src, &o).err().unwrap();
+                assert!(op.starts_with("cannot parse database: "), "{op}");
+                assert_eq!(op, red);
+                assert_eq!(op, serve);
+            }
+        }
     }
 
     #[test]

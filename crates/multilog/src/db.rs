@@ -1,52 +1,70 @@
-//! MultiLog databases `Δ = ⟨Λ, Σ, Π, Q⟩` (Definition 5.1), admissibility
-//! (Definition 5.3), and consistency (Definition 5.4).
+//! MultiLog databases `Δ = ⟨Λ, Σ, Π, Q⟩` (Definition 5.1) and the one
+//! admissibility gate (Definition 5.3 and the cautious level
+//! stratification) every engine inherits.
 
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use multilog_lattice::{LatticeBuilder, SecurityLattice};
+use multilog_lattice::{Label, LatticeBuilder, LatticeError, SecurityLattice};
 
 use crate::ast::{Atom, Clause, Goal, Head, Term};
+use crate::lint::Program;
+use crate::modes::ModeSet;
 use crate::{MultiLogError, Result};
 
-/// A validated MultiLog database: the clauses partitioned into the
+/// An admissible MultiLog database: the clauses partitioned into the
 /// lattice component Λ (l- and h-clauses), the secured data component Σ
-/// (m-clauses), the plain component Π (p-clauses), and the queries Q.
+/// (m-clauses), the plain component Π (p-clauses), and the queries Q,
+/// with the security lattice `[[Λ]]` induces and the belief modes the
+/// database knows.
 #[derive(Clone, Debug)]
 pub struct MultiLogDb {
     lambda: Vec<Clause>,
     sigma: Vec<Clause>,
     pi: Vec<Clause>,
     queries: Vec<Goal>,
+    /// Built once by the gate; `None` when `[[Λ]]` asserts no level.
+    lattice: Option<Arc<SecurityLattice>>,
+    modes: ModeSet,
+    uses_cau: bool,
 }
 
 impl MultiLogDb {
-    /// Partition clauses by head kind and run the syntactic checks
-    /// (range restriction; Λ purity per Def 5.3 condition 1).
+    /// Partition clauses by head kind and decide admissibility, once for
+    /// every engine: the lint pass's clearance-free error checks
+    /// ML0101–ML0106 ([`crate::lint`]) run over Λ ∪ Σ ∪ Π, and the first
+    /// finding refuses the database.
+    ///
+    /// # Errors
+    ///
+    /// [`MultiLogError::UnsafeVariable`] (ML0101, range restriction),
+    /// [`MultiLogError::NotAdmissible`] (ML0102–ML0104: Λ purity,
+    /// undeclared labels, a cyclic `[[Λ]]`),
+    /// [`MultiLogError::NotBeliefStratified`] (ML0105, the cautious level
+    /// stratification) or [`MultiLogError::UnknownMode`] (ML0106).
     pub fn new(clauses: Vec<Clause>, queries: Vec<Goal>) -> Result<Self> {
+        let program = Program::new(&clauses, Vec::new());
+        if let Some(finding) = program.admissibility().into_iter().next() {
+            return Err(finding.error);
+        }
+        let Program {
+            lattice,
+            modes,
+            uses_cau,
+            ..
+        } = program;
         let mut db = MultiLogDb {
             lambda: Vec::new(),
             sigma: Vec::new(),
             pi: Vec::new(),
             queries,
+            lattice: lattice.map(Arc::new),
+            modes,
+            uses_cau,
         };
         for c in clauses {
-            check_range_restricted(&c)?;
             match &c.head {
-                Head::L(_) | Head::H(_, _) => {
-                    // Def 5.3(1): the dependency graph of a Λ clause may
-                    // contain only l- and h-atoms.
-                    for a in &c.body {
-                        if !matches!(a, Atom::L(_) | Atom::H(_, _) | Atom::Leq(_, _)) {
-                            return Err(MultiLogError::NotAdmissible {
-                                detail: format!(
-                                    "Λ clause `{c}` depends on a non-lattice atom `{a}`"
-                                ),
-                            });
-                        }
-                    }
-                    db.lambda.push(c);
-                }
+                Head::L(_) | Head::H(_, _) => db.lambda.push(c),
                 Head::M(_) => db.sigma.push(c),
                 Head::P(_) => db.pi.push(c),
             }
@@ -79,47 +97,69 @@ impl MultiLogDb {
         self.lambda.iter().chain(&self.sigma).chain(&self.pi)
     }
 
-    /// Evaluate `[[Λ]]` and build the security lattice, enforcing the
-    /// remaining admissibility conditions of Definition 5.3:
-    ///
-    /// 2. every ground security label used in Σ is asserted by `[[Λ]]`;
-    /// 3. `[[Λ]]` induces a partial order (no cycles).
-    pub fn lattice(&self) -> Result<Arc<SecurityLattice>> {
-        let (levels, orders) = eval_lambda(&self.lambda);
-        let mut b = LatticeBuilder::new();
-        let mut sorted: Vec<&String> = levels.iter().collect();
-        sorted.sort();
-        for l in sorted {
-            b.add_level(l.clone());
-        }
-        let mut sorted_orders: Vec<&(String, String)> = orders.iter().collect();
-        sorted_orders.sort();
-        for (lo, hi) in sorted_orders {
-            if !levels.contains(lo) || !levels.contains(hi) {
-                return Err(MultiLogError::NotAdmissible {
-                    detail: format!("order({lo}, {hi}) uses an undeclared level"),
-                });
-            }
-            b.add_order(lo.clone(), hi.clone());
-        }
-        let lattice = b.build().map_err(|e| match e {
-            multilog_lattice::LatticeError::CycleDetected(l) => MultiLogError::NotAdmissible {
-                detail: format!("[[Λ]] is not a partial order: cycle through `{l}`"),
-            },
-            other => MultiLogError::Lattice(other),
-        })?;
+    /// The belief modes the database knows: the built-in ones plus those
+    /// Π's `bel/7` heads define.
+    pub fn modes(&self) -> &ModeSet {
+        &self.modes
+    }
 
-        // Def 5.3(2): labels used in Σ must be asserted by [[Λ]].
-        for c in &self.sigma {
-            for label in clause_labels(c) {
-                if lattice.label(&label).is_none() {
-                    return Err(MultiLogError::NotAdmissible {
-                        detail: format!("security label `{label}` in `{c}` is not asserted by Λ"),
-                    });
-                }
+    /// Whether some Σ or Π body consults `<< cau`.
+    pub(crate) fn uses_cau(&self) -> bool {
+        self.uses_cau
+    }
+
+    /// The security lattice `[[Λ]]` induces, built once at admission.
+    ///
+    /// # Errors
+    ///
+    /// [`MultiLogError::Lattice`] ([`LatticeError::Empty`]) when `[[Λ]]`
+    /// asserts no level.
+    pub fn lattice(&self) -> Result<Arc<SecurityLattice>> {
+        self.lattice
+            .clone()
+            .ok_or(MultiLogError::Lattice(LatticeError::Empty))
+    }
+
+    /// Whether the database is plain Datalog (no Λ, no Σ): Prop 6.1's
+    /// degenerate case, which has no lattice of its own.
+    pub(crate) fn is_plain_datalog(&self) -> bool {
+        self.lambda.is_empty() && self.sigma.is_empty()
+    }
+
+    /// The lattice an engine evaluates over and the label of each
+    /// clearance it serves. Plain Datalog gets one unordered level per
+    /// clearance: Prop 6.1 lets `u` be "any user level (perhaps system)".
+    ///
+    /// # Errors
+    ///
+    /// [`MultiLogError::NotAdmissible`] for a clearance the lattice does
+    /// not declare; [`MultiLogDb::lattice`]'s error when `[[Λ]]` asserts
+    /// no level.
+    pub(crate) fn lattice_for<S: AsRef<str>>(
+        &self,
+        clearances: &[S],
+    ) -> Result<(Arc<SecurityLattice>, Vec<Label>)> {
+        let lattice = if self.is_plain_datalog() {
+            let mut builder = LatticeBuilder::new();
+            for user in clearances {
+                builder.add_level(user.as_ref());
             }
-        }
-        Ok(Arc::new(lattice))
+            Arc::new(builder.build()?)
+        } else {
+            self.lattice()?
+        };
+        let labels = clearances
+            .iter()
+            .map(|user| {
+                let user = user.as_ref();
+                lattice
+                    .label(user)
+                    .ok_or_else(|| MultiLogError::NotAdmissible {
+                        detail: format!("user level `{user}` is not a declared level"),
+                    })
+            })
+            .collect::<Result<_>>()?;
+        Ok((lattice, labels))
     }
 }
 
@@ -128,11 +168,12 @@ impl MultiLogDb {
 /// naive fixpoint suffices at lattice scale. Clauses whose bodies contain
 /// non-lattice atoms are skipped (the lint pass reports them; validated
 /// databases never contain them).
-pub(crate) fn eval_lambda(lambda: &[Clause]) -> (HashSet<String>, HashSet<(String, String)>) {
+pub(crate) fn eval_lambda(lambda: &[&Clause]) -> (HashSet<String>, HashSet<(String, String)>) {
     let mut levels: HashSet<String> = HashSet::new();
     let mut orders: HashSet<(String, String)> = HashSet::new();
     let pure: Vec<&Clause> = lambda
         .iter()
+        .copied()
         .filter(|c| {
             matches!(c.head, Head::L(_) | Head::H(_, _))
                 && c.body
@@ -279,47 +320,6 @@ fn leq_in(orders: &HashSet<(String, String)>, a: &str, b: &str) -> bool {
     false
 }
 
-/// Ground security labels mentioned by an m-clause (head and body levels
-/// and classes).
-fn clause_labels(c: &Clause) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut push = |t: &Term| {
-        if let Term::Sym(s) = t {
-            out.push(s.to_string());
-        }
-    };
-    if let Head::M(m) = &c.head {
-        push(&m.level);
-        push(&m.class);
-    }
-    for a in &c.body {
-        match a {
-            Atom::M(m) | Atom::B(m, _) => {
-                push(&m.level);
-                push(&m.class);
-            }
-            _ => {}
-        }
-    }
-    out
-}
-
-/// Range restriction: every head variable must occur in the body (facts
-/// must be ground). All MultiLog body atoms are positive and enumerable,
-/// so occurrence anywhere in the body grounds a variable.
-fn check_range_restricted(c: &Clause) -> Result<()> {
-    let body_vars: HashSet<&str> = c.body.iter().flat_map(Atom::variables).collect();
-    for v in c.head.variables() {
-        if !body_vars.contains(v) {
-            return Err(MultiLogError::UnsafeVariable {
-                variable: v.to_owned(),
-                clause: c.to_string(),
-            });
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -367,31 +367,67 @@ mod tests {
 
     #[test]
     fn undeclared_label_in_sigma_rejected() {
-        let db = parse_database("level(u). u[p(k : a -s-> v)].").unwrap();
         assert!(matches!(
-            db.lattice(),
+            parse_database("level(u). u[p(k : a -s-> v)]."),
+            Err(MultiLogError::NotAdmissible { .. })
+        ));
+    }
+
+    #[test]
+    fn undeclared_label_in_pi_body_rejected() {
+        assert!(matches!(
+            parse_database("level(u). u[p(k : a -u-> v)]. q(X) <- s[p(k : a -u-> X)]."),
             Err(MultiLogError::NotAdmissible { .. })
         ));
     }
 
     #[test]
     fn cyclic_order_rejected() {
-        let db =
-            parse_database("level(u). level(c). order(u, c). order(c, u). u[p(k : a -u-> v)].")
-                .unwrap();
         assert!(matches!(
-            db.lattice(),
+            parse_database("level(u). level(c). order(u, c). order(c, u). u[p(k : a -u-> v)]."),
             Err(MultiLogError::NotAdmissible { .. })
         ));
     }
 
     #[test]
     fn order_over_undeclared_level_rejected() {
-        let db = parse_database("level(u). order(u, s).").unwrap();
         assert!(matches!(
-            db.lattice(),
+            parse_database("level(u). order(u, s)."),
             Err(MultiLogError::NotAdmissible { .. })
         ));
+    }
+
+    #[test]
+    fn modes_are_builtins_then_bel_heads() {
+        let db = parse_database(
+            "level(u). u[p(k : a -u-> v)].\
+             bel(p, k, a, v, u, u, mine) <- level(u).\
+             bel(p, k, a, v, u, u, mine) <- u[p(k : a -u-> v)].",
+        )
+        .unwrap();
+        for mode in ["fir", "opt", "cau", "mine"] {
+            assert!(db.modes().contains(mode), "{mode}");
+        }
+        assert!(!db.modes().contains("bel"));
+    }
+
+    #[test]
+    fn clearances_must_be_declared() {
+        let db = parse_database("level(u). level(s). order(u, s).").unwrap();
+        let (lattice, labels) = db.lattice_for(&["s", "u"]).unwrap();
+        assert_eq!(
+            labels,
+            [lattice.label("s").unwrap(), lattice.label("u").unwrap()]
+        );
+        assert!(matches!(
+            db.lattice_for(&["zz"]),
+            Err(MultiLogError::NotAdmissible { .. })
+        ));
+        // Plain Datalog: one unordered level per clearance.
+        let plain = parse_database("q(a).").unwrap();
+        let (lattice, _) = plain.lattice_for(&["x", "y"]).unwrap();
+        assert_eq!(lattice.len(), 2);
+        assert!(!lattice.dominates_by_name("x", "y").unwrap());
     }
 
     #[test]

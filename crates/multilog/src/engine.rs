@@ -15,9 +15,9 @@
 //! natural reading that makes the paper's own example (D₁) work: a clause
 //! may consult `<< cau` at level `l` only if its head level *strictly
 //! dominates* `l` — then levels can be evaluated bottom-up and every
-//! cautious judgment is made against a finalized lower database. Programs
-//! violating this are rejected with
-//! [`MultiLogError::NotBeliefStratified`].
+//! cautious judgment is made against a finalized lower database.
+//! [`MultiLogDb::new`] refuses programs violating this (lint code ML0105)
+//! with [`MultiLogError::NotBeliefStratified`], for both engines.
 
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -32,6 +32,7 @@ use multilog_lattice::{Label, SecurityLattice};
 use crate::ast::{Atom, Clause, Goal, Head, MAtom, Term};
 use crate::belief::{believed, MFact, Mode};
 use crate::db::MultiLogDb;
+use crate::modes::ModeSet;
 use crate::parser::parse_goal;
 use crate::{MultiLogError, Result};
 
@@ -330,7 +331,7 @@ pub struct MultiLogEngine {
     p_by_pred: HashMap<Arc<str>, Vec<usize>>,
     m_just: Vec<Justification>,
     p_just: Vec<Justification>,
-    user_modes: Vec<Arc<str>>,
+    modes: ModeSet,
     options: EngineOptions,
     stats: OperationalStats,
 }
@@ -341,33 +342,16 @@ impl MultiLogEngine {
         Self::with_options(db, user, EngineOptions::default())
     }
 
-    /// Evaluate with explicit options.
+    /// Evaluate with explicit options. `db` was admitted by
+    /// [`MultiLogDb::new`]; this checks only that `user` is a declared
+    /// level and that the database needs no reduction-only construct.
     pub fn with_options(db: &MultiLogDb, user: &str, options: EngineOptions) -> Result<Self> {
-        // Prop 6.1: with Λ and Σ empty the database degenerates to Datalog
-        // and "u is any user level (perhaps system)" — synthesize one.
-        let lattice = if db.lambda().is_empty() && db.sigma().is_empty() {
-            Arc::new(
-                multilog_lattice::LatticeBuilder::new()
-                    .level(user)
-                    .build()
-                    .map_err(MultiLogError::Lattice)?,
-            )
-        } else {
-            db.lattice()?
-        };
-        let user_label = lattice
-            .label(user)
-            .ok_or_else(|| MultiLogError::NotAdmissible {
-                detail: format!("user level `{user}` is not a declared level"),
-            })?;
-        let user_modes = collect_user_modes(db);
-        check_modes_known(db, &user_modes)?;
-        check_belief_stratification(db, &lattice)?;
+        let (lattice, clearances) = db.lattice_for(&[user])?;
         check_reduction_only(db)?;
 
         let mut eng = MultiLogEngine {
             lattice,
-            user: user_label,
+            user: clearances[0],
             mfacts: Vec::new(),
             m_index: HashMap::new(),
             m_by_col: HashMap::new(),
@@ -376,7 +360,7 @@ impl MultiLogEngine {
             p_by_pred: HashMap::new(),
             m_just: Vec::new(),
             p_just: Vec::new(),
-            user_modes,
+            modes: db.modes().clone(),
             options,
             stats: OperationalStats::default(),
         };
@@ -461,7 +445,7 @@ impl MultiLogEngine {
 
     fn evaluate(&mut self, db: &MultiLogDb) -> Result<()> {
         // Seed l-/h-derived info is held by the lattice itself.
-        let uses_cau = db_uses_cau(db);
+        let uses_cau = db.uses_cau();
         let stages: Vec<Vec<Label>> = if uses_cau {
             // One stage per level, bottom-up (topological by dominance).
             let mut order: Vec<Label> = self.lattice.labels().collect();
@@ -960,10 +944,10 @@ impl MultiLogEngine {
         guard: &OpGuard,
         emit: &mut dyn FnMut(&Env, &Vec<JustAtom>),
     ) -> Result<()> {
-        let builtin = Mode::parse(mode);
-        if builtin.is_none() && !self.user_modes.iter().any(|um| um == mode) {
+        if !self.modes.contains(mode) {
             return Err(MultiLogError::UnknownMode(mode.to_string()));
         }
+        let builtin = Mode::parse(mode);
         // Enumerate belief levels `at` compatible with the atom's level
         // term, guarded by `at ⪯ u`.
         for at in self.lattice.labels() {
@@ -1102,106 +1086,6 @@ fn resolve_term(t: &Term, env: &Env) -> Option<Term> {
     }
 }
 
-/// Whether any Σ/Π clause body uses a cautious b-atom.
-fn db_uses_cau(db: &MultiLogDb) -> bool {
-    db.sigma()
-        .iter()
-        .chain(db.pi())
-        .flat_map(|c| &c.body)
-        .any(|a| matches!(a, Atom::B(_, m) if m.as_ref() == "cau"))
-}
-
-/// Collect user-defined mode names: the 7th argument of `bel/7` heads in Π.
-fn collect_user_modes(db: &MultiLogDb) -> Vec<Arc<str>> {
-    let mut out: Vec<Arc<str>> = Vec::new();
-    for c in db.pi() {
-        if let Head::P(p) = &c.head {
-            if p.pred.as_ref() == "bel" && p.args.len() == 7 {
-                if let Term::Sym(mode) = &p.args[6] {
-                    if !out.iter().any(|m| m == mode) {
-                        out.push(mode.clone());
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Every referenced mode must be built-in or user-defined.
-fn check_modes_known(db: &MultiLogDb, user_modes: &[Arc<str>]) -> Result<()> {
-    for c in db.sigma().iter().chain(db.pi()) {
-        for a in &c.body {
-            if let Atom::B(_, mode) = a {
-                if Mode::parse(mode).is_none() && !user_modes.iter().any(|m| m == mode) {
-                    return Err(MultiLogError::UnknownMode(mode.to_string()));
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// The level-stratification condition for cautious belief (see module
-/// docs): an m-clause consulting `<< cau` at level `l` must have a ground
-/// head level strictly dominating `l`; p-clauses may not consult `cau`;
-/// when `cau` occurs anywhere, all m-clause head levels must be ground.
-fn check_belief_stratification(db: &MultiLogDb, lat: &SecurityLattice) -> Result<()> {
-    if !db_uses_cau(db) {
-        return Ok(());
-    }
-    for c in db.sigma() {
-        let Head::M(hm) = &c.head else {
-            // Σ is partitioned by head shape at construction; a non-m
-            // head here means the database bypassed validation.
-            return Err(MultiLogError::NotAdmissible {
-                detail: format!("Σ clause `{c}` does not have an m-atom head"),
-            });
-        };
-        let head_level = match &hm.level {
-            Term::Sym(s) => lat.label(s),
-            _ => None,
-        };
-        let Some(head_level) = head_level else {
-            return Err(MultiLogError::NotBeliefStratified {
-                detail: format!(
-                    "clause `{c}` has a non-ground head level while the program uses `<< cau`"
-                ),
-            });
-        };
-        for a in &c.body {
-            if let Atom::B(bm, mode) = a {
-                if mode.as_ref() != "cau" {
-                    continue;
-                }
-                let b_level = match &bm.level {
-                    Term::Sym(s) => lat.label(s),
-                    _ => None,
-                };
-                let ok = b_level.is_some_and(|bl| lat.lt(bl, head_level));
-                if !ok {
-                    return Err(MultiLogError::NotBeliefStratified {
-                        detail: format!(
-                            "clause `{c}`: the `<< cau` level must be a ground level \
-                             strictly dominated by the head level"
-                        ),
-                    });
-                }
-            }
-        }
-    }
-    for c in db.pi() {
-        for a in &c.body {
-            if matches!(a, Atom::B(_, m) if m.as_ref() == "cau") {
-                return Err(MultiLogError::NotBeliefStratified {
-                    detail: format!("p-clause `{c}` may not consult `<< cau`"),
-                });
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Aggregate heads and `@algo(...)` operator calls are executed by the
 /// Datalog back-end via the reduction; the operational engine's
 /// backtracking fixpoint has no fold or operator machinery, so it
@@ -1335,10 +1219,8 @@ mod tests {
             u[p(k : a -u-> v)].
             c[p(k : a -c-> w)] <- c[p(k : a -u-> v)] << cau.
         "#;
-        let db = parse_database(src).unwrap();
-        let err = MultiLogEngine::new(&db, "c");
         assert!(matches!(
-            err,
+            parse_database(src),
             Err(MultiLogError::NotBeliefStratified { .. })
         ));
     }
@@ -1350,9 +1232,14 @@ mod tests {
             u[p(k : a -u-> v)].
             c[p(k : a -c-> w)] <- u[p(k : a -u-> v)] << zeal.
         "#;
-        let db = parse_database(src).unwrap();
         assert!(matches!(
-            MultiLogEngine::new(&db, "c"),
+            parse_database(src),
+            Err(MultiLogError::UnknownMode(_))
+        ));
+        // A goal in an unknown mode is refused at solve time.
+        let e = engine(D1, "s");
+        assert!(matches!(
+            e.solve_text("c[p(k : a -C-> V)] << zeal"),
             Err(MultiLogError::UnknownMode(_))
         ));
     }

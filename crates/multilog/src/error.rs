@@ -4,7 +4,6 @@ use std::fmt;
 
 use multilog_datalog::DatalogError;
 use multilog_lattice::LatticeError;
-use multilog_mlsrel::MlsError;
 
 /// Errors raised while parsing, validating, or evaluating MultiLog
 /// databases.
@@ -64,9 +63,6 @@ pub enum MultiLogError {
     Lattice(LatticeError),
     /// Error from the Datalog back-end during reduction.
     Datalog(DatalogError),
-    /// Error from the MLS relational layer while applying an update
-    /// operation through a live database.
-    Relational(MlsError),
     /// Evaluation exceeded the configured fact budget.
     BudgetExceeded {
         /// The configured budget.
@@ -86,14 +82,6 @@ pub enum MultiLogError {
     /// single-writer / multi-reader, so the second writer must wait for
     /// the first to drop.
     WriterBusy,
-    /// An internal invariant of the live-update bridge did not hold
-    /// (e.g. a tuple's m-atom missing from the refcount table). Typed
-    /// rather than a panic, per the no-panic policy, so long-lived
-    /// sessions degrade to a failed request instead of crashing.
-    Internal {
-        /// Which invariant was violated.
-        detail: String,
-    },
 }
 
 impl fmt::Display for MultiLogError {
@@ -128,7 +116,6 @@ impl fmt::Display for MultiLogError {
             }
             MultiLogError::Lattice(e) => write!(f, "lattice error: {e}"),
             MultiLogError::Datalog(e) => write!(f, "datalog back-end error: {e}"),
-            MultiLogError::Relational(e) => write!(f, "relational update error: {e}"),
             MultiLogError::BudgetExceeded { budget, used } => {
                 write!(
                     f,
@@ -142,9 +129,6 @@ impl fmt::Display for MultiLogError {
             MultiLogError::WriterBusy => {
                 write!(f, "a writer session is already open on this belief server")
             }
-            MultiLogError::Internal { detail } => {
-                write!(f, "internal invariant violated: {detail}")
-            }
         }
     }
 }
@@ -154,7 +138,6 @@ impl std::error::Error for MultiLogError {
         match self {
             MultiLogError::Lattice(e) => Some(e),
             MultiLogError::Datalog(e) => Some(e),
-            MultiLogError::Relational(e) => Some(e),
             _ => None,
         }
     }
@@ -163,12 +146,6 @@ impl std::error::Error for MultiLogError {
 impl From<LatticeError> for MultiLogError {
     fn from(e: LatticeError) -> Self {
         MultiLogError::Lattice(e)
-    }
-}
-
-impl From<MlsError> for MultiLogError {
-    fn from(e: MlsError) -> Self {
-        MultiLogError::Relational(e)
     }
 }
 
@@ -206,7 +183,6 @@ mod tests {
             MultiLogError::DeadlineExceeded { limit_ms: 5 },
             MultiLogError::Cancelled,
             MultiLogError::WriterBusy,
-            MultiLogError::Internal { detail: "x".into() },
         ];
         for c in cases {
             assert!(!c.to_string().is_empty());

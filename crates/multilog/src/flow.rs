@@ -197,11 +197,11 @@ pub fn analyze_db(db: &MultiLogDb) -> FlowReport {
 }
 
 fn analyze_clauses(clauses: &[&Clause], queries: &[(&Goal, Span)], source: String) -> FlowReport {
-    let mut lambda: Vec<Clause> = Vec::new();
+    let mut lambda: Vec<&Clause> = Vec::new();
     let mut rules: Vec<&Clause> = Vec::new();
     for c in clauses {
         match &c.head {
-            Head::L(_) | Head::H(_, _) => lambda.push((*c).clone()),
+            Head::L(_) | Head::H(_, _) => lambda.push(c),
             Head::M(_) | Head::P(_) => rules.push(c),
         }
     }

@@ -19,7 +19,9 @@
 //!
 //! * the full AST and a parser for the concrete syntax ([`ast`],
 //!   [`parser`]);
-//! * admissibility (Def 5.3) and consistency (Def 5.4) checking ([`db`]);
+//! * one admissibility gate (Def 5.3) that every engine inherits
+//!   ([`db`], running the [`lint`] pass's error checks) and consistency
+//!   (Def 5.4) checking ([`consistency`]);
 //! * the **operational semantics**: a fixpoint engine whose derivations
 //!   are recorded and replayed as the sequent-style proof trees of
 //!   Figure 9/11 ([`MultiLogEngine`], [`proof`]);

@@ -1,13 +1,20 @@
 //! Static analysis (lint) over parsed MultiLog programs.
 //!
 //! The lint pass checks a [`ParsedProgram`] *before* any evaluation and
-//! emits rustc-style spanned [`Diagnostic`]s with stable codes. Errors
-//! (`ML01xx` with severity `error`) are conditions the engine would also
-//! reject — reported here with precise source positions instead of a
-//! stringly runtime error. Warnings flag clauses that are admissible but
-//! almost certainly not what the author meant (statically empty rules,
-//! degenerate belief modes, cover-story conflicts Proposition 5.1 would
-//! reject, …).
+//! emits rustc-style spanned [`Diagnostic`]s with stable codes. The
+//! admissibility errors ML0101–ML0106 (range restriction, Definition
+//! 5.3's three conditions, the cautious level stratification and known
+//! belief modes) are one set of checks with two readers: this pass
+//! reports every finding with its span, and
+//! [`MultiLogDb::new`](crate::MultiLogDb::new) refuses a database on the
+//! first one, as its typed [`MultiLogError`]. So every engine, and
+//! `serve`, refuses these programs at load, whatever `--no-lint` or
+//! `--lint-warn` say: an ML0101–ML0106 error is a condition the engines
+//! reject by construction. The lint adds the query and clearance halves
+//! of ML0103/ML0106 and its other checks on top. Warnings flag clauses
+//! that are admissible but almost certainly not what the author meant
+//! (statically empty rules, degenerate belief modes, cover-story
+//! conflicts Proposition 5.1 would reject, …).
 //!
 //! Codes are stable: tools may match on them, and `docs/LINTS.md`
 //! catalogues each with a minimal trigger and the paper section it
@@ -25,10 +32,10 @@ use multilog_lattice::{Label, LatticeBuilder, SecurityLattice};
 pub use multilog_datalog::Severity;
 
 use crate::ast::{Atom, Clause, Goal, Head, Span, Term};
-use crate::belief::Mode;
 use crate::db::eval_lambda;
+use crate::modes::ModeSet;
 use crate::parser::{parse_items, ParsedProgram};
-use crate::Result;
+use crate::{MultiLogError, Result};
 
 /// A single lint finding with a stable code and a source position.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -213,16 +220,19 @@ pub fn lint_source_at(src: &str, clearance: Option<&str>) -> Result<LintReport> 
     })
 }
 
-/// Run every check over an already-parsed program. Diagnostics are
-/// returned unsorted; [`lint_source`] sorts errors first, then by span.
+/// Run every check over an already-parsed program: the admissibility
+/// checks ML0101–ML0106 that [`MultiLogDb::new`](crate::MultiLogDb::new)
+/// refuses a database on (here over the queries too), the clearance,
+/// and the warnings. Diagnostics are returned unsorted; [`lint_source`]
+/// sorts errors first, then by span.
 pub fn lint_program(prog: &ParsedProgram, clearance: Option<&str>) -> Vec<Diagnostic> {
     let mut ctx = Ctx::new(prog, clearance);
-    ctx.check_unsafe_variables(); //          ML0101
-    ctx.check_lambda_purity(); //             ML0102
-    ctx.check_labels_declared(); //           ML0103
-    ctx.check_lattice_cycle(); //             ML0104
-    ctx.check_belief_stratification(); //     ML0105
-    ctx.check_modes_known(); //               ML0106
+    let admissibility = ctx.p.admissibility(); // ML0101–ML0106
+    ctx.out = admissibility
+        .into_iter()
+        .map(Finding::into_diagnostic)
+        .collect();
+    ctx.check_clearance_declared(); //        ML0103 (the clearance)
     ctx.check_statically_empty(); //          ML0107
     ctx.check_unsatisfiable_dominance(); //   ML0108
     ctx.check_degenerate_belief_modes(); //   ML0109
@@ -248,11 +258,62 @@ fn sort_diagnostics(diags: &mut [Diagnostic]) {
     });
 }
 
-/// Shared analysis state: the program partitioned by head kind, the
-/// evaluated `[[Λ]]`, and (when Λ is acyclic) the built lattice.
-struct Ctx<'p> {
-    prog: &'p ParsedProgram,
-    clearance: Option<&'p str>,
+/// One admissibility finding: the lint code and name it is reported
+/// under, the clause span, and the typed error
+/// [`MultiLogDb::new`](crate::MultiLogDb::new) refuses the database
+/// with. The lint message is read off the error, so the two cannot
+/// drift.
+pub(crate) struct Finding {
+    code: &'static str,
+    name: &'static str,
+    span: Span,
+    pub(crate) error: MultiLogError,
+}
+
+impl Finding {
+    fn into_diagnostic(self) -> Diagnostic {
+        let message = match self.error {
+            MultiLogError::UnsafeVariable { variable, clause } => {
+                format!("head variable `{variable}` does not occur in the body of `{clause}`")
+            }
+            MultiLogError::UnknownMode(mode) => {
+                format!(
+                    "unknown belief mode `{mode}` (not built-in and no `bel/7` rule defines it)"
+                )
+            }
+            MultiLogError::NotAdmissible { detail }
+            | MultiLogError::NotBeliefStratified { detail } => detail,
+            other => other.to_string(),
+        };
+        Diagnostic {
+            code: self.code,
+            name: self.name,
+            severity: Severity::Error,
+            span: self.span,
+            message,
+        }
+    }
+}
+
+fn undeclared_label(span: Span, detail: String) -> Finding {
+    Finding {
+        code: "ML0103",
+        name: "undeclared-label",
+        span,
+        error: MultiLogError::NotAdmissible { detail },
+    }
+}
+
+/// Λ ∪ Σ ∪ Π partitioned by head kind, with `[[Λ]]`, the lattice it
+/// induces and the belief modes Π defines: what the admissibility
+/// checks, the lint's other checks and the database gate read. The
+/// lattice is built here and nowhere else; the gate keeps it.
+pub(crate) struct Program<'p> {
+    /// Every clause, in source order.
+    clauses: &'p [Clause],
+    /// The queries the checks also cover, with their spans: the lint
+    /// passes the program's, the gate none.
+    queries: Vec<(&'p Goal, Span)>,
     lambda: Vec<&'p Clause>,
     sigma: Vec<&'p Clause>,
     pi: Vec<&'p Clause>,
@@ -261,34 +322,307 @@ struct Ctx<'p> {
     /// `[[Λ]]` order edges.
     orders: HashSet<(String, String)>,
     /// The security lattice, when `[[Λ]]` is non-empty and acyclic.
-    lattice: Option<SecurityLattice>,
-    out: Vec<Diagnostic>,
+    pub(crate) lattice: Option<SecurityLattice>,
+    /// The built-in modes and those Π's `bel/7` heads define.
+    pub(crate) modes: ModeSet,
+    /// Whether some Σ or Π body consults `<< cau`.
+    pub(crate) uses_cau: bool,
 }
 
-impl<'p> Ctx<'p> {
-    fn new(prog: &'p ParsedProgram, clearance: Option<&'p str>) -> Self {
+impl<'p> Program<'p> {
+    pub(crate) fn new(clauses: &'p [Clause], queries: Vec<(&'p Goal, Span)>) -> Self {
         let mut lambda = Vec::new();
         let mut sigma = Vec::new();
         let mut pi = Vec::new();
-        for c in &prog.clauses {
+        for c in clauses {
             match &c.head {
                 Head::L(_) | Head::H(_, _) => lambda.push(c),
                 Head::M(_) => sigma.push(c),
                 Head::P(_) => pi.push(c),
             }
         }
-        let owned: Vec<Clause> = lambda.iter().map(|c| (*c).clone()).collect();
-        let (levels, orders) = eval_lambda(&owned);
+        let (levels, orders) = eval_lambda(&lambda);
         let lattice = build_lattice(&levels, &orders);
-        Ctx {
-            prog,
-            clearance,
+        let modes = ModeSet::of(pi.iter().copied());
+        let uses_cau = sigma
+            .iter()
+            .chain(&pi)
+            .flat_map(|c| &c.body)
+            .any(|a| matches!(a, Atom::B(_, m) if m.as_ref() == "cau"));
+        Program {
+            clauses,
+            queries,
             lambda,
             sigma,
             pi,
             levels,
             orders,
             lattice,
+            modes,
+            uses_cau,
+        }
+    }
+
+    /// The clearance-free admissibility checks ML0101–ML0106, in code
+    /// order and then source order. An admissible program has none.
+    pub(crate) fn admissibility(&self) -> Vec<Finding> {
+        let mut out = Vec::new();
+        self.check_unsafe_variables(&mut out); //      ML0101
+        self.check_lambda_purity(&mut out); //         ML0102
+        self.check_labels_declared(&mut out); //       ML0103
+        self.check_lattice_cycle(&mut out); //         ML0104
+        self.check_belief_stratification(&mut out); // ML0105
+        self.check_modes_known(&mut out); //           ML0106
+        out
+    }
+
+    /// `true` when the program actually uses the MLS machinery; pure-Π
+    /// programs degenerate to Datalog (Prop 6.1) and skip lattice lints.
+    fn uses_lattice(&self) -> bool {
+        !self.lambda.is_empty() || !self.sigma.is_empty()
+    }
+
+    fn label_of(&self, name: &str) -> Option<Label> {
+        self.lattice.as_ref().and_then(|l| l.label(name))
+    }
+
+    /// `t`'s symbol when it is a ground label `[[Λ]]` does not assert.
+    fn undeclared<'t>(&self, t: &'t Term) -> Option<&'t str> {
+        match t {
+            Term::Sym(s) if !self.levels.contains(s.as_ref()) => Some(s),
+            _ => None,
+        }
+    }
+
+    // ML0101 — every head variable must occur in the body (Def 5.2 range
+    // restriction; facts must be ground).
+    fn check_unsafe_variables(&self, out: &mut Vec<Finding>) {
+        for c in self.clauses {
+            let body_vars: HashSet<&str> = c.body.iter().flat_map(Atom::variables).collect();
+            let mut reported: HashSet<&str> = HashSet::new();
+            for v in c.head.variables() {
+                if !body_vars.contains(v) && reported.insert(v) {
+                    out.push(Finding {
+                        code: "ML0101",
+                        name: "unsafe-variable",
+                        span: c.span,
+                        error: MultiLogError::UnsafeVariable {
+                            variable: v.to_owned(),
+                            clause: c.to_string(),
+                        },
+                    });
+                }
+            }
+        }
+    }
+
+    // ML0102 — Def 5.3(1): a Λ clause may depend only on l-/h-atoms (and
+    // the internal `leq` constraint).
+    fn check_lambda_purity(&self, out: &mut Vec<Finding>) {
+        for c in &self.lambda {
+            for a in &c.body {
+                if !matches!(a, Atom::L(_) | Atom::H(_, _) | Atom::Leq(_, _)) {
+                    out.push(Finding {
+                        code: "ML0102",
+                        name: "lambda-impure",
+                        span: c.span,
+                        error: MultiLogError::NotAdmissible {
+                            detail: format!("Λ clause `{c}` depends on the non-lattice atom `{a}`"),
+                        },
+                    });
+                }
+            }
+        }
+    }
+
+    // ML0103 — Def 5.3(2): every ground security label used in Σ, in Π
+    // bodies and in queries must be asserted by [[Λ]]; order facts may
+    // not mention undeclared levels. The lint adds the clearance
+    // (`Ctx::check_clearance_declared`).
+    fn check_labels_declared(&self, out: &mut Vec<Finding>) {
+        if !self.uses_lattice() {
+            return;
+        }
+        for c in &self.lambda {
+            if let Head::H(lo, hi) = &c.head {
+                for s in [lo, hi].into_iter().filter_map(|t| self.undeclared(t)) {
+                    out.push(undeclared_label(
+                        c.span,
+                        format!("order over undeclared level `{s}` in `{c}`"),
+                    ));
+                }
+            }
+        }
+        for c in self.sigma.iter().chain(&self.pi) {
+            let head = match &c.head {
+                Head::M(m) => Some(m),
+                _ => None,
+            };
+            let body = c.body.iter().filter_map(|a| match a {
+                Atom::M(m) | Atom::B(m, _) => Some(m),
+                _ => None,
+            });
+            for m in head.into_iter().chain(body) {
+                for s in [&m.level, &m.class]
+                    .into_iter()
+                    .filter_map(|t| self.undeclared(t))
+                {
+                    out.push(undeclared_label(
+                        c.span,
+                        format!("security label `{s}` in `{c}` is not asserted by Λ"),
+                    ));
+                }
+            }
+        }
+        for &(q, span) in &self.queries {
+            for a in q {
+                let (Atom::M(m) | Atom::B(m, _)) = a else {
+                    continue;
+                };
+                for s in [&m.level, &m.class]
+                    .into_iter()
+                    .filter_map(|t| self.undeclared(t))
+                {
+                    out.push(undeclared_label(
+                        span,
+                        format!("security label `{s}` in the query is not asserted by Λ"),
+                    ));
+                }
+            }
+        }
+    }
+
+    // ML0104 — Def 5.3(3): [[Λ]] must induce a partial order. Reports a
+    // cycle witness through the order edges.
+    fn check_lattice_cycle(&self, out: &mut Vec<Finding>) {
+        if let Some(cycle) = order_cycle(&self.levels, &self.orders) {
+            let span = self
+                .lambda
+                .iter()
+                .find(|c| matches!(&c.head, Head::H(_, _)))
+                .map(|c| c.span)
+                .unwrap_or_else(Span::unknown);
+            let mut path = cycle.join(" -> ");
+            if let Some(first) = cycle.first() {
+                path.push_str(" -> ");
+                path.push_str(first);
+            }
+            out.push(Finding {
+                code: "ML0104",
+                name: "lattice-cycle",
+                span,
+                error: MultiLogError::NotAdmissible {
+                    detail: format!("[[Λ]] is not a partial order: cycle {path}"),
+                },
+            });
+        }
+    }
+
+    // ML0105 — the level-stratification condition for cautious belief:
+    // when `<< cau` occurs in a clause body, every m-clause head level
+    // must be ground, each consulted `cau` level must be ground and
+    // strictly dominated by the head level, and p-clauses may not consult
+    // `cau` at all (see `MultiLogEngine`'s module docs).
+    fn check_belief_stratification(&self, out: &mut Vec<Finding>) {
+        if !self.uses_cau {
+            return;
+        }
+        let mut push = |c: &Clause, detail: String| {
+            out.push(Finding {
+                code: "ML0105",
+                name: "belief-unstratified",
+                span: c.span,
+                error: MultiLogError::NotBeliefStratified { detail },
+            });
+        };
+        for c in &self.sigma {
+            let Head::M(hm) = &c.head else { continue };
+            let Term::Sym(head_level) = &hm.level else {
+                push(
+                    c,
+                    format!(
+                        "clause `{c}` has a non-ground head level while the program uses `<< cau`"
+                    ),
+                );
+                continue;
+            };
+            let head_level = self.label_of(head_level);
+            for a in &c.body {
+                let Atom::B(bm, mode) = a else { continue };
+                if mode.as_ref() != "cau" {
+                    continue;
+                }
+                let ok = match &bm.level {
+                    Term::Sym(s) => match (self.label_of(s), head_level) {
+                        (Some(bl), Some(hl)) => {
+                            self.lattice.as_ref().is_some_and(|lat| lat.lt(bl, hl))
+                        }
+                        // Undeclared labels are ML0103's finding.
+                        _ => true,
+                    },
+                    _ => false,
+                };
+                if !ok {
+                    push(
+                        c,
+                        format!(
+                            "in `{c}` the `<< cau` level must be a ground level strictly \
+                             dominated by the head level"
+                        ),
+                    );
+                }
+            }
+        }
+        for c in &self.pi {
+            for a in &c.body {
+                if matches!(a, Atom::B(_, m) if m.as_ref() == "cau") {
+                    push(c, format!("p-clause `{c}` may not consult `<< cau`"));
+                }
+            }
+        }
+    }
+
+    // ML0106 — every belief mode must be built-in (`fir`/`opt`/`cau`) or
+    // defined by a `bel/7` rule (§7).
+    fn check_modes_known(&self, out: &mut Vec<Finding>) {
+        let bodies = self.clauses.iter().map(|c| (&c.body[..], c.span));
+        for (atoms, span) in bodies.chain(self.queries.iter().map(|&(q, s)| (&q[..], s))) {
+            for a in atoms {
+                if let Atom::B(_, mode) = a {
+                    if !self.modes.contains(mode) {
+                        out.push(Finding {
+                            code: "ML0106",
+                            name: "unknown-mode",
+                            span,
+                            error: MultiLogError::UnknownMode(mode.to_string()),
+                        });
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Shared analysis state: the partitioned program and its lattice, the
+/// optional clearance, and the findings so far.
+struct Ctx<'p> {
+    prog: &'p ParsedProgram,
+    clearance: Option<&'p str>,
+    p: Program<'p>,
+    out: Vec<Diagnostic>,
+}
+
+impl<'p> Ctx<'p> {
+    fn new(prog: &'p ParsedProgram, clearance: Option<&'p str>) -> Self {
+        // Spans parallel `queries`.
+        let queries = prog.queries.iter().enumerate().map(|(i, q)| {
+            let span = prog.query_spans.get(i).copied();
+            (q, span.unwrap_or_else(Span::unknown))
+        });
+        Ctx {
+            prog,
+            clearance,
+            p: Program::new(&prog.clauses, queries.collect()),
             out: Vec::new(),
         }
     }
@@ -310,282 +644,15 @@ impl<'p> Ctx<'p> {
         });
     }
 
-    /// `true` when the program actually uses the MLS machinery; pure-Π
-    /// programs degenerate to Datalog (Prop 6.1) and skip lattice lints.
-    fn uses_lattice(&self) -> bool {
-        !self.lambda.is_empty() || !self.sigma.is_empty()
-    }
-
-    fn label_of(&self, name: &str) -> Option<Label> {
-        self.lattice.as_ref().and_then(|l| l.label(name))
-    }
-
-    /// Each query paired with its span (spans parallel `queries`).
-    fn queries_with_spans(&self) -> impl Iterator<Item = (&'p Goal, Span)> + '_ {
-        self.prog.queries.iter().enumerate().map(|(i, q)| {
-            let span = self
-                .prog
-                .query_spans
-                .get(i)
-                .copied()
-                .unwrap_or_else(Span::unknown);
-            (q, span)
-        })
-    }
-
-    // ML0101 — every head variable must occur in the body (Def 5.2 range
-    // restriction; facts must be ground).
-    fn check_unsafe_variables(&mut self) {
-        for c in &self.prog.clauses {
-            let body_vars: HashSet<&str> = c.body.iter().flat_map(Atom::variables).collect();
-            let mut reported: HashSet<&str> = HashSet::new();
-            for v in c.head.variables() {
-                if !body_vars.contains(v) && reported.insert(v) {
-                    self.out.push(Diagnostic {
-                        code: "ML0101",
-                        name: "unsafe-variable",
-                        severity: Severity::Error,
-                        span: c.span,
-                        message: format!("head variable `{v}` does not occur in the body of `{c}`"),
-                    });
-                }
-            }
-        }
-    }
-
-    // ML0102 — Def 5.3(1): a Λ clause may depend only on l-/h-atoms (and
-    // the internal `leq` constraint).
-    fn check_lambda_purity(&mut self) {
-        let mut found = Vec::new();
-        for c in &self.lambda {
-            for a in &c.body {
-                if !matches!(a, Atom::L(_) | Atom::H(_, _) | Atom::Leq(_, _)) {
-                    found.push((
-                        c.span,
-                        format!("Λ clause `{c}` depends on the non-lattice atom `{a}`"),
-                    ));
-                }
-            }
-        }
-        for (span, msg) in found {
-            self.push("ML0102", "lambda-impure", Severity::Error, span, msg);
-        }
-    }
-
-    // ML0103 — Def 5.3(2): every ground security label used in Σ (and in
-    // queries, and the clearance itself) must be asserted by [[Λ]]; order
-    // facts may not mention undeclared levels.
-    fn check_labels_declared(&mut self) {
-        if !self.uses_lattice() {
-            return;
-        }
-        let mut found: Vec<(Span, String)> = Vec::new();
-        let check_label = |t: &Term, span: Span, what: &str, found: &mut Vec<(Span, String)>| {
-            if let Term::Sym(s) = t {
-                if !self.levels.contains(s.as_ref()) {
-                    found.push((
-                        span,
-                        format!("security label `{s}` in {what} is not asserted by Λ"),
-                    ));
-                }
-            }
-        };
-        for c in &self.lambda {
-            if let Head::H(lo, hi) = &c.head {
-                for t in [lo, hi] {
-                    if let Term::Sym(s) = t {
-                        if !self.levels.contains(s.as_ref()) {
-                            found.push((
-                                c.span,
-                                format!("order over undeclared level `{s}` in `{c}`"),
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        for c in &self.sigma {
-            let desc = format!("`{c}`");
-            if let Head::M(m) = &c.head {
-                check_label(&m.level, c.span, &desc, &mut found);
-                check_label(&m.class, c.span, &desc, &mut found);
-            }
-            for a in &c.body {
-                if let Atom::M(m) | Atom::B(m, _) = a {
-                    check_label(&m.level, c.span, &desc, &mut found);
-                    check_label(&m.class, c.span, &desc, &mut found);
-                }
-            }
-        }
-        for c in &self.pi {
-            let desc = format!("`{c}`");
-            for a in &c.body {
-                if let Atom::M(m) | Atom::B(m, _) = a {
-                    check_label(&m.level, c.span, &desc, &mut found);
-                    check_label(&m.class, c.span, &desc, &mut found);
-                }
-            }
-        }
-        let queries: Vec<(&Goal, Span)> = self.queries_with_spans().collect();
-        for (q, span) in queries {
-            for a in q {
-                if let Atom::M(m) | Atom::B(m, _) = a {
-                    check_label(&m.level, span, "the query", &mut found);
-                    check_label(&m.class, span, "the query", &mut found);
-                }
-            }
-        }
+    // ML0103, the clearance half: the clearance must be asserted by
+    // [[Λ]].
+    fn check_clearance_declared(&mut self) {
         if let Some(u) = self.clearance {
-            if !self.levels.contains(u) {
-                found.push((
-                    Span::unknown(),
-                    format!("clearance level `{u}` is not asserted by Λ"),
-                ));
+            if self.p.uses_lattice() && !self.p.levels.contains(u) {
+                let detail = format!("clearance level `{u}` is not asserted by Λ");
+                let finding = undeclared_label(Span::unknown(), detail);
+                self.out.push(finding.into_diagnostic());
             }
-        }
-        for (span, msg) in found {
-            self.push("ML0103", "undeclared-label", Severity::Error, span, msg);
-        }
-    }
-
-    // ML0104 — Def 5.3(3): [[Λ]] must induce a partial order. Reports a
-    // cycle witness through the order edges.
-    fn check_lattice_cycle(&mut self) {
-        if let Some(cycle) = order_cycle(&self.levels, &self.orders) {
-            let span = self
-                .lambda
-                .iter()
-                .find(|c| matches!(&c.head, Head::H(_, _)))
-                .map(|c| c.span)
-                .unwrap_or_else(Span::unknown);
-            let mut path = cycle.join(" -> ");
-            if let Some(first) = cycle.first() {
-                path.push_str(" -> ");
-                path.push_str(first);
-            }
-            self.push(
-                "ML0104",
-                "lattice-cycle",
-                Severity::Error,
-                span,
-                format!("[[Λ]] is not a partial order: cycle {path}"),
-            );
-        }
-    }
-
-    // ML0105 — the level-stratification condition for cautious belief:
-    // when `<< cau` occurs in a clause body, every m-clause head level
-    // must be ground, each consulted `cau` level must be ground and
-    // strictly dominated by the head level, and p-clauses may not consult
-    // `cau` at all (see `MultiLogEngine`'s module docs).
-    fn check_belief_stratification(&mut self) {
-        let uses_cau = self
-            .sigma
-            .iter()
-            .chain(&self.pi)
-            .flat_map(|c| &c.body)
-            .any(|a| matches!(a, Atom::B(_, m) if m.as_ref() == "cau"));
-        if !uses_cau {
-            return;
-        }
-        let mut found: Vec<(Span, String)> = Vec::new();
-        for c in &self.sigma {
-            let Head::M(hm) = &c.head else { continue };
-            let head_level = match &hm.level {
-                Term::Sym(s) => self.label_of(s),
-                _ => None,
-            };
-            if !matches!(&hm.level, Term::Sym(_)) {
-                found.push((
-                    c.span,
-                    format!(
-                        "clause `{c}` has a non-ground head level while the program uses `<< cau`"
-                    ),
-                ));
-                continue;
-            }
-            for a in &c.body {
-                if let Atom::B(bm, mode) = a {
-                    if mode.as_ref() != "cau" {
-                        continue;
-                    }
-                    let b_level = match &bm.level {
-                        Term::Sym(s) => self.label_of(s),
-                        _ => None,
-                    };
-                    let ok = match (b_level, head_level) {
-                        (Some(bl), Some(hl)) => {
-                            self.lattice.as_ref().is_some_and(|lat| lat.lt(bl, hl))
-                        }
-                        // Undeclared labels are ML0103's finding; only
-                        // flag non-ground or non-dominated levels here.
-                        _ => matches!(&bm.level, Term::Sym(_)),
-                    };
-                    if !ok {
-                        found.push((
-                            c.span,
-                            format!(
-                                "in `{c}` the `<< cau` level must be a ground level strictly \
-                                 dominated by the head level"
-                            ),
-                        ));
-                    }
-                }
-            }
-        }
-        for c in &self.pi {
-            for a in &c.body {
-                if matches!(a, Atom::B(_, m) if m.as_ref() == "cau") {
-                    found.push((c.span, format!("p-clause `{c}` may not consult `<< cau`")));
-                }
-            }
-        }
-        for (span, msg) in found {
-            self.push("ML0105", "belief-unstratified", Severity::Error, span, msg);
-        }
-    }
-
-    // ML0106 — every belief mode must be built-in (`fir`/`opt`/`cau`) or
-    // defined by a `bel/7` rule (§7).
-    fn check_modes_known(&mut self) {
-        let user_modes: HashSet<Arc<str>> = self
-            .pi
-            .iter()
-            .filter_map(|c| match &c.head {
-                Head::P(p) if p.pred.as_ref() == crate::modes::BEL && p.args.len() == 7 => {
-                    match &p.args[6] {
-                        Term::Sym(m) => Some(m.clone()),
-                        _ => None,
-                    }
-                }
-                _ => None,
-            })
-            .collect();
-        let mut found: Vec<(Span, String)> = Vec::new();
-        let check = |atoms: &[Atom], span: Span, found: &mut Vec<(Span, String)>| {
-            for a in atoms {
-                if let Atom::B(_, mode) = a {
-                    if Mode::parse(mode).is_none() && !user_modes.contains(mode) {
-                        found.push((
-                            span,
-                            format!(
-                                "unknown belief mode `{mode}` (not built-in and no `bel/7` \
-                                 rule defines it)"
-                            ),
-                        ));
-                    }
-                }
-            }
-        };
-        for c in &self.prog.clauses {
-            check(&c.body, c.span, &mut found);
-        }
-        let queries: Vec<(&Goal, Span)> = self.queries_with_spans().collect();
-        for (q, span) in queries {
-            check(q, span, &mut found);
-        }
-        for (span, msg) in found {
-            self.push("ML0106", "unknown-mode", Severity::Error, span, msg);
         }
     }
 
@@ -594,7 +661,7 @@ impl<'p> Ctx<'p> {
     // makes every label visible at once (Figure 13's guards `l ⪯ u`,
     // `c ⪯ u` all fail).
     fn check_statically_empty(&mut self) {
-        let Some(lat) = self.lattice.as_ref() else {
+        let Some(lat) = self.p.lattice.as_ref() else {
             return;
         };
         let mut found: Vec<(Span, String)> = Vec::new();
@@ -619,7 +686,7 @@ impl<'p> Ctx<'p> {
             }
             out
         };
-        for c in self.sigma.iter().chain(&self.pi) {
+        for c in self.p.sigma.iter().chain(&self.p.pi) {
             let labels = ground_labels(Some(&c.head), &c.body);
             if !labels.is_empty() && lat.common_dominators(labels).is_empty() {
                 found.push((
@@ -631,8 +698,7 @@ impl<'p> Ctx<'p> {
                 ));
             }
         }
-        let queries: Vec<(&Goal, Span)> = self.queries_with_spans().collect();
-        for (q, span) in queries {
+        for &(q, span) in &self.p.queries {
             let labels = ground_labels(None, q);
             if !labels.is_empty() && lat.common_dominators(labels).is_empty() {
                 found.push((
@@ -657,11 +723,15 @@ impl<'p> Ctx<'p> {
     // ML0108 — a ground `l leq h` constraint that is false in the lattice
     // makes its clause (or query) unsatisfiable.
     fn check_unsatisfiable_dominance(&mut self) {
-        let Some(lat) = self.lattice.as_ref() else {
+        let Some(lat) = self.p.lattice.as_ref() else {
             return;
         };
         let mut found: Vec<(Span, String)> = Vec::new();
-        let check = |atoms: &[Atom], span: Span, what: &str, found: &mut Vec<(Span, String)>| {
+        // `what` names the clause or query, rendered only for a finding.
+        let check = |atoms: &[Atom],
+                     span: Span,
+                     what: &dyn Fn() -> String,
+                     found: &mut Vec<(Span, String)>| {
             for a in atoms {
                 if let Atom::Leq(Term::Sym(lo), Term::Sym(hi)) = a {
                     if let (Some(l), Some(h)) = (lat.label(lo), lat.label(hi)) {
@@ -669,8 +739,9 @@ impl<'p> Ctx<'p> {
                             found.push((
                                 span,
                                 format!(
-                                    "dominance constraint `{lo} leq {hi}` in {what} is false \
-                                     in the lattice"
+                                    "dominance constraint `{lo} leq {hi}` in {} is false \
+                                     in the lattice",
+                                    what()
                                 ),
                             ));
                         }
@@ -679,11 +750,10 @@ impl<'p> Ctx<'p> {
             }
         };
         for c in &self.prog.clauses {
-            check(&c.body, c.span, &format!("`{c}`"), &mut found);
+            check(&c.body, c.span, &|| format!("`{c}`"), &mut found);
         }
-        let queries: Vec<(&Goal, Span)> = self.queries_with_spans().collect();
-        for (q, span) in queries {
-            check(q, span, "the query", &mut found);
+        for &(q, span) in &self.p.queries {
+            check(q, span, &|| "the query".to_owned(), &mut found);
         }
         for (span, msg) in found {
             self.push(
@@ -700,7 +770,7 @@ impl<'p> Ctx<'p> {
     // the b-atom's level (Figure 13). If that down-set is a single label,
     // the mode degenerates to `fir` and the annotation is misleading.
     fn check_degenerate_belief_modes(&mut self) {
-        let Some(lat) = self.lattice.as_ref() else {
+        let Some(lat) = self.p.lattice.as_ref() else {
             return;
         };
         let mut found: Vec<(Span, String)> = Vec::new();
@@ -729,8 +799,7 @@ impl<'p> Ctx<'p> {
         for c in &self.prog.clauses {
             check(&c.body, c.span, &mut found);
         }
-        let queries: Vec<(&Goal, Span)> = self.queries_with_spans().collect();
-        for (q, span) in queries {
+        for &(q, span) in &self.p.queries {
             check(q, span, &mut found);
         }
         for (span, msg) in found {
@@ -756,7 +825,7 @@ impl<'p> Ctx<'p> {
         /// One ground fact in a group: (attr, class, value, span).
         type GroupFact = (Arc<str>, String, Term, Span);
         let mut groups: HashMap<GroupKey, Vec<GroupFact>> = HashMap::new();
-        for c in &self.sigma {
+        for c in &self.p.sigma {
             if !c.body.is_empty() {
                 continue;
             }
@@ -1018,8 +1087,7 @@ impl<'p> Ctx<'p> {
                 }
             }
         }
-        let queries: Vec<(&Goal, Span)> = self.queries_with_spans().collect();
-        for (q, span) in queries {
+        for &(q, span) in &self.p.queries {
             for a in q {
                 if let Atom::P(p) = a {
                     check(&p.pred, p.args.len(), span, &mut found, &mut arities);
@@ -1035,7 +1103,7 @@ impl<'p> Ctx<'p> {
     // ground level (or class) is not dominated by `u` can never be
     // visible to that user (Bell–LaPadula guards `l ⪯ u`, `c ⪯ u`).
     fn check_invisible_at_clearance(&mut self) {
-        let (Some(lat), Some(u)) = (self.lattice.as_ref(), self.clearance) else {
+        let (Some(lat), Some(u)) = (self.p.lattice.as_ref(), self.clearance) else {
             return;
         };
         let Some(ul) = lat.label(u) else {
@@ -1064,11 +1132,10 @@ impl<'p> Ctx<'p> {
                 }
             }
         };
-        for c in self.sigma.iter().chain(&self.pi) {
+        for c in self.p.sigma.iter().chain(&self.p.pi) {
             check(&c.body, c.span, &mut found);
         }
-        let queries: Vec<(&Goal, Span)> = self.queries_with_spans().collect();
-        for (q, span) in queries {
+        for &(q, span) in &self.p.queries {
             check(q, span, &mut found);
         }
         for (span, msg) in found {

@@ -8,16 +8,64 @@
 //! this is *robust*: provability of m-atoms is untouched, so user modes
 //! cannot breach the Bell–LaPadula protocol.
 //!
-//! This module provides helpers for building such rules and documents the
-//! convention; the engine itself recognises `bel/7` heads automatically
-//! (see [`crate::MultiLogEngine`]).
+//! This module provides helpers for building such rules, documents the
+//! convention, and holds the [`ModeSet`] a database collects from its
+//! `bel/7` heads: admission checks rules against it, and both engines
+//! check goals.
 
 use std::sync::Arc;
 
 use crate::ast::{Atom, Clause, Head, PAtom, Term};
+use crate::{MultiLogError, Result};
 
 /// The distinguished predicate name.
 pub const BEL: &str = "bel";
+
+/// The belief modes a database knows: the built-in `fir`, `opt` and
+/// `cau` (Figure 13), then every mode a `bel/7` head in Π defines.
+/// Built once by [`crate::MultiLogDb::new`] and shared by both engines,
+/// so a goal in an unknown mode is refused the same way everywhere.
+#[derive(Clone, Debug)]
+pub struct ModeSet(Arc<[Arc<str>]>);
+
+impl ModeSet {
+    /// The built-in modes plus those the `bel/7` heads of `pi` define.
+    pub(crate) fn of<'c>(pi: impl IntoIterator<Item = &'c Clause>) -> Self {
+        let mut modes: Vec<Arc<str>> = ["fir", "opt", "cau"].map(Arc::from).to_vec();
+        for c in pi {
+            let Head::P(p) = &c.head else { continue };
+            if p.pred.as_ref() == BEL && p.args.len() == 7 {
+                if let Term::Sym(mode) = &p.args[6] {
+                    if !modes.contains(mode) {
+                        modes.push(mode.clone());
+                    }
+                }
+            }
+        }
+        ModeSet(modes.into())
+    }
+
+    /// Whether `mode` is built-in or user-defined.
+    pub fn contains(&self, mode: &str) -> bool {
+        self.0.iter().any(|m| m.as_ref() == mode)
+    }
+
+    /// `Ok` when every b-atom of `goal` uses a known mode.
+    ///
+    /// # Errors
+    ///
+    /// [`MultiLogError::UnknownMode`] naming the first unknown mode.
+    pub(crate) fn check_goal(&self, goal: &[Atom]) -> Result<()> {
+        for a in goal {
+            if let Atom::B(_, mode) = a {
+                if !self.contains(mode) {
+                    return Err(MultiLogError::UnknownMode(mode.to_string()));
+                }
+            }
+        }
+        Ok(())
+    }
+}
 
 /// Build a `bel/7` head for a user-defined mode rule.
 ///

@@ -36,9 +36,13 @@
 //!   per level (`rel_u`, `rel_c`, …) and the cautious predicates are
 //!   generated per level against the *statically known* dominance
 //!   relation — the level stratification of the operational engine,
-//!   reflected syntactically. This requires ground levels on body m-atoms
-//!   (checked; the operational engine has the same restriction for
-//!   cautious programs);
+//!   reflected syntactically. This requires ground levels on the body
+//!   m-atoms of every rule, which τ checks as it translates
+//!   ([`MultiLogError::NotBeliefStratified`]). The operational engine
+//!   has no such restriction: admission ([`MultiLogDb::new`], ML0105)
+//!   only grounds head levels and `<< cau` levels, so a rule with a
+//!   variable-level m-atom beside a `<< cau` atom runs there and is
+//!   refused here (a known divergence; see ROADMAP.md);
 //! * the unsafe negations of a₆–a₉ become safe auxiliary predicates
 //!   (`visible`, `beaten`): a value is cautiously believed iff it is
 //!   visible and no visible value for the same column strictly dominates
@@ -58,6 +62,7 @@ use crate::ast::{shared_name, Atom, Clause, Goal, Head, MAtom, PAtom, Term};
 use crate::belief::Mode;
 use crate::db::MultiLogDb;
 use crate::engine::{Answer, EngineOptions};
+use crate::modes::ModeSet;
 use crate::{MultiLogError, Result};
 
 /// The verbatim inference engine of Figure 12 (axioms a₁–a₉), as printed
@@ -109,6 +114,8 @@ pub struct ReducedEngine {
     /// The clearances goals are answered at: the one τ was translated
     /// for, or every clearance a shared reduction serves.
     clearances: Vec<String>,
+    /// The database's belief modes; goals in any other are refused.
+    modes: ModeSet,
     /// `Some` for a shared reduction: the clearance-dependent cone it
     /// copies once per clearance (often empty).
     shared: Option<Arc<Cone>>,
@@ -274,8 +281,8 @@ impl ReducedEngine {
         wider.push(user.to_owned());
         // Plain Datalog reduces over a lattice of the served clearances
         // (Prop 6.1's fallback), which must widen too.
-        if cone.is_empty() && !is_pure_datalog(db) {
-            declared(&self.lattice, user)?;
+        if cone.is_empty() && !db.is_plain_datalog() {
+            db.lattice_for(&[user])?;
             self.clearances = wider;
             return Ok(false);
         }
@@ -302,16 +309,8 @@ impl ReducedEngine {
         shared: bool,
         options: EngineOptions,
     ) -> Result<Self> {
-        let lattice = reduction_lattice(db, &clearances)?;
-        for user in &clearances {
-            declared(&lattice, user)?;
-        }
-        let level_split = db
-            .sigma()
-            .iter()
-            .chain(db.pi())
-            .flat_map(|c| &c.body)
-            .any(|a| matches!(a, Atom::B(_, m) if m.as_ref() == "cau"));
+        let (lattice, _) = db.lattice_for(&clearances)?;
+        let level_split = db.uses_cau();
         let (clauses, axioms_at, cone) = if shared {
             let (clauses, axioms_at, cone) =
                 translate_shared(db, &lattice, level_split, &clearances)?;
@@ -324,7 +323,7 @@ impl ReducedEngine {
         let program = dl::Program::from_clauses(clauses).map_err(MultiLogError::Datalog)?;
         // Flow pruning needs a real lattice and one clearance; the Prop
         // 6.1 fallback has no Σ rules to prune anyway.
-        let prune = if options.flow_prune && !shared && !is_pure_datalog(db) {
+        let prune = if options.flow_prune && !shared && !db.is_plain_datalog() {
             let user = &clearances[0];
             let report = crate::flow::analyze_db(db);
             // Σ and Π images follow Λ's in the one translation pass.
@@ -385,6 +384,7 @@ impl ReducedEngine {
         Ok(ReducedEngine {
             lattice,
             clearances,
+            modes: db.modes().clone(),
             shared: cone,
             incremental,
             level_split,
@@ -541,9 +541,12 @@ impl ReducedEngine {
     /// # Errors
     ///
     /// [`MultiLogError::NotAdmissible`] on a shared reduction, which
-    /// answers through [`ReducedEngine::goal_translator`] instead.
+    /// answers through [`ReducedEngine::goal_translator`] instead;
+    /// [`MultiLogError::UnknownMode`] for a goal in a mode the database
+    /// does not know (as in [`ReducedEngine::solve_demand`] and
+    /// [`GoalTranslator::solve_on`]).
     pub fn solve(&self, goal: &Goal) -> Result<Vec<Answer>> {
-        let body = translate_goal(goal, self.user()?)?;
+        let body = translate_goal(goal, self.user()?, &self.modes)?;
         let answers =
             dl::run_query(self.incremental.database(), &body).map_err(MultiLogError::Datalog)?;
         Ok(project_answers(goal, &answers))
@@ -579,7 +582,7 @@ impl ReducedEngine {
     /// records whether the magic rewrite applied and how much it
     /// materialized.
     pub fn solve_demand_with_stats(&self, goal: &Goal) -> Result<(Vec<Answer>, dl::EvalStats)> {
-        let body = translate_goal(goal, self.user()?)?;
+        let body = translate_goal(goal, self.user()?, &self.modes)?;
         let (shape, params) = dl::magic::prepared_key(&body);
         let (plan, rules, edb, pruned_rules) = self.demand_plan(shape, &body)?;
         // Guard trips convert through `From<DatalogError>`, surfacing the
@@ -712,6 +715,7 @@ impl ReducedEngine {
         }
         Ok(GoalTranslator {
             user: user.to_owned(),
+            modes: self.modes.clone(),
             cone: self.shared.clone().unwrap_or_default(),
             guards: dl::QueryGuards {
                 deadline: self.deadline,
@@ -745,6 +749,8 @@ impl ReducedEngine {
 #[derive(Clone, Debug)]
 pub struct GoalTranslator {
     user: String,
+    /// The database's belief modes; goals in any other are refused.
+    modes: ModeSet,
     guards: dl::QueryGuards,
     /// The predicates goals read the clearance's copy of.
     cone: Arc<Cone>,
@@ -760,7 +766,7 @@ impl GoalTranslator {
     /// this translator's clearance), under the session guards. Answers
     /// match [`ReducedEngine::solve`] on the same database.
     pub fn solve_on(&self, db: &dl::Database, goal: &Goal) -> Result<Vec<Answer>> {
-        let mut body = translate_goal(goal, &self.user)?;
+        let mut body = translate_goal(goal, &self.user, &self.modes)?;
         self.cone.rename_body(&mut body, &self.user);
         let answers =
             dl::run_query_guarded(db, &body, &self.guards).map_err(MultiLogError::Datalog)?;
@@ -1028,36 +1034,6 @@ fn update_targets(lattice: &SecurityLattice, level_split: bool) -> Vec<dl::SymId
     }
 }
 
-/// Whether `db` is plain Datalog (no Λ, no Σ): Prop 6.1's degenerate
-/// case, which has no lattice of its own.
-fn is_pure_datalog(db: &MultiLogDb) -> bool {
-    db.lambda().is_empty() && db.sigma().is_empty()
-}
-
-/// The lattice τ reduces over: the database's own or, matching the
-/// operational engine's Prop 6.1 fallback for plain Datalog, one
-/// unordered level per clearance served.
-fn reduction_lattice(db: &MultiLogDb, clearances: &[String]) -> Result<Arc<SecurityLattice>> {
-    if !is_pure_datalog(db) {
-        return db.lattice();
-    }
-    let mut builder = multilog_lattice::LatticeBuilder::new();
-    for user in clearances {
-        builder.add_level(user.as_str());
-    }
-    Ok(Arc::new(builder.build().map_err(MultiLogError::Lattice)?))
-}
-
-/// `Ok` when `user` is a declared level of `lattice`.
-fn declared(lattice: &SecurityLattice, user: &str) -> Result<()> {
-    if lattice.label(user).is_none() {
-        return Err(MultiLogError::NotAdmissible {
-            detail: format!("user level `{user}` is not a declared level"),
-        });
-    }
-    Ok(())
-}
-
 /// τ's clauses in Datalog surface syntax, one per line, with a comment
 /// line before the axiom set.
 fn render(clauses: &[dl::Clause], axioms_at: usize) -> String {
@@ -1118,7 +1094,8 @@ fn translate_clause(c: &Clause, guard: Guard<'_>, level_split: bool) -> Result<d
 
 /// τ(λ(goal, u)): a MultiLog goal as a reduced query body. Goals read the
 /// generic `rel`/`bel` predicates, whatever the rule encoding.
-fn translate_goal(goal: &Goal, user: &str) -> Result<Vec<dl::Literal>> {
+fn translate_goal(goal: &Goal, user: &str, modes: &ModeSet) -> Result<Vec<dl::Literal>> {
+    modes.check_goal(goal)?;
     let bound = |_: &Term| Some(dl::Term::sym(user));
     let mut body = Vec::new();
     for atom in goal {
@@ -1897,13 +1874,13 @@ mod tests {
         }
     }
 
-    /// `clearance_free` on the one rule of `rule`, over u < c < s.
+    /// `clearance_free` on the one rule of `rule`, over u < c < s. The
+    /// rule is classified as parsed, admissible or not.
     fn free(rule: &str) -> bool {
-        let src = format!("level(u). level(c). level(s). order(u, c). order(c, s). {rule}");
-        let db = parse_database(&src).unwrap();
-        let lattice = db.lattice().unwrap();
-        let rule = db.sigma().iter().chain(db.pi()).find(|c| !c.is_fact());
-        clearance_free(rule.unwrap(), &lattice)
+        let db = parse_database("level(u). level(c). level(s). order(u, c). order(c, s).");
+        let lattice = db.unwrap().lattice().unwrap();
+        let rule = crate::parser::parse_clause(rule).unwrap();
+        clearance_free(&rule[0], &lattice)
     }
 
     #[test]

@@ -1,0 +1,151 @@
+//! One admissibility verdict for every engine: each ML0101–ML0106
+//! trigger from docs/LINTS.md is reported by the lint under its code,
+//! refused by `parse_database` with that code's typed error, and refused
+//! the same way on the way to the operational engine, the reduced engine
+//! and a belief server reader.
+
+// Test code: unwraps are the assertion.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
+use std::mem::discriminant;
+
+use multilog_core::reduce::ReducedEngine;
+use multilog_core::{
+    lint_source, parse_database, BeliefServer, EngineOptions, MultiLogEngine, MultiLogError,
+};
+
+const LINTS: &str = include_str!("../../../docs/LINTS.md");
+
+/// The first `prolog` block under `### <code>` in docs/LINTS.md.
+fn trigger(code: &str) -> String {
+    let heading = format!("### {code} ");
+    let section = LINTS
+        .split_once(&heading)
+        .unwrap_or_else(|| panic!("docs/LINTS.md has no {code} section"))
+        .1;
+    let block = section.split_once("```prolog\n").unwrap().1;
+    block.split_once("```").unwrap().0.to_owned()
+}
+
+/// The typed error each code refuses a database with.
+fn typed(code: &str) -> MultiLogError {
+    let detail = String::new();
+    match code {
+        "ML0101" => MultiLogError::UnsafeVariable {
+            variable: String::new(),
+            clause: String::new(),
+        },
+        "ML0102" | "ML0103" | "ML0104" => MultiLogError::NotAdmissible { detail },
+        "ML0105" => MultiLogError::NotBeliefStratified { detail },
+        "ML0106" => MultiLogError::UnknownMode(detail),
+        other => panic!("{other} is not an admissibility code"),
+    }
+}
+
+/// What each load-to-answer path says about `src` at clearance `user`.
+fn refusals(src: &str, user: &str) -> Vec<(&'static str, MultiLogError)> {
+    let op = parse_database(src).and_then(|db| MultiLogEngine::new(&db, user).map(drop));
+    let red = parse_database(src).and_then(|db| ReducedEngine::new(&db, user).map(drop));
+    let demand = parse_database(src).and_then(|db| {
+        ReducedEngine::with_options_deferred(&db, user, EngineOptions::default()).map(drop)
+    });
+    let serve = parse_database(src).and_then(|db| {
+        let server = BeliefServer::new(db, EngineOptions::default());
+        server.open_reader(user).map(drop)
+    });
+    [
+        ("operational", op),
+        ("reduced", red),
+        ("demand", demand),
+        ("serve", serve),
+    ]
+    .into_iter()
+    .map(|(path, result)| (path, result.expect_err(path)))
+    .collect()
+}
+
+#[test]
+fn every_engine_refuses_each_admissibility_trigger_as_the_load_does() {
+    for code in ["ML0101", "ML0102", "ML0103", "ML0104", "ML0105", "ML0106"] {
+        let src = trigger(code);
+        let report = lint_source(&src).unwrap();
+        assert!(
+            report.diagnostics.iter().any(|d| d.code == code),
+            "lint misses {code} on {src:?}: {:?}",
+            report.diagnostics
+        );
+        let refused = parse_database(&src).expect_err(code);
+        assert_eq!(
+            discriminant(&refused),
+            discriminant(&typed(code)),
+            "{code}: parse_database refused with {refused:?}"
+        );
+        for (path, error) in refusals(&src, "s") {
+            assert_eq!(error, refused, "{code}: the {path} path");
+        }
+    }
+}
+
+#[test]
+fn engines_agree_on_same_level_cau_and_unknown_rule_modes() {
+    let cases = [
+        (
+            "level(u). level(s). order(u, s). u[p(k : a -u-> v)].\n\
+             s[q(k : a -u-> V)] <- s[p(k : a -u-> V)] << cau.",
+            discriminant(&typed("ML0105")),
+        ),
+        (
+            "level(u). level(s). order(u, s). u[p(k : a -u-> v)].\n\
+             s[q(k : a -u-> V)] <- u[p(k : a -u-> V)] << foo.",
+            discriminant(&typed("ML0106")),
+        ),
+    ];
+    for (src, want) in cases {
+        let refused = parse_database(src).expect_err(src);
+        assert_eq!(discriminant(&refused), want, "{refused:?}");
+        for (path, error) in refusals(src, "s") {
+            assert_eq!(error, refused, "{src}: the {path} path");
+        }
+    }
+}
+
+#[test]
+fn undeclared_label_in_a_pi_body_is_refused() {
+    let src = "level(u). u[p(k : a -u-> v)]. q(X) <- s[p(k : a -u-> X)].";
+    assert!(lint_source(src)
+        .unwrap()
+        .diagnostics
+        .iter()
+        .any(|d| d.code == "ML0103"));
+    assert!(matches!(
+        parse_database(src),
+        Err(MultiLogError::NotAdmissible { .. })
+    ));
+}
+
+#[test]
+fn goals_in_unknown_modes_are_refused_on_every_path() {
+    let db = parse_database(
+        "level(u). level(s). order(u, s). u[p(k : a -u-> v)].\n\
+         bel(p, k, a, v, u, s, mine) <- level(u).",
+    )
+    .unwrap();
+    let unknown = "u[p(K : a -C-> V)] << foo";
+    let known = "s[p(K : a -C-> V)] << mine";
+    let is_unknown = |r: Result<Vec<_>, MultiLogError>| matches!(r, Err(MultiLogError::UnknownMode(m)) if m == "foo");
+
+    let op = MultiLogEngine::new(&db, "s").unwrap();
+    assert!(is_unknown(op.solve_text(unknown)));
+    assert_eq!(op.solve_text(known).unwrap().len(), 1);
+
+    let red = ReducedEngine::new(&db, "s").unwrap();
+    assert!(is_unknown(red.solve_text(unknown)));
+    assert!(is_unknown(red.solve_text_demand(unknown)));
+    assert_eq!(red.solve_text(known).unwrap().len(), 1);
+    assert_eq!(red.solve_text_demand(known).unwrap().len(), 1);
+
+    let server = BeliefServer::new(db, EngineOptions::default());
+    let reader = server.open_reader("s").unwrap();
+    assert!(is_unknown(reader.query_text(unknown)));
+    assert_eq!(reader.query_text(known).unwrap().len(), 1);
+}

@@ -77,13 +77,10 @@ fn variable_level_heads_with_cau_rejected() {
         L[q(k : b -L-> w)] <- level(L).
         s[r(k : e -s-> x)] <- c[p(k : a -C-> V)] << cau.
         "#,
-    )
-    .unwrap();
-    // The cau rule forces all Σ head levels ground.
-    assert!(matches!(
-        MultiLogEngine::new(&db, "s"),
-        Err(MultiLogError::NotBeliefStratified { .. })
-    ));
+    );
+    // The cau rule forces all Σ head levels ground; the load refuses
+    // the database before any engine sees it.
+    assert!(matches!(db, Err(MultiLogError::NotBeliefStratified { .. })));
 }
 
 #[test]
