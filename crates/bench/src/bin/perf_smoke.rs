@@ -809,18 +809,32 @@ fn run_concurrent_churn(readers: usize, commits: usize) -> ConcurrentChurnResult
     }
 }
 
-/// Time the static-analysis pass (the `run`/`query` lint preflight) on
-/// the tc_chain program and report its median wall time in
-/// milliseconds. Compared against the evaluation wall time in `main`:
-/// the preflight must stay well under 1 % of tc_chain.
+/// The synthetic MultiLog database of the `reduction` workload, which
+/// the lint, flow-analysis and demand-pruning measurements share.
+const REDUCTION_SPEC: MultiLogSpec = MultiLogSpec {
+    depth: 4,
+    facts: 1500,
+    rules: 12,
+    use_cau: true,
+    seed: 7,
+};
+
+/// Time the MultiLog lint (`multilog lint`, whose clearance-free errors
+/// are the load's refusals) on the synthetic MultiLog source the
+/// reduction workload uses, parse included, and report its median wall
+/// time in milliseconds. Compared against the tc_chain evaluation wall
+/// time in `main` (ungated).
 fn lint_wall_ms(src: &str, repeat: usize) -> f64 {
-    let program = parse_program(src).expect("workload parses");
     let mut walls: Vec<f64> = Vec::with_capacity(repeat);
     for _ in 0..repeat {
         let start = Instant::now();
-        let lints = multilog_datalog::analyze(&program);
+        let report = multilog_core::lint_source(src).expect("workload parses");
         walls.push(start.elapsed().as_secs_f64() * 1e3);
-        assert!(lints.is_empty(), "tc_chain must be lint-clean: {lints:?}");
+        assert!(
+            !report.has_errors(),
+            "the reduction workload must lint without errors: {}",
+            report.summary()
+        );
     }
     walls.sort_by(f64::total_cmp);
     walls[walls.len() / 2]
@@ -860,13 +874,7 @@ fn run_demand_pruned(repeat: usize) -> (WorkloadResult, WorkloadResult, f64, usi
     // The reduction spec, level-skewed by construction: every `derived`
     // rule lives at the top level l3, so at clearance l0 the flow
     // bounds prune all of them plus the l1/l2/l3 belief machinery.
-    let spec = MultiLogSpec {
-        depth: 4,
-        facts: 1500,
-        rules: 12,
-        use_cau: true,
-        seed: 7,
-    };
+    let spec = REDUCTION_SPEC;
     let db = parse_database(&synthetic_multilog(&spec)).expect("synthetic multilog parses");
     let goal = multilog_core::parse_goal("l0[data(k0 : a -C-> V)]").expect("goal parses");
     let pruned_options = EngineOptions {
@@ -956,13 +964,7 @@ fn cautious_plain_under_negation(db: &multilog_core::MultiLogDb) -> usize {
 
 /// Run the Figure-12 reduction workload `repeat` times (best run).
 fn run_reduction(repeat: usize) -> WorkloadResult {
-    let spec = MultiLogSpec {
-        depth: 4,
-        facts: 1500,
-        rules: 12,
-        use_cau: true,
-        seed: 7,
-    };
+    let spec = REDUCTION_SPEC;
     let src = synthetic_multilog(&spec);
     let db = parse_database(&src).expect("synthetic multilog parses");
     let top = format!("l{}", spec.depth - 1);
@@ -1055,9 +1057,9 @@ fn main() {
     // that now sit inside the join loop.
     let (tc_chain, tc_chain_guarded, guard_overhead_pct) =
         run_guard_overhead(&tc_chain_src(256), repeat.max(40));
-    // Lint preflight cost relative to evaluation (best run is the
-    // smallest denominator, so the percentage is an upper bound).
-    let lint_ms = lint_wall_ms(&tc_chain_src(256), repeat.max(9));
+    // Lint cost relative to evaluation (best run is the smallest
+    // denominator, so the percentage is an upper bound).
+    let lint_ms = lint_wall_ms(&synthetic_multilog(&REDUCTION_SPEC), repeat.max(9));
     let lint_overhead_pct = lint_ms / tc_chain.wall_ms * 100.0;
     // update_churn contrasts incremental DRed commits against full
     // recomputation on a 20-commit single-fact delta stream.
@@ -1067,14 +1069,8 @@ fn main() {
     let (point_full, point_magic, point_speedup) = run_point_query(repeat);
     // Flow-analysis preflight cost relative to evaluation, and the
     // flow-pruned demand cone on a level-skewed point belief query.
-    let analyze_db = parse_database(&synthetic_multilog(&MultiLogSpec {
-        depth: 4,
-        facts: 1500,
-        rules: 12,
-        use_cau: true,
-        seed: 7,
-    }))
-    .expect("synthetic multilog parses");
+    let analyze_db =
+        parse_database(&synthetic_multilog(&REDUCTION_SPEC)).expect("synthetic multilog parses");
     let analyze_ms = analyze_wall_ms(&analyze_db, repeat.max(25));
     let analyze_overhead_pct = analyze_ms / tc_chain.wall_ms * 100.0;
     let (demand_plain, demand_pruned, demand_pruned_speedup, demand_pruned_rules) =

@@ -18,8 +18,8 @@ use multilog_core::consistency::check_consistency;
 use multilog_core::proof::prove_text;
 use multilog_core::reduce::{EdbUpdate, ReducedEngine};
 use multilog_core::{
-    parse_database, parse_items, BeliefServer, EngineOptions, MultiLogDb, MultiLogEngine,
-    MultiLogError, ReaderSession,
+    parse_items, BeliefServer, EngineOptions, MultiLogDb, MultiLogEngine, MultiLogError,
+    ReaderSession,
 };
 
 /// Which evaluation pipeline to use.
@@ -49,11 +49,6 @@ pub struct Options {
     pub max_facts: Option<usize>,
     /// Print per-rule / per-clause evaluation statistics (`--stats`).
     pub stats: bool,
-    /// Skip the lint preflight in `run`/`query` (`--no-lint`).
-    pub no_lint: bool,
-    /// Downgrade lint errors to warnings: report but keep going
-    /// (`--lint-warn`).
-    pub lint_warn: bool,
     /// Emit machine-readable JSON from `lint` (`--format json`).
     pub json: bool,
     /// `query` only: disable the magic-sets demand rewrite for
@@ -102,8 +97,15 @@ fn reject_filter(opts: &Options, path: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// Parse `source` once and admit it. A syntax error reads "cannot parse
+/// database:"; a program the load refuses reads "database refused:" with
+/// the refusing finding rendered as `multilog lint` renders it.
 fn load(source: &str) -> Result<MultiLogDb, String> {
-    parse_database(source).map_err(|e| format!("cannot parse database: {e}"))
+    let prog = parse_items(source).map_err(|e| format!("cannot parse database: {e}"))?;
+    MultiLogDb::admit(prog).map_err(|d| {
+        let rendered = d.render_human(source, "<db>");
+        format!("database refused:\n\n{}", rendered.trim_end())
+    })
 }
 
 fn operational(db: &MultiLogDb, opts: &Options) -> Result<MultiLogEngine, String> {
@@ -172,56 +174,29 @@ fn operational_or_reduced(
     }
 }
 
-/// Lint preflight for `run`/`query`: fail fast on error-severity findings
-/// unless `--no-lint` skips the pass or `--lint-warn` downgrades them.
-/// Returns a note to prepend to the command output (empty when clean).
-fn preflight(source: &str, opts: &Options) -> Result<String, String> {
-    if opts.no_lint {
-        return Ok(String::new());
-    }
-    // Syntax errors are reported by `load` with the same message; let it.
-    let Ok(report) = multilog_core::lint_source_at(source, Some(&opts.user)) else {
-        return Ok(String::new());
-    };
-    if !report.has_errors() {
-        return Ok(String::new());
-    }
-    if opts.lint_warn {
-        return Ok(format!(
-            "lint (downgraded by --lint-warn): {}\n",
-            report.summary()
-        ));
-    }
-    Err(format!(
-        "lint found {}; fix the program, or pass --lint-warn to downgrade \
-         or --no-lint to skip\n\n{}",
-        report.summary(),
-        report.render_human("<db>")
-    ))
-}
-
-/// Flow preflight for `run`/`query`/`serve` under `--deny flow`: refuse
-/// to evaluate when the lattice-flow analysis reports any ML02xx
+/// `--deny flow` for `run`/`query`/`serve`: refuse to evaluate when the
+/// lattice-flow analysis of the admitted database reports any ML02xx
 /// finding (inference channels are warnings, but `--deny flow` treats
 /// the program as untrusted until they are resolved).
-fn flow_preflight(source: &str, opts: &Options) -> Result<(), String> {
+fn deny_flow(db: &MultiLogDb, source: &str, opts: &Options) -> Result<(), String> {
     if !opts.deny_flow {
         return Ok(());
     }
-    // Syntax errors are reported by `load` with the same message; let it.
-    let Ok(report) = multilog_core::analyze_source(source) else {
-        return Ok(());
-    };
-    let findings = report.errors() + report.warnings();
-    if findings == 0 {
+    let report = multilog_core::analyze_db(db);
+    let findings = report.diagnostics();
+    if findings.is_empty() {
         return Ok(());
     }
-    Err(format!(
-        "--deny flow: the lattice-flow analysis found {findings} channel \
-         finding{}; run `multilog analyze` for details\n\n{}",
-        if findings == 1 { "" } else { "s" },
-        report.lint_report().render_human("<db>")
-    ))
+    let mut out = format!(
+        "--deny flow: the lattice-flow analysis found {} channel \
+         finding{}; run `multilog analyze` for details\n\n",
+        findings.len(),
+        if findings.len() == 1 { "" } else { "s" },
+    );
+    for d in findings {
+        out.push_str(&d.render_human(source, "<db>"));
+    }
+    Err(out.trim_end().to_owned())
 }
 
 /// `multilog analyze <file>`: run the lattice-flow abstract
@@ -271,9 +246,9 @@ pub fn run(source: &str, opts: &Options) -> CliResult {
     if opts.engine == EngineKind::Reduced {
         reject_filter(opts, "`run --engine red`")?;
     }
-    flow_preflight(source, opts)?;
-    let mut out = preflight(source, opts)?;
     let db = load(source)?;
+    deny_flow(&db, source, opts)?;
+    let mut out = String::new();
     let queries = db.queries().to_vec();
     if queries.is_empty() {
         let _ = writeln!(
@@ -330,9 +305,9 @@ pub fn query(source: &str, goal: &str, opts: &Options) -> CliResult {
     if opts.engine == EngineKind::Reduced {
         reject_filter(opts, "`query --engine red`")?;
     }
-    flow_preflight(source, opts)?;
-    let mut out = preflight(source, opts)?;
     let db = load(source)?;
+    deny_flow(&db, source, opts)?;
+    let mut out = String::new();
     match opts.engine {
         EngineKind::Operational => {
             let (e, note) = operational_or_reduced(&db, opts)?;
@@ -415,18 +390,17 @@ pub fn check(source: &str, opts: &Options) -> CliResult {
         count(|h| matches!(h, Head::P(_))),
         prog.queries.len()
     );
-    if let Ok(report) = multilog_core::lint_source_at(source, Some(&opts.user)) {
-        if report.is_clean() {
-            let _ = writeln!(out, "lint: clean");
-        } else {
-            let _ = writeln!(out, "lint: {}", report.summary());
-            for d in &report.diagnostics {
-                let _ = writeln!(out, "  {d}");
-            }
+    let report = multilog_core::lint::lint_program(&prog, source, Some(&opts.user));
+    if report.is_clean() {
+        let _ = writeln!(out, "lint: clean");
+    } else {
+        let _ = writeln!(out, "lint: {}", report.summary());
+        for d in &report.diagnostics {
+            let _ = writeln!(out, "  {d}");
         }
     }
     // The admissibility verdict is the load's: `MultiLogDb::new` refuses
-    // what the lint's ML0101–ML0106 errors report.
+    // what the lint's clearance-free errors report.
     let admitted =
         MultiLogDb::new(prog.clauses, prog.queries).and_then(|db| Ok((db.lattice()?, db)));
     let (lat, db) = match admitted {
@@ -670,8 +644,8 @@ impl ServeSession {
     /// Parse failures, rendered for the CLI user.
     pub fn new(source: &str, opts: &Options) -> Result<Self, String> {
         reject_filter(opts, "`serve`")?;
-        flow_preflight(source, opts)?;
         let db = load(source)?;
+        deny_flow(&db, source, opts)?;
         let server = Arc::new(BeliefServer::new(db, engine_options(opts)));
         Ok(Self::with_server(server))
     }
@@ -971,12 +945,10 @@ QUERY:
 LINT:
   `lint` runs the static-analysis pass (stable ML01xx codes; see
   docs/LINTS.md) and prints rustc-style spanned diagnostics. With
-  --user, clearance-dependent lints also run. `run` and `query` lint
-  automatically and refuse to evaluate on error-severity findings:
-  --no-lint          skip the preflight entirely
-  --lint-warn        report lint errors but evaluate anyway
-  Every engine and `serve` refuse the admissibility errors
-  ML0101-ML0106 at load, whatever --no-lint/--lint-warn say.
+  --user, clearance-dependent lints also run. Every error `lint`
+  reports without --user is a load refusal: every command that loads
+  the database (and `serve`) stops with `database refused:` and the
+  finding.
 
 ANALYZE:
   `analyze` runs the lattice-flow abstract interpretation: sound
@@ -1039,8 +1011,6 @@ pub fn parse_args(args: &[String]) -> Result<(String, String, Option<String>, Op
             "--filter" => opts.filter = true,
             "--stats" => opts.stats = true,
             "--no-magic" => opts.no_magic = true,
-            "--no-lint" => opts.no_lint = true,
-            "--lint-warn" => opts.lint_warn = true,
             "--format" => match it.next().map(String::as_str) {
                 Some("human") => opts.json = false,
                 Some("json") => opts.json = true,
@@ -1068,6 +1038,9 @@ pub fn parse_args(args: &[String]) -> Result<(String, String, Option<String>, Op
             "--flow-prune" => opts.flow_prune = true,
             "--explain" => {
                 opts.explain = Some(it.next().ok_or("--explain needs a predicate name")?.clone());
+            }
+            other if other.starts_with("--") => {
+                return Err(format!("unknown option `{other}` (see `multilog --help`)"))
             }
             other if file.is_none() => file = Some(other.to_owned()),
             other if goal.is_none() => goal = Some(other.to_owned()),
@@ -1183,27 +1156,46 @@ mod tests {
 
     #[test]
     fn every_engine_and_serve_refuse_inadmissible_programs_alike() {
-        // Same-level `<< cau` (ML0105) and an unknown rule mode (ML0106):
-        // the load refuses both, whatever the lint flags say.
-        for src in [
-            "level(u). level(s). order(u, s). u[p(k : a -u-> v)].\n\
-             s[q(k : a -u-> V)] <- s[p(k : a -u-> V)] << cau.",
-            "level(u). level(s). order(u, s). u[p(k : a -u-> v)].\n\
-             s[q(k : a -u-> V)] <- u[p(k : a -u-> V)] << foo.",
+        // Same-level `<< cau` (ML0105), an unknown rule mode (ML0106), an
+        // undeclared label (ML0103, Def 5.3), a p-predicate at two
+        // arities (ML0113, in a rule and in a stored query) and an
+        // aggregate through recursion (ML0008): the load refuses each
+        // with the lint's spanned finding.
+        for (src, code) in [
+            (
+                "level(u). level(s). order(u, s). u[p(k : a -u-> v)].\n\
+                 s[q(k : a -u-> V)] <- s[p(k : a -u-> V)] << cau.",
+                "ML0105",
+            ),
+            (
+                "level(u). level(s). order(u, s). u[p(k : a -u-> v)].\n\
+                 s[q(k : a -u-> V)] <- u[p(k : a -u-> V)] << foo.",
+                "ML0106",
+            ),
+            ("level(s).\ns[p(k : a -u-> v)].", "ML0103"),
+            ("level(s). q(a).\nr(X) <- q(X, b).", "ML0113"),
+            // A stored query is part of the database too.
+            ("level(s). q(a).\n<- q(X, Y).", "ML0113"),
+            (
+                "level(s). e(a, b). t(X, N) <- e(X, Y), n(Y, N).\n\
+                 n(Y, count(Z)) <- t(Y, Z).",
+                "ML0008",
+            ),
         ] {
-            for (no_lint, lint_warn) in [(true, false), (false, true)] {
-                let mut o = opts("s");
-                o.no_lint = no_lint;
-                o.lint_warn = lint_warn;
-                let op = run(src, &o).unwrap_err();
-                o.engine = EngineKind::Reduced;
-                let red = run(src, &o).unwrap_err();
-                let serve = ServeSession::new(src, &o).err().unwrap();
-                assert!(op.starts_with("cannot parse database: "), "{op}");
-                assert_eq!(op, red);
-                assert_eq!(op, serve);
-            }
+            let mut o = opts("s");
+            let op = run(src, &o).unwrap_err();
+            o.engine = EngineKind::Reduced;
+            let red = run(src, &o).unwrap_err();
+            let serve = ServeSession::new(src, &o).err().unwrap();
+            assert!(op.starts_with("database refused:"), "{op}");
+            assert!(op.contains(&format!("error[{code}]")), "{op}");
+            assert!(op.contains("--> <db>:2:1"), "{op}");
+            assert_eq!(op, red);
+            assert_eq!(op, serve);
         }
+        // Only a syntax error reads as a parse failure.
+        let err = run("level(s). s[p(k : a -s->", &opts("s")).unwrap_err();
+        assert!(err.starts_with("cannot parse database: "), "{err}");
     }
 
     #[test]
@@ -1283,6 +1275,9 @@ mod tests {
             }
         }
         assert!(parse_args(&to(&["query", "f.mlog", "--user", "s", "g", "--no-magic"])).is_ok());
+        // An unknown option is refused by name, not taken for the goal.
+        let err = parse_args(&to(&["query", "q.mlog", "--user", "u", "--lint-warnn"])).unwrap_err();
+        assert!(err.contains("unknown option `--lint-warnn`"), "{err}");
     }
 
     #[test]
@@ -1420,9 +1415,8 @@ mod tests {
         assert!(err.contains("fact budget"), "{err}");
     }
 
-    /// Lint-erroneous (p-predicate arity mismatch) but still evaluable:
-    /// the engine itself would accept this database, so it isolates the
-    /// preflight behaviour.
+    /// A p-predicate at two arities (ML0113): the lint reports it, and
+    /// the load refuses it.
     const ARITY_DB: &str = r#"
         level(u). level(s). order(u, s).
         q(a). r(X) <- q(X, b).
@@ -1432,28 +1426,10 @@ mod tests {
     #[test]
     fn run_fails_fast_on_lint_errors() {
         let err = run(ARITY_DB, &opts("s")).unwrap_err();
-        assert!(err.contains("lint found"), "{err}");
-        assert!(err.contains("ML0113"), "{err}");
+        assert!(err.starts_with("database refused:"), "{err}");
+        assert!(err.contains("error[ML0113]"), "{err}");
         let err = query(ARITY_DB, "q(X)", &opts("s")).unwrap_err();
         assert!(err.contains("ML0113"), "{err}");
-    }
-
-    #[test]
-    fn no_lint_skips_preflight() {
-        let mut o = opts("s");
-        o.no_lint = true;
-        let out = run(ARITY_DB, &o).unwrap();
-        assert!(out.contains("query 1"), "{out}");
-        assert!(!out.contains("lint"), "{out}");
-    }
-
-    #[test]
-    fn lint_warn_downgrades_and_evaluates() {
-        let mut o = opts("s");
-        o.lint_warn = true;
-        let out = run(ARITY_DB, &o).unwrap();
-        assert!(out.contains("downgraded"), "{out}");
-        assert!(out.contains("query 1"), "{out}");
     }
 
     #[test]
@@ -1491,17 +1467,12 @@ mod tests {
         assert!(o.json);
         // …but run still requires it.
         assert!(parse_args(&to(&["run", "f.mlog"])).is_err());
-        let (_, _, _, o) = parse_args(&to(&[
-            "run",
-            "f.mlog",
-            "--user",
-            "s",
-            "--no-lint",
-            "--lint-warn",
-        ]))
-        .unwrap();
-        assert!(o.no_lint);
-        assert!(o.lint_warn);
+        // Every lint error is a load refusal, so there is no flag to skip
+        // or downgrade the lint.
+        for flag in ["--no-lint", "--lint-warn"] {
+            let err = parse_args(&to(&["run", "f.mlog", "--user", "s", flag])).unwrap_err();
+            assert!(err.contains(&format!("unknown option `{flag}`")), "{err}");
+        }
         assert!(parse_args(&to(&["lint", "f.mlog", "--format", "xml"])).is_err());
     }
 

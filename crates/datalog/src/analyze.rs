@@ -1,617 +1,220 @@
-//! Static analysis over Datalog programs: a lint pass that finds
-//! authoring mistakes *before* evaluation.
-//!
-//! The MultiLog reduction (§6 of the paper) compiles belief programs into
-//! plain Datalog; mistakes in either layer surface at evaluation time as
-//! guard trips or — worse — silently empty relations. This pass checks a
-//! program statically and reports findings with stable lint codes:
-//!
-//! | code   | name                 | severity | meaning |
-//! |--------|----------------------|----------|---------|
-//! | ML0001 | `unsafe-variable`    | error    | head/comparison variable unbound by a positive body literal |
-//! | ML0002 | `arity-mismatch`     | error    | predicate used with two different arities |
-//! | ML0003 | `non-stratifiable`   | error    | negative dependency cycle (full witness reported) |
-//! | ML0004 | `unused-predicate`   | warning  | predicate outside the dependency cone of the query seeds |
-//! | ML0005 | `unreachable-rule`   | warning  | a body predicate can never hold (no facts or firing rules derive it) |
-//! | ML0006 | `singleton-variable` | warning  | variable occurs exactly once in a clause (likely a typo) |
-//! | ML0007 | `unbound-demand`     | warning  | query goal binds no arguments, so demand-driven (magic-sets) evaluation degenerates to full cone evaluation |
-//! | ML0008 | `unknown-algo` / `algo-call-arity` / `aggregation-through-recursion` | error | `@algo(...)` call over an unregistered operator or with the wrong arity; aggregate clause recursing through its own head |
-//!
-//! ML0001/ML0002 are normally raised eagerly by [`Program::push`]; the
-//! [`check_clauses`] entry point re-checks a raw clause list *collecting*
-//! every finding instead of failing fast, which is what an IDE-style lint
-//! front-end wants. The higher-level `multilog lint` command layers the
-//! MultiLog-specific lints (ML01xx) from `multilog-core` on top of this
-//! pass.
+//! Layer-independent analysis kernels shared by the MultiLog lint
+//! (ML0008 algorithm-operator calls, ML0111 unused-predicate, ML0112
+//! singleton-variable) and the lattice-flow pass in `multilog-core`. Each caller reduces its clause
+//! structure to predicate indices or variable occurrence lists and calls
+//! the same fixpoint.
 
-use std::collections::HashMap;
-use std::fmt;
-
-use crate::atom::Literal;
-use crate::clause::{Clause, Span};
-use crate::program::Program;
-use crate::DatalogError;
-
-/// Lint severity: errors would make evaluation fail (or be meaningless);
-/// warnings flag suspicious but evaluable constructs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    /// Suspicious but evaluable.
-    Warning,
-    /// Evaluation would reject the program or the construct is vacuous.
-    Error,
+/// One clause abstracted to what the possibly-nonempty fixpoint needs:
+/// the head predicate index and the positive body predicate indices that
+/// must all be (possibly) nonempty for the clause to fire. Negated
+/// literals and built-ins never block firing and are simply omitted.
+#[derive(Clone, Debug)]
+pub struct AbstractClause {
+    /// The head predicate's index.
+    pub head: usize,
+    /// Indices of the positive body predicates.
+    pub positive_body: Vec<usize>,
 }
 
-impl fmt::Display for Severity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Severity::Warning => f.write_str("warning"),
-            Severity::Error => f.write_str("error"),
-        }
-    }
-}
-
-/// One finding of the analysis pass.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Lint {
-    /// Stable lint code (`ML0001` …).
-    pub code: &'static str,
-    /// Human-readable lint name (`unsafe-variable` …).
-    pub name: &'static str,
-    /// Severity of the finding.
-    pub severity: Severity,
-    /// Source span of the offending clause, when known.
-    pub span: Span,
-    /// The finding, rendered for humans.
-    pub message: String,
-}
-
-impl fmt::Display for Lint {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}[{}]: {}", self.severity, self.code, self.message)?;
-        if self.span.is_known() {
-            write!(f, " (at {})", self.span)?;
-        }
-        Ok(())
-    }
-}
-
-fn lint(
-    code: &'static str,
-    name: &'static str,
-    severity: Severity,
-    span: Span,
-    message: String,
-) -> Lint {
-    Lint {
-        code,
-        name,
-        severity,
-        span,
-        message,
-    }
-}
-
-/// Layer-independent lint kernels, shared between this Datalog pass
-/// (ML0005 unreachable-rule, ML0006 singleton-variable) and the MultiLog
-/// pass in `multilog-core` (ML0111 unused-predicate, ML0112
-/// singleton-variable), so the two layers cannot drift: both reduce
-/// their clause structure to predicate indices / variable occurrence
-/// lists and call the same fixpoints.
-pub mod shared {
-    /// One clause abstracted to what the possibly-nonempty fixpoint
-    /// needs: the head predicate index and the positive body predicate
-    /// indices that must all be (possibly) nonempty for the clause to
-    /// fire. Negated literals and built-ins never block firing and are
-    /// simply omitted.
-    #[derive(Clone, Debug)]
-    pub struct AbstractClause {
-        /// The head predicate's index.
-        pub head: usize,
-        /// Indices of the positive body predicates.
-        pub positive_body: Vec<usize>,
-    }
-
-    /// The possibly-nonempty fixpoint over `predicates` many predicates:
-    /// a predicate is possibly nonempty when some clause for it has an
-    /// all-possibly-nonempty positive body (facts fire vacuously). A
-    /// sound over-approximation of "has at least one derivable tuple".
-    #[must_use]
-    pub fn possibly_nonempty(predicates: usize, clauses: &[AbstractClause]) -> Vec<bool> {
-        possibly_nonempty_from(vec![false; predicates], clauses)
-    }
-
-    /// [`possibly_nonempty`], but starting from predicates already known
-    /// nonempty — callers with bulk fact data seed those heads directly
-    /// and pass only genuine rules, keeping the fixpoint proportional to
-    /// the rule count rather than the data volume.
-    #[must_use]
-    pub fn possibly_nonempty_from(
-        mut nonempty: Vec<bool>,
-        clauses: &[AbstractClause],
-    ) -> Vec<bool> {
-        let predicates = nonempty.len();
-        loop {
-            let mut changed = false;
-            for c in clauses {
-                if c.head < predicates
-                    && !nonempty[c.head]
-                    && c.positive_body
-                        .iter()
-                        .all(|&p| p < predicates && nonempty[p])
-                {
-                    nonempty[c.head] = true;
-                    changed = true;
-                }
-            }
-            if !changed {
-                return nonempty;
-            }
-        }
-    }
-
-    /// Transitive reachability over `nodes` many nodes from `seeds`
-    /// along `edges` (directed `from → to` index pairs) — the kernel of
-    /// the unused-predicate lints, which walk the dependency graph
-    /// *backwards* from the query seeds by passing reversed edges.
-    #[must_use]
-    pub fn reachable(
-        nodes: usize,
-        edges: &[(usize, usize)],
-        seeds: impl IntoIterator<Item = usize>,
-    ) -> Vec<bool> {
-        let mut seen = vec![false; nodes];
-        let mut stack: Vec<usize> = seeds.into_iter().filter(|&s| s < nodes).collect();
-        for &s in &stack {
-            seen[s] = true;
-        }
-        while let Some(v) = stack.pop() {
-            for &(from, to) in edges {
-                if from == v && to < nodes && !seen[to] {
-                    seen[to] = true;
-                    stack.push(to);
-                }
-            }
-        }
-        seen
-    }
-
-    /// The variables occurring exactly once in `occurrences` (one entry
-    /// per textual occurrence), excluding `_`-prefixed opt-outs, sorted.
-    /// Callers decide what one "source item" is — a Datalog clause, or a
-    /// whole MultiLog molecule spanning several desugared clauses.
-    #[must_use]
-    pub fn singleton_variables<'a>(occurrences: impl IntoIterator<Item = &'a str>) -> Vec<&'a str> {
-        let mut counts: std::collections::HashMap<&str, usize> = std::collections::HashMap::new();
-        for v in occurrences {
-            *counts.entry(v).or_insert(0) += 1;
-        }
-        let mut singles: Vec<&str> = counts
-            .into_iter()
-            .filter(|&(v, n)| n == 1 && !v.starts_with('_'))
-            .map(|(v, _)| v)
-            .collect();
-        singles.sort_unstable();
-        singles
-    }
-}
-
-/// Re-check a raw clause list for safety (ML0001) and arity consistency
-/// (ML0002), collecting every violation instead of failing on the first —
-/// the lenient twin of [`Program::from_clauses`].
-pub fn check_clauses(clauses: &[Clause]) -> Vec<Lint> {
-    let mut out = Vec::new();
-    let mut arities: HashMap<String, (usize, Span)> = HashMap::new();
-    for c in clauses {
-        if let Err(DatalogError::UnsafeVariable { variable, clause }) = c.check_safety() {
-            out.push(lint(
-                "ML0001",
-                "unsafe-variable",
-                Severity::Error,
-                c.span,
-                format!("unsafe variable `{variable}` in `{clause}`"),
-            ));
-        }
-        let mut uses: Vec<(String, usize)> = vec![(c.head.predicate.to_string(), c.head.arity())];
-        for l in &c.body {
-            if let Some(a) = l.atom() {
-                uses.push((a.predicate.to_string(), a.arity()));
-            }
-        }
-        for (pred, arity) in uses {
-            match arities.get(&pred) {
-                Some(&(a, first)) if a != arity => {
-                    out.push(lint(
-                        "ML0002",
-                        "arity-mismatch",
-                        Severity::Error,
-                        c.span,
-                        format!(
-                            "predicate `{pred}` used with arity {arity}, but arity {a} at {first}"
-                        ),
-                    ));
-                }
-                Some(_) => {}
-                None => {
-                    arities.insert(pred, (arity, c.span));
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Analyze a validated program: stratifiability with a full cycle witness
-/// (ML0003), unreachable rules (ML0005), singleton variables (ML0006),
-/// and algorithm-operator / aggregation misuse (ML0008). Use
-/// [`analyze_for_query`] to additionally flag predicates outside a
-/// query's dependency cone (ML0004).
-pub fn analyze(program: &Program) -> Vec<Lint> {
-    let mut out = Vec::new();
-
-    // ML0003 — negative dependency cycle, full witness.
-    let graph = program.dependency_graph();
-    if let Some(cycle) = graph.negative_cycle() {
-        let mut loop_text = cycle.join(" -> ");
-        if let Some(first) = cycle.first() {
-            loop_text.push_str(" -> ");
-            loop_text.push_str(first);
-        }
-        out.push(lint(
-            "ML0003",
-            "non-stratifiable",
-            Severity::Error,
-            Span::unknown(),
-            format!("negative dependency cycle {loop_text}"),
-        ));
-    }
-
-    // ML0005 — rules over predicates that can never hold, via the shared
-    // possibly-nonempty kernel: a predicate is *possibly nonempty* when
-    // it has a fact, or a rule whose positive body literals are all
-    // possibly nonempty (negated literals never block firing).
-    let index: HashMap<&str, usize> = graph
-        .predicates()
-        .iter()
-        .enumerate()
-        .map(|(i, p)| (p.as_str(), i))
-        .collect();
-    let abstracted: Vec<shared::AbstractClause> = program
-        .clauses()
-        .iter()
-        .filter_map(|c| {
-            Some(shared::AbstractClause {
-                head: *index.get(c.head.predicate.as_str())?,
-                positive_body: c
-                    .body
+/// The possibly-nonempty fixpoint, starting from the predicates already
+/// known nonempty: a predicate is possibly nonempty when it is seeded or
+/// some clause for it has an all-possibly-nonempty positive body. A sound
+/// over-approximation of "has at least one derivable tuple". Callers with
+/// bulk fact data seed those heads directly and pass only genuine rules,
+/// keeping the fixpoint proportional to the rule count rather than the
+/// data volume.
+#[must_use]
+pub fn possibly_nonempty_from(mut nonempty: Vec<bool>, clauses: &[AbstractClause]) -> Vec<bool> {
+    let predicates = nonempty.len();
+    loop {
+        let mut changed = false;
+        for c in clauses {
+            if c.head < predicates
+                && !nonempty[c.head]
+                && c.positive_body
                     .iter()
-                    .filter_map(|l| match l {
-                        Literal::Pos(a) => index.get(a.predicate.as_str()).copied(),
-                        _ => None,
-                    })
-                    .collect(),
-            })
-        })
+                    .all(|&p| p < predicates && nonempty[p])
+            {
+                nonempty[c.head] = true;
+                changed = true;
+            }
+        }
+        if !changed {
+            return nonempty;
+        }
+    }
+}
+
+/// Transitive reachability over `nodes` many nodes from `seeds` along
+/// `edges` (directed `from → to` index pairs) — the kernel of the
+/// unused-predicate lint, which walks the dependency graph *backwards*
+/// from the query seeds by passing reversed edges.
+#[must_use]
+pub fn reachable(
+    nodes: usize,
+    edges: &[(usize, usize)],
+    seeds: impl IntoIterator<Item = usize>,
+) -> Vec<bool> {
+    let mut seen = vec![false; nodes];
+    let mut stack: Vec<usize> = seeds.into_iter().filter(|&s| s < nodes).collect();
+    for &s in &stack {
+        seen[s] = true;
+    }
+    while let Some(v) = stack.pop() {
+        for &(from, to) in edges {
+            if from == v && to < nodes && !seen[to] {
+                seen[to] = true;
+                stack.push(to);
+            }
+        }
+    }
+    seen
+}
+
+/// The variables occurring exactly once in `occurrences` (one entry per
+/// textual occurrence), excluding `_`-prefixed opt-outs, sorted. Callers
+/// decide what one "source item" is — for MultiLog, a whole molecule
+/// spanning several desugared clauses.
+#[must_use]
+pub fn singleton_variables<'a>(occurrences: impl IntoIterator<Item = &'a str>) -> Vec<&'a str> {
+    let mut counts: std::collections::HashMap<&str, usize> = std::collections::HashMap::new();
+    for v in occurrences {
+        *counts.entry(v).or_insert(0) += 1;
+    }
+    let mut singles: Vec<&str> = counts
+        .into_iter()
+        .filter(|&(v, n)| n == 1 && !v.starts_with('_'))
+        .map(|(v, _)| v)
         .collect();
-    let nonempty = shared::possibly_nonempty(index.len(), &abstracted);
-    let is_nonempty = |pred: &str| -> bool { index.get(pred).is_some_and(|&i| nonempty[i]) };
-    for c in program.clauses() {
-        let empty_dep = c.body.iter().find_map(|l| match l {
-            Literal::Pos(a) if !is_nonempty(a.predicate.as_ref()) => Some(a.predicate.to_string()),
-            _ => None,
-        });
-        if let Some(p) = empty_dep {
-            out.push(lint(
-                "ML0005",
-                "unreachable-rule",
-                Severity::Warning,
-                c.span,
-                format!("rule `{c}` can never fire: no fact or reachable rule derives `{p}`"),
-            ));
-        }
-    }
+    singles.sort_unstable();
+    singles
+}
 
-    // ML0006 — singleton variables (`_`-prefixed names opt out), via the
-    // shared occurrence-counting kernel.
-    for c in program.clauses() {
-        let occurrences: Vec<&str> = c
-            .head
-            .variables()
-            .chain(c.body.iter().flat_map(Literal::variables))
-            .collect();
-        for v in shared::singleton_variables(occurrences) {
-            out.push(lint(
-                "ML0006",
-                "singleton-variable",
-                Severity::Warning,
-                c.span,
-                format!("variable `{v}` occurs only once in `{c}` — typo or use `_{v}`"),
-            ));
-        }
-    }
-
-    // ML0008 — algorithm-operator and aggregation misuse. An unknown or
-    // mis-called `@algo(...)` operator fails at materialization time; an
-    // aggregate clause reading a predicate mutually recursive with its
-    // own head has no stratified semantics (the fold needs its input
-    // complete before it runs, but the input needs the fold's output).
+/// The ML0008 operator-call check for `@name(input, ...)` with `args`
+/// terms (the input relation plus the output terms): `None` when the
+/// call names a registered operator at its arity, else the lint name
+/// (`unknown-algo` or `algo-call-arity`) and the message.
+#[must_use]
+pub fn algo_call_problem(name: &str, args: usize) -> Option<(&'static str, String)> {
     let registry = crate::algo::registry();
-    for c in program.clauses() {
-        for l in &c.body {
-            let Some(a) = l.atom() else { continue };
-            let Some((name, input)) = crate::algo::parse_call(a.predicate.as_str()) else {
-                continue;
-            };
-            match registry.get(name) {
-                None => out.push(lint(
-                    "ML0008",
-                    "unknown-algo",
-                    Severity::Error,
-                    c.span,
-                    format!(
-                        "unknown algorithm operator `@{name}` (known: {})",
-                        registry.names().join(", ")
-                    ),
-                )),
-                Some(op) if op.arity() != a.arity() => out.push(lint(
-                    "ML0008",
-                    "algo-call-arity",
-                    Severity::Error,
-                    c.span,
-                    format!(
-                        "`@{name}({input}, ...)` called with {} argument terms, \
-                         but the operator takes {}",
-                        a.arity(),
-                        op.arity()
-                    ),
-                )),
-                Some(_) => {}
-            }
-        }
-        if c.agg.is_some() {
-            let recursive_dep = c.body.iter().find_map(|l| match l {
-                Literal::Pos(a)
-                    if graph.same_scc(a.predicate.as_str(), c.head.predicate.as_str()) =>
-                {
-                    Some(a.predicate.to_string())
-                }
-                _ => None,
-            });
-            if let Some(p) = recursive_dep {
-                out.push(lint(
-                    "ML0008",
-                    "aggregation-through-recursion",
-                    Severity::Error,
-                    c.span,
-                    format!(
-                        "aggregate clause `{c}` reads `{p}`, which is mutually recursive \
-                         with its head `{}` — aggregation through recursion is not stratifiable",
-                        c.head.predicate
-                    ),
-                ));
-            }
-        }
+    match registry.get(name) {
+        None => Some((
+            "unknown-algo",
+            format!(
+                "unknown algorithm operator `@{name}` (known: {})",
+                registry.names().join(", ")
+            ),
+        )),
+        Some(op) if args != op.arity() + 1 => Some((
+            "algo-call-arity",
+            format!(
+                "`@{name}(...)` called with {} argument terms, but the operator takes {}",
+                args.saturating_sub(1),
+                op.arity()
+            ),
+        )),
+        Some(_) => None,
     }
-
-    sort_lints(&mut out);
-    out
-}
-
-/// [`analyze()`] plus ML0004: predicates that cannot influence the query
-/// seeds. Anything defined outside `program.dependencies_of(seeds)` is
-/// dead weight for this query.
-pub fn analyze_for_query<'a>(
-    program: &Program,
-    seeds: impl IntoIterator<Item = &'a str>,
-) -> Vec<Lint> {
-    let mut out = analyze(program);
-    let needed = program.dependencies_of(seeds);
-    let mut preds: Vec<&str> = program.predicates();
-    preds.sort_unstable();
-    for p in preds {
-        if !needed.contains(p) {
-            out.push(lint(
-                "ML0004",
-                "unused-predicate",
-                Severity::Warning,
-                Span::unknown(),
-                format!("predicate `{p}` cannot influence the query and is never consulted"),
-            ));
-        }
-    }
-    sort_lints(&mut out);
-    out
-}
-
-/// [`analyze_for_query`] over a goal's predicates, plus ML0007: warn when
-/// the goal binds no argument of any positive literal, because then the
-/// magic-sets rewrite has no constants to seed demand from and
-/// [`crate::Engine::run_for_goal`] degenerates to evaluating the goal's
-/// entire dependency cone.
-pub fn analyze_for_goal(program: &Program, goal: &[Literal]) -> Vec<Lint> {
-    let seeds: Vec<&str> = goal
-        .iter()
-        .filter_map(Literal::atom)
-        .map(|a| a.predicate.as_ref())
-        .collect();
-    let mut out = analyze_for_query(program, seeds);
-    if !crate::magic::goal_binds_arguments(goal) {
-        out.push(lint(
-            "ML0007",
-            "unbound-demand",
-            Severity::Warning,
-            Span::unknown(),
-            "query goal binds no arguments; demand-driven evaluation degenerates to \
-             full cone evaluation"
-                .to_owned(),
-        ));
-    }
-    sort_lints(&mut out);
-    out
-}
-
-/// Deterministic report order: errors first, then by span, then code.
-fn sort_lints(lints: &mut [Lint]) {
-    lints.sort_by(|a, b| {
-        b.severity
-            .cmp(&a.severity)
-            .then(a.span.line.cmp(&b.span.line))
-            .then(a.span.column.cmp(&b.span.column))
-            .then(a.code.cmp(b.code))
-            .then(a.message.cmp(&b.message))
-    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::{parse_clause, parse_program};
+    use crate::parser::parse_program;
 
     #[test]
-    fn clean_program_is_clean() {
-        let p = parse_program(
-            "edge(a, b). edge(b, c). path(X, Y) :- edge(X, Y). \
-             path(X, Y) :- edge(X, Z), path(Z, Y).",
-        )
-        .unwrap();
-        assert!(analyze(&p).is_empty());
+    fn unreachable_rule_flagged() {
+        // p(X) :- ghost(X).  q(a).   — nodes p=0, ghost=1, q=2.
+        let rules = [AbstractClause {
+            head: 0,
+            positive_body: vec![1],
+        }];
+        let nonempty = possibly_nonempty_from(vec![false, false, true], &rules);
+        assert_eq!(nonempty, vec![false, false, true]);
+        // Once ghost has a fact, the rule can fire.
+        let nonempty = possibly_nonempty_from(vec![false, true, true], &rules);
+        assert_eq!(nonempty, vec![true, true, true]);
+    }
+
+    #[test]
+    fn singleton_variable_flagged_and_underscore_exempt() {
+        assert_eq!(singleton_variables(["X", "X", "Lone"]), vec!["Lone"]);
+        assert!(singleton_variables(["X", "X", "_Lone"]).is_empty());
+    }
+
+    #[test]
+    fn unused_predicate_only_with_seeds() {
+        // s depends on q; r stands alone — nodes q=0, r=1, s=2, with
+        // reversed (head → body) edges as the lint passes them.
+        let edges = [(2, 0)];
+        assert_eq!(reachable(3, &edges, [2]), vec![true, false, true]);
+        assert_eq!(reachable(3, &edges, []), vec![false; 3]);
     }
 
     #[test]
     fn negative_cycle_reported_with_witness() {
         let p = parse_program("p(X) :- base(X), not q(X). q(X) :- base(X), not p(X). base(a).")
             .unwrap();
-        let lints = analyze(&p);
-        let strat: Vec<&Lint> = lints.iter().filter(|l| l.code == "ML0003").collect();
-        assert_eq!(strat.len(), 1);
+        let cycle = p.dependency_graph().negative_cycle().unwrap();
         assert!(
-            strat[0].message.contains("p -> q -> p") || strat[0].message.contains("q -> p -> q"),
-            "full cycle expected: {}",
-            strat[0].message
+            cycle == ["p", "q"] || cycle == ["q", "p"],
+            "full cycle expected: {cycle:?}"
         );
     }
 
     #[test]
-    fn unreachable_rule_flagged() {
-        let p = parse_program("p(X) :- ghost(X). q(a).").unwrap();
-        let lints = analyze(&p);
-        assert!(lints
-            .iter()
-            .any(|l| l.code == "ML0005" && l.message.contains("ghost")));
-    }
-
-    #[test]
-    fn singleton_variable_flagged_and_underscore_exempt() {
-        let p = parse_program("q(a, b). p(X) :- q(X, Lone).").unwrap();
-        let lints = analyze(&p);
-        assert!(lints
-            .iter()
-            .any(|l| l.code == "ML0006" && l.message.contains("Lone")));
-        let p = parse_program("q(a, b). p(X) :- q(X, _Lone).").unwrap();
-        assert!(analyze(&p).iter().all(|l| l.code != "ML0006"));
-    }
-
-    #[test]
-    fn unused_predicate_only_with_seeds() {
-        let p = parse_program("q(a). r(b). s(X) :- q(X).").unwrap();
-        assert!(analyze(&p).iter().all(|l| l.code != "ML0004"));
-        let lints = analyze_for_query(&p, ["s"]);
-        assert!(lints
-            .iter()
-            .any(|l| l.code == "ML0004" && l.message.contains("`r`")));
-        assert!(lints
-            .iter()
-            .all(|l| !(l.code == "ML0004" && l.message.contains("`q`"))));
-    }
-
-    #[test]
-    fn unbound_goal_flagged_as_unbound_demand() {
-        let p = parse_program("edge(a, b). path(X, Y) :- edge(X, Y).").unwrap();
-        let free = crate::parser::parse_query("path(X, Y)").unwrap();
-        let lints = analyze_for_goal(&p, &free);
-        assert!(lints
-            .iter()
-            .any(|l| l.code == "ML0007" && l.name == "unbound-demand"));
-        let bound = crate::parser::parse_query("path(a, Y)").unwrap();
-        assert!(analyze_for_goal(&p, &bound)
-            .iter()
-            .all(|l| l.code != "ML0007"));
-    }
-
-    #[test]
     fn unknown_algo_operator_flagged() {
-        let p = parse_program("edge(a, b). r(X, Y) :- @frobnicate(edge, X, Y).").unwrap();
-        let lints = analyze(&p);
-        let hit = lints
-            .iter()
-            .find(|l| l.code == "ML0008" && l.name == "unknown-algo")
-            .unwrap();
-        assert_eq!(hit.severity, Severity::Error);
-        assert!(hit.message.contains("@frobnicate"), "{}", hit.message);
-        assert!(hit.message.contains("bfs"), "{}", hit.message);
+        let (name, message) = algo_call_problem("frobnicate", 3).unwrap();
+        assert_eq!(name, "unknown-algo");
+        assert!(message.contains("@frobnicate"), "{message}");
+        assert!(message.contains("bfs"), "{message}");
     }
 
     #[test]
     fn algo_call_arity_mismatch_flagged() {
-        let p = parse_program("edge(a, b). r(X) :- @bfs(edge, X).").unwrap();
-        let lints = analyze(&p);
-        assert!(lints
-            .iter()
-            .any(|l| l.code == "ML0008" && l.name == "algo-call-arity"));
-        let clean = parse_program("edge(a, b). r(X, Y) :- @bfs(edge, X, Y).").unwrap();
-        assert!(analyze(&clean).iter().all(|l| l.code != "ML0008"));
+        // `@bfs(edge, X)`: the input relation plus one output term.
+        let (name, message) = algo_call_problem("bfs", 2).unwrap();
+        assert_eq!(name, "algo-call-arity");
+        assert!(message.contains("called with 1"), "{message}");
+        // `@bfs(edge, X, Y)` is well-formed.
+        assert_eq!(algo_call_problem("bfs", 3), None);
     }
 
     #[test]
     fn aggregation_through_recursion_flagged() {
+        // An aggregate's body edges are stratum-separating, so folding
+        // over its own head is a one-predicate negative cycle.
         let p =
             parse_program("part(a, b). part(b, c). total(P, count(S)) :- total(P, S), part(P, S).")
                 .unwrap();
-        let lints = analyze(&p);
-        let hit = lints
-            .iter()
-            .find(|l| l.code == "ML0008" && l.name == "aggregation-through-recursion")
-            .unwrap();
-        assert_eq!(hit.severity, Severity::Error);
-        assert!(hit.message.contains("`total`"), "{}", hit.message);
+        let graph = p.dependency_graph();
+        assert!(graph.same_scc("total", "total"));
+        assert_eq!(graph.negative_cycle(), Some(vec!["total".to_owned()]));
         // Aggregation over a lower stratum is fine.
         let clean =
             parse_program("part(a, b). part(b, c). total(P, count(S)) :- part(P, S).").unwrap();
-        assert!(analyze(&clean).iter().all(|l| l.code != "ML0008"));
+        let graph = clean.dependency_graph();
+        assert!(!graph.same_scc("total", "total"));
+        assert_eq!(graph.negative_cycle(), None);
     }
 
     #[test]
     fn algo_input_and_aggregate_body_are_not_unused() {
         // `edge` is consulted only through the `@bfs(edge, ...)` call;
-        // `visit` only inside an aggregate body. Neither is ML0004 dead.
+        // `visit` only inside an aggregate body. Walking the dependency
+        // graph backwards from the seeds reaches both.
         let p = parse_program(
             "edge(a, b). edge(b, c). reach(X, Y) :- @bfs(edge, X, Y). \
              visit(a, u1). visit(a, u2). hits(P, count(U)) :- visit(P, U).",
         )
         .unwrap();
-        let lints = analyze_for_query(&p, ["reach", "hits"]);
-        assert!(
-            lints.iter().all(|l| l.code != "ML0004"),
-            "unexpected ML0004: {lints:?}"
-        );
-    }
-
-    #[test]
-    fn check_clauses_collects_all_errors() {
-        // Bypass Program validation: parse clauses individually.
-        let c1 = parse_clause("p(X) :- q(Y).").unwrap();
-        let c2 = parse_clause("q(a, b).").unwrap();
-        let c3 = parse_clause("q(c).").unwrap();
-        let lints = check_clauses(&[c1, c2, c3]);
-        assert!(lints.iter().any(|l| l.code == "ML0001"));
-        assert!(lints.iter().any(|l| l.code == "ML0002"));
-    }
-
-    #[test]
-    fn spans_point_at_clauses() {
-        let p = parse_program("q(a, b).\np(X) :- q(X, Lone).").unwrap();
-        let lints = analyze(&p);
-        let single = lints.iter().find(|l| l.code == "ML0006").unwrap();
-        assert_eq!(single.span.line, 2);
+        let graph = p.dependency_graph();
+        let at = |pred| graph.index_of(pred).unwrap();
+        let reversed: Vec<(usize, usize)> = graph
+            .edges()
+            .map(|(body, head, _)| (at(head), at(body)))
+            .collect();
+        let live = reachable(p.predicates().len(), &reversed, [at("reach"), at("hits")]);
+        assert!(live[at("edge")] && live[at("visit")], "{live:?}");
     }
 }

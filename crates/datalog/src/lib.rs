@@ -22,9 +22,9 @@
 //!   inside the join loop, cooperative cancellation — surfacing as typed
 //!   errors, plus per-rule/per-stratum statistics and a [`TraceSink`]
 //!   for structured evaluation events.
-//! * A static-analysis pass ([`mod@analyze`]) that finds authoring mistakes —
-//!   negative cycles with a full witness, unreachable rules, singleton
-//!   variables — before evaluation, with spanned diagnostics.
+//! * Layer-independent analysis kernels ([`mod@analyze`]) — reachability,
+//!   the possibly-nonempty fixpoint, singleton variables, the `@algo`
+//!   call check — that the MultiLog lint and lattice-flow passes share.
 //!
 //! # Example
 //!
@@ -109,7 +109,6 @@ mod term;
 mod trace;
 
 pub use algo::{AlgoContext, AlgoImpl, AlgoRegistry};
-pub use analyze::{analyze, analyze_for_goal, analyze_for_query, check_clauses, Lint, Severity};
 pub use atom::{ArithOp, Atom, CmpOp, Literal};
 pub use clause::{AggFunc, Aggregate, Clause, Span};
 pub use error::DatalogError;

@@ -81,7 +81,7 @@ pub const PARAM_PREDICATE: &str = "__param__";
 
 /// Whether a goal binds any argument of a positive literal — the
 /// precondition for the magic rewrite to prune anything. Goals failing
-/// this check degenerate to full cone evaluation (lint ML0007).
+/// this check degenerate to full cone evaluation.
 pub fn goal_binds_arguments(goal: &[Literal]) -> bool {
     goal.iter()
         .any(|l| matches!(l, Literal::Pos(a) if a.terms.iter().any(|t| !t.is_var())))

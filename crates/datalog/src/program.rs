@@ -224,9 +224,8 @@ impl Program {
     /// The predicate dependency graph of the program: one node per
     /// predicate, one edge from every body predicate to the head
     /// predicate that depends on it, tagged negative when the body
-    /// literal is negated. Shared by stratification (which needs the
-    /// negative-cycle witness) and the static-analysis pass in
-    /// [`mod@crate::analyze`].
+    /// literal is negated. Stratification reads the negative-cycle
+    /// witness off it.
     pub fn dependency_graph(&self) -> DepGraph {
         let preds: Vec<String> = self.predicates().iter().map(|&p| p.to_owned()).collect();
         let index: HashMap<String, usize> = preds
@@ -417,11 +416,6 @@ impl DepGraph {
             index,
             edges,
         }
-    }
-
-    /// The predicate names, sorted (node order).
-    pub fn predicates(&self) -> &[String] {
-        &self.preds
     }
 
     /// The node index of a predicate.
@@ -702,7 +696,14 @@ mod tests {
             .unwrap()
             .stratify()
             .unwrap_err();
-        assert!(matches!(err, DatalogError::NotStratifiable { .. }));
+        // The error carries the full witness cycle, not just one name.
+        let DatalogError::NotStratifiable { cycle } = err else {
+            panic!("expected NotStratifiable, got {err:?}");
+        };
+        assert!(
+            cycle == ["p", "q"] || cycle == ["q", "p"],
+            "full cycle expected: {cycle:?}"
+        );
     }
 
     #[test]

@@ -7,9 +7,10 @@ use std::sync::Arc;
 
 use multilog_lattice::{Label, LatticeBuilder, LatticeError, SecurityLattice};
 
-use crate::ast::{Atom, Clause, Goal, Head, Term};
-use crate::lint::Program;
+use crate::ast::{Atom, Clause, Goal, Head, Span, Term};
+use crate::lint::{Diagnostic, Finding, Program};
 use crate::modes::ModeSet;
+use crate::parser::ParsedProgram;
 use crate::{MultiLogError, Result};
 
 /// An admissible MultiLog database: the clauses partitioned into the
@@ -32,8 +33,9 @@ pub struct MultiLogDb {
 impl MultiLogDb {
     /// Partition clauses by head kind and decide admissibility, once for
     /// every engine: the lint pass's clearance-free error checks
-    /// ML0101–ML0106 ([`crate::lint`]) run over Λ ∪ Σ ∪ Π, and the first
-    /// finding refuses the database.
+    /// ([`crate::lint`]: ML0101–ML0106, ML0113 and ML0008) run over
+    /// Λ ∪ Σ ∪ Π and the queries Q, and the first finding refuses the
+    /// database.
     ///
     /// # Errors
     ///
@@ -41,11 +43,32 @@ impl MultiLogDb {
     /// [`MultiLogError::NotAdmissible`] (ML0102–ML0104: Λ purity,
     /// undeclared labels, a cyclic `[[Λ]]`),
     /// [`MultiLogError::NotBeliefStratified`] (ML0105, the cautious level
-    /// stratification) or [`MultiLogError::UnknownMode`] (ML0106).
+    /// stratification), [`MultiLogError::UnknownMode`] (ML0106) or
+    /// [`MultiLogError::IllFormed`] (ML0113, ML0008).
     pub fn new(clauses: Vec<Clause>, queries: Vec<Goal>) -> Result<Self> {
-        let program = Program::new(&clauses, Vec::new());
+        Self::gate(clauses, queries, &[]).map_err(|finding| finding.error)
+    }
+
+    /// [`MultiLogDb::new`] over a parsed program, for front-ends that
+    /// point at the refused clause or query: a refusal is the first
+    /// finding as a spanned [`Diagnostic`], worded as `multilog lint`
+    /// words it.
+    ///
+    /// # Errors
+    ///
+    /// The finding behind any error [`MultiLogDb::new`] returns.
+    pub fn admit(prog: ParsedProgram) -> std::result::Result<Self, Diagnostic> {
+        Self::gate(prog.clauses, prog.queries, &prog.query_spans).map_err(Finding::into_diagnostic)
+    }
+
+    fn gate(
+        clauses: Vec<Clause>,
+        queries: Vec<Goal>,
+        spans: &[Span],
+    ) -> std::result::Result<Self, Finding> {
+        let program = Program::new(&clauses, &queries, spans);
         if let Some(finding) = program.admissibility().into_iter().next() {
-            return Err(finding.error);
+            return Err(finding);
         }
         let Program {
             lattice,

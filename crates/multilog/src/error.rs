@@ -45,6 +45,13 @@ pub enum MultiLogError {
     },
     /// A referenced belief mode is neither built-in nor user-defined.
     UnknownMode(String),
+    /// The program is admissible but cannot be evaluated as written: a
+    /// p-predicate used at two arities (ML0113), or an algorithm operator
+    /// or aggregate misused (ML0008).
+    IllFormed {
+        /// Description of the offending clause.
+        detail: String,
+    },
     /// The database uses a construct only the reduction semantics
     /// executes (aggregate heads, `@algo(...)` operator calls); the
     /// operational engine rejects it instead of silently deriving
@@ -105,6 +112,7 @@ impl fmt::Display for MultiLogError {
                 write!(f, "cautious belief is not level-stratified: {detail}")
             }
             MultiLogError::UnknownMode(m) => write!(f, "unknown belief mode `{m}`"),
+            MultiLogError::IllFormed { detail } => write!(f, "database is ill-formed: {detail}"),
             MultiLogError::ReductionOnly { detail } => {
                 write!(
                     f,
@@ -177,6 +185,7 @@ mod tests {
             MultiLogError::NotAdmissible { detail: "x".into() },
             MultiLogError::Inconsistent { detail: "x".into() },
             MultiLogError::UnknownMode("zeal".into()),
+            MultiLogError::IllFormed { detail: "x".into() },
             MultiLogError::ReductionOnly { detail: "x".into() },
             MultiLogError::NonGroundUpdate { atom: "x".into() },
             MultiLogError::BudgetExceeded { budget: 1, used: 2 },

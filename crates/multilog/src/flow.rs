@@ -41,15 +41,16 @@
 //! never enable new derivations, so the bounds remain sound for them.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::Arc;
 
-use multilog_datalog::analyze::shared;
+use multilog_datalog::analyze::{possibly_nonempty_from, AbstractClause};
 use multilog_datalog::DepGraph;
 use multilog_lattice::{Label, LabelInterval, SecurityLattice};
 
 use crate::ast::{Atom, Clause, Goal, Head, Span, Term};
 use crate::belief::Mode;
-use crate::db::{eval_lambda, MultiLogDb};
-use crate::lint::{build_lattice, diagnostics_json, Diagnostic, LintReport, Severity};
+use crate::db::MultiLogDb;
+use crate::lint::{diagnostics_json, Diagnostic, LintReport, Program, Severity};
 use crate::parser::{parse_items, ParsedProgram};
 use crate::Result;
 
@@ -112,7 +113,7 @@ pub struct PredicateFlow {
     /// full interval or empty depending on liveness.
     pub args: Vec<LabelInterval>,
     /// Whether the predicate can possibly hold any tuple (the
-    /// `possibly_nonempty` fixpoint; `false` means every clause for it
+    /// possibly-nonempty fixpoint; `false` means every clause for it
     /// is transitively blocked on an empty predicate).
     pub nonempty: bool,
     /// Distinct consult modes, sorted: `"m"` for a plain m-atom
@@ -154,7 +155,7 @@ impl Consumer {
 /// machinery as the lint pass.
 #[derive(Clone, Debug)]
 pub struct FlowReport {
-    lattice: Option<SecurityLattice>,
+    lattice: Option<Arc<SecurityLattice>>,
     preds: BTreeMap<(PredKind, String), PredicateFlow>,
     report: LintReport,
 }
@@ -167,46 +168,32 @@ pub fn analyze_source(src: &str) -> Result<FlowReport> {
 }
 
 /// Run the flow analysis over an already-parsed program, with the
-/// source text kept for rendering.
+/// source text kept for rendering. The lattice is the one the lint's
+/// `Program` builds from `[[Λ]]`.
 pub fn analyze_program(prog: &ParsedProgram, src: &str) -> FlowReport {
+    let Program {
+        lattice, queries, ..
+    } = Program::new(&prog.clauses, &prog.queries, &prog.query_spans);
     let clauses: Vec<&Clause> = prog.clauses.iter().collect();
-    let queries: Vec<(&Goal, Span)> = prog
-        .queries
-        .iter()
-        .enumerate()
-        .map(|(i, q)| {
-            (
-                q,
-                prog.query_spans
-                    .get(i)
-                    .copied()
-                    .unwrap_or_else(Span::unknown),
-            )
-        })
-        .collect();
-    analyze_clauses(&clauses, &queries, src.to_owned())
+    analyze_clauses(lattice.map(Arc::new), &clauses, &queries, src.to_owned())
 }
 
-/// Run the flow analysis over a validated database (no source text —
-/// diagnostics carry unknown spans). This is the entry the reduced
-/// engine uses for demand pruning.
+/// Run the flow analysis over an admitted database, over the lattice it
+/// was admitted with (no source text — query diagnostics carry unknown
+/// spans). This is the entry the reduced engine uses for demand pruning.
 pub fn analyze_db(db: &MultiLogDb) -> FlowReport {
     let clauses: Vec<&Clause> = db.clauses().collect();
     let queries: Vec<(&Goal, Span)> = db.queries().iter().map(|q| (q, Span::unknown())).collect();
-    analyze_clauses(&clauses, &queries, String::new())
+    analyze_clauses(db.lattice().ok(), &clauses, &queries, String::new())
 }
 
-fn analyze_clauses(clauses: &[&Clause], queries: &[(&Goal, Span)], source: String) -> FlowReport {
-    let mut lambda: Vec<&Clause> = Vec::new();
-    let mut rules: Vec<&Clause> = Vec::new();
-    for c in clauses {
-        match &c.head {
-            Head::L(_) | Head::H(_, _) => lambda.push(c),
-            Head::M(_) | Head::P(_) => rules.push(c),
-        }
-    }
-    let (levels, orders) = eval_lambda(&lambda);
-    let Some(lat) = build_lattice(&levels, &orders) else {
+fn analyze_clauses(
+    lattice: Option<Arc<SecurityLattice>>,
+    clauses: &[&Clause],
+    queries: &[(&Goal, Span)],
+    source: String,
+) -> FlowReport {
+    let Some(lat) = lattice else {
         // Pure-Π program (Prop 6.1 degenerates to Datalog) or a broken
         // lattice the lint pass reports; there is no flow to analyse.
         return FlowReport {
@@ -215,6 +202,11 @@ fn analyze_clauses(clauses: &[&Clause], queries: &[(&Goal, Span)], source: Strin
             report: LintReport::from_parts(Vec::new(), source),
         };
     };
+    let rules: Vec<&Clause> = clauses
+        .iter()
+        .copied()
+        .filter(|c| matches!(c.head, Head::M(_) | Head::P(_)))
+        .collect();
     let mut flow = Flow::new(lat, rules, queries);
     flow.run_fixpoint();
     flow.collect_sources();
@@ -234,7 +226,7 @@ type GroundFact = (usize, Option<Label>, Option<Label>);
 
 /// Working state of one analysis run.
 struct Flow<'p> {
-    lat: SecurityLattice,
+    lat: Arc<SecurityLattice>,
     /// Σ ∪ Π clauses (rules and facts), program order.
     rules: Vec<&'p Clause>,
     queries: &'p [(&'p Goal, Span)],
@@ -267,7 +259,11 @@ struct Flow<'p> {
 }
 
 impl<'p> Flow<'p> {
-    fn new(lat: SecurityLattice, rules: Vec<&'p Clause>, queries: &'p [(&'p Goal, Span)]) -> Self {
+    fn new(
+        lat: Arc<SecurityLattice>,
+        rules: Vec<&'p Clause>,
+        queries: &'p [(&'p Goal, Span)],
+    ) -> Self {
         let mut nodes: Vec<(PredKind, String)> = Vec::new();
         let mut index_m: HashMap<String, usize> = HashMap::new();
         let mut index_p: HashMap<String, usize> = HashMap::new();
@@ -290,7 +286,7 @@ impl<'p> Flow<'p> {
                 }
             }
         };
-        let mut abs: Vec<shared::AbstractClause> = Vec::new();
+        let mut abs: Vec<AbstractClause> = Vec::new();
         let mut edges: Vec<(usize, usize, bool)> = Vec::new();
         let mut by_head_pairs: Vec<(usize, usize)> = Vec::new();
         let mut ground_facts: Vec<Option<GroundFact>> = vec![None; rules.len()];
@@ -374,7 +370,7 @@ impl<'p> Flow<'p> {
                     edges.push((d, head, false));
                 }
             }
-            abs.push(shared::AbstractClause {
+            abs.push(AbstractClause {
                 head,
                 positive_body: deps,
             });
@@ -392,7 +388,7 @@ impl<'p> Flow<'p> {
         }
         let n = nodes.len();
         fact_seed.resize(n, false);
-        let nonempty = shared::possibly_nonempty_from(fact_seed, &abs);
+        let nonempty = possibly_nonempty_from(fact_seed, &abs);
         let names: Vec<String> = nodes
             .iter()
             .map(|(k, p)| format!("{}:{}", k.tag(), p))
@@ -1308,7 +1304,7 @@ impl FlowReport {
     /// program has no lattice — pure Π, empty or cyclic Λ — and the
     /// analysis was skipped).
     pub fn lattice(&self) -> Option<&SecurityLattice> {
-        self.lattice.as_ref()
+        self.lattice.as_deref()
     }
 
     /// The fixpoint result for one predicate, if it occurs in the

@@ -1,41 +1,59 @@
 //! Static analysis (lint) over parsed MultiLog programs.
 //!
 //! The lint pass checks a [`ParsedProgram`] *before* any evaluation and
-//! emits rustc-style spanned [`Diagnostic`]s with stable codes. The
-//! admissibility errors ML0101–ML0106 (range restriction, Definition
-//! 5.3's three conditions, the cautious level stratification and known
-//! belief modes) are one set of checks with two readers: this pass
+//! emits rustc-style spanned [`Diagnostic`]s with stable codes. Every
+//! clearance-free error is also a load refusal: the admissibility errors
+//! ML0101–ML0106 (range restriction, Definition 5.3's three conditions,
+//! the cautious level stratification and known belief modes), ML0113
+//! (a p-predicate at two arities) and ML0008 (algorithm-operator and
+//! aggregate misuse) are one set of checks with two readers. This pass
 //! reports every finding with its span, and
 //! [`MultiLogDb::new`](crate::MultiLogDb::new) refuses a database on the
-//! first one, as its typed [`MultiLogError`]. So every engine, and
-//! `serve`, refuses these programs at load, whatever `--no-lint` or
-//! `--lint-warn` say: an ML0101–ML0106 error is a condition the engines
-//! reject by construction. The lint adds the query and clearance halves
-//! of ML0103/ML0106 and its other checks on top. Warnings flag clauses
-//! that are admissible but almost certainly not what the author meant
-//! (statically empty rules, degenerate belief modes, cover-story
-//! conflicts Proposition 5.1 would reject, …).
+//! first one, as its typed [`MultiLogError`]. The checks cover the
+//! clauses and the stored queries Q. So every engine, and `serve`,
+//! refuses these programs at load. The lint adds the clearance half of
+//! ML0103 and its warnings on top. Warnings
+//! flag clauses that are admissible but almost certainly not what the
+//! author meant (statically empty rules, degenerate belief modes,
+//! cover-story conflicts Proposition 5.1 would reject, …).
 //!
 //! Codes are stable: tools may match on them, and `docs/LINTS.md`
 //! catalogues each with a minimal trigger and the paper section it
-//! enforces. Datalog-side lints (`ML00xx`) live in
-//! `multilog_datalog::analyze`; this module owns the MultiLog-level
-//! codes `ML0101`–`ML0114` and additionally surfaces the shared ML0008
-//! (algorithm-operator / aggregation misuse) at the MultiLog syntax.
+//! enforces, and lists the retired Datalog-side codes ML0001–ML0007.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 
+use multilog_datalog::analyze::{algo_call_problem, reachable, singleton_variables};
+use multilog_datalog::DepGraph;
 use multilog_lattice::{Label, LatticeBuilder, SecurityLattice};
 
-pub use multilog_datalog::Severity;
-
-use crate::ast::{Atom, Clause, Goal, Head, Span, Term};
+use crate::ast::{Atom, Clause, Goal, Head, PAtom, Span, Term};
 use crate::db::eval_lambda;
 use crate::modes::ModeSet;
 use crate::parser::{parse_items, ParsedProgram};
 use crate::{MultiLogError, Result};
+
+/// Lint severity: errors are conditions every engine refuses at load;
+/// warnings flag suspicious but evaluable constructs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Severity {
+    /// Suspicious but evaluable.
+    Warning,
+    /// The load refuses the program (or, for a query or clearance
+    /// finding, the construct is vacuous).
+    Error,
+}
+
+impl fmt::Display for Severity {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Severity::Warning => f.write_str("warning"),
+            Severity::Error => f.write_str("error"),
+        }
+    }
+}
 
 /// A single lint finding with a stable code and a source position.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -44,12 +62,47 @@ pub struct Diagnostic {
     pub code: &'static str,
     /// Short kebab-case lint name, e.g. `undeclared-label`.
     pub name: &'static str,
-    /// `error` findings make `run`/`query` fail fast; `warning`s do not.
+    /// `error` findings refuse the load; `warning`s do not.
     pub severity: Severity,
     /// Source position of the offending item (1-based line/column).
     pub span: Span,
     /// Human-readable description of the finding.
     pub message: String,
+}
+
+impl Diagnostic {
+    /// Render this finding rustc-style against the `source` it refers
+    /// to, as [`LintReport::render_human`] renders each of its findings.
+    pub fn render_human(&self, source: &str, source_name: &str) -> String {
+        let lines: Vec<&str> = source.lines().collect();
+        let mut out = String::new();
+        self.write_human(&mut out, &lines, source_name);
+        out
+    }
+
+    fn write_human(&self, out: &mut String, lines: &[&str], source_name: &str) {
+        out.push_str(&format!(
+            "{}[{}]: {}\n",
+            self.severity, self.code, self.message
+        ));
+        if self.span.is_known() {
+            out.push_str(&format!(
+                "  --> {source_name}:{}:{}\n",
+                self.span.line, self.span.column
+            ));
+            if let Some(text) = lines.get(self.span.line.wrapping_sub(1)) {
+                let gut = self.span.line.to_string();
+                let pad = " ".repeat(gut.len());
+                out.push_str(&format!(" {pad} |\n"));
+                out.push_str(&format!(" {gut} | {text}\n"));
+                let caret_pad = " ".repeat(self.span.column.saturating_sub(1));
+                out.push_str(&format!(" {pad} | {caret_pad}^\n"));
+            }
+        } else {
+            out.push_str(&format!("  --> {source_name}\n"));
+        }
+        out.push('\n');
+    }
 }
 
 impl fmt::Display for Diagnostic {
@@ -127,24 +180,7 @@ impl LintReport {
         let lines: Vec<&str> = self.source.lines().collect();
         let mut out = String::new();
         for d in &self.diagnostics {
-            out.push_str(&format!("{}[{}]: {}\n", d.severity, d.code, d.message));
-            if d.span.is_known() {
-                out.push_str(&format!(
-                    "  --> {source_name}:{}:{}\n",
-                    d.span.line, d.span.column
-                ));
-                if let Some(text) = lines.get(d.span.line.wrapping_sub(1)) {
-                    let gut = d.span.line.to_string();
-                    let pad = " ".repeat(gut.len());
-                    out.push_str(&format!(" {pad} |\n"));
-                    out.push_str(&format!(" {gut} | {text}\n"));
-                    let caret_pad = " ".repeat(d.span.column.saturating_sub(1));
-                    out.push_str(&format!(" {pad} | {caret_pad}^\n"));
-                }
-            } else {
-                out.push_str(&format!("  --> {source_name}\n"));
-            }
-            out.push('\n');
+            d.write_human(&mut out, &lines, source_name);
         }
         out.push_str(&format!("lint: {}\n", self.summary()));
         out
@@ -212,26 +248,17 @@ pub fn lint_source(src: &str) -> Result<LintReport> {
 /// clearance itself is a declared level.
 pub fn lint_source_at(src: &str, clearance: Option<&str>) -> Result<LintReport> {
     let prog = parse_items(src)?;
-    let mut diagnostics = lint_program(&prog, clearance);
-    sort_diagnostics(&mut diagnostics);
-    Ok(LintReport {
-        diagnostics,
-        source: src.to_owned(),
-    })
+    Ok(lint_program(&prog, src, clearance))
 }
 
-/// Run every check over an already-parsed program: the admissibility
-/// checks ML0101–ML0106 that [`MultiLogDb::new`](crate::MultiLogDb::new)
-/// refuses a database on (here over the queries too), the clearance,
-/// and the warnings. Diagnostics are returned unsorted; [`lint_source`]
-/// sorts errors first, then by span.
-pub fn lint_program(prog: &ParsedProgram, clearance: Option<&str>) -> Vec<Diagnostic> {
+/// Run every check over an already-parsed program (`src` is its text,
+/// kept for rendering): the load's error checks that
+/// [`MultiLogDb::new`](crate::MultiLogDb::new) refuses a database on
+/// (here over the queries too), the clearance, and the warnings.
+pub fn lint_program(prog: &ParsedProgram, src: &str, clearance: Option<&str>) -> LintReport {
     let mut ctx = Ctx::new(prog, clearance);
-    let admissibility = ctx.p.admissibility(); // ML0101–ML0106
-    ctx.out = admissibility
-        .into_iter()
-        .map(Finding::into_diagnostic)
-        .collect();
+    let refusals = ctx.p.admissibility(); // ML0101–ML0106, ML0113, ML0008
+    ctx.out = refusals.into_iter().map(Finding::into_diagnostic).collect();
     ctx.check_clearance_declared(); //        ML0103 (the clearance)
     ctx.check_statically_empty(); //          ML0107
     ctx.check_unsatisfiable_dominance(); //   ML0108
@@ -239,14 +266,11 @@ pub fn lint_program(prog: &ParsedProgram, clearance: Option<&str>) -> Vec<Diagno
     ctx.check_cover_story_conflicts(); //     ML0110
     ctx.check_unused_predicates(); //         ML0111
     ctx.check_singleton_variables(); //       ML0112
-    ctx.check_arity_mismatches(); //          ML0113
     ctx.check_invisible_at_clearance(); //    ML0114
-    ctx.check_algo_and_aggregates(); //       ML0008 (shared with Datalog)
-    ctx.out
+    LintReport::from_parts(ctx.out, src.to_owned())
 }
 
-/// Errors first, then source order, then code — matching
-/// `multilog_datalog::analyze::sort_lints`.
+/// Errors first, then source order, then code.
 fn sort_diagnostics(diags: &mut [Diagnostic]) {
     diags.sort_by(|a, b| {
         (b.severity == Severity::Error)
@@ -271,7 +295,7 @@ pub(crate) struct Finding {
 }
 
 impl Finding {
-    fn into_diagnostic(self) -> Diagnostic {
+    pub(crate) fn into_diagnostic(self) -> Diagnostic {
         let message = match self.error {
             MultiLogError::UnsafeVariable { variable, clause } => {
                 format!("head variable `{variable}` does not occur in the body of `{clause}`")
@@ -282,7 +306,8 @@ impl Finding {
                 )
             }
             MultiLogError::NotAdmissible { detail }
-            | MultiLogError::NotBeliefStratified { detail } => detail,
+            | MultiLogError::NotBeliefStratified { detail }
+            | MultiLogError::IllFormed { detail } => detail,
             other => other.to_string(),
         };
         Diagnostic {
@@ -311,9 +336,8 @@ fn undeclared_label(span: Span, detail: String) -> Finding {
 pub(crate) struct Program<'p> {
     /// Every clause, in source order.
     clauses: &'p [Clause],
-    /// The queries the checks also cover, with their spans: the lint
-    /// passes the program's, the gate none.
-    queries: Vec<(&'p Goal, Span)>,
+    /// The queries Q, with their spans (unknown where none is given).
+    pub(crate) queries: Vec<(&'p Goal, Span)>,
     lambda: Vec<&'p Clause>,
     sigma: Vec<&'p Clause>,
     pi: Vec<&'p Clause>,
@@ -330,7 +354,12 @@ pub(crate) struct Program<'p> {
 }
 
 impl<'p> Program<'p> {
-    pub(crate) fn new(clauses: &'p [Clause], queries: Vec<(&'p Goal, Span)>) -> Self {
+    pub(crate) fn new(clauses: &'p [Clause], queries: &'p [Goal], spans: &[Span]) -> Self {
+        let queries = queries
+            .iter()
+            .enumerate()
+            .map(|(i, q)| (q, spans.get(i).copied().unwrap_or_else(Span::unknown)))
+            .collect();
         let mut lambda = Vec::new();
         let mut sigma = Vec::new();
         let mut pi = Vec::new();
@@ -363,8 +392,9 @@ impl<'p> Program<'p> {
         }
     }
 
-    /// The clearance-free admissibility checks ML0101–ML0106, in code
-    /// order and then source order. An admissible program has none.
+    /// The clearance-free error checks: admissibility ML0101–ML0106,
+    /// then ML0113 and ML0008, each in source order. A program the load
+    /// admits has none.
     pub(crate) fn admissibility(&self) -> Vec<Finding> {
         let mut out = Vec::new();
         self.check_unsafe_variables(&mut out); //      ML0101
@@ -373,6 +403,8 @@ impl<'p> Program<'p> {
         self.check_lattice_cycle(&mut out); //         ML0104
         self.check_belief_stratification(&mut out); // ML0105
         self.check_modes_known(&mut out); //           ML0106
+        self.check_arity_mismatches(&mut out); //      ML0113
+        self.check_algo_and_aggregates(&mut out); //   ML0008
         out
     }
 
@@ -601,6 +633,171 @@ impl<'p> Program<'p> {
             }
         }
     }
+
+    // ML0113 — a p-predicate used with two different arities (m-atoms
+    // are fixed-shape, so only p-atoms can disagree): τ would map the two
+    // uses to one Datalog relation.
+    fn check_arity_mismatches(&self, out: &mut Vec<Finding>) {
+        let mut arities: HashMap<&str, (usize, Span)> = HashMap::new();
+        let clauses = self.clauses.iter().map(|c| {
+            let head = match &c.head {
+                Head::P(p) => Some(p),
+                _ => None,
+            };
+            (head, &c.body[..], c.span)
+        });
+        let queries = self.queries.iter().map(|&(q, span)| (None, &q[..], span));
+        for (head, body, span) in clauses.chain(queries) {
+            let body = body.iter().filter_map(|a| match a {
+                Atom::P(p) => Some(p),
+                _ => None,
+            });
+            for p in head.into_iter().chain(body) {
+                let arity = p.args.len();
+                match arities.get(p.pred.as_ref()) {
+                    Some(&(prev, prev_span)) if prev != arity => out.push(Finding {
+                        code: "ML0113",
+                        name: "arity-mismatch",
+                        span,
+                        error: MultiLogError::IllFormed {
+                            detail: format!(
+                                "predicate `{}` used with arity {arity} but first used \
+                                 with arity {prev} at {prev_span}",
+                                p.pred
+                            ),
+                        },
+                    }),
+                    Some(_) => {}
+                    None => {
+                        arities.insert(p.pred.as_ref(), (arity, span));
+                    }
+                }
+            }
+        }
+    }
+
+    // ML0008 — algorithm-operator and aggregate misuse: an unknown
+    // `@algo(...)` operator, a call with the wrong arity, and an
+    // aggregate body or operator input inside its head's recursive
+    // component (the fold needs its input complete before it runs, so no
+    // stratification exists).
+    fn check_algo_and_aggregates(&self, out: &mut Vec<Finding>) {
+        let mut push = |name, c: &Clause, detail| {
+            out.push(Finding {
+                code: "ML0008",
+                name,
+                span: c.span,
+                error: MultiLogError::IllFormed { detail },
+            });
+        };
+        let mut consumers = false;
+        for c in self.clauses {
+            consumers |= c.agg.is_some();
+            for (name, p) in algo_calls(c) {
+                consumers = true;
+                if let Some((name, detail)) = algo_call_problem(name, p.args.len()) {
+                    push(name, c, detail);
+                }
+            }
+        }
+        if !consumers {
+            return;
+        }
+        // The rule dependency graph over `m:`/`p:` nodes; facts add no
+        // edges, so they stay out of it.
+        let rules = || self.clauses.iter().filter(|c| !c.body.is_empty());
+        let mut index: HashMap<String, usize> = HashMap::new();
+        let mut edges: Vec<(usize, usize, bool)> = Vec::new();
+        for c in rules() {
+            let Some(head) = head_node(&c.head) else {
+                continue;
+            };
+            let h = intern(&mut index, head);
+            for dep in c.body.iter().filter_map(dep_node) {
+                edges.push((intern(&mut index, dep), h, false));
+            }
+        }
+        let mut names = vec![String::new(); index.len()];
+        for (name, i) in index {
+            names[i] = name;
+        }
+        let graph = DepGraph::from_edges(names, edges);
+        for c in rules() {
+            // What must be complete before the clause fires: an
+            // aggregate's whole body, an operator's input relation.
+            let inputs: Vec<String> = if c.agg.is_some() {
+                c.body.iter().filter_map(dep_node).collect()
+            } else {
+                algo_calls(c).filter_map(|(_, p)| algo_input(p)).collect()
+            };
+            let Some(head) = head_node(&c.head).filter(|_| !inputs.is_empty()) else {
+                continue;
+            };
+            let Some(dep) = inputs.iter().find(|dep| graph.same_scc(dep, &head)) else {
+                continue;
+            };
+            let head = &head[2..];
+            let reads = match &dep[2..] {
+                dep if dep == head => format!("its own head predicate `{head}`"),
+                dep => format!("`{dep}`, which is recursive with its head `{head}`"),
+            };
+            let detail = if c.agg.is_some() {
+                format!(
+                    "aggregate clause `{c}` reads {reads} — aggregation through \
+                     recursion is not stratifiable"
+                )
+            } else {
+                format!(
+                    "`{c}` runs an operator over {reads} — an operator's input must be \
+                     complete before it runs"
+                )
+            };
+            push("aggregation-through-recursion", c, detail);
+        }
+    }
+}
+
+/// The `@algo(...)` calls in a clause body, with the operator name.
+fn algo_calls(c: &Clause) -> impl Iterator<Item = (&str, &PAtom)> {
+    c.body.iter().filter_map(|a| match a {
+        Atom::P(p) => p.pred.strip_prefix('@').map(|name| (name, p)),
+        _ => None,
+    })
+}
+
+/// The relation an `@algo(input, ...)` call reads, as a `p:` node.
+fn algo_input(p: &PAtom) -> Option<String> {
+    match p.args.first() {
+        Some(Term::Sym(input)) => Some(format!("p:{input}")),
+        _ => None,
+    }
+}
+
+/// A clause head as a dependency-graph node (`m:` or `p:` namespace);
+/// Λ heads are not part of the rule graph.
+fn head_node(h: &Head) -> Option<String> {
+    match h {
+        Head::M(m) => Some(format!("m:{}", m.pred)),
+        Head::P(p) => Some(format!("p:{}", p.pred)),
+        Head::L(_) | Head::H(_, _) => None,
+    }
+}
+
+/// The node a body atom depends on: its predicate, or the input relation
+/// of an `@algo` call.
+fn dep_node(a: &Atom) -> Option<String> {
+    match a {
+        Atom::M(m) | Atom::B(m, _) => Some(format!("m:{}", m.pred)),
+        Atom::P(p) if p.pred.starts_with('@') => algo_input(p),
+        Atom::P(p) => Some(format!("p:{}", p.pred)),
+        _ => None,
+    }
+}
+
+/// The index of node `n`, adding it when new.
+fn intern(index: &mut HashMap<String, usize>, n: String) -> usize {
+    let next = index.len();
+    *index.entry(n).or_insert(next)
 }
 
 /// Shared analysis state: the partitioned program and its lattice, the
@@ -614,31 +811,20 @@ struct Ctx<'p> {
 
 impl<'p> Ctx<'p> {
     fn new(prog: &'p ParsedProgram, clearance: Option<&'p str>) -> Self {
-        // Spans parallel `queries`.
-        let queries = prog.queries.iter().enumerate().map(|(i, q)| {
-            let span = prog.query_spans.get(i).copied();
-            (q, span.unwrap_or_else(Span::unknown))
-        });
         Ctx {
             prog,
             clearance,
-            p: Program::new(&prog.clauses, queries.collect()),
+            p: Program::new(&prog.clauses, &prog.queries, &prog.query_spans),
             out: Vec::new(),
         }
     }
 
-    fn push(
-        &mut self,
-        code: &'static str,
-        name: &'static str,
-        sev: Severity,
-        span: Span,
-        message: String,
-    ) {
+    /// Record a warning: every error is a [`Program`] finding.
+    fn warn(&mut self, code: &'static str, name: &'static str, span: Span, message: String) {
         self.out.push(Diagnostic {
             code,
             name,
-            severity: sev,
+            severity: Severity::Warning,
             span,
             message,
         });
@@ -710,13 +896,7 @@ impl<'p> Ctx<'p> {
             }
         }
         for (span, msg) in found {
-            self.push(
-                "ML0107",
-                "statically-empty-rule",
-                Severity::Warning,
-                span,
-                msg,
-            );
+            self.warn("ML0107", "statically-empty-rule", span, msg);
         }
     }
 
@@ -756,13 +936,7 @@ impl<'p> Ctx<'p> {
             check(q, span, &|| "the query".to_owned(), &mut found);
         }
         for (span, msg) in found {
-            self.push(
-                "ML0108",
-                "unsatisfiable-dominance",
-                Severity::Warning,
-                span,
-                msg,
-            );
+            self.warn("ML0108", "unsatisfiable-dominance", span, msg);
         }
     }
 
@@ -803,13 +977,7 @@ impl<'p> Ctx<'p> {
             check(q, span, &mut found);
         }
         for (span, msg) in found {
-            self.push(
-                "ML0109",
-                "belief-mode-degenerate",
-                Severity::Warning,
-                span,
-                msg,
-            );
+            self.warn("ML0109", "belief-mode-degenerate", span, msg);
         }
     }
 
@@ -891,13 +1059,7 @@ impl<'p> Ctx<'p> {
             }
         }
         for (span, msg) in found {
-            self.push(
-                "ML0110",
-                "conflicting-cover-story",
-                Severity::Warning,
-                span,
-                msg,
-            );
+            self.warn("ML0110", "conflicting-cover-story", span, msg);
         }
     }
 
@@ -905,40 +1067,18 @@ impl<'p> Ctx<'p> {
     // query is reachable is dead weight. `bel/7` is exempt (consulted
     // implicitly by user-mode b-atoms), as are l-/h-heads (the lattice is
     // always live). Reachability itself is the shared kernel
-    // `multilog_datalog::analyze::shared::reachable`, so this check and
-    // the Datalog-level ML0005 cannot drift.
+    // `multilog_datalog::analyze::reachable`.
     fn check_unused_predicates(&mut self) {
         if self.prog.queries.is_empty() {
             return;
         }
-        type Node = (&'static str, Arc<str>);
-        fn atom_node(a: &Atom) -> Option<Node> {
-            match a {
-                Atom::M(m) | Atom::B(m, _) => Some(("m", m.pred.clone())),
-                Atom::P(p) => Some(("p", p.pred.clone())),
-                _ => None,
-            }
-        }
-        fn head_node(h: &Head) -> Option<Node> {
-            match h {
-                Head::M(m) => Some(("m", m.pred.clone())),
-                Head::P(p) => Some(("p", p.pred.clone())),
-                Head::L(_) | Head::H(_, _) => None,
-            }
-        }
-        fn intern(index: &mut HashMap<Node, usize>, n: Node) -> usize {
-            let next = index.len();
-            *index.entry(n).or_insert(next)
-        }
-        // Intern every (kind, pred) node, collect head→body edges and the
+        // Intern every `m:`/`p:` node, collect head→body edges and the
         // query seeds, then ask the shared kernel what is live.
-        let mut index: HashMap<Node, usize> = HashMap::new();
+        let mut index: HashMap<String, usize> = HashMap::new();
         let mut seeds: Vec<usize> = Vec::new();
         for q in &self.prog.queries {
-            for a in q {
-                if let Some(n) = atom_node(a) {
-                    seeds.push(intern(&mut index, n));
-                }
+            for n in q.iter().filter_map(dep_node) {
+                seeds.push(intern(&mut index, n));
             }
         }
         // b-atoms in user modes consult bel/7, and bel/7 bodies may
@@ -950,58 +1090,50 @@ impl<'p> Ctx<'p> {
             .flat_map(|c| &c.body)
             .chain(self.prog.queries.iter().flatten())
             .any(|a| matches!(a, Atom::B(_, _)));
+        let bel = format!("p:{}", crate::modes::BEL);
         if any_b {
-            seeds.push(intern(&mut index, ("p", Arc::from(crate::modes::BEL))));
+            seeds.push(intern(&mut index, bel.clone()));
         }
+        // `@algo(input, …)` consults its input relation by name, so the
+        // input is live whenever the calling rule is (`dep_node`).
         let mut edges: Vec<(usize, usize)> = Vec::new();
         for c in &self.prog.clauses {
             let Some(h) = head_node(&c.head) else {
                 continue;
             };
             let hi = intern(&mut index, h);
-            for a in &c.body {
-                if let Some(dep) = atom_node(a) {
-                    let di = intern(&mut index, dep);
-                    edges.push((hi, di));
-                }
-                // `@algo(input, …)` consults its input relation by name:
-                // the input predicate is live whenever the calling rule
-                // is (mirrors the Datalog layer's ML0004 behavior).
-                if let Atom::P(p) = a {
-                    if p.pred.starts_with('@') {
-                        if let Some(Term::Sym(input)) = p.args.first() {
-                            let di = intern(&mut index, ("p", input.clone()));
-                            edges.push((hi, di));
-                        }
-                    }
-                }
+            for dep in c.body.iter().filter_map(dep_node) {
+                edges.push((hi, intern(&mut index, dep)));
             }
         }
-        let live = multilog_datalog::analyze::shared::reachable(index.len(), &edges, seeds);
+        let live = reachable(index.len(), &edges, seeds);
         let mut found: Vec<(Span, String)> = Vec::new();
-        let mut reported: HashSet<Node> = HashSet::new();
+        let mut reported: HashSet<String> = HashSet::new();
         for c in &self.prog.clauses {
             let Some(n) = head_node(&c.head) else {
                 continue;
             };
-            if n.1.as_ref() == crate::modes::BEL {
+            if n == bel {
                 continue;
             }
             let dead = index.get(&n).is_none_or(|&i| !live[i]);
             if dead && reported.insert(n.clone()) {
-                let kind = if n.0 == "m" {
+                let kind = if n.starts_with("m:") {
                     "m-predicate"
                 } else {
                     "predicate"
                 };
                 found.push((
                     c.span,
-                    format!("{kind} `{}` is defined but unreachable from any query", n.1),
+                    format!(
+                        "{kind} `{}` is defined but unreachable from any query",
+                        &n[2..]
+                    ),
                 ));
             }
         }
         for (span, msg) in found {
-            self.push("ML0111", "unused-predicate", Severity::Warning, span, msg);
+            self.warn("ML0111", "unused-predicate", span, msg);
         }
     }
 
@@ -1035,8 +1167,8 @@ impl<'p> Ctx<'p> {
                 }
             }
             // Counting and the `_`-prefix exemption live in the shared
-            // kernel, keeping this in lockstep with Datalog's ML0006.
-            for v in multilog_datalog::analyze::shared::singleton_variables(occurrences) {
+            // kernel.
+            for v in singleton_variables(occurrences) {
                 found.push((
                     span,
                     format!(
@@ -1048,54 +1180,7 @@ impl<'p> Ctx<'p> {
             i = j;
         }
         for (span, msg) in found {
-            self.push("ML0112", "singleton-variable", Severity::Warning, span, msg);
-        }
-    }
-
-    // ML0113 — a p-predicate used with two different arities.
-    fn check_arity_mismatches(&mut self) {
-        let mut arities: HashMap<Arc<str>, (usize, Span)> = HashMap::new();
-        let mut found: Vec<(Span, String)> = Vec::new();
-        let check = |pred: &Arc<str>,
-                     arity: usize,
-                     span: Span,
-                     found: &mut Vec<(Span, String)>,
-                     arities: &mut HashMap<Arc<str>, (usize, Span)>| {
-            match arities.get(pred) {
-                Some((prev, prev_span)) if *prev != arity => {
-                    found.push((
-                        span,
-                        format!(
-                            "predicate `{pred}` used with arity {arity} but first used \
-                             with arity {prev} at {prev_span}"
-                        ),
-                    ));
-                }
-                Some(_) => {}
-                None => {
-                    arities.insert(pred.clone(), (arity, span));
-                }
-            }
-        };
-        for c in &self.prog.clauses {
-            if let Head::P(p) = &c.head {
-                check(&p.pred, p.args.len(), c.span, &mut found, &mut arities);
-            }
-            for a in &c.body {
-                if let Atom::P(p) = a {
-                    check(&p.pred, p.args.len(), c.span, &mut found, &mut arities);
-                }
-            }
-        }
-        for &(q, span) in &self.p.queries {
-            for a in q {
-                if let Atom::P(p) = a {
-                    check(&p.pred, p.args.len(), span, &mut found, &mut arities);
-                }
-            }
-        }
-        for (span, msg) in found {
-            self.push("ML0113", "arity-mismatch", Severity::Error, span, msg);
+            self.warn("ML0112", "singleton-variable", span, msg);
         }
     }
 
@@ -1139,75 +1224,7 @@ impl<'p> Ctx<'p> {
             check(q, span, &mut found);
         }
         for (span, msg) in found {
-            self.push(
-                "ML0114",
-                "invisible-at-clearance",
-                Severity::Warning,
-                span,
-                msg,
-            );
-        }
-    }
-
-    // ML0008 — algorithm-operator and aggregation misuse, surfacing the
-    // Datalog layer's lint of the same code at the MultiLog surface:
-    // unknown `@algo(...)` operators, wrong call arity, and an aggregate
-    // clause reading its own head predicate (the fold needs its input
-    // complete before it runs — no stratification exists).
-    fn check_algo_and_aggregates(&mut self) {
-        let registry = multilog_datalog::algo::registry();
-        let mut found: Vec<(&'static str, Span, String)> = Vec::new();
-        for c in &self.prog.clauses {
-            for a in &c.body {
-                let Atom::P(p) = a else { continue };
-                let Some(name) = p.pred.strip_prefix('@') else {
-                    continue;
-                };
-                match registry.get(name) {
-                    None => found.push((
-                        "unknown-algo",
-                        c.span,
-                        format!(
-                            "unknown algorithm operator `@{name}` (known: {})",
-                            registry.names().join(", ")
-                        ),
-                    )),
-                    // args = the input relation plus the output terms.
-                    Some(op) if p.args.len() != op.arity() + 1 => found.push((
-                        "algo-call-arity",
-                        c.span,
-                        format!(
-                            "`@{name}(...)` called with {} argument terms, but the \
-                             operator takes {}",
-                            p.args.len().saturating_sub(1),
-                            op.arity()
-                        ),
-                    )),
-                    Some(_) => {}
-                }
-            }
-            if c.agg.is_some() {
-                if let Head::P(hp) = &c.head {
-                    let recursive = c
-                        .body
-                        .iter()
-                        .any(|a| matches!(a, Atom::P(p) if p.pred == hp.pred));
-                    if recursive {
-                        found.push((
-                            "aggregation-through-recursion",
-                            c.span,
-                            format!(
-                                "aggregate clause `{c}` reads its own head predicate \
-                                 `{}` — aggregation through recursion is not stratifiable",
-                                hp.pred
-                            ),
-                        ));
-                    }
-                }
-            }
-        }
-        for (name, span, msg) in found {
-            self.push("ML0008", name, Severity::Error, span, msg);
+            self.warn("ML0114", "invisible-at-clearance", span, msg);
         }
     }
 }
@@ -1427,8 +1444,15 @@ mod tests {
 
     #[test]
     fn ml0008_unknown_algo_and_call_arity() {
-        let unknown = names("edge(a, b). r(X, Y) <- @nope(edge, X, Y). <- r(X, Y).");
-        assert!(unknown.contains(&"unknown-algo"), "{unknown:?}");
+        let report = lint_source("edge(a, b). r(X, Y) <- @nope(edge, X, Y). <- r(X, Y).").unwrap();
+        let hit = report
+            .diagnostics
+            .iter()
+            .find(|d| d.name == "unknown-algo")
+            .unwrap();
+        assert_eq!(hit.severity, Severity::Error);
+        assert!(hit.message.contains("@nope"), "{}", hit.message);
+        assert!(hit.message.contains("bfs"), "{}", hit.message);
 
         let arity = names("edge(a, b). r(X) <- @bfs(edge, X). <- r(X).");
         assert!(arity.contains(&"algo-call-arity"), "{arity:?}");
@@ -1449,6 +1473,18 @@ mod tests {
             firing.contains(&"aggregation-through-recursion"),
             "{firing:?}"
         );
+        // Mutual recursion through another rule, for an aggregate body
+        // and for an operator's input relation.
+        for src in [
+            "e(a, b). t(X, N) <- e(X, Y), n(Y, N). n(Y, count(Z)) <- t(Y, Z).",
+            "e(a, b). e(X, Y) <- r(X, Y). r(X, Y) <- @bfs(e, X, Y).",
+        ] {
+            let firing = names(src);
+            assert!(
+                firing.contains(&"aggregation-through-recursion"),
+                "{src}: {firing:?}"
+            );
+        }
 
         let clean = names(
             "part(a, b).\n\
@@ -1465,8 +1501,13 @@ mod tests {
     fn algo_input_predicate_is_not_unused() {
         // `edge` is referenced only as the input relation of `@bfs`; the
         // liveness pass must treat the call as a read so ML0111 stays
-        // quiet (mirrors the Datalog layer's ML0004 behaviour).
-        let report = lint_source("edge(a, b). r(X, Y) <- @bfs(edge, X, Y). <- r(a, Y).").unwrap();
+        // quiet. Likewise `visit`, read only inside an aggregate body.
+        let report = lint_source(
+            "edge(a, b). r(X, Y) <- @bfs(edge, X, Y).\n\
+             visit(a, u1). hits(P, count(U)) <- visit(P, U).\n\
+             <- r(a, Y), hits(a, N).",
+        )
+        .unwrap();
         let unused: Vec<_> = report
             .diagnostics
             .iter()

@@ -1,8 +1,9 @@
-//! One admissibility verdict for every engine: each ML0101–ML0106
-//! trigger from docs/LINTS.md is reported by the lint under its code,
-//! refused by `parse_database` with that code's typed error, and refused
-//! the same way on the way to the operational engine, the reduced engine
-//! and a belief server reader.
+//! One admissibility verdict for every engine: each trigger of a
+//! clearance-free lint error (ML0008, ML0101–ML0106, ML0113) from
+//! docs/LINTS.md is reported by the lint under its code, refused by
+//! `parse_database` with that code's typed error, and refused the same
+//! way on the way to the operational engine, the reduced engine, demand
+//! evaluation and a belief server reader.
 
 // Test code: unwraps are the assertion.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -38,7 +39,8 @@ fn typed(code: &str) -> MultiLogError {
         "ML0102" | "ML0103" | "ML0104" => MultiLogError::NotAdmissible { detail },
         "ML0105" => MultiLogError::NotBeliefStratified { detail },
         "ML0106" => MultiLogError::UnknownMode(detail),
-        other => panic!("{other} is not an admissibility code"),
+        "ML0113" | "ML0008" => MultiLogError::IllFormed { detail },
+        other => panic!("{other} is not a load-refusal code"),
     }
 }
 
@@ -66,7 +68,9 @@ fn refusals(src: &str, user: &str) -> Vec<(&'static str, MultiLogError)> {
 
 #[test]
 fn every_engine_refuses_each_admissibility_trigger_as_the_load_does() {
-    for code in ["ML0101", "ML0102", "ML0103", "ML0104", "ML0105", "ML0106"] {
+    for code in [
+        "ML0008", "ML0101", "ML0102", "ML0103", "ML0104", "ML0105", "ML0106", "ML0113",
+    ] {
         let src = trigger(code);
         let report = lint_source(&src).unwrap();
         assert!(
@@ -105,6 +109,35 @@ fn engines_agree_on_same_level_cau_and_unknown_rule_modes() {
         assert_eq!(discriminant(&refused), want, "{refused:?}");
         for (path, error) in refusals(src, "s") {
             assert_eq!(error, refused, "{src}: the {path} path");
+        }
+    }
+}
+
+#[test]
+fn stored_queries_are_checked_at_load() {
+    // The queries Q are part of the database: a clearance-free lint
+    // error in one refuses the load like an error in a clause.
+    let base = "level(u). level(s). order(u, s). u[p(k : a -u-> v)]. q(a).\n";
+    for (query, code) in [
+        ("<- x[p(K : a -u-> V)].", "ML0103"),
+        ("<- s[p(K : a -u-> V)] << foo.", "ML0106"),
+        ("<- q(X, Y).", "ML0113"),
+    ] {
+        let src = format!("{base}{query}");
+        let report = lint_source(&src).unwrap();
+        assert!(
+            report.diagnostics.iter().any(|d| d.code == code),
+            "lint misses {code} on {src:?}: {:?}",
+            report.diagnostics
+        );
+        let refused = parse_database(&src).expect_err(code);
+        assert_eq!(
+            discriminant(&refused),
+            discriminant(&typed(code)),
+            "{refused:?}"
+        );
+        for (path, error) in refusals(&src, "s") {
+            assert_eq!(error, refused, "{code}: the {path} path");
         }
     }
 }

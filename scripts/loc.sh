@@ -4,10 +4,10 @@
 # `#[cfg(test)]`. The same count EXPERIMENTS.md reports code deltas in.
 #
 # Usage: scripts/loc.sh [DIR ...]
-#   default DIRs: crates/datalog/src crates/multilog/src
+#   default DIRs: crates/datalog/src crates/multilog/src crates/cli/src
 # Prints one `<lines> <dir>` line per directory, then `<lines> total`.
 set -eu
-[ "$#" -gt 0 ] || set -- crates/datalog/src crates/multilog/src
+[ "$#" -gt 0 ] || set -- crates/datalog/src crates/multilog/src crates/cli/src
 total=0
 for dir in "$@"; do
   n=0
