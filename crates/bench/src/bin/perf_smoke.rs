@@ -34,6 +34,10 @@
 //!   tombstone words any one commit copied to detach relations still shared
 //!   with the published generation: deterministic, and bounded by the
 //!   short segment tails rather than by relation size.
+//!   `join_probes_max` is the most join probes any one commit's rule
+//!   plans made: deterministic, and bounded by the rows that share a
+//!   delta fact's full join key once joins drive from their most
+//!   selective bound column, rather than by the `data` relation's size.
 //! * `social_reach_{operator,rules}` — full reachability over a
 //!   power-law social graph, computed by the native `@bfs` operator vs.
 //!   the equivalent rule-at-a-time transitive closure (identical `reach`
@@ -635,6 +639,10 @@ struct ConcurrentChurnResult {
     ///
     /// [`CommitStats::detached_cells`]: multilog_datalog::CommitStats
     detached_cells_max: usize,
+    /// The most [`CommitStats::join_probes`] in any one commit.
+    ///
+    /// [`CommitStats::join_probes`]: multilog_datalog::CommitStats
+    join_probes_max: u64,
 }
 
 /// Run `readers` reader threads against a [`BeliefServer`] while the
@@ -678,6 +686,7 @@ fn run_concurrent_churn(readers: usize, commits: usize) -> ConcurrentChurnResult
     let mut strata_recomputed = 0usize;
     let mut commit_engines_max = 0usize;
     let mut detached_cells_max = 0usize;
+    let mut join_probes_max = 0u64;
     let clock = Instant::now();
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
@@ -756,6 +765,11 @@ fn run_concurrent_churn(readers: usize, commits: usize) -> ConcurrentChurnResult
                 .values()
                 .map(|s| s.detached_cells)
                 .fold(detached_cells_max, usize::max);
+            join_probes_max = summary
+                .levels
+                .values()
+                .map(|s| s.join_probes)
+                .fold(join_probes_max, u64::max);
             publishes.push(clock.elapsed().as_secs_f64() * 1e6);
             if flipping {
                 top_reader.refresh();
@@ -806,6 +820,7 @@ fn run_concurrent_churn(readers: usize, commits: usize) -> ConcurrentChurnResult
         strata_recomputed,
         commit_engines_max,
         detached_cells_max,
+        join_probes_max,
     }
 }
 
@@ -1190,8 +1205,12 @@ fn main() {
         churn.commit_engines_max
     ));
     json.push_str(&format!(
-        "    \"detached_cells_max\": {}\n",
+        "    \"detached_cells_max\": {},\n",
         churn.detached_cells_max
+    ));
+    json.push_str(&format!(
+        "    \"join_probes_max\": {}\n",
+        churn.join_probes_max
     ));
     json.push_str("  },\n");
     if let Some(mb) = xl_peak_rss_mb {

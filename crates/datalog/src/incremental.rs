@@ -127,6 +127,12 @@ pub struct CommitStats {
     /// commit copied, and of what dropping the superseded generation
     /// frees.
     pub detached_cells: usize,
+    /// Join probes (rows enumerated by scans, see
+    /// [`RuleStats::join_probes`](crate::RuleStats::join_probes)) of
+    /// every rule plan the commit ran: the overestimate, rederive,
+    /// propagate and recompute phases summed. A deterministic measure of
+    /// the commit's join work.
+    pub join_probes: u64,
     /// Wall-clock time of the commit, in milliseconds. The phase timings
     /// above cover disjoint parts of it, so they sum to at most this.
     pub wall_ms: f64,
@@ -704,7 +710,8 @@ impl IncrementalEngine {
                 // stratum, from its base facts; the diff feeds higher
                 // strata like any other change.
                 let phase = Instant::now();
-                recompute_stratum(&rules_engine(), s, preds, db, base, guard, &mut changes)?;
+                stats.join_probes +=
+                    recompute_stratum(&rules_engine(), s, preds, db, base, guard, &mut changes)?;
                 stats.recompute_ms += ms_since(phase);
                 stats.strata_recomputed += 1;
                 continue;
@@ -723,6 +730,7 @@ impl IncrementalEngine {
                 plans: &mut *plans,
                 rules,
                 idxs: rule_idxs,
+                probes: &mut stats.join_probes,
             };
 
             // Phase A: deletion overestimate, evaluated against the lower
@@ -813,7 +821,8 @@ impl IncrementalEngine {
             stats.overestimate_ms += ms_since(phase);
             if fell_back {
                 let phase = Instant::now();
-                recompute_stratum(&rules_engine(), s, preds, db, base, guard, &mut changes)?;
+                stats.join_probes +=
+                    recompute_stratum(&rules_engine(), s, preds, db, base, guard, &mut changes)?;
                 stats.recompute_ms += ms_since(phase);
                 stats.strata_recomputed += 1;
                 continue;
@@ -1105,6 +1114,8 @@ struct StratumRules<'a> {
     rules: &'a [Clause],
     /// Indexes into `rules` of the stratum's rules.
     idxs: &'a [usize],
+    /// Where the plans' join probes are summed.
+    probes: &'a mut u64,
 }
 
 impl StratumRules<'_> {
@@ -1130,7 +1141,9 @@ impl StratumRules<'_> {
         };
         ensure_plan_indexes(db, plan);
         let mut out = FactBuf::default();
-        plan.eval(db, batch, scratch, &mut out, guard)?;
+        let result = plan.eval(db, batch, scratch, &mut out, guard);
+        *self.probes += scratch.take_probes();
+        result?;
         Ok((plan.head_pred, out))
     }
 
@@ -1169,7 +1182,8 @@ impl StratumRules<'_> {
 /// base facts, run the batch engine's stratum step
 /// ([`Engine::eval_stratum`]: operators, aggregate folds, then the
 /// semi-naive fixpoint) over the complete lower strata, and diff against
-/// the old contents so higher strata see exact deltas.
+/// the old contents so higher strata see exact deltas. Returns the
+/// stratum's join probes.
 fn recompute_stratum(
     engine: &Engine<'_>,
     s: usize,
@@ -1178,7 +1192,7 @@ fn recompute_stratum(
     base: &Database,
     guard: &EvalGuard,
     changes: &mut FxHashMap<SymId, PredDelta>,
-) -> Result<()> {
+) -> Result<u64> {
     let mut sorted_preds: Vec<SymId> = preds.iter().copied().collect();
     sorted_preds.sort_unstable();
     let mut old = Database::new();
@@ -1186,7 +1200,8 @@ fn recompute_stratum(
         old.reset_relation_id(pred, db);
         db.reset_relation_id(pred, base);
     }
-    engine.eval_stratum(s, None, &[], db, &mut EvalStats::default(), guard)?;
+    let mut stats = EvalStats::default();
+    engine.eval_stratum(s, None, &[], db, &mut stats, guard)?;
     for pred in sorted_preds {
         let (old, new) = (old.relation_id(pred), db.relation_id(pred));
         let ins = missing_from(new, old);
@@ -1197,7 +1212,7 @@ fn recompute_stratum(
             entry.del.extend(del);
         }
     }
-    Ok(())
+    Ok(stats.per_rule.iter().map(|r| r.join_probes).sum())
 }
 
 /// The facts of `rel` that `other` lacks, sorted.

@@ -26,11 +26,20 @@
 //!   per evaluation and probed by every chunk of every round — or when
 //!   the driving constant column (`Relation::driving_const`) is indexed
 //!   and selects no more candidate rows than the batch has bindings;
-//! * **bound columns, merge join** otherwise — the batch is sorted on
-//!   its first bound slot and merge-joined against the column's sorted
-//!   permutation index via a galloping cursor
-//!   ([`crate::storage::Relation::col_cursor`]). With two or more bound
-//!   columns each key group is checked after its seek: a group of `g`
+//! * **bound columns, merge join** otherwise — one bound column drives
+//!   the seek and every other one is checked on each pair. The driver
+//!   is chosen by the rule constants use (`Relation::driving_const`):
+//!   the estimable column ([`Relation::count_eq`]) matching the fewest
+//!   rows, else the first — counting live rows, since the estimates
+//!   also count the tombstones a commit's deletions leave behind, but
+//!   only up to the smallest estimate, so a fat column costs no more
+//!   than a thin one to rule out. A batch of at least [`CURSOR_BATCH_MIN`]
+//!   rows chooses once, sorts on that slot and merge-joins against the
+//!   column's sorted permutation index via a galloping cursor
+//!   ([`crate::storage::Relation::col_cursor`]); a smaller batch is
+//!   grouped on all its bound cells and each group chooses its own
+//!   column and probes it directly. With two or more bound columns
+//!   each key group is checked after its seek: a group of `g`
 //!   batch rows seeking `s` relation rows costs `g × s` pair checks, so
 //!   once that product (or the rows seeked so far) exceeds one relation
 //!   scan plus a chunk, the group and every later one *defect* to the
@@ -93,6 +102,11 @@ const TABLE_BUILD_RATIO: usize = 8;
 /// rows), which only pays off across many seeks; smaller batches probe
 /// each key group through the index directly.
 const CURSOR_BATCH_MIN: usize = 64;
+
+/// Batch rows, evenly spaced, whose bound cells estimate each column's
+/// seek cost when a merge join picks one driving column for a whole
+/// batch (`RulePlan::driving_bound`).
+const DRIVER_SAMPLE: usize = 8;
 
 /// One column of a negated-literal probe.
 #[derive(Clone, Copy, Debug)]
@@ -1111,6 +1125,50 @@ impl RulePlan {
         result
     }
 
+    /// The bound column (with its slot) that drives a merge-join seek for
+    /// the batch `rows`: the estimable column ([`Relation::count_eq`])
+    /// matching the fewest live relation rows summed over their bound
+    /// cells, else the first bound column — the rule
+    /// [`Relation::driving_const`] applies to constants. The estimates
+    /// count tombstones, which a commit's deletions leave behind, so the
+    /// smallest one only caps the live counts that decide: each column's
+    /// count stops once it reaches the best so far.
+    fn driving_bound(
+        spec: &ScanSpec,
+        rel: &Relation,
+        batch: &Batch,
+        rows: impl IntoIterator<Item = usize> + Clone,
+    ) -> (usize, u32) {
+        let first = spec.bounds[0];
+        if spec.bounds.len() == 1 {
+            return first;
+        }
+        let cells = |slot: u32| rows.clone().into_iter().map(move |r| batch.get(slot, r));
+        let estimable = spec.bounds.iter().filter(|&&(col, _)| rel.estimable(col));
+        let estimates = estimable.clone().filter_map(|&(col, slot)| {
+            cells(slot)
+                .map(|v| rel.count_eq(col, v))
+                .sum::<Option<usize>>()
+        });
+        let Some(min) = estimates.min() else {
+            return first;
+        };
+        let (mut best, mut cap) = (first, min + 1);
+        for &(col, slot) in estimable {
+            let mut live = 0;
+            for v in cells(slot) {
+                live += rel.rows_eq(col, v).take(cap - live).count();
+                if live == cap {
+                    break;
+                }
+            }
+            if live < cap {
+                (best, cap) = ((col, slot), live);
+            }
+        }
+        best
+    }
+
     /// Batched scan of a stored relation. Fills `child` with join pairs
     /// (flushing at [`CHUNK`]); the caller flushes the remainder.
     #[allow(clippy::too_many_arguments)]
@@ -1182,19 +1240,31 @@ impl RulePlan {
             );
         }
 
-        // Merge join: sort the batch on its first bound slot (keys
-        // computed once, not per comparison) and walk the relation
-        // column's sorted permutation index with a galloping cursor — one
-        // forward merge instead of a hash probe per row. Cursor
-        // construction sorts the index's uncovered tail, so batches too
-        // small to amortize that probe each key group directly instead
-        // (binary search per run plus an unsorted-tail scan).
-        let (jcol, jslot) = spec.bounds[0];
+        // Merge join: one bound column drives the seek (`driving_bound`)
+        // and every other one is checked on each pair. A batch large
+        // enough to amortize a cursor picks its column once, is sorted on
+        // that slot (keys computed once, not per comparison) and walks
+        // the column's sorted permutation index with a galloping cursor —
+        // one forward merge instead of a hash probe per row. Cursor
+        // construction sorts the index's uncovered tail, so smaller
+        // batches are grouped on all their bound cells instead, and each
+        // group picks its own column and probes it directly (binary
+        // search per run plus an unsorted-tail scan).
+        let merge_col = (batch.n >= CURSOR_BATCH_MIN).then(|| {
+            let sample = (0..DRIVER_SAMPLE).map(|i| i * batch.n / DRIVER_SAMPLE);
+            Self::driving_bound(spec, rel, batch, sample)
+        });
         let mut order: Vec<(u128, u32)> = (0..batch.n)
-            .map(|r| (key_of(batch.get(jslot, r)), clamp(r)))
+            .map(|r| {
+                let key = match merge_col {
+                    Some((_, slot)) => key_of(batch.get(slot, r)),
+                    None => hash_cells(spec.bounds.iter().map(|&(_, s)| batch.get(s, r))).into(),
+                };
+                (key, clamp(r))
+            })
             .collect();
         order.sort_unstable();
-        let mut cur = (batch.n >= CURSOR_BATCH_MIN).then(|| rel.col_cursor(jcol));
+        let mut cur = merge_col.map(|(col, _)| rel.col_cursor(col));
         let mut rows = mem::take(&mut scratch.rowbufs[step]);
         let mut result = Ok(());
         let mut i = 0;
@@ -1208,16 +1278,28 @@ impl RulePlan {
         let bail = rel.len().saturating_add(CHUNK);
         let mut seeked = 0usize;
         'merge: while i < order.len() && !(defect && seeked > bail) {
-            let k = order[i].0;
-            let v = batch.get(jslot, order[i].1 as usize);
+            let (k, first) = (order[i].0, order[i].1 as usize);
+            let (jcol, jslot) =
+                merge_col.unwrap_or_else(|| Self::driving_bound(spec, rel, batch, [first]));
+            // A cursor group shares its key; a probed group, hashed on
+            // every bound cell, must also share those cells.
+            let same = |r: u32| {
+                let r = r as usize;
+                merge_col.is_some()
+                    || spec
+                        .bounds
+                        .iter()
+                        .all(|&(_, s)| batch.get(s, r) == batch.get(s, first))
+            };
             let mut j = i + 1;
-            while j < order.len() && order[j].0 == k {
+            while j < order.len() && order[j].0 == k && same(order[j].1) {
                 j += 1;
             }
+            let v = batch.get(jslot, first);
             rows.clear();
             match &mut cur {
                 Some(cur) => cur.seek(v, &mut rows),
-                None => rel.probe_rows(jcol, v, &mut rows),
+                None => rows.extend(rel.rows_eq(jcol, v)),
             }
             Self::retain_scan_rows(spec, rel, &mut rows);
             if defect && rows.len().saturating_mul(j - i) > bail {
@@ -1233,9 +1315,10 @@ impl RulePlan {
             for &(_, br) in &order[i..j] {
                 let row = br as usize;
                 for &r in &rows {
-                    if spec.bounds[1..]
+                    if spec
+                        .bounds
                         .iter()
-                        .all(|&(c, s)| rel.cell(r, c) == batch.get(s, row))
+                        .all(|&(c, s)| c == jcol || rel.cell(r, c) == batch.get(s, row))
                     {
                         result = self.push_rel_pair(
                             step, spec, batch, row, rel, r, child, db, delta, scratch, out, guard,

@@ -266,13 +266,7 @@ impl Program {
                 }
             }
         }
-        edges.sort_unstable();
-        edges.dedup();
-        DepGraph {
-            preds,
-            index,
-            edges,
-        }
+        DepGraph::from_edges(preds, edges)
     }
 
     /// Compute a stratification of the program.
@@ -393,6 +387,12 @@ pub struct DepGraph {
     index: HashMap<String, usize>,
     /// `(from, to, negative)`, sorted and deduplicated.
     edges: Vec<(usize, usize, bool)>,
+    /// The strongly connected component of each node (see
+    /// [`DepGraph::sccs`]).
+    comp: Vec<usize>,
+    /// Per component: whether it sits on a cycle — more than one node,
+    /// or a node with an edge to itself.
+    recursive: Vec<bool>,
 }
 
 impl DepGraph {
@@ -411,10 +411,21 @@ impl DepGraph {
             .enumerate()
             .map(|(i, p)| (p.clone(), i))
             .collect();
+        let comp = Self::sccs(n, &edges);
+        let mut size = vec![0usize; comp.iter().max().map_or(0, |&c| c + 1)];
+        for &c in &comp {
+            size[c] += 1;
+        }
+        let mut recursive: Vec<bool> = size.into_iter().map(|s| s > 1).collect();
+        for &(q, h, _) in &edges {
+            recursive[comp[q]] |= q == h;
+        }
         DepGraph {
             preds: nodes,
             index,
             edges,
+            comp,
+            recursive,
         }
     }
 
@@ -457,14 +468,13 @@ impl DepGraph {
         out
     }
 
-    /// Strongly connected components, each a sorted list of node indices.
-    /// Iterative Kosaraju — robust against deep recursion on generated
-    /// programs.
-    fn sccs(&self) -> Vec<usize> {
-        let n = self.preds.len();
+    /// The strongly connected component of each of `n` nodes, numbered in
+    /// dependency order (see [`DepGraph::condensation`]). Iterative
+    /// Kosaraju — robust against deep recursion on generated programs.
+    fn sccs(n: usize, edges: &[(usize, usize, bool)]) -> Vec<usize> {
         let mut fwd: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut rev: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for &(q, h, _) in &self.edges {
+        for &(q, h, _) in edges {
             fwd[q].push(h);
             rev[h].push(q);
         }
@@ -521,10 +531,8 @@ impl DepGraph {
     /// visits every predicate's dependencies before the predicate
     /// itself. Each component is a sorted list of node indices.
     pub fn condensation(&self) -> Vec<Vec<usize>> {
-        let comp = self.sccs();
-        let count = comp.iter().copied().max().map_or(0, |c| c + 1);
-        let mut out: Vec<Vec<usize>> = vec![Vec::new(); count];
-        for (node, &c) in comp.iter().enumerate() {
+        let mut out: Vec<Vec<usize>> = vec![Vec::new(); self.recursive.len()];
+        for (node, &c) in self.comp.iter().enumerate() {
             out[c].push(node);
         }
         out
@@ -534,17 +542,8 @@ impl DepGraph {
     /// (i.e. mutually recursive). A predicate is *not* considered
     /// recursive with itself unless it actually sits on a cycle.
     pub fn same_scc(&self, a: &str, b: &str) -> bool {
-        let comp = self.sccs();
         match (self.index_of(a), self.index_of(b)) {
-            (Some(i), Some(j)) => {
-                comp[i] == comp[j]
-                    && (i != j
-                        || self
-                            .edges
-                            .iter()
-                            .any(|&(q, h, _)| comp[q] == comp[i] && comp[h] == comp[i] && q == h)
-                        || self.condensation()[comp[i]].len() > 1)
-            }
+            (Some(i), Some(j)) => self.comp[i] == self.comp[j] && self.recursive[self.comp[i]],
             _ => false,
         }
     }
@@ -560,7 +559,7 @@ impl DepGraph {
     /// edge is chosen, and the closing path is a shortest path found by
     /// BFS over sorted adjacency.
     pub fn negative_cycle(&self) -> Option<Vec<String>> {
-        let comp = self.sccs();
+        let comp = &self.comp;
         // The negative edge (q -> h) inside one SCC with the smallest
         // (from-name, to-name); edges are already sorted by index, which
         // matches name order because `preds` is sorted.

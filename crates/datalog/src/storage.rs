@@ -235,7 +235,7 @@ struct ColIndex {
 /// Bottom-up rule evaluation probes relations either with a binding
 /// pattern ([`Relation::matching`]) or — on the batched join path — with
 /// row-id probes against the per-column sorted indexes
-/// (`probe_rows`, `col_cursor`; crate-private).
+/// (`rows_eq`, `col_cursor`; crate-private).
 pub struct Relation {
     arity: Option<usize>,
     /// Sealed immutable segments; shared (not copied) by `clone`.
@@ -567,27 +567,26 @@ impl Relation {
             .collect()
     }
 
-    /// Append the live rows whose `col` cell equals `value`, via the
-    /// column's sorted runs plus a linear scan of the index tail.
-    pub(crate) fn probe_rows(&self, col: usize, value: Const, out: &mut Vec<u32>) {
+    /// The live rows whose `col` cell equals `value`, via the column's
+    /// sorted runs plus a linear scan of the index tail.
+    pub(crate) fn rows_eq(&self, col: usize, value: Const) -> impl Iterator<Item = u32> + '_ {
         let k = key_of(value);
         let idx = &self.indexes[col];
-        for run in &idx.runs {
+        let runs = idx.runs.iter().flat_map(move |run| {
             let lo = run.partition_point(|&r| key_of(self.cell(r, col)) < k);
-            for &r in &run[lo..] {
-                if self.cell(r, col) != value {
-                    break;
-                }
-                if !self.is_dead(r) {
-                    out.push(r);
-                }
-            }
-        }
-        for r in idx.covered..self.total {
-            if self.cell(r, col) == value && !self.is_dead(r) {
-                out.push(r);
-            }
-        }
+            run[lo..]
+                .iter()
+                .copied()
+                .take_while(move |&r| self.cell(r, col) == value)
+        });
+        let tail = (idx.covered..self.total).filter(move |&r| self.cell(r, col) == value);
+        runs.chain(tail).filter(move |&r| !self.is_dead(r))
+    }
+
+    /// Whether `col` is *estimable*: its sorted runs cover all but at most
+    /// [`INDEX_TAIL_MAX`] rows (see [`Relation::count_eq`]).
+    pub(crate) fn estimable(&self, col: usize) -> bool {
+        self.index_lag(col) <= INDEX_TAIL_MAX
     }
 
     /// Number of rows (tombstones included) whose `col` cell equals
@@ -595,8 +594,8 @@ impl Relation {
     /// most [`INDEX_TAIL_MAX`] rows, so counting is a binary search per
     /// run plus a bounded tail scan. `None` for any other column — an
     /// estimate must never cost a full-column scan.
-    fn count_eq(&self, col: usize, value: Const) -> Option<usize> {
-        if self.index_lag(col) > INDEX_TAIL_MAX {
+    pub(crate) fn count_eq(&self, col: usize, value: Const) -> Option<usize> {
+        if !self.estimable(col) {
             return None;
         }
         let k = key_of(value);
@@ -647,7 +646,7 @@ impl Relation {
     /// without a driver); the caller filters the remaining constraints.
     pub(crate) fn driven_rows(&self, driver: Option<Driver>, out: &mut Vec<u32>) {
         match driver {
-            Some(d) => self.probe_rows(d.col, d.value, out),
+            Some(d) => out.extend(self.rows_eq(d.col, d.value)),
             None => self.live_rows(out),
         }
     }
@@ -1521,7 +1520,7 @@ mod tests {
 /// ([`SEG_ROWS`]), overlay-fold ([`FOLD_MIN`]), and tombstone-compaction
 /// ([`COMPACT_MIN`]) thresholds — every index run must stay sorted and
 /// jointly partition `0..covered`, and both probe paths
-/// ([`Relation::probe_rows`], [`ColCursor::seek`]) must agree with a
+/// ([`Relation::rows_eq`], [`ColCursor::seek`]) must agree with a
 /// naive scan of the column segments.
 #[cfg(test)]
 mod index_properties {
@@ -1568,10 +1567,9 @@ mod index_properties {
             values.sort_unstable_by_key(|&v| key_of(v));
             let mut cur = rel.col_cursor(col);
             for &v in &values {
-                let mut probed = Vec::new();
-                rel.probe_rows(col, v, &mut probed);
+                let mut probed: Vec<u32> = rel.rows_eq(col, v).collect();
                 probed.sort_unstable();
-                assert_eq!(probed, truth[&v], "probe_rows col {col} value {v:?}");
+                assert_eq!(probed, truth[&v], "rows_eq col {col} value {v:?}");
                 // count_eq counts tombstones too: an upper bound. It
                 // estimates only columns with runs over all but a
                 // bounded tail.
@@ -1585,10 +1583,8 @@ mod index_properties {
                 sought.sort_unstable();
                 assert_eq!(sought, truth[&v], "cursor seek col {col} value {v:?}");
             }
-            let mut probed = Vec::new();
-            rel.probe_rows(col, Const::sym("absent-key"), &mut probed);
             assert!(
-                probed.is_empty(),
+                rel.rows_eq(col, Const::sym("absent-key")).next().is_none(),
                 "absent value must probe empty on col {col}"
             );
         }

@@ -236,20 +236,17 @@ fn batched_rule_counters(src: &str, head: &str) -> (u64, u64, usize) {
 }
 
 /// The cautious-belief self-join of the reduction, over a `visible`
-/// relation larger than one join chunk (4 096 rows). Every key
-/// `(P, K, A)` holds three cells at classes `c0 < c1 < c2`; the first
-/// join column `P` takes the value `p0` on the first `thin_keys` keys
-/// and `p1` on the rest, so its key groups are far fatter than the
-/// full-key join.
-fn beaten_src(rows: usize, thin_keys: usize) -> String {
+/// relation larger than one join chunk (4 096 rows). Every key holds
+/// three cells at classes `c0 < c1 < c2`; `key_cols(key)` names the
+/// key's `(P, K, A)` values, which the self-join binds.
+fn beaten_src(rows: usize, key_cols: impl Fn(usize) -> [String; 3]) -> String {
     let mut src = String::from(
         "dominate(c0, c0). dominate(c0, c1). dominate(c0, c2).\n\
          dominate(c1, c1). dominate(c1, c2). dominate(c2, c2).\n",
     );
     for i in 0..rows {
-        let key = i / 3;
-        let p = usize::from(key >= thin_keys);
-        src.push_str(&format!("visible(p{p}, k{key}, a, v{i}, c{}).\n", i % 3));
+        let [p, k, a] = key_cols(i / 3);
+        src.push_str(&format!("visible({p}, {k}, {a}, v{i}, c{}).\n", i % 3));
     }
     src.push_str(
         "beaten(P, K, A, C) :- visible(P, K, A, V, C), visible(P, K, A, V2, C2), \
@@ -258,16 +255,35 @@ fn beaten_src(rows: usize, thin_keys: usize) -> String {
     src
 }
 
+/// Two classes of every full key are beaten by a higher one; the last
+/// key of `rows` cells holds only `rows % 3` of them.
+fn beaten_count(rows: usize) -> usize {
+    2 * (rows / 3) + (rows % 3).saturating_sub(1)
+}
+
 #[test]
 fn fat_merge_key_groups_defect_to_the_hash_join() {
     const ROWS: usize = 5000;
-    // One value of the first join column for every row, then a thin
-    // group of 20 keys beside a fat one.
+    // Every bound column is fat — 16, 17 and 19 values of P, K and A,
+    // hundreds of rows each — while the full key stays thin (the values
+    // are coprime moduli of the key, so no two keys share all three).
+    // Whichever column drives, its key groups are fat. The first
+    // `thin_keys` keys take values of their own on every column: thin
+    // groups beside the fat ones.
     for thin_keys in [0, 20] {
-        let (probes, defections, added) =
-            batched_rule_counters(&beaten_src(ROWS, thin_keys), "beaten");
-        // Two classes of every full key are beaten by a higher one.
-        assert_eq!(added, 2 * (ROWS / 3) + 1, "thin_keys={thin_keys}");
+        let src = beaten_src(ROWS, |key| {
+            if key < thin_keys {
+                [format!("tp{key}"), format!("tk{key}"), format!("ta{key}")]
+            } else {
+                [
+                    format!("p{}", key % 16),
+                    format!("k{}", key % 17),
+                    format!("a{}", key % 19),
+                ]
+            }
+        });
+        let (probes, defections, added) = batched_rule_counters(&src, "beaten");
+        assert_eq!(added, beaten_count(ROWS), "thin_keys={thin_keys}");
         let bound = 20 * (ROWS as u64 + added as u64);
         assert!(
             probes <= bound,
@@ -275,6 +291,27 @@ fn fat_merge_key_groups_defect_to_the_hash_join() {
         );
         assert!(defections > 0, "thin_keys={thin_keys}: no defection");
     }
+}
+
+#[test]
+fn thin_bound_column_drives_the_join() {
+    const ROWS: usize = 6000;
+    // One value of P and of A for every row: only K, three rows per
+    // value, is thin. The self-join must seek through K, not defect
+    // after seeking every row through P.
+    let src = beaten_src(ROWS, |key| ["p0".into(), format!("k{key}"), "a0".into()]);
+    let (probes, defections, added) = batched_rule_counters(&src, "beaten");
+    assert_eq!(added, beaten_count(ROWS));
+    assert_eq!(
+        defections, 0,
+        "a thin bound column leaves nothing to defect"
+    );
+    // Rows the self-join matches: each cell with every cell of its key.
+    let matched = 9 * (ROWS as u64 / 3);
+    assert!(
+        probes <= 3 * matched,
+        "{probes} join probes for {matched} matched rows"
+    );
 }
 
 #[test]

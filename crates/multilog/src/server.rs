@@ -86,8 +86,10 @@ pub struct CommitSummary {
     pub epoch: u64,
     /// Maintenance statistics: one entry, keyed [`SHARED_ENGINE`], for
     /// the engine every clearance reads (none for an empty batch). A map
-    /// for the clients that read it per engine.
-    pub levels: BTreeMap<String, dl::CommitStats>,
+    /// for the clients that read it per engine. Boxed because a map node
+    /// reserves room for eleven values: unboxed, a one-entry map held
+    /// ~1.5 KB per summary for clients that keep one per commit.
+    pub levels: BTreeMap<String, Box<dl::CommitStats>>,
 }
 
 /// A multi-session belief server: share it (behind an `Arc`) between one
@@ -227,7 +229,7 @@ impl ServerInner {
         match engine.apply_updates(updates) {
             Ok(stats) => Ok(CommitSummary {
                 epoch: store.publish(engine.database_snapshot()),
-                levels: BTreeMap::from([(SHARED_ENGINE.to_owned(), stats)]),
+                levels: BTreeMap::from([(SHARED_ENGINE.to_owned(), Box::new(stats))]),
             }),
             Err(error) => {
                 // The back-end rolled the base back; heal over it now (a

@@ -3,12 +3,19 @@
 //! (`beaten` over `visible`) leaves the small-relation hash join and
 //! runs through the merge join and its hash-join defection. Its `<< cau`
 //! answers must still equal the operational semantics' at every level.
+//! A one-cell commit into such a database joins its delta through the
+//! key's thin bound columns, never through every `data` row, and its
+//! readers still answer like a fresh reduction.
 
 // Test code: unwraps are the assertion.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use multilog_core::reduce::ReducedEngine;
-use multilog_core::{parse_database, MultiLogEngine};
+use multilog_core::ast::Head;
+use multilog_core::reduce::{EdbUpdate, ReducedEngine};
+use multilog_core::{
+    parse_clause, parse_database, Answer, BeliefServer, EngineOptions, MultiLogEngine,
+    SHARED_ENGINE,
+};
 
 const LEVELS: usize = 3;
 const KEYS: usize = 1500;
@@ -61,6 +68,64 @@ fn cautious_answers_agree_above_one_join_chunk() {
                 .map(|r| r.join_defections)
                 .sum();
             assert!(defections > 0, "top-level beaten join never defected");
+        }
+    }
+}
+
+fn norm(answers: &[Answer]) -> Vec<String> {
+    let mut out: Vec<String> = answers.iter().map(|a| format!("{a:?}")).collect();
+    out.sort();
+    out
+}
+
+#[test]
+fn one_cell_commit_probes_its_key_not_the_relation() {
+    let src = generated_db();
+    let cells = (KEYS * LEVELS) as u64;
+    let server = BeliefServer::new(parse_database(&src).unwrap(), EngineOptions::default());
+    let mut readers: Vec<_> = (0..LEVELS)
+        .map(|lvl| server.open_reader(&format!("l{lvl}")).unwrap())
+        .collect();
+    let mut writer = server.open_writer().unwrap();
+    // A fresh `l1` value on one key beats that key's lower cells at `l1`
+    // and `l2` until it is retracted.
+    let cell = "l1[data(k7 : a -l1-> churn)].";
+    let Head::M(m) = parse_clause(cell).unwrap().remove(0).head else {
+        panic!("{cell} is an m-fact");
+    };
+    for assert in [true, false] {
+        let update = if assert {
+            EdbUpdate::Assert(m.clone())
+        } else {
+            EdbUpdate::Retract(m.clone())
+        };
+        let summary = writer.commit(&[update]).unwrap();
+        let stats = &summary.levels[SHARED_ENGINE];
+        assert!(
+            stats.derived_added + stats.derived_removed > 0,
+            "{cell} (assert {assert}) changed nothing: {stats:?}"
+        );
+        // Every `data` row shares the delta's `P` (the predicate name
+        // τ puts first); only the key columns are thin.
+        assert!(
+            stats.join_probes < cells,
+            "{cell} (assert {assert}): {} join probes over {cells} cells",
+            stats.join_probes
+        );
+        let db = if assert {
+            parse_database(&format!("{src}{cell}\n")).unwrap()
+        } else {
+            parse_database(&src).unwrap()
+        };
+        let goal = "L[data(K : a -C-> V)] << cau";
+        for (lvl, reader) in readers.iter_mut().enumerate() {
+            reader.refresh();
+            let fresh = ReducedEngine::new(&db, &format!("l{lvl}")).unwrap();
+            assert_eq!(
+                norm(&reader.query_text(goal).unwrap()),
+                norm(&fresh.solve_text(goal).unwrap()),
+                "`{goal}` at l{lvl} after {cell} (assert {assert})"
+            );
         }
     }
 }
