@@ -12,7 +12,9 @@
 //! * `update_churn_{incremental,recompute}` — a 20-commit stream of
 //!   single-edge retract/re-insert deltas over `tc_chain`, maintained
 //!   incrementally (DRed) vs. recomputed from scratch per commit; the
-//!   top-level `update_churn_speedup` field is their wall-time ratio.
+//!   top-level `update_churn_speedup` field is their wall-time ratio, and
+//!   `update_churn_first_commit_ms` the incremental side's first commit,
+//!   which also compiles the DRed rule variants (part of its wall time).
 //! * `concurrent_churn` — a [`BeliefServer`] under writer churn: reader
 //!   threads at distinct clearance levels loop refresh + goal against
 //!   their pinned snapshots while the writer commits retract/re-insert
@@ -38,6 +40,10 @@
 //!   plans made: deterministic, and bounded by the rows that share a
 //!   delta fact's full join key once joins drive from their most
 //!   selective bound column, rather than by the `data` relation's size.
+//!   `reader_plans_compiled` sums the query plans the reader threads'
+//!   sessions compiled: a session prepares one plan per goal shape and
+//!   each reader repeats one goal, so it is at most `readers`;
+//!   `reader_plan_hits` counts the goals a cached plan answered.
 //! * `social_reach_{operator,rules}` — full reachability over a
 //!   power-law social graph, computed by the native `@bfs` operator vs.
 //!   the equivalent rule-at-a-time transitive closure (identical `reach`
@@ -252,9 +258,11 @@ fn guard_overhead_trial(
 /// re-inserts single chain edges near the tail of `tc_chain` — each
 /// commit changes one EDB fact (~0.4 % of the base relation) and
 /// invalidates a bounded slice of the 33k derived paths, the regime DRed
-/// is built for. Returns the two results plus the recompute/incremental
-/// wall-time ratio (best runs on both sides).
-fn run_update_churn(repeat: usize) -> (WorkloadResult, WorkloadResult, f64) {
+/// is built for. Returns the two results, the recompute/incremental
+/// wall-time ratio (best runs on both sides), and the wall time in
+/// milliseconds of the best incremental run's first commit, which also
+/// compiles the DRed rule variants every later commit reuses.
+fn run_update_churn(repeat: usize) -> (WorkloadResult, WorkloadResult, f64, f64) {
     let n = 512usize;
     let base_src = tc_chain_src(n);
     let program = parse_program(&base_src).expect("workload parses");
@@ -284,13 +292,14 @@ fn run_update_churn(repeat: usize) -> (WorkloadResult, WorkloadResult, f64) {
         })
         .collect();
 
-    let mut best_inc: Option<WorkloadResult> = None;
+    let mut best_inc: Option<(WorkloadResult, f64)> = None;
     let mut best_rec: Option<WorkloadResult> = None;
     for _ in 0..repeat {
         // Incremental: one warm engine, twenty delta commits.
         let mut engine = IncrementalEngine::new(&program).expect("workload materializes");
         let baseline_facts = engine.database().fact_count();
         let start = Instant::now();
+        let mut first_commit_ms = None;
         for (a, b) in &targets {
             for insert in [false, true] {
                 let fact = vec![Const::sym(a), Const::sym(b)];
@@ -301,6 +310,7 @@ fn run_update_churn(repeat: usize) -> (WorkloadResult, WorkloadResult, f64) {
                     engine.retract("edge", fact).expect("stage retract");
                 }
                 engine.commit().expect("delta commit evaluates");
+                first_commit_ms.get_or_insert(start.elapsed().as_secs_f64() * 1e3);
             }
         }
         let wall = start.elapsed();
@@ -316,8 +326,11 @@ fn run_update_churn(repeat: usize) -> (WorkloadResult, WorkloadResult, f64) {
             wall_ms: wall.as_secs_f64() * 1e3,
             facts_per_sec: commits as f64 / wall.as_secs_f64(),
         };
-        if best_inc.as_ref().is_none_or(|b| result.wall_ms < b.wall_ms) {
-            best_inc = Some(result);
+        if best_inc
+            .as_ref()
+            .is_none_or(|(b, _)| result.wall_ms < b.wall_ms)
+        {
+            best_inc = Some((result, first_commit_ms.expect("twenty commits")));
         }
 
         // Recompute: the same twenty post-commit states, each evaluated
@@ -345,10 +358,10 @@ fn run_update_churn(repeat: usize) -> (WorkloadResult, WorkloadResult, f64) {
             best_rec = Some(result);
         }
     }
-    let inc = best_inc.expect("repeat >= 1");
+    let (inc, first_commit_ms) = best_inc.expect("repeat >= 1");
     let rec = best_rec.expect("repeat >= 1");
     let speedup = rec.wall_ms / inc.wall_ms;
-    (inc, rec, speedup)
+    (inc, rec, speedup, first_commit_ms)
 }
 
 /// Measure a point query (`path(n0, X)` over the 512-node tc_chain) two
@@ -643,6 +656,11 @@ struct ConcurrentChurnResult {
     ///
     /// [`CommitStats::join_probes`]: multilog_datalog::CommitStats
     join_probes_max: u64,
+    /// Query plans the reader threads' sessions compiled, summed: one per
+    /// goal shape, and each reader repeats one goal.
+    reader_plans_compiled: u64,
+    /// Reader goals a session's cached plan answered, summed.
+    reader_plan_hits: u64,
 }
 
 /// Run `readers` reader threads against a [`BeliefServer`] while the
@@ -687,6 +705,8 @@ fn run_concurrent_churn(readers: usize, commits: usize) -> ConcurrentChurnResult
     let mut commit_engines_max = 0usize;
     let mut detached_cells_max = 0usize;
     let mut join_probes_max = 0u64;
+    let mut reader_plans_compiled = 0u64;
+    let mut reader_plan_hits = 0u64;
     let clock = Instant::now();
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
@@ -710,7 +730,7 @@ fn run_concurrent_churn(readers: usize, commits: usize) -> ConcurrentChurnResult
                     session.query_text(&goal).expect("reader goal evaluates");
                     walls.push((start, clock.elapsed().as_secs_f64() * 1e6));
                 }
-                walls
+                (walls, session.prepared_stats())
             }));
         }
 
@@ -787,7 +807,10 @@ fn run_concurrent_churn(readers: usize, commits: usize) -> ConcurrentChurnResult
         writer_wall_ms = start.elapsed().as_secs_f64() * 1e3;
         stop.store(true, Ordering::Relaxed);
         for handle in handles {
-            windows.push(handle.join().expect("reader thread joins"));
+            let (walls, stats) = handle.join().expect("reader thread joins");
+            windows.push(walls);
+            reader_plans_compiled += stats.compiled;
+            reader_plan_hits += stats.hits;
         }
     });
 
@@ -821,6 +844,8 @@ fn run_concurrent_churn(readers: usize, commits: usize) -> ConcurrentChurnResult
         commit_engines_max,
         detached_cells_max,
         join_probes_max,
+        reader_plans_compiled,
+        reader_plan_hits,
     }
 }
 
@@ -837,8 +862,8 @@ const REDUCTION_SPEC: MultiLogSpec = MultiLogSpec {
 /// Time the MultiLog lint (`multilog lint`, whose clearance-free errors
 /// are the load's refusals) on the synthetic MultiLog source the
 /// reduction workload uses, parse included, and report its median wall
-/// time in milliseconds. Compared against the tc_chain evaluation wall
-/// time in `main` (ungated).
+/// time in milliseconds: `lint_source_ms`, and `lint_source_pct` of the
+/// tc_chain evaluation wall time in `main` (both ungated).
 fn lint_wall_ms(src: &str, repeat: usize) -> f64 {
     let mut walls: Vec<f64> = Vec::with_capacity(repeat);
     for _ in 0..repeat {
@@ -1072,13 +1097,14 @@ fn main() {
     // that now sit inside the join loop.
     let (tc_chain, tc_chain_guarded, guard_overhead_pct) =
         run_guard_overhead(&tc_chain_src(256), repeat.max(40));
-    // Lint cost relative to evaluation (best run is the smallest
-    // denominator, so the percentage is an upper bound).
+    // `lint_source` cost (parse included) relative to evaluation (best
+    // run is the smallest denominator, so the percentage is an upper
+    // bound).
     let lint_ms = lint_wall_ms(&synthetic_multilog(&REDUCTION_SPEC), repeat.max(9));
-    let lint_overhead_pct = lint_ms / tc_chain.wall_ms * 100.0;
+    let lint_source_pct = lint_ms / tc_chain.wall_ms * 100.0;
     // update_churn contrasts incremental DRed commits against full
     // recomputation on a 20-commit single-fact delta stream.
-    let (churn_inc, churn_rec, churn_speedup) = run_update_churn(repeat);
+    let (churn_inc, churn_rec, churn_speedup, churn_first_ms) = run_update_churn(repeat);
     // point_query contrasts demand-driven (magic-sets) evaluation of a
     // bound goal against answering it from the full fixpoint.
     let (point_full, point_magic, point_speedup) = run_point_query(repeat);
@@ -1131,13 +1157,13 @@ fn main() {
         "  \"guard_overhead_pct\": {guard_overhead_pct:.2},\n"
     ));
     json.push_str(&format!(
-        "  \"update_churn_speedup\": {churn_speedup:.2},\n"
+        "  \"update_churn_speedup\": {churn_speedup:.2},\n  \"update_churn_first_commit_ms\": {churn_first_ms:.3},\n"
     ));
     json.push_str(&format!(
         "  \"point_query_speedup\": {point_speedup:.2},\n  \"point_query_full_facts\": {point_full_facts},\n  \"point_query_magic_facts\": {point_magic_facts},\n"
     ));
     json.push_str(&format!(
-        "  \"lint_preflight_ms\": {lint_ms:.4},\n  \"lint_overhead_pct\": {lint_overhead_pct:.3},\n"
+        "  \"lint_source_ms\": {lint_ms:.4},\n  \"lint_source_pct\": {lint_source_pct:.3},\n"
     ));
     json.push_str(&format!(
         "  \"analyze_preflight_ms\": {analyze_ms:.4},\n  \"analyze_overhead_pct\": {analyze_overhead_pct:.3},\n"
@@ -1209,8 +1235,16 @@ fn main() {
         churn.detached_cells_max
     ));
     json.push_str(&format!(
-        "    \"join_probes_max\": {}\n",
+        "    \"join_probes_max\": {},\n",
         churn.join_probes_max
+    ));
+    json.push_str(&format!(
+        "    \"reader_plans_compiled\": {},\n",
+        churn.reader_plans_compiled
+    ));
+    json.push_str(&format!(
+        "    \"reader_plan_hits\": {}\n",
+        churn.reader_plan_hits
     ));
     json.push_str("  },\n");
     if let Some(mb) = xl_peak_rss_mb {

@@ -23,7 +23,8 @@
 //!   bound-column cells and the other side probes the table. Used for a
 //!   small relation (≤ [`CHUNK`] rows), whose relation-side table is
 //!   cached per step by relation version — EDB relations are hashed once
-//!   per evaluation and probed by every chunk of every round — or when
+//!   per evaluation and probed by every chunk of every round; a prepared
+//!   query that rebinds the step's constants drops it — or when
 //!   the driving constant column (`Relation::driving_const`) is indexed
 //!   and selects no more candidate rows than the batch has bindings;
 //! * **bound columns, merge join** otherwise — one bound column drives
@@ -82,7 +83,7 @@ use crate::atom::{ArithOp, CmpOp, Literal};
 use crate::clause::Clause;
 use crate::fx::{FxHashMap, FxHasher};
 use crate::guard::{EvalGuard, GuardCursor};
-use crate::storage::{key_of, Database, Driver, Fact, FactBuf, Relation};
+use crate::storage::{key_of, Database, Driver, FactBuf, Relation};
 use crate::term::{Const, SymId, Term};
 use crate::{DatalogError, Result};
 
@@ -254,6 +255,14 @@ impl Scratch {
     pub(crate) fn take_defections(&mut self) -> u64 {
         mem::take(&mut self.defections)
     }
+
+    /// Start the guard tick state afresh for a new run under a new
+    /// guard, so the run checks it exactly as a new scratch would — its
+    /// first check reading the clock — however an earlier run ended.
+    pub(crate) fn restart(&mut self) {
+        self.cursor = GuardCursor::new();
+        self.defections = 0;
+    }
 }
 
 /// A compiled rule variant: slots, ordered steps, head projection.
@@ -278,6 +287,10 @@ pub(crate) struct RulePlan {
     pub(crate) index_needs: Vec<(SymId, usize)>,
     /// Human-readable description of the chosen join order.
     pub order_desc: String,
+    /// Where each constant of a body atom (positive or negated) landed,
+    /// in textual order — the parameter order of a prepared query
+    /// ([`RulePlan::rebind`]): its step and column.
+    pub(crate) params: Vec<(usize, usize)>,
 }
 
 /// A row count as a probe count, saturating at `u32::MAX`.
@@ -352,6 +365,24 @@ impl RulePlan {
                 Literal::Cmp { .. } => existential.push(None),
             }
         }
+
+        // Parameter numbering: the constants of body atoms, in textual
+        // order; `param_base[i]` numbers the first one of literal `i`.
+        let mut param_base = Vec::with_capacity(rule.body.len());
+        let mut n_params = 0;
+        for lit in &rule.body {
+            param_base.push(n_params);
+            if let Literal::Pos(a) | Literal::Neg(a) = lit {
+                n_params += a.terms.iter().filter(|t| !t.is_var()).count();
+            }
+        }
+        let mut params = vec![(0, 0); n_params];
+        let mut place = |i: usize, step: usize, a: &crate::Atom| {
+            let cols = a.terms.iter().enumerate().filter(|(_, t)| !t.is_var());
+            for (k, (c, _)) in cols.enumerate() {
+                params[param_base[i] + k] = (step, c);
+            }
+        };
 
         // Greedy scheduling.
         let mut bound: HashSet<u32> = HashSet::new();
@@ -432,6 +463,7 @@ impl RulePlan {
                                 })
                                 .collect();
                             carry.push(snap(&bound));
+                            place(i, steps.len(), a);
                             steps.push(Step::Neg {
                                 pred: a.predicate,
                                 cols,
@@ -552,6 +584,7 @@ impl RulePlan {
             }
             carry.push(snap(&bound));
             bound.extend(first_col_of_slot.into_keys());
+            place(i, steps.len(), a);
             steps.push(Step::Scan {
                 pred: a.predicate,
                 from_delta: delta_pos == Some(i),
@@ -701,7 +734,32 @@ impl RulePlan {
             }),
             index_needs,
             order_desc,
+            params,
         })
+    }
+
+    /// Overwrite the body-atom constants with `params`, in textual order
+    /// (as numbered at compile), so one plan answers every query of its
+    /// shape. A step whose constants change drops its cached join table:
+    /// the table holds only the rows matching the old constants.
+    pub(crate) fn rebind(&mut self, params: &[Const], scratch: &mut Scratch) {
+        for (&(step, col), &v) in self.params.iter().zip(params) {
+            let (consts, neg_cols) = match &mut self.steps[step] {
+                Step::Scan { spec, .. } => (&mut spec.consts, None),
+                Step::Neg { consts, cols, .. } => (consts, Some(cols)),
+                Step::Cmp { .. } | Step::Arith { .. } => continue,
+            };
+            let Some(cell) = consts.iter_mut().find(|(c, _)| *c == col) else {
+                continue;
+            };
+            if cell.1 != v {
+                cell.1 = v;
+                if let Some(cols) = neg_cols {
+                    cols[col] = NegCol::Const(v);
+                }
+                scratch.tables[step] = None;
+            }
+        }
     }
 
     /// Allocate evaluation buffers sized for this plan.
@@ -1413,28 +1471,11 @@ pub(crate) fn delta_positions(rule: &Clause, stratum_preds: &HashSet<SymId>) -> 
         .collect()
 }
 
-/// Compile-and-run convenience used by ad hoc queries: evaluates `rule`
-/// against `db` with a freshly compiled plan.
-/// Evaluate one rule against a fixpointed database, consulting `guard`
-/// during the join: ad hoc queries issued by long-lived sessions run
-/// under the session's deadline / budget / cancellation (pass
-/// [`EvalGuard::unlimited`] for unguarded evaluation).
-pub(crate) fn eval_rule_once_guarded(
-    rule: &Clause,
-    db: &Database,
-    guard: &EvalGuard,
-) -> Result<Vec<Fact>> {
-    let plan = RulePlan::compile(rule, None, db)?;
-    let mut scratch = plan.new_scratch();
-    let mut out = FactBuf::default();
-    plan.eval(db, None, &mut scratch, &mut out, guard)?;
-    Ok(out.rows().map(Fact::from).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parser::parse_program;
+    use crate::storage::Fact;
 
     fn plan_for(src: &str, head: &str, delta_pos: Option<usize>) -> RulePlan {
         let p = parse_program(src).unwrap();
@@ -1488,7 +1529,16 @@ mod tests {
         db.insert("s", vec![Const::sym("a")]);
         db.insert("p", vec![Const::sym("a"), Const::sym("b")]);
         db.insert("r", vec![Const::sym("a"), Const::sym("c")]);
-        let derived = eval_rule_once_guarded(rule, &db, &EvalGuard::unlimited()).unwrap();
+        let plan = RulePlan::compile(rule, None, &db).unwrap();
+        let mut derived = FactBuf::default();
+        plan.eval(
+            &db,
+            None,
+            &mut plan.new_scratch(),
+            &mut derived,
+            &EvalGuard::unlimited(),
+        )
+        .unwrap();
         // ∃Y r(a, Y) holds, so the negation fails and nothing is derived —
         // even though the (a, b) binding from p would not match r.
         assert!(derived.is_empty(), "derived: {derived:?}");

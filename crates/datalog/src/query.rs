@@ -6,8 +6,8 @@ use std::fmt;
 use crate::atom::Literal;
 use crate::clause::Clause;
 use crate::guard::{CancelToken, EvalGuard};
-use crate::plan::eval_rule_once_guarded;
-use crate::storage::Database;
+use crate::plan::{RulePlan, Scratch};
+use crate::storage::{Database, FactBuf};
 use crate::term::{Const, Term};
 use crate::{Atom, Result};
 
@@ -97,63 +97,147 @@ pub fn run_query(db: &Database, body: &[Literal]) -> Result<QueryAnswer> {
 /// the deadline, answer budget, and cancellation token of `guards`, so a
 /// runaway cross-product query trips instead of monopolizing a reader
 /// session. Guard trips surface as the usual typed errors
-/// ([`crate::DatalogError::DeadlineExceeded`] etc.).
+/// ([`crate::DatalogError::DeadlineExceeded`] etc.). A [`PreparedQuery`]
+/// prepared and run once.
 pub fn run_query_guarded(
     db: &Database,
     body: &[Literal],
     guards: &QueryGuards,
 ) -> Result<QueryAnswer> {
-    // Query variables: first-occurrence order across all literals.
-    let mut variables: Vec<String> = Vec::new();
-    for l in body {
-        for v in l.variables() {
-            if !variables.iter().any(|x| x == v) {
-                variables.push(v.to_owned());
-            }
-        }
+    let mut query = PreparedQuery::prepare(body, db)?;
+    let params: Vec<Const> = PreparedQuery::params_of(body).collect();
+    let variables = query.variables.clone();
+    let mut answers: Vec<Bindings> = query
+        .run(db, &params, guards)?
+        .map(|row| variables.iter().cloned().zip(row.iter().copied()).collect())
+        .collect();
+    answers.sort();
+    answers.dedup();
+    Ok(QueryAnswer { variables, answers })
+}
+
+/// A conjunctive query compiled once and run for any constants: the
+/// plan of its anonymous rule (see [`run_query`]), with the constants of
+/// its atoms as parameters ([`PreparedQuery::params_of`]), plus the
+/// evaluation buffers every run reuses.
+///
+/// A run rebinds the parameters inside the plan and hands the head rows
+/// straight to the caller, so a query of a known shape compiles nothing
+/// and allocates no plan or scratch. The join order is the one chosen at
+/// [`PreparedQuery::prepare`], from that database's relation sizes.
+/// Comparison and arithmetic constants are part of the shape, not
+/// parameters.
+pub struct PreparedQuery {
+    plan: RulePlan,
+    scratch: Scratch,
+    rows: FactBuf,
+    variables: Vec<String>,
+}
+
+impl fmt::Debug for PreparedQuery {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PreparedQuery")
+            .field("order", &self.plan.order_desc)
+            .field("variables", &self.variables)
+            .finish_non_exhaustive()
     }
-    // Head carries only the *positively bound* variables; variables that
-    // appear only under negation are existential and not projected.
-    let positive: Vec<String> = {
-        let mut out = Vec::new();
+}
+
+impl PreparedQuery {
+    /// Compile `body`, ordering its joins by `db`'s relation sizes.
+    ///
+    /// # Errors
+    ///
+    /// [`crate::DatalogError::UnsafeVariable`] for an unsafe body, as in
+    /// [`run_query`].
+    pub fn prepare(body: &[Literal], db: &Database) -> Result<Self> {
+        // Head carries only the *positively bound* variables, in
+        // first-occurrence order; variables that appear only under
+        // negation are existential and not projected.
+        let mut variables: Vec<String> = Vec::new();
         for l in body {
             if let Literal::Pos(a) = l {
                 for v in a.variables() {
-                    if !out.iter().any(|x: &String| x == v) {
-                        out.push(v.to_owned());
+                    if !variables.iter().any(|x| x == v) {
+                        variables.push(v.to_owned());
                     }
                 }
             }
         }
-        out
-    };
-    let head = Atom::new(
-        "__query__",
-        positive.iter().map(|v| Term::var(v.clone())).collect(),
-    );
-    let rule = Clause::new(head, body.to_vec());
-    rule.check_safety()?;
-    let guard = if guards.deadline.is_none() && guards.fact_limit == 0 && guards.cancel.is_none() {
-        EvalGuard::unlimited()
-    } else {
-        let budget = if guards.fact_limit == 0 {
+        let head = Atom::new(
+            "__query__",
+            variables.iter().map(|v| Term::var(v.clone())).collect(),
+        );
+        let rule = Clause::new(head, body.to_vec());
+        rule.check_safety()?;
+        let plan = RulePlan::compile(&rule, None, db)?;
+        Ok(PreparedQuery {
+            scratch: plan.new_scratch(),
+            plan,
+            rows: FactBuf::default(),
+            variables,
+        })
+    }
+
+    /// The constants of `body`'s atoms (positive and negated), in
+    /// textual order: the parameters that make a run of the query
+    /// prepared from `body` answer `body` itself.
+    pub fn params_of(body: &[Literal]) -> impl Iterator<Item = Const> + '_ {
+        body.iter()
+            .filter_map(|l| match l {
+                Literal::Pos(a) | Literal::Neg(a) => Some(a),
+                _ => None,
+            })
+            .flat_map(|a| a.terms.iter().filter_map(Term::as_const).copied())
+    }
+
+    /// The projected variables: a row's cells, in order.
+    pub fn variables(&self) -> &[String] {
+        &self.variables
+    }
+
+    /// Evaluate the query with `params` in place of its constants, under
+    /// a fresh guard built from `guards`, and return the head rows — one
+    /// per join result, so a row may repeat. A run that trips its guard
+    /// leaves the query as ready for its next run as a new one.
+    ///
+    /// # Errors
+    ///
+    /// [`crate::DatalogError::ArityMismatch`] when `params` does not hold
+    /// one constant per parameter; guard trips and built-in failures as
+    /// in [`run_query`].
+    pub fn run(
+        &mut self,
+        db: &Database,
+        params: &[Const],
+        guards: &QueryGuards,
+    ) -> Result<impl Iterator<Item = &[Const]>> {
+        if params.len() != self.plan.params.len() {
+            return Err(crate::DatalogError::ArityMismatch {
+                predicate: "__query__".to_owned(),
+                expected: self.plan.params.len(),
+                found: params.len(),
+            });
+        }
+        self.plan.rebind(params, &mut self.scratch);
+        self.scratch.restart();
+        self.rows.clear();
+        self.plan
+            .eval(db, None, &mut self.scratch, &mut self.rows, &guards.guard())?;
+        Ok(self.rows.rows())
+    }
+}
+
+impl QueryGuards {
+    /// A fresh evaluation guard: the deadline starts now.
+    fn guard(&self) -> EvalGuard {
+        let budget = if self.fact_limit == 0 {
             usize::MAX
         } else {
-            guards.fact_limit
+            self.fact_limit
         };
-        EvalGuard::new(guards.deadline, budget, guards.cancel.clone())
-    };
-    let facts = eval_rule_once_guarded(&rule, db, &guard)?;
-    let mut answers: Vec<Bindings> = facts
-        .into_iter()
-        .map(|f| positive.iter().cloned().zip(f).collect::<Bindings>())
-        .collect();
-    answers.sort();
-    answers.dedup();
-    Ok(QueryAnswer {
-        variables: positive,
-        answers,
-    })
+        EvalGuard::new(self.deadline, budget, self.cancel.clone())
+    }
 }
 
 #[cfg(test)]
@@ -248,6 +332,118 @@ mod tests {
         let unguarded = run_query(&d, &body).unwrap();
         let guarded = run_query_guarded(&d, &body, &QueryGuards::default()).unwrap();
         assert_eq!(unguarded, guarded);
+    }
+
+    /// A prepared run's distinct rows, sorted.
+    fn rows(
+        q: &mut PreparedQuery,
+        d: &Database,
+        params: &[Const],
+        guards: &QueryGuards,
+    ) -> Result<Vec<Vec<Const>>> {
+        let mut rows: Vec<Vec<Const>> = q.run(d, params, guards)?.map(<[Const]>::to_vec).collect();
+        rows.sort();
+        rows.dedup();
+        Ok(rows)
+    }
+
+    /// A one-shot answer as rows in the query's variable order.
+    fn answer_rows(ans: &QueryAnswer) -> Vec<Vec<Const>> {
+        let mut rows: Vec<Vec<Const>> = ans
+            .answers
+            .iter()
+            .map(|b| ans.variables.iter().map(|v| b[v]).collect())
+            .collect();
+        rows.sort();
+        rows
+    }
+
+    #[test]
+    fn rebinding_a_constant_drops_the_steps_join_table() {
+        // `p(X, N)` joins on N against a two-row relation, whose hash
+        // table the step caches — built from the rows matching X only.
+        let d = db("p(a, 1). p(b, 2). r(c, d, 1). r(c, d, 2).");
+        let body = parse_query("r(c, d, N), p(a, N)").unwrap();
+        let mut q = PreparedQuery::prepare(&body, &d).unwrap();
+        let unguarded = QueryGuards::default();
+        for (x, n) in [("a", 1), ("b", 2), ("a", 1)] {
+            let params = [Const::sym("c"), Const::sym("d"), Const::sym(x)];
+            assert_eq!(
+                rows(&mut q, &d, &params, &unguarded).unwrap(),
+                vec![vec![Const::int(n)]],
+                "X = {x}"
+            );
+        }
+    }
+
+    #[test]
+    fn prepared_runs_answer_every_constant_like_one_shot_queries() {
+        let d = db("e(a, b). e(a, c). e(b, c). e(c, a). f(b). f(c).");
+        let body = parse_query("e(a, Y), f(Y), not e(Y, a)").unwrap();
+        let mut q = PreparedQuery::prepare(&body, &d).unwrap();
+        assert_eq!(q.variables(), ["Y"]);
+        for (x, z) in [("a", "a"), ("b", "a"), ("c", "b"), ("a", "c")] {
+            let goal = parse_query(&format!("e({x}, Y), f(Y), not e(Y, {z})")).unwrap();
+            let params: Vec<Const> = PreparedQuery::params_of(&goal).collect();
+            assert_eq!(
+                rows(&mut q, &d, &params, &QueryGuards::default()).unwrap(),
+                answer_rows(&run_query(&d, &goal).unwrap()),
+                "e({x}, Y), f(Y), not e(Y, {z})"
+            );
+        }
+        assert!(matches!(
+            q.run(&d, &[Const::sym("a")], &QueryGuards::default()),
+            Err(crate::DatalogError::ArityMismatch {
+                expected: 2,
+                found: 1,
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn prepared_runs_after_a_guard_trip_answer_like_one_shot_queries() {
+        // A 100 × 100 cross product: long enough to check its guard
+        // several times, so every trip below happens mid-run.
+        let mut src = String::new();
+        for i in 0..100 {
+            src.push_str(&format!("p({i}). q({i}, k). "));
+        }
+        let d = db(&src);
+        let body = parse_query("p(X), q(Y, k)").unwrap();
+        let params: Vec<Const> = PreparedQuery::params_of(&body).collect();
+        let expect = answer_rows(&run_query(&d, &body).unwrap());
+        let token = CancelToken::new();
+        token.cancel();
+        let trips = [
+            QueryGuards {
+                deadline: Some(std::time::Duration::ZERO),
+                ..QueryGuards::default()
+            },
+            QueryGuards {
+                fact_limit: 100,
+                ..QueryGuards::default()
+            },
+            QueryGuards {
+                cancel: Some(token),
+                ..QueryGuards::default()
+            },
+        ];
+        let mut q = PreparedQuery::prepare(&body, &d).unwrap();
+        for guards in &trips {
+            let one_shot = run_query_guarded(&d, &body, guards).map(|a| answer_rows(&a));
+            assert!(one_shot.is_err(), "{guards:?} trips a one-shot query");
+            // Alternate full and tripping runs, so each tripping run
+            // starts from the tick state a different number of earlier
+            // runs left behind.
+            for _ in 0..16 {
+                assert_eq!(rows(&mut q, &d, &params, guards), one_shot, "{guards:?}");
+                assert_eq!(
+                    rows(&mut q, &d, &params, &QueryGuards::default()),
+                    Ok(expect.clone())
+                );
+            }
+        }
     }
 
     #[test]

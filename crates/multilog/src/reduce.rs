@@ -132,6 +132,9 @@ pub struct ReducedEngine {
     prune: Option<FlowPrune>,
     /// Prepared demand plans and the base snapshot they run over.
     demand: Mutex<DemandCache>,
+    /// The unguarded translator [`ReducedEngine::solve`] answers
+    /// through, with its prepared queries.
+    solver: GoalTranslator,
 }
 /// What demand goals ([`ReducedEngine::solve_demand`]) reuse: the
 /// flow-pruned rules, one prepared magic plan per goal shape, and a
@@ -382,6 +385,10 @@ impl ReducedEngine {
             incremental = incremental.with_cancel_token(cancel.clone());
         }
         Ok(ReducedEngine {
+            solver: GoalTranslator::new(
+                clearances.first().map_or("", String::as_str),
+                db.modes().clone(),
+            ),
             lattice,
             clearances,
             modes: db.modes().clone(),
@@ -546,10 +553,8 @@ impl ReducedEngine {
     /// does not know (as in [`ReducedEngine::solve_demand`] and
     /// [`GoalTranslator::solve_on`]).
     pub fn solve(&self, goal: &Goal) -> Result<Vec<Answer>> {
-        let body = translate_goal(goal, self.user()?, &self.modes)?;
-        let answers =
-            dl::run_query(self.incremental.database(), &body).map_err(MultiLogError::Datalog)?;
-        Ok(project_answers(goal, &answers))
+        self.user()?;
+        self.solver.solve_on(self.incremental.database(), goal)
     }
 
     /// Parse and solve a textual MultiLog goal.
@@ -582,7 +587,8 @@ impl ReducedEngine {
     /// records whether the magic rewrite applied and how much it
     /// materialized.
     pub fn solve_demand_with_stats(&self, goal: &Goal) -> Result<(Vec<Answer>, dl::EvalStats)> {
-        let body = translate_goal(goal, self.user()?, &self.modes)?;
+        self.modes.check_goal(goal)?;
+        let body = translate_goal(goal, self.user()?)?;
         let (shape, params) = dl::magic::prepared_key(&body);
         let (plan, rules, edb, pruned_rules) = self.demand_plan(shape, &body)?;
         // Guard trips convert through `From<DatalogError>`, surfacing the
@@ -600,7 +606,16 @@ impl ReducedEngine {
         if let Some(d) = stats.demand.as_mut() {
             d.pruned_rules = pruned_rules;
         }
-        Ok((project_answers(goal, &answers), stats))
+        // Bindings iterate in variable-name order.
+        let mut names: Vec<&str> = answers.variables.iter().map(String::as_str).collect();
+        names.sort_unstable();
+        let shape = Shape::of(goal);
+        let columns = shape.columns(|v| names.iter().position(|n| *n == v));
+        let rows = answers
+            .answers
+            .iter()
+            .map(|b| b.values().copied().collect::<Vec<_>>());
+        Ok((project(&shape.vars, &columns, rows), stats))
     }
 
     /// Parse and solve a textual MultiLog goal demand-driven.
@@ -714,8 +729,6 @@ impl ReducedEngine {
             });
         }
         Ok(GoalTranslator {
-            user: user.to_owned(),
-            modes: self.modes.clone(),
             cone: self.shared.clone().unwrap_or_default(),
             guards: dl::QueryGuards {
                 deadline: self.deadline,
@@ -726,6 +739,7 @@ impl ReducedEngine {
                 },
                 cancel: self.cancel.clone(),
             },
+            ..GoalTranslator::new(user, self.modes.clone())
         })
     }
 
@@ -746,7 +760,15 @@ impl ReducedEngine {
 /// and answer it against *any* database produced by the matching
 /// [`ReducedEngine`] (typically a pinned snapshot). It holds no database
 /// itself, so readers using one never contend with writers.
-#[derive(Clone, Debug)]
+///
+/// Goals run prepared: the translator keeps one compiled
+/// [`dl::PreparedQuery`] per goal shape — the goal with its constants
+/// abstracted and its variables renamed in order of first occurrence —
+/// and rebinds its constants per goal, so a goal of a known shape does
+/// no τ translation, no plan compile and no scratch allocation, and its
+/// rows become [`Answer`]s directly. The cache holds a fixed number of
+/// shapes and clears when full; goals on one translator run one at a
+/// time. A clone starts with an empty cache.
 pub struct GoalTranslator {
     user: String,
     /// The database's belief modes; goals in any other are refused.
@@ -754,53 +776,430 @@ pub struct GoalTranslator {
     guards: dl::QueryGuards,
     /// The predicates goals read the clearance's copy of.
     cone: Arc<Cone>,
+    prepared: Mutex<PreparedCache>,
+}
+
+/// The most goal shapes one [`GoalTranslator`] keeps prepared.
+pub(crate) const MAX_PREPARED: usize = 64;
+
+/// Prepared-query counters of one goal translator: a reader session's
+/// ([`crate::ReaderSession::prepared_stats`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PreparedStats {
+    /// Plans compiled: one per goal shape the cache did not hold.
+    pub compiled: u64,
+    /// Goals answered by a cached plan.
+    pub hits: u64,
+    /// Shapes cached now.
+    pub cached: usize,
+}
+
+#[derive(Default)]
+struct PreparedCache {
+    shapes: HashMap<String, PreparedGoal>,
+    stats: PreparedStats,
+}
+
+/// One goal shape, prepared: the query compiled from the τ body of the
+/// first goal of the shape, where each of its parameters comes from,
+/// and the row column of each goal variable.
+struct PreparedGoal {
+    query: dl::PreparedQuery,
+    params: Vec<Param>,
+    /// Per [`Shape`] variable, its column in `query`'s rows.
+    columns: Vec<Option<usize>>,
+}
+
+/// The source of one parameter of a prepared goal's query.
+#[derive(Clone, Copy)]
+enum Param {
+    /// The goal's `n`-th [`Shape`] constant.
+    Goal(usize),
+    /// A constant τ emits whatever the goal's constants, such as the
+    /// clearance in the no-read-up guards.
+    Fixed(dl::Const),
+}
+
+impl Clone for GoalTranslator {
+    fn clone(&self) -> Self {
+        GoalTranslator {
+            cone: Arc::clone(&self.cone),
+            guards: self.guards.clone(),
+            ..GoalTranslator::new(&self.user, self.modes.clone())
+        }
+    }
+}
+
+impl std::fmt::Debug for GoalTranslator {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("GoalTranslator")
+            .field("user", &self.user)
+            .field("guards", &self.guards)
+            .field("prepared", &self.prepared_stats())
+            .finish_non_exhaustive()
+    }
 }
 
 impl GoalTranslator {
+    /// An unguarded translator over the generic encoding, with an empty
+    /// cache.
+    fn new(user: &str, modes: ModeSet) -> Self {
+        GoalTranslator {
+            user: user.to_owned(),
+            modes,
+            guards: dl::QueryGuards::default(),
+            cone: Arc::default(),
+            prepared: Mutex::default(),
+        }
+    }
+
     /// The clearance level this translator serves.
     pub fn user(&self) -> &str {
         &self.user
+    }
+
+    /// How many plans this translator compiled and reused.
+    pub fn prepared_stats(&self) -> PreparedStats {
+        let cache = self.prepared.lock().unwrap_or_else(PoisonError::into_inner);
+        PreparedStats {
+            cached: cache.shapes.len(),
+            ..cache.stats
+        }
     }
 
     /// Solve a MultiLog goal against `db` (a materialized reduction at
     /// this translator's clearance), under the session guards. Answers
     /// match [`ReducedEngine::solve`] on the same database.
     pub fn solve_on(&self, db: &dl::Database, goal: &Goal) -> Result<Vec<Answer>> {
-        let mut body = translate_goal(goal, &self.user, &self.modes)?;
-        self.cone.rename_body(&mut body, &self.user);
-        let answers =
-            dl::run_query_guarded(db, &body, &self.guards).map_err(MultiLogError::Datalog)?;
-        Ok(project_answers(goal, &answers))
+        self.modes.check_goal(goal)?;
+        let shape = Shape::of(goal);
+        let mut cache = self.prepared.lock().unwrap_or_else(PoisonError::into_inner);
+        let cache = &mut *cache;
+        let mut uncached;
+        let prepared = match cache.shapes.get_mut(&shape.key) {
+            Some(prepared) => {
+                cache.stats.hits += 1;
+                prepared
+            }
+            None => {
+                cache.stats.compiled += 1;
+                let (prepared, general) = self.prepare(db, goal, &shape)?;
+                if !general {
+                    uncached = prepared;
+                    &mut uncached
+                } else {
+                    if cache.shapes.len() == MAX_PREPARED {
+                        cache.shapes.clear();
+                    }
+                    cache.shapes.entry(shape.key.clone()).or_insert(prepared)
+                }
+            }
+        };
+        let params: Vec<dl::Const> = prepared
+            .params
+            .iter()
+            .map(|p| match *p {
+                Param::Goal(n) => shape.consts[n],
+                Param::Fixed(c) => c,
+            })
+            .collect();
+        let rows = prepared
+            .query
+            .run(db, &params, &self.guards)
+            .map_err(MultiLogError::Datalog)?;
+        Ok(project(&shape.vars, &prepared.columns, rows))
     }
 
     /// Parse and solve a textual MultiLog goal against `db`.
     pub fn solve_text_on(&self, db: &dl::Database, goal: &str) -> Result<Vec<Answer>> {
         self.solve_on(db, &crate::parser::parse_goal(goal)?)
     }
+
+    /// Compile `goal`'s τ body over `db` and find each constant of the
+    /// body in the goal's [`Shape`], by translating the goal's
+    /// generalization alongside it. Returns whether the plan serves the
+    /// whole shape: it does not when τ treats some goal constant other
+    /// than by copying it — an algorithm call's input names a predicate
+    /// — and the plan then answers this goal only.
+    fn prepare(
+        &self,
+        db: &dl::Database,
+        goal: &Goal,
+        shape: &Shape<'_>,
+    ) -> Result<(PreparedGoal, bool)> {
+        let body = self.body(goal)?;
+        let params = self
+            .body(&generalize(goal))
+            .ok()
+            .and_then(|general| shape_params(&body, &general, &shape.consts));
+        let query = dl::PreparedQuery::prepare(&body, db).map_err(MultiLogError::Datalog)?;
+        let columns = shape.columns(|v| query.variables().iter().position(|q| q == v));
+        let serves_shape = params.is_some();
+        let params = params.unwrap_or_else(|| {
+            dl::PreparedQuery::params_of(&body)
+                .map(Param::Fixed)
+                .collect()
+        });
+        Ok((
+            PreparedGoal {
+                query,
+                params,
+                columns,
+            },
+            serves_shape,
+        ))
+    }
+
+    /// τ(λ(goal, u)) for this translator's clearance, reading the
+    /// clearance's copies of cone predicates.
+    fn body(&self, goal: &Goal) -> Result<Vec<dl::Literal>> {
+        let mut body = translate_goal(goal, &self.user)?;
+        self.cone.rename_body(&mut body, &self.user);
+        Ok(body)
+    }
 }
 
-/// Project Datalog answers back onto the goal's own variables, in
-/// MultiLog terms, sorted and deduplicated — the translation may add
-/// guard-only variables that must not leak into the answers.
-fn project_answers(goal: &Goal, answers: &dl::QueryAnswer) -> Vec<Answer> {
-    let mut goal_vars: Vec<Arc<str>> = Vec::new();
-    for a in goal {
-        for v in a.variables() {
-            if !goal_vars.iter().any(|g| g.as_ref() == v) {
-                goal_vars.push(shared_name(v));
+/// A goal's shape: the goal with its constants abstracted and its
+/// variables renamed in order of first occurrence. The constants are
+/// its terms and the names τ copies into the body as constants, an
+/// m-atom's predicate and attribute; a b-atom's mode names the belief
+/// relation the goal reads, so it stays in the shape. At a fixed
+/// clearance the shape fixes the shape of the τ body, and one prepared
+/// query answers every goal of a shape. `key` renders the shape;
+/// `consts` and `vars` list the goal's constants and variables in shape
+/// order.
+struct Shape<'g> {
+    key: String,
+    consts: Vec<dl::Const>,
+    vars: Vec<&'g Arc<str>>,
+}
+
+impl<'g> Shape<'g> {
+    fn of(goal: &'g Goal) -> Self {
+        let mut shape = Shape {
+            key: String::new(),
+            consts: Vec::new(),
+            vars: Vec::new(),
+        };
+        for atom in goal {
+            match atom {
+                Atom::M(m) => {
+                    shape.key.push('M');
+                    shape.matom(m);
+                }
+                Atom::B(m, mode) => {
+                    shape.key.push('B');
+                    shape.key.push_str(mode);
+                    shape.key.push('(');
+                    shape.matom(m);
+                }
+                Atom::P(p) => {
+                    shape.key.push('P');
+                    shape.key.push_str(&p.pred);
+                    shape.key.push('(');
+                    p.args.iter().for_each(|t| shape.term(t));
+                }
+                Atom::L(t) => {
+                    shape.key.push('L');
+                    shape.term(t);
+                }
+                Atom::H(l, h) | Atom::Leq(l, h) => {
+                    shape.key.push(if matches!(atom, Atom::H(..)) {
+                        'H'
+                    } else {
+                        'Q'
+                    });
+                    shape.term(l);
+                    shape.term(h);
+                }
+            }
+            shape.key.push(';');
+        }
+        shape
+    }
+
+    /// An m-atom's positions, in the order [`generalize`] numbers them.
+    fn matom(&mut self, m: &'g MAtom) {
+        self.term(&m.level);
+        self.name(&m.pred);
+        self.term(&m.key);
+        self.name(&m.attr);
+        self.term(&m.class);
+        self.term(&m.value);
+    }
+
+    fn name(&mut self, name: &str) {
+        self.key.push('?');
+        self.consts.push(dl::Const::sym(name));
+    }
+
+    fn term(&mut self, t: &'g Term) {
+        match t {
+            Term::Var(v) => {
+                let i = match self.vars.iter().position(|x| x == &v) {
+                    Some(i) => i,
+                    None => {
+                        self.vars.push(v);
+                        self.vars.len() - 1
+                    }
+                };
+                let _ = write!(self.key, "{i},");
+            }
+            _ => {
+                if let dl::Term::Const(c) = term(t) {
+                    self.key.push('?');
+                    self.consts.push(c);
+                }
             }
         }
     }
-    let mut out: Vec<Answer> = Vec::with_capacity(answers.answers.len());
-    for b in &answers.answers {
-        let mut a = Answer::with_capacity(goal_vars.len());
-        for v in &goal_vars {
-            if let Some(c) = b.get(v.as_ref()) {
-                a.insert(Arc::clone(v), const_to_term(c));
+
+    /// Each variable's column, by name, in a row layout `column_of`.
+    fn columns(&self, column_of: impl Fn(&str) -> Option<usize>) -> Vec<Option<usize>> {
+        self.vars.iter().map(|v| column_of(v)).collect()
+    }
+}
+
+/// `goal` with its `n`-th [`Shape`] constant replaced by the placeholder
+/// symbol `?n` and its `i`-th variable renamed `V{i}`, numbered in shape
+/// order.
+fn generalize(goal: &Goal) -> Goal {
+    #[derive(Default)]
+    struct General {
+        consts: usize,
+        vars: Vec<Arc<str>>,
+    }
+    impl General {
+        fn name(&mut self) -> Arc<str> {
+            self.consts += 1;
+            shared_name(&format!("?{}", self.consts - 1))
+        }
+        fn term(&mut self, t: &Term) -> Term {
+            let Term::Var(v) = t else {
+                return Term::Sym(self.name());
+            };
+            let i = self.vars.iter().position(|x| x == v).unwrap_or_else(|| {
+                self.vars.push(Arc::clone(v));
+                self.vars.len() - 1
+            });
+            Term::var(format!("V{i}"))
+        }
+        /// Field by field in [`Shape::matom`]'s order.
+        fn matom(&mut self, m: &MAtom) -> MAtom {
+            let level = self.term(&m.level);
+            let pred = self.name();
+            let key = self.term(&m.key);
+            let attr = self.name();
+            let class = self.term(&m.class);
+            let value = self.term(&m.value);
+            MAtom {
+                level,
+                pred,
+                key,
+                attr,
+                class,
+                value,
             }
         }
-        out.push(a);
     }
+    let mut g = General::default();
+    goal.iter()
+        .map(|atom| match atom {
+            Atom::M(m) => Atom::M(g.matom(m)),
+            Atom::B(m, mode) => Atom::B(g.matom(m), Arc::clone(mode)),
+            Atom::P(p) => Atom::P(PAtom {
+                pred: Arc::clone(&p.pred),
+                args: p.args.iter().map(|t| g.term(t)).collect(),
+            }),
+            Atom::L(t) => Atom::L(g.term(t)),
+            Atom::H(l, h) => {
+                let l = g.term(l);
+                Atom::H(l, g.term(h))
+            }
+            Atom::Leq(l, h) => {
+                let l = g.term(l);
+                Atom::Leq(l, g.term(h))
+            }
+        })
+        .collect()
+}
+
+/// Where each constant of `body`, in [`dl::PreparedQuery::params_of`]
+/// order, comes from, read off `general` (the τ body of the goal's
+/// [`generalize`]ation) position by position: a placeholder `?n` is the
+/// goal's `n`-th constant, any other constant is fixed. `None` unless
+/// the two bodies agree on every other position — predicates, fixed
+/// constants, and one variable for one variable — with `consts` at the
+/// placeholders.
+fn shape_params(
+    body: &[dl::Literal],
+    general: &[dl::Literal],
+    consts: &[dl::Const],
+) -> Option<Vec<Param>> {
+    if body.len() != general.len() {
+        return None;
+    }
+    let mut params = Vec::new();
+    let mut renamed: HashMap<&str, &str> = HashMap::new();
+    for (l, g) in body.iter().zip(general) {
+        let (a, ga) = match (l, g) {
+            (dl::Literal::Pos(a), dl::Literal::Pos(ga))
+            | (dl::Literal::Neg(a), dl::Literal::Neg(ga)) => (a, ga),
+            _ if l == g => continue,
+            _ => return None,
+        };
+        if a.predicate != ga.predicate || a.terms.len() != ga.terms.len() {
+            return None;
+        }
+        for (t, gt) in a.terms.iter().zip(&ga.terms) {
+            match (t, gt) {
+                (dl::Term::Var(v), dl::Term::Var(gv)) => {
+                    if *renamed.entry(gv).or_insert(v) != v.as_ref() {
+                        return None;
+                    }
+                }
+                (dl::Term::Const(c), dl::Term::Const(gc)) => {
+                    let placeholder = match gc {
+                        dl::Const::Sym(s) => {
+                            s.as_str().strip_prefix('?').and_then(|n| n.parse().ok())
+                        }
+                        dl::Const::Int(_) => None,
+                    };
+                    match placeholder {
+                        Some(n) if consts.get(n) == Some(c) => params.push(Param::Goal(n)),
+                        None if c == gc => params.push(Param::Fixed(*c)),
+                        _ => return None,
+                    }
+                }
+                _ => return None,
+            }
+        }
+    }
+    // One variable for one variable: no two renamed to the same.
+    let distinct: HashSet<&str> = renamed.values().copied().collect();
+    (distinct.len() == renamed.len()).then_some(params)
+}
+
+/// Answers from `rows`: each row's `columns` cells bound to the goal's
+/// `vars`, sorted and deduplicated. A translation may add guard-only
+/// variables; they have no column here and never leak into answers.
+fn project<R: AsRef<[dl::Const]>>(
+    vars: &[&Arc<str>],
+    columns: &[Option<usize>],
+    rows: impl Iterator<Item = R>,
+) -> Vec<Answer> {
+    let mut out: Vec<Answer> = rows
+        .map(|row| {
+            let row = row.as_ref();
+            let mut a = Answer::with_capacity(vars.len());
+            for (v, col) in vars.iter().zip(columns) {
+                if let Some(c) = col {
+                    a.insert(Arc::clone(v), const_to_term(&row[*c]));
+                }
+            }
+            a
+        })
+        .collect();
     out.sort();
     out.dedup();
     out
@@ -1094,8 +1493,7 @@ fn translate_clause(c: &Clause, guard: Guard<'_>, level_split: bool) -> Result<d
 
 /// τ(λ(goal, u)): a MultiLog goal as a reduced query body. Goals read the
 /// generic `rel`/`bel` predicates, whatever the rule encoding.
-fn translate_goal(goal: &Goal, user: &str, modes: &ModeSet) -> Result<Vec<dl::Literal>> {
-    modes.check_goal(goal)?;
+fn translate_goal(goal: &Goal, user: &str) -> Result<Vec<dl::Literal>> {
     let bound = |_: &Term| Some(dl::Term::sym(user));
     let mut body = Vec::new();
     for atom in goal {
@@ -1795,6 +2193,62 @@ mod tests {
                 .len()
                 > before.len()
         );
+    }
+
+    #[test]
+    fn shapes_number_constants_as_their_generalization_does() {
+        let goals = [
+            "L[p(k : a -C-> V)] << opt, C leq s",
+            "s[p(K : a -u-> K)], q(K, null, 3)",
+            "level(X), order(X, s), @bfs(edge, X, Y)",
+        ];
+        for text in goals {
+            let goal = crate::parser::parse_goal(text).unwrap();
+            let shape = Shape::of(&goal);
+            let general = generalize(&goal);
+            let general_shape = Shape::of(&general);
+            assert_eq!(general_shape.key, shape.key, "{text}");
+            let placeholders: Vec<dl::Const> = (0..shape.consts.len())
+                .map(|n| dl::Const::sym(format!("?{n}")))
+                .collect();
+            assert_eq!(general_shape.consts, placeholders, "{text}");
+        }
+    }
+
+    #[test]
+    fn algorithm_call_goals_run_unprepared() {
+        // The call's input names a predicate, so its τ body is not the
+        // generalization's: each goal compiles for itself.
+        let db =
+            parse_database("edge(a, b). edge(b, c). edge(x, y). reach(X, Y) <- @bfs(edge, X, Y).")
+                .unwrap();
+        let red = ReducedEngine::new(&db, "system").unwrap();
+        let translator = red.goal_translator("system").unwrap();
+        let db = red.database();
+        for (goal, answers) in [
+            ("@bfs(edge, a, Y)", 2),
+            ("@bfs(edge, b, Y)", 1),
+            ("@bfs(edge, x, Y)", 1),
+        ] {
+            assert_eq!(
+                translator.solve_text_on(db, goal).unwrap().len(),
+                answers,
+                "{goal}"
+            );
+        }
+        let stats = translator.prepared_stats();
+        assert_eq!((stats.compiled, stats.hits, stats.cached), (3, 0, 0));
+        // Goals that only read its output prepare as usual.
+        assert_eq!(
+            translator.solve_text_on(db, "reach(a, Y)").unwrap().len(),
+            2
+        );
+        assert_eq!(
+            translator.solve_text_on(db, "reach(x, Y)").unwrap().len(),
+            1
+        );
+        let stats = translator.prepared_stats();
+        assert_eq!((stats.compiled, stats.hits, stats.cached), (4, 1, 1));
     }
 
     /// The τ corpus: every `examples/data/*.mlog` file (by name) plus the

@@ -63,7 +63,7 @@ use multilog_datalog as dl;
 use crate::ast::Goal;
 use crate::db::MultiLogDb;
 use crate::engine::{Answer, EngineOptions};
-use crate::reduce::{EdbUpdate, GoalTranslator, ReducedEngine};
+use crate::reduce::{EdbUpdate, GoalTranslator, PreparedStats, ReducedEngine};
 use crate::{MultiLogError, Result};
 
 /// The key of the one entry in [`CommitSummary::levels`]: the shared
@@ -244,9 +244,10 @@ impl ServerInner {
 }
 
 /// A reader session: a pinned generation plus the goal translator for
-/// its clearance. `Send`, cheap to move into a thread, and entirely
-/// independent of the server's engines — queries here can never block a
-/// commit and vice versa.
+/// its clearance, which keeps the session's prepared queries (one per
+/// goal shape; a clone starts with none). `Send`, cheap to move into a
+/// thread, and entirely independent of the server's engines — queries
+/// here can never block a commit and vice versa.
 #[derive(Clone, Debug)]
 pub struct ReaderSession {
     translator: GoalTranslator,
@@ -293,6 +294,13 @@ impl ReaderSession {
     pub fn query_text(&self, goal: &str) -> Result<Vec<Answer>> {
         self.translator
             .solve_text_on(self.snapshot.database(), goal)
+    }
+
+    /// How many query plans this session compiled, and how many goals a
+    /// cached plan answered: one plan per goal shape, reused across
+    /// refreshes. A clone starts counting from zero.
+    pub fn prepared_stats(&self) -> PreparedStats {
+        self.translator.prepared_stats()
     }
 }
 
@@ -669,5 +677,99 @@ mod tests {
         let err = writer.commit(&[EdbUpdate::Assert(m)]);
         assert!(matches!(err, Err(MultiLogError::NotAdmissible { .. })));
         assert_eq!(server.epoch(), 0);
+    }
+
+    /// Goal `i` of a serve client that names its variables afresh in
+    /// every goal: 200 shapes — one or two m-/b-atoms, each binding or
+    /// leaving open its key, class and value — each asked five times in a
+    /// row, with rotating constants in every bound position.
+    fn fresh_goal(i: usize) -> String {
+        let shape = (i / 5) % 200;
+        let atom = |pattern: usize, key: &str, tag: &str| {
+            let pick = |bit: usize, constant: String, var: String| {
+                if pattern & bit == 0 {
+                    constant
+                } else {
+                    var
+                }
+            };
+            let level = ["u", "c", "s"][(i / 5) % 3];
+            let key = pick(1, ["k1", "k2", "k3"][i % 3].to_owned(), key.to_owned());
+            let class = pick(2, ["u", "c"][(i / 2) % 2].to_owned(), format!("C{tag}{i}"));
+            let value = pick(
+                4,
+                ["v1", "v2", "v3"][(i / 3) % 3].to_owned(),
+                format!("V{tag}{i}"),
+            );
+            let m = format!("{level}[p({key} : a -{class}-> {value})]");
+            if pattern & 8 == 0 {
+                m
+            } else {
+                format!("{m} << {}", ["fir", "opt", "cau"][shape % 3])
+            }
+        };
+        let key = format!("K{i}");
+        let first = atom(shape % 16, &key, "a");
+        match shape / 16 {
+            0 => first,
+            n => format!("{first}, {}", atom(n - 1, &key, "b")),
+        }
+    }
+
+    #[test]
+    fn prepared_cache_stays_bounded_under_fresh_goals() {
+        let src = r#"
+            level(u). level(c). level(s).
+            order(u, c). order(c, s).
+            u[p(k1 : a -u-> v1)]. c[p(k1 : a -c-> v2)]. s[p(k2 : a -u-> v1)].
+            c[p(k2 : a -u-> v3)]. u[p(k3 : a -u-> v2)].
+            c[p(k3 : a -c-> v3)] <- q(k3).
+            q(k3).
+        "#;
+        let db = parse_database(src).unwrap();
+        let op = crate::MultiLogEngine::new(&db, "c").unwrap();
+        let server = BeliefServer::new(db, EngineOptions::default());
+        let reader = server.open_reader("c").unwrap();
+        let mut answered = 0;
+        for i in 0..10_000 {
+            let goal = fresh_goal(i);
+            let answers = reader.query_text(&goal).unwrap();
+            assert_eq!(answers, op.solve_text(&goal).unwrap(), "`{goal}`");
+            answered += usize::from(!answers.is_empty());
+            let stats = reader.prepared_stats();
+            assert!(stats.cached <= crate::reduce::MAX_PREPARED, "{stats:?}");
+        }
+        assert!(answered >= 1_000, "only {answered} goals have answers");
+        // Four of every five goals repeat the previous goal's shape.
+        let stats = reader.prepared_stats();
+        assert_eq!(stats.compiled + stats.hits, 10_000);
+        assert_eq!(stats.hits, 8_000, "{stats:?}");
+        // Renaming variables alone reuses the plan.
+        let goal = "c[p(K : a -C-> V)] << opt, u[p(K : a -u-> W)]";
+        let renamed = "c[p(Key : a -Class-> Val)] << opt, u[p(Key : a -u-> Other)]";
+        let want = reader.query_text(goal).unwrap();
+        let before = reader.prepared_stats();
+        let got = reader.query_text(renamed).unwrap();
+        let after = reader.prepared_stats();
+        assert_eq!(
+            (after.compiled, after.cached),
+            (before.compiled, before.cached)
+        );
+        assert_eq!(after.hits, before.hits + 1);
+        let values = |answers: &[Answer], vars: [&str; 4]| -> Vec<Vec<String>> {
+            let mut out: Vec<Vec<String>> = answers
+                .iter()
+                .map(|a| vars.iter().map(|v| a[v].to_string()).collect())
+                .collect();
+            out.sort();
+            out
+        };
+        assert!(!want.is_empty());
+        assert_eq!(
+            values(&got, ["Key", "Class", "Val", "Other"]),
+            values(&want, ["K", "C", "V", "W"])
+        );
+        // A clone starts with an empty cache.
+        assert_eq!(reader.clone().prepared_stats(), PreparedStats::default());
     }
 }

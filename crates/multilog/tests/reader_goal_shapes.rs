@@ -5,7 +5,8 @@
 //! `bel`, a `BeliefServer` reader at every level must answer each goal
 //! shape exactly as a fresh reduction of base plus committed history —
 //! in the generic encoding and in the level-split one that a `<< cau`
-//! rule switches on.
+//! rule switches on. Each shape is asked twice with different constants,
+//! so the second goal runs the plan the first one prepared.
 
 // Test code: unwraps are the assertion.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -94,30 +95,70 @@ fn source(cells: &BTreeSet<Cell>, split: bool) -> String {
     src
 }
 
-/// Every binding shape a reader goal can take at level `h`.
-fn goals(h: usize) -> Vec<String> {
+/// Every binding shape a reader goal can take at level `h`, each asked
+/// at least twice with different constants in its bound key, value,
+/// class and level positions, labelled by shape. A b-atom's mode is part
+/// of its shape.
+fn goals(h: usize) -> Vec<(String, String)> {
+    let above = (h + 1) % DEPTH;
     let mut out = Vec::new();
     for mode in ["fir", "opt", "cau"] {
         for key in [0, 3, BASE + 1, BASE + ADDED - 1] {
-            // Key bound.
-            out.push(format!("l{h}[data(k{key} : a -C-> V)] << {mode}"));
+            // Key bound, at the reader's level and at another.
+            out.push((
+                format!("bel key {mode}"),
+                format!("l{h}[data(k{key} : a -C-> V)] << {mode}"),
+            ));
+            out.push((
+                format!("bel key {mode}"),
+                format!("l{above}[data(k{key} : a -C-> V)] << {mode}"),
+            ));
         }
         // Only the value bound; only the class bound; nothing bound.
         for value in [7, BASE + ADDED - 3] {
-            out.push(format!("L[data(K : a -C-> v{value})] << {mode}"));
+            out.push((
+                format!("bel value {mode}"),
+                format!("L[data(K : a -C-> v{value})] << {mode}"),
+            ));
         }
-        out.push(format!("L[data(K : a -l0-> V)] << {mode}"));
-        out.push(format!("L[data(K : a -C-> V)] << {mode}"));
+        for class in [0, h] {
+            out.push((
+                format!("bel class {mode}"),
+                format!("L[data(K : a -l{class}-> V)] << {mode}"),
+            ));
+        }
+        out.push((
+            format!("bel {mode}"),
+            format!("L[data(K : a -C-> V)] << {mode}"),
+        ));
     }
     // m-atom goals: key bound, and unbound.
     for key in [0, 2, BASE + 3, BASE + ADDED - 2] {
-        out.push(format!("l{h}[data(k{key} : a -C-> V)]"));
+        out.push((
+            "rel key".to_owned(),
+            format!("l{h}[data(k{key} : a -C-> V)]"),
+        ));
+        out.push((
+            "rel key".to_owned(),
+            format!("l{above}[data(k{key} : a -C-> V)]"),
+        ));
     }
-    out.push("L[data(K : a -C-> V)]".to_owned());
+    out.push(("rel".to_owned(), "L[data(K : a -C-> V)]".to_owned()));
+    out.push((
+        "rel".to_owned(),
+        "L[data(Key : a -Class-> Value)]".to_owned(),
+    ));
     // p-atom goals: a p-fact with its first argument bound, a Π rule head.
-    out.push("tag(k1, T)".to_owned());
-    out.push("hot(K)".to_owned());
-    out.push(format!("l{}[derived(K : b -C-> V)] << cau", DEPTH - 1));
+    out.push(("tag".to_owned(), "tag(k1, T)".to_owned()));
+    out.push(("tag".to_owned(), "tag(k4, T)".to_owned()));
+    out.push(("hot".to_owned(), "hot(K)".to_owned()));
+    out.push(("hot".to_owned(), "hot(Key)".to_owned()));
+    for mode in ["cau", "opt"] {
+        out.push((
+            format!("bel level {mode}"),
+            format!("l{}[derived(K : b -C-> V)] << {mode}", DEPTH - 1),
+        ));
+    }
     out
 }
 
@@ -181,14 +222,31 @@ fn every_goal_shape_matches_a_fresh_reduction_after_compacting_bel(split: bool) 
             peak[h],
             bel_len(reader)
         );
+        // The fresh engine prepares its own plans; asking it the goals
+        // in reverse order compiles each shape from the other goal.
         let fresh = ReducedEngine::new(&db, &format!("l{h}")).unwrap();
-        for goal in goals(h) {
+        let goals = goals(h);
+        let want: Vec<_> = goals
+            .iter()
+            .rev()
+            .map(|(_, goal)| norm(&fresh.solve_text(goal).unwrap()))
+            .collect();
+        for ((_, goal), want) in goals.iter().zip(want.iter().rev()) {
             assert_eq!(
-                norm(&reader.query_text(&goal).unwrap()),
-                norm(&fresh.solve_text(&goal).unwrap()),
+                &norm(&reader.query_text(goal).unwrap()),
+                want,
                 "`{goal}` at l{h} (split {split})"
             );
         }
+        // One plan per shape, every other goal answered by it.
+        let shapes: BTreeSet<&str> = goals.iter().map(|(shape, _)| shape.as_str()).collect();
+        let stats = reader.prepared_stats();
+        assert_eq!(stats.compiled, shapes.len() as u64, "l{h}: {stats:?}");
+        assert_eq!(
+            stats.hits,
+            (goals.len() - shapes.len()) as u64,
+            "l{h}: {stats:?}"
+        );
     }
 }
 
