@@ -59,6 +59,10 @@
 //!   recomputed from scratch: an aggregate stratum is recomputed only
 //!   when one of its inputs changed, so only the `bel`/`total` stratum
 //!   may recompute and the figure is at most 1.
+//! * `late_open_ms` — opening the lowest clearance on a [`BeliefServer`]
+//!   over the dashboard database that already serves the top level: its
+//!   `total` aggregate depends on the clearance, so the open commits the
+//!   new clearance's slice. Best of `--repeat` servers; ungated.
 //! * `tc_chain_xl` — transitive closure over a 3150-edge chain (~5M
 //!   derived paths); runs once, last, so the process peak RSS reported
 //!   as `tc_chain_xl_peak_rss_mb` (VmHWM) is attributable to it.
@@ -620,6 +624,29 @@ fn run_dashboard_churn() -> DashboardChurnResult {
     }
 }
 
+/// Milliseconds to open the lowest clearance on a [`BeliefServer`] over
+/// the default dashboard database, whose top level is open already: the
+/// `total` aggregate depends on the clearance, so opening one evaluates
+/// its slice. Best of `repeat` fresh servers; the new reader's dashboard
+/// row is asserted present.
+fn late_open_ms(repeat: usize) -> f64 {
+    let spec = DashboardSpec::default();
+    let src = synthetic_dashboard(&spec);
+    let top = format!("l{}", spec.depth - 1);
+    let mut best = f64::INFINITY;
+    for _ in 0..repeat {
+        let db = parse_database(&src).expect("synthetic dashboard parses");
+        let server = BeliefServer::new(db, EngineOptions::default());
+        server.open_reader(&top).expect("top reader opens");
+        let start = Instant::now();
+        let low = server.open_reader("l0").expect("late reader opens");
+        best = best.min(start.elapsed().as_secs_f64() * 1e3);
+        let row = low.query_text("total(l0, N)").expect("dashboard goal");
+        assert_eq!(row.len(), 1, "the late reader sees its dashboard row");
+    }
+    best
+}
+
 /// What the multi-session server did under churn: reader-side query
 /// latency percentiles and writer-side commit throughput.
 struct ConcurrentChurnResult {
@@ -1125,6 +1152,8 @@ fn main() {
     let (level_dashboard, dashboard_rows) = run_level_dashboard(repeat);
     // dashboard_churn commits single cells under that aggregate.
     let dashboard_churn = run_dashboard_churn();
+    // late_open times opening a clearance whose slice must be evaluated.
+    let late_open = late_open_ms(repeat);
     // concurrent_churn drives the multi-session belief server: reader
     // threads refresh + query pinned snapshots while the writer commits.
     let churn = run_concurrent_churn(4, 60);
@@ -1181,6 +1210,7 @@ fn main() {
         "  \"dashboard_churn\": {{\n    \"commits\": {},\n    \"commit_p50_ms\": {:.3},\n    \"strata_recomputed_max\": {}\n  }},\n",
         dashboard_churn.commits, dashboard_churn.commit_p50_ms, dashboard_churn.strata_recomputed_max
     ));
+    json.push_str(&format!("  \"late_open_ms\": {late_open:.3},\n"));
     json.push_str("  \"concurrent_churn\": {\n");
     json.push_str(&format!("    \"readers\": {},\n", churn.readers));
     json.push_str(&format!("    \"commits\": {},\n", churn.commits));

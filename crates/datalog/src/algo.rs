@@ -36,7 +36,7 @@
 //! | `@topk(s, k, X, V)` | `s(item, score)` | triples | the `k` highest-scoring tuples; `k` a positive integer literal at the call site |
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::{Arc, OnceLock};
 
 use crate::atom::Literal;
@@ -187,6 +187,11 @@ pub(crate) fn call_patterns(
 
 /// Run the named operator over `input`, validating the call arity, the
 /// input arity, and operator-specific options first.
+///
+/// A call with one argument more than the operator takes is
+/// *partitioned*: the input carries one more trailing column (such as a
+/// clearance column), the operator runs once per value of that column
+/// over the rows holding it, and each output row gets the value appended.
 pub(crate) fn materialize(
     name: &str,
     input: Option<&Relation>,
@@ -199,6 +204,27 @@ pub(crate) fn materialize(
         .ok_or_else(|| DatalogError::UnknownAlgo {
             name: name.to_owned(),
         })?;
+    if call_arity == op.arity() + 1 {
+        let patterns: Vec<_> = patterns.iter().map(|p| p[..op.arity()].to_vec()).collect();
+        // Partitions in storage key order, so the output is deterministic.
+        let mut parts: BTreeMap<u128, (Const, Relation)> = BTreeMap::new();
+        for fact in input.iter().flat_map(|rel| rel.iter()) {
+            let Some((&part, row)) = fact.split_last() else {
+                continue;
+            };
+            let (_, rel) = parts
+                .entry(key_of(part))
+                .or_insert_with(|| (part, Relation::new()));
+            rel.insert(row.to_vec());
+        }
+        let mut out = Relation::new();
+        for (part, rel) in parts.values() {
+            for fact in materialize(name, Some(rel), op.arity(), &patterns, guard)?.iter() {
+                out.insert([&fact[..], &[*part]].concat());
+            }
+        }
+        return Ok(out);
+    }
     if call_arity != op.arity() {
         return Err(algo_err(
             name,

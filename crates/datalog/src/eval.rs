@@ -42,7 +42,7 @@ use crate::guard::{CancelToken, EvalGuard};
 use crate::magic::{self, PreparedMagic};
 use crate::plan::{delta_positions, RulePlan, Scratch};
 use crate::program::Program;
-use crate::query::{run_query, QueryAnswer};
+use crate::query::{run_query, QueryAnswer, QueryGuards};
 use crate::storage::{key_of, Database, Fact, FactBuf, Relation};
 use crate::term::{Const, SymId, Term};
 use crate::trace::{TraceEvent, TraceSink};
@@ -496,28 +496,16 @@ impl<'p> Engine<'p> {
             .map(|a| a.predicate.as_str())
             .collect();
         let needed = self.rules.dependencies_of(seeds);
-        let (mut db, mut stats) = self.run_inner(Some(&needed), goal, base)?;
+        let (db, mut stats) = self.run_inner(Some(&needed), goal, base)?;
         // Algo calls appearing only in the goal have no stratum in the
         // program; materialize them now, over the finished cone fixpoint
         // (their input is complete by construction).
-        let guard = EvalGuard::new(self.deadline, self.fact_limit, self.cancel.clone());
-        for l in goal {
-            let Some(a) = l.atom() else { continue };
-            let pred = a.predicate.as_str();
-            let Some((name, input)) = algo::parse_call(pred) else {
-                continue;
-            };
-            if db.relation(pred).is_some() {
-                continue; // already materialized in its program stratum
-            }
-            let patterns = algo::call_patterns(&self.rules, goal, a.predicate);
-            let out = algo::materialize(name, db.relation(input), a.arity(), &patterns, &guard)?;
-            guard.begin_round(db.fact_count());
-            for fact in out.iter() {
-                db.insert_id(a.predicate, fact);
-            }
-            guard.check_db(db.fact_count())?;
-        }
+        let guards = QueryGuards {
+            deadline: self.deadline,
+            fact_limit: self.fact_limit,
+            cancel: self.cancel.clone(),
+        };
+        let db = crate::query::with_goal_calls(&db, goal, &guards)?.unwrap_or(db);
         let answer = run_query(&db, goal)?;
         stats.demand = Some(DemandStats {
             strategy: "cone",

@@ -359,20 +359,6 @@ impl IncrementalEngine {
         self
     }
 
-    /// Seed the extensional base with `base` instead of the program's
-    /// fact clauses: an engine replacing another one (over a program
-    /// with more rules) takes over its [`base_database`], committed
-    /// updates included. Call before [`recover`], which materializes over
-    /// it.
-    ///
-    /// [`base_database`]: IncrementalEngine::base_database
-    /// [`recover`]: IncrementalEngine::recover
-    #[must_use]
-    pub fn with_base(mut self, base: Database) -> Self {
-        self.base = base;
-        self
-    }
-
     /// Keep `predicate`'s `column` indexed in the database this engine
     /// leaves after every [`commit`](IncrementalEngine::commit) and
     /// [`recover`](IncrementalEngine::recover) (the one readers pin), for

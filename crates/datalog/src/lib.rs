@@ -118,7 +118,10 @@ pub use incremental::{CommitStats, IncrementalEngine};
 pub use magic::PreparedMagic;
 pub use parser::{parse_atom, parse_clause, parse_program, parse_query};
 pub use program::{DepGraph, Program, Stratification};
-pub use query::{run_query, run_query_guarded, Bindings, PreparedQuery, QueryAnswer, QueryGuards};
+pub use query::{
+    run_query, run_query_guarded, with_goal_calls, Bindings, PreparedQuery, QueryAnswer,
+    QueryGuards,
+};
 pub use snapshot::{GenerationStore, Snapshot};
 pub use storage::{Database, Relation};
 pub use term::{Const, SymId, Term};

@@ -228,6 +228,45 @@ impl PreparedQuery {
     }
 }
 
+/// `db` plus the output of every algorithm call in `goal` that `db` holds
+/// no relation for — a call no rule makes — run over its (complete)
+/// input relation in `db` under `guards`, so that a query of `goal` sees
+/// the call's answers; `None` when `goal` makes no such call. The copy
+/// shares `db`'s relations (copy-on-write).
+///
+/// # Errors
+///
+/// An unknown operator, a call or input arity the operator does not
+/// take, or a guard trip.
+pub fn with_goal_calls(
+    db: &Database,
+    goal: &[Literal],
+    guards: &QueryGuards,
+) -> Result<Option<Database>> {
+    let guard = guards.guard();
+    let mut out: Option<Database> = None;
+    for a in goal.iter().filter_map(Literal::atom) {
+        let pred = a.predicate.as_str();
+        let Some((name, input)) = crate::algo::parse_call(pred) else {
+            continue;
+        };
+        let current = out.as_ref().unwrap_or(db);
+        if current.relation(pred).is_some() {
+            continue; // already materialized in its program stratum
+        }
+        let patterns = crate::algo::call_patterns(&crate::Program::default(), goal, a.predicate);
+        let input = current.relation(input);
+        let facts = crate::algo::materialize(name, input, a.arity(), &patterns, &guard)?;
+        let db = out.get_or_insert_with(|| db.clone());
+        guard.begin_round(db.fact_count());
+        for fact in facts.iter() {
+            db.insert_id(a.predicate, fact);
+        }
+        guard.check_db(db.fact_count())?;
+    }
+    Ok(out)
+}
+
 impl QueryGuards {
     /// A fresh evaluation guard: the deadline starts now.
     fn guard(&self) -> EvalGuard {

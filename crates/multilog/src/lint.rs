@@ -553,8 +553,9 @@ impl<'p> Program<'p> {
     // ML0105 — the level-stratification condition for cautious belief:
     // when `<< cau` occurs in a clause body, every m-clause head level
     // must be ground, each consulted `cau` level must be ground and
-    // strictly dominated by the head level, and p-clauses may not consult
-    // `cau` at all (see `MultiLogEngine`'s module docs).
+    // strictly dominated by the head level, every body m-atom level must
+    // be ground (τ splits `rel` per level then), and p-clauses may not
+    // consult `cau` at all (see `MultiLogEngine`'s module docs).
     fn check_belief_stratification(&self, out: &mut Vec<Finding>) {
         if !self.uses_cau {
             return;
@@ -610,6 +611,13 @@ impl<'p> Program<'p> {
                 if matches!(a, Atom::B(_, m) if m.as_ref() == "cau") {
                     push(c, format!("p-clause `{c}` may not consult `<< cau`"));
                 }
+            }
+        }
+        for c in self.sigma.iter().chain(&self.pi) {
+            let variable = |a: &&Atom| matches!(a, Atom::M(m) if !matches!(m.level, Term::Sym(_)));
+            if let Some(m) = c.body.iter().find(variable) {
+                let detail = format!("in `{c}` the m-atom `{m}` has a variable level");
+                push(c, format!("{detail} while the program uses `<< cau`"));
             }
         }
     }

@@ -18,8 +18,12 @@
 //! * p-, l-, h-atoms translate to themselves; `⪯` becomes `dominate/2`.
 //! * `τ(λ(B, u))` guards every body/query m- and b-atom with
 //!   `dominate(l, u)` and `dominate(c, u)` — the Bell–LaPadula *no read
-//!   up* conditions, baked in at compile time because the reduced program
-//!   cannot enforce per-user views (§6.2).
+//!   up* conditions (§6.2). Here the clearance is data: a goal's guards
+//!   name its clearance, rules whose body labels the head level dominates
+//!   need no guard, and the other rules read `u` from a clearance column
+//!   `U` bound by the base relation `clearance(U)`, so one program serves
+//!   every clearance (docs/SEMANTICS.md, "One fixpoint for every
+//!   clearance").
 //!
 //! ## Making Figure 12 executable
 //!
@@ -37,12 +41,8 @@
 //!   generated per level against the *statically known* dominance
 //!   relation — the level stratification of the operational engine,
 //!   reflected syntactically. This requires ground levels on the body
-//!   m-atoms of every rule, which τ checks as it translates
-//!   ([`MultiLogError::NotBeliefStratified`]). The operational engine
-//!   has no such restriction: admission ([`MultiLogDb::new`], ML0105)
-//!   only grounds head levels and `<< cau` levels, so a rule with a
-//!   variable-level m-atom beside a `<< cau` atom runs there and is
-//!   refused here (a known divergence; see ROADMAP.md);
+//!   m-atoms of every rule, which admission ([`MultiLogDb::new`],
+//!   ML0105) requires of every engine's programs;
 //! * the unsafe negations of a₆–a₉ become safe auxiliary predicates
 //!   (`visible`, `beaten`): a value is cautiously believed iff it is
 //!   visible and no visible value for the same column strictly dominates
@@ -51,7 +51,7 @@
 //! Theorem 6.1 (equivalence with the operational semantics) is exercised
 //! by `tests/equivalence.rs` at the workspace root.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -104,21 +104,21 @@ pub enum EdbUpdate {
 /// belief relations by delta propagation rather than recomputation —
 /// belief queries stay warm across updates.
 ///
-/// [`ReducedEngine::new`] and [`ReducedEngine::with_options`] translate τ
-/// for one clearance, exactly as §6.2 prints it.
-/// [`ReducedEngine::for_clearances`] builds a *shared* reduction: one
-/// fixpoint that answers goals at every clearance it serves (see
+/// τ is translated once for every clearance: each clearance the engine
+/// serves is a `clearance(u)` base fact, and the rules whose answers
+/// depend on the clearance carry it as a trailing column (see
 /// docs/SEMANTICS.md, "One fixpoint for every clearance").
+/// [`ReducedEngine::new`] and [`ReducedEngine::with_options`] serve one
+/// clearance; the belief server opens more, each by a commit.
 pub struct ReducedEngine {
     lattice: Arc<SecurityLattice>,
-    /// The clearances goals are answered at: the one τ was translated
-    /// for, or every clearance a shared reduction serves.
+    /// The clearances goals are answered at, in opening order.
     clearances: Vec<String>,
     /// The database's belief modes; goals in any other are refused.
     modes: ModeSet,
-    /// `Some` for a shared reduction: the clearance-dependent cone it
-    /// copies once per clearance (often empty).
-    shared: Option<Arc<Cone>>,
+    /// The clearance-dependent predicates and their sliced relations
+    /// (often none).
+    cone: Arc<Cone>,
     incremental: dl::IncrementalEngine,
     /// Whether `rel` was split per level (cautious bodies present).
     level_split: bool,
@@ -137,18 +137,22 @@ pub struct ReducedEngine {
     solver: GoalTranslator,
 }
 /// What demand goals ([`ReducedEngine::solve_demand`]) reuse: the
-/// flow-pruned rules, one prepared magic plan per goal shape, and a
-/// snapshot of the base relations. The reduced engine's rules never
-/// change, so plans stay valid across commits; they are dropped only
-/// when flow pruning's `tainted` flag flips, which changes the rules.
+/// flow-pruned rules, prepared magic plans for up to [`MAX_PREPARED`]
+/// goal shapes, and a snapshot of the base relations. The reduced
+/// engine's rules never change, so plans stay valid across commits; they
+/// are dropped when the cache is full, and when flow pruning's `tainted`
+/// flag flips, which changes the rules.
 #[derive(Default)]
 struct DemandCache {
     /// The `tainted` flag the rules and plans were built under.
     tainted: bool,
     /// The flow-pruned rules and how many clauses pruning dropped.
     rules: Option<(Arc<dl::Program>, usize)>,
-    /// Plans by [`dl::magic::prepared_key`]; `None` for shapes without a
-    /// magic rewrite, which fall back to cone evaluation.
+    /// Plans by [`dl::magic::prepared_key`] of the goal's canonical τ
+    /// body ([`GoalTranslator::canonical`]), so goals that differ only in
+    /// constants, a belief mode included, or in variable names share one;
+    /// `None` for shapes without a magic rewrite, which fall back to cone
+    /// evaluation.
     plans: HashMap<String, Option<Arc<dl::PreparedMagic>>>,
     /// The base relations with every column a plan probes sealed; taken
     /// when a commit changes the base and rebuilt by the next goal.
@@ -168,10 +172,9 @@ type DemandPlan = (
 );
 
 /// Demand-pruning state: the static flow analysis of the source
-/// database plus each Σ/Π clause paired with its τ image from the one
-/// translation pass, so prunable rules can be dropped from the demand
-/// program by structural equality (spans are not identity, see
-/// [`crate::ast::Span`]).
+/// database plus each Σ/Π clause paired with its τ image, so prunable
+/// rules can be dropped from the demand program by structural equality
+/// (spans are not identity, see [`crate::ast::Span`]).
 ///
 /// Only the *demand* path prunes; the incremental materialized fixpoint
 /// always evaluates the full program, so `solve`/`apply_updates` are
@@ -196,7 +199,7 @@ impl std::fmt::Debug for ReducedEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ReducedEngine")
             .field("clearances", &self.clearances)
-            .field("shared", &self.shared.is_some())
+            .field("cone", &self.cone.slices.len())
             .field("level_split", &self.level_split)
             .field("facts", &self.incremental.database().fact_count())
             .finish_non_exhaustive()
@@ -214,13 +217,7 @@ impl ReducedEngine {
     /// budget, wall-clock deadline, and cancellation token of `options`.
     /// Guard trips lift back as the MultiLog-level typed errors.
     pub fn with_options(db: &MultiLogDb, user: &str, options: EngineOptions) -> Result<Self> {
-        let mut engine = Self::with_options_deferred(db, user, options)?;
-        // The initial materialization runs under the configured guards;
-        // trips convert through `From<DatalogError>` so callers see the
-        // same `BudgetExceeded`/`DeadlineExceeded`/`Cancelled` variants
-        // as the operational engine.
-        engine.incremental.recover()?;
-        Ok(engine)
+        Self::materialized(db, Some(user), options)
     }
 
     /// Like [`ReducedEngine::with_options`], but *without* materializing
@@ -238,145 +235,121 @@ impl ReducedEngine {
         user: &str,
         options: EngineOptions,
     ) -> Result<Self> {
-        Self::build(db, vec![user.to_owned()], false, options)
+        Self::build(db, Some(user), options)
     }
 
-    /// A shared reduction: one materialized fixpoint answering goals at
-    /// every clearance in `clearances`, through
-    /// [`ReducedEngine::goal_translator`]. Clearance-free rules run once,
-    /// unguarded; the cone of clearance-dependent rules runs once per
-    /// clearance. Readers at a clearance answer exactly like
-    /// [`ReducedEngine::new`] at that clearance. Flow pruning
-    /// ([`EngineOptions::flow_prune`]) does not apply: a shared reduction
-    /// has no single clearance to answer demand goals at.
-    pub fn for_clearances(
+    /// The materialized engine serving `user`, or no clearance yet: the
+    /// one a belief server starts from and opens clearances on.
+    pub(crate) fn materialized(
         db: &MultiLogDb,
-        clearances: &[String],
+        user: Option<&str>,
         options: EngineOptions,
     ) -> Result<Self> {
-        let mut engine = Self::build(db, clearances.to_vec(), true, options)?;
+        let mut engine = Self::build(db, user, options)?;
+        // The initial materialization runs under the configured guards;
+        // trips convert through `From<DatalogError>` so callers see the
+        // same `BudgetExceeded`/`DeadlineExceeded`/`Cancelled` variants
+        // as the operational engine.
         engine.incremental.recover()?;
         Ok(engine)
     }
 
-    /// Serve `user` from this shared reduction of `db` as well; returns
-    /// whether that rebuilt the engine. With an empty [`Cone`] the
-    /// fixpoint already holds every clearance's answers, so this only
-    /// records `user` and evaluates nothing. Otherwise the engine is
-    /// rebuilt, with the cone also copied for `user`, and materialized
-    /// over the current base (committed updates included). On error the
-    /// engine is unchanged.
+    /// Serve `user` from this reduction of `db` as well. Evaluates
+    /// nothing, and returns `None`, when `user` is served already or no
+    /// rule depends on the clearance (an empty [`Cone`]): the fixpoint
+    /// holds `user`'s answers then. Otherwise commits the base fact
+    /// `clearance(user)`, so delta maintenance derives `user`'s slice of
+    /// the cone and nothing else, and returns the commit's statistics.
     ///
     /// # Errors
     ///
-    /// [`MultiLogError::NotAdmissible`] for an undeclared level or a
-    /// single-clearance reduction; any evaluation error from the rebuild.
-    pub(crate) fn open_clearance(&mut self, db: &MultiLogDb, user: &str) -> Result<bool> {
-        let Some(cone) = &self.shared else {
-            return Err(MultiLogError::NotAdmissible {
-                detail: format!("a single-clearance reduction cannot serve `{user}` as well"),
-            });
-        };
+    /// [`MultiLogError::NotAdmissible`] for an undeclared level; any
+    /// evaluation error from the commit, which (as in
+    /// [`ReducedEngine::apply_updates`]) may leave the engine poisoned.
+    /// On error `user` is not served.
+    pub(crate) fn open_clearance(
+        &mut self,
+        db: &MultiLogDb,
+        user: &str,
+    ) -> Result<Option<dl::CommitStats>> {
         if self.clearances.iter().any(|c| c == user) {
-            return Ok(false);
+            return Ok(None);
         }
         let mut wider = self.clearances.clone();
         wider.push(user.to_owned());
-        // Plain Datalog reduces over a lattice of the served clearances
-        // (Prop 6.1's fallback), which must widen too.
-        if cone.is_empty() && !db.is_plain_datalog() {
-            db.lattice_for(&[user])?;
-            self.clearances = wider;
-            return Ok(false);
-        }
-        let options = EngineOptions {
-            fact_limit: self.fact_limit,
-            deadline: self.deadline,
-            cancel: self.cancel.clone(),
-            ..EngineOptions::default()
-        };
-        let mut engine = Self::build(db, wider, true, options)?;
-        engine.incremental = engine
-            .incremental
-            .with_base(self.incremental.base_database());
-        engine.incremental.recover()?;
-        *self = engine;
-        Ok(true)
+        // Plain Datalog's lattice is the served clearances (Prop 6.1).
+        let (lattice, _) = db.lattice_for(&wider)?;
+        let fact = (
+            true,
+            dl::SymId::intern(CLEARANCE),
+            vec![dl::Const::sym(user)],
+        );
+        let stats = (!self.cone.is_empty())
+            .then(|| self.commit(vec![fact]))
+            .transpose()?;
+        self.lattice = lattice;
+        self.clearances = wider;
+        Ok(stats)
     }
 
-    /// Translate `db` for `clearances` (exactly one unless `shared`) and
-    /// set up the unmaterialized back-end.
-    fn build(
-        db: &MultiLogDb,
-        clearances: Vec<String>,
-        shared: bool,
-        options: EngineOptions,
-    ) -> Result<Self> {
+    /// Translate `db`, serving `user` if given, and set up the
+    /// unmaterialized back-end.
+    fn build(db: &MultiLogDb, user: Option<&str>, options: EngineOptions) -> Result<Self> {
+        let clearances: Vec<String> = user.into_iter().map(str::to_owned).collect();
         let (lattice, _) = db.lattice_for(&clearances)?;
         let level_split = db.uses_cau();
-        let (clauses, axioms_at, cone) = if shared {
-            let (clauses, axioms_at, cone) =
-                translate_shared(db, &lattice, level_split, &clearances)?;
-            (clauses, axioms_at, Some(Arc::new(cone)))
-        } else {
-            let (clauses, axioms_at) = translate(db, &clearances[0], &lattice, level_split)?;
-            (clauses, axioms_at, None)
-        };
+        let (clauses, axioms_at, cone) = translate(db, &lattice, level_split, &clearances)?;
         let program_text = render(&clauses, axioms_at);
         let program = dl::Program::from_clauses(clauses).map_err(MultiLogError::Datalog)?;
+        let cone = Arc::new(cone);
         // Flow pruning needs a real lattice and one clearance; the Prop
         // 6.1 fallback has no Σ rules to prune anyway.
-        let prune = if options.flow_prune && !shared && !db.is_plain_datalog() {
-            let user = &clearances[0];
-            let report = crate::flow::analyze_db(db);
-            // Σ and Π images follow Λ's in the one translation pass.
-            // Facts are never prunable; only rules are kept.
-            let images = &program.clauses()[db.lambda().len()..axioms_at];
-            let rules = db.sigma().iter().chain(db.pi()).zip(images);
-            let rules = rules
-                .filter(|(c, _)| !c.is_fact())
-                .map(|(c, t)| (c.clone(), t.clone()))
-                .collect();
-            let mut machinery = HashSet::new();
-            if level_split {
-                if let Some(u) = lattice.label(user) {
-                    for h in lattice.labels() {
-                        if !lattice.leq(h, u) {
-                            let hn = lattice.name(h);
-                            for pred in ["visible", "beaten", "bel_cau"] {
-                                machinery.insert(leveled(pred, hn));
+        let prune = match user {
+            Some(user) if options.flow_prune && !db.is_plain_datalog() => {
+                let report = crate::flow::analyze_db(db);
+                // Σ and Π images follow Λ's, in source order. Facts are
+                // never prunable; only rules are kept.
+                let images = &program.clauses()[db.lambda().len()..];
+                let rules = db.sigma().iter().chain(db.pi()).zip(images);
+                let rules = rules
+                    .filter(|(c, _)| !c.is_fact())
+                    .map(|(c, t)| (c.clone(), t.clone()))
+                    .collect();
+                let mut machinery = HashSet::new();
+                if level_split {
+                    if let Some(u) = lattice.label(user) {
+                        for h in lattice.labels() {
+                            if !lattice.leq(h, u) {
+                                let hn = lattice.name(h);
+                                for pred in ["visible", "beaten", "bel_cau"] {
+                                    let pred = dl::SymId::intern(&leveled(pred, hn));
+                                    machinery.insert(pred.as_str().to_owned());
+                                    machinery.insert(cone.relation(pred).as_str().to_owned());
+                                }
                             }
                         }
                     }
                 }
+                Some(FlowPrune {
+                    report,
+                    rules,
+                    machinery,
+                    tainted: false,
+                })
             }
-            Some(FlowPrune {
-                report,
-                rules,
-                machinery,
-                tainted: false,
-            })
-        } else {
-            None
+            _ => None,
         };
         let fact_limit = options.limit();
         let mut incremental = dl::IncrementalEngine::new_deferred(&program)
             .map_err(MultiLogError::Datalog)?
             .with_fact_limit(fact_limit);
-        // Goals read the generic `bel`/`rel` (see `translate_goal`), or a
-        // clearance's copies of them, and point goals bind the key,
-        // column 1, which no rule probes: readers seek on it instead of
-        // scanning the relation.
-        let mut read = BTreeSet::from(["bel", "rel"]);
-        if let Some(cone) = &cone {
-            for user in &clearances {
-                read.extend(
-                    ["bel", "rel"].map(|p| cone.rename(dl::SymId::intern(p), user).as_str()),
-                );
-            }
-        }
-        for pred in &read {
-            incremental = incremental.with_reader_index(pred, 1);
+        // Goals read the generic `bel`/`rel` (see `translate_goal`), or
+        // their sliced relations, and point goals bind the key, column 1,
+        // which no rule probes: readers seek on it instead of scanning
+        // the relation.
+        for pred in ["bel", "rel"] {
+            let read = cone.relation(dl::SymId::intern(pred));
+            incremental = incremental.with_reader_index(read.as_str(), 1);
         }
         if let Some(deadline) = options.deadline {
             incremental = incremental.with_deadline(deadline);
@@ -386,13 +359,14 @@ impl ReducedEngine {
         }
         Ok(ReducedEngine {
             solver: GoalTranslator::new(
-                clearances.first().map_or("", String::as_str),
+                user.unwrap_or_default(),
                 db.modes().clone(),
+                Arc::clone(&cone),
             ),
             lattice,
             clearances,
             modes: db.modes().clone(),
-            shared: cone,
+            cone,
             incremental,
             level_split,
             program_text,
@@ -405,13 +379,15 @@ impl ReducedEngine {
     }
 
     /// The one clearance [`ReducedEngine::solve`] and
-    /// [`ReducedEngine::solve_demand`] answer at. A shared reduction has
-    /// none: its goals go through [`ReducedEngine::goal_translator`].
+    /// [`ReducedEngine::solve_demand`] answer at. An engine serving
+    /// several has none: its goals go through
+    /// [`ReducedEngine::goal_translator`].
     fn user(&self) -> Result<&str> {
-        match (&self.shared, self.clearances.as_slice()) {
-            (None, [user]) => Ok(user),
+        match self.clearances.as_slice() {
+            [user] => Ok(user),
             _ => Err(MultiLogError::NotAdmissible {
-                detail: "a shared reduction answers goals per clearance, through a goal translator"
+                detail: "a reduction serving several clearances answers goals per clearance, \
+                         through a goal translator"
                     .to_owned(),
             }),
         }
@@ -482,6 +458,15 @@ impl ReducedEngine {
         if let Some(p) = self.prune.as_mut() {
             p.tainted = true;
         }
+        self.commit(encoded)
+    }
+
+    /// Commit `staged` base facts — `(insert, predicate, fact)` — as one
+    /// transaction.
+    fn commit(
+        &mut self,
+        staged: Vec<(bool, dl::SymId, Vec<dl::Const>)>,
+    ) -> Result<dl::CommitStats> {
         // The base changes (or, on a failed commit, is restored): the
         // next demand goal rebuilds the snapshot.
         self.demand
@@ -489,7 +474,7 @@ impl ReducedEngine {
             .unwrap_or_else(PoisonError::into_inner)
             .snapshot = None;
         self.incremental.begin()?;
-        for (insert, pred, fact) in encoded {
+        for (insert, pred, fact) in staged {
             let staged = if insert {
                 self.incremental.insert(&pred, fact)
             } else {
@@ -588,9 +573,11 @@ impl ReducedEngine {
     /// materialized.
     pub fn solve_demand_with_stats(&self, goal: &Goal) -> Result<(Vec<Answer>, dl::EvalStats)> {
         self.modes.check_goal(goal)?;
-        let body = translate_goal(goal, self.user()?)?;
-        let (shape, params) = dl::magic::prepared_key(&body);
-        let (plan, rules, edb, pruned_rules) = self.demand_plan(shape, &body)?;
+        self.user()?;
+        let shape = Shape::of(goal);
+        let (body, ..) = self.solver.canonical(goal, &shape)?;
+        let (key, params) = dl::magic::prepared_key(&body);
+        let (plan, rules, edb, pruned_rules) = self.demand_plan(key, &body)?;
         // Guard trips convert through `From<DatalogError>`, surfacing the
         // same typed errors as a full materialization would.
         let (answers, mut stats) = match &plan {
@@ -607,10 +594,9 @@ impl ReducedEngine {
             d.pruned_rules = pruned_rules;
         }
         // Bindings iterate in variable-name order.
-        let mut names: Vec<&str> = answers.variables.iter().map(String::as_str).collect();
+        let mut names: Vec<&String> = answers.variables.iter().collect();
         names.sort_unstable();
-        let shape = Shape::of(goal);
-        let columns = shape.columns(|v| names.iter().position(|n| *n == v));
+        let columns = columns(shape.vars.len(), &names);
         let rows = answers
             .answers
             .iter()
@@ -660,6 +646,10 @@ impl ReducedEngine {
             db.seal_indexes(&cache.sealed);
             db
         });
+        if cache.plans.len() == MAX_PREPARED && !cache.plans.contains_key(&shape) {
+            cache.plans.clear();
+            cache.sealed.clear();
+        }
         let plan = cache.plans.entry(shape).or_insert_with(|| {
             // Every relation a commit can write holds base facts, so a
             // plan prepared before its first fact still reads it.
@@ -729,7 +719,6 @@ impl ReducedEngine {
             });
         }
         Ok(GoalTranslator {
-            cone: self.shared.clone().unwrap_or_default(),
             guards: dl::QueryGuards {
                 deadline: self.deadline,
                 fact_limit: if self.fact_limit == usize::MAX {
@@ -739,7 +728,7 @@ impl ReducedEngine {
                 },
                 cancel: self.cancel.clone(),
             },
-            ..GoalTranslator::new(user, self.modes.clone())
+            ..GoalTranslator::new(user, self.modes.clone(), Arc::clone(&self.cone))
         })
     }
 
@@ -756,7 +745,8 @@ impl ReducedEngine {
 /// A translator knows the clearance level it serves and the session's
 /// query guards — the inputs needed to turn a MultiLog goal into a
 /// reduced Datalog body (goals read the generic `rel`/`bel` predicates,
-/// or the clearance's copies of them in a shared reduction's cone)
+/// and the clearance's slice of every cone predicate: its clearance
+/// column bound to the translator's clearance)
 /// and answer it against *any* database produced by the matching
 /// [`ReducedEngine`] (typically a pinned snapshot). It holds no database
 /// itself, so readers using one never contend with writers.
@@ -774,7 +764,7 @@ pub struct GoalTranslator {
     /// The database's belief modes; goals in any other are refused.
     modes: ModeSet,
     guards: dl::QueryGuards,
-    /// The predicates goals read the clearance's copy of.
+    /// The predicates goals read the clearance's slice of.
     cone: Arc<Cone>,
     prepared: Mutex<PreparedCache>,
 }
@@ -823,9 +813,8 @@ enum Param {
 impl Clone for GoalTranslator {
     fn clone(&self) -> Self {
         GoalTranslator {
-            cone: Arc::clone(&self.cone),
             guards: self.guards.clone(),
-            ..GoalTranslator::new(&self.user, self.modes.clone())
+            ..GoalTranslator::new(&self.user, self.modes.clone(), Arc::clone(&self.cone))
         }
     }
 }
@@ -841,14 +830,14 @@ impl std::fmt::Debug for GoalTranslator {
 }
 
 impl GoalTranslator {
-    /// An unguarded translator over the generic encoding, with an empty
+    /// An unguarded translator reading `cone`'s slices, with an empty
     /// cache.
-    fn new(user: &str, modes: ModeSet) -> Self {
+    fn new(user: &str, modes: ModeSet, cone: Arc<Cone>) -> Self {
         GoalTranslator {
             user: user.to_owned(),
             modes,
             guards: dl::QueryGuards::default(),
-            cone: Arc::default(),
+            cone,
             prepared: Mutex::default(),
         }
     }
@@ -876,6 +865,8 @@ impl GoalTranslator {
         let mut cache = self.prepared.lock().unwrap_or_else(PoisonError::into_inner);
         let cache = &mut *cache;
         let mut uncached;
+        let called;
+        let mut db = db;
         let prepared = match cache.shapes.get_mut(&shape.key) {
             Some(prepared) => {
                 cache.stats.hits += 1;
@@ -883,8 +874,18 @@ impl GoalTranslator {
             }
             None => {
                 cache.stats.compiled += 1;
-                let (prepared, general) = self.prepare(db, goal, &shape)?;
-                if !general {
+                let (body, params, serves_shape) = self.canonical(goal, &shape)?;
+                // An algorithm call no rule makes runs for this goal.
+                called = dl::with_goal_calls(db, &body, &self.guards)?;
+                db = called.as_ref().unwrap_or(db);
+                let query =
+                    dl::PreparedQuery::prepare(&body, db).map_err(MultiLogError::Datalog)?;
+                let prepared = PreparedGoal {
+                    columns: columns(shape.vars.len(), query.variables()),
+                    params,
+                    query,
+                };
+                if !serves_shape {
                     uncached = prepared;
                     &mut uncached
                 } else {
@@ -915,47 +916,59 @@ impl GoalTranslator {
         self.solve_on(db, &crate::parser::parse_goal(goal)?)
     }
 
-    /// Compile `goal`'s τ body over `db` and find each constant of the
-    /// body in the goal's [`Shape`], by translating the goal's
-    /// generalization alongside it. Returns whether the plan serves the
-    /// whole shape: it does not when τ treats some goal constant other
-    /// than by copying it — an algorithm call's input names a predicate
-    /// — and the plan then answers this goal only.
-    fn prepare(
+    /// τ(λ(goal, u)) in the form every goal of its [`Shape`] shares: the
+    /// τ body of the goal's [`generalize`]ation, whose `i`-th variable is
+    /// `V{i}`, with each placeholder `?n` filled back with the goal's
+    /// `n`-th constant. Also returns where each constant of the body, in
+    /// [`dl::PreparedQuery::params_of`] order, comes from: the goal's
+    /// `n`-th constant at a placeholder, a constant τ fixes elsewhere (the
+    /// clearance, a belief mode); and whether the body serves the whole
+    /// shape. It does not when τ folds a goal constant into a predicate —
+    /// an algorithm call's input — and then serves this goal only.
+    fn canonical(
         &self,
-        db: &dl::Database,
         goal: &Goal,
         shape: &Shape<'_>,
-    ) -> Result<(PreparedGoal, bool)> {
-        let body = self.body(goal)?;
-        let params = self
-            .body(&generalize(goal))
-            .ok()
-            .and_then(|general| shape_params(&body, &general, &shape.consts));
-        let query = dl::PreparedQuery::prepare(&body, db).map_err(MultiLogError::Datalog)?;
-        let columns = shape.columns(|v| query.variables().iter().position(|q| q == v));
-        let serves_shape = params.is_some();
-        let params = params.unwrap_or_else(|| {
-            dl::PreparedQuery::params_of(&body)
-                .map(Param::Fixed)
-                .collect()
+    ) -> Result<(Vec<dl::Literal>, Vec<Param>, bool)> {
+        let placeholder = |s: &str| s.strip_prefix('?')?.parse::<usize>().ok();
+        let mut body = translate_goal(&generalize(goal), &self.user)?;
+        let mut serves = true;
+        let user = dl::Term::sym(&self.user);
+        for literal in &mut body {
+            let (dl::Literal::Pos(a) | dl::Literal::Neg(a)) = literal else {
+                continue;
+            };
+            if let Some((algo, input)) = dl::algo::parse_call(a.predicate.as_str()) {
+                if let Some(n) = placeholder(input) {
+                    serves = false;
+                    let input = match shape.consts[n] {
+                        dl::Const::Sym(s) => s.as_str().to_owned(),
+                        dl::Const::Int(i) => i.to_string(),
+                    };
+                    a.predicate = dl::SymId::intern(&dl::algo::call_predicate(algo, &input));
+                }
+            }
+            self.cone.slice(a, &user);
+        }
+        let params = dl::PreparedQuery::params_of(&body).map(|c| match c {
+            dl::Const::Sym(s) => placeholder(s.as_str()).map_or(Param::Fixed(c), Param::Goal),
+            dl::Const::Int(_) => Param::Fixed(c),
         });
-        Ok((
-            PreparedGoal {
-                query,
-                params,
-                columns,
-            },
-            serves_shape,
-        ))
-    }
-
-    /// τ(λ(goal, u)) for this translator's clearance, reading the
-    /// clearance's copies of cone predicates.
-    fn body(&self, goal: &Goal) -> Result<Vec<dl::Literal>> {
-        let mut body = translate_goal(goal, &self.user)?;
-        self.cone.rename_body(&mut body, &self.user);
-        Ok(body)
+        let params = params.collect();
+        for literal in &mut body {
+            if let dl::Literal::Pos(a) | dl::Literal::Neg(a) = literal {
+                for t in &mut a.terms {
+                    let filled = match t {
+                        dl::Term::Const(dl::Const::Sym(s)) => placeholder(s.as_str()),
+                        _ => None,
+                    };
+                    if let Some(n) = filled {
+                        *t = dl::Term::Const(shape.consts[n]);
+                    }
+                }
+            }
+        }
+        Ok((body, params, serves))
     }
 }
 
@@ -1053,11 +1066,6 @@ impl<'g> Shape<'g> {
             }
         }
     }
-
-    /// Each variable's column, by name, in a row layout `column_of`.
-    fn columns(&self, column_of: impl Fn(&str) -> Option<usize>) -> Vec<Option<usize>> {
-        self.vars.iter().map(|v| column_of(v)).collect()
-    }
 }
 
 /// `goal` with its `n`-th [`Shape`] constant replaced by the placeholder
@@ -1124,60 +1132,12 @@ fn generalize(goal: &Goal) -> Goal {
         .collect()
 }
 
-/// Where each constant of `body`, in [`dl::PreparedQuery::params_of`]
-/// order, comes from, read off `general` (the τ body of the goal's
-/// [`generalize`]ation) position by position: a placeholder `?n` is the
-/// goal's `n`-th constant, any other constant is fixed. `None` unless
-/// the two bodies agree on every other position — predicates, fixed
-/// constants, and one variable for one variable — with `consts` at the
-/// placeholders.
-fn shape_params(
-    body: &[dl::Literal],
-    general: &[dl::Literal],
-    consts: &[dl::Const],
-) -> Option<Vec<Param>> {
-    if body.len() != general.len() {
-        return None;
-    }
-    let mut params = Vec::new();
-    let mut renamed: HashMap<&str, &str> = HashMap::new();
-    for (l, g) in body.iter().zip(general) {
-        let (a, ga) = match (l, g) {
-            (dl::Literal::Pos(a), dl::Literal::Pos(ga))
-            | (dl::Literal::Neg(a), dl::Literal::Neg(ga)) => (a, ga),
-            _ if l == g => continue,
-            _ => return None,
-        };
-        if a.predicate != ga.predicate || a.terms.len() != ga.terms.len() {
-            return None;
-        }
-        for (t, gt) in a.terms.iter().zip(&ga.terms) {
-            match (t, gt) {
-                (dl::Term::Var(v), dl::Term::Var(gv)) => {
-                    if *renamed.entry(gv).or_insert(v) != v.as_ref() {
-                        return None;
-                    }
-                }
-                (dl::Term::Const(c), dl::Term::Const(gc)) => {
-                    let placeholder = match gc {
-                        dl::Const::Sym(s) => {
-                            s.as_str().strip_prefix('?').and_then(|n| n.parse().ok())
-                        }
-                        dl::Const::Int(_) => None,
-                    };
-                    match placeholder {
-                        Some(n) if consts.get(n) == Some(c) => params.push(Param::Goal(n)),
-                        None if c == gc => params.push(Param::Fixed(*c)),
-                        _ => return None,
-                    }
-                }
-                _ => return None,
-            }
-        }
-    }
-    // One variable for one variable: no two renamed to the same.
-    let distinct: HashSet<&str> = renamed.values().copied().collect();
-    (distinct.len() == renamed.len()).then_some(params)
+/// The row column of each of a goal's `vars` [`Shape`] variables, in a
+/// row layout `names`: the `i`-th is named `V{i}` there, as in every
+/// [`GoalTranslator::canonical`] body.
+fn columns<S: AsRef<str>>(vars: usize, names: &[S]) -> Vec<Option<usize>> {
+    let column = |i| names.iter().position(|n| n.as_ref() == format!("V{i}"));
+    (0..vars).map(column).collect()
 }
 
 /// Answers from `rows`: each row's `columns` cells bound to the goal's
@@ -1205,174 +1165,225 @@ fn project<R: AsRef<[dl::Const]>>(
     out
 }
 
-/// τ(Δ) ∪ A: one clause per Λ, Σ and Π clause, in that order, then the
-/// axiom set. Also returns the index of the first axiom.
-fn translate(
-    db: &MultiLogDb,
-    user: &str,
-    lattice: &SecurityLattice,
-    level_split: bool,
-) -> Result<(Vec<dl::Clause>, usize)> {
-    let mut clauses = Vec::new();
-    for c in db.lambda().iter().chain(db.sigma()).chain(db.pi()) {
-        clauses.push(translate_clause(c, Guard::Clearance(user), level_split)?);
-    }
-    let axioms_at = clauses.len();
-    axioms(lattice, level_split, &mut clauses);
-    Ok((clauses, axioms_at))
-}
+/// τ's base relation of served clearances: `clearance(u)` for each
+/// clearance `u` the engine serves, read by every cone rule.
+const CLEARANCE: &str = "clearance";
 
-/// The clearance-dependent part of a shared reduction
-/// ([`ReducedEngine::for_clearances`]): the predicates derived by the
-/// rules that depend on the clearance (docs/SEMANTICS.md), closed over
-/// the τ program's dependency graph (a clause reading a cone predicate
-/// derives one too).
-/// A shared reduction emits the clauses deriving them once per
-/// clearance `u`, renamed to `pred#u`, and goals at `u` read those
-/// copies. Empty when every rule is clearance-free.
-#[derive(Debug, Default)]
-pub(crate) struct Cone {
-    preds: HashSet<dl::SymId>,
-}
-
-impl Cone {
-    /// Whether every rule is clearance-free, so that one copy of the
-    /// fixpoint serves every clearance.
-    fn is_empty(&self) -> bool {
-        self.preds.is_empty()
-    }
-
-    /// The cone predicate a literal over `pred` reads, if any: `pred`
-    /// itself, or the input of an `@algo(input)` call.
-    fn read_by(&self, pred: dl::SymId) -> Option<(Option<&str>, dl::SymId)> {
-        if self.preds.contains(&pred) {
-            return Some((None, pred));
-        }
-        let (algo, input) = dl::algo::parse_call(pred.as_str())?;
-        let input = dl::SymId::intern(input);
-        self.preds.contains(&input).then_some((Some(algo), input))
-    }
-
-    /// `pred` as clearance `user` reads it: its copy when in the cone. An
-    /// `@algo(input)` call reads the copy of its input.
-    fn rename(&self, pred: dl::SymId, user: &str) -> dl::SymId {
-        let copy = match self.read_by(pred) {
-            None => return pred,
-            Some((None, pred)) => copy_name(pred.as_str(), user),
-            Some((Some(algo), input)) => {
-                dl::algo::call_predicate(algo, &copy_name(input.as_str(), user))
-            }
-        };
-        dl::SymId::intern(&copy)
-    }
-
-    /// Rename every relational literal of `body` to `user`'s copies.
-    fn rename_body(&self, body: &mut [dl::Literal], user: &str) {
-        if self.is_empty() {
-            return;
-        }
-        for literal in body {
-            if let dl::Literal::Pos(a) | dl::Literal::Neg(a) = literal {
-                a.predicate = self.rename(a.predicate, user);
-            }
-        }
-    }
-
-    /// Whether `clause` reads a cone predicate.
-    fn reads(&self, clause: &dl::Clause) -> bool {
-        let mut atoms = clause.body.iter().filter_map(dl::Literal::atom);
-        atoms.any(|a| self.read_by(a.predicate).is_some())
-    }
-}
-
-/// The name of clearance `user`'s copy of cone predicate `pred`.
-fn copy_name(pred: &str, user: &str) -> String {
-    format!("{pred}#{user}")
-}
-
-/// τ(Δ) ∪ A for every clearance in `clearances`, over one fixpoint.
+/// τ(Δ) ∪ A for every clearance at once, serving `clearances` (see
+/// docs/SEMANTICS.md, "One fixpoint for every clearance").
 ///
-/// Facts, axioms and [`clearance_free`] rules are emitted once, the
-/// rules guarded as [`Guard::Shared`] says. The [`Cone`] — what the other
-/// rules derive, and every clause reading it — is emitted once per
-/// clearance, with that clearance's guards and renamed predicates. Each
-/// copy starts with a copy rule from every shared relation its cone
-/// predicates also have outside it (facts, clearance-free rules and
-/// update targets), so base facts stay in one relation. Also returns the
-/// index of the first shared axiom, and the cone.
-fn translate_shared(
+/// One image per Λ, Σ and Π clause, in that order; then a
+/// `clearance(u)` fact per served clearance and the [`Cone`]'s copy
+/// rules; then the axiom set. [`clearance_free`] rules keep only the
+/// guards [`head_bound`] gives them. Every other rule guards each body
+/// label `t` with `dominate(t, U)` for the clearance variable `U`, and
+/// with every clause reading what those rules derive it forms the cone,
+/// whose predicates carry `U` as a trailing column ([`Cone::slice`]). A
+/// cone clause joins `clearance(U)` unless a sliced body atom binds `U`
+/// already. The clearance facts are left out when the cone is empty:
+/// then nothing reads them. Also returns the index of the first axiom,
+/// and the cone.
+fn translate(
     db: &MultiLogDb,
     lattice: &SecurityLattice,
     level_split: bool,
     clearances: &[String],
 ) -> Result<(Vec<dl::Clause>, usize, Cone)> {
-    // Every clause once, in τ's order, with its source (none for an
-    // axiom) and whether it is in the cone. A dependent rule's image
-    // here only names its predicates; each copy translates it again.
-    let mut images: Vec<(dl::Clause, Option<&Clause>, bool)> = Vec::new();
-    for c in db.lambda().iter().chain(db.sigma()).chain(db.pi()) {
-        let image = translate_clause(c, Guard::Shared(lattice), level_split)?;
-        images.push((image, Some(c), !clearance_free(c, lattice)));
+    let sources: Vec<&Clause> = db
+        .lambda()
+        .iter()
+        .chain(db.sigma())
+        .chain(db.pi())
+        .collect();
+    let u = clearance_variable(&sources);
+    let mut images = Vec::with_capacity(sources.len());
+    for c in &sources {
+        let dependent = !clearance_free(c, lattice);
+        let image = translate_clause(c, dependent.then_some(&u), lattice, level_split)?;
+        // The source and τ must not share a clearance relation.
+        let mut read =
+            std::iter::once(&image.head).chain(image.body.iter().filter_map(dl::Literal::atom));
+        if let Some(a) = read.find(|a| read_relation(a.predicate).as_str().starts_with(CLEARANCE)) {
+            return Err(MultiLogError::NotAdmissible {
+                detail: format!(
+                    "`{}` names a relation τ reserves for clearances",
+                    a.predicate
+                ),
+            });
+        }
+        images.push((image, dependent));
     }
-    let sources = images.len();
     let mut axiom_clauses = Vec::new();
     axioms(lattice, level_split, &mut axiom_clauses);
-    images.extend(axiom_clauses.into_iter().map(|a| (a, None, false)));
-    let mut cone = Cone::default();
-    cone.preds
-        .extend(images.iter().filter(|i| i.2).map(|i| i.0.head.predicate));
-    let mut grew = true;
-    while grew {
-        grew = false;
-        for (clause, _, in_cone) in images.iter_mut().filter(|i| !i.2) {
-            if cone.reads(clause) {
-                *in_cone = true;
-                cone.preds.insert(clause.head.predicate);
-                grew = true;
+    images.extend(axiom_clauses.into_iter().map(|a| (a, false)));
+    let cone = Cone::close(&mut images, &update_targets(lattice, level_split));
+    let mut copies = cone.copy_rules(&images);
+    let clearance = |user: &String| dl::Atom::new(CLEARANCE, vec![dl::Term::sym(user)]);
+    let mut clauses = Vec::with_capacity(images.len() + clearances.len() + copies.len());
+    let mut axioms_at = 0;
+    for (i, (mut clause, in_cone)) in images.into_iter().enumerate() {
+        if i == sources.len() {
+            if !cone.is_empty() {
+                clauses.extend(clearances.iter().map(|c| dl::Clause::fact(clearance(c))));
+            }
+            clauses.append(&mut copies);
+            axioms_at = clauses.len();
+        }
+        if in_cone {
+            cone.slice_rule(&mut clause, &u);
+        }
+        clauses.push(clause);
+    }
+    Ok((clauses, axioms_at, cone))
+}
+
+/// The variable τ names the clearance column with: `U`, or `UU`, `UUU`,
+/// … when a source clause uses `U`.
+fn clearance_variable(sources: &[&Clause]) -> dl::Term {
+    let uses = |c: &&Clause, v: &str| {
+        c.head.variables().contains(&v) || { c.body.iter().any(|a| a.variables().contains(&v)) }
+    };
+    let mut name = "U".to_owned();
+    while sources.iter().any(|c| uses(c, &name)) {
+        name.push('U');
+    }
+    dl::Term::var(name)
+}
+
+/// The clearance-dependent part of τ: the predicates derived by the
+/// rules that depend on the clearance (docs/SEMANTICS.md), closed over
+/// the τ program's dependency graph (a clause reading a cone predicate
+/// derives one too). Each has one sliced relation, keyed by a trailing
+/// clearance column; goals at clearance `u` read its `u` rows. Empty when
+/// every rule is clearance-free.
+#[derive(Debug, Default)]
+pub(crate) struct Cone {
+    /// Each cone predicate's sliced relation: the predicate itself, with
+    /// one more column, or `clearance_<pred>` when it also has
+    /// clearance-free derivations (facts, clearance-free rules, updates),
+    /// which one copy rule then copies into every slice.
+    slices: HashMap<dl::SymId, dl::SymId>,
+}
+
+impl Cone {
+    /// The cone of `images` — each τ clause, flagged when it depends on
+    /// the clearance — whose flags become whether the clause is in the
+    /// cone. `updated` are the predicates commits write.
+    fn close(images: &mut [(dl::Clause, bool)], updated: &[dl::SymId]) -> Cone {
+        let mut preds: HashSet<dl::SymId> = images
+            .iter()
+            .filter(|i| i.1)
+            .map(|i| i.0.head.predicate)
+            .collect();
+        let mut grew = true;
+        while grew {
+            grew = false;
+            for (clause, in_cone) in images.iter_mut().filter(|i| !i.1) {
+                let mut read = clause.body.iter().filter_map(dl::Literal::atom);
+                if read.any(|a| preds.contains(&read_relation(a.predicate))) {
+                    *in_cone = true;
+                    preds.insert(clause.head.predicate);
+                    grew = true;
+                }
             }
         }
+        let shared: HashSet<dl::SymId> = images
+            .iter()
+            .filter(|i| !i.1)
+            .map(|i| i.0.head.predicate)
+            .chain(updated.iter().copied())
+            .collect();
+        let slices = preds
+            .into_iter()
+            .map(|p| match shared.contains(&p) {
+                true => (p, dl::SymId::intern(&format!("{CLEARANCE}_{p}"))),
+                false => (p, p),
+            })
+            .collect();
+        Cone { slices }
     }
-    let shared = || images.iter().filter(|i| !i.2);
-    let axioms_at = images[..sources].iter().filter(|i| !i.2).count();
-    let mut out: Vec<dl::Clause> = shared().map(|i| i.0.clone()).collect();
-    if cone.is_empty() {
-        return Ok((out, axioms_at, cone));
+
+    /// Whether every rule is clearance-free, so that one copy of the
+    /// fixpoint serves every clearance.
+    fn is_empty(&self) -> bool {
+        self.slices.is_empty()
     }
-    let mut arity: HashMap<dl::SymId, usize> = HashMap::new();
-    for (clause, ..) in &images {
-        for a in
-            std::iter::once(&clause.head).chain(clause.body.iter().filter_map(dl::Literal::atom))
-        {
-            arity.entry(a.predicate).or_insert(a.terms.len());
+
+    /// The relation holding `pred`'s slices, or `pred` outside the cone.
+    fn relation(&self, pred: dl::SymId) -> dl::SymId {
+        self.slices.get(&pred).copied().unwrap_or(pred)
+    }
+
+    /// Slice `atom` at clearance `u` when it reads the cone: read the
+    /// sliced relation (an `@algo(input)` call, the call over the sliced
+    /// input) and append `u`. Returns whether it did.
+    fn slice(&self, atom: &mut dl::Atom, u: &dl::Term) -> bool {
+        let sliced = match dl::algo::parse_call(atom.predicate.as_str()) {
+            Some((algo, input)) => self
+                .slices
+                .get(&dl::SymId::intern(input))
+                .map(|s| dl::SymId::intern(&dl::algo::call_predicate(algo, s.as_str()))),
+            None => self.slices.get(&atom.predicate).copied(),
+        };
+        let Some(sliced) = sliced else {
+            return false;
+        };
+        atom.predicate = sliced;
+        atom.terms.push(u.clone());
+        true
+    }
+
+    /// Slice a cone clause over the clearance variable `u`, joining
+    /// `clearance(u)` unless a sliced body atom binds `u`.
+    fn slice_rule(&self, clause: &mut dl::Clause, u: &dl::Term) {
+        self.slice(&mut clause.head, u);
+        let mut bound = false;
+        for literal in &mut clause.body {
+            let positive = literal.is_positive();
+            if let dl::Literal::Pos(a) | dl::Literal::Neg(a) = literal {
+                bound |= self.slice(a, u) && positive;
+            }
+        }
+        if !bound {
+            let served = dl::Atom::new(CLEARANCE, vec![u.clone()]);
+            clause.body.insert(0, dl::Literal::Pos(served));
         }
     }
-    let mut copied: Vec<(&str, usize)> = shared()
-        .map(|i| i.0.head.predicate)
-        .chain(update_targets(lattice, level_split))
-        .filter(|p| cone.preds.contains(p))
-        .filter_map(|p| Some((p.as_str(), *arity.get(&p)?)))
-        .collect();
-    copied.sort_unstable();
-    copied.dedup();
-    for user in clearances {
-        for &(pred, n) in &copied {
+
+    /// One rule per cone predicate `p` with a sliced relation of its own,
+    /// copying its clearance-free facts into every slice, in name order:
+    /// `clearance_p(X0, …, Xn, U) :- clearance(U), p(X0, …, Xn)`, at the
+    /// arity `p` has in `images`.
+    fn copy_rules(&self, images: &[(dl::Clause, bool)]) -> Vec<dl::Clause> {
+        let mut copied: Vec<_> = self.slices.iter().filter(|(p, s)| p != s).collect();
+        copied.sort_unstable_by_key(|(p, _)| p.as_str());
+        let u = dl::Term::var("U");
+        let copy = |(p, s): (&dl::SymId, &dl::SymId)| {
+            let n = images
+                .iter()
+                .find(|i| i.0.head.predicate == *p)?
+                .0
+                .head
+                .terms
+                .len();
             let vars: Vec<dl::Term> = (0..n).map(|i| dl::Term::var(format!("X{i}"))).collect();
-            out.push(dl::Clause::new(
-                dl::Atom::new(copy_name(pred, user), vars.clone()),
-                vec![dl::Literal::Pos(dl::Atom::new(pred, vars))],
-            ));
-        }
-        for (clause, source, _) in images.iter().filter(|i| i.2) {
-            let mut copy = match source {
-                Some(c) => translate_clause(c, Guard::Clearance(user), level_split)?,
-                None => clause.clone(),
-            };
-            copy.head.predicate = cone.rename(copy.head.predicate, user);
-            cone.rename_body(&mut copy.body, user);
-            out.push(copy);
-        }
+            let mut sliced = dl::Atom::new(s.as_str(), vars.clone());
+            sliced.terms.push(u.clone());
+            let served = dl::Atom::new(CLEARANCE, vec![u.clone()]);
+            let body = [served, dl::Atom::new(p.as_str(), vars)].map(dl::Literal::Pos);
+            Some(dl::Clause::new(sliced, body.into()))
+        };
+        copied.into_iter().filter_map(copy).collect()
     }
-    Ok((out, axioms_at, cone))
+}
+
+/// The relation a literal over `pred` reads: `pred`, or the input of an
+/// `@algo(input)` call.
+fn read_relation(pred: dl::SymId) -> dl::SymId {
+    match dl::algo::parse_call(pred.as_str()) {
+        Some((_, input)) => dl::SymId::intern(input),
+        None => pred,
+    }
 }
 
 /// Whether τ may emit `c` once for every clearance, without clearance
@@ -1446,20 +1457,18 @@ fn render(clauses: &[dl::Clause], axioms_at: usize) -> String {
     out
 }
 
-/// How τ guards the level and class of a body m- or b-atom.
-#[derive(Clone, Copy)]
-enum Guard<'a> {
-    /// `dominate(t, u)` on every label: τ at clearance `u` (§6.2).
-    Clearance(&'a str),
-    /// A [`clearance_free`] rule of a shared reduction: only what
-    /// [`head_bound`] keeps.
-    Shared(&'a SecurityLattice),
-}
-
 /// τ of one Λ/Σ/Π clause. Rule bodies read the level- and
 /// mode-specialized predicates; the no-read-up guards come from
-/// [`translate_atom`], as `guard` says.
-fn translate_clause(c: &Clause, guard: Guard<'_>, level_split: bool) -> Result<dl::Clause> {
+/// [`translate_atom`]: `dominate(t, u)` on every body label `t` for the
+/// clearance variable `u` of a rule that depends on the clearance, and
+/// only what [`head_bound`] keeps for a [`clearance_free`] one (`u` is
+/// `None`).
+fn translate_clause(
+    c: &Clause,
+    u: Option<&dl::Term>,
+    lattice: &SecurityLattice,
+    level_split: bool,
+) -> Result<dl::Clause> {
     let head = match &c.head {
         Head::M(m) => rel_atom(m, level_split)?,
         Head::P(p) => patom(p),
@@ -1470,9 +1479,9 @@ fn translate_clause(c: &Clause, guard: Guard<'_>, level_split: bool) -> Result<d
         Head::M(m) => Some(&m.level),
         _ => None,
     };
-    let bound = |t: &Term| match guard {
-        Guard::Clearance(user) => Some(dl::Term::sym(user)),
-        Guard::Shared(lattice) => head_level
+    let bound = |t: &Term| match u {
+        Some(u) => Some(u.clone()),
+        None => head_level
             .and_then(|h| head_bound(t, h, lattice).flatten())
             .map(dl::Term::sym),
     };
@@ -1716,10 +1725,11 @@ fn const_to_term(c: &dl::Const) -> Term {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::parser::parse_database;
     use crate::MultiLogEngine;
+    use std::collections::BTreeSet;
 
     const D1: &str = r#"
         level(u). level(c). level(s).
@@ -2321,20 +2331,45 @@ mod tests {
         for (name, db, levels) in corpus {
             for level in levels {
                 let red = deferred(&db, &level);
-                let (typed, _) = translate(&db, &level, red.lattice(), red.level_split).unwrap();
+                let clearances = [level.clone()];
+                let (typed, ..) =
+                    translate(&db, red.lattice(), red.level_split, &clearances).unwrap();
                 let parsed = dl::parse_program(red.program_text()).unwrap();
                 assert_eq!(parsed.clauses(), &typed[..], "{name} @ {level}");
             }
         }
     }
 
+    const CHAIN: &str = "level(u). level(c). level(s). order(u, c). order(c, s).";
+
     /// `clearance_free` on the one rule of `rule`, over u < c < s. The
-    /// rule is classified as parsed, admissible or not.
+    /// rule is classified as parsed, admissible or not. Also checks the
+    /// rule's τ image: sliced at `U` exactly when it depends on the
+    /// clearance, every body label then guarded by `dominate(t, U)`.
     fn free(rule: &str) -> bool {
-        let db = parse_database("level(u). level(c). level(s). order(u, c). order(c, s).");
-        let lattice = db.unwrap().lattice().unwrap();
-        let rule = crate::parser::parse_clause(rule).unwrap();
-        clearance_free(&rule[0], &lattice)
+        let lattice = parse_database(CHAIN).unwrap().lattice().unwrap();
+        let rule = crate::parser::parse_clause(rule).unwrap().remove(0);
+        let dependent = !clearance_free(&rule, &lattice);
+        let u = dl::Term::var("U");
+        let image = translate_clause(&rule, dependent.then_some(&u), &lattice, false).unwrap();
+        let mut images = vec![(image, dependent)];
+        let cone = Cone::close(&mut images, &[]);
+        let (mut image, in_cone) = images.remove(0);
+        assert_eq!(in_cone, dependent, "{rule}");
+        if in_cone {
+            cone.slice_rule(&mut image, &u);
+        }
+        let text = image.to_string();
+        assert_eq!(image.head.terms.last() == Some(&u), dependent, "{text}");
+        let guards = image.body.iter().filter_map(dl::Literal::atom);
+        let guards: Vec<_> = guards
+            .filter(|a| a.predicate.as_str() == "dominate")
+            .collect();
+        if dependent {
+            assert!(guards.len() >= 2, "{text}");
+            assert!(guards.iter().all(|g| g.terms[1] == u), "{text}");
+        }
+        !dependent
     }
 
     #[test]
@@ -2364,78 +2399,259 @@ mod tests {
         ));
     }
 
+    /// The cone of `rules` over u < c < s with one `p` fact: each cone
+    /// predicate and its sliced relation, sorted.
+    fn cone(rules: &str) -> Vec<(String, String)> {
+        let db = parse_database(&format!("{CHAIN} u[p(k : a -u-> v)]. {rules}")).unwrap();
+        let lattice = db.lattice().unwrap();
+        let (.., cone) = translate(&db, &lattice, false, &["u".into()]).unwrap();
+        let mut slices: Vec<(String, String)> = cone
+            .slices
+            .iter()
+            .map(|(p, s)| (p.as_str().to_owned(), s.as_str().to_owned()))
+            .collect();
+        slices.sort_unstable();
+        slices
+    }
+
     #[test]
     fn cone_closes_over_readers_of_dependent_predicates() {
-        let lattice = "level(u). level(c). level(s). order(u, c). order(c, s).";
-        let cone = |rules: &str| {
-            let db = parse_database(&format!("{lattice} u[p(k : a -u-> v)]. {rules}")).unwrap();
-            let lat = db.lattice().unwrap();
-            let (_, _, cone) = translate_shared(&db, &lat, false, &["u".into()]).unwrap();
-            let mut preds: Vec<&str> = cone.preds.iter().map(|p| p.as_str()).collect();
-            preds.sort_unstable();
-            preds
-        };
         assert!(cone("s[q(K : b -s-> V)] <- L[p(K : a -C-> V)].").is_empty());
-        // `warm` reads nothing guarded, but it reads the dependent `hot`.
+        // `warm` reads nothing guarded, but it reads the dependent `hot`;
+        // neither has a clearance-free derivation, so each is sliced in
+        // place, with one more column.
+        let sliced = |p: &str| (p.to_owned(), p.to_owned());
         assert_eq!(
             cone("hot(K) <- u[p(K : a -u-> V)]. warm(K) <- hot(K). cold(K) <- q(K)."),
-            ["hot", "warm"]
+            [sliced("hot"), sliced("warm")]
         );
-        // A write-down rule derives `rel`: every axiom reading it, and
-        // every rule reading a belief, joins the cone.
+        // A write-down rule derives `rel`, whose facts and updates are
+        // clearance-free: its slices get a relation of their own. Every
+        // axiom reading it, and every rule reading a belief, joins the
+        // cone.
         let preds = cone("u[q(K : b -u-> V)] <- c[p(K : a -u-> V)].");
-        for pred in ["rel", "bel", "bel_opt", "visible", "beaten"] {
-            assert!(preds.contains(&pred), "{pred} in {preds:?}");
+        assert!(preds.contains(&("rel".to_owned(), "clearance_rel".to_owned())));
+        for pred in ["bel", "bel_opt", "visible", "beaten"] {
+            assert!(preds.contains(&sliced(pred)), "{pred} in {preds:?}");
         }
-        assert!(!preds.contains(&"dominate"), "{preds:?}");
+        assert!(!preds.iter().any(|(p, _)| p == "dominate"), "{preds:?}");
     }
 
     #[test]
     fn shared_rules_drop_clearance_guards() {
         let db = parse_database(D1).unwrap();
-        let red =
-            ReducedEngine::for_clearances(&db, &["u".into()], EngineOptions::default()).unwrap();
+        let red = ReducedEngine::new(&db, "u").unwrap();
         let text = red.program_text();
-        // D1's rules are clearance-free: no guard and no per-clearance
-        // copy, although the engine serves only u.
+        // D1's rules are clearance-free: no guard, no clearance column
+        // and no clearance fact, although the engine serves only u.
         let rule = text.lines().find(|l| l.starts_with("rel_s(")).unwrap();
         assert_eq!(rule, "rel_s(p, k, a, v, u) :- bel_cau_c(p, k, a, t, c).");
-        assert!(!text.contains('#'), "{text}");
+        assert!(!text.contains("clearance"), "{text}");
         // Under the sole maximal head, a variable label keeps its check.
         let top =
             parse_database(&format!("{D1} s[q(K : b -s-> V)] <- c[p(K : a -C-> V)].")).unwrap();
-        let red = ReducedEngine::for_clearances(&top, &[], EngineOptions::default()).unwrap();
+        let red = ReducedEngine::new(&top, "u").unwrap();
         assert!(red.program_text().contains("dominate(C, s)"));
     }
 
+    /// An engine serving `users`, opened one after another.
+    fn opened(db: &MultiLogDb, users: &[&str]) -> ReducedEngine {
+        let mut red = ReducedEngine::materialized(db, None, EngineOptions::default()).unwrap();
+        for user in users {
+            red.open_clearance(db, user).unwrap();
+        }
+        red
+    }
+
     #[test]
-    fn shared_readers_answer_like_per_clearance_reductions() {
+    fn sliced_readers_answer_like_the_operational_engine() {
         let cone = "u[low(K : a -u-> V)] <- c[p(K : a -C-> V)]. hot(K) <- c[p(K : a -C-> V)].";
         for src in [D1.to_owned(), DASHBOARD.to_owned(), format!("{D1} {cone}")] {
             let db = parse_database(&src).unwrap();
-            let users: Vec<String> = ["u", "c", "s"].map(str::to_owned).into();
-            let shared =
-                ReducedEngine::for_clearances(&db, &users, EngineOptions::default()).unwrap();
-            for user in &users {
-                let reader = shared.goal_translator(user).unwrap();
-                let fresh = ReducedEngine::new(&db, user).unwrap();
-                for goal in [
-                    "L[p(K : a -C-> V)] << cau",
-                    "L[p(K : a -C-> V)] << opt",
-                    "L[emp(K : sal -C-> V)] << fir",
-                    "L[low(K : a -C-> V)]",
-                    "total(H, N)",
-                    "hot(K)",
-                ] {
+            let users = ["u", "c", "s"];
+            let red = opened(&db, &users);
+            for (i, user) in users.into_iter().enumerate() {
+                let reader = red.goal_translator(user).unwrap();
+                // The operational engine refuses aggregates.
+                let op = MultiLogEngine::new(&db, user);
+                for goal in op.iter().flat_map(|_| {
+                    [
+                        "L[p(K : a -C-> V)] << cau",
+                        "L[p(K : a -C-> V)] << opt",
+                        "L[emp(K : sal -C-> V)] << fir",
+                        "L[low(K : a -C-> V)]",
+                        "hot(K)",
+                    ]
+                }) {
                     assert_eq!(
-                        reader.solve_text_on(shared.database(), goal).unwrap(),
-                        fresh.solve_text(goal).unwrap(),
+                        reader.solve_text_on(red.database(), goal).unwrap(),
+                        op.as_ref().unwrap().solve_text(goal).unwrap(),
                         "`{goal}` at {user} over {src}"
                     );
                 }
+                // The dashboard rows each clearance sees, one per level at
+                // or below it.
+                let rows: Vec<(String, Term)> = reader
+                    .solve_text_on(red.database(), "total(H, N)")
+                    .unwrap()
+                    .iter()
+                    .map(|a| (a["H"].to_string(), a["N"].clone()))
+                    .collect();
+                let want = [("c", 2), ("s", 3), ("u", 1)]
+                    .into_iter()
+                    .filter(|(h, _)| users[..=i].contains(h))
+                    .map(|(h, n)| (h.to_owned(), Term::Int(n)));
+                let want: Vec<_> = want.filter(|_| src.contains("total")).collect();
+                assert_eq!(rows, want, "dashboard at {user}");
             }
-            assert!(shared.solve_text("hot(K)").is_err(), "no single clearance");
+            assert!(red.solve_text("hot(K)").is_err(), "no single clearance");
         }
+    }
+
+    #[test]
+    fn opening_a_clearance_commits_only_its_slice() {
+        let cone = "u[low(K : a -u-> V)] <- c[p(K : a -C-> V)]. hot(K) <- c[p(K : a -C-> V)].";
+        let db = parse_database(&format!("{D1} {cone}")).unwrap();
+        let mut red = ReducedEngine::new(&db, "s").unwrap();
+        let facts = |red: &ReducedEngine| -> BTreeSet<String> {
+            let db = red.database();
+            let rows = db
+                .relations()
+                .flat_map(|(p, r)| r.iter().map(move |f| (p, f)));
+            rows.map(|(p, f)| format!("{p}{f:?}")).collect()
+        };
+        let before = facts(&red);
+        let stats = red
+            .open_clearance(&db, "u")
+            .unwrap()
+            .expect("the cone is not empty");
+        let after = facts(&red);
+        assert!(before.is_subset(&after), "opening removed facts");
+        let added: Vec<&String> = after.difference(&before).collect();
+        // The clearance fact, and facts of u's slice alone.
+        assert_eq!((stats.edb_inserted, stats.derived_removed), (1, 0));
+        assert_eq!(stats.derived_added + 1, added.len(), "{added:?}");
+        let slice = |f: &&String| f.ends_with(", u]") || *f == "clearance[u]";
+        assert!(added.iter().all(slice), "{added:?}");
+        assert!(added.contains(&&"clearance[u]".to_owned()), "{added:?}");
+        assert!(added.iter().any(|f| f.starts_with("bel[")), "{added:?}");
+        // Opening it again evaluates nothing.
+        assert!(red.open_clearance(&db, "u").unwrap().is_none());
+    }
+
+    /// Goal `i` of a client that names its variables afresh in every
+    /// goal: 200 shapes — one or two m-/b-atoms, each binding or leaving
+    /// open its key, class and value — each asked five times in a row,
+    /// with rotating constants in every bound position.
+    pub(crate) fn fresh_goal(i: usize) -> String {
+        let shape = (i / 5) % 200;
+        let atom = |pattern: usize, key: &str, tag: &str| {
+            let pick = |bit: usize, constant: String, var: String| {
+                if pattern & bit == 0 {
+                    constant
+                } else {
+                    var
+                }
+            };
+            let level = ["u", "c", "s"][(i / 5) % 3];
+            let key = pick(1, ["k1", "k2", "k3"][i % 3].to_owned(), key.to_owned());
+            let class = pick(2, ["u", "c"][(i / 2) % 2].to_owned(), format!("C{tag}{i}"));
+            let value = pick(
+                4,
+                ["v1", "v2", "v3"][(i / 3) % 3].to_owned(),
+                format!("V{tag}{i}"),
+            );
+            let m = format!("{level}[p({key} : a -{class}-> {value})]");
+            if pattern & 8 == 0 {
+                m
+            } else {
+                format!("{m} << {}", ["fir", "opt", "cau"][shape % 3])
+            }
+        };
+        let key = format!("K{i}");
+        let first = atom(shape % 16, &key, "a");
+        match shape / 16 {
+            0 => first,
+            n => format!("{first}, {}", atom(n - 1, &key, "b")),
+        }
+    }
+
+    /// The database [`fresh_goal`]s are asked over.
+    pub(crate) const FRESH_GOALS_DB: &str = r#"
+        level(u). level(c). level(s).
+        order(u, c). order(c, s).
+        u[p(k1 : a -u-> v1)]. c[p(k1 : a -c-> v2)]. s[p(k2 : a -u-> v1)].
+        c[p(k2 : a -u-> v3)]. u[p(k3 : a -u-> v2)].
+        c[p(k3 : a -c-> v3)] <- q(k3).
+        q(k3).
+    "#;
+
+    #[test]
+    fn demand_plan_cache_stays_bounded_under_fresh_goals() {
+        let db = parse_database(FRESH_GOALS_DB).unwrap();
+        let red = ReducedEngine::new(&db, "c").unwrap();
+        let plans = || red.demand.lock().unwrap().plans.len();
+        let mut answered = 0;
+        for i in 0..10_000 {
+            let goal = fresh_goal(i);
+            let answers = red.solve_text_demand(&goal).unwrap();
+            assert_eq!(answers, red.solve_text(&goal).unwrap(), "`{goal}`");
+            answered += usize::from(!answers.is_empty());
+            assert!(plans() <= MAX_PREPARED, "{} plans", plans());
+        }
+        assert!(answered >= 1_000, "only {answered} goals have answers");
+        // Renaming variables alone reuses the plan.
+        let goal = "c[p(K : a -C-> V)] << opt, u[p(K : a -u-> W)]";
+        let renamed = "c[p(Key : a -Class-> Val)] << opt, u[p(Key : a -u-> Other)]";
+        let want = red.solve_text_demand(goal).unwrap();
+        let cached = plans();
+        let got = red.solve_text_demand(renamed).unwrap();
+        assert_eq!(plans(), cached);
+        assert!(!want.is_empty());
+        let values = |answers: &[Answer], vars: [&str; 4]| -> Vec<Vec<String>> {
+            let mut out: Vec<Vec<String>> = answers
+                .iter()
+                .map(|a| vars.iter().map(|v| a[v].to_string()).collect())
+                .collect();
+            out.sort();
+            out
+        };
+        assert_eq!(
+            values(&got, ["Key", "Class", "Val", "Other"]),
+            values(&want, ["K", "C", "V", "W"])
+        );
+    }
+
+    #[test]
+    fn clearance_relation_names_are_reserved() {
+        // A p-predicate named like τ's clearance relations would share one
+        // relation with them: the reduction refuses it, by name.
+        for src in [
+            "clearance(a). q(X) <- clearance(X).",
+            "q(X) <- @bfs(clearance_e, X, Y).",
+        ] {
+            let db = parse_database(&format!("{CHAIN} {src}")).unwrap();
+            let err = ReducedEngine::new(&db, "u").unwrap_err();
+            assert!(
+                matches!(&err, MultiLogError::NotAdmissible { detail } if detail.contains("clearance")),
+                "{err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn goal_only_algorithm_calls_answer_materialized_and_demand_driven() {
+        let db =
+            parse_database("edge(a, b). edge(b, c). hop(a, x). reach(X, Y) <- @bfs(edge, X, Y).")
+                .unwrap();
+        let red = ReducedEngine::new(&db, "system").unwrap();
+        let goal = "@bfs(hop, a, Y)";
+        let want = red.solve_text_demand(goal).unwrap();
+        assert_eq!(want.len(), 1);
+        assert_eq!(want[0]["Y"], Term::sym("x"));
+        assert_eq!(red.solve_text(goal).unwrap(), want);
+        let reader = red.goal_translator("system").unwrap();
+        assert_eq!(reader.solve_text_on(red.database(), goal).unwrap(), want);
     }
 
     #[test]

@@ -5,16 +5,17 @@
 //! ## Architecture
 //!
 //! The server keeps **one** incremental [`ReducedEngine`] for every
-//! clearance: a shared reduction ([`ReducedEngine::for_clearances`]).
-//! The Figure 12 axioms carry the belief level, and a rule whose body
-//! labels are provably dominated by its head level derives nothing a
-//! clearance could not see, so such rules run once, without the
-//! `dominate(_, u)` no-read-up guards of §6.2; each reader's goal-time
-//! guards hide what lies above its clearance (the restriction lemma,
-//! docs/SEMANTICS.md). The remaining rules — the dependent cone — run
-//! once per open clearance, under renamed predicates. The engine is built at the first `open` (or
-//! commit); opening another clearance records it, and rebuilds the
-//! engine over its current base only when the cone is not empty.
+//! clearance: τ holds the clearance as data. The Figure 12 axioms carry
+//! the belief level, and a rule whose body labels are provably dominated
+//! by its head level derives nothing a clearance could not see, so such
+//! rules run once, without the `dominate(_, u)` no-read-up guards of
+//! §6.2; each reader's goal-time guards hide what lies above its
+//! clearance (the restriction lemma, docs/SEMANTICS.md). The remaining
+//! rules — the dependent cone — carry the clearance as a column, one
+//! slice per `clearance(u)` base fact. The engine is built at the first
+//! `open` (or commit); opening another clearance records it, and commits
+//! `+clearance(u)` when the cone is not empty, so delta maintenance
+//! derives the new slice alone.
 //!
 //! The engine publishes into one [`dl::GenerationStore`]: after every
 //! committed batch the writer publishes the new materialization as the
@@ -125,8 +126,9 @@ impl BeliefServer {
     /// generation current *now*: later commits are invisible until
     /// [`ReaderSession::refresh`]. The first open pays for the
     /// materialization. Opening another clearance evaluates nothing
-    /// unless the program has a clearance-dependent cone, which is then
-    /// copied for `user` by rebuilding the engine over its current base.
+    /// unless the program has a clearance-dependent cone, whose slice for
+    /// `user` is then committed and replaces the current generation at
+    /// its epoch.
     ///
     /// # Errors
     ///
@@ -188,8 +190,9 @@ impl ServerInner {
     }
 
     /// The engine and its store, built on first use, serving `user` when
-    /// one is given. A rebuild for a new clearance replaces the current
-    /// generation at the same epoch: it holds the same committed state.
+    /// one is given. Opening a new clearance commits its slice, and the
+    /// result replaces the current generation at the same epoch: it holds
+    /// the same committed updates.
     fn serve(
         &mut self,
         user: Option<&str>,
@@ -197,16 +200,15 @@ impl ServerInner {
         let slot = match self.engine.take() {
             Some(slot) => slot,
             None => {
-                let clearances: Vec<String> = user.into_iter().map(str::to_owned).collect();
-                let engine =
-                    ReducedEngine::for_clearances(&self.db, &clearances, self.options.clone())?;
+                let engine = ReducedEngine::materialized(&self.db, user, self.options.clone())?;
                 let store = Arc::new(dl::GenerationStore::new(engine.database_snapshot()));
                 (engine, store)
             }
         };
         let (engine, store) = self.engine.insert(slot);
         if let Some(user) = user {
-            if engine.open_clearance(&self.db, user)? {
+            let db = &self.db;
+            if healed(engine, |engine| engine.open_clearance(db, user))?.is_some() {
                 store.replace(engine.database_snapshot());
             }
         }
@@ -223,24 +225,29 @@ impl ServerInner {
             });
         }
         let (engine, store) = self.serve(None)?;
-        if engine.is_poisoned() {
-            engine.rematerialize()?;
-        }
-        match engine.apply_updates(updates) {
-            Ok(stats) => Ok(CommitSummary {
-                epoch: store.publish(engine.database_snapshot()),
-                levels: BTreeMap::from([(SHARED_ENGINE.to_owned(), Box::new(stats))]),
-            }),
-            Err(error) => {
-                // The back-end rolled the base back; heal over it now (a
-                // failed heal is retried by the next commit).
-                if engine.is_poisoned() {
-                    let _ = engine.rematerialize();
-                }
-                Err(error)
-            }
-        }
+        let stats = healed(engine, |engine| engine.apply_updates(updates))?;
+        Ok(CommitSummary {
+            epoch: store.publish(engine.database_snapshot()),
+            levels: BTreeMap::from([(SHARED_ENGINE.to_owned(), Box::new(stats))]),
+        })
     }
+}
+
+/// Run one commit `step` on `engine`, healed first if an earlier failure
+/// left it poisoned. A failed step has rolled the base back; the engine
+/// heals over it at once (a failed heal is retried by the next step).
+fn healed<T>(
+    engine: &mut ReducedEngine,
+    step: impl FnOnce(&mut ReducedEngine) -> Result<T>,
+) -> Result<T> {
+    if engine.is_poisoned() {
+        engine.rematerialize()?;
+    }
+    let out = step(engine);
+    if out.is_err() && engine.is_poisoned() {
+        let _ = engine.rematerialize();
+    }
+    out
 }
 
 /// A reader session: a pinned generation plus the goal translator for
@@ -345,7 +352,8 @@ mod tests {
     use super::*;
     use crate::ast::Head;
     use crate::parser::{parse_clause, parse_database};
-    use crate::reduce::ReducedEngine;
+    use crate::reduce::tests::{fresh_goal, FRESH_GOALS_DB};
+    use std::collections::BTreeSet;
 
     const SRC: &str = r#"
         level(u). level(c). level(s).
@@ -457,7 +465,7 @@ mod tests {
     }
 
     /// SRC plus a write-down rule and a p-atom head over a guarded body:
-    /// both depend on the clearance, so each open level gets a copy.
+    /// both depend on the clearance, so each open level gets a slice.
     const CONE_SRC: &str = r#"
         level(u). level(c). level(s).
         order(u, c). order(c, s).
@@ -469,8 +477,22 @@ mod tests {
         hot(K) <- L[p(K : a -C-> V)].
     "#;
 
+    /// Every fact of `db`, rendered `pred[args]`.
+    fn facts(db: &dl::Database) -> BTreeSet<String> {
+        let rows = db
+            .relations()
+            .flat_map(|(p, r)| r.iter().map(move |f| (p, f)));
+        rows.map(|(p, f)| format!("{p}{f:?}")).collect()
+    }
+
+    /// The statistics of the engine's last full materialization.
+    fn materialized(server: &BeliefServer) -> String {
+        let inner = lock(&server.inner);
+        format!("{:?}", inner.engine.as_ref().map(|(e, _)| e.stats()))
+    }
+
     #[test]
-    fn late_opened_level_with_a_dependent_cone_matches_a_fresh_reduction() {
+    fn late_opened_level_with_a_dependent_cone_commits_its_slice() {
         let cancel = dl::CancelToken::new();
         let server = BeliefServer::new(
             parse_database(CONE_SRC).unwrap(),
@@ -481,9 +503,9 @@ mod tests {
         );
         let mut top = server.open_reader("s").unwrap();
         commit_three(&server);
-        // The cone is not empty: opening u rebuilds the engine, so a
-        // cancelled evaluation fails the open and leaves the server as
-        // it was.
+        // The cone is not empty: opening u commits its slice, so a
+        // cancelled evaluation fails the open, u stays unserved, and
+        // readers keep their generation.
         cancel.cancel();
         assert!(matches!(
             server.open_reader("u"),
@@ -491,17 +513,27 @@ mod tests {
         ));
         cancel.reset();
         assert_eq!(server.open_levels(), vec!["s"]);
-        let readers: Vec<ReaderSession> = ["u", "c"]
-            .iter()
-            .map(|user| server.open_reader(user).unwrap())
-            .collect();
-        // The rebuild replaced the generation at the same epoch.
         assert_eq!(top.refresh(), 3);
+        let mut readers = vec![server.open_reader("u").unwrap()];
+        assert_eq!(top.refresh(), 3);
+        // Opening c commits c's slice and nothing else: no fact goes, each
+        // new one is c's, the engine is not materialized again, and the
+        // result replaces the generation at the same epoch.
+        let before = facts(top.snapshot().database());
+        let materialization = materialized(&server);
+        readers.push(server.open_reader("c").unwrap());
+        assert_eq!(materialized(&server), materialization);
+        assert_eq!(top.refresh(), 3);
+        let after = facts(top.snapshot().database());
+        assert!(before.is_subset(&after));
+        let added: Vec<&String> = after.difference(&before).collect();
+        let slice = |f: &&String| f.ends_with(", c]") || *f == "clearance[c]";
+        assert!(added.len() > 1 && added.iter().all(slice), "{added:?}");
         let committed = format!("{CONE_SRC} u[p(k2 : a -u-> w)].");
         let db = parse_database(&committed).unwrap();
         for reader in readers.iter().chain([&top]) {
             assert_eq!(reader.epoch(), 3);
-            let fresh = ReducedEngine::new(&db, reader.user()).unwrap();
+            let op = crate::MultiLogEngine::new(&db, reader.user()).unwrap();
             for goal in [
                 "L[p(K : a -C-> V)] << opt",
                 "L[low(K : a -C-> V)]",
@@ -510,13 +542,13 @@ mod tests {
             ] {
                 assert_eq!(
                     reader.query_text(goal).unwrap(),
-                    fresh.solve_text(goal).unwrap(),
+                    op.solve_text(goal).unwrap(),
                     "`{goal}` at {}",
                     reader.user()
                 );
             }
         }
-        // The copies differ by clearance: u derives nothing from the c
+        // The slices differ by clearance: u derives nothing from the c
         // cells it may not read.
         let count = |r: &ReaderSession, goal: &str| r.query_text(goal).unwrap().len();
         let at_each = |goal: &str| {
@@ -525,6 +557,60 @@ mod tests {
         };
         assert_eq!(at_each("hot(K)"), (2, 3, 3));
         assert_eq!(at_each("u[low(K : a -C-> V)]"), (0, 2, 2));
+    }
+
+    /// Each reader's sorted answers to `goal`, rendered.
+    fn answers(reader: &ReaderSession, goal: &str) -> Vec<String> {
+        let answers = reader.query_text(goal).unwrap();
+        answers.iter().map(|a| format!("{a:?}")).collect()
+    }
+
+    #[test]
+    fn an_algorithm_over_the_cone_runs_per_clearance() {
+        let src = "level(l0). level(l1). order(l0, l1).
+            l0[data(a : a -l0-> b)].
+            l1[data(b : a -l1-> c)].
+            e(X, Y) <- L[data(X : a -C-> Y)].
+            r(X, Y) <- @bfs(e, X, Y).";
+        let server = BeliefServer::new(parse_database(src).unwrap(), EngineOptions::default());
+        // Opened top first, so the open of l0 commits l0's slice.
+        let high = server.open_reader("l1").unwrap();
+        let low = server.open_reader("l0").unwrap();
+        // The answers each clearance's own reduction gave before the
+        // clearance was a column.
+        assert_eq!(answers(&low, "r(X, Y)").len(), 1);
+        assert_eq!(answers(&high, "r(X, Y)").len(), 3);
+        assert_eq!(low.query_text("r(a, c)").unwrap().len(), 0);
+        assert_eq!(high.query_text("r(a, c)").unwrap().len(), 1);
+        // A goal-only call over the sliced input reads the reader's slice.
+        assert_eq!(low.query_text("@bfs(e, a, Y)").unwrap().len(), 1);
+        assert_eq!(high.query_text("@bfs(e, a, Y)").unwrap().len(), 2);
+    }
+
+    #[test]
+    fn the_dashboard_answers_per_clearance() {
+        let src = include_str!("../../../examples/data/dashboard.mlog");
+        let server = BeliefServer::new(parse_database(src).unwrap(), EngineOptions::default());
+        let low = server.open_reader("u").unwrap();
+        let high = server.open_reader("s").unwrap();
+        // Each clearance's own reduction answered these before the
+        // clearance was a column: one dashboard row per level it sees.
+        let rows = |r: &ReaderSession| -> Vec<(String, String)> {
+            let answers = r.query_text("total(H, N)").unwrap();
+            answers
+                .iter()
+                .map(|a| (a["H"].to_string(), a["N"].to_string()))
+                .collect()
+        };
+        let row = |h: &str, n: &str| (h.to_owned(), n.to_owned());
+        assert_eq!(rows(&low), [row("u", "2")]);
+        assert_eq!(rows(&high), [row("c", "4"), row("s", "6"), row("u", "2")]);
+        for reader in [&low, &high] {
+            assert_eq!(reader.query_text("chain(alice, Y)").unwrap().len(), 3);
+        }
+        let beliefs = "H[emp(K : sal -C-> V)] << opt";
+        assert_eq!(low.query_text(beliefs).unwrap().len(), 2);
+        assert_eq!(high.query_text(beliefs).unwrap().len(), 12);
     }
 
     #[test]
@@ -597,7 +683,7 @@ mod tests {
         );
         server.open_reader("u").unwrap();
         server.open_reader("s").unwrap();
-        // Every evaluation from here on is cancelled, rebuilds included.
+        // Every evaluation from here on is cancelled, opens included.
         cancel.cancel();
         let mut writer = server.open_writer().unwrap();
         let err = writer.commit(&[assert_fact("u[p(K : a -u-> w)].")]);
@@ -679,54 +765,9 @@ mod tests {
         assert_eq!(server.epoch(), 0);
     }
 
-    /// Goal `i` of a serve client that names its variables afresh in
-    /// every goal: 200 shapes — one or two m-/b-atoms, each binding or
-    /// leaving open its key, class and value — each asked five times in a
-    /// row, with rotating constants in every bound position.
-    fn fresh_goal(i: usize) -> String {
-        let shape = (i / 5) % 200;
-        let atom = |pattern: usize, key: &str, tag: &str| {
-            let pick = |bit: usize, constant: String, var: String| {
-                if pattern & bit == 0 {
-                    constant
-                } else {
-                    var
-                }
-            };
-            let level = ["u", "c", "s"][(i / 5) % 3];
-            let key = pick(1, ["k1", "k2", "k3"][i % 3].to_owned(), key.to_owned());
-            let class = pick(2, ["u", "c"][(i / 2) % 2].to_owned(), format!("C{tag}{i}"));
-            let value = pick(
-                4,
-                ["v1", "v2", "v3"][(i / 3) % 3].to_owned(),
-                format!("V{tag}{i}"),
-            );
-            let m = format!("{level}[p({key} : a -{class}-> {value})]");
-            if pattern & 8 == 0 {
-                m
-            } else {
-                format!("{m} << {}", ["fir", "opt", "cau"][shape % 3])
-            }
-        };
-        let key = format!("K{i}");
-        let first = atom(shape % 16, &key, "a");
-        match shape / 16 {
-            0 => first,
-            n => format!("{first}, {}", atom(n - 1, &key, "b")),
-        }
-    }
-
     #[test]
     fn prepared_cache_stays_bounded_under_fresh_goals() {
-        let src = r#"
-            level(u). level(c). level(s).
-            order(u, c). order(c, s).
-            u[p(k1 : a -u-> v1)]. c[p(k1 : a -c-> v2)]. s[p(k2 : a -u-> v1)].
-            c[p(k2 : a -u-> v3)]. u[p(k3 : a -u-> v2)].
-            c[p(k3 : a -c-> v3)] <- q(k3).
-            q(k3).
-        "#;
-        let db = parse_database(src).unwrap();
+        let db = parse_database(FRESH_GOALS_DB).unwrap();
         let op = crate::MultiLogEngine::new(&db, "c").unwrap();
         let server = BeliefServer::new(db, EngineOptions::default());
         let reader = server.open_reader("c").unwrap();

@@ -103,6 +103,14 @@ fn engines_agree_on_same_level_cau_and_unknown_rule_modes() {
              s[q(k : a -u-> V)] <- u[p(k : a -u-> V)] << foo.",
             discriminant(&typed("ML0106")),
         ),
+        // A variable body level where a rule consults `<< cau`: τ splits
+        // `rel` per level then, so every engine refuses it alike.
+        (
+            "level(u). level(c). level(s). order(u, c). order(c, s).\n\
+             u[p(k : a -u-> v)]. c[q(k : b -c-> w)].\n\
+             s[r(K : a -s-> V)] <- L[p(K : a -L-> V)], c[q(K : b -C-> W)] << cau.",
+            discriminant(&typed("ML0105")),
+        ),
     ];
     for (src, want) in cases {
         let refused = parse_database(src).expect_err(src);

@@ -4,7 +4,9 @@
 // Test code: unwraps are the assertion.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use multilog_cli::{check, prove, query, reduce, run, EngineKind, Options};
+use multilog_cli::{
+    check, prove, query, reduce, run, EngineKind, Options, ReplSession, ServeSession,
+};
 
 fn mission_source() -> String {
     std::fs::read_to_string(concat!(
@@ -109,4 +111,27 @@ fn reduced_stats_list_rules_but_not_facts() {
     assert!(tau_rules > 0);
     assert_eq!(entries.len(), tau_rules, "{out}");
     assert!(entries.iter().all(|l| l.contains(" :- ")), "{out}");
+}
+
+#[test]
+fn goal_only_algorithm_calls_answer_on_every_path() {
+    // No rule calls `@bfs` over `hop`: the goal's call runs over the
+    // database's `hop` relation on every path.
+    let src = "edge(a, b). edge(b, c). hop(a, x). reach(X, Y) <- @bfs(edge, X, Y).";
+    let goal = "@bfs(hop, a, Y)";
+    let mut red = opts("system");
+    red.engine = EngineKind::Reduced;
+    let mut full = red.clone();
+    full.no_magic = true;
+    for o in [&red, &full, &opts("system")] {
+        let out = query(src, goal, o).unwrap();
+        assert!(out.contains("Y = x"), "{:?}: {out}", o.engine);
+    }
+    let mut repl = ReplSession::new(src, &opts("system")).unwrap();
+    assert!(repl.step(goal).contains("Y = x"));
+    let mut serve = ServeSession::new(src, &opts("system")).unwrap();
+    let (opened, _) = serve.step("open system");
+    assert!(opened.contains("open at system"), "{opened}");
+    let (out, _) = serve.step(goal);
+    assert!(out.contains("Y = x"), "{out}");
 }

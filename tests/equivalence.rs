@@ -97,6 +97,40 @@ fn user_defined_mode_equivalence() {
 }
 
 #[test]
+fn variable_body_levels_beside_cau_are_refused_at_load() {
+    // τ splits `rel` per level when a rule consults `<< cau`, which needs
+    // ground body levels; admission refuses the program for every engine
+    // alike, instead of the operational engine answering what the
+    // reduction refuses.
+    let src = "level(u). level(c). level(s). order(u, c). order(c, s).\n\
+               u[p(k : a -u-> v)]. c[q(k : b -c-> w)].\n\
+               s[r(K : a -s-> V)] <- L[p(K : a -L-> V)], c[q(K : b -C-> W)] << cau.";
+    let refused = parse_database(src).expect_err("refused at load");
+    assert!(
+        matches!(
+            refused,
+            multilog_core::MultiLogError::NotBeliefStratified { .. }
+        ),
+        "{refused:?}"
+    );
+    // The same rule with a ground body level answers alike everywhere.
+    let ground = src.replace("L[p(K : a -L-> V)]", "u[p(K : a -u-> V)]");
+    let db = parse_database(&ground).unwrap();
+    let goal = "s[r(K : a -s-> V)]";
+    let expected = MultiLogEngine::new(&db, "s")
+        .unwrap()
+        .solve_text(goal)
+        .unwrap();
+    assert_eq!(expected.len(), 1);
+    let red = ReducedEngine::new(&db, "s").unwrap();
+    assert_eq!(red.solve_text(goal).unwrap(), expected);
+    assert_eq!(red.solve_text_demand(goal).unwrap(), expected);
+    let server = BeliefServer::new(db, EngineOptions::default());
+    let reader = server.open_reader("s").unwrap();
+    assert_eq!(reader.query_text(goal).unwrap(), expected);
+}
+
+#[test]
 fn datalog_degeneration_equivalence() {
     // Prop 6.1: plain Datalog programs give classical answers through
     // both pipelines.
@@ -276,9 +310,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// After every commit of a script, a `BeliefServer` reader at each
-    /// level answers exactly like a fresh per-level reduction of base
-    /// plus the committed cells — with the clearance-dependent rules in
-    /// the mix, and one level opened only after the first commit.
+    /// level answers exactly like the operational engine over base plus
+    /// the committed cells — with the clearance-dependent rules in the
+    /// mix, and one level opened only after the first commit.
     #[test]
     fn server_readers_match_fresh_reductions_after_commits(
         (src, depth, script) in arb_server_db()
@@ -310,11 +344,11 @@ proptest! {
             let db = parse_database(&format!("{rules}{committed}")).expect("db parses");
             for reader in &mut readers {
                 reader.refresh();
-                let fresh = ReducedEngine::new(&db, reader.user()).expect("reduction ok");
+                let op = MultiLogEngine::new(&db, reader.user()).expect("operational ok");
                 for goal in SERVER_PROBES {
                     prop_assert_eq!(
                         reader.query_text(goal).expect("reader solve"),
-                        fresh.solve_text(goal).expect("fresh solve"),
+                        op.solve_text(goal).expect("operational solve"),
                         "`{}` at {} after {:?} for db:\n{}", goal, reader.user(),
                         &script[..=i], src
                     );
