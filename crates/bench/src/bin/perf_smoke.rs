@@ -44,6 +44,8 @@
 //!   sessions compiled: a session prepares one plan per goal shape and
 //!   each reader repeats one goal, so it is at most `readers`;
 //!   `reader_plan_hits` counts the goals a cached plan answered.
+//!   `fixpoint_facts` is the server's fact count after its last commit:
+//!   deterministic, and the size of the one fixpoint every reader reads.
 //! * `social_reach_{operator,rules}` — full reachability over a
 //!   power-law social graph, computed by the native `@bfs` operator vs.
 //!   the equivalent rule-at-a-time transitive closure (identical `reach`
@@ -73,9 +75,12 @@
 //! perf_smoke [--out FILE] [--baseline FILE] [--repeat N]
 //! ```
 //!
-//! With `--baseline`, per-workload `baseline_facts_per_sec` and
-//! `speedup` fields are merged in from a previous report, so one binary
-//! produces a self-contained before/after comparison.
+//! With `--baseline`, per-workload `baseline_wall_ms` and `speedup`
+//! (the baseline's wall time over this run's) fields are merged in from
+//! a previous report, so one binary produces a self-contained
+//! before/after comparison. The ratio is of wall times, not of facts per
+//! second: a change that derives fewer facts for the same answers is not
+//! a slowdown.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -688,6 +693,8 @@ struct ConcurrentChurnResult {
     reader_plans_compiled: u64,
     /// Reader goals a session's cached plan answered, summed.
     reader_plan_hits: u64,
+    /// The server's fact count after the last commit.
+    fixpoint_facts: usize,
 }
 
 /// Run `readers` reader threads against a [`BeliefServer`] while the
@@ -734,6 +741,7 @@ fn run_concurrent_churn(readers: usize, commits: usize) -> ConcurrentChurnResult
     let mut join_probes_max = 0u64;
     let mut reader_plans_compiled = 0u64;
     let mut reader_plan_hits = 0u64;
+    let mut fixpoint_facts = 0usize;
     let clock = Instant::now();
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
@@ -832,6 +840,8 @@ fn run_concurrent_churn(readers: usize, commits: usize) -> ConcurrentChurnResult
             }
         }
         writer_wall_ms = start.elapsed().as_secs_f64() * 1e3;
+        top_reader.refresh();
+        fixpoint_facts = top_reader.snapshot().database().fact_count();
         stop.store(true, Ordering::Relaxed);
         for handle in handles {
             let (walls, stats) = handle.join().expect("reader thread joins");
@@ -873,6 +883,7 @@ fn run_concurrent_churn(readers: usize, commits: usize) -> ConcurrentChurnResult
         join_probes_max,
         reader_plans_compiled,
         reader_plan_hits,
+        fixpoint_facts,
     }
 }
 
@@ -1273,8 +1284,12 @@ fn main() {
         churn.reader_plans_compiled
     ));
     json.push_str(&format!(
-        "    \"reader_plan_hits\": {}\n",
+        "    \"reader_plan_hits\": {},\n",
         churn.reader_plan_hits
+    ));
+    json.push_str(&format!(
+        "    \"fixpoint_facts\": {}\n",
+        churn.fixpoint_facts
     ));
     json.push_str("  },\n");
     if let Some(mb) = xl_peak_rss_mb {
@@ -1289,9 +1304,9 @@ fn main() {
         json.push_str(&format!("      \"wall_ms\": {:.3},\n", r.wall_ms));
         json.push_str(&format!("      \"facts_per_sec\": {:.1}", r.facts_per_sec));
         if let Some(base) = baseline.as_deref() {
-            if let Some(b) = baseline_field(base, r.name, "facts_per_sec") {
-                json.push_str(&format!(",\n      \"baseline_facts_per_sec\": {b:.1}"));
-                json.push_str(&format!(",\n      \"speedup\": {:.2}", r.facts_per_sec / b));
+            if let Some(b) = baseline_field(base, r.name, "wall_ms") {
+                json.push_str(&format!(",\n      \"baseline_wall_ms\": {b:.3}"));
+                json.push_str(&format!(",\n      \"speedup\": {:.2}", b / r.wall_ms));
             }
         }
         json.push_str("\n    }");

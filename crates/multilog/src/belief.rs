@@ -69,6 +69,9 @@ pub enum Mode {
 }
 
 impl Mode {
+    /// Every built-in mode.
+    pub const ALL: [Mode; 3] = [Mode::Fir, Mode::Opt, Mode::Cau];
+
     /// Parse the paper's shorthand.
     pub fn parse(s: &str) -> Option<Mode> {
         match s {

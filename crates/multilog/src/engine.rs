@@ -412,6 +412,7 @@ impl MultiLogEngine {
     /// Solve a goal (conjunction of atoms) under the user context,
     /// returning the distinct answers sorted for determinism.
     pub fn solve(&self, goal: &Goal) -> Result<Vec<Answer>> {
+        self.modes.check_goal(goal)?;
         let guard = OpGuard::new(&self.options);
         guard.begin_clause(self.mfacts.len() + self.pfacts.len());
         guard.check()?;

@@ -5,8 +5,9 @@
 //! clearance-free error is also a load refusal: the admissibility errors
 //! ML0101–ML0106 (range restriction, Definition 5.3's three conditions,
 //! the cautious level stratification and known belief modes), ML0113
-//! (a p-predicate at two arities) and ML0008 (algorithm-operator and
-//! aggregate misuse) are one set of checks with two readers. This pass
+//! (a p-predicate at two arities), ML0115 (a p-atom over a relation the
+//! reduction derives) and ML0008 (algorithm-operator and aggregate
+//! misuse) are one set of checks with two readers. This pass
 //! reports every finding with its span, and
 //! [`MultiLogDb::new`](crate::MultiLogDb::new) refuses a database on the
 //! first one, as its typed [`MultiLogError`]. The checks cover the
@@ -257,7 +258,7 @@ pub fn lint_source_at(src: &str, clearance: Option<&str>) -> Result<LintReport> 
 /// (here over the queries too), the clearance, and the warnings.
 pub fn lint_program(prog: &ParsedProgram, src: &str, clearance: Option<&str>) -> LintReport {
     let mut ctx = Ctx::new(prog, clearance);
-    let refusals = ctx.p.admissibility(); // ML0101–ML0106, ML0113, ML0008
+    let refusals = ctx.p.admissibility(); // ML0101–ML0106, ML0113, ML0115, ML0008
     ctx.out = refusals.into_iter().map(Finding::into_diagnostic).collect();
     ctx.check_clearance_declared(); //        ML0103 (the clearance)
     ctx.check_statically_empty(); //          ML0107
@@ -393,7 +394,7 @@ impl<'p> Program<'p> {
     }
 
     /// The clearance-free error checks: admissibility ML0101–ML0106,
-    /// then ML0113 and ML0008, each in source order. A program the load
+    /// then ML0113, ML0115 and ML0008, each in source order. A program the load
     /// admits has none.
     pub(crate) fn admissibility(&self) -> Vec<Finding> {
         let mut out = Vec::new();
@@ -404,6 +405,7 @@ impl<'p> Program<'p> {
         self.check_belief_stratification(&mut out); // ML0105
         self.check_modes_known(&mut out); //           ML0106
         self.check_arity_mismatches(&mut out); //      ML0113
+        self.check_reserved_relations(&mut out); //    ML0115
         self.check_algo_and_aggregates(&mut out); //   ML0008
         out
     }
@@ -642,44 +644,71 @@ impl<'p> Program<'p> {
         }
     }
 
+    /// Every p-atom of the clauses, head first, and of the queries, with
+    /// its clause's or query's span, in source order.
+    fn p_atoms(&self) -> impl Iterator<Item = (&'p PAtom, Span)> + '_ {
+        fn of(atoms: &[Atom]) -> impl Iterator<Item = &PAtom> {
+            atoms.iter().filter_map(|a| match a {
+                Atom::P(p) => Some(p),
+                _ => None,
+            })
+        }
+        let clauses = self.clauses.iter().flat_map(|c| {
+            let head = match &c.head {
+                Head::P(p) => Some(p),
+                _ => None,
+            };
+            head.into_iter()
+                .chain(of(&c.body))
+                .map(move |p| (p, c.span))
+        });
+        let queries = self
+            .queries
+            .iter()
+            .flat_map(|&(q, span)| of(q).map(move |p| (p, span)));
+        clauses.chain(queries)
+    }
+
     // ML0113 — a p-predicate used with two different arities (m-atoms
     // are fixed-shape, so only p-atoms can disagree): τ would map the two
     // uses to one Datalog relation.
     fn check_arity_mismatches(&self, out: &mut Vec<Finding>) {
         let mut arities: HashMap<&str, (usize, Span)> = HashMap::new();
-        let clauses = self.clauses.iter().map(|c| {
-            let head = match &c.head {
-                Head::P(p) => Some(p),
-                _ => None,
-            };
-            (head, &c.body[..], c.span)
-        });
-        let queries = self.queries.iter().map(|&(q, span)| (None, &q[..], span));
-        for (head, body, span) in clauses.chain(queries) {
-            let body = body.iter().filter_map(|a| match a {
-                Atom::P(p) => Some(p),
-                _ => None,
-            });
-            for p in head.into_iter().chain(body) {
-                let arity = p.args.len();
-                match arities.get(p.pred.as_ref()) {
-                    Some(&(prev, prev_span)) if prev != arity => out.push(Finding {
-                        code: "ML0113",
-                        name: "arity-mismatch",
-                        span,
-                        error: MultiLogError::IllFormed {
-                            detail: format!(
-                                "predicate `{}` used with arity {arity} but first used \
-                                 with arity {prev} at {prev_span}",
-                                p.pred
-                            ),
-                        },
-                    }),
-                    Some(_) => {}
-                    None => {
-                        arities.insert(p.pred.as_ref(), (arity, span));
-                    }
+        for (p, span) in self.p_atoms() {
+            let arity = p.args.len();
+            match arities.get(p.pred.as_ref()) {
+                Some(&(prev, prev_span)) if prev != arity => out.push(Finding {
+                    code: "ML0113",
+                    name: "arity-mismatch",
+                    span,
+                    error: MultiLogError::IllFormed {
+                        detail: format!(
+                            "predicate `{}` used with arity {arity} but first used \
+                             with arity {prev} at {prev_span}",
+                            p.pred
+                        ),
+                    },
+                }),
+                Some(_) => {}
+                None => {
+                    arities.insert(p.pred.as_ref(), (arity, span));
                 }
+            }
+        }
+    }
+
+    // ML0115 — a p-atom over a relation τ derives (`rel`, `bel_opt`, …):
+    // it would read the reduction's facts past the no-read-up guards, or
+    // add facts to them that the operational engine never sees.
+    fn check_reserved_relations(&self, out: &mut Vec<Finding>) {
+        for (p, span) in self.p_atoms() {
+            if let Some(relation) = crate::modes::reserved_relation(p) {
+                out.push(Finding {
+                    code: "ML0115",
+                    name: "reserved-relation",
+                    span,
+                    error: crate::modes::reserved_error(relation),
+                });
             }
         }
     }

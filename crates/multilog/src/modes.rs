@@ -50,20 +50,70 @@ impl ModeSet {
         self.0.iter().any(|m| m.as_ref() == mode)
     }
 
-    /// `Ok` when every b-atom of `goal` uses a known mode.
+    /// `Ok` when every b-atom of `goal` uses a known mode and no p-atom
+    /// names a relation the reduction derives ([`reserved_relation`]).
     ///
     /// # Errors
     ///
-    /// [`MultiLogError::UnknownMode`] naming the first unknown mode.
+    /// [`MultiLogError::UnknownMode`] naming the first unknown mode;
+    /// [`MultiLogError::NotAdmissible`] naming the first reserved
+    /// relation.
     pub(crate) fn check_goal(&self, goal: &[Atom]) -> Result<()> {
         for a in goal {
-            if let Atom::B(_, mode) = a {
-                if !self.contains(mode) {
+            match a {
+                Atom::B(_, mode) if !self.contains(mode) => {
                     return Err(MultiLogError::UnknownMode(mode.to_string()));
                 }
+                Atom::P(p) => {
+                    if let Some(relation) = reserved_relation(p) {
+                        return Err(reserved_error(relation));
+                    }
+                }
+                _ => {}
             }
         }
         Ok(())
+    }
+}
+
+/// The relations the reduction derives besides `bel/7`, by name, with
+/// `bel_mode`, its demand programs' entry into them. A relation named
+/// after one (`rel_u`, `bel_cau_c`, `clearance_p`) is one of its
+/// per-level or per-clearance relations.
+const DERIVED: [&str; 6] = [
+    "rel",
+    "bel_opt",
+    "bel_cau",
+    "beaten",
+    "bel_mode",
+    "clearance",
+];
+
+/// The relation the reduction derives that `p` reads or defines — its
+/// predicate, or an `@algo(input, …)` call's input — if any. A p-atom
+/// over one would read τ's facts past the no-read-up guards, or add
+/// facts the operational engine never sees; admission (ML0115) and every
+/// engine's goals refuse it. `bel/7` stays the user-mode relation, and
+/// `level`, `order` and `dominate` the lattice's.
+pub(crate) fn reserved_relation(p: &PAtom) -> Option<&str> {
+    let name = match (p.pred.strip_prefix('@'), p.args.first()) {
+        (Some(_), Some(Term::Sym(input))) => input,
+        _ => &p.pred,
+    };
+    let named_after = |base: &&str| {
+        name.strip_prefix(*base)
+            .is_some_and(|rest| rest.is_empty() || rest.starts_with('_'))
+    };
+    DERIVED.iter().any(named_after).then_some(name)
+}
+
+/// The refusal of a p-atom over `relation`, a relation the reduction
+/// derives.
+pub(crate) fn reserved_error(relation: &str) -> MultiLogError {
+    MultiLogError::NotAdmissible {
+        detail: format!(
+            "`{relation}` names a relation the reduction derives; a p-atom may not read or define it"
+        ),
     }
 }
 

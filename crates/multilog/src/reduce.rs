@@ -14,8 +14,14 @@
 //! ## Encoding (§6.1)
 //!
 //! * `τ(l[p(k : a -c-> v)]) = rel(p, k, a, v, c, l)`
-//! * `τ(l[p(k : a -c-> v)] << m) = bel(p, k, a, v, c, l, m)`
+//! * `τ(l[p(k : a -c-> v)] << m)` reads the one relation holding mode
+//!   `m`'s beliefs: `rel(p, k, a, v, c, l)` for `fir`, which *is* `rel`;
+//!   `bel_opt(p, k, a, v, c, l)` for `opt`; `bel_cau(p, k, a, v, c, l)`
+//!   for `cau`; and `bel(p, k, a, v, c, l, m)` for a user-defined mode
+//!   (§7), whose relation holds only the Π heads defining such modes.
 //! * p-, l-, h-atoms translate to themselves; `⪯` becomes `dominate/2`.
+//!   A p-atom may not name a relation τ derives (admission refuses it,
+//!   ML0115), so τ's relations hold τ's facts only.
 //! * `τ(λ(B, u))` guards every body/query m- and b-atom with
 //!   `dominate(l, u)` and `dominate(c, u)` — the Bell–LaPadula *no read
 //!   up* conditions (§6.2). Here the clearance is data: a goal's guards
@@ -32,21 +38,27 @@
 //! whenever a rule body consults a belief, and the cautious axioms make
 //! `bel` depend *negatively* on `rel` — a negative cycle for any
 //! syntactic stratifier (and a₆/a₉ additionally use unsafe negation).
-//! We therefore emit a semantically equivalent *specialized* axiom set:
+//! We therefore emit a semantically equivalent *specialized* axiom set,
+//! which stores each belief once:
 //!
-//! * `bel` is split per mode (`bel_fir`, `bel_opt`, `bel_cau`), so rules
-//!   consuming only monotone modes never touch the negation;
-//! * when a rule body does consult `<< cau`, `rel` is additionally split
-//!   per level (`rel_u`, `rel_c`, …) and the cautious predicates are
-//!   generated per level against the *statically known* dominance
-//!   relation — the level stratification of the operational engine,
-//!   reflected syntactically. This requires ground levels on the body
-//!   m-atoms of every rule, which admission ([`MultiLogDb::new`],
-//!   ML0105) requires of every engine's programs;
-//! * the unsafe negations of a₆–a₉ become safe auxiliary predicates
-//!   (`visible`, `beaten`): a value is cautiously believed iff it is
-//!   visible and no visible value for the same column strictly dominates
-//!   its classification — exactly β (Definition 3.1).
+//! * each built-in mode has one relation: `fir` is `rel` itself, `opt`
+//!   is `bel_opt`, and `cau` is `bel_cau`; rules and goals consuming
+//!   only monotone modes never touch the negation;
+//! * the unsafe negations of a₆–a₉ become one safe auxiliary predicate
+//!   `beaten`: a value is cautiously believed iff it is optimistically
+//!   believed and no optimistically believed value for the same column
+//!   strictly dominates its classification — exactly β (Definition 3.1);
+//! * when a rule body does consult `<< cau`, `rel` is split per level
+//!   (`rel_u`, `rel_c`, …, with `rel` their union), and a body atom at
+//!   ground level `h` reads `h`'s own relation: `rel_h`, or `bel_opt_h`
+//!   and `bel_cau_h` (with `beaten_h`), generated only for the levels a
+//!   rule body reads, against the *statically known* dominance relation —
+//!   the level stratification of the operational engine, reflected
+//!   syntactically. This requires ground levels on the body m-atoms and
+//!   `<< cau` atoms of every rule, which admission
+//!   ([`MultiLogDb::new`], ML0105) requires of every engine's programs. A
+//!   `<< fir`/`<< opt` body atom at a *variable* level still reads the
+//!   relation of every level.
 //!
 //! Theorem 6.1 (equivalence with the operational semantics) is exercised
 //! by `tests/equivalence.rs` at the workspace root.
@@ -183,8 +195,8 @@ struct FlowPrune {
     report: crate::flow::FlowReport,
     /// `(source clause, translated clause)` for every Σ/Π rule.
     rules: Vec<(Clause, dl::Clause)>,
-    /// Per-level cautious machinery (`visible_h`, `beaten_h`,
-    /// `bel_cau_h`) for levels `h` not dominated by the clearance —
+    /// Per-level belief relations (`bel_opt_h`, `beaten_h`,
+    /// `bel_cau_h`) of levels `h` not dominated by the clearance —
     /// nothing at or below the clearance ever reads them, and they are
     /// never update targets (updates land in `rel_*`), so dropping them
     /// is sound independent of updates.
@@ -298,7 +310,7 @@ impl ReducedEngine {
         let clearances: Vec<String> = user.into_iter().map(str::to_owned).collect();
         let (lattice, _) = db.lattice_for(&clearances)?;
         let level_split = db.uses_cau();
-        let (clauses, axioms_at, cone) = translate(db, &lattice, level_split, &clearances)?;
+        let (clauses, axioms_at, cone) = translate(db, &lattice, level_split, &clearances);
         let program_text = render(&clauses, axioms_at);
         let program = dl::Program::from_clauses(clauses).map_err(MultiLogError::Datalog)?;
         let cone = Arc::new(cone);
@@ -315,21 +327,17 @@ impl ReducedEngine {
                     .filter(|(c, _)| !c.is_fact())
                     .map(|(c, t)| (c.clone(), t.clone()))
                     .collect();
-                let mut machinery = HashSet::new();
-                if level_split {
-                    if let Some(u) = lattice.label(user) {
-                        for h in lattice.labels() {
-                            if !lattice.leq(h, u) {
-                                let hn = lattice.name(h);
-                                for pred in ["visible", "beaten", "bel_cau"] {
-                                    let pred = dl::SymId::intern(&leveled(pred, hn));
-                                    machinery.insert(pred.as_str().to_owned());
-                                    machinery.insert(cone.relation(pred).as_str().to_owned());
-                                }
-                            }
-                        }
-                    }
-                }
+                let u = lattice.label(user);
+                let above = lattice
+                    .labels()
+                    .filter(|&h| u.is_some_and(|u| !lattice.leq(h, u)));
+                let leveled = above.flat_map(|h| {
+                    ["bel_opt", "beaten", "bel_cau"].map(|p| leveled(p, lattice.name(h)))
+                });
+                let machinery = leveled
+                    .map(|p| dl::SymId::intern(&p))
+                    .flat_map(|p| [p, cone.relation(p)].map(|p| p.as_str().to_owned()))
+                    .collect();
                 Some(FlowPrune {
                     report,
                     rules,
@@ -343,11 +351,11 @@ impl ReducedEngine {
         let mut incremental = dl::IncrementalEngine::new_deferred(&program)
             .map_err(MultiLogError::Datalog)?
             .with_fact_limit(fact_limit);
-        // Goals read the generic `bel`/`rel` (see `translate_goal`), or
-        // their sliced relations, and point goals bind the key, column 1,
-        // which no rule probes: readers seek on it instead of scanning
-        // the relation.
-        for pred in ["bel", "rel"] {
+        // Goals read each mode's relation with its level column (see
+        // `belief_atom`), or its sliced relation, and point goals bind the
+        // key, column 1, which no rule probes: readers seek on it instead
+        // of scanning the relation.
+        for pred in ["rel", "bel_opt", "bel_cau", crate::modes::BEL] {
             let read = cone.relation(dl::SymId::intern(pred));
             incremental = incremental.with_reader_index(read.as_str(), 1);
         }
@@ -521,7 +529,7 @@ impl ReducedEngine {
                 });
             }
         }
-        let atom = rel_atom(m, self.level_split)?;
+        let atom = belief_atom(m, Mode::Fir.name(), self.level_split);
         let fact = atom.as_fact().ok_or_else(non_ground)?;
         Ok((atom.predicate, fact))
     }
@@ -575,7 +583,8 @@ impl ReducedEngine {
         self.modes.check_goal(goal)?;
         self.user()?;
         let shape = Shape::of(goal);
-        let (body, ..) = self.solver.canonical(goal, &shape)?;
+        let (mut body, ..) = self.solver.canonical(goal, &shape)?;
+        self.by_mode(&mut body);
         let (key, params) = dl::magic::prepared_key(&body);
         let (plan, rules, edb, pruned_rules) = self.demand_plan(key, &body)?;
         // Guard trips convert through `From<DatalogError>`, surfacing the
@@ -609,6 +618,22 @@ impl ReducedEngine {
         self.solve_demand(&crate::parser::parse_goal(goal)?)
     }
 
+    /// A demand goal's canonical `body` reading each built-in mode's
+    /// relation through [`mode_entry`]'s `bel_mode`, with the mode as its
+    /// last column.
+    fn by_mode(&self, body: &mut [dl::Literal]) {
+        let reads = |m: &Mode| self.cone.relation(dl::SymId::intern(mode_relation(*m)));
+        for literal in body {
+            let dl::Literal::Pos(a) = literal else {
+                continue;
+            };
+            if let Some(mode) = Mode::ALL.iter().find(|m| reads(m) == a.predicate) {
+                a.predicate = dl::SymId::intern(BEL_MODE);
+                a.terms.push(dl::Term::sym(mode.name()));
+            }
+        }
+    }
+
     /// `engine` under this engine's guards.
     fn guarded<'p>(&self, engine: dl::Engine<'p>) -> dl::Engine<'p> {
         let mut engine = engine.with_fact_limit(self.fact_limit);
@@ -637,7 +662,11 @@ impl ReducedEngine {
         let (rules, pruned) = match &cache.rules {
             Some(rules) => rules.clone(),
             None => {
-                let (rules, pruned) = self.pruned_program(self.incremental.rules().clone());
+                let mut rules = self.incremental.rules().clone();
+                for entry in mode_entry(&self.cone) {
+                    rules.push(entry).map_err(MultiLogError::Datalog)?;
+                }
+                let (rules, pruned) = self.pruned_program(rules);
                 cache.rules.insert((Arc::new(rules), pruned)).clone()
             }
         };
@@ -919,10 +948,12 @@ impl GoalTranslator {
     /// τ(λ(goal, u)) in the form every goal of its [`Shape`] shares: the
     /// τ body of the goal's [`generalize`]ation, whose `i`-th variable is
     /// `V{i}`, with each placeholder `?n` filled back with the goal's
-    /// `n`-th constant. Also returns where each constant of the body, in
+    /// `n`-th constant. Goals read each mode's relation with the level as
+    /// a column, whatever the rule encoding ([`belief_atom`]), guarded by
+    /// the clearance. Also returns where each constant of the body, in
     /// [`dl::PreparedQuery::params_of`] order, comes from: the goal's
     /// `n`-th constant at a placeholder, a constant τ fixes elsewhere (the
-    /// clearance, a belief mode); and whether the body serves the whole
+    /// clearance, a user mode); and whether the body serves the whole
     /// shape. It does not when τ folds a goal constant into a predicate —
     /// an algorithm call's input — and then serves this goal only.
     fn canonical(
@@ -931,7 +962,11 @@ impl GoalTranslator {
         shape: &Shape<'_>,
     ) -> Result<(Vec<dl::Literal>, Vec<Param>, bool)> {
         let placeholder = |s: &str| s.strip_prefix('?')?.parse::<usize>().ok();
-        let mut body = translate_goal(&generalize(goal), &self.user)?;
+        let guard = dl::Term::sym(&self.user);
+        let mut body = Vec::new();
+        for atom in &generalize(goal) {
+            translate_atom(atom, &|_| Some(guard.clone()), false, &mut body);
+        }
         let mut serves = true;
         let user = dl::Term::sym(&self.user);
         for literal in &mut body {
@@ -1188,7 +1223,7 @@ fn translate(
     lattice: &SecurityLattice,
     level_split: bool,
     clearances: &[String],
-) -> Result<(Vec<dl::Clause>, usize, Cone)> {
+) -> (Vec<dl::Clause>, usize, Cone) {
     let sources: Vec<&Clause> = db
         .lambda()
         .iter()
@@ -1199,23 +1234,11 @@ fn translate(
     let mut images = Vec::with_capacity(sources.len());
     for c in &sources {
         let dependent = !clearance_free(c, lattice);
-        let image = translate_clause(c, dependent.then_some(&u), lattice, level_split)?;
-        // The source and τ must not share a clearance relation.
-        let mut read =
-            std::iter::once(&image.head).chain(image.body.iter().filter_map(dl::Literal::atom));
-        if let Some(a) = read.find(|a| read_relation(a.predicate).as_str().starts_with(CLEARANCE)) {
-            return Err(MultiLogError::NotAdmissible {
-                detail: format!(
-                    "`{}` names a relation τ reserves for clearances",
-                    a.predicate
-                ),
-            });
-        }
+        let image = translate_clause(c, dependent.then_some(&u), lattice, level_split);
         images.push((image, dependent));
     }
-    let mut axiom_clauses = Vec::new();
-    axioms(lattice, level_split, &mut axiom_clauses);
-    images.extend(axiom_clauses.into_iter().map(|a| (a, false)));
+    let reads = level_split.then(|| leveled_reads(&sources));
+    images.extend(axioms(lattice, reads).into_iter().map(|a| (a, false)));
     let cone = Cone::close(&mut images, &update_targets(lattice, level_split));
     let mut copies = cone.copy_rules(&images);
     let clearance = |user: &String| dl::Atom::new(CLEARANCE, vec![dl::Term::sym(user)]);
@@ -1234,7 +1257,7 @@ fn translate(
         }
         clauses.push(clause);
     }
-    Ok((clauses, axioms_at, cone))
+    (clauses, axioms_at, cone)
 }
 
 /// The variable τ names the clearance column with: `U`, or `UU`, `UUU`,
@@ -1457,8 +1480,9 @@ fn render(clauses: &[dl::Clause], axioms_at: usize) -> String {
     out
 }
 
-/// τ of one Λ/Σ/Π clause. Rule bodies read the level- and
-/// mode-specialized predicates; the no-read-up guards come from
+/// τ of one Λ/Σ/Π clause. Atoms read and write each mode's one relation
+/// ([`belief_atom`]), per level under `level_split`; the no-read-up
+/// guards come from
 /// [`translate_atom`]: `dominate(t, u)` on every body label `t` for the
 /// clearance variable `u` of a rule that depends on the clearance, and
 /// only what [`head_bound`] keeps for a [`clearance_free`] one (`u` is
@@ -1468,9 +1492,9 @@ fn translate_clause(
     u: Option<&dl::Term>,
     lattice: &SecurityLattice,
     level_split: bool,
-) -> Result<dl::Clause> {
+) -> dl::Clause {
     let head = match &c.head {
-        Head::M(m) => rel_atom(m, level_split)?,
+        Head::M(m) => belief_atom(m, Mode::Fir.name(), level_split),
         Head::P(p) => patom(p),
         Head::L(t) => dl::Atom::new("level", vec![term(t)]),
         Head::H(l, h) => dl::Atom::new("order", vec![term(l), term(h)]),
@@ -1487,66 +1511,32 @@ fn translate_clause(
     };
     let mut body = Vec::new();
     for a in &c.body {
-        translate_atom(a, &bound, Some(level_split), &mut body)?;
+        translate_atom(a, &bound, level_split, &mut body);
     }
     let clause = dl::Clause::new(head, body);
     // Aggregate heads keep their spec; the back-end folds per stratum
     // over distinct witness bindings, so polyinstantiated m-atoms at
     // different levels count separately (bag semantics per
     // Bertossi–Gottlob).
-    Ok(match (&c.head, c.agg) {
+    match (&c.head, c.agg) {
         (Head::P(_), Some(agg)) => clause.with_aggregate(agg),
         _ => clause,
-    })
-}
-
-/// τ(λ(goal, u)): a MultiLog goal as a reduced query body. Goals read the
-/// generic `rel`/`bel` predicates, whatever the rule encoding.
-fn translate_goal(goal: &Goal, user: &str) -> Result<Vec<dl::Literal>> {
-    let bound = |_: &Term| Some(dl::Term::sym(user));
-    let mut body = Vec::new();
-    for atom in goal {
-        translate_atom(atom, &bound, None, &mut body)?;
     }
-    Ok(body)
 }
 
 /// τ(λ(B, u)): translate one atom, adding the no-read-up guards for m-
 /// and b-atoms: `dominate(t, b)` for each label `t` that `bound` gives an
-/// upper bound `b`. `rule` is `Some(level_split)` in a rule body, which
-/// reads the level/mode-specialized predicates, and `None` in a goal.
+/// upper bound `b`. An m-atom reads what `<< fir` reads; `split` is
+/// whether the atom sits in a rule body of the per-level encoding.
 fn translate_atom(
     atom: &Atom,
     bound: &dyn Fn(&Term) -> Option<dl::Term>,
-    rule: Option<bool>,
+    split: bool,
     out: &mut Vec<dl::Literal>,
-) -> Result<()> {
+) {
     let (translated, guarded) = match atom {
-        Atom::M(m) => (rel_atom(m, rule == Some(true))?, Some(m)),
-        Atom::B(m, mode) => {
-            let mut terms = cell(m);
-            let level = term(&m.level);
-            let translated = match (Mode::parse(mode), rule) {
-                // Rule bodies use the specialized predicates.
-                (Some(Mode::Fir), Some(_)) => {
-                    terms.push(level);
-                    dl::Atom::new("bel_fir", terms)
-                }
-                (Some(Mode::Opt), Some(_)) => {
-                    terms.push(level);
-                    dl::Atom::new("bel_opt", terms)
-                }
-                (Some(Mode::Cau), Some(true)) => {
-                    dl::Atom::new(leveled("bel_cau", ground_level(m)?), terms)
-                }
-                // Goals and user modes go through the generic bel/7.
-                _ => {
-                    terms.extend([level, dl::Term::sym(mode)]);
-                    dl::Atom::new("bel", terms)
-                }
-            };
-            (translated, Some(m))
-        }
+        Atom::M(m) => (belief_atom(m, Mode::Fir.name(), split), Some(m)),
+        Atom::B(m, mode) => (belief_atom(m, mode, split), Some(m)),
         Atom::P(p) => (patom(p), None),
         Atom::L(t) => (dl::Atom::new("level", vec![term(t)]), None),
         Atom::H(l, h) => (dl::Atom::new("order", vec![term(l), term(h)]), None),
@@ -1561,7 +1551,59 @@ fn translate_atom(
             }
         }
     }
-    Ok(())
+}
+
+/// `m`'s cell in the one relation holding `mode`'s beliefs: `rel` for
+/// `fir`, `bel_opt` for `opt` and `bel_cau` for `cau`, each with the
+/// level as its last column, or `bel/7` for a user mode. With `split` (a
+/// rule body or head of the per-level encoding), a ground level `h`
+/// names its own relation instead, `rel_h`, `bel_opt_h` or `bel_cau_h`,
+/// without the level column.
+fn belief_atom(m: &MAtom, mode: &str, split: bool) -> dl::Atom {
+    let mut terms = cell(m);
+    let Some(mode) = Mode::parse(mode) else {
+        terms.extend([term(&m.level), dl::Term::sym(mode)]);
+        return dl::Atom::new(crate::modes::BEL, terms);
+    };
+    let pred = mode_relation(mode);
+    match &m.level {
+        Term::Sym(level) if split => dl::Atom::new(leveled(pred, level), terms),
+        level => {
+            terms.push(term(level));
+            dl::Atom::new(pred, terms)
+        }
+    }
+}
+
+/// The relation holding a built-in mode's beliefs, with the belief
+/// level as its last column (`<relation>_h` per level `h`, without it).
+fn mode_relation(mode: Mode) -> &'static str {
+    match mode {
+        Mode::Fir => "rel",
+        Mode::Opt => "bel_opt",
+        Mode::Cau => "bel_cau",
+    }
+}
+
+/// The demand program's entry into the built-in modes' relations.
+const BEL_MODE: &str = "bel_mode";
+
+/// `bel_mode(X0, …, Xn, m) :- R(X0, …, Xn)` for each built-in mode `m`,
+/// where `R` is the relation a goal in `m` reads, or the cone's slice of
+/// it. Only demand goals read it ([`ReducedEngine::by_mode`]): magic sets
+/// make the mode constant a parameter, so goals that differ only in mode
+/// share one prepared plan, while each run seeds its own mode's relation
+/// alone. Nothing materializes it.
+fn mode_entry(cone: &Cone) -> impl Iterator<Item = dl::Clause> + '_ {
+    Mode::ALL.into_iter().map(|mode| {
+        let read = dl::SymId::intern(mode_relation(mode));
+        let n = 6 + usize::from(cone.slices.contains_key(&read));
+        let vars: Vec<dl::Term> = (0..n).map(|i| dl::Term::var(format!("X{i}"))).collect();
+        let body = dl::Atom::new(cone.relation(read).as_str(), vars.clone());
+        let mut head = vars;
+        head.push(dl::Term::sym(mode.name()));
+        dl::Clause::new(dl::Atom::new(BEL_MODE, head), vec![dl::Literal::Pos(body)])
+    })
 }
 
 /// The columns `p, k, a, v, c` of an m-atom's τ image.
@@ -1573,30 +1615,6 @@ fn cell(m: &MAtom) -> Vec<dl::Term> {
         term(&m.value),
         term(&m.class),
     ]
-}
-
-/// τ of an m-atom: `rel(p, k, a, v, c, l)`, or `rel_l(p, k, a, v, c)` in
-/// the per-level encoding (`split`), which needs a symbolic level.
-fn rel_atom(m: &MAtom, split: bool) -> Result<dl::Atom> {
-    let mut terms = cell(m);
-    if split {
-        return Ok(dl::Atom::new(leveled("rel", ground_level(m)?), terms));
-    }
-    terms.push(term(&m.level));
-    Ok(dl::Atom::new("rel", terms))
-}
-
-/// The symbolic level of `m`, which the per-level encoding needs.
-fn ground_level(m: &MAtom) -> Result<&str> {
-    match &m.level {
-        Term::Sym(level) => Ok(level),
-        _ => Err(MultiLogError::NotBeliefStratified {
-            detail: format!(
-                "reduction requires ground m-atom levels when the program \
-                 consults `<< cau` (offending atom: `{m}`)"
-            ),
-        }),
-    }
 }
 
 /// The per-level predicate `<pred>_<level>` (`rel_u`, `beaten_s`, …).
@@ -1625,8 +1643,33 @@ fn term(t: &Term) -> dl::Term {
     }
 }
 
-/// The axiom set A (Figure 12, safe specialization), appended to `out`.
-fn axioms(lattice: &SecurityLattice, level_split: bool, out: &mut Vec<dl::Clause>) {
+/// The levels whose own belief relations the per-level encoding's rule
+/// bodies read: each ground level of a body `<< opt` or `<< cau` atom,
+/// and whether a `<< cau` atom reads it. (A `<< fir` atom reads `rel_h`,
+/// which always exists.)
+fn leveled_reads<'c>(sources: &[&'c Clause]) -> HashMap<&'c str, bool> {
+    let mut reads = HashMap::new();
+    for atom in sources.iter().flat_map(|c| &c.body) {
+        if let Atom::B(m, mode) = atom {
+            if let (Term::Sym(level), Some(read @ (Mode::Opt | Mode::Cau))) =
+                (&m.level, Mode::parse(mode))
+            {
+                *reads.entry(level.as_ref()).or_default() |= read == Mode::Cau;
+            }
+        }
+    }
+    reads
+}
+
+/// The axiom set A (Figure 12, safe specialization): `dominate` and
+/// each built-in mode's one relation over `rel`. `fir` is `rel` itself;
+/// `bel_opt` and the cautious `bel_cau` keep the belief level as a
+/// column. The per-level encoding (`reads`, [`leveled_reads`]) adds
+/// `rel` as the union of the `rel_l`, and for each level `h` a rule body
+/// reads its own `bel_opt_h` over the statically known order, with the
+/// cautious `beaten_h`/`bel_cau_h` over it when a `<< cau` atom reads
+/// `h`.
+fn axioms(lattice: &SecurityLattice, reads: Option<HashMap<&str, bool>>) -> Vec<dl::Clause> {
     /// `pred(V1, …, Vn, c1, …, cm)`: variables, then constants.
     fn atom(pred: &str, vars: &[&str], consts: &[&str]) -> dl::Atom {
         let terms = vars.iter().map(dl::Term::var);
@@ -1642,12 +1685,11 @@ fn axioms(lattice: &SecurityLattice, level_split: bool, out: &mut Vec<dl::Clause
         dl::Clause::new(head, body)
     }
     const CELL: [&str; 5] = ["P", "K", "A", "V", "C"];
-    const CELL_H: [&str; 6] = ["P", "K", "A", "V", "C", "H"];
-    const CELL_L: [&str; 6] = ["P", "K", "A", "V", "C", "L"];
-    // A classification is `beaten` when another visible one strictly
-    // dominates it; the believed values are the visible, unbeaten ones.
-    // `h` is the belief level variable (none when split per level).
-    let cautious = |visible: &str, beaten: &str, h: &[&str], believed: dl::Atom| {
+    // A classification is `beaten` when another optimistically believed
+    // one strictly dominates it; the cautious beliefs are the optimistic,
+    // unbeaten ones — β (Definition 3.1). `h` is the belief level
+    // variable (none per level).
+    let cautious = |opt: &str, beaten: &str, believed: &str, h: &[&str]| {
         let with_h = |vars: &[&'static str]| [vars, h].concat();
         let beaten = atom(beaten, &with_h(&["P", "K", "A", "C"]), &[]);
         let differ = dl::Literal::Cmp {
@@ -1655,65 +1697,55 @@ fn axioms(lattice: &SecurityLattice, level_split: bool, out: &mut Vec<dl::Clause
             lhs: dl::Term::var("C"),
             rhs: dl::Term::var("C2"),
         };
-        let rival = pos(visible, &with_h(&["P", "K", "A", "V2", "C2"]));
-        let seen = pos(visible, &with_h(&CELL));
+        let rival = pos(opt, &with_h(&["P", "K", "A", "V2", "C2"]));
+        let seen = pos(opt, &with_h(&CELL));
         [
             rule(
                 beaten.clone(),
                 vec![seen.clone(), rival, pos("dominate", &["C", "C2"]), differ],
             ),
-            rule(believed, vec![seen, dl::Literal::Neg(beaten)]),
+            rule(
+                atom(believed, &with_h(&CELL), &[]),
+                vec![seen, dl::Literal::Neg(beaten)],
+            ),
         ]
     };
     let order = pos("order", &["X", "Y"]);
-    out.push(rule(atom("dominate", &["X", "Y"], &[]), vec![order]));
-    out.push(rule(
-        atom("dominate", &["X", "X"], &[]),
-        vec![pos("level", &["X"])],
-    ));
     let step = vec![pos("order", &["X", "Z"]), pos("dominate", &["Z", "Y"])];
-    out.push(rule(atom("dominate", &["X", "Y"], &[]), step));
-    let dominated = || vec![pos("rel", &CELL_L), pos("dominate", &["L", "H"])];
-    if level_split {
-        // Union view of the split relation, for queries.
-        for level in lattice.names() {
-            let split = pos(&leveled("rel", level), &CELL);
-            out.push(rule(atom("rel", &CELL, &[level]), vec![split]));
-        }
-        // Per-level cautious machinery over the statically known order.
-        for h in lattice.labels() {
-            let hn = lattice.name(h);
-            let visible = leveled("visible", hn);
-            for l in lattice.down_set(h) {
-                let below = pos(&leveled("rel", lattice.name(l)), &CELL);
-                out.push(rule(atom(&visible, &CELL, &[]), vec![below]));
-            }
-            let bel_cau = leveled("bel_cau", hn);
-            let believed = atom(&bel_cau, &CELL, &[]);
-            out.extend(cautious(&visible, &leveled("beaten", hn), &[], believed));
-            out.push(rule(
-                atom("bel", &CELL, &[hn, "cau"]),
-                vec![pos(&bel_cau, &CELL)],
-            ));
-        }
-    } else {
-        // Generic cautious machinery (negation confined to query strata).
-        out.push(rule(atom("visible", &CELL_H, &[]), dominated()));
-        let believed = atom("bel", &CELL_H, &["cau"]);
-        out.extend(cautious("visible", "beaten", &["H"], believed));
+    let cell_h = [&CELL[..], &["H"]].concat();
+    let cell_l = [&CELL[..], &["L"]].concat();
+    let dominated = vec![pos("rel", &cell_l), pos("dominate", &["L", "H"])];
+    let mut out = vec![
+        rule(atom("dominate", &["X", "Y"], &[]), vec![order]),
+        rule(
+            atom("dominate", &["X", "X"], &[]),
+            vec![pos("level", &["X"])],
+        ),
+        rule(atom("dominate", &["X", "Y"], &[]), step),
+        rule(atom("bel_opt", &cell_h, &[]), dominated),
+    ];
+    out.extend(cautious("bel_opt", "beaten", "bel_cau", &["H"]));
+    let Some(reads) = reads else {
+        return out;
+    };
+    for level in lattice.names() {
+        let split = pos(&leveled("rel", level), &CELL);
+        out.push(rule(atom("rel", &CELL, &[level]), vec![split]));
     }
-    // Monotone modes, split so rule bodies avoid the negation stratum.
-    out.push(rule(
-        atom("bel_fir", &CELL_H, &[]),
-        vec![pos("rel", &CELL_H)],
-    ));
-    out.push(rule(atom("bel_opt", &CELL_H, &[]), dominated()));
-    for (mode, pred) in [("fir", "bel_fir"), ("opt", "bel_opt")] {
-        out.push(rule(
-            atom("bel", &CELL_H, &[mode]),
-            vec![pos(pred, &CELL_H)],
-        ));
+    for h in lattice.labels() {
+        let hn = lattice.name(h);
+        let Some(&cau) = reads.get(hn) else { continue };
+        let opt = leveled("bel_opt", hn);
+        for l in lattice.down_set(h) {
+            let below = pos(&leveled("rel", lattice.name(l)), &CELL);
+            out.push(rule(atom(&opt, &CELL, &[]), vec![below]));
+        }
+        if cau {
+            let (beaten, believed) = (leveled("beaten", hn), leveled("bel_cau", hn));
+            out.extend(cautious(&opt, &beaten, &believed, &[]));
+        }
     }
+    out
 }
 
 fn const_to_term(c: &dl::Const) -> Term {
@@ -2044,6 +2076,19 @@ pub(crate) mod tests {
         let red = ReducedEngine::new(&db, "u").unwrap();
         assert!(red.solve_text("c[p(k : a -c-> t)]").unwrap().is_empty());
         assert_eq!(red.solve_text("u[p(k : a -u-> v)]").unwrap().len(), 1);
+        // A cell at a visible level with a classification above the
+        // clearance stays hidden: the guard on the class.
+        let db = parse_database("level(u). level(c). order(u, c). u[p(k : b -c-> w)].").unwrap();
+        for (user, seen) in [("u", 0), ("c", 1)] {
+            let red = ReducedEngine::new(&db, user).unwrap();
+            for goal in ["u[p(k : b -C-> V)]", "u[p(k : b -C-> V)] << opt"] {
+                assert_eq!(
+                    red.solve_text(goal).unwrap().len(),
+                    seen,
+                    "{goal} at {user}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -2316,6 +2361,43 @@ pub(crate) mod tests {
         );
     }
 
+    /// τ stores each belief once: no copy of `rel` (`bel_fir`), of
+    /// `bel_opt` (a generic `visible`) or of a built-in mode in `bel/7`,
+    /// and per-level belief relations only for the levels a rule body
+    /// reads through one.
+    #[test]
+    fn tau_stores_each_belief_once() {
+        for (name, db, levels) in tau_corpus() {
+            let bodies = db.sigma().iter().chain(db.pi()).flat_map(|c| &c.body);
+            let read: HashSet<String> = bodies
+                .filter_map(|a| match a {
+                    Atom::B(m, mode) if mode.as_ref() != "fir" => Some(m.level.to_string()),
+                    _ => None,
+                })
+                .collect();
+            for level in levels {
+                let red = deferred(&db, &level);
+                for clause in red.incremental.rules().clauses() {
+                    let head = clause.head.predicate.as_str();
+                    let head = head.strip_prefix("clearance_").unwrap_or(head);
+                    let at = format!("{name} @ {level}: {clause}");
+                    assert!(!["bel_fir", "visible"].contains(&head), "{at}");
+                    assert!(!head.starts_with("visible_"), "{at}");
+                    if head == crate::modes::BEL {
+                        let mode = &clause.head.terms[6];
+                        let builtin = ["fir", "opt", "cau"].map(dl::Term::sym);
+                        assert!(!builtin.contains(mode), "{at}");
+                    }
+                    for family in ["bel_opt_", "beaten_", "bel_cau_"] {
+                        if let Some(h) = head.strip_prefix(family) {
+                            assert!(red.level_split && read.contains(h), "{at}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// The rendering is faithful: it parses back to the typed clauses τ
     /// evaluates, also when symbols are spelled like Datalog keywords.
     #[test]
@@ -2332,8 +2414,7 @@ pub(crate) mod tests {
             for level in levels {
                 let red = deferred(&db, &level);
                 let clearances = [level.clone()];
-                let (typed, ..) =
-                    translate(&db, red.lattice(), red.level_split, &clearances).unwrap();
+                let (typed, ..) = translate(&db, red.lattice(), red.level_split, &clearances);
                 let parsed = dl::parse_program(red.program_text()).unwrap();
                 assert_eq!(parsed.clauses(), &typed[..], "{name} @ {level}");
             }
@@ -2351,7 +2432,7 @@ pub(crate) mod tests {
         let rule = crate::parser::parse_clause(rule).unwrap().remove(0);
         let dependent = !clearance_free(&rule, &lattice);
         let u = dl::Term::var("U");
-        let image = translate_clause(&rule, dependent.then_some(&u), &lattice, false).unwrap();
+        let image = translate_clause(&rule, dependent.then_some(&u), &lattice, false);
         let mut images = vec![(image, dependent)];
         let cone = Cone::close(&mut images, &[]);
         let (mut image, in_cone) = images.remove(0);
@@ -2404,7 +2485,7 @@ pub(crate) mod tests {
     fn cone(rules: &str) -> Vec<(String, String)> {
         let db = parse_database(&format!("{CHAIN} u[p(k : a -u-> v)]. {rules}")).unwrap();
         let lattice = db.lattice().unwrap();
-        let (.., cone) = translate(&db, &lattice, false, &["u".into()]).unwrap();
+        let (.., cone) = translate(&db, &lattice, false, &["u".into()]);
         let mut slices: Vec<(String, String)> = cone
             .slices
             .iter()
@@ -2431,7 +2512,7 @@ pub(crate) mod tests {
         // cone.
         let preds = cone("u[q(K : b -u-> V)] <- c[p(K : a -u-> V)].");
         assert!(preds.contains(&("rel".to_owned(), "clearance_rel".to_owned())));
-        for pred in ["bel", "bel_opt", "visible", "beaten"] {
+        for pred in ["bel_opt", "beaten", "bel_cau"] {
             assert!(preds.contains(&sliced(pred)), "{pred} in {preds:?}");
         }
         assert!(!preds.iter().any(|(p, _)| p == "dominate"), "{preds:?}");
@@ -2534,7 +2615,7 @@ pub(crate) mod tests {
         let slice = |f: &&String| f.ends_with(", u]") || *f == "clearance[u]";
         assert!(added.iter().all(slice), "{added:?}");
         assert!(added.contains(&&"clearance[u]".to_owned()), "{added:?}");
-        assert!(added.iter().any(|f| f.starts_with("bel[")), "{added:?}");
+        assert!(added.iter().any(|f| f.starts_with("bel_opt[")), "{added:?}");
         // Opening it again evaluates nothing.
         assert!(red.open_clearance(&db, "u").unwrap().is_none());
     }
@@ -2625,13 +2706,12 @@ pub(crate) mod tests {
     #[test]
     fn clearance_relation_names_are_reserved() {
         // A p-predicate named like τ's clearance relations would share one
-        // relation with them: the reduction refuses it, by name.
+        // relation with them: admission refuses it, by name (ML0115).
         for src in [
             "clearance(a). q(X) <- clearance(X).",
             "q(X) <- @bfs(clearance_e, X, Y).",
         ] {
-            let db = parse_database(&format!("{CHAIN} {src}")).unwrap();
-            let err = ReducedEngine::new(&db, "u").unwrap_err();
+            let err = parse_database(&format!("{CHAIN} {src}")).unwrap_err();
             assert!(
                 matches!(&err, MultiLogError::NotAdmissible { detail } if detail.contains("clearance")),
                 "{err:?}"

@@ -1,5 +1,5 @@
 //! One admissibility verdict for every engine: each trigger of a
-//! clearance-free lint error (ML0008, ML0101–ML0106, ML0113) from
+//! clearance-free lint error (ML0008, ML0101–ML0106, ML0113, ML0115) from
 //! docs/LINTS.md is reported by the lint under its code, refused by
 //! `parse_database` with that code's typed error, and refused the same
 //! way on the way to the operational engine, the reduced engine, demand
@@ -36,7 +36,7 @@ fn typed(code: &str) -> MultiLogError {
             variable: String::new(),
             clause: String::new(),
         },
-        "ML0102" | "ML0103" | "ML0104" => MultiLogError::NotAdmissible { detail },
+        "ML0102" | "ML0103" | "ML0104" | "ML0115" => MultiLogError::NotAdmissible { detail },
         "ML0105" => MultiLogError::NotBeliefStratified { detail },
         "ML0106" => MultiLogError::UnknownMode(detail),
         "ML0113" | "ML0008" => MultiLogError::IllFormed { detail },
@@ -69,7 +69,7 @@ fn refusals(src: &str, user: &str) -> Vec<(&'static str, MultiLogError)> {
 #[test]
 fn every_engine_refuses_each_admissibility_trigger_as_the_load_does() {
     for code in [
-        "ML0008", "ML0101", "ML0102", "ML0103", "ML0104", "ML0105", "ML0106", "ML0113",
+        "ML0008", "ML0101", "ML0102", "ML0103", "ML0104", "ML0105", "ML0106", "ML0113", "ML0115",
     ] {
         let src = trigger(code);
         let report = lint_source(&src).unwrap();
@@ -189,4 +189,59 @@ fn goals_in_unknown_modes_are_refused_on_every_path() {
     let reader = server.open_reader("s").unwrap();
     assert!(is_unknown(reader.query_text(unknown)));
     assert_eq!(reader.query_text(known).unwrap().len(), 1);
+}
+
+#[test]
+fn goals_over_reserved_relations_are_refused_on_every_path() {
+    // A p-atom goal named like one of τ's relations would read it past the
+    // no-read-up guards: `rel` holds the cells of every level. Every
+    // engine refuses it alike; `bel/7`, the user-mode relation, stays
+    // readable.
+    let src = "level(u). level(s). order(u, s).\n\
+               u[p(k : a -u-> v)]. s[p(k : a -s-> w)].\n\
+               s[q(k : a -s-> V)] <- u[p(k : a -u-> V)] << cau.";
+    let db = parse_database(src).unwrap();
+    let op = MultiLogEngine::new(&db, "u").unwrap();
+    let red = ReducedEngine::new(&db, "u").unwrap();
+    let server = BeliefServer::new(db, EngineOptions::default());
+    let reader = server.open_reader("u").unwrap();
+    let answers = |goal: &str| {
+        [
+            op.solve_text(goal),
+            red.solve_text(goal),
+            red.solve_text_demand(goal),
+            reader.query_text(goal),
+        ]
+    };
+    for goal in [
+        "rel(P, K, A, V, C, L)",
+        "rel_s(P, K, A, V, C)",
+        "bel_opt(P, K, A, V, C, L)",
+        "bel_cau_u(P, K, A, V, C)",
+        "beaten(P, K, A, C, L)",
+        "clearance(X)",
+        "u[p(K : a -C-> V)], @bfs(rel_u, X, Y)",
+    ] {
+        for refused in answers(goal) {
+            assert!(
+                matches!(&refused, Err(MultiLogError::NotAdmissible { detail }) if detail.contains("derives")),
+                "`{goal}`: {refused:?}"
+            );
+        }
+    }
+    let [op, rest @ ..] = answers("bel(P, K, A, V, C, L, M)").map(Result::unwrap);
+    for other in rest {
+        assert_eq!(other, op);
+    }
+    // Sources are refused at load, heads included.
+    for rule in [
+        "rel(a, b, c, d, e, f).",
+        "r(X) <- bel_cau(X, K, A, V, C, L).",
+    ] {
+        let refused = parse_database(&format!("{src}\n{rule}")).expect_err(rule);
+        assert!(
+            matches!(&refused, MultiLogError::NotAdmissible { detail } if detail.contains("derives")),
+            "{refused:?}"
+        );
+    }
 }

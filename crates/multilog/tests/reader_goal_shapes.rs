@@ -1,8 +1,8 @@
 //! Reader goals answer the same whatever columns they bind. Readers
-//! seek on the key column of the generic `bel`/`rel` relations, which
-//! every published generation keeps indexed, and fall back to a scan for
-//! goals that leave the key unbound. After a commit script that compacts
-//! `bel`, a `BeliefServer` reader at every level must answer each goal
+//! seek on the key column of each mode's relation (`rel`, `bel_opt`,
+//! `bel_cau`), which every published generation keeps indexed, and fall
+//! back to a scan for goals that leave the key unbound. After a commit
+//! script that compacts `bel_opt`, a `BeliefServer` reader at every level must answer each goal
 //! shape exactly as a fresh reduction of base plus committed history —
 //! in the generic encoding and in the level-split one that a `<< cau`
 //! rule switches on. Each shape is asked twice with different constants,
@@ -20,9 +20,10 @@ use multilog_core::{parse_clause, parse_database, Answer, BeliefServer, EngineOp
 const DEPTH: usize = 4;
 /// Cells in the base database, one key each after the first few.
 const BASE: usize = 60;
-/// Cells committed in the insert phase; most are retracted afterwards.
-const ADDED: usize = 360;
-const RETRACTED: usize = 300;
+/// Cells committed in the insert phase; most are retracted afterwards,
+/// enough for `bel_opt` (one row per cell and level above it) to compact.
+const ADDED: usize = 540;
+const RETRACTED: usize = 450;
 /// Cells per commit.
 const BATCH: usize = 30;
 
@@ -168,12 +169,12 @@ fn norm(answers: &[Answer]) -> Vec<String> {
     out
 }
 
-fn bel_len(reader: &multilog_core::ReaderSession) -> usize {
+fn opt_len(reader: &multilog_core::ReaderSession) -> usize {
     let db = reader.snapshot().database();
-    db.relation("bel").map_or(0, |r| r.len())
+    db.relation("bel_opt").map_or(0, |r| r.len())
 }
 
-fn every_goal_shape_matches_a_fresh_reduction_after_compacting_bel(split: bool) {
+fn every_goal_shape_matches_a_fresh_reduction_after_compacting_bel_opt(split: bool) {
     let mut present: BTreeSet<Cell> = (0..BASE).map(cell).collect();
     let server = BeliefServer::new(
         parse_database(&source(&present, split)).unwrap(),
@@ -184,10 +185,10 @@ fn every_goal_shape_matches_a_fresh_reduction_after_compacting_bel(split: bool) 
         .collect();
     let mut writer = server.open_writer().unwrap();
 
-    // Insert single-cell keys (none beats another, so `bel` only grows),
-    // then retract most of them again. Every level engine maintains the
-    // retractions by DRed — no stratum is recomputed — so `bel` piles up
-    // tombstones until it compacts.
+    // Insert single-cell keys (none beats another, so `bel_opt` only
+    // grows), then retract most of them again. The engine maintains the
+    // retractions by DRed — no stratum is recomputed — so `bel_opt` piles
+    // up tombstones until it compacts.
     let added: Vec<Cell> = (BASE..BASE + ADDED).map(cell).collect();
     let mut script: Vec<(&[Cell], bool)> = added.chunks(BATCH).map(|b| (b, true)).collect();
     script.extend(added[..RETRACTED].chunks(BATCH).map(|b| (b, false)));
@@ -207,20 +208,20 @@ fn every_goal_shape_matches_a_fresh_reduction_after_compacting_bel(split: bool) 
         }
         for (h, reader) in readers.iter_mut().enumerate() {
             reader.refresh();
-            peak[h] = peak[h].max(bel_len(reader));
+            peak[h] = peak[h].max(opt_len(reader));
         }
     }
 
     let db = parse_database(&source(&present, split)).unwrap();
     for (h, reader) in readers.iter().enumerate() {
-        // `bel` never held tombstones before the retractions, so losing
-        // at least 1 024 rows and half its peak compacted it.
-        let gone = peak[h] - bel_len(reader);
+        // `bel_opt` never held tombstones before the retractions, so
+        // losing at least 1 024 rows and half its peak compacted it.
+        let gone = peak[h] - opt_len(reader);
         assert!(
             gone >= 1024 && 2 * gone >= peak[h],
-            "l{h}: bel went {} -> {}, too few retractions to compact",
+            "l{h}: bel_opt went {} -> {}, too few retractions to compact",
             peak[h],
-            bel_len(reader)
+            opt_len(reader)
         );
         // The fresh engine prepares its own plans; asking it the goals
         // in reverse order compiles each shape from the other goal.
@@ -252,10 +253,10 @@ fn every_goal_shape_matches_a_fresh_reduction_after_compacting_bel(split: bool) 
 
 #[test]
 fn generic_encoding_readers_match_a_fresh_reduction() {
-    every_goal_shape_matches_a_fresh_reduction_after_compacting_bel(false);
+    every_goal_shape_matches_a_fresh_reduction_after_compacting_bel_opt(false);
 }
 
 #[test]
 fn level_split_readers_match_a_fresh_reduction() {
-    every_goal_shape_matches_a_fresh_reduction_after_compacting_bel(true);
+    every_goal_shape_matches_a_fresh_reduction_after_compacting_bel_opt(true);
 }

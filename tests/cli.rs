@@ -85,7 +85,7 @@ fn prove_on_mission_file() {
 fn reduce_on_mission_file() {
     let out = reduce(&mission_source(), &opts("s")).unwrap();
     assert!(out.contains("rel(mission, avenger, starship, avenger, s, s)."));
-    assert!(out.contains("bel(P, K, A, V, C, H, opt)"));
+    assert!(out.contains("bel_opt(P, K, A, V, C, H) :- rel(P, K, A, V, C, L), dominate(L, H)."));
 }
 
 #[test]

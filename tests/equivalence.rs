@@ -130,6 +130,70 @@ fn variable_body_levels_beside_cau_are_refused_at_load() {
     assert_eq!(reader.query_text(goal).unwrap(), expected);
 }
 
+/// `src`'s answers to `goals` on the operational engine at every level of
+/// `levels`, required of the reduced engine (materialized and demand) and
+/// of a `BeliefServer` reader with every level open.
+fn assert_every_path_agrees(src: &str, levels: &[&str], goals: &[&str]) {
+    let db = parse_database(src).unwrap();
+    let server = BeliefServer::new(db.clone(), EngineOptions::default());
+    let readers: Vec<_> = levels
+        .iter()
+        .map(|l| server.open_reader(l).unwrap())
+        .collect();
+    for (user, reader) in levels.iter().zip(&readers) {
+        let op = MultiLogEngine::new(&db, user).unwrap();
+        let red = ReducedEngine::new(&db, user).unwrap();
+        for goal in goals {
+            let expected = op.solve_text(goal).unwrap();
+            assert_eq!(
+                red.solve_text(goal).unwrap(),
+                expected,
+                "`{goal}` at {user}"
+            );
+            let demand = red.solve_text_demand(goal).unwrap();
+            assert_eq!(demand, expected, "demand `{goal}` at {user}");
+            let read = reader.query_text(goal).unwrap();
+            assert_eq!(read, expected, "reader `{goal}` at {user}");
+        }
+    }
+}
+
+/// A `<< cau` rule over the level an `opt`/`fir` rule writes, on
+/// u < c < s. The lower rule's belief reads `u`'s own relation; reading
+/// the relation of every level instead would close a cycle through the
+/// cautious negation (`bel_cau_c -> rel_s -> rel -> bel_opt -> rel_c`).
+fn cautious_over_a_monotone_rule(mode: &str) -> String {
+    format!(
+        "level(u). level(c). level(s). order(u, c). order(c, s).\n\
+         u[p(k : a -u-> v)].\n\
+         c[q(k : a -c-> w)] <- u[p(k : a -u-> v)] << {mode}.\n\
+         s[r(k : a -s-> x)] <- c[q(k : a -C-> W)] << cau."
+    )
+}
+
+const CHAINED_PROBES: &[&str] = &[
+    "s[r(K : a -s-> V)]",
+    "L[q(K : a -C-> V)] << opt",
+    "L[q(K : a -C-> V)] << cau",
+    "L[p(K : a -C-> V)] << fir",
+];
+
+#[test]
+fn cautious_rule_over_an_optimistic_rule_answers_alike() {
+    let src = cautious_over_a_monotone_rule("opt");
+    assert_every_path_agrees(&src, &["u", "c", "s"], CHAINED_PROBES);
+    let red = ReducedEngine::new(&parse_database(&src).unwrap(), "s").unwrap();
+    assert_eq!(red.solve_text("s[r(K : a -s-> V)]").unwrap().len(), 1);
+}
+
+#[test]
+fn cautious_rule_over_a_firm_rule_answers_alike() {
+    let src = cautious_over_a_monotone_rule("fir");
+    assert_every_path_agrees(&src, &["u", "c", "s"], CHAINED_PROBES);
+    let red = ReducedEngine::new(&parse_database(&src).unwrap(), "s").unwrap();
+    assert_eq!(red.solve_text("s[r(K : a -s-> V)]").unwrap().len(), 1);
+}
+
 #[test]
 fn datalog_degeneration_equivalence() {
     // Prop 6.1: plain Datalog programs give classical answers through
@@ -202,14 +266,21 @@ fn keyword_symbols_reduce_like_any_other_symbol() {
 }
 
 /// Generate a random admissible MultiLog database over a chain lattice:
-/// random facts at random levels plus rules deriving top-level facts from
-/// beliefs about lower levels (respecting belief stratification).
-fn arb_db() -> impl Strategy<Value = (String, usize)> {
+/// random facts at random levels plus rules deriving `derived` cells at
+/// a random level above the one their body believes (respecting belief
+/// stratification). A rule reads `data`, or `derived` cells another rule
+/// writes at its body level, so a `<< cau` rule can read the level an
+/// `<< opt`/`<< fir` rule writes. Also returns the highest level no rule
+/// writes through a `<< cau` belief, directly or below (`None` when
+/// every level above the bottom is one): a rule copying that level's
+/// cells down to the bottom closes no cycle through the negation.
+fn arb_generated() -> impl Strategy<Value = (String, usize, Option<usize>)> {
     let fact = (0usize..3, 0usize..4, 0usize..3, 0usize..4);
+    let rule = (0usize..4, 0usize..3, 0usize..4, 0usize..4, any::<bool>());
     (
         proptest::collection::vec(fact, 1..25),
-        proptest::collection::vec((0usize..4, 0usize..2), 0..6),
-        2usize..4,
+        proptest::collection::vec(rule, 0..6),
+        2usize..5,
     )
         .prop_map(|(facts, rules, depth)| {
             let mut src = String::new();
@@ -227,39 +298,60 @@ fn arb_db() -> impl Strategy<Value = (String, usize)> {
                 src.push_str(&format!("l{lvl}[data(k{key} : a -l{cls}-> v{val})].\n"));
             }
             let top = depth - 1;
-            for (key, mode) in rules {
-                let mode = if mode == 0 { "opt" } else { "cau" };
-                let below = top - 1;
+            // Levels whose relations depend on a cautious belief.
+            let mut negative = vec![false; depth];
+            let mut rules: Vec<_> = rules
+                .into_iter()
+                .map(|(key, mode, head, body, chained)| {
+                    let head = 1 + head % top;
+                    (key, ["opt", "cau", "fir"][mode], head, body % head, chained)
+                })
+                .collect();
+            rules.sort_by_key(|r| r.2);
+            for (key, mode, head, body, chained) in rules {
+                let read = if chained {
+                    format!("derived(k{key} : b")
+                } else {
+                    format!("data(k{key} : a")
+                };
                 src.push_str(&format!(
-                    "l{top}[derived(k{key} : b -l{top}-> dv{key})] <- \
-                     l{below}[data(k{key} : a -C-> V)] << {mode}.\n"
+                    "l{head}[derived(k{key} : b -l{head}-> dv{key})] <- \
+                     l{body}[{read} -C-> V)] << {mode}.\n"
                 ));
+                if mode == "cau" || negative[..=body].contains(&true) {
+                    negative[head] = true;
+                }
             }
-            (src, depth)
+            let positive = (1..depth).rev().find(|&l| !negative[l]);
+            (src, depth, positive)
         })
 }
 
-/// A server-harness input: an [`arb_db`] database with up to two extra
-/// rules that depend on the clearance, so a shared server copies them per
-/// open level, and a commit script of single-cell asserts and retracts.
-/// The extras are a write-down rule (`l0` cells derived from `data` above
-/// it) and a p-atom head over a belief at level `l_i`. The write-down
-/// reads below the top when a cautious rule writes the top level, since
-/// reading the level a `<< cau` rule writes would close a negative cycle
-/// (no stratification, at any clearance). Committed cells may be
-/// classified above their level.
+/// [`arb_generated`]'s database and depth.
+fn arb_db() -> impl Strategy<Value = (String, usize)> {
+    arb_generated().prop_map(|(src, depth, _)| (src, depth))
+}
+
+/// A server-harness input: an [`arb_generated`] database with up to two
+/// extra rules that depend on the clearance, so a shared server copies
+/// them per open level, and a commit script of single-cell asserts and
+/// retracts. The extras are a write-down rule (`l0` cells derived from
+/// `data` above it) and a p-atom head over a belief at level `l_i`. The
+/// write-down reads a level no cautious belief reaches, since copying
+/// such a level down to `l0`, which every belief reads, would close a
+/// negative cycle (no stratification, at any clearance). Committed cells
+/// may be classified above their level.
 fn arb_server_db() -> impl Strategy<Value = (String, usize, Vec<(bool, String)>)> {
     let cell = (any::<bool>(), 0usize..3, 0usize..4, 0usize..3, 0usize..4);
     (
-        arb_db(),
+        arb_generated(),
         any::<bool>(),
         0usize..4,
         proptest::collection::vec(cell, 1..6),
     )
-        .prop_map(|((mut src, depth), write_down, hot, script)| {
+        .prop_map(|((mut src, depth, positive), write_down, hot, script)| {
             let top = depth - 1;
-            let from = if src.contains("<< cau") { top - 1 } else { top };
-            if write_down && from > 0 {
+            if let Some(from) = positive.filter(|_| write_down) {
                 src.push_str(&format!(
                     "l0[down(K : a -l0-> V)] <- l{from}[data(K : a -C-> V)].\n"
                 ));
@@ -302,6 +394,7 @@ const SERVER_PROBES: &[&str] = &[
     "L[data(K : a -C-> V)] << opt",
     "L[data(K : a -C-> V)] << cau",
     "L[derived(K : b -C-> V)] << fir",
+    "L[derived(K : b -C-> V)] << cau",
     "L[down(K : a -C-> V)] << opt",
     "hot(K)",
 ];
@@ -371,6 +464,7 @@ proptest! {
                 "L[data(K : a -C-> V)] << cau",
                 "L[derived(K : b -C-> V)]",
                 "L[derived(K : b -C-> V)] << opt",
+                "L[derived(K : b -C-> V)] << cau",
             ] {
                 let a = op.solve_text(goal).expect("op solve");
                 let b = red.solve_text(goal).expect("red solve");
