@@ -8,7 +8,10 @@
 //! * `tc_grid` — transitive closure over a 16x16 grid (fan-out joins).
 //! * `reduction` — the Figure-12 reduction of a synthetic MultiLog
 //!   database (depth 4, 1500 m-facts, cautious-belief rules), i.e. the
-//!   end-to-end path through `ReducedEngine::new`.
+//!   end-to-end path through `ReducedEngine::new`. The top-level
+//!   `reduction_rule_applications` field counts its fixpoint's rule
+//!   applications (`EvalStats::rule_applications`): deterministic, and
+//!   one per rule for every non-recursive component of a stratum.
 //! * `update_churn_{incremental,recompute}` — a 20-commit stream of
 //!   single-edge retract/re-insert deltas over `tc_chain`, maintained
 //!   incrementally (DRed) vs. recomputed from scratch per commit; the
@@ -1040,17 +1043,21 @@ fn cautious_plain_under_negation(db: &multilog_core::MultiLogDb) -> usize {
     demand.plain_under_negation
 }
 
-/// Run the Figure-12 reduction workload `repeat` times (best run).
-fn run_reduction(repeat: usize) -> WorkloadResult {
+/// Run the Figure-12 reduction workload `repeat` times (best run), with
+/// its fixpoint's rule applications (deterministic: the same on every
+/// run and thread count).
+fn run_reduction(repeat: usize) -> (WorkloadResult, usize) {
     let spec = REDUCTION_SPEC;
     let src = synthetic_multilog(&spec);
     let db = parse_database(&src).expect("synthetic multilog parses");
     let top = format!("l{}", spec.depth - 1);
     let mut best: Option<WorkloadResult> = None;
+    let mut applications = 0;
     for _ in 0..repeat {
         let start = Instant::now();
         let red = ReducedEngine::new(&db, &top).expect("reduction succeeds");
         let wall = start.elapsed();
+        applications = red.stats().rule_applications;
         let facts = red.database().fact_count();
         let wall_ms = wall.as_secs_f64() * 1e3;
         let result = WorkloadResult {
@@ -1064,7 +1071,7 @@ fn run_reduction(repeat: usize) -> WorkloadResult {
             best = Some(result);
         }
     }
-    best.expect("repeat >= 1")
+    (best.expect("repeat >= 1"), applications)
 }
 
 /// Extract `"field": <number>` for the workload named `name` from a
@@ -1175,11 +1182,13 @@ fn main() {
     // everything before it stays well under 200 MB resident.
     let tc_chain_xl = run_datalog("tc_chain_xl", &tc_chain_src(3150), 1, |e| e);
     let xl_peak_rss_mb = peak_rss_mb();
+    let tc_grid = run_datalog("tc_grid", &tc_grid_src(16), repeat, |e| e);
+    let (reduction, reduction_applications) = run_reduction(repeat);
     let results = [
         tc_chain,
         tc_chain_guarded,
-        run_datalog("tc_grid", &tc_grid_src(16), repeat, |e| e),
-        run_reduction(repeat),
+        tc_grid,
+        reduction,
         churn_inc,
         churn_rec,
         point_full,
@@ -1213,6 +1222,9 @@ fn main() {
     ));
     json.push_str(&format!(
         "  \"demand_cau_plain_under_negation\": {cau_plain_under_negation},\n"
+    ));
+    json.push_str(&format!(
+        "  \"reduction_rule_applications\": {reduction_applications},\n"
     ));
     json.push_str(&format!(
         "  \"social_reach_speedup\": {social_speedup:.2},\n  \"level_dashboard_rows\": {dashboard_rows},\n"

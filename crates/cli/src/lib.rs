@@ -375,9 +375,19 @@ pub fn reduce(source: &str, opts: &Options) -> CliResult {
     Ok(e.program_text().to_owned())
 }
 
+/// What `multilog check` prints, and its verdict.
+#[derive(Clone, Debug)]
+pub struct CheckReport {
+    /// The counts, the lint section and the verdict lines.
+    pub text: String,
+    /// Whether the database is admissible (Def 5.3) and consistent
+    /// (Def 5.4); the command exits 1 when it is not.
+    pub passed: bool,
+}
+
 /// `multilog check <file>`: admissibility (Def 5.3) and consistency
 /// (Def 5.4) diagnostics.
-pub fn check(source: &str, opts: &Options) -> CliResult {
+pub fn check(source: &str, opts: &Options) -> Result<CheckReport, String> {
     use multilog_core::ast::Head;
     let prog = parse_items(source).map_err(|e| format!("cannot parse database: {e}"))?;
     let count = |kind: fn(&Head) -> bool| prog.clauses.iter().filter(|c| kind(&c.head)).count();
@@ -407,13 +417,17 @@ pub fn check(source: &str, opts: &Options) -> CliResult {
         Ok(admitted) => admitted,
         Err(e) => {
             let _ = writeln!(out, "NOT admissible: {e}");
-            return Ok(out);
+            return Ok(CheckReport {
+                text: out,
+                passed: false,
+            });
         }
     };
     let names: Vec<&str> = lat.names().collect();
     let _ = writeln!(out, "admissible: lattice over {{{}}}", names.join(", "));
     let e = operational(&db, opts)?;
-    match check_consistency(&e) {
+    let consistent = check_consistency(&e);
+    match &consistent {
         Ok(()) => {
             let _ = writeln!(
                 out,
@@ -426,7 +440,10 @@ pub fn check(source: &str, opts: &Options) -> CliResult {
             let _ = writeln!(out, "NOT consistent: {err}");
         }
     }
-    Ok(out)
+    Ok(CheckReport {
+        text: out,
+        passed: consistent.is_ok(),
+    })
 }
 
 /// An interactive session over a [`BeliefServer`]: goals are answered
@@ -950,6 +967,11 @@ LINT:
   the database (and `serve`) stops with `database refused:` and the
   finding.
 
+CHECK:
+  `check` prints the clause counts, the lint findings and the
+  admissibility (Def 5.3) and consistency (Def 5.4) verdicts. It exits
+  1 when the database is not admissible or not consistent.
+
 ANALYZE:
   `analyze` runs the lattice-flow abstract interpretation: sound
   per-predicate bounds on the security levels and classifications a
@@ -1132,7 +1154,9 @@ mod tests {
 
     #[test]
     fn check_reports_shape_and_consistency() {
-        let out = check(DB, &opts("s")).unwrap();
+        let report = check(DB, &opts("s")).unwrap();
+        assert!(report.passed);
+        let out = report.text;
         assert!(out.contains("Λ=5 Σ=3 Π=1 Q=1"), "{out}");
         assert!(out.contains("admissible"), "{out}");
         assert!(out.contains("consistent"), "{out}");
@@ -1141,7 +1165,9 @@ mod tests {
     #[test]
     fn check_flags_inadmissible() {
         // Counts come from the parse, the verdict from the refused load.
-        let out = check("level(u). u[p(k : a -s-> v)].", &opts("u")).unwrap();
+        let report = check("level(u). u[p(k : a -s-> v)].", &opts("u")).unwrap();
+        assert!(!report.passed);
+        let out = report.text;
         assert!(out.contains("Λ=1 Σ=1 Π=0 Q=0"), "{out}");
         assert!(out.contains("lint: 1 error"), "{out}");
         assert!(
@@ -1150,8 +1176,13 @@ mod tests {
             ),
             "{out}"
         );
-        let out = check("level(u). q(X).", &opts("u")).unwrap();
-        assert!(out.contains("NOT admissible: unsafe variable `X`"), "{out}");
+        let report = check("level(u). q(X).", &opts("u")).unwrap();
+        assert!(!report.passed);
+        assert!(
+            report.text.contains("NOT admissible: unsafe variable `X`"),
+            "{}",
+            report.text
+        );
     }
 
     #[test]

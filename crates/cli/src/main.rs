@@ -16,9 +16,9 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
     match dispatch(&args) {
-        Ok(output) => {
+        Ok((output, status)) => {
             print!("{output}");
-            ExitCode::SUCCESS
+            status
         }
         Err(message) => {
             eprintln!("error: {message}");
@@ -27,11 +27,13 @@ fn main() -> ExitCode {
     }
 }
 
-fn dispatch(args: &[String]) -> Result<String, String> {
+/// Run one command: its output and exit status, or an error (exit 2).
+/// Only `check` has a failing verdict of its own (exit 1).
+fn dispatch(args: &[String]) -> Result<(String, ExitCode), String> {
     let (cmd, file, goal, opts) = parse_args(args)?;
     let source =
         std::fs::read_to_string(&file).map_err(|e| format!("cannot read `{file}`: {e}"))?;
-    match cmd.as_str() {
+    let output = match cmd.as_str() {
         "run" => run(&source, &opts),
         "query" => {
             let goal = goal.ok_or("query needs a goal argument")?;
@@ -42,13 +44,22 @@ fn dispatch(args: &[String]) -> Result<String, String> {
             prove(&source, &goal, &opts)
         }
         "reduce" => reduce(&source, &opts),
-        "check" => check(&source, &opts),
+        "check" => {
+            let report = check(&source, &opts)?;
+            let status = if report.passed {
+                ExitCode::SUCCESS
+            } else {
+                ExitCode::from(1)
+            };
+            return Ok((report.text, status));
+        }
         "lint" => lint(&source, &file, &opts),
         "analyze" => analyze(&source, &file, &opts),
         "repl" => repl(&source, &opts),
         "serve" => serve(&source, &opts),
         other => Err(format!("unknown command `{other}`\n\n{USAGE}")),
-    }
+    }?;
+    Ok((output, ExitCode::SUCCESS))
 }
 
 /// `multilog serve`: the multi-session belief server. Default transport

@@ -1,11 +1,14 @@
 //! Bottom-up semi-naive evaluation, stratum by stratum.
 //!
-//! Rule bodies are compiled once per stratum into slot-allocated join
-//! plans ([`crate::plan`]) whose literal order is chosen greedily, plus,
-//! for each rule and each body occurrence of a same-stratum predicate, a
-//! variant where that occurrence draws from the delta of the previous
-//! iteration. The naive, tuple-at-a-time [`crate::reference`] evaluator
-//! is the oracle this engine is differentially tested against.
+//! A stratum's rules are evaluated one strongly connected component of
+//! their heads at a time, in dependency order. Each component's rules
+//! are compiled into slot-allocated join plans ([`crate::plan`]) whose
+//! literal order is chosen greedily, plus, for each rule and each body
+//! occurrence of a predicate of the component, a variant where that
+//! occurrence draws from the delta of the previous iteration; a
+//! non-recursive component has no variants and runs once. The naive,
+//! tuple-at-a-time [`crate::reference`] evaluator is the oracle this
+//! engine is differentially tested against.
 //!
 //! Negated literals may contain variables that occur in no positive
 //! literal textually before them; these are read as existentially
@@ -41,7 +44,7 @@ use crate::fx::FxHashMap;
 use crate::guard::{CancelToken, EvalGuard};
 use crate::magic::{self, PreparedMagic};
 use crate::plan::{delta_positions, RulePlan, Scratch};
-use crate::program::Program;
+use crate::program::{DepGraph, Program};
 use crate::query::{run_query, QueryAnswer, QueryGuards};
 use crate::storage::{key_of, Database, Fact, FactBuf, Relation};
 use crate::term::{Const, SymId, Term};
@@ -65,7 +68,9 @@ pub struct RuleStats {
     /// Derived tuples discarded as already present.
     pub dedup_hits: usize,
     /// Rows enumerated from scans (index probes and delta sweeps) while
-    /// evaluating this rule.
+    /// evaluating this rule. A negation counts one probe per membership
+    /// test when it binds every column, and otherwise the candidate rows
+    /// its probe scanned for each distinct bound-cell tuple.
     pub join_probes: u64,
     /// Merge joins that defected to a hash join on every bound column
     /// because a key group would have cost more than a relation scan.
@@ -81,7 +86,7 @@ pub struct StratumStats {
     pub stratum: usize,
     /// Predicates defined in the stratum.
     pub predicates: Vec<String>,
-    /// Fixpoint iterations the stratum ran.
+    /// Fixpoint rounds the stratum ran, summed over its components.
     pub iterations: usize,
     /// Facts the stratum added.
     pub facts_added: usize,
@@ -122,7 +127,9 @@ pub struct DemandStats {
 /// Counters describing an evaluation run.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EvalStats {
-    /// Fixpoint iterations summed over all strata.
+    /// Fixpoint rounds summed over all strata. A full evaluation runs
+    /// each stratum one strongly connected component at a time, and each
+    /// component counts its own rounds: one for a non-recursive one.
     pub iterations: usize,
     /// Number of rule-variant applications attempted.
     pub rule_applications: usize,
@@ -133,7 +140,8 @@ pub struct EvalStats {
     /// The join order chosen for every compiled rule variant, as
     /// `head [(Δ@pos)] :- [textual body indices in execution order]`.
     pub join_orders: Vec<String>,
-    /// Counters per source rule, in program order grouped by stratum.
+    /// Counters per source rule, grouped by stratum; within a stratum
+    /// in evaluation order: by component, then in program order.
     pub per_rule: Vec<RuleStats>,
     /// Counters per stratum, in evaluation order.
     pub per_stratum: Vec<StratumStats>,
@@ -197,10 +205,11 @@ impl EvalStats {
     }
 }
 
-/// One stratum's rules compiled into join plans: one base plan per rule
-/// and one delta variant per body occurrence of a same-stratum
-/// predicate. Cardinality estimates for the greedy join order come from
-/// the database the stratum was compiled against.
+/// A group of rules — one strongly connected component of a stratum, or
+/// a whole stratum of a prepared demand plan — compiled into join plans:
+/// one base plan per rule and one delta variant per body occurrence of a
+/// predicate of the group. Cardinality estimates for the greedy join
+/// order come from the database the group was compiled against.
 #[derive(Debug)]
 pub(crate) struct CompiledStratum {
     /// Renderings of the source rules, for per-rule counters.
@@ -212,8 +221,8 @@ pub(crate) struct CompiledStratum {
 }
 
 impl CompiledStratum {
-    /// Compile `rules` (the stratum's rules; `in_stratum` its
-    /// predicates) with their delta variants.
+    /// Compile `rules` with a delta variant for each body occurrence of
+    /// a predicate in `in_stratum`.
     pub(crate) fn compile(
         rules: &[&Clause],
         in_stratum: &HashSet<SymId>,
@@ -254,6 +263,42 @@ impl CompiledStratum {
             ..RuleStats::default()
         })
     }
+}
+
+/// `rules` grouped by the strongly connected component of their head
+/// predicates in the graph of their positive body literals, components
+/// in dependency order ([`DepGraph::condensation`]) and rules in their
+/// given order within each.
+fn components<'c>(rules: &[&'c Clause]) -> Vec<Vec<&'c Clause>> {
+    let mut heads: Vec<SymId> = rules.iter().map(|r| r.head.predicate).collect();
+    heads.sort_unstable();
+    heads.dedup();
+    let node = |p: SymId| heads.binary_search(&p).ok();
+    let edges = rules
+        .iter()
+        .flat_map(|r| {
+            let h = node(r.head.predicate);
+            r.body.iter().filter_map(move |l| match l {
+                Literal::Pos(a) => Some((node(a.predicate)?, h?, false)),
+                _ => None,
+            })
+        })
+        .collect();
+    let names = heads.iter().map(ToString::to_string).collect();
+    let condensation = DepGraph::from_edges(names, edges).condensation();
+    let mut comp_of = vec![0; heads.len()];
+    for (c, nodes) in condensation.iter().enumerate() {
+        for &n in nodes {
+            comp_of[n] = c;
+        }
+    }
+    let mut out = vec![Vec::new(); condensation.len()];
+    for &r in rules {
+        if let Some(h) = node(r.head.predicate) {
+            out[comp_of[h]].push(r);
+        }
+    }
+    out
 }
 
 /// A bottom-up evaluator for one program.
@@ -582,8 +627,12 @@ impl<'p> Engine<'p> {
     /// Evaluate stratum `stratum_idx` from its base facts, which `db`
     /// already holds, over the complete lower strata: native algorithm
     /// operators first (their inputs are in lower strata), then
-    /// aggregate folds (ditto), then the fixpoint of the stratum's rules
-    /// — which sees both as already-materialized relations. The one
+    /// aggregate folds (ditto), then the stratum's rules — which see both
+    /// as already-materialized relations — one strongly connected
+    /// component of their heads at a time, in dependency order. Each
+    /// component is compiled against the complete output of the ones
+    /// before it and gets delta variants only for its own predicates, so
+    /// a non-recursive component runs its base plans once. The one
     /// from-scratch stratum step, shared by batch runs, incremental
     /// recovery and incremental stratum recomputes. The base facts count
     /// towards the stratum's `facts_added` and `facts_considered`; only
@@ -624,8 +673,12 @@ impl<'p> Engine<'p> {
             guard.check_db(db.fact_count())?;
             self.materialize_algos(stratum, restrict, extra, db, stats, guard)?;
             self.apply_aggregates(&agg_rules, stratum_idx, db, stats, guard)?;
-            let compiled = CompiledStratum::compile(&rules, &in_stratum, db)?;
-            self.run_compiled(&compiled, stratum_idx, db, stats, guard)
+            for component in components(&rules) {
+                let heads = component.iter().map(|r| r.head.predicate).collect();
+                let compiled = CompiledStratum::compile(&component, &heads, db)?;
+                self.run_compiled(&compiled, stratum_idx, db, stats, guard)?;
+            }
+            Ok(())
         })
     }
 
@@ -955,7 +1008,9 @@ impl<'p> Engine<'p> {
             facts_added: stats.facts_added - added_before,
         });
 
-        while !delta.is_empty() {
+        // Without delta variants (a non-recursive component) the base
+        // round was the whole fixpoint.
+        while !variants.is_empty() && !delta.is_empty() {
             stats.iterations += 1;
             guard.check_db(db.fact_count())?;
             // Variants whose delta relation is non-empty this iteration.
@@ -1214,6 +1269,80 @@ mod tests {
         let db = run("p(a). r(x, x).\
              q(X) :- p(X), not r(Y, Y).");
         assert_eq!(db.relation("q").unwrap().len(), 0);
+    }
+
+    /// Every relation of `db` equals the reference model's.
+    fn assert_matches_reference(p: &Program, db: &Database) {
+        let reference = crate::reference::model(p).unwrap();
+        for pred in p.predicates() {
+            assert_eq!(
+                db.relation(pred).map(Relation::sorted),
+                reference.relation(pred).map(Relation::sorted),
+                "{pred}"
+            );
+        }
+    }
+
+    #[test]
+    fn non_recursive_components_of_a_stratum_run_once() {
+        // One stratum: the recursive `dominate` closure feeds `seen`,
+        // whose self-join `beaten` reads it complete.
+        let p = parse_program(
+            "level(l0). level(l1). level(l2). level(l3).\
+             order(l0, l1). order(l1, l2). order(l2, l3).\
+             cell(k1, v1, l0). cell(k1, v2, l1). cell(k1, v3, l3).\
+             cell(k2, v1, l2). cell(k2, v2, l2). cell(k3, v1, l1).\
+             dominate(X, Y) :- order(X, Y).\
+             dominate(X, X) :- level(X).\
+             dominate(X, Y) :- order(X, Z), dominate(Z, Y).\
+             seen(K, V, C, H) :- cell(K, V, C), dominate(C, H).\
+             beaten(K, C, H) :- seen(K, V, C, H), seen(K, V2, C2, H), \
+                 dominate(C, C2), C != C2.",
+        )
+        .unwrap();
+        assert_eq!(p.stratify().unwrap().len(), 1);
+        let (db, stats) = Engine::new(&p).unwrap().run_with_stats().unwrap();
+        assert_matches_reference(&p, &db);
+        assert!(!db.relation("beaten").unwrap().is_empty());
+        for r in &stats.per_rule {
+            if r.rule.starts_with("seen") || r.rule.starts_with("beaten") {
+                assert_eq!(r.applications, 1, "{}", r.rule);
+            }
+        }
+        let closure = stats
+            .per_rule
+            .iter()
+            .find(|r| r.rule.starts_with("dominate(X, Y) :- order(X, Z)"))
+            .unwrap();
+        assert!(closure.applications > 1, "the closure iterates");
+    }
+
+    #[test]
+    fn negation_probes_count_membership_tests_and_scanned_candidates() {
+        // Beside `plain`, the fully bound `not r(X, Y)` costs one probe
+        // per tested row (3), and the partially bound `not r(X, Z)` the
+        // candidate rows its probe scans: 2 for `a`, 1 for `b`, none for
+        // `c`.
+        let p = parse_program(
+            "p(a, x). p(b, y). p(c, z). r(a, x). r(a, y). r(b, z).\
+             plain(X, Y) :- p(X, Y).\
+             bound(X, Y) :- p(X, Y), not r(X, Y).\
+             partial(X) :- p(X, Y), not r(X, Z).",
+        )
+        .unwrap();
+        let (db, stats) = Engine::new(&p).unwrap().run_with_stats().unwrap();
+        assert_matches_reference(&p, &db);
+        assert_eq!(db.relation("bound").unwrap().len(), 2);
+        let probes = |head: &str| {
+            stats
+                .per_rule
+                .iter()
+                .find(|r| r.rule.starts_with(head))
+                .unwrap()
+                .join_probes
+        };
+        assert_eq!(probes("bound") - probes("plain"), 3);
+        assert_eq!(probes("partial") - probes("plain"), 3);
     }
 
     #[test]

@@ -56,9 +56,12 @@
 //!
 //! Join results are flushed to the next step in [`CHUNK`]-row batches,
 //! so memory stays bounded and the evaluation guard keeps tripping
-//! inside a single (possibly enormous) rule application. Negation is
-//! memoized per distinct bound-cell tuple within a batch; comparisons
-//! and arithmetic filter the batch columnwise.
+//! inside a single (possibly enormous) rule application. A negation
+//! that binds every column is a membership test
+//! ([`Relation::contains`]), one probe per row, and needs no column
+//! index; a partially bound one is memoized per distinct bound-cell
+//! tuple within a batch and counts the candidate rows its probe scans.
+//! Comparisons and arithmetic filter the batch columnwise.
 //!
 //! Plans are the only way the engine runs a rule. Their oracle is
 //! [`crate::reference`], a naive evaluator that reads `Clause`s directly
@@ -691,16 +694,19 @@ impl RulePlan {
                     index_needs.extend(spec.consts.iter().map(|&(c, _)| (*pred, c)));
                     index_needs.extend(spec.bounds.iter().map(|&(c, _)| (*pred, c)));
                 }
+                // A fully bound negation tests membership and probes no
+                // column.
                 Step::Neg {
                     pred,
                     consts,
                     bounds,
+                    n_locals,
                     ..
-                } => {
+                } if *n_locals > 0 => {
                     index_needs.extend(consts.iter().map(|&(c, _)| (*pred, c)));
                     index_needs.extend(bounds.iter().map(|&(c, _)| (*pred, c)));
                 }
-                Step::Scan { .. } | Step::Cmp { .. } | Step::Arith { .. } => {}
+                Step::Scan { .. } | Step::Neg { .. } | Step::Cmp { .. } | Step::Arith { .. } => {}
             }
         }
         index_needs.sort_unstable();
@@ -886,63 +892,84 @@ impl RulePlan {
                 let mut child = mem::take(&mut scratch.batches[step]);
                 child.reset(self.n_slots);
                 let mut result = Ok(());
-                if let Some(rel) = db.relation_id(*pred) {
-                    let mut pattern = mem::take(&mut scratch.patterns[step]);
-                    pattern.clear();
-                    pattern.resize(cols.len(), None);
-                    for &(c, v) in consts {
-                        pattern[c] = Some(v);
-                    }
-                    let mut locals = mem::take(&mut scratch.locals[step]);
-                    locals.clear();
-                    locals.resize(*n_locals, Const::Int(0));
-                    // Memoize existence per distinct bound-cell tuple:
-                    // batches routinely repeat the same join key.
-                    let mut memo: FxHashMap<Box<[Const]>, bool> = FxHashMap::default();
-                    let mut key: Vec<Const> = Vec::with_capacity(bounds.len());
-                    for row in 0..batch.n {
-                        key.clear();
-                        key.extend(bounds.iter().map(|&(_, s)| batch.get(s, row)));
-                        let exists = match memo.get(key.as_slice()) {
-                            Some(&e) => e,
-                            None => {
-                                for &(c, s) in bounds {
-                                    pattern[c] = Some(batch.get(s, row));
-                                }
-                                let mut rows: u32 = 0;
-                                let e = rel.matching(&pattern).any(|fact| {
-                                    rows = rows.saturating_add(1);
-                                    for (i, col) in cols.iter().enumerate() {
-                                        match col {
-                                            NegCol::Local(l) => locals[*l as usize] = fact[i],
-                                            NegCol::LocalCheck(l) => {
-                                                if locals[*l as usize] != fact[i] {
-                                                    return false;
-                                                }
-                                            }
-                                            NegCol::Const(_) | NegCol::Bound(_) => {}
-                                        }
-                                    }
-                                    true
-                                });
-                                result = scratch.cursor.probe_n(rows, guard);
-                                memo.insert(key.clone().into_boxed_slice(), e);
-                                e
+                match db.relation_id(*pred) {
+                    // Fully bound: one membership test per row.
+                    Some(rel) if *n_locals == 0 => {
+                        let mut fact: Vec<Const> = Vec::with_capacity(cols.len());
+                        for row in 0..batch.n {
+                            fact.clear();
+                            fact.extend(cols.iter().filter_map(|col| match col {
+                                NegCol::Const(v) => Some(*v),
+                                NegCol::Bound(s) => Some(batch.get(*s, row)),
+                                NegCol::Local(_) | NegCol::LocalCheck(_) => None,
+                            }));
+                            result = scratch.cursor.probe_n(1, guard);
+                            if result.is_err() {
+                                break;
                             }
-                        };
-                        if result.is_err() {
-                            break;
+                            if !rel.contains(&fact) {
+                                self.carry_row(step, batch, row, &mut child);
+                            }
                         }
-                        if !exists {
+                    }
+                    Some(rel) => {
+                        let mut pattern = mem::take(&mut scratch.patterns[step]);
+                        pattern.clear();
+                        pattern.resize(cols.len(), None);
+                        for &(c, v) in consts {
+                            pattern[c] = Some(v);
+                        }
+                        let mut locals = mem::take(&mut scratch.locals[step]);
+                        locals.clear();
+                        locals.resize(*n_locals, Const::Int(0));
+                        let mut rows = mem::take(&mut scratch.rowbufs[step]);
+                        // Memoize existence per distinct bound-cell tuple:
+                        // batches routinely repeat the same join key.
+                        let mut memo: FxHashMap<Box<[Const]>, bool> = FxHashMap::default();
+                        let mut key: Vec<Const> = Vec::with_capacity(bounds.len());
+                        for row in 0..batch.n {
+                            key.clear();
+                            key.extend(bounds.iter().map(|&(_, s)| batch.get(s, row)));
+                            let exists = match memo.get(key.as_slice()) {
+                                Some(&e) => e,
+                                None => {
+                                    for &(c, s) in bounds {
+                                        pattern[c] = Some(batch.get(s, row));
+                                    }
+                                    let scanned = rel.matching_rows(&pattern, &mut rows);
+                                    let e = rows.iter().any(|&r| {
+                                        cols.iter().enumerate().all(|(i, col)| match col {
+                                            NegCol::Local(l) => {
+                                                locals[*l as usize] = rel.cell(r, i);
+                                                true
+                                            }
+                                            NegCol::LocalCheck(l) => {
+                                                locals[*l as usize] == rel.cell(r, i)
+                                            }
+                                            NegCol::Const(_) | NegCol::Bound(_) => true,
+                                        })
+                                    });
+                                    result = scratch.cursor.probe_n(clamp(scanned), guard);
+                                    memo.insert(key.clone().into_boxed_slice(), e);
+                                    e
+                                }
+                            };
+                            if result.is_err() {
+                                break;
+                            }
+                            if !exists {
+                                self.carry_row(step, batch, row, &mut child);
+                            }
+                        }
+                        scratch.patterns[step] = pattern;
+                        scratch.locals[step] = locals;
+                        scratch.rowbufs[step] = rows;
+                    }
+                    // Missing relation: the negation holds for every row.
+                    None => {
+                        for row in 0..batch.n {
                             self.carry_row(step, batch, row, &mut child);
                         }
-                    }
-                    scratch.patterns[step] = pattern;
-                    scratch.locals[step] = locals;
-                } else {
-                    // Missing relation: the negation holds for every row.
-                    for row in 0..batch.n {
-                        self.carry_row(step, batch, row, &mut child);
                     }
                 }
                 if result.is_ok() {

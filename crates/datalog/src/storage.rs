@@ -454,10 +454,13 @@ impl Relation {
     /// count logarithmic and the total merge work O(n log n).
     fn seal_runs_col(&mut self, col: usize) {
         let mut idx = mem::take(&mut self.indexes[col]);
-        let mut run: Vec<u32> = (idx.covered..self.total).collect();
-        run.sort_unstable_by_key(|&r| (key_of(self.cell(r, col)), r));
+        // Each row's key is computed once, not in every comparison.
+        let mut keyed: Vec<(u128, u32)> = (idx.covered..self.total)
+            .map(|r| (key_of(self.cell(r, col)), r))
+            .collect();
+        keyed.sort_unstable();
         idx.covered = self.total;
-        idx.runs.push(run.into());
+        idx.runs.push(keyed.into_iter().map(|(_, r)| r).collect());
         while idx.runs.len() >= 2
             && idx.runs[idx.runs.len() - 1].len() >= idx.runs[idx.runs.len() - 2].len()
         {
@@ -469,16 +472,20 @@ impl Relation {
     }
 
     fn merge_runs(&self, a: &[u32], b: &[u32], col: usize) -> Arc<[u32]> {
-        let key = |r: u32| (key_of(self.cell(r, col)), r);
+        // Each row's key is computed once, when the merge reaches it.
+        let key = |run: &[u32], i: usize| run.get(i).map(|&r| (key_of(self.cell(r, col)), r));
         let mut out = Vec::with_capacity(a.len() + b.len());
         let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            if key(a[i]) <= key(b[j]) {
-                out.push(a[i]);
+        let (mut ka, mut kb) = (key(a, 0), key(b, 0));
+        while let (Some(x), Some(y)) = (ka, kb) {
+            if x <= y {
+                out.push(x.1);
                 i += 1;
+                ka = key(a, i);
             } else {
-                out.push(b[j]);
+                out.push(y.1);
                 j += 1;
+                kb = key(b, j);
             }
         }
         out.extend_from_slice(&a[i..]);
@@ -767,18 +774,29 @@ impl Relation {
     /// goes through [`Relation::sorted`].
     pub fn matching(&self, pattern: &[Option<Const>]) -> impl Iterator<Item = Fact> + '_ {
         let mut rows: Vec<u32> = Vec::new();
-        if self.arity == Some(pattern.len()) {
-            let bound = pattern.iter().enumerate();
-            let driver = self.driving_const(bound.filter_map(|(i, p)| p.map(|c| (i, c))));
-            self.driven_rows(driver, &mut rows);
-            rows.retain(|&r| {
-                pattern
-                    .iter()
-                    .enumerate()
-                    .all(|(i, p)| p.is_none_or(|c| self.cell(r, i) == c))
-            });
-        }
+        self.matching_rows(pattern, &mut rows);
         rows.into_iter().map(|r| self.row_fact(r))
+    }
+
+    /// Replace `rows` with the live rows matching `pattern` (see
+    /// [`Relation::matching`]), returning how many candidate rows the
+    /// driving probe scanned to find them.
+    pub(crate) fn matching_rows(&self, pattern: &[Option<Const>], rows: &mut Vec<u32>) -> usize {
+        rows.clear();
+        if self.arity != Some(pattern.len()) {
+            return 0;
+        }
+        let bound = pattern.iter().enumerate();
+        let driver = self.driving_const(bound.filter_map(|(i, p)| p.map(|c| (i, c))));
+        self.driven_rows(driver, rows);
+        let scanned = rows.len();
+        rows.retain(|&r| {
+            pattern
+                .iter()
+                .enumerate()
+                .all(|(i, p)| p.is_none_or(|c| self.cell(r, i) == c))
+        });
+        scanned
     }
 
     /// Facts sorted lexicographically — deterministic output order for
@@ -1160,6 +1178,39 @@ mod tests {
         assert_eq!((d.col, d.estimate), (1, None));
         assert_eq!(bare.matching(&pat).count(), 1);
         assert!(bare.driving_const([]).is_none());
+    }
+
+    #[test]
+    fn sealed_runs_keep_key_then_row_order_over_colliding_keys() {
+        // Three distinct keys (two symbols, one integer) over 45 rows,
+        // sealed in batches so runs are sorted fresh and merged.
+        let mut r = Relation::new();
+        let cell = |i: i64| match i % 3 {
+            0 => c("x"),
+            1 => Const::int(-1),
+            _ => c("y"),
+        };
+        let mut next = 0;
+        for batch in [10, 10, 5, 20] {
+            for _ in 0..batch {
+                r.insert(vec![cell(next), Const::int(next)]);
+                next += 1;
+            }
+            r.ensure_index(0);
+            let mut covered: Vec<u32> = Vec::new();
+            for run in &r.indexes[0].runs {
+                let keyed: Vec<(u128, u32)> = run
+                    .iter()
+                    .map(|&row| (key_of(r.cell(row, 0)), row))
+                    .collect();
+                assert!(keyed.windows(2).all(|w| w[0] < w[1]), "{keyed:?}");
+                covered.extend(run.iter());
+            }
+            covered.sort_unstable();
+            assert_eq!(covered, (0..r.total).collect::<Vec<_>>());
+        }
+        // 10 + 10 merged, then 5 + 20 and 20 + 25.
+        assert_eq!(r.indexes[0].runs.len(), 1);
     }
 
     #[test]

@@ -42,7 +42,9 @@ fn d1_file_runs_its_query_at_each_level() {
 
 #[test]
 fn mission_file_checks_clean() {
-    let out = check(&mission_source(), &opts("s")).unwrap();
+    let report = check(&mission_source(), &opts("s")).unwrap();
+    assert!(report.passed);
+    let out = report.text;
     assert!(out.contains("admissible"), "{out}");
     assert!(out.contains("consistent"), "{out}");
     assert!(out.contains("Σ=30"), "{out}");
