@@ -18,6 +18,12 @@
 //!   top-level `update_churn_speedup` field is their wall-time ratio, and
 //!   `update_churn_first_commit_ms` the incremental side's first commit,
 //!   which also compiles the DRed rule variants (part of its wall time).
+//! * `demand_{plain,pruned}` — one low-clearance point belief goal,
+//!   repeated, answered demand-driven by a deferred engine without and
+//!   with flow pruning (`demand_pruned_speedup`, `demand_pruned_rules`).
+//!   `demand_plans_compiled` sums the magic plans the two engines
+//!   (`demand_engines`) compiled: a demand goal is prepared once per goal
+//!   shape, so it is one per engine.
 //! * `concurrent_churn` — a [`BeliefServer`] under writer churn: reader
 //!   threads at distinct clearance levels loop refresh + goal against
 //!   their pinned snapshots while the writer commits retract/re-insert
@@ -949,9 +955,10 @@ fn analyze_wall_ms(db: &multilog_core::MultiLogDb, repeat: usize) -> f64 {
 /// with `flow_prune` dropping the statically-invisible rules (the
 /// top-level rule heads and the cautious machinery for every level
 /// above the clearance) before the magic-sets rewrite. Answers must be
-/// identical; returns both results, the plain/pruned wall ratio, and
-/// the number of rules the flow bounds removed from the demand cone.
-fn run_demand_pruned(repeat: usize) -> (WorkloadResult, WorkloadResult, f64, usize) {
+/// identical; returns both results, the plain/pruned wall ratio, the
+/// number of rules the flow bounds removed from the demand cone, and the
+/// magic plans the two engines compiled.
+fn run_demand_pruned(repeat: usize) -> (WorkloadResult, WorkloadResult, f64, usize, u64) {
     // The reduction spec, level-skewed by construction: every `derived`
     // rule lives at the top level l3, so at clearance l0 the flow
     // bounds prune all of them plus the l1/l2/l3 belief machinery.
@@ -1017,7 +1024,8 @@ fn run_demand_pruned(repeat: usize) -> (WorkloadResult, WorkloadResult, f64, usi
     let plain = best_plain.expect("repeat >= 1");
     let pruned = best_pruned.expect("repeat >= 1");
     let speedup = plain.wall_ms / pruned.wall_ms;
-    (plain, pruned, speedup, pruned_rules)
+    let plans = [&plain_engine, &pruned_engine].map(|e| e.demand_prepared_stats().compiled);
+    (plain, pruned, speedup, pruned_rules, plans.iter().sum())
 }
 
 /// How many derived predicates a top-clearance `<< cau` point goal still
@@ -1159,8 +1167,13 @@ fn main() {
         parse_database(&synthetic_multilog(&REDUCTION_SPEC)).expect("synthetic multilog parses");
     let analyze_ms = analyze_wall_ms(&analyze_db, repeat.max(25));
     let analyze_overhead_pct = analyze_ms / tc_chain.wall_ms * 100.0;
-    let (demand_plain, demand_pruned, demand_pruned_speedup, demand_pruned_rules) =
-        run_demand_pruned(repeat);
+    let (
+        demand_plain,
+        demand_pruned,
+        demand_pruned_speedup,
+        demand_pruned_rules,
+        demand_plans_compiled,
+    ) = run_demand_pruned(repeat);
     let cau_plain_under_negation = cautious_plain_under_negation(&analyze_db);
     // social_reach contrasts the native @bfs operator against
     // rule-at-a-time transitive closure on a power-law social graph.
@@ -1219,6 +1232,9 @@ fn main() {
     ));
     json.push_str(&format!(
         "  \"demand_pruned_speedup\": {demand_pruned_speedup:.2},\n  \"demand_pruned_rules\": {demand_pruned_rules},\n"
+    ));
+    json.push_str(&format!(
+        "  \"demand_plans_compiled\": {demand_plans_compiled},\n  \"demand_engines\": 2,\n"
     ));
     json.push_str(&format!(
         "  \"demand_cau_plain_under_negation\": {cau_plain_under_negation},\n"

@@ -225,7 +225,10 @@ pub fn analyze(source: &str, source_name: &str, opts: &Options) -> CliResult {
 /// `multilog lint <file>`: run the static-analysis pass and print the
 /// findings (rustc-style, or JSON with `--format json`). `--user` is
 /// optional; when given, clearance-dependent lints (ML0114) also run.
-pub fn lint(source: &str, source_name: &str, opts: &Options) -> CliResult {
+///
+/// The verdict fails when the report holds an error; warnings alone
+/// pass.
+pub fn lint(source: &str, source_name: &str, opts: &Options) -> Result<CheckReport, String> {
     let clearance = if opts.user.is_empty() {
         None
     } else {
@@ -233,11 +236,15 @@ pub fn lint(source: &str, source_name: &str, opts: &Options) -> CliResult {
     };
     let report = multilog_core::lint_source_at(source, clearance)
         .map_err(|e| format!("cannot parse database: {e}"))?;
-    if opts.json {
-        Ok(format!("{}\n", report.render_json()))
+    let text = if opts.json {
+        format!("{}\n", report.render_json())
     } else {
-        Ok(report.render_human(source_name))
-    }
+        report.render_human(source_name)
+    };
+    Ok(CheckReport {
+        text,
+        passed: !report.has_errors(),
+    })
 }
 
 /// `multilog run <file>`: evaluate the database and answer every query in
@@ -375,13 +382,15 @@ pub fn reduce(source: &str, opts: &Options) -> CliResult {
     Ok(e.program_text().to_owned())
 }
 
-/// What `multilog check` prints, and its verdict.
+/// What `multilog check` or `multilog lint` prints, and its verdict.
 #[derive(Clone, Debug)]
 pub struct CheckReport {
-    /// The counts, the lint section and the verdict lines.
+    /// `check`: the counts, the lint section and the verdict lines;
+    /// `lint`: the findings.
     pub text: String,
-    /// Whether the database is admissible (Def 5.3) and consistent
-    /// (Def 5.4); the command exits 1 when it is not.
+    /// `check`: whether the database is admissible (Def 5.3) and
+    /// consistent (Def 5.4); `lint`: whether no finding is an error. The
+    /// command exits 1 when it is not.
     pub passed: bool,
 }
 
@@ -965,7 +974,7 @@ LINT:
   --user, clearance-dependent lints also run. Every error `lint`
   reports without --user is a load refusal: every command that loads
   the database (and `serve`) stops with `database refused:` and the
-  finding.
+  finding. It exits 1 when it reports an error; warnings alone exit 0.
 
 CHECK:
   `check` prints the clause counts, the lint findings and the
@@ -1465,12 +1474,12 @@ mod tests {
 
     #[test]
     fn lint_command_renders_human_and_json() {
-        let out = lint(ARITY_DB, "arity.mlog", &opts("s")).unwrap();
+        let out = lint(ARITY_DB, "arity.mlog", &opts("s")).unwrap().text;
         assert!(out.contains("error[ML0113]"), "{out}");
         assert!(out.contains("--> arity.mlog:"), "{out}");
         let mut o = opts("s");
         o.json = true;
-        let out = lint(ARITY_DB, "arity.mlog", &o).unwrap();
+        let out = lint(ARITY_DB, "arity.mlog", &o).unwrap().text;
         assert!(out.starts_with("{\"diagnostics\":["), "{out}");
         assert!(out.contains("\"code\":\"ML0113\""), "{out}");
     }
@@ -1480,12 +1489,12 @@ mod tests {
         // Clearance-free lint runs (user optional for `lint`), and the
         // clean database reports no findings.
         let src = "level(u). level(s). order(u, s). s[p(k : a -u-> v)].";
-        let out = lint(src, "db.mlog", &Options::default()).unwrap();
+        let out = lint(src, "db.mlog", &Options::default()).unwrap().text;
         assert!(out.contains("0 errors, 0 warnings"), "{out}");
         // With a clearance, ML0114 can fire.
         let hi = "level(u). level(s). order(u, s).\n\
                   s[p(k : a -s-> v)]. q(X) <- s[p(k : a -s-> X)].";
-        let out = lint(hi, "db.mlog", &opts("u")).unwrap();
+        let out = lint(hi, "db.mlog", &opts("u")).unwrap().text;
         assert!(out.contains("ML0114"), "{out}");
     }
 

@@ -5,8 +5,8 @@ use std::io::{BufRead, Write};
 use std::process::ExitCode;
 
 use multilog_cli::{
-    analyze, check, lint, parse_args, prove, query, reduce, run, serve_io, Options, ReplSession,
-    ServeSession, USAGE,
+    analyze, check, lint, parse_args, prove, query, reduce, run, serve_io, CheckReport, Options,
+    ReplSession, ServeSession, USAGE,
 };
 
 fn main() -> ExitCode {
@@ -28,7 +28,7 @@ fn main() -> ExitCode {
 }
 
 /// Run one command: its output and exit status, or an error (exit 2).
-/// Only `check` has a failing verdict of its own (exit 1).
+/// `check` and `lint` exit 1 when their verdict fails.
 fn dispatch(args: &[String]) -> Result<(String, ExitCode), String> {
     let (cmd, file, goal, opts) = parse_args(args)?;
     let source =
@@ -44,22 +44,25 @@ fn dispatch(args: &[String]) -> Result<(String, ExitCode), String> {
             prove(&source, &goal, &opts)
         }
         "reduce" => reduce(&source, &opts),
-        "check" => {
-            let report = check(&source, &opts)?;
-            let status = if report.passed {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::from(1)
-            };
-            return Ok((report.text, status));
-        }
-        "lint" => lint(&source, &file, &opts),
+        "check" => return Ok(verdict(check(&source, &opts)?)),
+        "lint" => return Ok(verdict(lint(&source, &file, &opts)?)),
         "analyze" => analyze(&source, &file, &opts),
         "repl" => repl(&source, &opts),
         "serve" => serve(&source, &opts),
         other => Err(format!("unknown command `{other}`\n\n{USAGE}")),
     }?;
     Ok((output, ExitCode::SUCCESS))
+}
+
+/// A verdict command's output, with exit status 1 when its verdict
+/// fails.
+fn verdict(report: CheckReport) -> (String, ExitCode) {
+    let status = if report.passed {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::from(1)
+    };
+    (report.text, status)
 }
 
 /// `multilog serve`: the multi-session belief server. Default transport

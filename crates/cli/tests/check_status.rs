@@ -1,27 +1,33 @@
 //! `multilog check` exits 1 when its verdict fails — a database that is
 //! not admissible (Def 5.3) or not consistent (Def 5.4) — and 0 when
-//! both hold, so a script can tell the verdicts apart. The verdict text
+//! both hold, so a script can tell the verdicts apart. `multilog lint`
+//! exits 1 when it reports an error, and 0 on warnings alone. The text
 //! stays on stdout either way.
 
 use std::process::{Command, Output, Stdio};
 
-/// Run `multilog check <database> --user <user>` over `source` written
-/// to a temporary file.
-fn check(name: &str, source: &str, user: &str) -> Output {
+/// Run `multilog <command> <database> <args>` over `source` written to a
+/// temporary file.
+fn multilog(command: &str, name: &str, source: &str, args: &[&str]) -> Output {
     let path = std::env::temp_dir().join(format!(
-        "multilog-check-status-{}-{name}.mlog",
+        "multilog-check-status-{}-{command}-{name}.mlog",
         std::process::id()
     ));
     std::fs::write(&path, source).expect("database file writes");
     let output = Command::new(env!("CARGO_BIN_EXE_multilog"))
-        .arg("check")
+        .arg(command)
         .arg(&path)
-        .args(["--user", user])
+        .args(args)
         .stdin(Stdio::null())
         .output()
         .expect("multilog starts");
     let _ = std::fs::remove_file(&path);
     output
+}
+
+/// Run `multilog check <database> --user <user>` over `source`.
+fn check(name: &str, source: &str, user: &str) -> Output {
+    multilog("check", name, source, &["--user", user])
 }
 
 const LATTICE: &str = "level(u). level(c). level(s). order(u, c). order(c, s).\n";
@@ -52,4 +58,35 @@ fn check_exits_one_when_not_admissible() {
     let stdout = String::from_utf8_lossy(&output.stdout);
     assert_eq!(output.status.code(), Some(1), "{stdout}");
     assert!(stdout.contains("NOT admissible"), "{stdout}");
+}
+
+#[test]
+fn lint_exits_one_when_it_reports_an_error() {
+    let src = "level(u). u[p(k : a -s-> v)].\n";
+    for args in [&[][..], &["--format", "json"]] {
+        let output = multilog("lint", "error", src, args);
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        assert_eq!(output.status.code(), Some(1), "{stdout}");
+        assert!(stdout.contains("ML0103"), "{stdout}");
+    }
+}
+
+#[test]
+fn lint_exits_zero_on_warnings_alone() {
+    // At clearance u, the rule reads an atom it can never see: two
+    // ML0114 warnings, no error.
+    let src = format!("{LATTICE}s[p(k : a -s-> v)].\nq(X) <- s[p(k : a -s-> X)].\n");
+    let output = multilog("lint", "warnings", &src, &["--user", "u"]);
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert_eq!(output.status.code(), Some(0), "{stdout}");
+    assert!(stdout.contains("0 errors, 2 warnings"), "{stdout}");
+    let output = multilog(
+        "lint",
+        "clean",
+        &format!("{LATTICE}u[emp(k1 : sal -u-> 10)].\n"),
+        &[],
+    );
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert_eq!(output.status.code(), Some(0), "{stdout}");
+    assert!(stdout.contains("0 errors, 0 warnings"), "{stdout}");
 }

@@ -126,8 +126,6 @@ pub struct ReducedEngine {
     lattice: Arc<SecurityLattice>,
     /// The clearances goals are answered at, in opening order.
     clearances: Vec<String>,
-    /// The database's belief modes; goals in any other are refused.
-    modes: ModeSet,
     /// The clearance-dependent predicates and their sliced relations
     /// (often none).
     cone: Arc<Cone>,
@@ -149,39 +147,48 @@ pub struct ReducedEngine {
     solver: GoalTranslator,
 }
 /// What demand goals ([`ReducedEngine::solve_demand`]) reuse: the
-/// flow-pruned rules, prepared magic plans for up to [`MAX_PREPARED`]
-/// goal shapes, and a snapshot of the base relations. The reduced
-/// engine's rules never change, so plans stay valid across commits; they
-/// are dropped when the cache is full, and when flow pruning's `tainted`
-/// flag flips, which changes the rules.
+/// flow-pruned rules, the prepared goals of up to [`MAX_PREPARED`]
+/// [`Shape`]s, and a snapshot of the base relations. The reduced
+/// engine's rules never change, so prepared goals stay valid across
+/// commits; they are dropped when the cache is full, and when flow
+/// pruning's `tainted` flag flips, which changes the rules.
 #[derive(Default)]
 struct DemandCache {
-    /// The `tainted` flag the rules and plans were built under.
+    /// The `tainted` flag the rules and goals were prepared under.
     tainted: bool,
     /// The flow-pruned rules and how many clauses pruning dropped.
     rules: Option<(Arc<dl::Program>, usize)>,
-    /// Plans by [`dl::magic::prepared_key`] of the goal's canonical τ
-    /// body ([`GoalTranslator::canonical`]), so goals that differ only in
-    /// constants, a belief mode included, or in variable names share one;
-    /// `None` for shapes without a magic rewrite, which fall back to cone
-    /// evaluation.
-    plans: HashMap<String, Option<Arc<dl::PreparedMagic>>>,
+    goals: PreparedCache<Arc<DemandGoal>>,
     /// The base relations with every column a plan probes sealed; taken
     /// when a commit changes the base and rebuilt by the next goal.
     snapshot: Option<dl::Database>,
-    /// The columns sealed in the snapshot, to seal again on a rebuild.
+    /// The columns sealed in the snapshot, each once, to seal again on a
+    /// rebuild.
     sealed: Vec<(dl::SymId, usize)>,
 }
 
-/// What [`ReducedEngine::demand_plan`] hands a demand goal: the shape's
-/// plan (`None` without a magic rewrite), the flow-pruned rules, a clone
-/// of the base snapshot, and how many clauses pruning dropped.
-type DemandPlan = (
-    Option<Arc<dl::PreparedMagic>>,
-    Arc<dl::Program>,
-    dl::Database,
-    usize,
-);
+/// One demand goal shape, prepared: how its goals run, where the
+/// constants of a run come from, and the row column of each goal
+/// variable.
+struct DemandGoal {
+    /// [`dl::magic::prepared_key`] of the shape's τ body. Shapes that
+    /// differ only in a constant τ fixes, such as the belief mode that
+    /// `bel_mode` makes a column, share one key and so one magic plan.
+    key: String,
+    /// The magic-sets plan of the shape's τ body. Without one, goals
+    /// evaluate the cone of `rules` for `body`, the τ body with its
+    /// placeholders, which each goal [`fill`]s.
+    plan: Option<Arc<dl::PreparedMagic>>,
+    /// The flow-pruned rules the shape was prepared from.
+    rules: Arc<dl::Program>,
+    body: Vec<dl::Literal>,
+    /// Where each constant of `body`, the plan's parameters, comes from.
+    params: Vec<Param>,
+    /// Per [`Shape`] variable, its column in an answer's values.
+    columns: Vec<Option<usize>>,
+    /// How many clauses flow pruning dropped from `rules`.
+    pruned: usize,
+}
 
 /// Demand-pruning state: the static flow analysis of the source
 /// database plus each Σ/Π clause paired with its τ image, so prunable
@@ -373,7 +380,6 @@ impl ReducedEngine {
             ),
             lattice,
             clearances,
-            modes: db.modes().clone(),
             cone,
             incremental,
             level_split,
@@ -566,11 +572,12 @@ impl ReducedEngine {
     /// materialization is required at all (see
     /// [`ReducedEngine::with_options_deferred`]).
     ///
-    /// The plan is prepared once per goal shape and reused for every
-    /// goal of that shape; the base facts are read through a shared
-    /// snapshot rebuilt once after each commit. A goal whose shape has a
-    /// plan therefore does no work proportional to the program or the
-    /// base, beyond what its demand reaches.
+    /// The goal is prepared once per goal [`Shape`], as reader goals
+    /// are, and every later goal of that shape only binds its constants
+    /// into the prepared plan; the base facts are read through a shared
+    /// snapshot rebuilt once after each commit. A goal whose shape is
+    /// prepared therefore does no τ translation and no work proportional
+    /// to the program or the base, beyond what its demand reaches.
     pub fn solve_demand(&self, goal: &Goal) -> Result<Vec<Answer>> {
         Ok(self.solve_demand_with_stats(goal)?.0)
     }
@@ -580,58 +587,45 @@ impl ReducedEngine {
     /// records whether the magic rewrite applied and how much it
     /// materialized.
     pub fn solve_demand_with_stats(&self, goal: &Goal) -> Result<(Vec<Answer>, dl::EvalStats)> {
-        self.modes.check_goal(goal)?;
+        self.solver.modes.check_goal(goal)?;
         self.user()?;
         let shape = Shape::of(goal);
-        let (mut body, ..) = self.solver.canonical(goal, &shape)?;
-        self.by_mode(&mut body);
-        let (key, params) = dl::magic::prepared_key(&body);
-        let (plan, rules, edb, pruned_rules) = self.demand_plan(key, &body)?;
+        let (prepared, edb) = self.demand_goal(goal, &shape)?;
         // Guard trips convert through `From<DatalogError>`, surfacing the
         // same typed errors as a full materialization would.
-        let (answers, mut stats) = match &plan {
+        let (answers, mut stats) = match &prepared.plan {
             Some(plan) => self
                 .guarded(dl::Engine::for_prepared(plan))
-                .run_prepared(edb, &params)?,
-            // No magic rewrite for this shape: evaluate the goal's cone
-            // of the (pruned) rules over the base snapshot.
-            None => self
-                .guarded(dl::Engine::new(&rules)?)
-                .run_cone(edb, &body)?,
+                .run_prepared(edb, &bind(&prepared.params, &shape))?,
+            None => {
+                let mut body = prepared.body.clone();
+                fill(&mut body, &shape);
+                self.guarded(dl::Engine::new(&prepared.rules)?)
+                    .run_cone(edb, &body)?
+            }
         };
         if let Some(d) = stats.demand.as_mut() {
-            d.pruned_rules = pruned_rules;
+            d.pruned_rules = prepared.pruned;
         }
-        // Bindings iterate in variable-name order.
-        let mut names: Vec<&String> = answers.variables.iter().collect();
-        names.sort_unstable();
-        let columns = columns(shape.vars.len(), &names);
         let rows = answers
             .answers
             .iter()
             .map(|b| b.values().copied().collect::<Vec<_>>());
-        Ok((project(&shape.vars, &columns, rows), stats))
+        Ok((project(&shape.vars, &prepared.columns, rows), stats))
+    }
+
+    /// How many magic plans this engine's demand goals prepared, how many
+    /// goals a prepared shape answered, and how many shapes it holds.
+    /// Shapes that differ only in a belief mode share one plan, so
+    /// `compiled` can stay below the shapes prepared.
+    pub fn demand_prepared_stats(&self) -> PreparedStats {
+        let cache = self.demand.lock().unwrap_or_else(PoisonError::into_inner);
+        cache.goals.stats()
     }
 
     /// Parse and solve a textual MultiLog goal demand-driven.
     pub fn solve_text_demand(&self, goal: &str) -> Result<Vec<Answer>> {
         self.solve_demand(&crate::parser::parse_goal(goal)?)
-    }
-
-    /// A demand goal's canonical `body` reading each built-in mode's
-    /// relation through [`mode_entry`]'s `bel_mode`, with the mode as its
-    /// last column.
-    fn by_mode(&self, body: &mut [dl::Literal]) {
-        let reads = |m: &Mode| self.cone.relation(dl::SymId::intern(mode_relation(*m)));
-        for literal in body {
-            let dl::Literal::Pos(a) = literal else {
-                continue;
-            };
-            if let Some(mode) = Mode::ALL.iter().find(|m| reads(m) == a.predicate) {
-                a.predicate = dl::SymId::intern(BEL_MODE);
-                a.terms.push(dl::Term::sym(mode.name()));
-            }
-        }
     }
 
     /// `engine` under this engine's guards.
@@ -646,65 +640,97 @@ impl ReducedEngine {
         engine
     }
 
-    /// The cached plan for `body`'s `shape` (its `prepared_key`),
-    /// prepared on first use, the flow-pruned rules it was prepared from,
-    /// a clone of the base snapshot to run it over, and how many clauses
-    /// flow pruning dropped from the rules.
-    fn demand_plan(&self, shape: String, body: &[dl::Literal]) -> Result<DemandPlan> {
+    /// The prepared goal of `goal`'s `shape`, prepared on its first goal,
+    /// and a clone of the base snapshot to run it over. A shape's first
+    /// goal translates τ, reads each built-in mode through `bel_mode`
+    /// ([`GoalTranslator::canonical`]), and prepares a magic plan from the
+    /// body with its placeholders (the plan takes every constant as a
+    /// parameter), unless a cached shape's τ body has the same
+    /// `prepared_key` and a plan to share.
+    fn demand_goal(
+        &self,
+        goal: &Goal,
+        shape: &Shape<'_>,
+    ) -> Result<(Arc<DemandGoal>, dl::Database)> {
         let mut cache = self.demand.lock().unwrap_or_else(PoisonError::into_inner);
         let cache = &mut *cache;
         let tainted = self.prune.as_ref().is_some_and(|p| p.tainted);
         if cache.tainted != tainted {
             cache.tainted = tainted;
             cache.rules = None;
-            cache.plans.clear();
+            cache.goals.shapes.clear();
         }
-        let (rules, pruned) = match &cache.rules {
-            Some(rules) => rules.clone(),
-            None => {
-                let mut rules = self.incremental.rules().clone();
-                for entry in mode_entry(&self.cone) {
-                    rules.push(entry).map_err(MultiLogError::Datalog)?;
-                }
-                let (rules, pruned) = self.pruned_program(rules);
-                cache.rules.insert((Arc::new(rules), pruned)).clone()
-            }
-        };
         let snapshot = cache.snapshot.get_or_insert_with(|| {
             let mut db = self.incremental.base_database();
             db.seal_indexes(&cache.sealed);
             db
         });
-        if cache.plans.len() == MAX_PREPARED && !cache.plans.contains_key(&shape) {
-            cache.plans.clear();
-            cache.sealed.clear();
+        if let Some(prepared) = cache.goals.hit(&shape.key) {
+            return Ok((Arc::clone(prepared), snapshot.clone()));
         }
-        let plan = cache.plans.entry(shape).or_insert_with(|| {
-            // Every relation a commit can write holds base facts, so a
-            // plan prepared before its first fact still reads it.
-            let mut base: HashSet<dl::SymId> =
-                snapshot.predicates().map(dl::SymId::intern).collect();
-            base.extend(update_targets(&self.lattice, self.level_split));
-            let plan = dl::magic::prepare(&rules, &base, body, snapshot)?;
-            snapshot.seal_indexes(plan.index_needs());
-            cache.sealed.extend_from_slice(plan.index_needs());
-            Some(Arc::new(plan))
+        let (rules, pruned) = match &cache.rules {
+            Some(rules) => rules.clone(),
+            None => {
+                let (rules, pruned) = self.demand_rules()?;
+                cache.rules.insert((Arc::new(rules), pruned)).clone()
+            }
+        };
+        let (body, params, serves_shape) = self.solver.canonical(goal, shape, true);
+        let (key, _) = dl::magic::prepared_key(&body);
+        let mut shared = cache.goals.shapes.values().filter(|g| g.key == key);
+        let plan = match shared.find_map(|g| g.plan.as_ref()) {
+            Some(plan) => Some(Arc::clone(plan)),
+            None => {
+                cache.goals.stats.compiled += 1;
+                // Every relation a commit can write holds base facts, so a
+                // plan prepared before its first fact still reads it.
+                let mut base: HashSet<dl::SymId> =
+                    snapshot.predicates().map(dl::SymId::intern).collect();
+                base.extend(update_targets(&self.lattice, self.level_split));
+                let plan = dl::magic::prepare(&rules, &base, &body, snapshot);
+                if let Some(needs) = plan.as_ref().map(dl::PreparedMagic::index_needs) {
+                    snapshot.seal_indexes(needs);
+                    cache.sealed.retain(|n| !needs.contains(n));
+                    cache.sealed.extend_from_slice(needs);
+                }
+                plan.map(Arc::new)
+            }
+        };
+        // Answers bind the body's variables, each once, in name order.
+        let atoms = body.iter().filter_map(dl::Literal::atom);
+        let mut names: Vec<&str> = atoms.flat_map(|a| a.variables()).collect();
+        names.sort_unstable();
+        names.dedup();
+        let prepared = Arc::new(DemandGoal {
+            key,
+            plan,
+            rules,
+            columns: columns(shape.vars.len(), &names),
+            body,
+            params,
+            pruned,
         });
-        Ok((plan.clone(), rules, snapshot.clone(), pruned))
+        if serves_shape {
+            cache.goals.insert(shape.key.clone(), Arc::clone(&prepared));
+        }
+        Ok((prepared, snapshot.clone()))
     }
 
-    /// Drop everything the flow analysis proves invisible at this
-    /// engine's clearance from `program`: the per-level cautious
-    /// machinery above the clearance, then every Σ/Π rule whose τ image
-    /// matches a prunable source clause. Returns the (possibly) smaller
-    /// program and how many clauses were dropped. A no-op (0 dropped)
-    /// unless [`EngineOptions::flow_prune`] was set.
-    fn pruned_program(&self, program: dl::Program) -> (dl::Program, usize) {
+    /// The rules demand goals run: the reduced program's rules and
+    /// [`mode_entry`], less everything the flow analysis proves invisible
+    /// at this engine's clearance: the per-level cautious machinery above
+    /// the clearance, then every Σ/Π rule whose τ image matches a
+    /// prunable source clause. Also returns how many clauses pruning
+    /// dropped: none unless [`EngineOptions::flow_prune`] was set.
+    fn demand_rules(&self) -> Result<(dl::Program, usize)> {
+        let mut out = self.incremental.rules().clone();
+        for entry in mode_entry(&self.cone) {
+            out.push(entry).map_err(MultiLogError::Datalog)?;
+        }
         let (Some(p), Ok(user)) = (self.prune.as_ref(), self.user()) else {
-            return (program, 0);
+            return Ok((out, 0));
         };
-        let before = program.clauses().len();
-        let mut out = program;
+        let before = out.clauses().len();
         if !p.machinery.is_empty() {
             out = out.without_predicates(&p.machinery);
         }
@@ -718,7 +744,7 @@ impl ReducedEngine {
             out = out.without_clauses(&excluded);
         }
         let dropped = before - out.clauses().len();
-        (out, dropped)
+        Ok((out, dropped))
     }
 
     /// The flow analysis backing demand pruning, when
@@ -757,7 +783,7 @@ impl ReducedEngine {
                 },
                 cancel: self.cancel.clone(),
             },
-            ..GoalTranslator::new(user, self.modes.clone(), Arc::clone(&self.cone))
+            ..GoalTranslator::new(user, self.solver.modes.clone(), Arc::clone(&self.cone))
         })
     }
 
@@ -785,9 +811,9 @@ impl ReducedEngine {
 /// abstracted and its variables renamed in order of first occurrence —
 /// and rebinds its constants per goal, so a goal of a known shape does
 /// no τ translation, no plan compile and no scratch allocation, and its
-/// rows become [`Answer`]s directly. The cache holds a fixed number of
-/// shapes and clears when full; goals on one translator run one at a
-/// time. A clone starts with an empty cache.
+/// rows become [`Answer`]s directly. The cache is a [`PreparedCache`],
+/// as demand goals' is; goals on one translator run one at a time. A
+/// clone starts with an empty cache.
 pub struct GoalTranslator {
     user: String,
     /// The database's belief modes; goals in any other are refused.
@@ -795,28 +821,69 @@ pub struct GoalTranslator {
     guards: dl::QueryGuards,
     /// The predicates goals read the clearance's slice of.
     cone: Arc<Cone>,
-    prepared: Mutex<PreparedCache>,
+    prepared: Mutex<PreparedCache<PreparedGoal>>,
 }
 
-/// The most goal shapes one [`GoalTranslator`] keeps prepared.
+/// The most goal shapes one [`PreparedCache`] keeps prepared.
 pub(crate) const MAX_PREPARED: usize = 64;
 
-/// Prepared-query counters of one goal translator: a reader session's
-/// ([`crate::ReaderSession::prepared_stats`]).
+/// Counters of one [`PreparedCache`]: a reader session's
+/// ([`crate::ReaderSession::prepared_stats`]) or a reduced engine's
+/// demand goals ([`ReducedEngine::demand_prepared_stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PreparedStats {
-    /// Plans compiled: one per goal shape the cache did not hold.
+    /// Plans compiled: a reader compiles one query per goal shape the
+    /// cache did not hold; demand goals prepare one magic plan per τ body
+    /// shape (a shape without one counts its attempt), which shapes that
+    /// differ only in their belief mode share.
     pub compiled: u64,
-    /// Goals answered by a cached plan.
+    /// Goals answered by a cached shape.
     pub hits: u64,
     /// Shapes cached now.
     pub cached: usize,
 }
 
-#[derive(Default)]
-struct PreparedCache {
-    shapes: HashMap<String, PreparedGoal>,
+/// Prepared goals by [`Shape`] key, for reader goals ([`GoalTranslator`])
+/// and demand goals ([`ReducedEngine::solve_demand`]) alike: up to
+/// [`MAX_PREPARED`] shapes, all dropped when a new one finds the cache
+/// full.
+struct PreparedCache<T> {
+    shapes: HashMap<String, T>,
     stats: PreparedStats,
+}
+
+impl<T> Default for PreparedCache<T> {
+    fn default() -> Self {
+        PreparedCache {
+            shapes: HashMap::new(),
+            stats: PreparedStats::default(),
+        }
+    }
+}
+
+impl<T> PreparedCache<T> {
+    /// The goal prepared for shape `key`, counted as a hit.
+    fn hit(&mut self, key: &str) -> Option<&mut T> {
+        let prepared = self.shapes.get_mut(key)?;
+        self.stats.hits += 1;
+        Some(prepared)
+    }
+
+    /// Cache `prepared` for shape `key`, dropping every shape first when
+    /// the cache is full.
+    fn insert(&mut self, key: String, prepared: T) -> &mut T {
+        if self.shapes.len() == MAX_PREPARED {
+            self.shapes.clear();
+        }
+        self.shapes.entry(key).or_insert(prepared)
+    }
+
+    fn stats(&self) -> PreparedStats {
+        PreparedStats {
+            cached: self.shapes.len(),
+            ..self.stats
+        }
+    }
 }
 
 /// One goal shape, prepared: the query compiled from the τ body of the
@@ -879,10 +946,7 @@ impl GoalTranslator {
     /// How many plans this translator compiled and reused.
     pub fn prepared_stats(&self) -> PreparedStats {
         let cache = self.prepared.lock().unwrap_or_else(PoisonError::into_inner);
-        PreparedStats {
-            cached: cache.shapes.len(),
-            ..cache.stats
-        }
+        cache.stats()
     }
 
     /// Solve a MultiLog goal against `db` (a materialized reduction at
@@ -892,18 +956,15 @@ impl GoalTranslator {
         self.modes.check_goal(goal)?;
         let shape = Shape::of(goal);
         let mut cache = self.prepared.lock().unwrap_or_else(PoisonError::into_inner);
-        let cache = &mut *cache;
         let mut uncached;
         let called;
         let mut db = db;
-        let prepared = match cache.shapes.get_mut(&shape.key) {
-            Some(prepared) => {
-                cache.stats.hits += 1;
-                prepared
-            }
+        let prepared = match cache.hit(&shape.key) {
+            Some(prepared) => prepared,
             None => {
                 cache.stats.compiled += 1;
-                let (body, params, serves_shape) = self.canonical(goal, &shape)?;
+                let (mut body, params, serves_shape) = self.canonical(goal, &shape, false);
+                fill(&mut body, &shape);
                 // An algorithm call no rule makes runs for this goal.
                 called = dl::with_goal_calls(db, &body, &self.guards)?;
                 db = called.as_ref().unwrap_or(db);
@@ -918,24 +979,13 @@ impl GoalTranslator {
                     uncached = prepared;
                     &mut uncached
                 } else {
-                    if cache.shapes.len() == MAX_PREPARED {
-                        cache.shapes.clear();
-                    }
-                    cache.shapes.entry(shape.key.clone()).or_insert(prepared)
+                    cache.insert(shape.key.clone(), prepared)
                 }
             }
         };
-        let params: Vec<dl::Const> = prepared
-            .params
-            .iter()
-            .map(|p| match *p {
-                Param::Goal(n) => shape.consts[n],
-                Param::Fixed(c) => c,
-            })
-            .collect();
         let rows = prepared
             .query
-            .run(db, &params, &self.guards)
+            .run(db, &bind(&prepared.params, &shape), &self.guards)
             .map_err(MultiLogError::Datalog)?;
         Ok(project(&shape.vars, &prepared.columns, rows))
     }
@@ -947,28 +997,32 @@ impl GoalTranslator {
 
     /// τ(λ(goal, u)) in the form every goal of its [`Shape`] shares: the
     /// τ body of the goal's [`generalize`]ation, whose `i`-th variable is
-    /// `V{i}`, with each placeholder `?n` filled back with the goal's
-    /// `n`-th constant. Goals read each mode's relation with the level as
-    /// a column, whatever the rule encoding ([`belief_atom`]), guarded by
-    /// the clearance. Also returns where each constant of the body, in
+    /// `V{i}` and whose placeholder `?n` stands for the goal's `n`-th
+    /// constant ([`fill`] puts the constants in). Goals read each mode's
+    /// relation with the level as a column, whatever the rule encoding
+    /// ([`belief_atom`]), guarded by the clearance; `by_mode` reads each
+    /// built-in mode's relation through [`mode_entry`]'s `bel_mode`
+    /// instead, with the mode as its last column, as demand goals do.
+    ///
+    /// Also returns where each constant of the body, in
     /// [`dl::PreparedQuery::params_of`] order, comes from: the goal's
-    /// `n`-th constant at a placeholder, a constant τ fixes elsewhere (the
-    /// clearance, a user mode); and whether the body serves the whole
-    /// shape. It does not when τ folds a goal constant into a predicate —
-    /// an algorithm call's input — and then serves this goal only.
+    /// `n`-th constant at a placeholder, or a constant τ fixes whatever
+    /// the goal's constants (the clearance, a belief mode); and whether
+    /// the body serves the whole shape. It does not when τ folds a goal
+    /// constant into a predicate — an algorithm call's input — and then
+    /// serves this goal only.
     fn canonical(
         &self,
         goal: &Goal,
         shape: &Shape<'_>,
-    ) -> Result<(Vec<dl::Literal>, Vec<Param>, bool)> {
-        let placeholder = |s: &str| s.strip_prefix('?')?.parse::<usize>().ok();
-        let guard = dl::Term::sym(&self.user);
+        by_mode: bool,
+    ) -> (Vec<dl::Literal>, Vec<Param>, bool) {
+        let user = dl::Term::sym(&self.user);
         let mut body = Vec::new();
-        for atom in &generalize(goal) {
-            translate_atom(atom, &|_| Some(guard.clone()), false, &mut body);
+        for atom in &generalize(goal, shape) {
+            translate_atom(atom, &|_| Some(user.clone()), false, &mut body);
         }
         let mut serves = true;
-        let user = dl::Term::sym(&self.user);
         for literal in &mut body {
             let (dl::Literal::Pos(a) | dl::Literal::Neg(a)) = literal else {
                 continue;
@@ -984,27 +1038,54 @@ impl GoalTranslator {
                 }
             }
             self.cone.slice(a, &user);
+            let reads = |m: &&Mode| a.predicate == self.cone.relation(mode_relation(**m).into());
+            if let Some(mode) = Mode::ALL.iter().find(reads).filter(|_| by_mode) {
+                a.predicate = dl::SymId::intern(BEL_MODE);
+                a.terms.push(dl::Term::sym(mode.name()));
+            }
         }
         let params = dl::PreparedQuery::params_of(&body).map(|c| match c {
             dl::Const::Sym(s) => placeholder(s.as_str()).map_or(Param::Fixed(c), Param::Goal),
             dl::Const::Int(_) => Param::Fixed(c),
         });
         let params = params.collect();
-        for literal in &mut body {
-            if let dl::Literal::Pos(a) | dl::Literal::Neg(a) = literal {
-                for t in &mut a.terms {
-                    let filled = match t {
-                        dl::Term::Const(dl::Const::Sym(s)) => placeholder(s.as_str()),
-                        _ => None,
-                    };
-                    if let Some(n) = filled {
-                        *t = dl::Term::Const(shape.consts[n]);
-                    }
-                }
+        (body, params, serves)
+    }
+}
+
+/// The `n` of a [`generalize`] placeholder `?n`.
+fn placeholder(s: &str) -> Option<usize> {
+    s.strip_prefix('?')?.parse().ok()
+}
+
+/// Fill each placeholder `?n` of a [`GoalTranslator::canonical`] `body`
+/// with `shape`'s `n`-th constant.
+fn fill(body: &mut [dl::Literal], shape: &Shape<'_>) {
+    for literal in body {
+        let (dl::Literal::Pos(a) | dl::Literal::Neg(a)) = literal else {
+            continue;
+        };
+        for t in &mut a.terms {
+            if let Some(n) = t
+                .as_const()
+                .and_then(dl::Const::as_sym)
+                .and_then(placeholder)
+            {
+                *t = dl::Term::Const(shape.consts[n]);
             }
         }
-        Ok((body, params, serves))
     }
+}
+
+/// The constants of `shape`'s goal for a prepared goal's `params`.
+fn bind(params: &[Param], shape: &Shape<'_>) -> Vec<dl::Const> {
+    params
+        .iter()
+        .map(|p| match *p {
+            Param::Goal(n) => shape.consts[n],
+            Param::Fixed(c) => c,
+        })
+        .collect()
 }
 
 /// A goal's shape: the goal with its constants abstracted and its
@@ -1016,6 +1097,7 @@ impl GoalTranslator {
 /// query answers every goal of a shape. `key` renders the shape;
 /// `consts` and `vars` list the goal's constants and variables in shape
 /// order.
+#[derive(Default)]
 struct Shape<'g> {
     key: String,
     consts: Vec<dl::Const>,
@@ -1024,39 +1106,24 @@ struct Shape<'g> {
 
 impl<'g> Shape<'g> {
     fn of(goal: &'g Goal) -> Self {
-        let mut shape = Shape {
-            key: String::new(),
-            consts: Vec::new(),
-            vars: Vec::new(),
-        };
+        let mut shape = Shape::default();
         for atom in goal {
+            let (tag, name) = match atom {
+                Atom::M(_) => ('M', ""),
+                Atom::B(_, mode) => ('B', &**mode),
+                Atom::P(p) => ('P', &*p.pred),
+                Atom::L(_) => ('L', ""),
+                Atom::H(..) => ('H', ""),
+                Atom::Leq(..) => ('Q', ""),
+            };
+            shape.key.push(tag);
+            shape.key.push_str(name);
+            shape.key.push('(');
             match atom {
-                Atom::M(m) => {
-                    shape.key.push('M');
-                    shape.matom(m);
-                }
-                Atom::B(m, mode) => {
-                    shape.key.push('B');
-                    shape.key.push_str(mode);
-                    shape.key.push('(');
-                    shape.matom(m);
-                }
-                Atom::P(p) => {
-                    shape.key.push('P');
-                    shape.key.push_str(&p.pred);
-                    shape.key.push('(');
-                    p.args.iter().for_each(|t| shape.term(t));
-                }
-                Atom::L(t) => {
-                    shape.key.push('L');
-                    shape.term(t);
-                }
+                Atom::M(m) | Atom::B(m, _) => shape.matom(m),
+                Atom::P(p) => p.args.iter().for_each(|t| shape.term(t)),
+                Atom::L(t) => shape.term(t),
                 Atom::H(l, h) | Atom::Leq(l, h) => {
-                    shape.key.push(if matches!(atom, Atom::H(..)) {
-                        'H'
-                    } else {
-                        'Q'
-                    });
                     shape.term(l);
                     shape.term(h);
                 }
@@ -1082,89 +1149,54 @@ impl<'g> Shape<'g> {
     }
 
     fn term(&mut self, t: &'g Term) {
-        match t {
-            Term::Var(v) => {
-                let i = match self.vars.iter().position(|x| x == &v) {
-                    Some(i) => i,
-                    None => {
-                        self.vars.push(v);
-                        self.vars.len() - 1
-                    }
-                };
-                let _ = write!(self.key, "{i},");
-            }
-            _ => {
-                if let dl::Term::Const(c) = term(t) {
-                    self.key.push('?');
-                    self.consts.push(c);
-                }
-            }
-        }
+        let Term::Var(v) = t else {
+            self.key.push('?');
+            self.consts.extend(term(t).as_const());
+            return;
+        };
+        let i = self.vars.iter().position(|x| x == &v).unwrap_or_else(|| {
+            self.vars.push(v);
+            self.vars.len() - 1
+        });
+        let _ = write!(self.key, "{i},");
     }
 }
 
 /// `goal` with its `n`-th [`Shape`] constant replaced by the placeholder
-/// symbol `?n` and its `i`-th variable renamed `V{i}`, numbered in shape
-/// order.
-fn generalize(goal: &Goal) -> Goal {
-    #[derive(Default)]
-    struct General {
-        consts: usize,
-        vars: Vec<Arc<str>>,
-    }
-    impl General {
-        fn name(&mut self) -> Arc<str> {
-            self.consts += 1;
-            shared_name(&format!("?{}", self.consts - 1))
-        }
-        fn term(&mut self, t: &Term) -> Term {
-            let Term::Var(v) = t else {
-                return Term::Sym(self.name());
-            };
-            let i = self.vars.iter().position(|x| x == v).unwrap_or_else(|| {
-                self.vars.push(Arc::clone(v));
-                self.vars.len() - 1
-            });
-            Term::var(format!("V{i}"))
-        }
-        /// Field by field in [`Shape::matom`]'s order.
-        fn matom(&mut self, m: &MAtom) -> MAtom {
-            let level = self.term(&m.level);
-            let pred = self.name();
-            let key = self.term(&m.key);
-            let attr = self.name();
-            let class = self.term(&m.class);
-            let value = self.term(&m.value);
-            MAtom {
-                level,
-                pred,
-                key,
-                attr,
-                class,
-                value,
+/// symbol `?n` and its `i`-th variable renamed `V{i}`, numbered in
+/// `shape`'s order ([`Shape::matom`] lists an m-atom's positions).
+fn generalize(goal: &Goal, shape: &Shape<'_>) -> Goal {
+    let consts = std::cell::Cell::new(0);
+    let name = || shared_name(&format!("?{}", consts.replace(consts.get() + 1)));
+    let term = |t: &mut Term| {
+        *t = match t {
+            Term::Var(v) => {
+                let i = shape.vars.iter().position(|x| *x == v).unwrap_or_default();
+                Term::var(format!("V{i}"))
+            }
+            _ => Term::Sym(name()),
+        };
+    };
+    let mut goal = goal.clone();
+    for atom in &mut goal {
+        match atom {
+            Atom::M(m) | Atom::B(m, _) => {
+                term(&mut m.level);
+                m.pred = name();
+                term(&mut m.key);
+                m.attr = name();
+                term(&mut m.class);
+                term(&mut m.value);
+            }
+            Atom::P(p) => p.args.iter_mut().for_each(term),
+            Atom::L(t) => term(t),
+            Atom::H(l, h) | Atom::Leq(l, h) => {
+                term(l);
+                term(h);
             }
         }
     }
-    let mut g = General::default();
-    goal.iter()
-        .map(|atom| match atom {
-            Atom::M(m) => Atom::M(g.matom(m)),
-            Atom::B(m, mode) => Atom::B(g.matom(m), Arc::clone(mode)),
-            Atom::P(p) => Atom::P(PAtom {
-                pred: Arc::clone(&p.pred),
-                args: p.args.iter().map(|t| g.term(t)).collect(),
-            }),
-            Atom::L(t) => Atom::L(g.term(t)),
-            Atom::H(l, h) => {
-                let l = g.term(l);
-                Atom::H(l, g.term(h))
-            }
-            Atom::Leq(l, h) => {
-                let l = g.term(l);
-                Atom::Leq(l, g.term(h))
-            }
-        })
-        .collect()
+    goal
 }
 
 /// The row column of each of a goal's `vars` [`Shape`] variables, in a
@@ -1590,10 +1622,10 @@ const BEL_MODE: &str = "bel_mode";
 
 /// `bel_mode(X0, …, Xn, m) :- R(X0, …, Xn)` for each built-in mode `m`,
 /// where `R` is the relation a goal in `m` reads, or the cone's slice of
-/// it. Only demand goals read it ([`ReducedEngine::by_mode`]): magic sets
-/// make the mode constant a parameter, so goals that differ only in mode
-/// share one prepared plan, while each run seeds its own mode's relation
-/// alone. Nothing materializes it.
+/// it. Only demand goals read it ([`GoalTranslator::canonical`]): magic sets
+/// make the mode constant a parameter, so goal shapes that differ only in
+/// mode share one magic plan, while each run seeds its own mode's
+/// relation alone. Nothing materializes it.
 fn mode_entry(cone: &Cone) -> impl Iterator<Item = dl::Clause> + '_ {
     Mode::ALL.into_iter().map(|mode| {
         let read = dl::SymId::intern(mode_relation(mode));
@@ -2260,7 +2292,7 @@ pub(crate) mod tests {
         for text in goals {
             let goal = crate::parser::parse_goal(text).unwrap();
             let shape = Shape::of(&goal);
-            let general = generalize(&goal);
+            let general = generalize(&goal, &shape);
             let general_shape = Shape::of(&general);
             assert_eq!(general_shape.key, shape.key, "{text}");
             let placeholders: Vec<dl::Const> = (0..shape.consts.len())
@@ -2671,23 +2703,27 @@ pub(crate) mod tests {
     fn demand_plan_cache_stays_bounded_under_fresh_goals() {
         let db = parse_database(FRESH_GOALS_DB).unwrap();
         let red = ReducedEngine::new(&db, "c").unwrap();
-        let plans = || red.demand.lock().unwrap().plans.len();
         let mut answered = 0;
         for i in 0..10_000 {
             let goal = fresh_goal(i);
             let answers = red.solve_text_demand(&goal).unwrap();
             assert_eq!(answers, red.solve_text(&goal).unwrap(), "`{goal}`");
             answered += usize::from(!answers.is_empty());
-            assert!(plans() <= MAX_PREPARED, "{} plans", plans());
+            let stats = red.demand_prepared_stats();
+            assert!(stats.cached <= MAX_PREPARED, "{stats:?}");
         }
         assert!(answered >= 1_000, "only {answered} goals have answers");
-        // Renaming variables alone reuses the plan.
+        // Renaming variables alone reuses the prepared goal.
         let goal = "c[p(K : a -C-> V)] << opt, u[p(K : a -u-> W)]";
         let renamed = "c[p(Key : a -Class-> Val)] << opt, u[p(Key : a -u-> Other)]";
         let want = red.solve_text_demand(goal).unwrap();
-        let cached = plans();
+        let before = red.demand_prepared_stats();
         let got = red.solve_text_demand(renamed).unwrap();
-        assert_eq!(plans(), cached);
+        let after = red.demand_prepared_stats();
+        assert_eq!(
+            (after.compiled, after.hits, after.cached),
+            (before.compiled, before.hits + 1, before.cached)
+        );
         assert!(!want.is_empty());
         let values = |answers: &[Answer], vars: [&str; 4]| -> Vec<Vec<String>> {
             let mut out: Vec<Vec<String>> = answers
@@ -2701,6 +2737,79 @@ pub(crate) mod tests {
             values(&got, ["Key", "Class", "Val", "Other"]),
             values(&want, ["K", "C", "V", "W"])
         );
+    }
+
+    #[test]
+    fn demand_goals_of_every_mode_share_one_magic_plan() {
+        let db = parse_database(
+            "level(u). level(c). level(s). order(u, c). order(c, s).
+             u[p(k : a -u-> v)]. c[p(k : a -c-> w)].
+             u[p(k2 : a -u-> x)]. s[p(k2 : a -u-> y)].",
+        )
+        .unwrap();
+        let red = ReducedEngine::with_options_deferred(&db, "s", EngineOptions::default()).unwrap();
+        let fresh = ReducedEngine::new(&db, "s").unwrap();
+        // The first goal of each mode prepares its shape; the second, with
+        // another key, runs it. Each mode answers for itself: `cau` keeps
+        // `w` alone, `fir` reads only level s's own cell.
+        for key in ["k", "k2"] {
+            for mode in ["opt", "cau", "fir"] {
+                let goal = format!("s[p({key} : a -C-> V)] << {mode}");
+                let want = fresh.solve_text(&goal).unwrap();
+                assert_eq!(red.solve_text_demand(&goal).unwrap(), want, "`{goal}`");
+            }
+        }
+        let stats = red.demand_prepared_stats();
+        assert_eq!((stats.compiled, stats.hits, stats.cached), (1, 3, 3));
+        let answers = |goal: &str| red.solve_text_demand(goal).unwrap().len();
+        assert_eq!(answers("s[p(k : a -C-> V)] << opt"), 2);
+        assert_eq!(answers("s[p(k : a -C-> V)] << cau"), 1);
+        assert_eq!(answers("s[p(k : a -C-> V)] << fir"), 0);
+    }
+
+    #[test]
+    fn demand_algorithm_inputs_are_not_served_from_the_cache() {
+        // τ folds the call's input into the predicate, so each input's
+        // goal prepares for itself and is not cached.
+        let db =
+            parse_database("edge(a, b). edge(b, c). hop(a, x). reach(X, Y) <- @bfs(edge, X, Y).")
+                .unwrap();
+        let red =
+            ReducedEngine::with_options_deferred(&db, "system", EngineOptions::default()).unwrap();
+        let ys = |goal: &str| -> Vec<String> {
+            let answers = red.solve_text_demand(goal).unwrap();
+            answers.iter().map(|a| a["Y"].to_string()).collect()
+        };
+        for _ in 0..2 {
+            assert_eq!(ys("@bfs(edge, a, Y)"), ["b", "c"]);
+            assert_eq!(ys("@bfs(hop, a, Y)"), ["x"]);
+        }
+        assert_eq!(red.demand_prepared_stats().cached, 0);
+    }
+
+    #[test]
+    fn demand_cone_fallback_shapes_answer_from_the_cache() {
+        // `reach`'s cone holds an `@bfs` call, which has no magic rewrite:
+        // the shape runs its cone, with each goal's constants.
+        let db =
+            parse_database("edge(a, b). edge(b, c). edge(x, y). reach(X, Y) <- @bfs(edge, X, Y).")
+                .unwrap();
+        let red =
+            ReducedEngine::with_options_deferred(&db, "system", EngineOptions::default()).unwrap();
+        for (goal, want) in [
+            ("reach(a, Y)", vec!["b", "c"]),
+            ("reach(x, Y)", vec!["y"]),
+            ("reach(b, Y)", vec!["c"]),
+        ] {
+            let (answers, stats) = red
+                .solve_demand_with_stats(&crate::parser::parse_goal(goal).unwrap())
+                .unwrap();
+            let ys: Vec<String> = answers.iter().map(|a| a["Y"].to_string()).collect();
+            assert_eq!(ys, want, "`{goal}`");
+            assert_eq!(stats.demand.unwrap().strategy, "cone", "`{goal}`");
+        }
+        let stats = red.demand_prepared_stats();
+        assert_eq!((stats.compiled, stats.hits, stats.cached), (1, 2, 1));
     }
 
     #[test]

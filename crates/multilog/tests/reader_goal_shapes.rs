@@ -6,7 +6,9 @@
 //! shape exactly as a fresh reduction of base plus committed history —
 //! in the generic encoding and in the level-split one that a `<< cau`
 //! rule switches on. Each shape is asked twice with different constants,
-//! so the second goal runs the plan the first one prepared.
+//! so the second goal runs the plan the first one prepared. Demand goals
+//! (`solve_demand` on a deferred engine) prepare by the same shapes and
+//! must answer the same goals as the fresh reduction too.
 
 // Test code: unwraps are the assertion.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -259,4 +261,63 @@ fn generic_encoding_readers_match_a_fresh_reduction() {
 #[test]
 fn level_split_readers_match_a_fresh_reduction() {
     every_goal_shape_matches_a_fresh_reduction_after_compacting_bel_opt(true);
+}
+
+/// Every reader goal shape, asked as a demand goal of a deferred engine
+/// at every level, with flow pruning off and on: each answers as the
+/// fresh reduction's `solve`, each shape prepares once, and shapes whose
+/// τ bodies differ only in the belief mode (an m-atom goal reads `fir`)
+/// share one magic plan.
+fn every_goal_shape_answers_demand_driven(split: bool) {
+    let cells: BTreeSet<Cell> = (0..BASE + ADDED).map(cell).collect();
+    let db = parse_database(&source(&cells, split)).unwrap();
+    for h in 0..DEPTH {
+        let level = format!("l{h}");
+        let fresh = ReducedEngine::new(&db, &level).unwrap();
+        let goals = goals(h);
+        let shapes: BTreeSet<&str> = goals.iter().map(|(shape, _)| shape.as_str()).collect();
+        let plans: BTreeSet<String> = shapes
+            .iter()
+            .map(|shape| {
+                let words = shape.split(' ');
+                let kept = words.filter(|w| !["bel", "rel", "fir", "opt", "cau"].contains(w));
+                kept.collect::<Vec<_>>().join(" ")
+            })
+            .collect();
+        for flow_prune in [false, true] {
+            let options = EngineOptions {
+                flow_prune,
+                ..EngineOptions::default()
+            };
+            let demand = ReducedEngine::with_options_deferred(&db, &level, options).unwrap();
+            for (_, goal) in &goals {
+                assert_eq!(
+                    norm(&demand.solve_text_demand(goal).unwrap()),
+                    norm(&fresh.solve_text(goal).unwrap()),
+                    "`{goal}` at l{h} (split {split}, flow_prune {flow_prune})"
+                );
+            }
+            let stats = demand.demand_prepared_stats();
+            let want = (
+                plans.len() as u64,
+                (goals.len() - shapes.len()) as u64,
+                shapes.len(),
+            );
+            assert_eq!(
+                (stats.compiled, stats.hits, stats.cached),
+                want,
+                "l{h} (split {split}, flow_prune {flow_prune}): {plans:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn generic_encoding_demand_goals_match_a_fresh_reduction() {
+    every_goal_shape_answers_demand_driven(false);
+}
+
+#[test]
+fn level_split_demand_goals_match_a_fresh_reduction() {
+    every_goal_shape_answers_demand_driven(true);
 }
