@@ -12,6 +12,10 @@
 //!   `reduction_rule_applications` field counts its fixpoint's rule
 //!   applications (`EvalStats::rule_applications`): deterministic, and
 //!   one per rule for every non-recursive component of a stratum.
+//!   `reduction_join_probes` sums the fixpoint's join probes
+//!   (`RuleStats::join_probes`): deterministic, and dominated by the
+//!   cautious-belief self-join `beaten`, which hashes `bel_opt` on its
+//!   whole bound key.
 //! * `update_churn_{incremental,recompute}` — a 20-commit stream of
 //!   single-edge retract/re-insert deltas over `tc_chain`, maintained
 //!   incrementally (DRed) vs. recomputed from scratch per commit; the
@@ -50,8 +54,9 @@
 //!   delta fact's full join key once joins drive from their most
 //!   selective bound column, rather than by the `data` relation's size.
 //!   `reader_plans_compiled` sums the query plans the reader threads'
-//!   sessions compiled: a session prepares one plan per goal shape and
-//!   each reader repeats one goal, so it is at most `readers`;
+//!   sessions compiled: a session prepares one plan per goal shape,
+//!   each reader repeats one goal, and every reader answers it once
+//!   before the writer's first commit, so it equals `readers`;
 //!   `reader_plan_hits` counts the goals a cached plan answered.
 //!   `fixpoint_facts` is the server's fact count after its last commit:
 //!   deterministic, and the size of the one fixpoint every reader reads.
@@ -92,7 +97,7 @@
 //! a slowdown.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
 use multilog_bench::workload::{
@@ -752,11 +757,15 @@ fn run_concurrent_churn(readers: usize, commits: usize) -> ConcurrentChurnResult
     let mut reader_plan_hits = 0u64;
     let mut fixpoint_facts = 0usize;
     let clock = Instant::now();
+    // Every reader answers its goal once before the first commit, so each
+    // compiles its plan whatever the scheduler does.
+    let ready = Barrier::new(readers + 1);
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for r in 0..readers {
             let server = Arc::clone(&server);
             let stop = Arc::clone(&stop);
+            let ready = &ready;
             // Distinct clearance levels: reader r pins level r mod depth.
             let level = levels[r % levels.len()].clone();
             let goal = if level == top {
@@ -768,11 +777,16 @@ fn run_concurrent_churn(readers: usize, commits: usize) -> ConcurrentChurnResult
             handles.push(scope.spawn(move || {
                 let mut session = server.open_reader(&level).expect("reader opens");
                 let mut walls: Vec<(f64, f64)> = Vec::new();
-                while !stop.load(Ordering::Relaxed) {
+                let mut query = |walls: &mut Vec<(f64, f64)>| {
                     let start = clock.elapsed().as_secs_f64() * 1e6;
                     session.refresh();
                     session.query_text(&goal).expect("reader goal evaluates");
                     walls.push((start, clock.elapsed().as_secs_f64() * 1e6));
+                };
+                query(&mut walls);
+                ready.wait();
+                while !stop.load(Ordering::Relaxed) {
+                    query(&mut walls);
                 }
                 (walls, session.prepared_stats())
             }));
@@ -801,6 +815,7 @@ fn run_concurrent_churn(readers: usize, commits: usize) -> ConcurrentChurnResult
             .query_text(&flip_goal)
             .expect("flip goal evaluates");
         let mut seen = covered.clone();
+        ready.wait();
         let writer = server.open_writer().expect("single writer opens");
         let start = Instant::now();
         let mut writer = writer;
@@ -1054,18 +1069,20 @@ fn cautious_plain_under_negation(db: &multilog_core::MultiLogDb) -> usize {
 /// Run the Figure-12 reduction workload `repeat` times (best run), with
 /// its fixpoint's rule applications (deterministic: the same on every
 /// run and thread count).
-fn run_reduction(repeat: usize) -> (WorkloadResult, usize) {
+fn run_reduction(repeat: usize) -> (WorkloadResult, usize, u64) {
     let spec = REDUCTION_SPEC;
     let src = synthetic_multilog(&spec);
     let db = parse_database(&src).expect("synthetic multilog parses");
     let top = format!("l{}", spec.depth - 1);
     let mut best: Option<WorkloadResult> = None;
     let mut applications = 0;
+    let mut probes = 0;
     for _ in 0..repeat {
         let start = Instant::now();
         let red = ReducedEngine::new(&db, &top).expect("reduction succeeds");
         let wall = start.elapsed();
         applications = red.stats().rule_applications;
+        probes = red.stats().per_rule.iter().map(|r| r.join_probes).sum();
         let facts = red.database().fact_count();
         let wall_ms = wall.as_secs_f64() * 1e3;
         let result = WorkloadResult {
@@ -1079,7 +1096,7 @@ fn run_reduction(repeat: usize) -> (WorkloadResult, usize) {
             best = Some(result);
         }
     }
-    (best.expect("repeat >= 1"), applications)
+    (best.expect("repeat >= 1"), applications, probes)
 }
 
 /// Extract `"field": <number>` for the workload named `name` from a
@@ -1196,7 +1213,7 @@ fn main() {
     let tc_chain_xl = run_datalog("tc_chain_xl", &tc_chain_src(3150), 1, |e| e);
     let xl_peak_rss_mb = peak_rss_mb();
     let tc_grid = run_datalog("tc_grid", &tc_grid_src(16), repeat, |e| e);
-    let (reduction, reduction_applications) = run_reduction(repeat);
+    let (reduction, reduction_applications, reduction_probes) = run_reduction(repeat);
     let results = [
         tc_chain,
         tc_chain_guarded,
@@ -1240,7 +1257,7 @@ fn main() {
         "  \"demand_cau_plain_under_negation\": {cau_plain_under_negation},\n"
     ));
     json.push_str(&format!(
-        "  \"reduction_rule_applications\": {reduction_applications},\n"
+        "  \"reduction_rule_applications\": {reduction_applications},\n  \"reduction_join_probes\": {reduction_probes},\n"
     ));
     json.push_str(&format!(
         "  \"social_reach_speedup\": {social_speedup:.2},\n  \"level_dashboard_rows\": {dashboard_rows},\n"

@@ -81,13 +81,42 @@ pub struct AlgoContext<'a> {
     pub(crate) guard: &'a EvalGuard,
 }
 
+/// Where an operator writes its output rows: the relation the engine
+/// stores under the synthetic call predicate, built once. A partitioned
+/// call — one argument more than the operator takes, the last one a
+/// partition column such as a clearance — runs the operator once per
+/// partition value into the same output, each row extended by that
+/// value.
+pub struct AlgoOutput {
+    rel: Relation,
+    /// The value appended to every row of the current partition's run.
+    part: Option<Const>,
+    /// Buffer for a row with its partition value appended.
+    row: Vec<Const>,
+}
+
+impl AlgoOutput {
+    /// Add one output row (the operator's own columns); a duplicate is
+    /// ignored.
+    pub fn push(&mut self, cells: &[Const]) {
+        let Some(part) = self.part else {
+            self.rel.insert_if_new(cells);
+            return;
+        };
+        self.row.clear();
+        self.row.extend_from_slice(cells);
+        self.row.push(part);
+        self.rel.insert_if_new(&self.row);
+    }
+}
+
 /// A native algorithm operator.
 ///
 /// `run` receives the *complete* input relation (the stratifier
-/// guarantees the input's stratum is finished) and returns the full
-/// output relation; the engine inserts the tuples under the synthetic
-/// call predicate. Implementations must tick a `GuardCursor` inside
-/// their loops so guards trip mid-algorithm.
+/// guarantees the input's stratum is finished) and pushes its full
+/// output into an [`AlgoOutput`], which the engine stores under the
+/// synthetic call predicate. Implementations must tick a `GuardCursor`
+/// inside their loops so guards trip mid-algorithm.
 pub trait AlgoImpl: Send + Sync {
     /// The operator's surface name (`bfs` for `@bfs(...)` calls).
     fn name(&self) -> &'static str;
@@ -100,8 +129,8 @@ pub trait AlgoImpl: Send + Sync {
     fn validate(&self, _ctx: &AlgoContext<'_>) -> Result<()> {
         Ok(())
     }
-    /// Compute the operator's full output relation.
-    fn run(&self, ctx: &AlgoContext<'_>) -> Result<Relation>;
+    /// Compute the operator's full output into `out`.
+    fn run(&self, ctx: &AlgoContext<'_>, out: &mut AlgoOutput) -> Result<()>;
 }
 
 /// A name → operator table. [`registry`] holds the process-wide instance
@@ -204,6 +233,11 @@ pub(crate) fn materialize(
         .ok_or_else(|| DatalogError::UnknownAlgo {
             name: name.to_owned(),
         })?;
+    let mut out = AlgoOutput {
+        rel: Relation::new(),
+        part: None,
+        row: Vec::new(),
+    };
     if call_arity == op.arity() + 1 {
         let patterns: Vec<_> = patterns.iter().map(|p| p[..op.arity()].to_vec()).collect();
         // Partitions in storage key order, so the output is deterministic.
@@ -215,15 +249,13 @@ pub(crate) fn materialize(
             let (_, rel) = parts
                 .entry(key_of(part))
                 .or_insert_with(|| (part, Relation::new()));
-            rel.insert(row.to_vec());
+            rel.insert_if_new(row);
         }
-        let mut out = Relation::new();
         for (part, rel) in parts.values() {
-            for fact in materialize(name, Some(rel), op.arity(), &patterns, guard)?.iter() {
-                out.insert([&fact[..], &[*part]].concat());
-            }
+            out.part = Some(*part);
+            run_op(op, Some(rel), &patterns, guard, &mut out)?;
         }
-        return Ok(out);
+        return Ok(out.rel);
     }
     if call_arity != op.arity() {
         return Err(algo_err(
@@ -234,10 +266,23 @@ pub(crate) fn materialize(
             ),
         ));
     }
+    run_op(op, input, patterns, guard, &mut out)?;
+    Ok(out.rel)
+}
+
+/// Check `input`'s arity against `op`, validate the call site and run
+/// the operator into `out`.
+fn run_op(
+    op: &dyn AlgoImpl,
+    input: Option<&Relation>,
+    patterns: &[Vec<Option<Const>>],
+    guard: &EvalGuard,
+    out: &mut AlgoOutput,
+) -> Result<()> {
     if let Some(actual) = input.and_then(Relation::arity) {
         if actual != op.input_arity() {
             return Err(algo_err(
-                name,
+                op.name(),
                 format!(
                     "input relation must have arity {}, got {actual}",
                     op.input_arity()
@@ -251,7 +296,7 @@ pub(crate) fn materialize(
         guard,
     };
     op.validate(&ctx)?;
-    op.run(&ctx)
+    op.run(&ctx, out)
 }
 
 /// A compressed-sparse-row adjacency view of an edge relation, nodes
@@ -365,9 +410,8 @@ impl AlgoImpl for Bfs {
         2
     }
 
-    fn run(&self, ctx: &AlgoContext<'_>) -> Result<Relation> {
+    fn run(&self, ctx: &AlgoContext<'_>, out: &mut AlgoOutput) -> Result<()> {
         let g = build_csr(self.name(), ctx.input, false, ctx.guard)?;
-        let mut out = Relation::new();
         let n = g.len();
         let mut seen = vec![u32::MAX; n];
         let mut queue: Vec<u32> = Vec::new();
@@ -390,7 +434,7 @@ impl AlgoImpl for Bfs {
                 let v = queue[head];
                 head += 1;
                 cursor.emit(ctx.guard)?;
-                out.insert(vec![g.nodes[s as usize], g.nodes[v as usize]]);
+                out.push(&[g.nodes[s as usize], g.nodes[v as usize]]);
                 for i in g.out_edges(v) {
                     let t = g.targets[i];
                     cursor.probe(ctx.guard)?;
@@ -401,8 +445,7 @@ impl AlgoImpl for Bfs {
                 }
             }
         }
-        cursor.flush(ctx.guard)?;
-        Ok(out)
+        cursor.flush(ctx.guard)
     }
 }
 
@@ -423,9 +466,8 @@ impl AlgoImpl for ShortestPath {
         3
     }
 
-    fn run(&self, ctx: &AlgoContext<'_>) -> Result<Relation> {
+    fn run(&self, ctx: &AlgoContext<'_>, out: &mut AlgoOutput) -> Result<()> {
         let g = build_csr(self.name(), ctx.input, true, ctx.guard)?;
-        let mut out = Relation::new();
         let n = g.len();
         let mut dist = vec![0i64; n];
         let mut epoch = vec![u32::MAX; n];
@@ -469,12 +511,11 @@ impl AlgoImpl for ShortestPath {
             for v in 0..n {
                 if epoch[v] == s {
                     cursor.emit(ctx.guard)?;
-                    out.insert(vec![g.nodes[s as usize], g.nodes[v], Const::int(dist[v])]);
+                    out.push(&[g.nodes[s as usize], g.nodes[v], Const::int(dist[v])]);
                 }
             }
         }
-        cursor.flush(ctx.guard)?;
-        Ok(out)
+        cursor.flush(ctx.guard)
     }
 }
 
@@ -497,7 +538,7 @@ impl AlgoImpl for ConnectedComponents {
         2
     }
 
-    fn run(&self, ctx: &AlgoContext<'_>) -> Result<Relation> {
+    fn run(&self, ctx: &AlgoContext<'_>, out: &mut AlgoOutput) -> Result<()> {
         let g = build_csr(self.name(), ctx.input, false, ctx.guard)?;
         let n = g.len();
         let mut parent: Vec<u32> = (0..n as u32).collect();
@@ -525,14 +566,12 @@ impl AlgoImpl for ConnectedComponents {
                 }
             }
         }
-        let mut out = Relation::new();
         for v in 0..n as u32 {
             cursor.emit(ctx.guard)?;
             let r = find(&mut parent, v);
-            out.insert(vec![g.nodes[v as usize], g.nodes[r as usize]]);
+            out.push(&[g.nodes[v as usize], g.nodes[r as usize]]);
         }
-        cursor.flush(ctx.guard)?;
-        Ok(out)
+        cursor.flush(ctx.guard)
     }
 }
 
@@ -553,17 +592,15 @@ impl AlgoImpl for Degree {
         2
     }
 
-    fn run(&self, ctx: &AlgoContext<'_>) -> Result<Relation> {
+    fn run(&self, ctx: &AlgoContext<'_>, out: &mut AlgoOutput) -> Result<()> {
         let g = build_csr(self.name(), ctx.input, false, ctx.guard)?;
-        let mut out = Relation::new();
         let mut cursor = GuardCursor::new();
         for v in 0..g.len() as u32 {
             cursor.emit(ctx.guard)?;
             let deg = g.out_edges(v).len() as i64;
-            out.insert(vec![g.nodes[v as usize], Const::int(deg)]);
+            out.push(&[g.nodes[v as usize], Const::int(deg)]);
         }
-        cursor.flush(ctx.guard)?;
-        Ok(out)
+        cursor.flush(ctx.guard)
     }
 }
 
@@ -607,7 +644,7 @@ impl AlgoImpl for TopK {
         Ok(())
     }
 
-    fn run(&self, ctx: &AlgoContext<'_>) -> Result<Relation> {
+    fn run(&self, ctx: &AlgoContext<'_>, out: &mut AlgoOutput) -> Result<()> {
         let mut ks: Vec<i64> = ctx
             .patterns
             .iter()
@@ -615,8 +652,7 @@ impl AlgoImpl for TopK {
             .collect();
         ks.sort_unstable();
         ks.dedup();
-        let mut out = Relation::new();
-        let Some(rel) = ctx.input else { return Ok(out) };
+        let Some(rel) = ctx.input else { return Ok(()) };
         let mut rows = Vec::new();
         rel.live_rows(&mut rows);
         let mut cursor = GuardCursor::new();
@@ -634,11 +670,10 @@ impl AlgoImpl for TopK {
         for &k in &ks {
             for &(score, item) in scored.iter().take(k as usize) {
                 cursor.emit(ctx.guard)?;
-                out.insert(vec![Const::int(k), item, Const::int(score)]);
+                out.push(&[Const::int(k), item, Const::int(score)]);
             }
         }
-        cursor.flush(ctx.guard)?;
-        Ok(out)
+        cursor.flush(ctx.guard)
     }
 }
 

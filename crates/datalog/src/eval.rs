@@ -758,9 +758,16 @@ impl<'p> Engine<'p> {
                 .join_orders
                 .push(format!("{pred} :- [native @{name} over {input}]"));
             stats.facts_considered += out.len();
-            for fact in out.iter() {
-                if db.insert_id(pred_sym, fact) {
-                    stats.facts_added += 1;
+            // A from-scratch stratum holds no call facts yet: the output
+            // is stored as built.
+            if db.relation_id(pred_sym).is_none_or(Relation::is_empty) {
+                stats.facts_added += out.len();
+                db.install_relation_id(pred_sym, out);
+            } else {
+                for fact in out.iter() {
+                    if db.insert_id(pred_sym, fact) {
+                        stats.facts_added += 1;
+                    }
                 }
             }
             guard.check_db(db.fact_count())?;

@@ -72,7 +72,7 @@ use crate::fx::{FxHashMap, FxHashSet};
 use crate::guard::EvalGuard;
 use crate::plan::{RulePlan, Scratch};
 use crate::program::Program;
-use crate::storage::{Database, Fact, FactBuf, Relation};
+use crate::storage::{key_of, Database, Fact, FactBuf, Relation};
 use crate::term::{Const, SymId, Term};
 use crate::{CancelToken, DatalogError, Result};
 
@@ -133,6 +133,10 @@ pub struct CommitStats {
     /// propagate and recompute phases summed. A deterministic measure of
     /// the commit's join work.
     pub join_probes: u64,
+    /// Merge joins of those plans that defected to the hash join on every
+    /// bound column (see
+    /// [`RuleStats::join_defections`](crate::RuleStats::join_defections)).
+    pub join_defections: u64,
     /// Wall-clock time of the commit, in milliseconds. The phase timings
     /// above cover disjoint parts of it, so they sum to at most this.
     pub wall_ms: f64,
@@ -257,8 +261,15 @@ impl IncrementalEngine {
         }
         // Sorted, so a relation's rows cluster by their leading columns
         // and so do the rows derived from them: a reader seeking one key
-        // touches neighbouring rows.
-        facts.sort_unstable();
+        // touches neighbouring rows. The storage key order (interned ids,
+        // as the sorted runs use) clusters as well as symbol text does
+        // and reads no text.
+        fn keys(f: &Fact) -> impl Iterator<Item = u128> + '_ {
+            f.iter().map(|&c| key_of(c))
+        }
+        facts.sort_unstable_by(|(p, a), (q, b)| {
+            p.index().cmp(&q.index()).then_with(|| keys(a).cmp(keys(b)))
+        });
         let mut base = Database::new();
         for (pred, fact) in facts {
             base.insert_id(pred, fact);
@@ -695,11 +706,8 @@ impl IncrementalEngine {
                 // Aggregates and operators are recomputed with their
                 // stratum, from its base facts; the diff feeds higher
                 // strata like any other change.
-                let phase = Instant::now();
-                stats.join_probes +=
-                    recompute_stratum(&rules_engine(), s, preds, db, base, guard, &mut changes)?;
-                stats.recompute_ms += ms_since(phase);
-                stats.strata_recomputed += 1;
+                let engine = rules_engine();
+                recompute_stratum(&engine, s, preds, db, base, guard, &mut changes, stats)?;
                 continue;
             }
             let mut pos_preds: FxHashSet<SymId> = FxHashSet::default();
@@ -717,6 +725,7 @@ impl IncrementalEngine {
                 rules,
                 idxs: rule_idxs,
                 probes: &mut stats.join_probes,
+                defections: &mut stats.join_defections,
             };
 
             // Phase A: deletion overestimate, evaluated against the lower
@@ -806,11 +815,8 @@ impl IncrementalEngine {
             }
             stats.overestimate_ms += ms_since(phase);
             if fell_back {
-                let phase = Instant::now();
-                stats.join_probes +=
-                    recompute_stratum(&rules_engine(), s, preds, db, base, guard, &mut changes)?;
-                stats.recompute_ms += ms_since(phase);
-                stats.strata_recomputed += 1;
+                let engine = rules_engine();
+                recompute_stratum(&engine, s, preds, db, base, guard, &mut changes, stats)?;
                 continue;
             }
 
@@ -1102,6 +1108,8 @@ struct StratumRules<'a> {
     idxs: &'a [usize],
     /// Where the plans' join probes are summed.
     probes: &'a mut u64,
+    /// Where the plans' merge-join defections are summed.
+    defections: &'a mut u64,
 }
 
 impl StratumRules<'_> {
@@ -1129,6 +1137,7 @@ impl StratumRules<'_> {
         let mut out = FactBuf::default();
         let result = plan.eval(db, batch, scratch, &mut out, guard);
         *self.probes += scratch.take_probes();
+        *self.defections += scratch.take_defections();
         result?;
         Ok((plan.head_pred, out))
     }
@@ -1168,8 +1177,10 @@ impl StratumRules<'_> {
 /// base facts, run the batch engine's stratum step
 /// ([`Engine::eval_stratum`]: operators, aggregate folds, then the
 /// semi-naive fixpoint) over the complete lower strata, and diff against
-/// the old contents so higher strata see exact deltas. Returns the
-/// stratum's join probes.
+/// the old contents so higher strata see exact deltas. Counts the
+/// recompute, its wall time and its join probes and defections in
+/// `commit`.
+#[allow(clippy::too_many_arguments)]
 fn recompute_stratum(
     engine: &Engine<'_>,
     s: usize,
@@ -1178,7 +1189,9 @@ fn recompute_stratum(
     base: &Database,
     guard: &EvalGuard,
     changes: &mut FxHashMap<SymId, PredDelta>,
-) -> Result<u64> {
+    commit: &mut CommitStats,
+) -> Result<()> {
+    let started = Instant::now();
     let mut sorted_preds: Vec<SymId> = preds.iter().copied().collect();
     sorted_preds.sort_unstable();
     let mut old = Database::new();
@@ -1198,7 +1211,13 @@ fn recompute_stratum(
             entry.del.extend(del);
         }
     }
-    Ok(stats.per_rule.iter().map(|r| r.join_probes).sum())
+    for rule in &stats.per_rule {
+        commit.join_probes += rule.join_probes;
+        commit.join_defections += rule.join_defections;
+    }
+    commit.recompute_ms += ms_since(started);
+    commit.strata_recomputed += 1;
+    Ok(())
 }
 
 /// The facts of `rel` that `other` lacks, sorted.

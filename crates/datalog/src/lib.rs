@@ -108,7 +108,7 @@ mod storage;
 mod term;
 mod trace;
 
-pub use algo::{AlgoContext, AlgoImpl, AlgoRegistry};
+pub use algo::{AlgoContext, AlgoImpl, AlgoOutput, AlgoRegistry};
 pub use atom::{ArithOp, Atom, CmpOp, Literal};
 pub use clause::{AggFunc, Aggregate, Clause, Span};
 pub use error::DatalogError;

@@ -19,14 +19,25 @@
 //! * **no bound columns** — the matching rows are computed once (a
 //!   constant-column index probe, or a full scan) and cross-producted
 //!   with the batch;
-//! * **bound columns, hash join** — the smaller side is hashed on its
-//!   bound-column cells and the other side probes the table. Used for a
-//!   small relation (≤ [`CHUNK`] rows), whose relation-side table is
-//!   cached per step by relation version — EDB relations are hashed once
-//!   per evaluation and probed by every chunk of every round; a prepared
-//!   query that rebinds the step's constants drops it — or when
-//!   the driving constant column (`Relation::driving_const`) is indexed
-//!   and selects no more candidate rows than the batch has bindings;
+//! * **bound columns, hash join** — the smaller side is hashed on all
+//!   its bound-column cells and the other side probes the table. The
+//!   relation side is hashed whole, as a *whole-key table*, once the
+//!   batch rows a step has received in the current application (one
+//!   [`RulePlan::eval`] call, counted across chunks), times
+//!   [`TABLE_BUILD_RATIO`], reach the relation's size, for a small
+//!   relation (≤ [`CHUNK`] rows) or one bound on two or more columns.
+//!   The table is cached per step by relation version: EDB relations
+//!   are hashed once per evaluation and probed by every chunk of every
+//!   round, and a self-join such as the cautious-belief `beaten` over
+//!   `bel_opt` — bound on `P, K, A, H` and the class, with an input
+//!   covering the relation — probes only the rows sharing its whole key. A table over more
+//!   than [`CHUNK`] rows lives for one application, and a prepared
+//!   query that rebinds the step's constants drops it. Delta-sized
+//!   inputs (DRed commits, prepared demand and reader goals) never
+//!   reach the ratio and keep the merge join below. The hash join is
+//!   also used when the driving constant column
+//!   (`Relation::driving_const`) is indexed and selects no more
+//!   candidate rows than the batch has bindings;
 //! * **bound columns, merge join** otherwise — one bound column drives
 //!   the seek and every other one is checked on each pair. The driver
 //!   is chosen by the rule constants use (`Relation::driving_const`):
@@ -95,10 +106,10 @@ use crate::{DatalogError, Result};
 /// checks frequent.
 const CHUNK: usize = 4096;
 
-/// A stale small-relation join table is rebuilt only when
-/// `batch.n * TABLE_BUILD_RATIO >= rel.len()`: hashing a relation row
-/// costs a few times more than probing, so smaller batches use the
-/// sorted indexes instead.
+/// A stale join table is rebuilt only when the rows a step has received
+/// in the current application, times this ratio, reach `rel.len()`:
+/// hashing a relation row costs a few times more than probing, so
+/// smaller inputs use the sorted indexes instead.
 const TABLE_BUILD_RATIO: usize = 8;
 
 /// Minimum batch size for a merge-join column cursor. Constructing a
@@ -217,15 +228,53 @@ impl Batch {
     }
 }
 
-/// A cached hash-join table for one small-relation scan step: live rows
-/// satisfying the scan's constant/check columns, keyed by the hash of
-/// their bound-column cells. Valid for exactly one relation version
+/// A cached hash-join table for one scan step: live rows satisfying the
+/// scan's constant/check columns, keyed by the hash of their
+/// bound-column cells. Valid for exactly one relation version
 /// ([`Relation::version`]), so it is built once per version and reused
-/// across chunks and evaluation rounds — for EDB relations, exactly
-/// once.
+/// across chunks — and, over a small relation (≤ [`CHUNK`] rows), across
+/// evaluation rounds too: for EDB relations, exactly once. A table over
+/// a larger relation costs memory in proportion to it and was paid for
+/// by one application's input, so it is dropped when that application
+/// ends.
 struct JoinTable {
     version: u128,
-    map: FxHashMap<u64, Vec<u32>>,
+    map: Buckets,
+    /// Built over a relation larger than [`CHUNK`] rows: dropped at the
+    /// end of the application that built it.
+    transient: bool,
+}
+
+/// Row ids grouped by the hash of their join key, in one array: each
+/// hash's ids stay in the order they were added, and a table costs a
+/// few words per row rather than an allocation per key.
+struct Buckets {
+    /// Key hash → the range of `ids` holding its rows.
+    spans: FxHashMap<u64, (u32, u32)>,
+    ids: Vec<u32>,
+}
+
+impl Buckets {
+    /// Group `(hash, id)` entries by hash.
+    fn new(mut entries: Vec<(u64, u32)>) -> Self {
+        // A stable sort keeps each hash's ids in the order they came.
+        entries.sort_by_key(|&(hash, _)| hash);
+        let mut spans = FxHashMap::default();
+        let mut at = 0;
+        for run in entries.chunk_by(|a, b| a.0 == b.0) {
+            spans.insert(run[0].0, (at, clamp(run.len())));
+            at += clamp(run.len());
+        }
+        let ids = entries.into_iter().map(|(_, id)| id).collect();
+        Buckets { spans, ids }
+    }
+
+    /// The ids whose key hashes to `hash`.
+    fn get(&self, hash: u64) -> &[u32] {
+        self.spans
+            .get(&hash)
+            .map_or(&[], |&(at, n)| &self.ids[at as usize..(at + n) as usize])
+    }
 }
 
 /// Reusable per-plan evaluation buffers: one pattern/local/batch/row
@@ -238,8 +287,12 @@ pub(crate) struct Scratch {
     batches: Vec<Batch>,
     /// Per-step row-id buffers of the batched executor.
     rowbufs: Vec<Vec<u32>>,
-    /// Per-step cached small-relation join tables.
+    /// Per-step cached join tables.
     tables: Vec<Option<JoinTable>>,
+    /// Per-step batch rows received in the current application (one
+    /// [`RulePlan::eval`] call): what decides whether a step's relation
+    /// is worth hashing whole.
+    seen: Vec<usize>,
     /// Guard tick state and probe counter for this plan's evaluations.
     cursor: GuardCursor,
     /// Merge joins that defected to a hash join since the last take.
@@ -790,6 +843,7 @@ impl RulePlan {
             batches: self.steps.iter().map(|_| Batch::default()).collect(),
             rowbufs: self.steps.iter().map(|_| Vec::new()).collect(),
             tables: self.steps.iter().map(|_| None).collect(),
+            seen: vec![0; self.steps.len()],
             cursor: GuardCursor::new(),
             defections: 0,
         }
@@ -815,7 +869,14 @@ impl RulePlan {
         let mut root = Batch::default();
         root.reset(self.n_slots);
         root.n = 1; // the single empty binding
-        self.exec_batch(0, db, delta, &root, scratch, out, guard)?;
+        scratch.seen.fill(0);
+        let result = self.exec_batch(0, db, delta, &root, scratch, out, guard);
+        for table in &mut scratch.tables {
+            if table.as_ref().is_some_and(|t| t.transient) {
+                *table = None;
+            }
+        }
+        result?;
         scratch.cursor.flush(guard)
     }
 
@@ -1121,8 +1182,8 @@ impl RulePlan {
 
     /// Hash join of `batch_rows` with the scan's candidate rows on every
     /// bound column. The relation side is hashed when a current cached
-    /// table exists, when `cache` asks for one (kept for the step's next
-    /// chunk and round, until the relation version changes), or when it
+    /// table exists, when `cache` asks for one (a [`JoinTable`], kept for
+    /// the step's next chunk until the relation version changes), or when it
     /// has no more candidates than `batch_rows`; otherwise the batch rows
     /// are hashed and the candidates probe them. Keys are hashes, so every
     /// pair is verified on all bound columns.
@@ -1162,23 +1223,21 @@ impl RulePlan {
         let rel_side = cached.is_some() || cache || rows.len() <= batch_rows.len();
         let map = match cached {
             Some(t) => t.map,
-            None => {
-                let mut map: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-                let mut insert = |id, of_batch| map.entry(key(id, of_batch)).or_default().push(id);
-                if rel_side {
-                    rows.iter().for_each(|&r| insert(r, false));
-                } else {
-                    batch_rows.by_ref().for_each(|row| insert(row, true));
-                }
-                map
-            }
+            None if rel_side => Buckets::new(rows.iter().map(|&r| (key(r, false), r)).collect()),
+            None => Buckets::new(
+                batch_rows
+                    .by_ref()
+                    .map(|row| (key(row, true), row))
+                    .collect(),
+            ),
         };
         // Probe with the other side's rows: `p` pairs with each table
         // entry of the same key as (batch row, relation row).
         let mut probe = |p: u32| -> Result<()> {
-            let Some(cands) = map.get(&key(p, rel_side)) else {
+            let cands = map.get(key(p, rel_side));
+            if cands.is_empty() {
                 return Ok(());
-            };
+            }
             scratch.cursor.probe_n(clamp(cands.len()), guard)?;
             for &c in cands {
                 let (row, r) = if rel_side { (p, c) } else { (c, p) };
@@ -1205,6 +1264,7 @@ impl RulePlan {
             scratch.tables[step] = Some(JoinTable {
                 version: rel.version(),
                 map,
+                transient: rel.len() > CHUNK,
             });
         }
         result
@@ -1303,25 +1363,33 @@ impl RulePlan {
             return result;
         }
 
-        // Bound columns: hash join against a small relation (≤ CHUNK
-        // rows) whose table is cached per step by relation version, so
-        // EDB relations are hashed once per evaluation. A stale cache is
-        // rebuilt only for a batch large enough to amortize it; one-off
-        // small evaluations (incremental delta propagation, point
-        // queries) fall through. An indexed constant column selecting no
-        // more rows than the batch has bindings makes an uncached table
-        // cheap too.
+        // Bound columns: hash join on every bound column against a table
+        // of the whole relation, cached per step by relation version, once
+        // the rows this step has received in this application amortize
+        // hashing it: a small relation (≤ CHUNK rows, so EDB relations
+        // are hashed once per evaluation), or one joined on two or more
+        // columns, whose merge join would check every column but the
+        // driving one on each pair. The input is counted over the whole
+        // application, not per chunk, so a relation of more than
+        // `TABLE_BUILD_RATIO` chunks still qualifies once enough chunks
+        // have arrived; one-off small evaluations (incremental delta
+        // propagation, point queries) fall through. An indexed constant
+        // column selecting no more rows than the batch has bindings makes
+        // an uncached table cheap too.
+        scratch.seen[step] += batch.n;
         let table_valid = scratch.tables[step]
             .as_ref()
             .is_some_and(|t| t.version == rel.version());
-        let small = rel.len() <= CHUNK && (table_valid || batch.n * TABLE_BUILD_RATIO >= rel.len());
+        let whole = table_valid
+            || ((rel.len() <= CHUNK || spec.bounds.len() >= 2)
+                && scratch.seen[step].saturating_mul(TABLE_BUILD_RATIO) >= rel.len());
         let selective = driver
             .and_then(|d| d.estimate)
             .is_some_and(|n| n <= batch.n);
-        if small || selective {
+        if whole || selective {
             let all = (0..batch.n).map(clamp);
             return self.hash_join(
-                step, spec, rel, driver, small, batch, all, child, db, delta, scratch, out, guard,
+                step, spec, rel, driver, whole, batch, all, child, db, delta, scratch, out, guard,
             );
         }
 

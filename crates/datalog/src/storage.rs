@@ -1028,6 +1028,17 @@ impl Database {
         // A fresh handle rather than make_mut: the old relation may stay
         // pinned by a snapshot, and a reset needs no copy anyway.
         let rel = from.relations.get(&predicate).cloned().unwrap_or_default();
+        self.replace_relation(predicate, rel);
+    }
+
+    /// Store `rel` as the relation for a predicate id, replacing any
+    /// earlier one, and adjust the database total: a relation built
+    /// elsewhere (an operator's output) stored without copying a fact.
+    pub(crate) fn install_relation_id(&mut self, predicate: SymId, rel: Relation) {
+        self.replace_relation(predicate, Arc::new(rel));
+    }
+
+    fn replace_relation(&mut self, predicate: SymId, rel: Arc<Relation>) {
         self.fact_count += rel.len();
         if let Some(old) = self.relations.insert(predicate, rel) {
             self.fact_count -= old.len();

@@ -7,7 +7,9 @@
 
 use proptest::prelude::*;
 
-use multilog_datalog::{parse_program, reference, Const, Database, Engine, Program};
+use multilog_datalog::{
+    parse_program, reference, Const, Database, Engine, IncrementalEngine, Program,
+};
 
 /// Random edge relations over a small constant universe plus the standard
 /// recursive closure rules — a family of programs with genuine recursion.
@@ -235,6 +237,13 @@ fn batched_rule_counters(src: &str, head: &str) -> (u64, u64, usize) {
     )
 }
 
+/// The `visible` cell `i` of a cautious-belief self-join database: key
+/// `i / 3` (whose `(P, K, A)` values `key_cols` names) at class `i % 3`.
+fn visible_cell(i: usize, key_cols: &impl Fn(usize) -> [String; 3]) -> [String; 5] {
+    let [p, k, a] = key_cols(i / 3);
+    [p, k, a, format!("v{i}"), format!("c{}", i % 3)]
+}
+
 /// The cautious-belief self-join of the reduction, over a `visible`
 /// relation larger than one join chunk (4 096 rows). Every key holds
 /// three cells at classes `c0 < c1 < c2`; `key_cols(key)` names the
@@ -245,8 +254,10 @@ fn beaten_src(rows: usize, key_cols: impl Fn(usize) -> [String; 3]) -> String {
          dominate(c1, c1). dominate(c1, c2). dominate(c2, c2).\n",
     );
     for i in 0..rows {
-        let [p, k, a] = key_cols(i / 3);
-        src.push_str(&format!("visible({p}, {k}, {a}, v{i}, c{}).\n", i % 3));
+        src.push_str(&format!(
+            "visible({}).\n",
+            visible_cell(i, &key_cols).join(", ")
+        ));
     }
     src.push_str(
         "beaten(P, K, A, C) :- visible(P, K, A, V, C), visible(P, K, A, V2, C2), \
@@ -261,30 +272,68 @@ fn beaten_count(rows: usize) -> usize {
     2 * (rows / 3) + (rows % 3).saturating_sub(1)
 }
 
+/// Commit cells `rows..rows + fresh` into an incremental engine over the
+/// first `rows` cells of [`beaten_src`], assert it then holds the
+/// reference model of all of them, and return the commit's
+/// `(join_probes, join_defections, derived_added)`. The commit's
+/// self-join reads a delta of `fresh` rows, too few to amortize hashing
+/// `visible` whole, so it runs the merge join.
+fn commit_counters(
+    rows: usize,
+    fresh: usize,
+    key_cols: impl Fn(usize) -> [String; 3],
+) -> (u64, u64, usize) {
+    let mut engine =
+        IncrementalEngine::new(&parse_program(&beaten_src(rows, &key_cols)).unwrap()).unwrap();
+    engine.begin().unwrap();
+    for i in rows..rows + fresh {
+        let cell = visible_cell(i, &key_cols).map(|c| Const::sym(&c));
+        engine.insert("visible", cell.to_vec()).unwrap();
+    }
+    let stats = engine.commit().unwrap();
+    let whole = parse_program(&beaten_src(rows + fresh, &key_cols)).unwrap();
+    assert_eq!(
+        all_facts(engine.database()),
+        all_facts(&reference::model(&whole).unwrap()),
+        "commit disagrees with the reference"
+    );
+    (
+        stats.join_probes,
+        stats.join_defections,
+        stats.derived_added,
+    )
+}
+
 #[test]
 fn fat_merge_key_groups_defect_to_the_hash_join() {
     const ROWS: usize = 5000;
+    const FRESH: usize = 300;
     // Every bound column is fat — 16, 17 and 19 values of P, K and A,
     // hundreds of rows each — while the full key stays thin (the values
     // are coprime moduli of the key, so no two keys share all three).
-    // Whichever column drives, its key groups are fat. The first
-    // `thin_keys` keys take values of their own on every column: thin
-    // groups beside the fat ones.
+    // The committed keys take 2, 3 and 5 of those values: whichever
+    // column drives, its key groups are fat on both sides. The first
+    // `thin_keys` committed keys take values of their own on every
+    // column: thin groups beside the fat ones.
     for thin_keys in [0, 20] {
-        let src = beaten_src(ROWS, |key| {
-            if key < thin_keys {
-                [format!("tp{key}"), format!("tk{key}"), format!("ta{key}")]
-            } else {
-                [
+        let (probes, defections, added) = commit_counters(ROWS, FRESH, |key| {
+            let fresh = key.checked_sub(ROWS / 3 + 1);
+            match fresh {
+                Some(f) if f < thin_keys => [format!("tp{f}"), format!("tk{f}"), format!("ta{f}")],
+                Some(_) => [
+                    format!("p{}", key % 2),
+                    format!("k{}", key % 3),
+                    format!("a{}", key % 5),
+                ],
+                None => [
                     format!("p{}", key % 16),
                     format!("k{}", key % 17),
                     format!("a{}", key % 19),
-                ]
+                ],
             }
         });
-        let (probes, defections, added) = batched_rule_counters(&src, "beaten");
-        assert_eq!(added, beaten_count(ROWS), "thin_keys={thin_keys}");
-        let bound = 20 * (ROWS as u64 + added as u64);
+        assert!(added > 0, "thin_keys={thin_keys}: the commit beat nothing");
+        let bound = 4 * (ROWS + FRESH) as u64;
         assert!(
             probes <= bound,
             "thin_keys={thin_keys}: {probes} join probes, bound {bound}"
@@ -296,21 +345,53 @@ fn fat_merge_key_groups_defect_to_the_hash_join() {
 #[test]
 fn thin_bound_column_drives_the_join() {
     const ROWS: usize = 6000;
+    const FRESH: usize = 600;
     // One value of P and of A for every row: only K, three rows per
-    // value, is thin. The self-join must seek through K, not defect
-    // after seeking every row through P.
-    let src = beaten_src(ROWS, |key| ["p0".into(), format!("k{key}"), "a0".into()]);
-    let (probes, defections, added) = batched_rule_counters(&src, "beaten");
-    assert_eq!(added, beaten_count(ROWS));
+    // value, is thin. The commit's self-join must seek through K, not
+    // defect after seeking every row through P.
+    let (probes, defections, added) = commit_counters(ROWS, FRESH, |key| {
+        ["p0".into(), format!("k{key}"), "a0".into()]
+    });
+    assert_eq!(added, beaten_count(FRESH));
     assert_eq!(
         defections, 0,
         "a thin bound column leaves nothing to defect"
     );
-    // Rows the self-join matches: each cell with every cell of its key.
-    let matched = 9 * (ROWS as u64 / 3);
+    // Rows the commit's two delta joins match: each committed cell with
+    // every cell of its key.
+    let matched = 2 * 9 * (FRESH as u64 / 3);
     assert!(
         probes <= 3 * matched,
         "{probes} join probes for {matched} matched rows"
+    );
+}
+
+#[test]
+fn full_evaluation_hashes_the_whole_bound_key() {
+    const ROWS: usize = 6000;
+    // Fat P, K and A (16, 17 and 19 values), thin full key. The full
+    // evaluation's input covers `visible`, so the self-join hashes it on
+    // every bound column and each input row probes only the cells of its
+    // own key and class.
+    let src = beaten_src(ROWS, |key| {
+        [
+            format!("p{}", key % 16),
+            format!("k{}", key % 17),
+            format!("a{}", key % 19),
+        ]
+    });
+    let (probes, defections, added) = batched_rule_counters(&src, "beaten");
+    assert_eq!(added, beaten_count(ROWS));
+    assert_eq!(defections, 0, "the whole-key table leaves no merge join");
+    // Pairs of cells of one key whose classes the rule relates (`C`
+    // strictly below `C2`): 3 per key. After scanning the 6 `dominate`
+    // rows the plan enumerates each pair twice — `dominate ⋈ visible` on
+    // the class, then the self-join on the rest of the key — and probes
+    // nothing else.
+    let matched = 3 * (ROWS as u64 / 3);
+    assert!(
+        probes <= 6 + 2 * matched,
+        "{probes} join probes for {matched} matched pairs"
     );
 }
 

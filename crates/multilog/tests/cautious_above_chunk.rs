@@ -1,9 +1,10 @@
 //! Theorem 6.1 above one join chunk: on a database whose top level sees
 //! more than 4 096 cells, the reduction's cautious-belief self-join
-//! (`beaten` over `bel_opt`) leaves the small-relation hash join; in the
-//! semi-naive rounds of the top level's demand plan it runs through the
-//! merge join and its hash-join defection. Its `<< cau` answers must
-//! still equal the operational semantics' at every level.
+//! (`beaten` over `bel_opt`) joins a relation larger than one chunk on
+//! its whole key `(P, K, A, H)`; in the semi-naive rounds of the top
+//! level's demand plan it hashes `bel_opt` on that whole key. Its
+//! `<< cau` answers must still equal the operational semantics' at
+//! every level.
 //! A one-cell commit into such a database joins its delta through the
 //! key's thin bound columns, never through every `data` row, and its
 //! readers still answer like a fresh reduction.
@@ -11,12 +12,15 @@
 // Test code: unwraps are the assertion.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use std::collections::HashMap;
+
 use multilog_core::ast::Head;
 use multilog_core::reduce::{EdbUpdate, ReducedEngine};
 use multilog_core::{
     parse_clause, parse_database, parse_goal, Answer, BeliefServer, EngineOptions, MultiLogEngine,
     SHARED_ENGINE,
 };
+use multilog_datalog::Const;
 
 const LEVELS: usize = 3;
 const KEYS: usize = 1500;
@@ -62,22 +66,41 @@ fn cautious_answers_agree_above_one_join_chunk() {
             // The top level sees every cell. The full evaluation joins
             // `beaten` once over complete inputs; the demand plan for
             // the goal still runs its stratum semi-naively, joining
-            // deltas above one chunk, and must have left the merge join.
+            // deltas above one chunk. Each of its rounds covers
+            // `bel_opt`, so the self-join hashes it on the whole bound
+            // key and never defects, and its probes stay within four
+            // passes over the pairs of `bel_opt` rows that share
+            // `(P, K, A, H)` (a merge join seeking one column made
+            // twice that and defected).
             let goal = parse_goal(goal).unwrap();
             let (answers, stats) = red.solve_demand_with_stats(&goal).unwrap();
             assert_eq!(norm(&answers), norm(&red.solve(&goal).unwrap()));
-            let defections: u64 = stats
+            let beaten: Vec<_> = stats
                 .per_rule
                 .iter()
-                .filter(|r| r.rule.contains("beaten"))
-                .map(|r| r.join_defections)
-                .sum();
+                .filter(|r| r.rule.contains("__beaten(") && r.rule.contains("C != C2"))
+                .collect();
+            assert!(!beaten.is_empty(), "no demand beaten rule in the stats");
+            let probes: u64 = beaten.iter().map(|r| r.join_probes).sum();
+            let defections: u64 = beaten.iter().map(|r| r.join_defections).sum();
+            let matched = key_pairs(&red);
+            assert_eq!(defections, 0, "top-level demand beaten join defected");
             assert!(
-                defections > 0,
-                "top-level demand beaten join never defected"
+                probes <= 4 * matched,
+                "top-level demand beaten join: {probes} probes for {matched} matched pairs"
             );
         }
     }
+}
+
+/// Pairs of `bel_opt` rows of `red`'s fixpoint that share `(P, K, A, H)`:
+/// the rows `beaten`'s self-join matches.
+fn key_pairs(red: &ReducedEngine) -> u64 {
+    let mut groups: HashMap<[Const; 4], u64> = HashMap::new();
+    for row in red.database().relation("bel_opt").unwrap().iter() {
+        *groups.entry([row[0], row[1], row[2], row[5]]).or_default() += 1;
+    }
+    groups.values().map(|n| n * n).sum()
 }
 
 fn norm(answers: &[Answer]) -> Vec<String> {
